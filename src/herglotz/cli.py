@@ -9,6 +9,7 @@ Exit statuses: 0 success, 2 parse/argument error, 3 infeasible data,
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .extension import solve_cf
 from .io import (
     ProblemFile,
     RunConfig,
+    _problem_dict,
     canonical_json,
     load_problem,
     matrix_to_pairs,
@@ -65,15 +67,24 @@ def _complex_flag(text):
     raise argparse.ArgumentTypeError(f"expected 're,im' or 're', got {text!r}")
 
 
+_FLAG_HELP = {
+    "eps": "positive extension shift",
+    "tol": "positivity tolerance",
+    "horizon": "highest output coefficient index",
+    "truncation": "series evaluation truncation",
+    "grid": "number of kernel test points",
+    "seed": "random generator seed (PCG64)",
+    "radius": "declared evaluation radius",
+}
+
+
 def _run_flags():
+    # one flag per RunConfig field, with the field's default
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--eps", type=float, default=1e-8, help="positive extension shift")
-    p.add_argument("--tol", type=float, default=1e-9, help="positivity tolerance")
-    p.add_argument("--horizon", type=int, default=64, help="highest output coefficient index")
-    p.add_argument("--truncation", type=int, default=256, help="series evaluation truncation")
-    p.add_argument("--grid", type=int, default=16, help="number of kernel test points")
-    p.add_argument("--seed", type=int, default=0, help="random generator seed (PCG64)")
-    p.add_argument("--radius", type=float, default=0.9, help="declared evaluation radius")
+    for f in fields(RunConfig):
+        p.add_argument(
+            f"--{f.name}", type=type(f.default), default=f.default, help=_FLAG_HELP[f.name]
+        )
     p.add_argument("--output", help="write the data product to this path")
     p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
     return p
@@ -121,15 +132,7 @@ def build_parser():
 
 
 def _config(args):
-    return RunConfig(
-        eps=args.eps,
-        tol=args.tol,
-        horizon=args.horizon,
-        truncation=args.truncation,
-        grid=args.grid,
-        seed=args.seed,
-        radius=args.radius,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _sample_points(rng, count, radius):
@@ -138,52 +141,58 @@ def _sample_points(rng, count, radius):
     return radius * np.sqrt(u) * np.exp(1j * theta)
 
 
-def _print_matrix(m, out=sys.stdout):
-    for row in np.asarray(m):
-        print("  [" + ", ".join(f"{v.real:+.12e}{v.imag:+.12e}j" for v in row) + "]", file=out)
+def _matrix_lines(m):
+    return [
+        "  [" + ", ".join(f"{v.real:+.12e}{v.imag:+.12e}j" for v in row) + "]"
+        for row in np.asarray(m)
+    ]
 
 
-def _emit_product(text, args, summary_lines):
-    # data product goes to --output or stdout; the summary never mixes with it
-    if args.output:
+def _emit(args, report, lines, product=None):
+    # the one place a command writes its output.  The data product, if any,
+    # goes to --output when given.  --json puts the canonical report on
+    # stdout; text mode prints ``lines`` instead, on stderr when the product
+    # itself goes to stdout so the two never mix.
+    if product is not None and args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        for line in summary_lines:
-            print(line)
-    else:
-        sys.stdout.write(text)
-        for line in summary_lines:
-            print(line, file=sys.stderr)
+            fh.write(product)
+    if args.json:
+        sys.stdout.write(canonical_json(report))
+        return
+    out = sys.stdout
+    if product is not None and not args.output:
+        sys.stdout.write(product)
+        out = sys.stderr
+    for line in lines:
+        print(line, file=out)
 
 
 def cmd_check(args):
     cfg = _config(args)
     pf = load_problem(args.input)
-    seq = pf.to_sequence()
-    reports = positivity_profile(seq, cfg.tol)
+    reports = positivity_profile(pf.to_sequence(), cfg.tol)
     all_psd = all(r.is_psd for r in reports)
-    if args.json:
-        obj = {
-            "all_psd": all_psd,
-            "block_dim": pf.block_dim,
-            "command": "check",
-            "levels": [
-                {
-                    "is_psd": r.is_psd,
-                    "is_strictly_positive": r.is_strictly_positive,
-                    "level": n,
-                    "min_eigenvalue": r.min_eigenvalue,
-                }
-                for n, r in enumerate(reports)
-            ],
-            "tol": cfg.tol,
-        }
-        sys.stdout.write(canonical_json(obj))
-    else:
-        for n, r in enumerate(reports):
-            verdict = "PSD" if r.is_psd else "not PSD"
-            print(f"level {n}: min eigenvalue {r.min_eigenvalue:+.6e}  {verdict}")
-        print(f"verdict: {'PSD' if all_psd else 'not PSD'}")
+    report = {
+        "all_psd": all_psd,
+        "block_dim": pf.block_dim,
+        "command": "check",
+        "levels": [
+            {
+                "is_psd": r.is_psd,
+                "is_strictly_positive": r.is_strictly_positive,
+                "level": n,
+                "min_eigenvalue": r.min_eigenvalue,
+            }
+            for n, r in enumerate(reports)
+        ],
+        "tol": cfg.tol,
+    }
+    lines = [
+        f"level {n}: min eigenvalue {r.min_eigenvalue:+.6e}  {'PSD' if r.is_psd else 'not PSD'}"
+        for n, r in enumerate(reports)
+    ]
+    lines.append(f"verdict: {'PSD' if all_psd else 'not PSD'}")
+    _emit(args, report, lines)
     return EXIT_OK if all_psd else EXIT_INFEASIBLE
 
 
@@ -198,35 +207,25 @@ def cmd_solve(args):
     out_seq = full.seq.truncated(min(cfg.horizon, full.seq.order))
     rng = np.random.default_rng(cfg.seed)
     points = _sample_points(rng, cfg.grid, cfg.radius)
-    report = kernel_gram(full, points)
+    gram = kernel_gram(full, points)
     out_pf = ProblemFile.from_sequence(out_seq, metadata=pf.metadata)
-    if args.json:
-        obj = {
-            "command": "solve",
-            "kernel": {
-                "grid": cfg.grid,
-                "min_eigenvalue": report.min_eigenvalue,
-                "points": [[z.real, z.imag] for z in points],
-                "psd": report.is_psd,
-                "tolerance_used": report.tolerance_used,
-            },
-            "problem": {
-                "block_dim": out_pf.block_dim,
-                "coefficients": [matrix_to_pairs(m) for m in out_pf.coefficients],
-                "metadata": {str(k): str(v) for k, v in out_pf.metadata.items()},
-            },
-        }
-        sys.stdout.write(canonical_json(obj))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(serialize_problem(out_pf))
-        return EXIT_OK
+    report = {
+        "command": "solve",
+        "kernel": {
+            "grid": cfg.grid,
+            "min_eigenvalue": gram.min_eigenvalue,
+            "points": [[z.real, z.imag] for z in points],
+            "psd": gram.is_psd,
+            "tolerance_used": gram.tolerance_used,
+        },
+        "problem": _problem_dict(out_pf),
+    }
     summary = [
         f"extended coefficients: 0..{out_seq.order}",
-        f"kernel gram min eigenvalue: {report.min_eigenvalue:+.6e} "
-        f"(tolerance {report.tolerance_used:.3e}, {cfg.grid} points, seed {cfg.seed})",
+        f"kernel gram min eigenvalue: {gram.min_eigenvalue:+.6e} "
+        f"(tolerance {gram.tolerance_used:.3e}, {cfg.grid} points, seed {cfg.seed})",
     ]
-    _emit_product(serialize_problem(out_pf), args, summary)
+    _emit(args, report, summary, serialize_problem(out_pf))
     return EXIT_OK
 
 
@@ -238,46 +237,42 @@ def _eval_series_from_file(pf, cfg):
 
 def cmd_eval(args):
     cfg = _config(args)
-    pf = load_problem(args.input)
-    phi = _eval_series_from_file(pf, cfg)
+    phi = _eval_series_from_file(load_problem(args.input), cfg)
     value = eval_series(phi, args.z)
     tail = series_tail_bound(phi, args.z)
-    if args.json:
-        obj = {
-            "command": "eval",
-            "tail_bound": tail,
-            "value": matrix_to_pairs(value),
-            "z": [args.z.real, args.z.imag],
-        }
-        sys.stdout.write(canonical_json(obj))
-    else:
-        print(f"value at z = {args.z}:")
-        _print_matrix(value)
-        print(f"truncation tail bound: {tail:.3e}")
+    report = {
+        "command": "eval",
+        "tail_bound": tail,
+        "value": matrix_to_pairs(value),
+        "z": [args.z.real, args.z.imag],
+    }
+    lines = [
+        f"value at z = {args.z}:",
+        *_matrix_lines(value),
+        f"truncation tail bound: {tail:.3e}",
+    ]
+    _emit(args, report, lines)
     return EXIT_OK
 
 
 def cmd_kernel(args):
     cfg = _config(args)
-    pf = load_problem(args.input)
-    phi = _eval_series_from_file(pf, cfg)
+    phi = _eval_series_from_file(load_problem(args.input), cfg)
     value = kernel_value(phi, args.z, args.w)
-    tail = (series_tail_bound(phi, args.z) + series_tail_bound(phi, args.w)) / abs(
-        1 - args.z * np.conj(args.w)
-    )
-    if args.json:
-        obj = {
-            "command": "kernel",
-            "tail_bound": tail,
-            "value": matrix_to_pairs(value),
-            "w": [args.w.real, args.w.imag],
-            "z": [args.z.real, args.z.imag],
-        }
-        sys.stdout.write(canonical_json(obj))
-    else:
-        print(f"kernel at z = {args.z}, w = {args.w}:")
-        _print_matrix(value)
-        print(f"truncation tail bound: {tail:.3e}")
+    tail = series_tail_bound(phi, [args.z, args.w]).sum() / abs(1 - args.z * np.conj(args.w))
+    report = {
+        "command": "kernel",
+        "tail_bound": tail,
+        "value": matrix_to_pairs(value),
+        "w": [args.w.real, args.w.imag],
+        "z": [args.z.real, args.z.imag],
+    }
+    lines = [
+        f"kernel at z = {args.z}, w = {args.w}:",
+        *_matrix_lines(value),
+        f"truncation tail bound: {tail:.3e}",
+    ]
+    _emit(args, report, lines)
     return EXIT_OK
 
 
@@ -286,7 +281,7 @@ def cmd_reduce(args):
     pf = load_problem(args.input)
     rf = reduce(pf.to_sequence(), tol=cfg.tol)
     rank = rf.t0.shape[0]
-    obj = {
+    reduced = {
         "block_dim": pf.block_dim,
         "d_imag": matrix_to_pairs(rf.d_imag),
         "rank": rank,
@@ -296,18 +291,8 @@ def cmd_reduce(args):
         if rf.t_seq is not None
         else [],
     }
-    text = canonical_json(obj)
-    if args.json:
-        sys.stdout.write(canonical_json({"command": "reduce", "reduced": obj}))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return EXIT_OK
-    summary = [
-        f"rank: {rank}",
-        f"max residual: {max(rf.residuals):.3e}",
-    ]
-    _emit_product(text, args, summary)
+    summary = [f"rank: {rank}", f"max residual: {max(rf.residuals):.3e}"]
+    _emit(args, {"command": "reduce", "reduced": reduced}, summary, canonical_json(reduced))
     return EXIT_OK
 
 
@@ -326,21 +311,9 @@ def cmd_generate(args):
         "zero_c": "true" if args.zero_c else "false",
     }
     pf = ProblemFile.from_sequence(seq, metadata=metadata)
-    if args.json:
-        obj = {
-            "command": "generate",
-            "problem": {
-                "block_dim": pf.block_dim,
-                "coefficients": [matrix_to_pairs(m) for m in pf.coefficients],
-                "metadata": metadata,
-            },
-        }
-        sys.stdout.write(canonical_json(obj))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(serialize_problem(pf))
-        return EXIT_OK
-    _emit_product(serialize_problem(pf), args, [f"generated 0..{args.order} (seed {cfg.seed})"])
+    report = {"command": "generate", "problem": _problem_dict(pf)}
+    summary = [f"generated 0..{args.order} (seed {cfg.seed})"]
+    _emit(args, report, summary, serialize_problem(pf))
     return EXIT_OK
 
 

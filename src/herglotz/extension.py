@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
-from .series import HerglotzSeries
-from .toeplitz import CoefficientSequence, assemble, positivity_profile, reverse_blocks
+from .series import HerglotzSeries, certified_series
+from .toeplitz import CoefficientSequence, assemble, reverse_blocks
 
 __all__ = [
     "ExtensionStep",
@@ -42,17 +42,16 @@ __all__ = [
 class ExtensionStep:
     """Intermediates of one extension step at shift ``eps``.
 
-    ``alpha`` (d x d), ``beta`` (Nd x d) and ``delta`` (Nd x Nd) partition
-    the inverse of the eps-shifted, coefficient-reversed Toeplitz matrix
-    with ``alpha`` leading; ``gamma`` = (M_N ... M_1) is d x Nd;
-    ``x_center`` is the ball center and ``left_bound`` the Hermitian,
-    strictly positive bound S of the ball inequality.
+    ``alpha`` (d x d) is the leading block of the inverse of the
+    eps-shifted, coefficient-reversed Toeplitz matrix, computed as the
+    inverse of the Schur complement of its trailing Nd x Nd block;
+    ``gamma`` = (M_N ... M_1) is d x Nd; ``x_center`` is the ball center
+    and ``left_bound`` the Hermitian, strictly positive bound S of the
+    ball inequality.
     """
 
     eps: float
     alpha: np.ndarray
-    beta: np.ndarray
-    delta: np.ndarray
     gamma: np.ndarray
     x_center: np.ndarray
     left_bound: np.ndarray
@@ -113,10 +112,7 @@ def central_step(seq, eps, tol=1e-9):
             f"(spread {spread[0]:.3e} .. {spread[-1]:.3e})"
         )
     shifted_rev = eps * np.eye(n * d) + reverse_blocks(dense, d)
-    inv = np.linalg.inv(shifted_rev)
-    alpha = inv[:d, :d]
-    beta = inv[d:, :d]
-    delta = inv[d:, d:]
+    corner = shifted_rev[:d, :d]
     h0 = (seq.coefficients[0] + seq.coefficients[0].conj().T) / 2
     if n > 1:
         gamma = np.hstack(list(seq.coefficients[:0:-1]))
@@ -125,8 +121,10 @@ def central_step(seq, eps, tol=1e-9):
         # blocks, which cancels catastrophically for tiny eps
         sub = shifted_rev[d:, d:]
         col = shifted_rev[d:, :d]
-        x_center = gamma @ np.linalg.solve(sub, col)
+        coupling = np.linalg.solve(sub, col)
+        x_center = gamma @ coupling
         s = eps * np.eye(d) + h0 - gamma @ np.linalg.solve(sub, gamma.conj().T)
+        corner = corner - col.conj().T @ coupling
     else:
         gamma = np.zeros((d, 0), dtype=complex)
         x_center = np.zeros((d, d), dtype=complex)
@@ -134,9 +132,7 @@ def central_step(seq, eps, tol=1e-9):
     s = (s + s.conj().T) / 2
     step = ExtensionStep(
         eps=eps,
-        alpha=alpha,
-        beta=beta,
-        delta=delta,
+        alpha=np.linalg.inv(corner),
         gamma=gamma,
         x_center=x_center,
         left_bound=s,
@@ -217,22 +213,17 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     """Solve the truncated-coefficient interpolation problem.
 
-    Verifies feasibility level by level, then extends the data centrally
-    until the coefficient list reaches index ``horizon``.  The returned
-    series interpolates the input exactly: its first N + 1 coefficients
-    are bitwise equal to ``seq``.
+    Verifies feasibility level by level through ``certified_series``, then
+    extends the data centrally until the coefficient list reaches index
+    ``horizon``.  The returned series interpolates the input exactly: its
+    first N + 1 coefficients are bitwise equal to ``seq``.
 
     Raises
     ------
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     """
-    for n, report in enumerate(positivity_profile(seq, tol)):
-        if not report.is_psd:
-            raise NotPsdError(
-                f"infeasible data: truncation level {n} has min eigenvalue "
-                f"{report.min_eigenvalue:.6e}"
-            )
+    certified_series(seq, declared_radius=radius, tol=tol)
     extra = horizon - seq.order
     extended = extend(seq, max(extra, 0), eps=eps, tol=tol)
     return HerglotzSeries(seq=extended, declared_radius=radius, certified=True)

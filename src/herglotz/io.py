@@ -54,6 +54,12 @@ class RunConfig:
             raise ProblemFormatError(f"eps must be positive, got {self.eps}")
         if self.tol <= 0:
             raise ProblemFormatError(f"tol must be positive, got {self.tol}")
+        if self.horizon < 0:
+            raise ProblemFormatError(f"horizon must be nonnegative, got {self.horizon}")
+        if self.truncation < 0:
+            raise ProblemFormatError(f"truncation must be nonnegative, got {self.truncation}")
+        if self.grid < 1:
+            raise ProblemFormatError(f"grid must be at least 1, got {self.grid}")
         if not 0 < self.radius < 1:
             raise ProblemFormatError(f"radius must lie in (0, 1), got {self.radius}")
         if self.seed < 0:
@@ -133,16 +139,21 @@ def canonical_json(obj):
     return _emit(obj) + "\n"
 
 
-def serialize_problem(pf):
-    """Canonical text form of a problem file."""
-    if pf.block_dim < 1:
-        raise ProblemFormatError(f"block_dim must be >= 1, got {pf.block_dim}")
-    obj = {
+def _problem_dict(pf):
+    # plain-tree form of a problem file, shared by the file format and the
+    # CLI's JSON reports
+    return {
         "block_dim": int(pf.block_dim),
         "coefficients": [matrix_to_pairs(m) for m in pf.coefficients],
         "metadata": {str(k): str(v) for k, v in pf.metadata.items()},
     }
-    return canonical_json(obj)
+
+
+def serialize_problem(pf):
+    """Canonical text form of a problem file."""
+    if pf.block_dim < 1:
+        raise ProblemFormatError(f"block_dim must be >= 1, got {pf.block_dim}")
+    return canonical_json(_problem_dict(pf))
 
 
 def parse_problem(text):

@@ -128,44 +128,61 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
 
 
-def _check_point(z, radius):
-    z = complex(z)
-    if abs(z) > radius:
-        raise DomainError(f"|z| = {abs(z):.6f} outside declared radius {radius}")
-    return z
-
-
 def eval_series(phi, z):
     """Evaluate Phi(z) = M_0 + 2 sum_{n=1..T} z^n M_n.
 
-    The omitted tail is bounded by ``series_tail_bound(phi, z)``.
+    ``z`` is a point or a 1-d array of m points; the result is d x d or
+    m x d x d.  The omitted tail is bounded by ``series_tail_bound(phi, z)``.
     """
-    z = _check_point(z, phi.declared_radius)
+    z = np.asarray(z, dtype=complex)
+    if z.ndim > 1:
+        raise DimensionError(f"expected a point or a 1-d array of points, got shape {z.shape}")
+    outside = np.abs(z) > phi.declared_radius
+    if outside.any():
+        raise DomainError(
+            f"|z| = {abs(z[outside].flat[0]):.6f} outside declared radius {phi.declared_radius}"
+        )
     coeffs = phi.seq.coefficients
-    t = phi.seq.order
-    if t == 0:
-        return coeffs[0].copy()
-    powers = z ** np.arange(1, t + 1)
-    return coeffs[0] + 2 * np.tensordot(powers, coeffs[1:], axes=(0, 0))
+    powers = z[..., None] ** np.arange(1, phi.seq.order + 1)
+    return coeffs[0] + 2 * np.tensordot(powers, coeffs[1:], axes=(-1, 0))
 
 
 def series_tail_bound(phi, z):
     """Geometric bound on the dropped tail of ``eval_series``:
-    2 max_n ||M_n|| |z|^{T+1} / (1 - |z|)."""
-    z = complex(z)
-    r = abs(z)
-    if r >= 1:
-        raise DomainError(f"|z| = {r:.6f} must be below 1 for a finite tail bound")
-    max_norm = max(float(np.linalg.norm(block, 2)) for block in phi.seq.coefficients)
-    t = phi.seq.order
-    return 2 * max_norm * r ** (t + 1) / (1 - r)
+    2 max_n ||M_n|| |z|^{T+1} / (1 - |z|), for a point (a float) or a 1-d
+    array of points (an array)."""
+    r = np.abs(np.asarray(z, dtype=complex))
+    if (r >= 1).any():
+        raise DomainError(f"|z| = {r.max():.6f} must be below 1 for a finite tail bound")
+    max_norm = float(np.linalg.norm(phi.seq.coefficients, 2, axis=(1, 2)).max())
+    bound = 2 * max_norm * r ** (phi.seq.order + 1) / (1 - r)
+    return bound if bound.ndim else float(bound)
+
+
+def _kernel_blocks(phi, pts):
+    # (m, d, m, d) array whose [l, :, j, :] block is
+    # K(z_l, z_j) = (Phi(z_l) + Phi(z_j)*) / (1 - z_l conj(z_j))
+    values = eval_series(phi, pts)
+    num = values[:, :, None, :] + values.conj().transpose(2, 0, 1)[None]
+    return num / (1 - np.multiply.outer(pts, pts.conj()))[:, None, :, None]
 
 
 def kernel_value(phi, z, w):
     """Two-point kernel K(z, w) = (Phi(z) + Phi(w)*) / (1 - z conj(w))."""
-    z = _check_point(z, phi.declared_radius)
-    w = _check_point(w, phi.declared_radius)
-    return (eval_series(phi, z) + eval_series(phi, w).conj().T) / (1 - z * np.conj(w))
+    return _kernel_blocks(phi, np.array([z, w], dtype=complex))[0, :, 1, :]
+
+
+def _gram_matrix(phi, pts, vectors=None):
+    # dense (m d) x (m d) kernel Gram at the 1-d point array ``pts``, or its
+    # m x m compression by one d-vector per point
+    m, d = len(pts), phi.seq.block_dim
+    blocks = _kernel_blocks(phi, pts)
+    if vectors is None:
+        return blocks.reshape(m * d, m * d)
+    if len(vectors) != m:
+        raise DimensionError("need exactly one vector per sample point")
+    vecs = np.asarray(vectors, dtype=complex).reshape(m, d)
+    return np.einsum("la,lajb,jb->lj", vecs.conj(), blocks, vecs)
 
 
 def kernel_gram(phi, points, vectors=None, tol=1e-6):
@@ -178,30 +195,13 @@ def kernel_gram(phi, points, vectors=None, tol=1e-6):
     widened by the measured skew norm plus the truncation-tail allowance,
     so the report's ``tolerance_used`` absorbs both.
     """
-    pts = [_check_point(z, phi.declared_radius) for z in points]
-    m = len(pts)
-    if m == 0:
+    pts = np.asarray(points, dtype=complex)
+    if len(pts) == 0:
         raise DimensionError("need at least one sample point")
-    d = phi.seq.block_dim
-    values = [eval_series(phi, z) for z in pts]
-    if vectors is None:
-        gram = np.zeros((m * d, m * d), dtype=complex)
-        for l in range(m):
-            for j in range(m):
-                block = (values[l] + values[j].conj().T) / (1 - pts[l] * np.conj(pts[j]))
-                gram[l * d : (l + 1) * d, j * d : (j + 1) * d] = block
-    else:
-        if len(vectors) != m:
-            raise DimensionError("need exactly one vector per sample point")
-        vecs = [np.asarray(v, dtype=complex).reshape(d) for v in vectors]
-        gram = np.zeros((m, m), dtype=complex)
-        for l in range(m):
-            for j in range(m):
-                block = (values[l] + values[j].conj().T) / (1 - pts[l] * np.conj(pts[j]))
-                gram[l, j] = vecs[l].conj() @ block @ vecs[j]
+    gram = _gram_matrix(phi, pts, vectors)
     skew_norm = float(np.linalg.norm(gram - gram.conj().T)) / 2
-    tail = max(series_tail_bound(phi, z) for z in pts)
-    widened = tol + skew_norm + m * tail
+    tail = float(np.max(series_tail_bound(phi, pts)))
+    widened = tol + skew_norm + len(pts) * tail
     return psd_report((gram + gram.conj().T) / 2, widened)
 
 

@@ -147,11 +147,14 @@ def reversal_conjugate(bt):
 def positivity_profile(seq, tol=1e-9):
     """PSD report for every truncation level n = 0 .. N.
 
-    Each level is assembled and checked independently.  By eigenvalue
-    interlacing the minimal eigenvalues are non-increasing in n, so once a
-    level fails no later level can be strictly positive.
+    Level n is the leading (n + 1) d x (n + 1) d principal submatrix of
+    the full assembled matrix, entrywise the assembly of ``seq.truncated(n)``.
+    By eigenvalue interlacing the minimal eigenvalues are non-increasing in
+    n, so once a level fails no later level can be strictly positive.
     """
-    return [psd_report(assemble(seq.truncated(n)).dense, tol) for n in range(len(seq))]
+    dense = assemble(seq).dense
+    d = seq.block_dim
+    return [psd_report(dense[:k, :k], tol) for k in range(d, dense.shape[0] + 1, d)]
 
 
 def cross_block_bound_check(bt, samples, tol=1e-9):

@@ -31,6 +31,15 @@ def fixture_sequence(seed, block_dim, state_dim, order):
     return realization_coefficients(rlz, order)
 
 
+def reversed_inverse_partition(seq, eps):
+    # alpha, beta, delta of R = (eps I + rev(T_N))^{-1} with alpha the
+    # leading d x d block; block reversal commutes with inversion
+    d = seq.block_dim
+    dense = assemble(seq).dense
+    rev = reverse_blocks(np.linalg.inv(eps * np.eye(dense.shape[0]) + dense), d)
+    return rev[:d, :d], rev[d:, :d], rev[d:, d:]
+
+
 def min_prefix_eigs(seq):
     return [
         np.linalg.eigvalsh(assemble(seq.truncated(n)).dense)[0] for n in range(len(seq))
@@ -73,21 +82,24 @@ class TestCentralStep:
             central_step(scalar_seq([1, 1]), eps=1e-300)
 
     def test_partition_matches_reversed_inverse(self):
+        # alpha is the leading block of R, and the bound is the paper's
+        # S = eps I + Re M_0 - gamma (delta - beta alpha^{-1} beta*) gamma*
         seq = fixture_sequence(21, 2, 5, 3)
         eps = 1e-4
         step, _ = central_step(seq, eps)
-        dense = assemble(seq).dense
-        rev = reverse_blocks(np.linalg.inv(eps * np.eye(dense.shape[0]) + dense), 2)
-        d = 2
-        assert np.allclose(step.alpha, rev[:d, :d], atol=1e-10)
-        assert np.allclose(step.beta, rev[d:, :d], atol=1e-10)
-        assert np.allclose(step.delta, rev[d:, d:], atol=1e-10)
+        alpha, beta, delta = reversed_inverse_partition(seq, eps)
+        assert np.allclose(step.alpha, alpha, atol=1e-10)
+        m0 = seq.coefficients[0]
+        inner = delta - beta @ np.linalg.inv(alpha) @ beta.conj().T
+        s = eps * np.eye(2) + (m0 + m0.conj().T) / 2 - step.gamma @ inner @ step.gamma.conj().T
+        assert np.allclose(step.left_bound, s, atol=1e-10)
 
     def test_center_matches_inverse_block_formula(self):
         # x_center = -gamma beta alpha^{-1} with the reversed-layout blocks
         seq = fixture_sequence(25, 2, 6, 3)
         step, _ = central_step(seq, eps=1e-4)
-        direct = -step.gamma @ step.beta @ np.linalg.inv(step.alpha)
+        alpha, beta, _ = reversed_inverse_partition(seq, 1e-4)
+        direct = -step.gamma @ beta @ np.linalg.inv(alpha)
         assert np.allclose(step.x_center, direct, atol=1e-10)
 
     def test_delta_complement_is_one_level_down_inverse(self):
@@ -95,9 +107,8 @@ class TestCentralStep:
         # reversed Toeplitz matrix one truncation level down
         seq = fixture_sequence(22, 2, 6, 3)
         eps = 1e-3
-        step, _ = central_step(seq, eps)
-        alpha_inv = np.linalg.inv(step.alpha)
-        delta_x = step.delta - step.beta @ alpha_inv @ step.beta.conj().T
+        alpha, beta, delta = reversed_inverse_partition(seq, eps)
+        delta_x = delta - beta @ np.linalg.inv(alpha) @ beta.conj().T
         down = assemble(seq.truncated(seq.order - 1)).dense
         down_rev = reverse_blocks(down, 2)
         expected = np.linalg.inv(eps * np.eye(down.shape[0]) + down_rev)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -18,8 +20,10 @@ from herglotz.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE,
+    build_parser,
     main,
 )
+from herglotz.io import canonical_json
 
 
 def problem_text(values):
@@ -91,11 +95,32 @@ class TestRunConfig:
         assert cfg.truncation == 256 and cfg.grid == 16 and cfg.radius == 0.9
 
     @pytest.mark.parametrize(
-        "kwargs", [{"eps": 0.0}, {"tol": -1.0}, {"radius": 1.0}, {"radius": 0.0}]
+        "kwargs",
+        [
+            {"eps": 0.0},
+            {"tol": -1.0},
+            {"radius": 1.0},
+            {"radius": 0.0},
+            {"grid": 0},
+            {"horizon": -1},
+            {"truncation": -1},
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ProblemFormatError):
             RunConfig(**kwargs)
+
+    def test_cli_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["check", "p.json"])
+        cfg = RunConfig()
+        for name in ("eps", "tol", "horizon", "truncation", "grid", "seed", "radius"):
+            assert getattr(args, name) == getattr(cfg, name)
+
+    @pytest.mark.parametrize("flag", ["--grid=0", "--horizon=-3", "--truncation=-1"])
+    def test_invalid_run_flag_is_an_argument_error(self, tmp_path, capsys, flag):
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        assert main(["solve", path, flag]) == EXIT_PARSE
+        assert flag[2:].split("=")[0] in capsys.readouterr().err
 
 
 class TestCheckCommand:
@@ -174,6 +199,15 @@ class TestSolveCommand:
         assert report["kernel"]["min_eigenvalue"] >= -1e-6
         assert len(report["problem"]["coefficients"]) == 65
 
+    def test_json_report_and_output_file_share_the_problem(self, tmp_path, capsys):
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        out_path = tmp_path / "solved.json"
+        argv = ["solve", path, "--horizon", "4", "--truncation", "4", "--json",
+                "--output", str(out_path)]
+        assert main(argv) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert out_path.read_text() == canonical_json(report["problem"])
+
     def test_json_solution(self, tmp_path, capsys):
         path = write_problem(tmp_path, "p.json", [1, 0.5])
         code = main(["solve", path, "--horizon", "4", "--truncation", "4", "--json"])
@@ -209,6 +243,16 @@ class TestEvalCommands:
         assert main(["kernel", path, "--z", "0.5", "--w", "0.5", "--json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["value"][0][0][0] == pytest.approx(8.0, abs=1e-6)
+
+    def test_text_eval_follows_redirected_stdout(self, tmp_path):
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["eval", path, "--z", "0.5"]) == EXIT_OK
+        lines = buf.getvalue().splitlines()
+        assert lines[0].startswith("value at z")
+        assert lines[1] == "  [+1.500000000000e+00+0.000000000000e+00j]"
+        assert lines[2].startswith("truncation tail bound")
 
     def test_kernel_human_output(self, tmp_path, capsys):
         path = write_problem(tmp_path, "p.json", np.ones(51))
