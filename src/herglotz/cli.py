@@ -3,8 +3,10 @@
 Subcommands: ``check`` (positivity profile), ``solve`` (central extension
 plus kernel Gram summary), ``eval`` and ``kernel`` (point evaluation),
 ``reduce`` (base-factor reduction), ``generate`` (seeded random fixture).
-Exit statuses: 0 success, 2 parse/argument error, 3 infeasible data,
-4 domain error, 5 internal tolerance failure.
+Exit statuses: 0 success, 2 parse/argument error (including an input that
+cannot be read or an ``--output`` that cannot be written), 3 infeasible
+data, 4 domain error, 5 internal tolerance failure (including a ``solve``
+whose own kernel Gram report is not PSD; the report is still emitted).
 """
 
 import argparse
@@ -226,6 +228,13 @@ def cmd_solve(args):
         f"(tolerance {gram.tolerance_used:.3e}, {cfg.grid} points, seed {cfg.seed})",
     ]
     _emit(args, report, summary, serialize_problem(out_pf))
+    if not gram.is_psd:
+        print(
+            f"error: kernel Gram matrix is not PSD: min eigenvalue "
+            f"{gram.min_eigenvalue:.6e} below -{gram.tolerance_used:.3e}",
+            file=sys.stderr,
+        )
+        return EXIT_TOLERANCE
     return EXIT_OK
 
 
@@ -322,7 +331,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
+    except (ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NotPsdError, RangeCompatibilityError) as exc:

@@ -1,18 +1,38 @@
 """One-step positive extension of coefficient data and its iteration.
 
-Given M_0 .. M_N whose block Toeplitz matrix is PSD, the admissible next
-coefficients X = M_{N+1} form an operator ball
+Given M_0 .. M_N whose block Toeplitz matrix T_N is PSD, the admissible
+next coefficients X = M_{N+1} form an operator ball
 
-    S > (X - X_c) alpha (X - X_c)*,
+    S > (X - X_c) alpha (X - X_c)*.
 
-read off an epsilon-shifted inverse.  The partition is taken in the
-coefficient-reversed ordering of the Toeplitz matrix (newest coefficient
-borders the corner): with R = (eps I + rev(M_N))^{-1} split as
-[[alpha, beta*], [beta, delta]] (alpha the leading d x d block) and
-gamma = (M_N ... M_1),
+The ball is read off the eps-shifted, coefficient-reversed Toeplitz matrix
+(newest coefficient borders the corner).  With R = eps I + rev(T_{N-1})
+the shifted matrix one level down, c = eps I + Re M_0,
+col = (M_1; ...; M_N) and gamma = (M_N ... M_1),
 
-    X_c = -gamma beta alpha^{-1},
-    S   = eps I + Re M_0 - gamma (delta - beta alpha^{-1} beta*) gamma*.
+    eps I + rev(T_N) = [[c, col*], [col, R]] = [[R, gamma*], [gamma, c]],
+
+and the block-Levinson state of the level is
+
+    a          = R^{-1} col        forward predictor, Nd x d
+    b          = R^{-1} gamma*     backward predictor, Nd x d
+    S          = c - gamma b       the bound of the ball
+    alpha^{-1} = c - col* a        the other Schur complement of R
+
+with center X_c = gamma a; alpha is the leading d x d block of
+(eps I + rev(T_N))^{-1}.  Appending a point X of the ball borders R by one
+block, and the bordered-inverse formulas give the next level's state in
+O(N d^3) from D = X - X_c:
+
+    v  = S^{-1} D,              p = alpha D*,
+    a' = [a - b v; v],          b' = [p; b - a p],
+    S' = S - D p,               alpha'^{-1} = alpha^{-1} - D* v.
+
+By the Schur-complement criterion S' is positive definite exactly when the
+shifted Toeplitz matrix of (M_0 .. M_N, X) is.  For the center D = 0, so S
+and alpha stay fixed and a, b only gain a zero block: the central chain is
+the order-N maximum-entropy (band) recursion
+M_{m+1} = (M_m ... M_{m-N+1}) a for m >= N, with the a of the data.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -67,6 +87,63 @@ def _hermitian_sqrt(a, inverse=False):
     return (vecs * roots) @ vecs.conj().T
 
 
+def _certify(seq, eps, tol):
+    # the dense feasibility check of one level: PSD within tol, and the
+    # eps-shifted matrix invertible at working precision.  Returns the
+    # assembled matrix and the largest shifted eigenvalue.
+    dense = assemble(seq).dense
+    eigs = np.linalg.eigvalsh(dense)
+    if eigs[0] < -tol:
+        raise NotPsdError(
+            f"coefficient data infeasible: Toeplitz min eigenvalue {eigs[0]:.6e}"
+        )
+    spread = eigs + eps
+    if spread[0] <= spread[-1] * len(spread) * np.finfo(float).eps:
+        raise SingularBlockError(
+            f"eps = {eps:.3e} leaves the shifted matrix numerically singular "
+            f"(spread {spread[0]:.3e} .. {spread[-1]:.3e})"
+        )
+    return dense, spread[-1]
+
+
+def _ball_state(seq, eps, tol):
+    # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
+    # after the dense check of that level; also returns the largest shifted
+    # eigenvalue, the scale of working precision for later levels
+    if eps <= 0:
+        raise ValueError(f"shift eps must be positive, got {eps}")
+    d = seq.block_dim
+    dense, top = _certify(seq, eps, tol)
+    shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
+    # stable route: solve against the one-level-down shifted matrix instead
+    # of recombining inverse blocks, which cancels catastrophically for tiny
+    # eps
+    corner, col, sub = shifted_rev[:d, :d], shifted_rev[d:, :d], shifted_rev[d:, d:]
+    gamma = _gamma(seq.coefficients)
+    forward = np.linalg.solve(sub, col)
+    backward = np.linalg.solve(sub, gamma.conj().T)
+    s = corner - gamma @ backward
+    return forward, backward, (s + s.conj().T) / 2, corner - col.conj().T @ forward, top
+
+
+def _gamma(coeffs):
+    # (M_N ... M_1) as one d x Nd row, a contiguous copy (for d = 1 the
+    # reshape alone would be a reversed-stride view of the coefficients)
+    n, d = coeffs.shape[:2]
+    return np.ascontiguousarray(coeffs[:0:-1].transpose(1, 0, 2).reshape(d, (n - 1) * d))
+
+
+def _ball_step(coeffs, eps, forward, left_bound, alpha_inv):
+    gamma = _gamma(coeffs)
+    return ExtensionStep(
+        eps=eps,
+        alpha=np.linalg.inv(alpha_inv),
+        gamma=gamma,
+        x_center=gamma @ forward,
+        left_bound=left_bound,
+    )
+
+
 def central_step(seq, eps, tol=1e-9):
     """One central extension step: the ball data and its center.
 
@@ -95,49 +172,9 @@ def central_step(seq, eps, tol=1e-9):
         If ``eps`` is too small to make the shifted matrix invertible at
         working precision.
     """
-    if eps <= 0:
-        raise ValueError(f"shift eps must be positive, got {eps}")
-    d = seq.block_dim
-    n = len(seq)
-    dense = assemble(seq).dense
-    eigs = np.linalg.eigvalsh(dense)
-    if eigs[0] < -tol:
-        raise NotPsdError(
-            f"coefficient data infeasible: Toeplitz min eigenvalue {eigs[0]:.6e}"
-        )
-    spread = eigs + eps
-    if spread[0] <= spread[-1] * len(spread) * np.finfo(float).eps:
-        raise SingularBlockError(
-            f"eps = {eps:.3e} leaves the shifted matrix numerically singular "
-            f"(spread {spread[0]:.3e} .. {spread[-1]:.3e})"
-        )
-    shifted_rev = eps * np.eye(n * d) + reverse_blocks(dense, d)
-    corner = shifted_rev[:d, :d]
-    h0 = (seq.coefficients[0] + seq.coefficients[0].conj().T) / 2
-    if n > 1:
-        gamma = np.hstack(list(seq.coefficients[:0:-1]))
-        # stable route for the center and the bound: solve against the
-        # one-level-down shifted matrix instead of recombining inverse
-        # blocks, which cancels catastrophically for tiny eps
-        sub = shifted_rev[d:, d:]
-        col = shifted_rev[d:, :d]
-        coupling = np.linalg.solve(sub, col)
-        x_center = gamma @ coupling
-        s = eps * np.eye(d) + h0 - gamma @ np.linalg.solve(sub, gamma.conj().T)
-        corner = corner - col.conj().T @ coupling
-    else:
-        gamma = np.zeros((d, 0), dtype=complex)
-        x_center = np.zeros((d, d), dtype=complex)
-        s = eps * np.eye(d) + h0
-    s = (s + s.conj().T) / 2
-    step = ExtensionStep(
-        eps=eps,
-        alpha=np.linalg.inv(corner),
-        gamma=gamma,
-        x_center=x_center,
-        left_bound=s,
-    )
-    return step, x_center.copy()
+    forward, _, s, alpha_inv, _ = _ball_state(seq, eps, tol)
+    step = _ball_step(seq.coefficients, eps, forward, s, alpha_inv)
+    return step, step.x_center.copy()
 
 
 def ball_membership(step, x):
@@ -182,15 +219,39 @@ def parametrized_step(step, contraction):
     return step.x_center + s_half @ g @ a_inv_half
 
 
+def _check_bound(s, top, level, size):
+    # S of the data M_0 .. M_level, whose (size x size) shifted Toeplitz
+    # matrix A has largest eigenvalue >= top.  S is positive definite iff A
+    # is, and lambda_min(A) <= lambda_min(S), so a bound below top * size *
+    # machine eps puts A below working precision too.
+    eigs = np.linalg.eigvalsh(s)
+    if eigs[0] <= 0:
+        raise NotPsdError(
+            f"extension left the ball at level {level}: the shifted Toeplitz "
+            f"matrix is not positive definite (bound eigenvalue {eigs[0]:.6e})"
+        )
+    if eigs[0] <= top * size * np.finfo(float).eps:
+        raise SingularBlockError(
+            f"the shifted Toeplitz matrix at level {level} is numerically "
+            f"singular (bound eigenvalue {eigs[0]:.3e})"
+        )
+
+
 def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     """Append ``steps`` coefficients by iterated one-step extension.
 
     With ``contractions`` absent every step takes the central choice;
     otherwise entry k selects the ball point of ``parametrized_step``.
     The first N + 1 coefficients of the output are bitwise those of the
-    input.  Each produced prefix keeps its shifted Toeplitz matrix
-    strictly positive, hence unshifted eigenvalues stay above ``-eps``;
-    the feasibility tolerance for chained steps is widened accordingly.
+    input.  One block-Levinson state is built from the data and updated
+    in O(n d^3) per appended coefficient (see the module docstring).
+
+    Each produced prefix keeps its shifted Toeplitz matrix strictly
+    positive, hence unshifted eigenvalues stay above ``-eps``; the
+    feasibility tolerance for chained levels is widened accordingly.  The
+    data are checked densely with ``tol``; every chained level through the
+    bound S of its ball; and the longest chained level used for a step
+    densely once more, which by interlacing covers the shorter ones.
     """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
@@ -198,16 +259,31 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         raise DimensionError(
             f"expected {steps} contraction parameters, got {len(contractions)}"
         )
-    current = seq
-    chain_tol = max(tol, eps)
+    if steps == 0:
+        return seq
+    n, d = len(seq), seq.block_dim
+    coeffs = np.empty((n + steps, d, d), dtype=complex)
+    coeffs[:n] = seq.coefficients
+    a, b, s, alpha_inv, top = _ball_state(seq, eps, tol)
     for k in range(steps):
-        step, x = central_step(current, eps, tol=tol if k == 0 else chain_tol)
+        level = n + k
+        if k:
+            _check_bound(s, top, level - 1, level * d)
+        step = _ball_step(coeffs[:level], eps, a, s, alpha_inv)
+        x = step.x_center
         if contractions is not None:
             x = parametrized_step(step, contractions[k])
-        current = CoefficientSequence(
-            np.concatenate([current.coefficients, x[None, :, :]])
-        )
-    return current
+        coeffs[level] = x
+        diff = x - step.x_center
+        v = np.linalg.solve(s, diff)
+        p = step.alpha @ diff.conj().T
+        a, b = np.vstack([a - b @ v, v]), np.vstack([p, b - a @ p])
+        s = s - diff @ p
+        s = (s + s.conj().T) / 2
+        alpha_inv = alpha_inv - diff.conj().T @ v
+    if steps > 1:
+        _certify(CoefficientSequence(coeffs[:-1]), eps, max(tol, eps))
+    return CoefficientSequence(coeffs)
 
 
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from herglotz import extension
 from herglotz import (
     CoefficientSequence,
     DimensionError,
@@ -216,9 +217,45 @@ class TestExtend:
         got = np.real(ext.coefficients[:, 0, 0])
         assert np.allclose(got, [1, 0, 0, 0, 0, 0], atol=1e-7)
 
-    def test_zero_steps_unchanged(self):
+    def test_zero_steps_unchanged(self, monkeypatch):
+        # no step, no state: solve with horizon = order pays nothing
+        def unexpected(*args):
+            raise AssertionError("ball state built for zero steps")
+
+        monkeypatch.setattr(extension, "_ball_state", unexpected)
         seq = scalar_seq([1, 0.5])
         assert extend(seq, 0) is seq
+
+    @pytest.mark.parametrize("steps", [10, 100])
+    def test_dense_work_independent_of_step_count(self, monkeypatch, steps):
+        # one assembly and one full eigvalsh for the data, one of each for
+        # the final check; per step only d x d linear algebra
+        seq = fixture_sequence(8, 2, 5, 3)
+        calls = {"assemble": 0, "eigvalsh": 0}
+        real_assemble, real_eigvalsh = extension.assemble, np.linalg.eigvalsh
+
+        def counting_assemble(s):
+            calls["assemble"] += 1
+            return real_assemble(s)
+
+        def counting_eigvalsh(a):
+            calls["eigvalsh"] += np.shape(a)[-1] > seq.block_dim
+            return real_eigvalsh(a)
+
+        monkeypatch.setattr(extension, "assemble", counting_assemble)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        extend(seq, steps, eps=1e-8)
+        assert calls == {"assemble": 2, "eigvalsh": 2}
+
+    @pytest.mark.parametrize("seed, block_dim, state_dim, order", [(9, 2, 5, 2), (7, 3, 4, 3)])
+    def test_unit_contraction_then_one_more_step_raises(self, seed, block_dim, state_dim, order):
+        # a unit-norm contraction lands on the boundary of the ball: that
+        # step is allowed, but the shifted data it leaves is singular
+        seq = fixture_sequence(seed, block_dim, state_dim, order)
+        unit = np.eye(block_dim)
+        extend(seq, 1, eps=1e-8, contractions=[unit])
+        with pytest.raises(NotPsdError):
+            extend(seq, 2, eps=1e-8, contractions=[unit, np.zeros_like(unit)])
 
     def test_prefix_bitwise_preserved(self):
         seq = fixture_sequence(9, 2, 5, 2)

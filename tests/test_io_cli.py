@@ -20,6 +20,7 @@ from herglotz.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_TOLERANCE,
     build_parser,
     main,
 )
@@ -218,6 +219,17 @@ class TestSolveCommand:
         coeffs = report["problem"]["coefficients"]
         assert coeffs[2][0][0][0] == pytest.approx(0.25, abs=1e-6)
 
+    def test_kernel_report_not_psd_fails(self, tmp_path, capsys):
+        # eps = 1 moves the extension off the data's ball: the report is
+        # still emitted, and its own verdict sets the exit status
+        path = write_problem(tmp_path, "p.json", [1, 0.9])
+        assert main(["solve", path, "--eps", "1", "--json"]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["kernel"]["psd"] is False
+        assert report["kernel"]["min_eigenvalue"] < -1
+        assert "error: kernel Gram matrix is not PSD" in captured.err
+
 
 class TestEvalCommands:
     def test_eval_all_ones(self, tmp_path, capsys):
@@ -337,6 +349,12 @@ class TestGenerateCommand:
             assert not herm.any()
             if idx > 0:
                 assert not m.any()
+
+    def test_unwritable_output_is_an_argument_error(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.json"
+        assert main(["generate", "--seed", "0", "--output", str(out_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_path.exists()
 
     def test_round_trip_identity_on_generated(self, tmp_path):
         out_path = tmp_path / "f.json"

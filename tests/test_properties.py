@@ -1,5 +1,6 @@
 """Property tests for the batched evaluation kernel and the single-assembly
-positivity profile, over block dimensions 1-3, orders 0-12 and 1-40 points."""
+positivity profile, over block dimensions 1-3, orders 0-12 and 1-40 points,
+and for the block-Levinson extension against a per-step re-built chain."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,9 +10,14 @@ from herglotz import (
     CoefficientSequence,
     HerglotzSeries,
     assemble,
+    central_step,
     eval_series,
+    extend,
+    parametrized_step,
     positivity_profile,
     psd_report,
+    random_realization,
+    realization_coefficients,
     series_tail_bound,
 )
 from herglotz.series import _gram_matrix
@@ -103,3 +109,53 @@ def test_profile_equals_per_level_assembly(phi, tol):
     seq = phi.seq
     reference = [psd_report(assemble(seq.truncated(n)).dense, tol) for n in range(len(seq))]
     assert positivity_profile(seq, tol) == reference
+
+
+def reference_extend(seq, steps, eps, contractions=None, tol=1e-9):
+    # one step at a time on the re-built sequence: a dense check and the
+    # ball of the whole prefix for every new coefficient
+    current = seq
+    for k in range(steps):
+        step, x = central_step(current, eps, tol=tol if k == 0 else max(tol, eps))
+        if contractions is not None:
+            x = parametrized_step(step, contractions[k])
+        current = CoefficientSequence(np.concatenate([current.coefficients, x[None]]))
+    return current
+
+
+@st.composite
+def extension_problems(draw):
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 8))
+    steps = draw(st.integers(0, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # state dimensions below (order + 1) d give rank-deficient data
+    rlz = random_realization(rng, d, int(rng.integers(d, 9)))
+    seq = realization_coefficients(rlz, order)
+    contractions = None
+    if draw(st.booleans()):
+        contractions = []
+        for _ in range(steps):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            contractions.append(rng.uniform(0.0, 0.5) * g / np.linalg.norm(g, 2))
+    return seq, steps, contractions
+
+
+@PROPERTY
+@given(extension_problems(), st.sampled_from([1e-8, 1e-3]))
+def test_extend_matches_the_per_step_reference(problem, eps):
+    seq, steps, contractions = problem
+    got = extend(seq, steps, eps=eps, contractions=contractions).coefficients
+    expected = reference_extend(seq, steps, eps, contractions).coefficients
+    assert got.shape == expected.shape
+    assert got[: len(seq)].tobytes() == seq.coefficients.tobytes()
+    size = float(np.linalg.norm(expected, 2, axis=(1, 2)).max())
+    rel = 1e-10
+    if contractions is not None:
+        # a ball point X_c + S^{1/2} G alpha^{-1/2} is as sensitive as the
+        # shifted data are ill-conditioned (condition ~1e10 for rank-deficient
+        # data at eps = 1e-8), and the reference itself is only accurate to
+        # about cond * machine eps
+        shifted = np.linalg.eigvalsh(assemble(CoefficientSequence(expected)).dense) + eps
+        rel += 4 * shifted[-1] / shifted[0] * np.finfo(float).eps
+    np.testing.assert_allclose(got, expected, rtol=0, atol=rel * size)
