@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
-from .series import HerglotzSeries, certified_series
+from .series import HerglotzSeries, _certified_data
 from .toeplitz import CoefficientSequence, assemble, reverse_blocks
 
 __all__ = [
@@ -87,12 +87,15 @@ def _hermitian_sqrt(a, inverse=False):
     return (vecs * roots) @ vecs.conj().T
 
 
-def _certify(seq, eps, tol):
+def _certify(seq, eps, tol, data=None):
     # the dense feasibility check of one level: PSD within tol, and the
-    # eps-shifted matrix invertible at working precision.  Returns the
-    # assembled matrix and the largest shifted eigenvalue.
-    dense = assemble(seq).dense
-    eigs = np.linalg.eigvalsh(dense)
+    # eps-shifted matrix invertible at working precision.  ``data`` is the
+    # level's assembled matrix and its eigenvalues (or None) from a caller
+    # that has them.  Returns the assembled matrix and the largest shifted
+    # eigenvalue.
+    dense, eigs = data if data is not None else (assemble(seq).dense, None)
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(dense)
     if eigs[0] < -tol:
         raise NotPsdError(
             f"coefficient data infeasible: Toeplitz min eigenvalue {eigs[0]:.6e}"
@@ -106,14 +109,14 @@ def _certify(seq, eps, tol):
     return dense, spread[-1]
 
 
-def _ball_state(seq, eps, tol):
+def _ball_state(seq, eps, tol, data=None):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
     # after the dense check of that level; also returns the largest shifted
     # eigenvalue, the scale of working precision for later levels
     if eps <= 0:
         raise ValueError(f"shift eps must be positive, got {eps}")
     d = seq.block_dim
-    dense, top = _certify(seq, eps, tol)
+    dense, top = _certify(seq, eps, tol, data)
     shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
     # of recombining inverse blocks, which cancels catastrophically for tiny
@@ -253,6 +256,12 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     bound S of its ball; and the longest chained level used for a step
     densely once more, which by interlacing covers the shorter ones.
     """
+    return _extend(seq, steps, eps, contractions, tol)
+
+
+def _extend(seq, steps, eps, contractions, tol, data=None):
+    # ``extend``; ``data`` is the assembled data level and its eigenvalues,
+    # as ``_certified_data`` returns them, so that they are not recomputed
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     if contractions is not None and len(contractions) != steps:
@@ -264,7 +273,7 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     n, d = len(seq), seq.block_dim
     coeffs = np.empty((n + steps, d, d), dtype=complex)
     coeffs[:n] = seq.coefficients
-    a, b, s, alpha_inv, top = _ball_state(seq, eps, tol)
+    a, b, s, alpha_inv, top = _ball_state(seq, eps, tol, data)
     for k in range(steps):
         level = n + k
         if k:
@@ -289,17 +298,21 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     """Solve the truncated-coefficient interpolation problem.
 
-    Verifies feasibility level by level through ``certified_series``, then
-    extends the data centrally until the coefficient list reaches index
-    ``horizon``.  The returned series interpolates the input exactly: its
-    first N + 1 coefficients are bitwise equal to ``seq``.
+    Verifies feasibility with the check of ``certified_series`` (one
+    eigendecomposition of the top-level Toeplitz matrix T_N, which by
+    Cauchy interlacing decides every level unless its smallest eigenvalue
+    lies within the rounding margin of ``-tol``, where the levels are
+    checked one by one), then extends the data centrally until the
+    coefficient list reaches index ``horizon``.  The extension starts from
+    the same assembled T_N and eigenvalues, so T_N is assembled and
+    decomposed once.  The returned series interpolates the input exactly:
+    its first N + 1 coefficients are bitwise equal to ``seq``.
 
     Raises
     ------
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     """
-    certified_series(seq, declared_radius=radius, tol=tol)
-    extra = horizon - seq.order
-    extended = extend(seq, max(extra, 0), eps=eps, tol=tol)
+    data = _certified_data(seq, tol)
+    extended = _extend(seq, max(horizon - seq.order, 0), eps, None, tol, data)
     return HerglotzSeries(seq=extended, declared_radius=radius, certified=True)

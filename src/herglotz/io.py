@@ -16,6 +16,7 @@ canonical files, byte for byte.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,19 +69,22 @@ class RunConfig:
 
 @dataclass
 class ProblemFile:
-    """Parsed problem file: block dimension, coefficient matrices, metadata."""
+    """Parsed problem file: block dimension, the coefficient matrices as one
+    complex (N + 1, d, d) array, metadata."""
 
     block_dim: int
-    coefficients: list
+    coefficients: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def to_sequence(self):
-        return CoefficientSequence(np.stack(self.coefficients))
+        return CoefficientSequence(self.coefficients)
 
     @classmethod
     def from_sequence(cls, seq, metadata=None):
-        blocks = [np.array(b) for b in seq.coefficients]
-        return cls(block_dim=seq.block_dim, coefficients=blocks, metadata=dict(metadata or {}))
+        # the sequence's array is read-only, so it is shared, not copied
+        return cls(
+            block_dim=seq.block_dim, coefficients=seq.coefficients, metadata=dict(metadata or {})
+        )
 
 
 def format_float(x):
@@ -90,7 +94,7 @@ def format_float(x):
     is the identity byte for byte.
     """
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ProblemFormatError(f"non-finite value {x} cannot be serialized")
     if x == 0.0:
         x = 0.0
@@ -117,7 +121,11 @@ def pairs_to_matrix(rows, what="matrix"):
 
 
 def _emit(value):
-    # canonical emitter: dict keys sorted, floats via format_float
+    # canonical emitter: dict keys sorted, floats via format_float.  Floats
+    # are the most common leaves, so they are tested first (a bool is not a
+    # float, and numpy's float64 is one)
+    if isinstance(value, float):
+        return format_float(value)
     if isinstance(value, dict):
         items = ", ".join(f"{json.dumps(k)}: {_emit(value[k])}" for k in sorted(value))
         return "{" + items + "}"
@@ -127,7 +135,7 @@ def _emit(value):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
@@ -182,7 +190,7 @@ def parse_problem(text):
     coeffs_raw = raw["coefficients"]
     if not isinstance(coeffs_raw, list) or not coeffs_raw:
         raise ProblemFormatError("coefficients must be a non-empty list of matrices")
-    coefficients = []
+    coefficients = np.empty((len(coeffs_raw), block_dim, block_dim), dtype=complex)
     for idx, rows in enumerate(coeffs_raw):
         m = pairs_to_matrix(rows, what=f"coefficient {idx}")
         if m.shape != (block_dim, block_dim):
@@ -190,7 +198,7 @@ def parse_problem(text):
                 f"coefficient {idx} has shape {m.shape}, expected "
                 f"({block_dim}, {block_dim})"
             )
-        coefficients.append(m)
+        coefficients[idx] = m
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()

@@ -121,15 +121,24 @@ def psd_report(h, tol=1e-9):
     NotHermitianError
         If ``h`` deviates from Hermitian symmetry beyond ``tol``.
     """
-    h = _square(h)
+    herm = _hermitian_part(_square(h), tol)
+    eigs = np.linalg.eigvalsh(herm) if herm.size else np.array([np.inf])
+    return _psd_verdict(float(eigs[0]), tol)
+
+
+def _hermitian_part(h, tol):
+    # (h + h*) / 2, after checking that h is Hermitian within tol.  Taken
+    # entrywise, so the leading blocks of the result are the Hermitian parts
+    # of the leading blocks of h.
     defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
     if defect > tol:
         raise NotHermitianError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds tol {tol:.3e}"
         )
-    herm = (h + h.conj().T) / 2
-    eigs = np.linalg.eigvalsh(herm) if h.size else np.array([np.inf])
-    min_eig = float(eigs[0])
+    return (h + h.conj().T) / 2
+
+
+def _psd_verdict(min_eig, tol):
     return PsdReport(
         min_eigenvalue=min_eig,
         is_psd=min_eig >= -tol,

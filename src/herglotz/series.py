@@ -26,12 +26,13 @@ from .exceptions import (
     RangeCompatibilityError,
 )
 from .linalg import (
+    _hermitian_part,
     connecting_isometry,
     hermitian_split,
     minimal_factorization,
     psd_report,
 )
-from .toeplitz import CoefficientSequence, assemble, positivity_profile
+from .toeplitz import CoefficientSequence, _level_reports, assemble
 
 __all__ = [
     "HerglotzSeries",
@@ -114,18 +115,54 @@ class GramFactor:
 def certified_series(seq, declared_radius=0.9, tol=1e-9):
     """Construct a HerglotzSeries after verifying every truncation level.
 
+    The level-n Toeplitz matrix T_n is the leading block of T_N, so by
+    Cauchy interlacing lambda_min(T_n) >= lambda_min(T_N), and one
+    eigendecomposition of T_N decides every level.  ``eigvalsh`` is
+    backward stable: each eigenvalue it computes for a Hermitian matrix A
+    of size m lies within 2 m u ||A||_2 of an exact one (u the machine
+    epsilon; the observed error is far smaller).  So when the computed
+    lambda_min(T_N) is at least ``-tol + margin`` with
+
+        margin = 4 m u ||T_N||_2,
+
+    m = (N + 1) d and ||T_N||_2 the largest computed eigenvalue magnitude,
+    every level's exact lambda_min is at least ``-tol + 2 m u ||T_N||_2``,
+    and since T_n is smaller than T_N and ||T_n||_2 <= ||T_N||_2, no
+    level's computed lambda_min (what ``positivity_profile`` reports) can
+    be below ``-tol``: the series is certified without a per-level check.
+    Otherwise, and for data with non-finite entries, every level is checked
+    as ``positivity_profile`` reports it, and the first failing level is
+    named.
+
     Raises
     ------
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     """
-    for n, report in enumerate(positivity_profile(seq, tol)):
+    _certified_data(seq, tol)
+    return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
+
+
+def _certified_data(seq, tol):
+    # the check of ``certified_series``; returns the assembled T_N and its
+    # eigenvalues (None for non-finite data), which ``solve_cf`` hands on to
+    # the extension instead of decomposing T_N again
+    dense = assemble(seq).dense
+    herm = _hermitian_part(dense, tol)
+    # the Hermitian part is dense itself when finite (assemble builds it
+    # exactly Hermitian); the eigenvalues of a non-finite one decide nothing
+    eigs = np.linalg.eigvalsh(dense) if np.isfinite(herm).all() else None
+    if eigs is not None:
+        margin = 4 * len(eigs) * np.finfo(float).eps * max(-eigs[0], eigs[-1])
+        if eigs[0] >= margin - tol:
+            return dense, eigs
+    for n, report in enumerate(_level_reports(herm, seq.block_dim, tol)):
         if not report.is_psd:
             raise NotPsdError(
                 f"truncation level {n} is not PSD "
                 f"(min eigenvalue {report.min_eigenvalue:.3e})"
             )
-    return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
+    return dense, eigs
 
 
 def eval_series(phi, z):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError
-from .linalg import hermitian_split, psd_report
+from .linalg import _hermitian_part, _psd_verdict, hermitian_split, psd_report
 
 __all__ = [
     "CoefficientSequence",
@@ -149,12 +149,23 @@ def positivity_profile(seq, tol=1e-9):
 
     Level n is the leading (n + 1) d x (n + 1) d principal submatrix of
     the full assembled matrix, entrywise the assembly of ``seq.truncated(n)``.
-    By eigenvalue interlacing the minimal eigenvalues are non-increasing in
-    n, so once a level fails no later level can be strictly positive.
+    The symmetry check and the Hermitian part are taken once, of the full
+    matrix, and each level's eigenvalues are those of its leading block:
+    the reports equal ``psd_report`` of the per-level assemblies.  By
+    Cauchy interlacing the minimal eigenvalues are non-increasing in n, so
+    once a level fails no later level can be strictly positive.
     """
-    dense = assemble(seq).dense
-    d = seq.block_dim
-    return [psd_report(dense[:k, :k], tol) for k in range(d, dense.shape[0] + 1, d)]
+    herm = _hermitian_part(assemble(seq).dense, tol)
+    return _level_reports(herm, seq.block_dim, tol)
+
+
+def _level_reports(herm, block_dim, tol):
+    # PSD reports of the leading block levels of the Hermitian part of an
+    # assembled matrix, one eigvalsh per level
+    return [
+        _psd_verdict(float(np.linalg.eigvalsh(herm[:k, :k])[0]), tol)
+        for k in range(block_dim, herm.shape[0] + 1, block_dim)
+    ]
 
 
 def cross_block_bound_check(bt, samples, tol=1e-9):

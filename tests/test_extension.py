@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from herglotz import extension
+from herglotz import extension, series, toeplitz
 from herglotz import (
     CoefficientSequence,
     DimensionError,
@@ -308,6 +308,29 @@ class TestSolveCf:
     def test_infeasible_names_first_failing_level(self):
         with pytest.raises(NotPsdError, match="level 1"):
             solve_cf(scalar_seq([1, 2]), horizon=8)
+
+    def test_data_level_assembled_and_decomposed_once(self, monkeypatch):
+        # the feasibility check and the extension's ball state share one
+        # assembly and one eigvalsh of the data level
+        seq = fixture_sequence(8, 2, 5, 6)
+        size = len(seq) * seq.block_dim
+        calls = {"assemble": 0, "eigvalsh": 0}
+        real_assemble, real_eigvalsh = toeplitz.assemble, np.linalg.eigvalsh
+
+        def counting_assemble(s):
+            calls["assemble"] += len(s) == len(seq)
+            return real_assemble(s)
+
+        def counting_eigvalsh(a):
+            calls["eigvalsh"] += np.shape(a)[-1] == size
+            return real_eigvalsh(a)
+
+        for module in (extension, series):
+            monkeypatch.setattr(module, "assemble", counting_assemble)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        phi = solve_cf(seq, horizon=seq.order + 10)
+        assert phi.seq.order == seq.order + 10
+        assert calls == {"assemble": 1, "eigvalsh": 1}
 
     def test_short_horizon_returns_input(self):
         seq = scalar_seq([1, 0.5, 0.25])

@@ -1,16 +1,20 @@
 """Property tests for the batched evaluation kernel and the single-assembly
 positivity profile, over block dimensions 1-3, orders 0-12 and 1-40 points,
-and for the block-Levinson extension against a per-step re-built chain."""
+for the one-decomposition data check against a per-level scan, and for the
+block-Levinson extension against a per-step re-built chain."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herglotz import (
     CoefficientSequence,
     HerglotzSeries,
+    NotPsdError,
     assemble,
     central_step,
+    certified_series,
     eval_series,
     extend,
     parametrized_step,
@@ -109,6 +113,45 @@ def test_profile_equals_per_level_assembly(phi, tol):
     seq = phi.seq
     reference = [psd_report(assemble(seq.truncated(n)).dense, tol) for n in range(len(seq))]
     assert positivity_profile(seq, tol) == reference
+
+
+def reference_certification(seq, tol):
+    # the per-level scan: every level assembled and checked on its own; the
+    # message certified_series raises, or None when every level passes
+    reports = [psd_report(assemble(seq.truncated(n)).dense, tol) for n in range(len(seq))]
+    for n, report in enumerate(reports):
+        if not report.is_psd:
+            return f"truncation level {n} is not PSD (min eigenvalue {report.min_eigenvalue:.3e})"
+    return None
+
+
+@st.composite
+def certification_problems(draw):
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # state dimensions below (order + 1) d give rank-deficient data, whose
+    # smallest eigenvalues sit at rounding level and straddle -tol
+    rlz = random_realization(rng, d, int(rng.integers(1, 9)))
+    coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** draw(st.integers(-12, 12))
+    # a perturbed last coefficient, relative to the data's size, makes a
+    # mix of passing and failing top levels
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    size = float(np.abs(coeffs).max())
+    coeffs[-1] += draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2])) * size * g
+    return CoefficientSequence(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(certification_problems(), st.sampled_from([1e-9, 1e-6]))
+def test_certification_matches_the_per_level_scan(seq, tol):
+    expected = reference_certification(seq, tol)
+    if expected is None:
+        assert certified_series(seq, tol=tol).certified
+    else:
+        with pytest.raises(NotPsdError) as info:
+            certified_series(seq, tol=tol)
+        assert str(info.value) == expected
 
 
 def reference_extend(seq, steps, eps, contractions=None, tol=1e-9):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from herglotz import series
 from herglotz import (
     CoefficientSequence,
     DimensionError,
@@ -383,6 +384,33 @@ class TestComposeReduced:
             assert np.linalg.norm(lhs - rhs) <= 1e-6
 
 
+def count_data_checks(monkeypatch):
+    # counts assemble calls in series and full-size eigvalsh calls
+    calls = {"assemble": 0, "eigvalsh": 0, "sizes": []}
+    real_assemble, real_eigvalsh = series.assemble, np.linalg.eigvalsh
+
+    def counting_assemble(seq):
+        calls["assemble"] += 1
+        return real_assemble(seq)
+
+    def counting_eigvalsh(a):
+        calls["eigvalsh"] += 1
+        calls["sizes"].append(np.shape(a)[-1])
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(series, "assemble", counting_assemble)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return calls
+
+
+def per_level_verdict(seq, tol=1e-9):
+    for n in range(len(seq)):
+        report = psd_report(assemble(seq.truncated(n)).dense, tol)
+        if not report.is_psd:
+            return f"truncation level {n} is not PSD (min eigenvalue {report.min_eigenvalue:.3e})"
+    return None
+
+
 class TestCertifiedSeries:
     def test_accepts_positive_data(self):
         phi = certified_series(CoefficientSequence.from_scalars([1, 0.5]))
@@ -391,6 +419,42 @@ class TestCertifiedSeries:
     def test_rejects_and_names_level(self):
         with pytest.raises(NotPsdError, match="level 1"):
             certified_series(CoefficientSequence.from_scalars([1, 2]))
+
+    def test_psd_data_cost_one_decomposition(self, monkeypatch):
+        seq = realization_coefficients(fixture_realization(3), 12)
+        calls = count_data_checks(monkeypatch)
+        assert certified_series(seq).certified
+        assert calls == {"assemble": 1, "eigvalsh": 1, "sizes": [len(seq) * 2]}
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_within_the_rounding_margin_checks_level_by_level(self, monkeypatch, seed):
+        # rank-deficient data scaled by 1e6: rounding in the top level's
+        # eigenvalues exceeds tol, so interlacing alone cannot decide
+        seq = CoefficientSequence(
+            realization_coefficients(fixture_realization(seed), 8).coefficients * 1e6
+        )
+        eigs = np.linalg.eigvalsh(assemble(seq).dense)
+        assert 4 * len(eigs) * np.finfo(float).eps * eigs[-1] > 1e-9
+        expected = per_level_verdict(seq)
+        calls = count_data_checks(monkeypatch)
+        if expected is None:
+            assert certified_series(seq).certified
+        else:
+            with pytest.raises(NotPsdError) as info:
+                certified_series(seq)
+            assert str(info.value) == expected
+        assert calls["eigvalsh"] > 1
+
+    @pytest.mark.parametrize("values", [[np.inf], [np.nan, 0.0], [1, np.nan]])
+    def test_non_finite_data_checked_level_by_level(self, values):
+        # the eigenvalues of a non-finite matrix decide nothing: eigvalsh
+        # gives inf for [inf] and 0 for [nan, 0], where the per-level scan
+        # fails at level 0
+        seq = CoefficientSequence.from_scalars(values)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NotPsdError) as info:
+                certified_series(seq)
+            assert str(info.value) == per_level_verdict(seq)
 
     def test_radius_validation(self):
         with pytest.raises(DomainError):
