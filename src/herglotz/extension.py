@@ -33,6 +33,15 @@ shifted Toeplitz matrix of (M_0 .. M_N, X) is.  For the center D = 0, so S
 and alpha stay fixed and a, b only gain a zero block: the central chain is
 the order-N maximum-entropy (band) recursion
 M_{m+1} = (M_m ... M_{m-N+1}) a for m >= N, with the a of the data.
+``extend`` runs the central chain as that recursion, one d x Nd by Nd x d
+product per coefficient, and checks its one S once for all levels;
+parametrized chains border the state per coefficient.
+
+The longest chained level is checked densely once more.  A Cholesky
+factorisation of its matrix shifted down by a rounding margin settles that
+check when it succeeds, since the dense eigenvalue check (``_certify``)
+then provably passes; when it fails the eigenvalue check runs on the same
+matrix, so verdicts and messages are those of the eigenvalue check.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -222,21 +231,25 @@ def parametrized_step(step, contraction):
     return step.x_center + s_half @ g @ a_inv_half
 
 
-def _check_bound(s, top, level, size):
-    # S of the data M_0 .. M_level, whose (size x size) shifted Toeplitz
-    # matrix A has largest eigenvalue >= top.  S is positive definite iff A
-    # is, and lambda_min(A) <= lambda_min(S), so a bound below top * size *
-    # machine eps puts A below working precision too.
+def _check_bound(s, top, levels, block_dim):
+    # S is the bound of the data M_0 .. M_level for each level of the range
+    # ``levels`` (the central chain keeps one S for all of its levels), whose
+    # shifted Toeplitz matrix A has largest eigenvalue >= top.  S is positive
+    # definite iff A is, and lambda_min(A) <= lambda_min(S), so a bound below
+    # top * size * machine eps puts A below working precision too.  The first
+    # failing level is named.
     eigs = np.linalg.eigvalsh(s)
     if eigs[0] <= 0:
         raise NotPsdError(
-            f"extension left the ball at level {level}: the shifted Toeplitz "
+            f"extension left the ball at level {levels[0]}: the shifted Toeplitz "
             f"matrix is not positive definite (bound eigenvalue {eigs[0]:.6e})"
         )
-    if eigs[0] <= top * size * np.finfo(float).eps:
+    sizes = (np.array(levels) + 1) * block_dim
+    singular = eigs[0] <= top * sizes * np.finfo(float).eps
+    if singular.any():
         raise SingularBlockError(
-            f"the shifted Toeplitz matrix at level {level} is numerically "
-            f"singular (bound eigenvalue {eigs[0]:.3e})"
+            f"the shifted Toeplitz matrix at level {levels[np.argmax(singular)]} "
+            f"is numerically singular (bound eigenvalue {eigs[0]:.3e})"
         )
 
 
@@ -246,15 +259,22 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     With ``contractions`` absent every step takes the central choice;
     otherwise entry k selects the ball point of ``parametrized_step``.
     The first N + 1 coefficients of the output are bitwise those of the
-    input.  One block-Levinson state is built from the data and updated
-    in O(n d^3) per appended coefficient (see the module docstring).
+    input.  One block-Levinson state is built from the data.  The central
+    chain keeps S and alpha fixed and is the order-N band recursion
+    M_m = (M_{m-1} ... M_{m-N}) a, O(N d^2) per appended coefficient; a
+    parametrized chain updates the state in O(n d^3) per coefficient (see
+    the module docstring).
 
     Each produced prefix keeps its shifted Toeplitz matrix strictly
     positive, hence unshifted eigenvalues stay above ``-eps``; the
     feasibility tolerance for chained levels is widened accordingly.  The
     data are checked densely with ``tol``; every chained level through the
-    bound S of its ball; and the longest chained level used for a step
-    densely once more, which by interlacing covers the shorter ones.
+    bound S of its ball (one d x d eigendecomposition for the whole central
+    chain); and the longest chained level used for a step densely once
+    more, which by interlacing covers the shorter ones.  That last check is
+    one Cholesky factorisation of the level's matrix shifted down by a
+    rounding margin, which when it succeeds proves that the eigenvalue
+    check passes; otherwise the eigenvalue check itself decides.
     """
     return _extend(seq, steps, eps, contractions, tol)
 
@@ -271,28 +291,80 @@ def _extend(seq, steps, eps, contractions, tol, data=None):
     if steps == 0:
         return seq
     n, d = len(seq), seq.block_dim
-    coeffs = np.empty((n + steps, d, d), dtype=complex)
-    coeffs[:n] = seq.coefficients
     a, b, s, alpha_inv, top = _ball_state(seq, eps, tol, data)
-    for k in range(steps):
-        level = n + k
-        if k:
-            _check_bound(s, top, level - 1, level * d)
-        step = _ball_step(coeffs[:level], eps, a, s, alpha_inv)
-        x = step.x_center
-        if contractions is not None:
+    if contractions is None:
+        if steps > 1:
+            _check_bound(s, top, range(n, n + steps - 1), d)
+        coeffs = _central_chain(seq.coefficients, steps, a)
+    else:
+        coeffs = np.empty((n + steps, d, d), dtype=complex)
+        coeffs[:n] = seq.coefficients
+        for k in range(steps):
+            level = n + k
+            if k:
+                _check_bound(s, top, range(level - 1, level), d)
+            step = _ball_step(coeffs[:level], eps, a, s, alpha_inv)
             x = parametrized_step(step, contractions[k])
-        coeffs[level] = x
-        diff = x - step.x_center
-        v = np.linalg.solve(s, diff)
-        p = step.alpha @ diff.conj().T
-        a, b = np.vstack([a - b @ v, v]), np.vstack([p, b - a @ p])
-        s = s - diff @ p
-        s = (s + s.conj().T) / 2
-        alpha_inv = alpha_inv - diff.conj().T @ v
+            coeffs[level] = x
+            diff = x - step.x_center
+            v = np.linalg.solve(s, diff)
+            p = step.alpha @ diff.conj().T
+            a, b = np.vstack([a - b @ v, v]), np.vstack([p, b - a @ p])
+            s = s - diff @ p
+            s = (s + s.conj().T) / 2
+            alpha_inv = alpha_inv - diff.conj().T @ v
     if steps > 1:
-        _certify(CoefficientSequence(coeffs[:-1]), eps, max(tol, eps))
+        _certify_chained(CoefficientSequence(coeffs[:-1]), eps, max(tol, eps))
     return CoefficientSequence(coeffs)
+
+
+def _central_chain(data, steps, forward):
+    # the data followed by ``steps`` central coefficients.  The center keeps
+    # S and alpha, so M_m = (M_{m-1} ... M_{m-N}) a with the forward
+    # predictor a of the data.  The coefficients are kept newest first in one
+    # d x (N + 1 + steps) d row, so each window is a strided view.
+    n, d = data.shape[:2]
+    rev = np.empty((d, n + steps, d), dtype=complex)
+    rev[:, steps:] = data[::-1].transpose(1, 0, 2)
+    for pos in range(steps - 1, -1, -1):
+        rev[:, pos] = rev[:, pos + 1 : pos + n].reshape(d, (n - 1) * d) @ forward
+    return rev[:, ::-1].transpose(1, 0, 2)
+
+
+def _certify_chained(seq, eps, tol):
+    # ``_certify`` of a chained level, settled by one Cholesky factorisation
+    # where that provably passes.  With A the level's m x m matrix,
+    # nu = ||H_0||_2 + 2 sum ||M_k||_2 >= ||A||_2, u machine eps (twice the
+    # unit roundoff, which covers complex arithmetic) and
+    # gamma = (m + 1) u / (1 - (m + 1) u), the factorisation of
+    # A + (eps - tau - 2 gamma tr(A + eps I)) I succeeding means the matrix
+    # plus a backward error of norm <= gamma ||R||_F^2 = gamma tr (Higham,
+    # Accuracy and Stability, Thm 10.3) is PSD, so lambda_min(A + eps I) > tau
+    # = (nu + eps) m u (1 + 2 m u) + 2 m u nu; the rest of the 2 gamma tr term
+    # covers the rounding of the shift and of the comparisons below.
+    # Eigenvalues computed by eigvalsh lie within 2 m u nu of the exact ones
+    # (the convention of _certified_data), so ``_certify`` would find
+    # lambda_min > -eps and a spread above (lambda_max + eps) m u: it passes.
+    # Otherwise, and for non-finite coefficients, ``_certify`` itself decides
+    # on the same matrix.
+    dense = assemble(seq).dense
+    coeffs = seq.coefficients
+    if np.isfinite(coeffs).all():
+        m, d = dense.shape[0], seq.block_dim
+        u = np.finfo(float).eps
+        norms = np.linalg.norm(coeffs[1:], 2, axis=(1, 2))
+        nu = np.linalg.norm(dense[:d, :d], 2) + 2 * norms.sum()
+        tau = (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
+        gamma = (m + 1) * u / (1 - (m + 1) * u)
+        diagonal = dense.reshape(-1)[:: m + 1]
+        saved = diagonal.copy()
+        diagonal += eps - tau - 2 * gamma * (saved.real.sum() + m * eps)
+        try:
+            np.linalg.cholesky(dense)
+            return
+        except np.linalg.LinAlgError:
+            diagonal[:] = saved
+    _certify(seq, eps, tol, (dense, None))
 
 
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
@@ -305,13 +377,17 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     checked one by one), then extends the data centrally until the
     coefficient list reaches index ``horizon``.  The extension starts from
     the same assembled T_N and eigenvalues, so T_N is assembled and
-    decomposed once.  The returned series interpolates the input exactly:
+    decomposed once; the central chain is the order-N band recursion, and
+    its longest level is certified by one shifted Cholesky factorisation
+    (see ``extend``), so the cost is O(N^3 d^3 + H N d^2) plus that one
+    factorisation.  The returned series interpolates the input exactly:
     its first N + 1 coefficients are bitwise equal to ``seq``.
 
     Raises
     ------
     NotPsdError
-        Naming the first truncation level whose Toeplitz matrix fails.
+        Naming the first truncation level whose Toeplitz matrix fails, or
+        if the data has a non-finite entry.
     """
     data = _certified_data(seq, tol)
     extended = _extend(seq, max(horizon - seq.order, 0), eps, None, tol, data)

@@ -132,12 +132,14 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     be below ``-tol``: the series is certified without a per-level check.
     Otherwise, and for data with non-finite entries, every level is checked
     as ``positivity_profile`` reports it, and the first failing level is
-    named.
+    named.  Non-finite data that no level check rejects is rejected as
+    such: its eigenvalues decide nothing.
 
     Raises
     ------
     NotPsdError
-        Naming the first truncation level whose Toeplitz matrix fails.
+        Naming the first truncation level whose Toeplitz matrix fails, or
+        if the data has a non-finite entry.
     """
     _certified_data(seq, tol)
     return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
@@ -162,6 +164,8 @@ def _certified_data(seq, tol):
                 f"truncation level {n} is not PSD "
                 f"(min eigenvalue {report.min_eigenvalue:.3e})"
             )
+    if eigs is None:
+        raise NotPsdError("coefficient data has a non-finite entry")
     return dense, eigs
 
 

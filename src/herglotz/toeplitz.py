@@ -11,6 +11,7 @@ separately through the reduction machinery.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DimensionError, NotPsdError
 from .linalg import _hermitian_part, _psd_verdict, hermitian_split, psd_report
@@ -95,18 +96,17 @@ def assemble(seq):
     coeffs = seq.coefficients
     d = seq.block_dim
     n = len(seq)
-    h0, _ = hermitian_split(coeffs[0])
-    # one fancy assignment per block diagonal; lower blocks are the stored
-    # conjugate transposes of the upper ones, so the result is exactly
-    # Hermitian
-    grid = np.zeros((n, d, n, d), dtype=complex)
-    rows = np.arange(n)
-    grid[rows, :, rows, :] = h0
-    for k in range(1, n):
-        rows = np.arange(n - k)
-        grid[rows, :, rows + k, :] = coeffs[k]
-        grid[rows + k, :, rows, :] = coeffs[k].conj().T
-    dense = grid.reshape(n * d, n * d)
+    # one d x (2n - 1)d row of blocks (M_{n-1}* .. M_1*, H_0, M_1 .. M_{n-1});
+    # block row i of the matrix is its window starting at block n - 1 - i.
+    # Lower blocks are the stored conjugate transposes of the upper ones, so
+    # the result is exactly Hermitian.
+    row = np.empty((d, 2 * n - 1, d), dtype=complex)
+    row[:, n - 1] = hermitian_split(coeffs[0])[0]
+    row[:, n:] = coeffs[1:].transpose(1, 0, 2)
+    row[:, : n - 1] = coeffs[:0:-1].conj().transpose(2, 0, 1)
+    windows = sliding_window_view(row.reshape(d, (2 * n - 1) * d), n * d, axis=1)
+    dense = np.empty((n * d, n * d), dtype=complex)
+    dense.reshape(n, d, n * d)[:] = windows[:, (n - 1) * d :: -d].transpose(1, 0, 2)
     return BlockToeplitz(block_dim=d, num_blocks=n, dense=dense)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from herglotz import extension, series, toeplitz
+from herglotz import extension
 from herglotz import (
     CoefficientSequence,
     DimensionError,
@@ -227,25 +227,16 @@ class TestExtend:
         assert extend(seq, 0) is seq
 
     @pytest.mark.parametrize("steps", [10, 100])
-    def test_dense_work_independent_of_step_count(self, monkeypatch, steps):
-        # one assembly and one full eigvalsh for the data, one of each for
-        # the final check; per step only d x d linear algebra
+    def test_dense_work_independent_of_step_count(self, count_dense_calls, steps):
+        # one assembly and one full eigvalsh for the data, one assembly and
+        # one Cholesky factorisation for the final check; per step only
+        # d x d linear algebra
         seq = fixture_sequence(8, 2, 5, 3)
-        calls = {"assemble": 0, "eigvalsh": 0}
-        real_assemble, real_eigvalsh = extension.assemble, np.linalg.eigvalsh
-
-        def counting_assemble(s):
-            calls["assemble"] += 1
-            return real_assemble(s)
-
-        def counting_eigvalsh(a):
-            calls["eigvalsh"] += np.shape(a)[-1] > seq.block_dim
-            return real_eigvalsh(a)
-
-        monkeypatch.setattr(extension, "assemble", counting_assemble)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        calls = count_dense_calls()
         extend(seq, steps, eps=1e-8)
-        assert calls == {"assemble": 2, "eigvalsh": 2}
+        assert len(calls["assemble"]) == 2
+        assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == [len(seq) * seq.block_dim]
+        assert len(calls["cholesky"]) == 1
 
     @pytest.mark.parametrize("seed, block_dim, state_dim, order", [(9, 2, 5, 2), (7, 3, 4, 3)])
     def test_unit_contraction_then_one_more_step_raises(self, seed, block_dim, state_dim, order):
@@ -268,6 +259,66 @@ class TestExtend:
         zeros = [np.zeros((1, 1))] * 3
         parametrized = extend(seq, 3, eps=1e-6, contractions=zeros)
         assert np.array_equal(central.coefficients, parametrized.coefficients)
+
+    @pytest.mark.parametrize(
+        "seed, block_dim, state_dim, order",
+        [(31, 1, 3, 0), (32, 1, 4, 3), (33, 2, 5, 2), (34, 3, 4, 4)],
+    )
+    def test_central_recursion_matches_the_bordering_loop(self, seed, block_dim, state_dim, order):
+        # zero contractions take the bordering loop; the central chain the
+        # order-N recursion.  Both sum the same products; BLAS may order the
+        # sums differently for the N-block window and the zero-padded row.
+        seq = fixture_sequence(seed, block_dim, state_dim, order)
+        zeros = [np.zeros((block_dim, block_dim))] * 30
+        central = extend(seq, 30, eps=1e-8).coefficients
+        bordered = extend(seq, 30, eps=1e-8, contractions=zeros).coefficients
+        size = float(np.abs(bordered).max())
+        np.testing.assert_allclose(central, bordered, rtol=0, atol=1e-13 * size)
+
+    def test_fixed_bound_names_the_level_it_turns_singular_at(self):
+        # [1, 1] at eps = 1e-14: S ~ 2 eps stays fixed while the threshold
+        # top * size * machine eps grows with the level
+        seq = scalar_seq([1, 1])
+        eps, steps = 1e-14, 60
+        step, _ = central_step(seq, eps)
+        bound = np.linalg.eigvalsh(step.left_bound)[0]
+        top = np.linalg.eigvalsh(assemble(seq).dense)[-1] + eps
+        levels = range(len(seq), len(seq) + steps)
+        level = next(n for n in levels if bound <= top * (n + 1) * np.finfo(float).eps)
+        assert len(seq) < level < len(seq) + steps - 1
+        with pytest.raises(SingularBlockError, match=f"level {level} ") as central:
+            extend(seq, steps, eps=eps)
+        with pytest.raises(SingularBlockError) as bordered:
+            extend(seq, steps, eps=eps, contractions=[np.zeros((1, 1))] * steps)
+        assert str(central.value) == str(bordered.value)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-11])
+    def test_final_check_below_the_cholesky_margin_is_the_eigenvalue_check(
+        self, count_dense_calls, eps
+    ):
+        # a 100-step chain on singular data with a tiny shift: the longest
+        # level's margin is within the rounding allowance, the Cholesky
+        # factorisation fails, and the eigenvalue check decides (eps = 1e-12
+        # raises, 1e-11 passes)
+        seq, steps, tol = scalar_seq([1, 1]), 100, 1e-9
+        forward = extension._ball_state(seq, eps, tol)[0]
+        chain = extension._central_chain(seq.coefficients, steps, forward)
+        level = CoefficientSequence(chain[:-1])
+        try:
+            extension._certify(level, eps, max(tol, eps))
+            expected = None
+        except (NotPsdError, SingularBlockError) as err:
+            expected = (type(err), str(err))
+        calls = count_dense_calls()
+        try:
+            extend(seq, steps, eps=eps, tol=tol)
+            got = None
+        except (NotPsdError, SingularBlockError) as err:
+            got = (type(err), str(err))
+        assert got == expected
+        size = len(level) * level.block_dim
+        assert calls["cholesky"] == [size]
+        assert calls["eigvalsh"].count(size) == 1
 
     def test_contraction_count_mismatch(self):
         with pytest.raises(DimensionError):
@@ -309,28 +360,16 @@ class TestSolveCf:
         with pytest.raises(NotPsdError, match="level 1"):
             solve_cf(scalar_seq([1, 2]), horizon=8)
 
-    def test_data_level_assembled_and_decomposed_once(self, monkeypatch):
+    def test_data_level_assembled_and_decomposed_once(self, count_dense_calls):
         # the feasibility check and the extension's ball state share one
         # assembly and one eigvalsh of the data level
         seq = fixture_sequence(8, 2, 5, 6)
         size = len(seq) * seq.block_dim
-        calls = {"assemble": 0, "eigvalsh": 0}
-        real_assemble, real_eigvalsh = toeplitz.assemble, np.linalg.eigvalsh
-
-        def counting_assemble(s):
-            calls["assemble"] += len(s) == len(seq)
-            return real_assemble(s)
-
-        def counting_eigvalsh(a):
-            calls["eigvalsh"] += np.shape(a)[-1] == size
-            return real_eigvalsh(a)
-
-        for module in (extension, series):
-            monkeypatch.setattr(module, "assemble", counting_assemble)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        calls = count_dense_calls()
         phi = solve_cf(seq, horizon=seq.order + 10)
         assert phi.seq.order == seq.order + 10
-        assert calls == {"assemble": 1, "eigvalsh": 1}
+        assert calls["assemble"].count(size) == 1
+        assert calls["eigvalsh"].count(size) == 1
 
     def test_short_horizon_returns_input(self):
         seq = scalar_seq([1, 0.5, 0.25])

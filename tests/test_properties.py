@@ -1,7 +1,9 @@
 """Property tests for the batched evaluation kernel and the single-assembly
 positivity profile, over block dimensions 1-3, orders 0-12 and 1-40 points,
-for the one-decomposition data check against a per-level scan, and for the
-block-Levinson extension against a per-step re-built chain."""
+for the windowed assembly against a per-diagonal one, for the
+one-decomposition data check against a per-level scan, for the
+block-Levinson extension against a per-step re-built chain, and for the
+Cholesky check of a chained level against the eigenvalue check."""
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from herglotz import (
     CoefficientSequence,
     HerglotzSeries,
     NotPsdError,
+    SingularBlockError,
     assemble,
     central_step,
     certified_series,
@@ -24,6 +27,8 @@ from herglotz import (
     realization_coefficients,
     series_tail_bound,
 )
+from herglotz.extension import _certify, _certify_chained
+from herglotz.linalg import hermitian_split
 from herglotz.series import _gram_matrix
 
 RADIUS = 0.9
@@ -115,6 +120,31 @@ def test_profile_equals_per_level_assembly(phi, tol):
     assert positivity_profile(seq, tol) == reference
 
 
+def reference_assemble(seq):
+    # one fancy assignment per block diagonal
+    coeffs, d, n = seq.coefficients, seq.block_dim, len(seq)
+    grid = np.zeros((n, d, n, d), dtype=complex)
+    rows = np.arange(n)
+    grid[rows, :, rows, :] = hermitian_split(coeffs[0])[0]
+    for k in range(1, n):
+        rows = np.arange(n - k)
+        grid[rows, :, rows + k, :] = coeffs[k]
+        grid[rows + k, :, rows, :] = coeffs[k].conj().T
+    return grid.reshape(n * d, n * d)
+
+
+@PROPERTY
+@given(series())
+def test_assemble_is_the_per_diagonal_assembly(phi):
+    seq = phi.seq
+    dense = assemble(seq).dense
+    expected = reference_assemble(seq)
+    assert dense.shape == expected.shape
+    assert dense.tobytes() == expected.tobytes()
+    assert dense.flags.writeable and dense.flags.c_contiguous
+    assert not np.shares_memory(dense, seq.coefficients)
+
+
 def reference_certification(seq, tol):
     # the per-level scan: every level assembled and checked on its own; the
     # message certified_series raises, or None when every level passes
@@ -202,3 +232,37 @@ def test_extend_matches_the_per_step_reference(problem, eps):
         shifted = np.linalg.eigvalsh(assemble(CoefficientSequence(expected)).dense) + eps
         rel += 4 * shifted[-1] / shifted[0] * np.finfo(float).eps
     np.testing.assert_allclose(got, expected, rtol=0, atol=rel * size)
+
+
+def check_outcome(check, *args):
+    # None when the check passes, else the type and message it raises
+    try:
+        check(*args)
+    except (NotPsdError, SingularBlockError) as err:
+        return type(err), str(err)
+    return None
+
+
+@st.composite
+def chained_levels(draw):
+    d = draw(st.integers(1, 3))
+    blocks = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # rank-deficient realization data: the smallest shifted eigenvalue sits
+    # near eps, which the rounding margin of the Cholesky check exceeds at
+    # large scales and long levels, so the eigenvalue check runs there
+    rlz = random_realization(rng, d, int(rng.integers(1, 9)))
+    coeffs = realization_coefficients(rlz, blocks - 1).coefficients
+    coeffs = coeffs * 10.0 ** draw(st.integers(-12, 12))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    size = float(np.abs(coeffs).max())
+    coeffs[-1] += draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2])) * size * g
+    return CoefficientSequence(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chained_levels(), st.sampled_from([1e-8, 1e-3, 1.0]), st.sampled_from([1e-9, 1e-6]))
+def test_chained_level_check_matches_the_eigenvalue_check(seq, eps, tol):
+    tol = max(tol, eps)
+    expected = check_outcome(_certify, seq, eps, tol)
+    assert check_outcome(_certify_chained, seq, eps, tol) == expected

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from herglotz import series
 from herglotz import (
     CoefficientSequence,
     DimensionError,
@@ -26,6 +25,7 @@ from herglotz import (
     realization_coefficients,
     reduce,
     series_tail_bound,
+    solve_cf,
 )
 
 
@@ -384,25 +384,6 @@ class TestComposeReduced:
             assert np.linalg.norm(lhs - rhs) <= 1e-6
 
 
-def count_data_checks(monkeypatch):
-    # counts assemble calls in series and full-size eigvalsh calls
-    calls = {"assemble": 0, "eigvalsh": 0, "sizes": []}
-    real_assemble, real_eigvalsh = series.assemble, np.linalg.eigvalsh
-
-    def counting_assemble(seq):
-        calls["assemble"] += 1
-        return real_assemble(seq)
-
-    def counting_eigvalsh(a):
-        calls["eigvalsh"] += 1
-        calls["sizes"].append(np.shape(a)[-1])
-        return real_eigvalsh(a)
-
-    monkeypatch.setattr(series, "assemble", counting_assemble)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    return calls
-
-
 def per_level_verdict(seq, tol=1e-9):
     for n in range(len(seq)):
         report = psd_report(assemble(seq.truncated(n)).dense, tol)
@@ -420,14 +401,15 @@ class TestCertifiedSeries:
         with pytest.raises(NotPsdError, match="level 1"):
             certified_series(CoefficientSequence.from_scalars([1, 2]))
 
-    def test_psd_data_cost_one_decomposition(self, monkeypatch):
+    def test_psd_data_cost_one_decomposition(self, count_dense_calls):
         seq = realization_coefficients(fixture_realization(3), 12)
-        calls = count_data_checks(monkeypatch)
+        calls = count_dense_calls()
         assert certified_series(seq).certified
-        assert calls == {"assemble": 1, "eigvalsh": 1, "sizes": [len(seq) * 2]}
+        assert len(calls["assemble"]) == 1
+        assert calls["eigvalsh"] == [len(seq) * 2]
 
     @pytest.mark.parametrize("seed", [0, 4])
-    def test_within_the_rounding_margin_checks_level_by_level(self, monkeypatch, seed):
+    def test_within_the_rounding_margin_checks_level_by_level(self, count_dense_calls, seed):
         # rank-deficient data scaled by 1e6: rounding in the top level's
         # eigenvalues exceeds tol, so interlacing alone cannot decide
         seq = CoefficientSequence(
@@ -436,14 +418,14 @@ class TestCertifiedSeries:
         eigs = np.linalg.eigvalsh(assemble(seq).dense)
         assert 4 * len(eigs) * np.finfo(float).eps * eigs[-1] > 1e-9
         expected = per_level_verdict(seq)
-        calls = count_data_checks(monkeypatch)
+        calls = count_dense_calls()
         if expected is None:
             assert certified_series(seq).certified
         else:
             with pytest.raises(NotPsdError) as info:
                 certified_series(seq)
             assert str(info.value) == expected
-        assert calls["eigvalsh"] > 1
+        assert len(calls["eigvalsh"]) > 1
 
     @pytest.mark.parametrize("values", [[np.inf], [np.nan, 0.0], [1, np.nan]])
     def test_non_finite_data_checked_level_by_level(self, values):
@@ -455,6 +437,16 @@ class TestCertifiedSeries:
             with pytest.raises(NotPsdError) as info:
                 certified_series(seq)
             assert str(info.value) == per_level_verdict(seq)
+
+    def test_non_finite_data_every_level_passes_is_rejected(self):
+        # eigvalsh gives [0, -0] for [[nan, 0], [0, 1]], so the per-level
+        # scan passes it; its eigenvalues decide nothing
+        seq = CoefficientSequence(np.array([[[np.nan, 0], [0, 1]]]))
+        with np.errstate(invalid="ignore"):
+            assert per_level_verdict(seq) is None
+            for check in (certified_series, lambda s: solve_cf(s, 3)):
+                with pytest.raises(NotPsdError, match="non-finite"):
+                    check(seq)
 
     def test_radius_validation(self):
         with pytest.raises(DomainError):
