@@ -33,15 +33,18 @@ shifted Toeplitz matrix of (M_0 .. M_N, X) is.  For the center D = 0, so S
 and alpha stay fixed and a, b only gain a zero block: the central chain is
 the order-N maximum-entropy (band) recursion
 M_{m+1} = (M_m ... M_{m-N+1}) a for m >= N, with the a of the data.
-``extend`` runs the central chain as that recursion, one d x Nd by Nd x d
-product per coefficient, and checks its one S once for all levels;
-parametrized chains border the state per coefficient.
+``extend`` runs both chains as one loop over a newest-first buffer of the
+coefficients, in which gamma of every level is a strided view: each step
+takes the center gamma a, and a parametrized chain then moves to its ball
+point and borders the state.  The central chain's one S is checked once for
+all of its levels.
 
 The longest chained level is checked densely once more.  A Cholesky
 factorisation of its matrix shifted down by a rounding margin settles that
 check when it succeeds, since the dense eigenvalue check (``_certify``)
-then provably passes; when it fails the eigenvalue check runs on the same
-matrix, so verdicts and messages are those of the eigenvalue check.
+then provably passes; when it fails the level is assembled afresh and the
+eigenvalue check decides, so verdicts and messages are those of the
+eigenvalue check.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
-from .series import HerglotzSeries, _certified_data
+from .series import HerglotzSeries, _certified_data, certified_series
 from .toeplitz import CoefficientSequence, assemble, reverse_blocks
 
 __all__ = [
@@ -96,36 +99,39 @@ def _hermitian_sqrt(a, inverse=False):
     return (vecs * roots) @ vecs.conj().T
 
 
-def _certify(seq, eps, tol, data=None):
-    # the dense feasibility check of one level: PSD within tol, and the
-    # eps-shifted matrix invertible at working precision.  ``data`` is the
-    # level's assembled matrix and its eigenvalues (or None) from a caller
-    # that has them.  Returns the assembled matrix and the largest shifted
-    # eigenvalue.
-    dense, eigs = data if data is not None else (assemble(seq).dense, None)
-    if eigs is None:
-        eigs = np.linalg.eigvalsh(dense)
+def _certify(seq, eps, tol):
+    # the dense eigenvalue check of one level: PSD within tol, and the
+    # eps-shifted matrix invertible at working precision
+    eigs = np.linalg.eigvalsh(assemble(seq).dense)
     if eigs[0] < -tol:
         raise NotPsdError(
             f"coefficient data infeasible: Toeplitz min eigenvalue {eigs[0]:.6e}"
         )
+    _check_shift(eigs, eps)
+
+
+def _check_shift(eigs, eps):
+    # the eps-shifted matrix with eigenvalues ``eigs`` is invertible at
+    # working precision; returns its largest eigenvalue
     spread = eigs + eps
     if spread[0] <= spread[-1] * len(spread) * np.finfo(float).eps:
         raise SingularBlockError(
             f"eps = {eps:.3e} leaves the shifted matrix numerically singular "
             f"(spread {spread[0]:.3e} .. {spread[-1]:.3e})"
         )
-    return dense, spread[-1]
+    return spread[-1]
 
 
-def _ball_state(seq, eps, tol, data=None):
+def _ball_state(seq, eps, tol):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
-    # after the dense check of that level; also returns the largest shifted
-    # eigenvalue, the scale of working precision for later levels
+    # after the data check of ``certified_series`` and the shift check; also
+    # returns the largest shifted eigenvalue, the scale of working precision
+    # for later levels
     if eps <= 0:
         raise ValueError(f"shift eps must be positive, got {eps}")
     d = seq.block_dim
-    dense, top = _certify(seq, eps, tol, data)
+    dense, eigs = _certified_data(seq, tol)
+    top = _check_shift(eigs, eps)
     shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
     # of recombining inverse blocks, which cancels catastrophically for tiny
@@ -143,17 +149,6 @@ def _gamma(coeffs):
     # reshape alone would be a reversed-stride view of the coefficients)
     n, d = coeffs.shape[:2]
     return np.ascontiguousarray(coeffs[:0:-1].transpose(1, 0, 2).reshape(d, (n - 1) * d))
-
-
-def _ball_step(coeffs, eps, forward, left_bound, alpha_inv):
-    gamma = _gamma(coeffs)
-    return ExtensionStep(
-        eps=eps,
-        alpha=np.linalg.inv(alpha_inv),
-        gamma=gamma,
-        x_center=gamma @ forward,
-        left_bound=left_bound,
-    )
 
 
 def central_step(seq, eps, tol=1e-9):
@@ -179,14 +174,17 @@ def central_step(seq, eps, tol=1e-9):
     Raises
     ------
     NotPsdError
-        If the assembled matrix has an eigenvalue below ``-tol``.
+        Naming the first truncation level whose Toeplitz matrix fails (the
+        check of ``certified_series``), or if the data has a non-finite
+        entry.
     SingularBlockError
         If ``eps`` is too small to make the shifted matrix invertible at
         working precision.
     """
     forward, _, s, alpha_inv, _ = _ball_state(seq, eps, tol)
-    step = _ball_step(seq.coefficients, eps, forward, s, alpha_inv)
-    return step, step.x_center.copy()
+    gamma = _gamma(seq.coefficients)
+    x = gamma @ forward
+    return ExtensionStep(eps, np.linalg.inv(alpha_inv), gamma, x, s), x.copy()
 
 
 def ball_membership(step, x):
@@ -259,29 +257,35 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     With ``contractions`` absent every step takes the central choice;
     otherwise entry k selects the ball point of ``parametrized_step``.
     The first N + 1 coefficients of the output are bitwise those of the
-    input.  One block-Levinson state is built from the data.  The central
-    chain keeps S and alpha fixed and is the order-N band recursion
-    M_m = (M_{m-1} ... M_{m-N}) a, O(N d^2) per appended coefficient; a
-    parametrized chain updates the state in O(n d^3) per coefficient (see
-    the module docstring).
+    input.  One block-Levinson state is built from the data.  Both chains
+    run one loop over the coefficients kept newest first, so
+    gamma = (M_{m-1} ... M_1) of each step is a view and the center is
+    gamma a.  The central chain keeps S and alpha fixed and is the order-N
+    band recursion M_m = (M_{m-1} ... M_{m-N}) a, O(N d^2) per appended
+    coefficient; a parametrized chain borders the state in O(n d^3) per
+    coefficient (see the module docstring).
 
     Each produced prefix keeps its shifted Toeplitz matrix strictly
     positive, hence unshifted eigenvalues stay above ``-eps``; the
     feasibility tolerance for chained levels is widened accordingly.  The
-    data are checked densely with ``tol``; every chained level through the
-    bound S of its ball (one d x d eigendecomposition for the whole central
-    chain); and the longest chained level used for a step densely once
-    more, which by interlacing covers the shorter ones.  That last check is
-    one Cholesky factorisation of the level's matrix shifted down by a
-    rounding margin, which when it succeeds proves that the eigenvalue
-    check passes; otherwise the eigenvalue check itself decides.
+    data are checked with ``tol`` by the check of ``certified_series``,
+    whose T_N and eigenvalues the state is built from; every chained level
+    through the bound S of its ball (one d x d eigendecomposition for the
+    whole central chain); and the longest chained level used for a step
+    densely once more, which by interlacing covers the shorter ones.  That
+    last check is one Cholesky factorisation of the level's matrix shifted
+    down by a rounding margin, which when it succeeds proves that the
+    eigenvalue check passes; otherwise the eigenvalue check itself decides.
+
+    Raises
+    ------
+    NotPsdError
+        Naming the first truncation level of the data whose Toeplitz
+        matrix fails, if the data has a non-finite entry, or if a chained
+        level leaves the ball.
+    SingularBlockError
+        If a shifted Toeplitz matrix is singular at working precision.
     """
-    return _extend(seq, steps, eps, contractions, tol)
-
-
-def _extend(seq, steps, eps, contractions, tol, data=None):
-    # ``extend``; ``data`` is the assembled data level and its eigenvalues,
-    # as ``_certified_data`` returns them, so that they are not recomputed
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     if contractions is not None and len(contractions) != steps:
@@ -291,21 +295,23 @@ def _extend(seq, steps, eps, contractions, tol, data=None):
     if steps == 0:
         return seq
     n, d = len(seq), seq.block_dim
-    a, b, s, alpha_inv, top = _ball_state(seq, eps, tol, data)
-    if contractions is None:
-        if steps > 1:
-            _check_bound(s, top, range(n, n + steps - 1), d)
-        coeffs = _central_chain(seq.coefficients, steps, a)
-    else:
-        coeffs = np.empty((n + steps, d, d), dtype=complex)
-        coeffs[:n] = seq.coefficients
-        for k in range(steps):
-            level = n + k
+    a, b, s, alpha_inv, top = _ball_state(seq, eps, tol)
+    if contractions is None and steps > 1:
+        _check_bound(s, top, range(n, n + steps - 1), d)
+    # the coefficients newest first in one d x (N + 1 + steps) d row: the
+    # one appended next goes to position ``pos``, and gamma is the window
+    # after it
+    rev = np.empty((d, n + steps, d), dtype=complex)
+    rev[:, steps:] = seq.coefficients[::-1].transpose(1, 0, 2)
+    for k in range(steps):
+        pos = steps - 1 - k
+        gamma = rev[:, pos + 1 : pos + 1 + len(a) // d].reshape(d, -1)
+        x = gamma @ a
+        if contractions is not None:
             if k:
-                _check_bound(s, top, range(level - 1, level), d)
-            step = _ball_step(coeffs[:level], eps, a, s, alpha_inv)
+                _check_bound(s, top, range(n + k - 1, n + k), d)
+            step = ExtensionStep(eps, np.linalg.inv(alpha_inv), gamma, x, s)
             x = parametrized_step(step, contractions[k])
-            coeffs[level] = x
             diff = x - step.x_center
             v = np.linalg.solve(s, diff)
             p = step.alpha @ diff.conj().T
@@ -313,22 +319,11 @@ def _extend(seq, steps, eps, contractions, tol, data=None):
             s = s - diff @ p
             s = (s + s.conj().T) / 2
             alpha_inv = alpha_inv - diff.conj().T @ v
+        rev[:, pos] = x
+    coeffs = rev[:, ::-1].transpose(1, 0, 2)
     if steps > 1:
         _certify_chained(CoefficientSequence(coeffs[:-1]), eps, max(tol, eps))
     return CoefficientSequence(coeffs)
-
-
-def _central_chain(data, steps, forward):
-    # the data followed by ``steps`` central coefficients.  The center keeps
-    # S and alpha, so M_m = (M_{m-1} ... M_{m-N}) a with the forward
-    # predictor a of the data.  The coefficients are kept newest first in one
-    # d x (N + 1 + steps) d row, so each window is a strided view.
-    n, d = data.shape[:2]
-    rev = np.empty((d, n + steps, d), dtype=complex)
-    rev[:, steps:] = data[::-1].transpose(1, 0, 2)
-    for pos in range(steps - 1, -1, -1):
-        rev[:, pos] = rev[:, pos + 1 : pos + n].reshape(d, (n - 1) * d) @ forward
-    return rev[:, ::-1].transpose(1, 0, 2)
 
 
 def _certify_chained(seq, eps, tol):
@@ -346,10 +341,10 @@ def _certify_chained(seq, eps, tol):
     # (the convention of _certified_data), so ``_certify`` would find
     # lambda_min > -eps and a spread above (lambda_max + eps) m u: it passes.
     # Otherwise, and for non-finite coefficients, ``_certify`` itself decides
-    # on the same matrix.
-    dense = assemble(seq).dense
+    # on the level, assembled afresh once the shifted copy is dropped.
     coeffs = seq.coefficients
     if np.isfinite(coeffs).all():
+        dense = assemble(seq).dense
         m, d = dense.shape[0], seq.block_dim
         u = np.finfo(float).eps
         norms = np.linalg.norm(coeffs[1:], 2, axis=(1, 2))
@@ -357,31 +352,31 @@ def _certify_chained(seq, eps, tol):
         tau = (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
         gamma = (m + 1) * u / (1 - (m + 1) * u)
         diagonal = dense.reshape(-1)[:: m + 1]
-        saved = diagonal.copy()
-        diagonal += eps - tau - 2 * gamma * (saved.real.sum() + m * eps)
+        diagonal += eps - tau - 2 * gamma * (diagonal.real.sum() + m * eps)
         try:
             np.linalg.cholesky(dense)
             return
         except np.linalg.LinAlgError:
-            diagonal[:] = saved
-    _certify(seq, eps, tol, (dense, None))
+            del dense
+    _certify(seq, eps, tol)
 
 
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     """Solve the truncated-coefficient interpolation problem.
 
-    Verifies feasibility with the check of ``certified_series`` (one
-    eigendecomposition of the top-level Toeplitz matrix T_N, which by
+    Up to ``horizon`` = N this is ``certified_series``.  Beyond it the data
+    are extended centrally by ``extend`` until the coefficient list reaches
+    index ``horizon``; ``extend`` certifies the data with the same check
+    (one eigendecomposition of the top-level Toeplitz matrix T_N, which by
     Cauchy interlacing decides every level unless its smallest eigenvalue
     lies within the rounding margin of ``-tol``, where the levels are
-    checked one by one), then extends the data centrally until the
-    coefficient list reaches index ``horizon``.  The extension starts from
-    the same assembled T_N and eigenvalues, so T_N is assembled and
-    decomposed once; the central chain is the order-N band recursion, and
-    its longest level is certified by one shifted Cholesky factorisation
-    (see ``extend``), so the cost is O(N^3 d^3 + H N d^2) plus that one
-    factorisation.  The returned series interpolates the input exactly:
-    its first N + 1 coefficients are bitwise equal to ``seq``.
+    checked one by one) and builds its ball from the same T_N and
+    eigenvalues, so T_N is assembled and decomposed once.  The central
+    chain is the order-N band recursion, and its longest level is
+    certified by one shifted Cholesky factorisation, so the cost is
+    O(N^3 d^3 + H N d^2) plus that one factorisation.  The returned series
+    interpolates the input exactly: its first N + 1 coefficients are
+    bitwise equal to ``seq``.
 
     Raises
     ------
@@ -389,6 +384,6 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
         Naming the first truncation level whose Toeplitz matrix fails, or
         if the data has a non-finite entry.
     """
-    data = _certified_data(seq, tol)
-    extended = _extend(seq, max(horizon - seq.order, 0), eps, None, tol, data)
-    return HerglotzSeries(seq=extended, declared_radius=radius, certified=True)
+    if horizon <= seq.order:
+        return certified_series(seq, radius, tol)
+    return HerglotzSeries(extend(seq, horizon - seq.order, eps, tol=tol), radius, certified=True)

@@ -150,11 +150,11 @@ def _psd_verdict(min_eig, tol):
 def minimal_factorization(a, tol_rank=1e-10):
     """Factor a Hermitian PSD matrix as A = T*T with T of full row rank.
 
-    The factor is built from the Hermitian eigendecomposition: eigenvalues
-    above ``tol_rank * lambda_max`` are kept, small negatives in
-    ``[-tol_rank, 0)`` are clamped to zero first.  The number of rows of T
-    is the numerical rank, so T automatically has full row rank (dense
-    range onto its target space).
+    The factor is built from the Hermitian eigendecomposition, which also
+    gives the PSD verdict: eigenvalues above ``tol_rank * lambda_max`` are
+    kept, small negatives in ``[-tol_rank, 0)`` are clamped to zero first.
+    The number of rows of T is the numerical rank, so T automatically has
+    full row rank (dense range onto its target space).
 
     Raises
     ------
@@ -162,17 +162,14 @@ def minimal_factorization(a, tol_rank=1e-10):
         If the smallest eigenvalue is below ``-tol_rank``; the offending
         eigenvalue is reported.
     """
-    a = _square(a)
-    report = psd_report(a, tol_rank)
-    if not report.is_psd:
-        raise NotPsdError(
-            f"matrix is not PSD: eigenvalue {report.min_eigenvalue:.6e} "
-            f"below -{tol_rank:.1e}"
-        )
-    herm = (a + a.conj().T) / 2
+    herm = _hermitian_part(_square(a), tol_rank)
     if herm.size == 0:
         return Factorization(T=np.zeros((0, 0), dtype=complex), rank=0, residual=0.0)
     eigs, vecs = np.linalg.eigh(herm)
+    if not eigs[0] >= -tol_rank:
+        raise NotPsdError(
+            f"matrix is not PSD: eigenvalue {eigs[0]:.6e} below -{tol_rank:.1e}"
+        )
     eigs = np.where(eigs < 0.0, 0.0, eigs)
     cutoff = tol_rank * eigs[-1]
     keep = eigs > cutoff

@@ -27,6 +27,7 @@ from .exceptions import (
 )
 from .linalg import (
     _hermitian_part,
+    _psd_verdict,
     connecting_isometry,
     hermitian_split,
     minimal_factorization,
@@ -132,8 +133,9 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     be below ``-tol``: the series is certified without a per-level check.
     Otherwise, and for data with non-finite entries, every level is checked
     as ``positivity_profile`` reports it, and the first failing level is
-    named.  Non-finite data that no level check rejects is rejected as
-    such: its eigenvalues decide nothing.
+    named.  Non-finite data that no level check rejects, or whose level
+    LAPACK cannot decompose, is rejected as such: its eigenvalues decide
+    nothing.
 
     Raises
     ------
@@ -147,8 +149,7 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
 
 def _certified_data(seq, tol):
     # the check of ``certified_series``; returns the assembled T_N and its
-    # eigenvalues (None for non-finite data), which ``solve_cf`` hands on to
-    # the extension instead of decomposing T_N again
+    # eigenvalues, from which the extension builds its ball
     dense = assemble(seq).dense
     herm = _hermitian_part(dense, tol)
     # the Hermitian part is dense itself when finite (assemble builds it
@@ -158,12 +159,18 @@ def _certified_data(seq, tol):
         margin = 4 * len(eigs) * np.finfo(float).eps * max(-eigs[0], eigs[-1])
         if eigs[0] >= margin - tol:
             return dense, eigs
-    for n, report in enumerate(_level_reports(herm, seq.block_dim, tol)):
-        if not report.is_psd:
-            raise NotPsdError(
-                f"truncation level {n} is not PSD "
-                f"(min eigenvalue {report.min_eigenvalue:.3e})"
-            )
+    try:
+        for n, report in enumerate(_level_reports(herm, seq.block_dim, tol)):
+            if not report.is_psd:
+                raise NotPsdError(
+                    f"truncation level {n} is not PSD "
+                    f"(min eigenvalue {report.min_eigenvalue:.3e})"
+                )
+    except np.linalg.LinAlgError:
+        # LAPACK fails to decompose some levels with a non-finite entry; the
+        # levels before it keep their verdicts
+        if eigs is not None:
+            raise
     if eigs is None:
         raise NotPsdError("coefficient data has a non-finite entry")
     return dense, eigs
@@ -243,7 +250,9 @@ def kernel_gram(phi, points, vectors=None, tol=1e-6):
     skew_norm = float(np.linalg.norm(gram - gram.conj().T)) / 2
     tail = float(np.max(series_tail_bound(phi, pts)))
     widened = tol + skew_norm + len(pts) * tail
-    return psd_report((gram + gram.conj().T) / 2, widened)
+    # the symmetrized Gram is exactly Hermitian: no second symmetry check
+    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    return _psd_verdict(float(eigs[0]), widened)
 
 
 def kernel_finite_section(seq, z, w, n):

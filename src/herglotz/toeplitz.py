@@ -156,16 +156,14 @@ def positivity_profile(seq, tol=1e-9):
     once a level fails no later level can be strictly positive.
     """
     herm = _hermitian_part(assemble(seq).dense, tol)
-    return _level_reports(herm, seq.block_dim, tol)
+    return list(_level_reports(herm, seq.block_dim, tol))
 
 
 def _level_reports(herm, block_dim, tol):
     # PSD reports of the leading block levels of the Hermitian part of an
-    # assembled matrix, one eigvalsh per level
-    return [
-        _psd_verdict(float(np.linalg.eigvalsh(herm[:k, :k])[0]), tol)
-        for k in range(block_dim, herm.shape[0] + 1, block_dim)
-    ]
+    # assembled matrix, one eigvalsh per level, computed as they are drawn
+    for k in range(block_dim, herm.shape[0] + 1, block_dim):
+        yield _psd_verdict(float(np.linalg.eigvalsh(herm[:k, :k])[0]), tol)
 
 
 def cross_block_bound_check(bt, samples, tol=1e-9):

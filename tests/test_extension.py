@@ -302,8 +302,11 @@ class TestExtend:
         # raises, 1e-11 passes)
         seq, steps, tol = scalar_seq([1, 1]), 100, 1e-9
         forward = extension._ball_state(seq, eps, tol)[0]
-        chain = extension._central_chain(seq.coefficients, steps, forward)
-        level = CoefficientSequence(chain[:-1])
+        # the band recursion M_m = (M_{m-1} ... M_{m-N}) a, one block at a time
+        chain = list(seq.coefficients)
+        for _ in range(steps):
+            chain.append(np.hstack(chain[-1 : -len(seq) : -1]) @ forward)
+        level = CoefficientSequence(np.array(chain[:-1]))
         try:
             extension._certify(level, eps, max(tol, eps))
             expected = None

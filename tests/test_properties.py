@@ -1,9 +1,10 @@
 """Property tests for the batched evaluation kernel and the single-assembly
 positivity profile, over block dimensions 1-3, orders 0-12 and 1-40 points,
 for the windowed assembly against a per-diagonal one, for the
-one-decomposition data check against a per-level scan, for the
-block-Levinson extension against a per-step re-built chain, and for the
-Cholesky check of a chained level against the eigenvalue check."""
+one-decomposition data check of every entry point against a per-level
+scan, for the block-Levinson extension against a per-step re-built chain,
+and for the Cholesky check of a chained level against the eigenvalue
+check."""
 
 import numpy as np
 import pytest
@@ -145,6 +146,15 @@ def test_assemble_is_the_per_diagonal_assembly(phi):
     assert not np.shares_memory(dense, seq.coefficients)
 
 
+def check_outcome(check, *args):
+    # None when the check passes, else the type and message it raises
+    try:
+        check(*args)
+    except (NotPsdError, SingularBlockError) as err:
+        return type(err), str(err)
+    return None
+
+
 def reference_certification(seq, tol):
     # the per-level scan: every level assembled and checked on its own; the
     # message certified_series raises, or None when every level passes
@@ -175,6 +185,8 @@ def certification_problems(draw):
 @settings(max_examples=300, deadline=None)
 @given(certification_problems(), st.sampled_from([1e-9, 1e-6]))
 def test_certification_matches_the_per_level_scan(seq, tol):
+    # the extension entry points check the data as certified_series does;
+    # eps = 1 keeps their shift check from failing first
     expected = reference_certification(seq, tol)
     if expected is None:
         assert certified_series(seq, tol=tol).certified
@@ -182,6 +194,15 @@ def test_certification_matches_the_per_level_scan(seq, tol):
         with pytest.raises(NotPsdError) as info:
             certified_series(seq, tol=tol)
         assert str(info.value) == expected
+    for check in (
+        lambda: extend(seq, 1, eps=1, tol=tol),
+        lambda: central_step(seq, 1, tol=tol),
+    ):
+        outcome = check_outcome(check)
+        if expected is None:
+            assert outcome is None or outcome[0] is not NotPsdError
+        else:
+            assert outcome == (NotPsdError, expected)
 
 
 def reference_extend(seq, steps, eps, contractions=None, tol=1e-9):
@@ -232,15 +253,6 @@ def test_extend_matches_the_per_step_reference(problem, eps):
         shifted = np.linalg.eigvalsh(assemble(CoefficientSequence(expected)).dense) + eps
         rel += 4 * shifted[-1] / shifted[0] * np.finfo(float).eps
     np.testing.assert_allclose(got, expected, rtol=0, atol=rel * size)
-
-
-def check_outcome(check, *args):
-    # None when the check passes, else the type and message it raises
-    try:
-        check(*args)
-    except (NotPsdError, SingularBlockError) as err:
-        return type(err), str(err)
-    return None
 
 
 @st.composite

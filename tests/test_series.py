@@ -12,10 +12,12 @@ from herglotz import (
     RangeCompatibilityError,
     Realization,
     assemble,
+    central_step,
     certified_series,
     compose_reduced,
     eval_realization,
     eval_series,
+    extend,
     gram_isometries,
     kernel_gram,
     kernel_finite_section,
@@ -440,13 +442,22 @@ class TestCertifiedSeries:
 
     def test_non_finite_data_every_level_passes_is_rejected(self):
         # eigvalsh gives [0, -0] for [[nan, 0], [0, 1]], so the per-level
-        # scan passes it; its eigenvalues decide nothing
-        seq = CoefficientSequence(np.array([[[np.nan, 0], [0, 1]]]))
-        with np.errstate(invalid="ignore"):
-            assert per_level_verdict(seq) is None
-            for check in (certified_series, lambda s: solve_cf(s, 3)):
-                with pytest.raises(NotPsdError, match="non-finite"):
-                    check(seq)
+        # scan passes it; its eigenvalues decide nothing.  In the second
+        # sequence level 0 passes and LAPACK cannot decompose level 1.
+        checks = (
+            certified_series,
+            lambda s: solve_cf(s, 3),
+            lambda s: extend(s, 1),
+            lambda s: extend(s, 3),
+            lambda s: central_step(s, 1e-8),
+        )
+        for coeffs in ([[[np.nan, 0], [0, 1]]], [[[1, 0], [0, 1]], [[np.nan, 0], [0, 0]]]):
+            seq = CoefficientSequence(np.array(coeffs))
+            with np.errstate(invalid="ignore"):
+                assert per_level_verdict(seq.truncated(0)) is None
+                for check in checks:
+                    with pytest.raises(NotPsdError, match="non-finite"):
+                        check(seq)
 
     def test_radius_validation(self):
         with pytest.raises(DomainError):
