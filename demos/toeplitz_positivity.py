@@ -21,17 +21,33 @@ bt = assemble(seq)
 print("assembled matrix for (1, 1/2, 1/4):")
 print(np.real(bt.dense))
 
+
+def print_profile(seq):
+    # a decomposed level has its min eigenvalue; a level between two
+    # decomposed ones has the interlacing bracket that decides its verdicts
+    for n, rep in enumerate(positivity_profile(seq, tol=1e-9)):
+        if rep.lower == rep.upper:
+            value = f"{rep.lower:+.6f}"
+        else:
+            value = f"in [{rep.lower:+.6f}, {rep.upper:+.6f}]"
+        print(f"  level {n}: min eigenvalue {value}  psd={rep.is_psd}")
+
+
 # Positivity, truncation level by truncation level.
 print("\npositivity profile:")
-for n, rep in enumerate(positivity_profile(seq, tol=1e-9)):
-    print(f"  level {n}: min eigenvalue {rep.min_eigenvalue:+.6f}  psd={rep.is_psd}")
+print_profile(seq)
 
 # Infeasible data fails at the level where the Toeplitz matrix loses
 # positivity; nothing later can recover.
 bad = CoefficientSequence.from_scalars([1.0, 2.0])
 print("\nprofile for the infeasible pair (1, 2):")
-for n, rep in enumerate(positivity_profile(bad, tol=1e-9)):
-    print(f"  level {n}: min eigenvalue {rep.min_eigenvalue:+.6f}  psd={rep.is_psd}")
+print_profile(bad)
+
+# Longer data: levels 0 and N are decomposed, and by Cauchy interlacing
+# the levels between them are bracketed, bisecting only where a bracket
+# leaves a verdict open.
+print("\nprofile for (1, 1/2, 1/4, ..., 1/2^8):")
+print_profile(CoefficientSequence.from_scalars(0.5 ** np.arange(9)))
 
 # Block reversal is a permutation conjugation: the spectrum is untouched.
 rlz = random_realization(0, 2, 5)

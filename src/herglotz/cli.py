@@ -3,6 +3,11 @@
 Subcommands: ``check`` (positivity profile), ``solve`` (central extension
 plus kernel Gram summary), ``eval`` and ``kernel`` (point evaluation),
 ``reduce`` (base-factor reduction), ``generate`` (seeded random fixture).
+``check`` reports each truncation level's verdicts with its smallest
+eigenvalue where the level was decomposed (``min_eigenvalue``), and
+otherwise with the interlacing bracket that contains the value a
+decomposition would give (``min_eigenvalue_bounds``); see
+``positivity_profile``.
 Exit statuses: 0 success, 2 parse/argument error (including an input that
 cannot be read or an ``--output`` that cannot be written), 3 infeasible
 data, 4 domain error, 5 internal tolerance failure (including a ``solve``
@@ -10,6 +15,7 @@ whose own kernel Gram report is not PSD; the report is still emitted).
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -102,33 +108,27 @@ def build_parser():
 
     p = sub.add_parser("check", parents=[flags], help="positivity profile of a problem file")
     p.add_argument("input", help="problem file (JSON)")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", parents=[flags], help="central extension to the horizon")
     p.add_argument("input", help="problem file (JSON)")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", parents=[flags], help="evaluate the series at a point")
     p.add_argument("input", help="problem file (JSON)")
     p.add_argument("--z", type=_complex_flag, required=True, help="evaluation point 're,im'")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("kernel", parents=[flags], help="evaluate the kernel at a point pair")
     p.add_argument("input", help="problem file (JSON)")
     p.add_argument("--z", type=_complex_flag, required=True, help="first point 're,im'")
     p.add_argument("--w", type=_complex_flag, required=True, help="second point 're,im'")
-    p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("reduce", parents=[flags], help="base-factor reduction of the data")
     p.add_argument("input", help="problem file (JSON)")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("generate", parents=[flags], help="seeded random fixture file")
     p.add_argument("--block-dim", type=int, default=1, help="coefficient block dimension d")
     p.add_argument("--state-dim", type=int, default=4, help="internal state dimension h")
     p.add_argument("--order", type=int, default=8, help="highest coefficient index N")
     p.add_argument("--zero-c", action="store_true", help="force the input map C to zero")
-    p.set_defaults(func=cmd_generate)
 
     return parser
 
@@ -169,32 +169,33 @@ def _emit(args, report, lines, product=None):
         print(line, file=out)
 
 
+def _level_entry(n, r):
+    # a decomposed level reports its min eigenvalue, an interlaced one the
+    # bracket that contains it
+    entry = {"is_psd": r.is_psd, "is_strictly_positive": r.is_strictly_positive, "level": n}
+    if r.lower == r.upper:
+        entry["min_eigenvalue"] = r.lower
+        value = f"{r.lower:+.6e}"
+    else:
+        entry["min_eigenvalue_bounds"] = [r.lower, r.upper]
+        value = f"in [{r.lower:+.6e}, {r.upper:+.6e}]"
+    return entry, f"level {n}: min eigenvalue {value}  {'PSD' if r.is_psd else 'not PSD'}"
+
+
 def cmd_check(args):
     cfg = _config(args)
     pf = load_problem(args.input)
     reports = positivity_profile(pf.to_sequence(), cfg.tol)
     all_psd = all(r.is_psd for r in reports)
+    entries, lines = zip(*(_level_entry(n, r) for n, r in enumerate(reports)))
     report = {
         "all_psd": all_psd,
         "block_dim": pf.block_dim,
         "command": "check",
-        "levels": [
-            {
-                "is_psd": r.is_psd,
-                "is_strictly_positive": r.is_strictly_positive,
-                "level": n,
-                "min_eigenvalue": r.min_eigenvalue,
-            }
-            for n, r in enumerate(reports)
-        ],
+        "levels": list(entries),
         "tol": cfg.tol,
     }
-    lines = [
-        f"level {n}: min eigenvalue {r.min_eigenvalue:+.6e}  {'PSD' if r.is_psd else 'not PSD'}"
-        for n, r in enumerate(reports)
-    ]
-    lines.append(f"verdict: {'PSD' if all_psd else 'not PSD'}")
-    _emit(args, report, lines)
+    _emit(args, report, [*lines, f"verdict: {'PSD' if all_psd else 'not PSD'}"])
     return EXIT_OK if all_psd else EXIT_INFEASIBLE
 
 
@@ -326,11 +327,19 @@ def cmd_generate(args):
     return EXIT_OK
 
 
+@functools.cache
+def _parser():
+    # argparse parsers keep no state between parses, so one serves them all
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at each call, so a wrapper that replaces a command function
+    # in this module (a tracer's, say) is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

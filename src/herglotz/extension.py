@@ -214,15 +214,17 @@ def parametrized_step(step, contraction):
     Raises
     ------
     OutOfBallError
-        If the operator norm of Gamma exceeds 1.
+        If Gamma has a non-finite entry or its operator norm exceeds 1.
     """
     g = np.asarray(contraction, dtype=complex)
     if g.shape != step.x_center.shape:
         raise DimensionError(
             f"contraction shape {g.shape} does not match block shape {step.x_center.shape}"
         )
+    if not np.isfinite(g).all():
+        raise OutOfBallError("contraction has a non-finite entry")
     norm = float(np.linalg.norm(g, 2))
-    if norm > 1 + 1e-12:
+    if not norm <= 1 + 1e-12:
         raise OutOfBallError(f"contraction has operator norm {norm:.6f} > 1")
     s_half = _hermitian_sqrt(step.left_bound)
     a_inv_half = _hermitian_sqrt(step.alpha, inverse=True)
@@ -285,6 +287,8 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         level leaves the ball.
     SingularBlockError
         If a shifted Toeplitz matrix is singular at working precision.
+    OutOfBallError
+        If a contraction has a non-finite entry or operator norm above 1.
     """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")

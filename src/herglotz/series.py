@@ -33,7 +33,13 @@ from .linalg import (
     minimal_factorization,
     psd_report,
 )
-from .toeplitz import CoefficientSequence, _level_reports, assemble
+from .toeplitz import (
+    CoefficientSequence,
+    _interlaced_reports,
+    _interlacing_margin,
+    _level_reports,
+    assemble,
+)
 
 __all__ = [
     "HerglotzSeries",
@@ -131,11 +137,12 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     and since T_n is smaller than T_N and ||T_n||_2 <= ||T_N||_2, no
     level's computed lambda_min (what ``positivity_profile`` reports) can
     be below ``-tol``: the series is certified without a per-level check.
-    Otherwise, and for data with non-finite entries, every level is checked
-    as ``positivity_profile`` reports it, and the first failing level is
-    named.  Non-finite data that no level check rejects, or whose level
-    LAPACK cannot decompose, is rejected as such: its eigenvalues decide
-    nothing.
+    Otherwise the levels are decided as ``positivity_profile`` decides them,
+    by bisecting between decomposed levels, and the first failing level,
+    which is always a decomposed one, is named with its computed
+    lambda_min.  Data with non-finite entries are checked level by level;
+    those that no level check rejects, or whose level LAPACK cannot
+    decompose, are rejected as such: their eigenvalues decide nothing.
 
     Raises
     ------
@@ -152,28 +159,33 @@ def _certified_data(seq, tol):
     # eigenvalues, from which the extension builds its ball
     dense = assemble(seq).dense
     herm = _hermitian_part(dense, tol)
-    # the Hermitian part is dense itself when finite (assemble builds it
-    # exactly Hermitian); the eigenvalues of a non-finite one decide nothing
-    eigs = np.linalg.eigvalsh(dense) if np.isfinite(herm).all() else None
-    if eigs is not None:
-        margin = 4 * len(eigs) * np.finfo(float).eps * max(-eigs[0], eigs[-1])
-        if eigs[0] >= margin - tol:
-            return dense, eigs
-    try:
-        for n, report in enumerate(_level_reports(herm, seq.block_dim, tol)):
-            if not report.is_psd:
-                raise NotPsdError(
-                    f"truncation level {n} is not PSD "
-                    f"(min eigenvalue {report.min_eigenvalue:.3e})"
-                )
-    except np.linalg.LinAlgError:
-        # LAPACK fails to decompose some levels with a non-finite entry; the
-        # levels before it keep their verdicts
-        if eigs is not None:
-            raise
-    if eigs is None:
+    d = seq.block_dim
+    if not np.isfinite(herm).all():
+        # the eigenvalues of non-finite data decide nothing, and LAPACK fails
+        # to decompose some levels; the levels before it keep their verdicts
+        try:
+            for n, report in enumerate(_level_reports(herm, d, tol)):
+                _reject_level(n, report)
+        except np.linalg.LinAlgError:
+            pass
         raise NotPsdError("coefficient data has a non-finite entry")
+    # the Hermitian part of finite data is dense itself (assemble builds it
+    # exactly Hermitian)
+    eigs = np.linalg.eigvalsh(dense)
+    if eigs[0] < _interlacing_margin(eigs) - tol:
+        # the first failing level is a decomposed one: a bracket fails a
+        # level only when the decomposed level before it fails
+        for n, report in enumerate(_interlaced_reports(herm, d, tol, eigs)):
+            _reject_level(n, report)
     return dense, eigs
+
+
+def _reject_level(n, report):
+    # a failing level, named with its computed lambda_min
+    if not report.is_psd:
+        raise NotPsdError(
+            f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
+        )
 
 
 def eval_series(phi, z):

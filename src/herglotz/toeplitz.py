@@ -14,11 +14,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DimensionError, NotPsdError
-from .linalg import _hermitian_part, _psd_verdict, hermitian_split, psd_report
+from .linalg import _hermitian_part, hermitian_split, psd_report
 
 __all__ = [
     "CoefficientSequence",
     "BlockToeplitz",
+    "LevelReport",
     "assemble",
     "reverse_blocks",
     "reversal_conjugate",
@@ -144,26 +145,111 @@ def reversal_conjugate(bt):
     )
 
 
-def positivity_profile(seq, tol=1e-9):
-    """PSD report for every truncation level n = 0 .. N.
+@dataclass(frozen=True)
+class LevelReport:
+    """Positivity verdict of one truncation level of ``positivity_profile``.
 
-    Level n is the leading (n + 1) d x (n + 1) d principal submatrix of
-    the full assembled matrix, entrywise the assembly of ``seq.truncated(n)``.
-    The symmetry check and the Hermitian part are taken once, of the full
-    matrix, and each level's eigenvalues are those of its leading block:
-    the reports equal ``psd_report`` of the per-level assemblies.  By
-    Cauchy interlacing the minimal eigenvalues are non-increasing in n, so
-    once a level fails no later level can be strictly positive.
+    The level's computed smallest eigenvalue lies in ``[lower, upper]``;
+    ``lower == upper`` on a level whose eigenvalues were computed, where
+    the report is that of ``psd_report``.  ``is_psd`` and
+    ``is_strictly_positive`` are the verdicts ``psd_report`` gives for the
+    level (``min_eigenvalue >= -tolerance_used`` and
+    ``> tolerance_used``), decided by the bracket.
+    """
+
+    lower: float
+    upper: float
+    is_psd: bool
+    is_strictly_positive: bool
+    tolerance_used: float
+
+
+def positivity_profile(seq, tol=1e-9):
+    """Positivity report for every truncation level n = 0 .. N.
+
+    Level n is the leading (n + 1) d x (n + 1) d principal submatrix T_n of
+    the full assembled matrix, entrywise the assembly of
+    ``seq.truncated(n)``; the symmetry check and the Hermitian part are
+    taken once, of the full matrix.  By Cauchy interlacing the exact
+    lambda_min(T_n) is non-increasing in n, so the eigenvalues of a few
+    levels bracket all the others.  Levels 0 and N are decomposed; between
+    two decomposed levels i < j every level's computed lambda_min lies in
+
+        [lambda_j - margin, lambda_i + margin],   margin = 4 m u ||T_N||_2
+
+    (m = (N + 1) d, u the machine epsilon, ``eigvalsh``'s error convention
+    as in ``certified_series``), and the interval is bisected only where
+    that bracket leaves a level's ``is_psd`` or ``is_strictly_positive``
+    undecided.  A decomposed level's report is bitwise that of
+    ``psd_report`` of its own assembly; every verdict equals it, and every
+    bracket contains its ``min_eigenvalue``.  Where the verdicts change
+    once, O(log N) levels are decomposed.  Data with a non-finite entry
+    are decomposed level by level.
+
+    Raises
+    ------
+    NotPsdError
+        If the data has a non-finite entry on which LAPACK cannot decompose
+        some level.
     """
     herm = _hermitian_part(assemble(seq).dense, tol)
-    return list(_level_reports(herm, seq.block_dim, tol))
+    if not np.isfinite(herm).all():
+        try:
+            return list(_level_reports(herm, seq.block_dim, tol))
+        except np.linalg.LinAlgError:
+            raise NotPsdError("coefficient data has a non-finite entry") from None
+    return _interlaced_reports(herm, seq.block_dim, tol, np.linalg.eigvalsh(herm))
+
+
+def _interlacing_margin(eigs):
+    # 4 m u ||A||_2 for a Hermitian A of size m with computed eigenvalues
+    # ``eigs`` (ascending): each eigenvalue eigvalsh computes for A, or for a
+    # leading block of A, lies within half of it of an exact one
+    return float(4 * len(eigs) * np.finfo(float).eps * max(-eigs[0], eigs[-1]))
+
+
+def _bracket(lower, upper, tol):
+    # the report of a level whose computed lambda_min lies in [lower, upper];
+    # callers pass brackets that decide both verdicts
+    return LevelReport(lower, upper, lower >= -tol, lower > tol, tol)
+
+
+def _level_report(herm, block_dim, n, tol):
+    # the report of level n decomposed, from the Hermitian part of a larger
+    # level: that of psd_report
+    k = (n + 1) * block_dim
+    min_eig = float(np.linalg.eigvalsh(herm[:k, :k])[0])
+    return _bracket(min_eig, min_eig, tol)
 
 
 def _level_reports(herm, block_dim, tol):
-    # PSD reports of the leading block levels of the Hermitian part of an
-    # assembled matrix, one eigvalsh per level, computed as they are drawn
-    for k in range(block_dim, herm.shape[0] + 1, block_dim):
-        yield _psd_verdict(float(np.linalg.eigvalsh(herm[:k, :k])[0]), tol)
+    # every level decomposed, computed as they are drawn
+    for n in range(herm.shape[0] // block_dim):
+        yield _level_report(herm, block_dim, n, tol)
+
+
+def _interlaced_reports(herm, block_dim, tol, eigs):
+    # the reports of ``positivity_profile`` from the finite Hermitian part
+    # of T_N and its eigenvalues ``eigs``
+    top = len(eigs) // block_dim - 1
+    margin = _interlacing_margin(eigs)
+    reports = [None] * (top + 1)
+    reports[top] = _bracket(float(eigs[0]), float(eigs[0]), tol)
+    if top:
+        reports[0] = _level_report(herm, block_dim, 0, tol)
+    pending = [(0, top)]
+    while pending:
+        i, j = pending.pop()
+        if j - i < 2:
+            continue
+        lower, upper = reports[j].lower - margin, reports[i].upper + margin
+        if (lower >= -tol or upper < -tol) and (lower > tol or upper <= tol):
+            reports[i + 1 : j] = [_bracket(lower, upper, tol)] * (j - i - 1)
+        else:
+            mid = (i + j) // 2
+            reports[mid] = _level_report(herm, block_dim, mid, tol)
+            pending += [(i, mid), (mid, j)]
+    return reports
 
 
 def cross_block_bound_check(bt, samples, tol=1e-9):

@@ -80,7 +80,7 @@ def solve_outputs(fixtures):
 
 def test_realization_positivity_suite(fixtures):
     worst = min(
-        rep.min_eigenvalue
+        rep.lower
         for _, seq in fixtures
         for rep in positivity_profile(seq, tol=1e-8)
     )

@@ -194,6 +194,14 @@ class TestParametrizedStep:
         with pytest.raises(OutOfBallError):
             parametrized_step(step, 1.5 * np.ones((1, 1)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_contraction_raises(self, value):
+        step, _ = central_step(scalar_seq([1, 0.5]), eps=0.1)
+        with pytest.raises(OutOfBallError, match="non-finite"):
+            parametrized_step(step, np.array([[value]]))
+        with pytest.raises(OutOfBallError, match="non-finite"):
+            extend(scalar_seq([1, 0.5]), 3, contractions=[np.array([[value]])] * 3)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_contraction_stays_inside(self, seed):
         rng = np.random.default_rng(500 + seed)

@@ -15,6 +15,7 @@ from herglotz import (
     parse_problem,
     serialize_problem,
 )
+from herglotz import cli
 from herglotz.cli import (
     EXIT_DOMAIN,
     EXIT_INFEASIBLE,
@@ -148,6 +149,24 @@ class TestCheckCommand:
         assert report["all_psd"] is True
         assert report["levels"][0]["min_eigenvalue"] == pytest.approx(1.0)
         assert report["levels"][1]["min_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_interlaced_levels_report_a_bracket(self, tmp_path, capsys):
+        # identity data: the ends are decomposed, the levels between them are
+        # decided by interlacing and carry the bracket instead of a value
+        path = write_problem(tmp_path, "p.json", [1, 0, 0, 0])
+        assert main(["check", path, "--json"]) == EXIT_OK
+        levels = json.loads(capsys.readouterr().out)["levels"]
+        assert [sorted(level) for level in levels[1:-1]] == [
+            ["is_psd", "is_strictly_positive", "level", "min_eigenvalue_bounds"]
+        ] * 2
+        for level in levels[1:-1]:
+            lower, upper = level["min_eigenvalue_bounds"]
+            assert lower < 1.0 < upper and level["is_psd"] and level["is_strictly_positive"]
+        assert levels[0]["min_eigenvalue"] == levels[-1]["min_eigenvalue"] == pytest.approx(1.0)
+        assert main(["check", path]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "level 0: min eigenvalue +1.000000e+00  PSD"
+        assert lines[1] == "level 1: min eigenvalue in [+1.000000e+00, +1.000000e+00]  PSD"
 
     def test_unreadable_file(self, tmp_path):
         assert main(["check", str(tmp_path / "missing.json")]) == EXIT_PARSE
@@ -373,6 +392,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "verdict: PSD" in proc.stdout
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys):
+        # main reuses one parser; each call must still parse on its own
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        argvs = [["check", path], ["eval", path], ["eval", path, "--z", "0.5"], ["check", path]]
+        fresh = [
+            subprocess.run([sys.executable, "-m", "herglotz", *argv], capture_output=True, text=True)
+            for argv in argvs
+        ]
+        for argv, proc in zip(argvs, fresh):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+
+    def test_replaced_command_function_runs(self, tmp_path, monkeypatch):
+        # the parser is reused, but each call dispatches to the command
+        # function the module holds at that time
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        assert main(["check", path]) == EXIT_OK
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 42)
+        assert main(["check", path]) == 42
 
     def test_argument_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -1,10 +1,10 @@
-"""Property tests for the batched evaluation kernel and the single-assembly
-positivity profile, over block dimensions 1-3, orders 0-12 and 1-40 points,
-for the windowed assembly against a per-diagonal one, for the
-one-decomposition data check of every entry point against a per-level
-scan, for the block-Levinson extension against a per-step re-built chain,
-and for the Cholesky check of a chained level against the eigenvalue
-check."""
+"""Property tests for the batched evaluation kernel over block dimensions
+1-3, orders 0-12 and 1-40 points, for the interlacing positivity profile
+against per-level reports, for the windowed assembly against a
+per-diagonal one, for the one-decomposition data check of every entry
+point against a per-level scan, for the block-Levinson extension against a
+per-step re-built chain, and for the Cholesky check of a chained level
+against the eigenvalue check."""
 
 import numpy as np
 import pytest
@@ -111,14 +111,6 @@ def test_compressed_gram_is_the_dense_gram_paired(phi, pts, seed):
     )
     size = scale(phi) * float(np.abs(vecs).max()) ** 2 / (1 - 0.89**2)
     np.testing.assert_allclose(compressed, expected, rtol=0, atol=1e-13 * size)
-
-
-@PROPERTY
-@given(series(), st.sampled_from([1e-9, 1e-6, 1e-2]))
-def test_profile_equals_per_level_assembly(phi, tol):
-    seq = phi.seq
-    reference = [psd_report(assemble(seq.truncated(n)).dense, tol) for n in range(len(seq))]
-    assert positivity_profile(seq, tol) == reference
 
 
 def reference_assemble(seq):
@@ -256,13 +248,15 @@ def test_extend_matches_the_per_step_reference(problem, eps):
 
 
 @st.composite
-def chained_levels(draw):
+def scaled_levels(draw):
     d = draw(st.integers(1, 3))
-    blocks = draw(st.integers(1, 40))
+    blocks = draw(st.integers(1, 41))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # rank-deficient realization data: the smallest shifted eigenvalue sits
-    # near eps, which the rounding margin of the Cholesky check exceeds at
-    # large scales and long levels, so the eigenvalue check runs there
+    # rank-deficient realization data: the smallest eigenvalues sit at
+    # rounding level, within the interlacing margin of zero, and the
+    # smallest shifted eigenvalue near eps, which the rounding margin of the
+    # Cholesky check exceeds at large scales and long levels, so the
+    # eigenvalue check runs there
     rlz = random_realization(rng, d, int(rng.integers(1, 9)))
     coeffs = realization_coefficients(rlz, blocks - 1).coefficients
     coeffs = coeffs * 10.0 ** draw(st.integers(-12, 12))
@@ -272,8 +266,29 @@ def chained_levels(draw):
     return CoefficientSequence(coeffs)
 
 
+@PROPERTY
+@given(scaled_levels(), st.sampled_from([1e-9, 1e-6, 1e-2]))
+def test_profile_brackets_the_per_level_reports(seq, tol):
+    # decomposed levels are bitwise the per-level report, interlaced ones
+    # hold it in their bracket, and every verdict is the per-level one; the
+    # first failing level, which certified_series names, is decomposed
+    profile = positivity_profile(seq, tol)
+    assert len(profile) == len(seq)
+    assert profile[0].lower == profile[0].upper and profile[-1].lower == profile[-1].upper
+    failing = [level for level in profile if not level.is_psd]
+    assert not failing or failing[0].lower == failing[0].upper
+    for n, level in enumerate(profile):
+        reference = psd_report(assemble(seq.truncated(n)).dense, tol)
+        if level.lower == level.upper:
+            assert level.lower == reference.min_eigenvalue
+        assert level.lower <= reference.min_eigenvalue <= level.upper
+        assert level.is_psd == reference.is_psd
+        assert level.is_strictly_positive == reference.is_strictly_positive
+        assert level.tolerance_used == tol
+
+
 @settings(max_examples=300, deadline=None)
-@given(chained_levels(), st.sampled_from([1e-8, 1e-3, 1.0]), st.sampled_from([1e-9, 1e-6]))
+@given(scaled_levels(), st.sampled_from([1e-8, 1e-3, 1.0]), st.sampled_from([1e-9, 1e-6]))
 def test_chained_level_check_matches_the_eigenvalue_check(seq, eps, tol):
     tol = max(tol, eps)
     expected = check_outcome(_certify, seq, eps, tol)

@@ -99,24 +99,34 @@ class TestReversal:
 class TestPositivityProfile:
     def test_all_ones(self):
         reports = positivity_profile(CoefficientSequence.from_scalars([1, 1]), 1e-9)
-        assert reports[0].min_eigenvalue == pytest.approx(1.0)
-        assert reports[1].min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+        assert reports[0].lower == reports[0].upper == pytest.approx(1.0)
+        assert reports[1].lower == reports[1].upper == pytest.approx(0.0, abs=1e-12)
         assert all(r.is_psd for r in reports)
 
     def test_identity_data(self):
         reports = positivity_profile(CoefficientSequence.from_scalars([1, 0]), 1e-9)
-        assert [r.min_eigenvalue for r in reports] == pytest.approx([1.0, 1.0])
+        assert [r.lower for r in reports] == pytest.approx([1.0, 1.0])
 
     def test_infeasible_level(self):
         reports = positivity_profile(CoefficientSequence.from_scalars([1, 2]), 1e-9)
-        assert reports[1].min_eigenvalue == pytest.approx(-1.0)
+        assert reports[1].upper == pytest.approx(-1.0)
         assert not reports[1].is_psd
+
+    def test_interlaced_levels_carry_a_bracket(self):
+        # every level of identity data has lambda_min 1: the two ends decide
+        # the levels between them, whose brackets hold 1
+        reports = positivity_profile(CoefficientSequence.from_scalars([1] + [0] * 8), 1e-9)
+        assert reports[0].lower == reports[0].upper == 1.0
+        assert reports[-1].lower == reports[-1].upper == pytest.approx(1.0)
+        for r in reports[1:-1]:
+            assert r.lower < 1.0 < r.upper and r.upper - r.lower < 1e-12
+            assert r.is_psd and r.is_strictly_positive
 
     def test_min_eigenvalues_non_increasing(self):
         # leading principal submatrices interlace
         seq = fixture_sequence(11, 2, 6, 6)
-        mins = [r.min_eigenvalue for r in positivity_profile(seq, 1e-9)]
-        assert all(mins[n + 1] <= mins[n] + 1e-12 for n in range(len(mins) - 1))
+        reports = positivity_profile(seq, 1e-9)
+        assert all(reports[n + 1].lower <= reports[n].upper for n in range(len(reports) - 1))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_realization_data_stays_psd(self, seed):
@@ -124,7 +134,22 @@ class TestPositivityProfile:
         d = int(rng.integers(1, 4))
         h = int(rng.integers(1, 8))
         seq = fixture_sequence(seed, d, h, 6)
-        assert all(r.min_eigenvalue >= -1e-8 for r in positivity_profile(seq, 1e-8))
+        assert all(r.lower >= -1e-8 for r in positivity_profile(seq, 1e-8))
+
+    def test_cli_shaped_data_takes_logarithmically_many_decompositions(self, count_dense_calls):
+        # the size of the cli benchmark's data: the verdicts change once, so
+        # the bisection decomposes O(log N) of the N + 1 levels
+        order = 64
+        seq = fixture_sequence(11, 2, 6, order)
+        calls = count_dense_calls()
+        positivity_profile(seq, 1e-9)
+        assert len(calls["eigvalsh"]) <= 2 * int(np.ceil(np.log2(order + 1))) + 2
+
+    def test_non_finite_data_is_rejected(self):
+        # LAPACK cannot decompose the second level
+        seq = CoefficientSequence(np.array([[[1, 0], [0, 1]], [[np.nan, 0], [0, 0]]]))
+        with pytest.raises(NotPsdError, match="coefficient data has a non-finite entry"):
+            positivity_profile(seq)
 
 
 class TestCrossBlockBound:
