@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
-from .series import HerglotzSeries, _certified_data, certified_series
-from .toeplitz import CoefficientSequence, assemble, reverse_blocks
+from .series import HerglotzSeries, certified_series
+from .toeplitz import CoefficientSequence, _certified_data, assemble, reverse_blocks
 
 __all__ = [
     "ExtensionStep",
@@ -175,8 +175,7 @@ def central_step(seq, eps, tol=1e-9):
     ------
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails (the
-        check of ``certified_series``), or if the data has a non-finite
-        entry.
+        check of ``certified_series``).
     SingularBlockError
         If ``eps`` is too small to make the shifted matrix invertible at
         working precision.
@@ -283,8 +282,7 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     ------
     NotPsdError
         Naming the first truncation level of the data whose Toeplitz
-        matrix fails, if the data has a non-finite entry, or if a chained
-        level leaves the ball.
+        matrix fails, or if a chained level leaves the ball.
     SingularBlockError
         If a shifted Toeplitz matrix is singular at working precision.
     OutOfBallError
@@ -342,26 +340,25 @@ def _certify_chained(seq, eps, tol):
     # = (nu + eps) m u (1 + 2 m u) + 2 m u nu; the rest of the 2 gamma tr term
     # covers the rounding of the shift and of the comparisons below.
     # Eigenvalues computed by eigvalsh lie within 2 m u nu of the exact ones
-    # (the convention of _certified_data), so ``_certify`` would find
+    # (the convention of ``positivity_profile``), so ``_certify`` would find
     # lambda_min > -eps and a spread above (lambda_max + eps) m u: it passes.
-    # Otherwise, and for non-finite coefficients, ``_certify`` itself decides
-    # on the level, assembled afresh once the shifted copy is dropped.
+    # Otherwise ``_certify`` itself decides on the level, assembled afresh
+    # once the shifted copy is dropped.
     coeffs = seq.coefficients
-    if np.isfinite(coeffs).all():
-        dense = assemble(seq).dense
-        m, d = dense.shape[0], seq.block_dim
-        u = np.finfo(float).eps
-        norms = np.linalg.norm(coeffs[1:], 2, axis=(1, 2))
-        nu = np.linalg.norm(dense[:d, :d], 2) + 2 * norms.sum()
-        tau = (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
-        gamma = (m + 1) * u / (1 - (m + 1) * u)
-        diagonal = dense.reshape(-1)[:: m + 1]
-        diagonal += eps - tau - 2 * gamma * (diagonal.real.sum() + m * eps)
-        try:
-            np.linalg.cholesky(dense)
-            return
-        except np.linalg.LinAlgError:
-            del dense
+    dense = assemble(seq).dense
+    m, d = dense.shape[0], seq.block_dim
+    u = np.finfo(float).eps
+    norms = np.linalg.norm(coeffs[1:], 2, axis=(1, 2))
+    nu = np.linalg.norm(dense[:d, :d], 2) + 2 * norms.sum()
+    tau = (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
+    gamma = (m + 1) * u / (1 - (m + 1) * u)
+    diagonal = dense.reshape(-1)[:: m + 1]
+    diagonal += eps - tau - 2 * gamma * (diagonal.real.sum() + m * eps)
+    try:
+        np.linalg.cholesky(dense)
+        return
+    except np.linalg.LinAlgError:
+        del dense
     _certify(seq, eps, tol)
 
 
@@ -371,10 +368,8 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     Up to ``horizon`` = N this is ``certified_series``.  Beyond it the data
     are extended centrally by ``extend`` until the coefficient list reaches
     index ``horizon``; ``extend`` certifies the data with the same check
-    (one eigendecomposition of the top-level Toeplitz matrix T_N, which by
-    Cauchy interlacing decides every level unless its smallest eigenvalue
-    lies within the rounding margin of ``-tol``, where the levels are
-    checked one by one) and builds its ball from the same T_N and
+    (one eigendecomposition of the top-level Toeplitz matrix T_N, see
+    ``certified_series``) and builds its ball from the same T_N and
     eigenvalues, so T_N is assembled and decomposed once.  The central
     chain is the order-N band recursion, and its longest level is
     certified by one shifted Cholesky factorisation, so the cost is
@@ -385,8 +380,7 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     Raises
     ------
     NotPsdError
-        Naming the first truncation level whose Toeplitz matrix fails, or
-        if the data has a non-finite entry.
+        Naming the first truncation level whose Toeplitz matrix fails.
     """
     if horizon <= seq.order:
         return certified_series(seq, radius, tol)

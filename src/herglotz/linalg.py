@@ -94,8 +94,11 @@ def hermitian_split(m):
     merely to tolerance).
     """
     m = _square(m)
-    mh = m.conj().T
-    return (m + mh) / 2, (m - mh) / 2
+    # halved before adding, so finite entries near the float maximum give a
+    # finite split; away from overflow and underflow the bits are those of
+    # (M + M*)/2
+    half, half_h = m / 2, m.conj().T / 2
+    return half + half_h, half - half_h
 
 
 def psd_report(h, tol=1e-9):
@@ -119,7 +122,8 @@ def psd_report(h, tol=1e-9):
     Raises
     ------
     NotHermitianError
-        If ``h`` deviates from Hermitian symmetry beyond ``tol``.
+        If ``h`` deviates from Hermitian symmetry beyond ``tol``, or has a
+        non-finite entry.
     """
     herm = _hermitian_part(_square(h), tol)
     eigs = np.linalg.eigvalsh(herm) if herm.size else np.array([np.inf])
@@ -129,9 +133,11 @@ def psd_report(h, tol=1e-9):
 def _hermitian_part(h, tol):
     # (h + h*) / 2, after checking that h is Hermitian within tol.  Taken
     # entrywise, so the leading blocks of the result are the Hermitian parts
-    # of the leading blocks of h.
-    defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if defect > tol:
+    # of the leading blocks of h.  A non-finite entry makes the defect NaN
+    # (inf - inf on the diagonal), which fails the check.
+    with np.errstate(invalid="ignore"):
+        defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+    if not defect <= tol:
         raise NotHermitianError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds tol {tol:.3e}"
         )
@@ -161,6 +167,9 @@ def minimal_factorization(a, tol_rank=1e-10):
     NotPsdError
         If the smallest eigenvalue is below ``-tol_rank``; the offending
         eigenvalue is reported.
+    NotHermitianError
+        If ``a`` deviates from Hermitian symmetry beyond ``tol_rank``, or
+        has a non-finite entry.
     """
     herm = _hermitian_part(_square(a), tol_rank)
     if herm.size == 0:

@@ -26,20 +26,13 @@ from .exceptions import (
     RangeCompatibilityError,
 )
 from .linalg import (
-    _hermitian_part,
     _psd_verdict,
     connecting_isometry,
     hermitian_split,
     minimal_factorization,
     psd_report,
 )
-from .toeplitz import (
-    CoefficientSequence,
-    _interlaced_reports,
-    _interlacing_margin,
-    _level_reports,
-    assemble,
-)
+from .toeplitz import CoefficientSequence, _certified_data, assemble
 
 __all__ = [
     "HerglotzSeries",
@@ -124,68 +117,19 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
 
     The level-n Toeplitz matrix T_n is the leading block of T_N, so by
     Cauchy interlacing lambda_min(T_n) >= lambda_min(T_N), and one
-    eigendecomposition of T_N decides every level.  ``eigvalsh`` is
-    backward stable: each eigenvalue it computes for a Hermitian matrix A
-    of size m lies within 2 m u ||A||_2 of an exact one (u the machine
-    epsilon; the observed error is far smaller).  So when the computed
-    lambda_min(T_N) is at least ``-tol + margin`` with
-
-        margin = 4 m u ||T_N||_2,
-
-    m = (N + 1) d and ||T_N||_2 the largest computed eigenvalue magnitude,
-    every level's exact lambda_min is at least ``-tol + 2 m u ||T_N||_2``,
-    and since T_n is smaller than T_N and ||T_n||_2 <= ||T_N||_2, no
-    level's computed lambda_min (what ``positivity_profile`` reports) can
-    be below ``-tol``: the series is certified without a per-level check.
-    Otherwise the levels are decided as ``positivity_profile`` decides them,
-    by bisecting between decomposed levels, and the first failing level,
-    which is always a decomposed one, is named with its computed
-    lambda_min.  Data with non-finite entries are checked level by level;
-    those that no level check rejects, or whose level LAPACK cannot
-    decompose, are rejected as such: their eigenvalues decide nothing.
+    eigendecomposition of T_N decides every level unless its computed
+    lambda_min lies within the rounding margin of ``-tol`` (the argument
+    and the margin are those of ``positivity_profile``).  There the levels
+    are decided as ``positivity_profile`` decides them, and the first
+    failing level is named with its computed lambda_min.
 
     Raises
     ------
     NotPsdError
-        Naming the first truncation level whose Toeplitz matrix fails, or
-        if the data has a non-finite entry.
+        Naming the first truncation level whose Toeplitz matrix fails.
     """
     _certified_data(seq, tol)
     return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
-
-
-def _certified_data(seq, tol):
-    # the check of ``certified_series``; returns the assembled T_N and its
-    # eigenvalues, from which the extension builds its ball
-    dense = assemble(seq).dense
-    herm = _hermitian_part(dense, tol)
-    d = seq.block_dim
-    if not np.isfinite(herm).all():
-        # the eigenvalues of non-finite data decide nothing, and LAPACK fails
-        # to decompose some levels; the levels before it keep their verdicts
-        try:
-            for n, report in enumerate(_level_reports(herm, d, tol)):
-                _reject_level(n, report)
-        except np.linalg.LinAlgError:
-            pass
-        raise NotPsdError("coefficient data has a non-finite entry")
-    # the Hermitian part of finite data is dense itself (assemble builds it
-    # exactly Hermitian)
-    eigs = np.linalg.eigvalsh(dense)
-    if eigs[0] < _interlacing_margin(eigs) - tol:
-        # the first failing level is a decomposed one: a bracket fails a
-        # level only when the decomposed level before it fails
-        for n, report in enumerate(_interlaced_reports(herm, d, tol, eigs)):
-            _reject_level(n, report)
-    return dense, eigs
-
-
-def _reject_level(n, report):
-    # a failing level, named with its computed lambda_min
-    if not report.is_psd:
-        raise NotPsdError(
-            f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
-        )
 
 
 def eval_series(phi, z):
@@ -197,7 +141,7 @@ def eval_series(phi, z):
     z = np.asarray(z, dtype=complex)
     if z.ndim > 1:
         raise DimensionError(f"expected a point or a 1-d array of points, got shape {z.shape}")
-    outside = np.abs(z) > phi.declared_radius
+    outside = ~(np.abs(z) <= phi.declared_radius)
     if outside.any():
         raise DomainError(
             f"|z| = {abs(z[outside].flat[0]):.6f} outside declared radius {phi.declared_radius}"
@@ -212,7 +156,7 @@ def series_tail_bound(phi, z):
     2 max_n ||M_n|| |z|^{T+1} / (1 - |z|), for a point (a float) or a 1-d
     array of points (an array)."""
     r = np.abs(np.asarray(z, dtype=complex))
-    if (r >= 1).any():
+    if not (r < 1).all():
         raise DomainError(f"|z| = {r.max():.6f} must be below 1 for a finite tail bound")
     max_norm = float(np.linalg.norm(phi.seq.coefficients, 2, axis=(1, 2)).max())
     bound = 2 * max_norm * r ** (phi.seq.order + 1) / (1 - r)
@@ -276,7 +220,7 @@ def kernel_finite_section(seq, z, w, n):
     """
     z = complex(z)
     w = complex(w)
-    if abs(z) >= 1 or abs(w) >= 1:
+    if not (abs(z) < 1 and abs(w) < 1):
         raise DomainError("both points must lie strictly inside the unit disk")
     if n > seq.order:
         raise InsufficientDataError(
@@ -335,7 +279,7 @@ def eval_realization(rlz, z, tol=1e-8):
     """
     d, c, v = _check_realization(rlz, tol)
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise DomainError(f"|z| = {abs(z):.6f} is not inside the open unit disk")
     vh = v.conj().T
     h = v.shape[0]

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DimensionError, NotPsdError
-from .linalg import _hermitian_part, hermitian_split, psd_report
+from .linalg import hermitian_split, psd_report
 
 __all__ = [
     "CoefficientSequence",
@@ -33,7 +33,11 @@ class CoefficientSequence:
     """Operator coefficients M_0 .. M_N, square complex blocks of equal size.
 
     ``coefficients`` is stored as a read-only complex array of shape
-    (N + 1, d, d); the sequence is immutable after construction.
+    (N + 1, d, d); the sequence is immutable after construction.  Every
+    entry must be finite: no eigenvalue decides the positivity of data with
+    a non-finite entry, so construction rejects it with ``NotPsdError``
+    ("coefficient data has a non-finite entry"), and every check downstream
+    sees finite data.
     """
 
     coefficients: np.ndarray
@@ -48,6 +52,8 @@ class CoefficientSequence:
             )
         if coeffs.shape[0] < 1 or coeffs.shape[1] < 1:
             raise DimensionError("need at least one coefficient block of dimension >= 1")
+        if not np.isfinite(coeffs).all():
+            raise NotPsdError("coefficient data has a non-finite entry")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -168,37 +174,44 @@ def positivity_profile(seq, tol=1e-9):
     """Positivity report for every truncation level n = 0 .. N.
 
     Level n is the leading (n + 1) d x (n + 1) d principal submatrix T_n of
-    the full assembled matrix, entrywise the assembly of
-    ``seq.truncated(n)``; the symmetry check and the Hermitian part are
-    taken once, of the full matrix.  By Cauchy interlacing the exact
-    lambda_min(T_n) is non-increasing in n, so the eigenvalues of a few
-    levels bracket all the others.  Levels 0 and N are decomposed; between
-    two decomposed levels i < j every level's computed lambda_min lies in
+    the assembled T_N, entrywise the assembly of ``seq.truncated(n)``.  By
+    Cauchy interlacing the exact lambda_min(T_n) is non-increasing in n.
+    ``eigvalsh`` is backward stable: each eigenvalue it computes for a
+    Hermitian matrix A of size m lies within 2 m u ||A||_2 of an exact one
+    (u the machine epsilon; the observed error is far smaller), and
+    ||T_n||_2 <= ||T_N||_2.  So between two decomposed levels i < j every
+    level's computed lambda_min lies in
 
         [lambda_j - margin, lambda_i + margin],   margin = 4 m u ||T_N||_2
 
-    (m = (N + 1) d, u the machine epsilon, ``eigvalsh``'s error convention
-    as in ``certified_series``), and the interval is bisected only where
-    that bracket leaves a level's ``is_psd`` or ``is_strictly_positive``
-    undecided.  A decomposed level's report is bitwise that of
-    ``psd_report`` of its own assembly; every verdict equals it, and every
-    bracket contains its ``min_eigenvalue``.  Where the verdicts change
-    once, O(log N) levels are decomposed.  Data with a non-finite entry
-    are decomposed level by level.
-
-    Raises
-    ------
-    NotPsdError
-        If the data has a non-finite entry on which LAPACK cannot decompose
-        some level.
+    with m = (N + 1) d and ||T_N||_2 the largest computed eigenvalue
+    magnitude.  Levels 0 and N are decomposed, and an interval is bisected
+    only where that bracket leaves a level's ``is_psd`` or
+    ``is_strictly_positive`` undecided.  A decomposed level's report is
+    bitwise that of ``psd_report`` of its own assembly; every verdict
+    equals it, and every bracket contains its ``min_eigenvalue``.  Where
+    the verdicts change once, O(log N) levels are decomposed.
     """
-    herm = _hermitian_part(assemble(seq).dense, tol)
-    if not np.isfinite(herm).all():
-        try:
-            return list(_level_reports(herm, seq.block_dim, tol))
-        except np.linalg.LinAlgError:
-            raise NotPsdError("coefficient data has a non-finite entry") from None
-    return _interlaced_reports(herm, seq.block_dim, tol, np.linalg.eigvalsh(herm))
+    dense = assemble(seq).dense
+    return _interlaced_reports(dense, seq.block_dim, tol, np.linalg.eigvalsh(dense))
+
+
+def _certified_data(seq, tol):
+    # the check of ``certified_series``; returns T_N and its eigenvalues,
+    # from which the extension builds its ball.  Unless lambda_min(T_N) lies
+    # within the margin of -tol every level passes; otherwise the levels are
+    # decided as ``positivity_profile`` decides them, and the first failing
+    # level is a decomposed one (a bracket fails a level only when the
+    # decomposed level before it fails), named with its computed lambda_min
+    dense = assemble(seq).dense
+    eigs = np.linalg.eigvalsh(dense)
+    if eigs[0] < _interlacing_margin(eigs) - tol:
+        for n, report in enumerate(_interlaced_reports(dense, seq.block_dim, tol, eigs)):
+            if not report.is_psd:
+                raise NotPsdError(
+                    f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
+                )
+    return dense, eigs
 
 
 def _interlacing_margin(eigs):
@@ -214,29 +227,23 @@ def _bracket(lower, upper, tol):
     return LevelReport(lower, upper, lower >= -tol, lower > tol, tol)
 
 
-def _level_report(herm, block_dim, n, tol):
-    # the report of level n decomposed, from the Hermitian part of a larger
-    # level: that of psd_report
+def _level_report(dense, block_dim, n, tol):
+    # the report of level n decomposed, from the assembly of a larger level:
+    # that of psd_report
     k = (n + 1) * block_dim
-    min_eig = float(np.linalg.eigvalsh(herm[:k, :k])[0])
+    min_eig = float(np.linalg.eigvalsh(dense[:k, :k])[0])
     return _bracket(min_eig, min_eig, tol)
 
 
-def _level_reports(herm, block_dim, tol):
-    # every level decomposed, computed as they are drawn
-    for n in range(herm.shape[0] // block_dim):
-        yield _level_report(herm, block_dim, n, tol)
-
-
-def _interlaced_reports(herm, block_dim, tol, eigs):
-    # the reports of ``positivity_profile`` from the finite Hermitian part
-    # of T_N and its eigenvalues ``eigs``
+def _interlaced_reports(dense, block_dim, tol, eigs):
+    # the reports of ``positivity_profile`` from T_N and its eigenvalues
+    # ``eigs``
     top = len(eigs) // block_dim - 1
     margin = _interlacing_margin(eigs)
     reports = [None] * (top + 1)
     reports[top] = _bracket(float(eigs[0]), float(eigs[0]), tol)
     if top:
-        reports[0] = _level_report(herm, block_dim, 0, tol)
+        reports[0] = _level_report(dense, block_dim, 0, tol)
     pending = [(0, top)]
     while pending:
         i, j = pending.pop()
@@ -247,7 +254,7 @@ def _interlaced_reports(herm, block_dim, tol, eigs):
             reports[i + 1 : j] = [_bracket(lower, upper, tol)] * (j - i - 1)
         else:
             mid = (i + j) // 2
-            reports[mid] = _level_report(herm, block_dim, mid, tol)
+            reports[mid] = _level_report(dense, block_dim, mid, tol)
             pending += [(i, mid), (mid, j)]
     return reports
 

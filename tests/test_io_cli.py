@@ -269,6 +269,14 @@ class TestEvalCommands:
         assert main(["eval", path, "--z", "0.95"]) == EXIT_DOMAIN
         assert "radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["eval"], ["kernel", "--w", "0.5"]])
+    def test_nan_point_is_outside_the_domain(self, tmp_path, capsys, command):
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        assert main([command[0], path, "--z=nan,0", *command[1:]]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: |z| = nan")
+
     def test_kernel_all_ones(self, tmp_path, capsys):
         path = write_problem(tmp_path, "p.json", np.ones(201))
         assert main(["kernel", path, "--z", "0.5", "--w", "0.5", "--json"]) == EXIT_OK

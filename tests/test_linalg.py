@@ -78,6 +78,15 @@ class TestPsdReport:
         with pytest.raises(NotHermitianError):
             psd_report([[0, 1], [0, 0]], 1e-10)
 
+    @pytest.mark.parametrize("matrix", [[[np.inf]], [[np.nan]], [[1, np.nan], [np.nan, 1]]])
+    def test_non_finite_raises(self, matrix):
+        # the asymmetry of a non-finite matrix is NaN, which no tolerance
+        # admits: no verdict and no factor comes from its eigenvalues
+        with pytest.raises(NotHermitianError, match="asymmetry nan"):
+            psd_report(matrix)
+        with pytest.raises(NotHermitianError, match="asymmetry nan"):
+            minimal_factorization(matrix)
+
 
 class TestMinimalFactorization:
     def test_identity(self):

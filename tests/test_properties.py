@@ -134,6 +134,8 @@ def test_assemble_is_the_per_diagonal_assembly(phi):
     expected = reference_assemble(seq)
     assert dense.shape == expected.shape
     assert dense.tobytes() == expected.tobytes()
+    # exactly Hermitian, so no check needs to take its Hermitian part again
+    assert (dense == dense.conj().T).all()
     assert dense.flags.writeable and dense.flags.c_contiguous
     assert not np.shares_memory(dense, seq.coefficients)
 

@@ -12,12 +12,10 @@ from herglotz import (
     RangeCompatibilityError,
     Realization,
     assemble,
-    central_step,
     certified_series,
     compose_reduced,
     eval_realization,
     eval_series,
-    extend,
     gram_isometries,
     kernel_gram,
     kernel_finite_section,
@@ -27,7 +25,6 @@ from herglotz import (
     realization_coefficients,
     reduce,
     series_tail_bound,
-    solve_cf,
 )
 
 
@@ -63,6 +60,26 @@ class TestEvalSeries:
     def test_outside_radius_raises(self):
         with pytest.raises(DomainError):
             eval_series(all_ones_series(4), 0.95)
+
+    @pytest.mark.parametrize("z", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0)])
+    def test_non_finite_point_raises(self, z):
+        # every disk check reads "not inside", which a NaN modulus fails
+        phi = all_ones_series(4)
+        seq = phi.seq
+        rlz = Realization(D=np.zeros((1, 1)), C=np.ones((1, 1)), V=np.ones((1, 1)))
+        checks = (
+            lambda: eval_series(phi, z),
+            lambda: eval_series(phi, [0.5, z]),
+            lambda: series_tail_bound(phi, z),
+            lambda: series_tail_bound(phi, [0.5, z]),
+            lambda: kernel_value(phi, 0.5, z),
+            lambda: kernel_finite_section(seq, z, 0.5, 2),
+            lambda: kernel_finite_section(seq, 0.5, z, 2),
+            lambda: eval_realization(rlz, z),
+        )
+        for check in checks:
+            with pytest.raises(DomainError):
+                check()
 
     def test_tail_bound_dominates_truncation_error(self):
         exact = 3.0
@@ -428,36 +445,6 @@ class TestCertifiedSeries:
                 certified_series(seq)
             assert str(info.value) == expected
         assert len(calls["eigvalsh"]) > 1
-
-    @pytest.mark.parametrize("values", [[np.inf], [np.nan, 0.0], [1, np.nan]])
-    def test_non_finite_data_checked_level_by_level(self, values):
-        # the eigenvalues of a non-finite matrix decide nothing: eigvalsh
-        # gives inf for [inf] and 0 for [nan, 0], where the per-level scan
-        # fails at level 0
-        seq = CoefficientSequence.from_scalars(values)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NotPsdError) as info:
-                certified_series(seq)
-            assert str(info.value) == per_level_verdict(seq)
-
-    def test_non_finite_data_every_level_passes_is_rejected(self):
-        # eigvalsh gives [0, -0] for [[nan, 0], [0, 1]], so the per-level
-        # scan passes it; its eigenvalues decide nothing.  In the second
-        # sequence level 0 passes and LAPACK cannot decompose level 1.
-        checks = (
-            certified_series,
-            lambda s: solve_cf(s, 3),
-            lambda s: extend(s, 1),
-            lambda s: extend(s, 3),
-            lambda s: central_step(s, 1e-8),
-        )
-        for coeffs in ([[[np.nan, 0], [0, 1]]], [[[1, 0], [0, 1]], [[np.nan, 0], [0, 0]]]):
-            seq = CoefficientSequence(np.array(coeffs))
-            with np.errstate(invalid="ignore"):
-                assert per_level_verdict(seq.truncated(0)) is None
-                for check in checks:
-                    with pytest.raises(NotPsdError, match="non-finite"):
-                        check(seq)
 
     def test_radius_validation(self):
         with pytest.raises(DomainError):

@@ -38,6 +38,27 @@ class TestCoefficientSequence:
         with pytest.raises(DimensionError):
             CoefficientSequence(np.ones((2, 2, 3)))
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [[[np.inf]]],
+            [[[np.nan]], [[0.0]]],
+            [[[1.0]], [[np.nan]]],
+            [[[np.nan, 0], [0, 1]]],
+            [[[1, 0], [0, 1]], [[np.nan, 0], [0, 0]]],
+        ],
+    )
+    def test_rejects_non_finite_data(self, coeffs):
+        # no eigenvalue decides the positivity of such data, so no check
+        # downstream sees it
+        coeffs = np.array(coeffs, dtype=complex)
+        builds = [lambda: CoefficientSequence(coeffs)]
+        if coeffs.shape[1] == 1:
+            builds.append(lambda: CoefficientSequence.from_scalars(coeffs.ravel()))
+        for build in builds:
+            with pytest.raises(NotPsdError, match="^coefficient data has a non-finite entry$"):
+                build()
+
     def test_immutable_storage(self):
         seq = CoefficientSequence.from_scalars([1, 2])
         with pytest.raises(ValueError):
@@ -52,6 +73,12 @@ class TestAssemble:
     def test_diagonal_takes_hermitian_part(self):
         bt = assemble(CoefficientSequence.from_scalars([1 + 2j, 1]))
         assert np.array_equal(bt.dense, np.ones((2, 2)))
+
+    def test_finite_near_overflow_stays_finite(self):
+        # (M_0 + M_0*)/2 taken as a sum would overflow to inf
+        seq = CoefficientSequence.from_scalars([1.7e308, 1])
+        assert np.array_equal(assemble(seq).dense, [[1.7e308, 1], [1, 1.7e308]])
+        assert all(r.is_strictly_positive for r in positivity_profile(seq))
 
     def test_layout_three_levels(self):
         bt = assemble(CoefficientSequence.from_scalars([1, 0.5, 0.25]))
@@ -144,12 +171,6 @@ class TestPositivityProfile:
         calls = count_dense_calls()
         positivity_profile(seq, 1e-9)
         assert len(calls["eigvalsh"]) <= 2 * int(np.ceil(np.log2(order + 1))) + 2
-
-    def test_non_finite_data_is_rejected(self):
-        # LAPACK cannot decompose the second level
-        seq = CoefficientSequence(np.array([[[1, 0], [0, 1]], [[np.nan, 0], [0, 0]]]))
-        with pytest.raises(NotPsdError, match="coefficient data has a non-finite entry"):
-            positivity_profile(seq)
 
 
 class TestCrossBlockBound:
