@@ -38,10 +38,8 @@ from .extension import solve_cf
 from .io import (
     ProblemFile,
     RunConfig,
-    _problem_dict,
     canonical_json,
     load_problem,
-    matrix_to_pairs,
     serialize_problem,
 )
 from .series import (
@@ -152,7 +150,8 @@ def _matrix_lines(m):
 
 def _emit(args, report, lines, product=None):
     # the one place a command writes its output.  The data product, if any,
-    # goes to --output when given.  --json puts the canonical report on
+    # is canonical text formatted once, which the report embeds as it is;
+    # it goes to --output when given.  --json puts the canonical report on
     # stdout; text mode prints ``lines`` instead, on stderr when the product
     # itself goes to stdout so the two never mix.
     if product is not None and args.output:
@@ -211,7 +210,7 @@ def cmd_solve(args):
     rng = np.random.default_rng(cfg.seed)
     points = _sample_points(rng, cfg.grid, cfg.radius)
     gram = kernel_gram(full, points)
-    out_pf = ProblemFile.from_sequence(out_seq, metadata=pf.metadata)
+    product = serialize_problem(ProblemFile.from_sequence(out_seq, metadata=pf.metadata))
     report = {
         "command": "solve",
         "kernel": {
@@ -221,14 +220,14 @@ def cmd_solve(args):
             "psd": gram.is_psd,
             "tolerance_used": gram.tolerance_used,
         },
-        "problem": _problem_dict(out_pf),
+        "problem": product,
     }
     summary = [
         f"extended coefficients: 0..{out_seq.order}",
         f"kernel gram min eigenvalue: {gram.min_eigenvalue:+.6e} "
         f"(tolerance {gram.tolerance_used:.3e}, {cfg.grid} points, seed {cfg.seed})",
     ]
-    _emit(args, report, summary, serialize_problem(out_pf))
+    _emit(args, report, summary, product)
     if not gram.is_psd:
         print(
             f"error: kernel Gram matrix is not PSD: min eigenvalue "
@@ -253,7 +252,7 @@ def cmd_eval(args):
     report = {
         "command": "eval",
         "tail_bound": tail,
-        "value": matrix_to_pairs(value),
+        "value": value,
         "z": [args.z.real, args.z.imag],
     }
     lines = [
@@ -273,7 +272,7 @@ def cmd_kernel(args):
     report = {
         "command": "kernel",
         "tail_bound": tail,
-        "value": matrix_to_pairs(value),
+        "value": value,
         "w": [args.w.real, args.w.imag],
         "z": [args.z.real, args.z.imag],
     }
@@ -291,18 +290,18 @@ def cmd_reduce(args):
     pf = load_problem(args.input)
     rf = reduce(pf.to_sequence(), tol=cfg.tol)
     rank = rf.t0.shape[0]
-    reduced = {
-        "block_dim": pf.block_dim,
-        "d_imag": matrix_to_pairs(rf.d_imag),
-        "rank": rank,
-        "residuals": [float(r) for r in rf.residuals],
-        "t0": matrix_to_pairs(rf.t0),
-        "t_coefficients": [matrix_to_pairs(t) for t in rf.t_seq.coefficients]
-        if rf.t_seq is not None
-        else [],
-    }
+    product = canonical_json(
+        {
+            "block_dim": pf.block_dim,
+            "d_imag": rf.d_imag,
+            "rank": rank,
+            "residuals": [float(r) for r in rf.residuals],
+            "t0": rf.t0,
+            "t_coefficients": rf.t_seq.coefficients if rf.t_seq is not None else [],
+        }
+    )
     summary = [f"rank: {rank}", f"max residual: {max(rf.residuals):.3e}"]
-    _emit(args, {"command": "reduce", "reduced": reduced}, summary, canonical_json(reduced))
+    _emit(args, {"command": "reduce", "reduced": product}, summary, product)
     return EXIT_OK
 
 
@@ -320,10 +319,9 @@ def cmd_generate(args):
         "state_dim": str(args.state_dim),
         "zero_c": "true" if args.zero_c else "false",
     }
-    pf = ProblemFile.from_sequence(seq, metadata=metadata)
-    report = {"command": "generate", "problem": _problem_dict(pf)}
+    product = serialize_problem(ProblemFile.from_sequence(seq, metadata=metadata))
     summary = [f"generated 0..{args.order} (seed {cfg.seed})"]
-    _emit(args, report, summary, serialize_problem(pf))
+    _emit(args, {"command": "generate", "problem": product}, summary, product)
     return EXIT_OK
 
 

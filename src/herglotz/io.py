@@ -13,6 +13,13 @@ for j > i, adjoints below the diagonal, Hermitian part of M_0 on it.
 Serialization is canonical - sorted keys, floats printed with 17
 significant digits - so parse followed by serialize is the identity on
 canonical files, byte for byte.
+
+Arrays travel whole.  The emitter takes a complex ndarray as a leaf and
+formats all of its floats with one %-template built from its shape; the
+parser converts all coefficients with one ``np.array`` call and walks them
+one by one only to name what is wrong with a malformed file.  Text made by
+``canonical_json`` is itself a leaf that is emitted verbatim, so a command
+formats each data product once and embeds that text in its report.
 """
 
 import json
@@ -32,9 +39,9 @@ __all__ = [
     "load_problem",
     "save_problem",
     "format_float",
-    "matrix_to_pairs",
     "pairs_to_matrix",
     "canonical_json",
+    "CanonicalText",
 ]
 
 
@@ -101,11 +108,6 @@ def format_float(x):
     return f"{x:.17g}"
 
 
-def matrix_to_pairs(m):
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def pairs_to_matrix(rows, what="matrix"):
     try:
         arr = np.asarray(rows, dtype=float)
@@ -120,12 +122,41 @@ def pairs_to_matrix(rows, what="matrix"):
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
+class CanonicalText(str):
+    """Text made by ``canonical_json``.  Inside a tree given to
+    ``canonical_json`` it is emitted as the JSON it holds (less its final
+    newline), not as a string, so embedding a formatted product in a report
+    costs no second formatting."""
+
+
+def _array_template(shape):
+    # %-template of a complex array of this shape: nested lists with an
+    # [re, im] pair at each entry.  "%.17g" % x is f"{x:.17g}" byte for byte
+    if not shape:
+        return "[%.17g, %.17g]"
+    return "[" + ", ".join([_array_template(shape[1:])] * shape[0]) + "]"
+
+
+def _emit_array(a):
+    a = np.asarray(a, dtype=complex)
+    # + 0.0 turns -0.0 into 0.0, as format_float does
+    floats = np.stack((a.real, a.imag), axis=-1) + 0.0
+    finite = np.isfinite(floats)
+    if not finite.all():
+        x = float(floats[~finite][0])
+        raise ProblemFormatError(f"non-finite value {x} cannot be serialized")
+    return _array_template(a.shape) % tuple(floats.ravel().tolist())
+
+
 def _emit(value):
-    # canonical emitter: dict keys sorted, floats via format_float.  Floats
-    # are the most common leaves, so they are tested first (a bool is not a
-    # float, and numpy's float64 is one)
+    # canonical emitter: dict keys sorted, floats via format_float, complex
+    # arrays via _emit_array.  Floats are the most common scalar leaves, so
+    # they are tested first (a bool is not a float, and numpy's float64 is
+    # one)
     if isinstance(value, float):
         return format_float(value)
+    if isinstance(value, np.ndarray):
+        return _emit_array(value)
     if isinstance(value, dict):
         items = ", ".join(f"{json.dumps(k)}: {_emit(value[k])}" for k in sorted(value))
         return "{" + items + "}"
@@ -137,31 +168,74 @@ def _emit(value):
         return str(int(value))
     if isinstance(value, np.floating):
         return format_float(value)
+    if isinstance(value, CanonicalText):
+        return value[:-1]
     if isinstance(value, str):
         return json.dumps(value)
     raise ProblemFormatError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def canonical_json(obj):
-    """Serialize a plain dict/list/number/string tree canonically."""
-    return _emit(obj) + "\n"
+    """Serialize a tree of dicts, lists, numbers, strings, complex ndarrays
+    (as nested [re, im] pairs) and ``CanonicalText`` canonically."""
+    return CanonicalText(_emit(obj) + "\n")
 
 
-def _problem_dict(pf):
-    # plain-tree form of a problem file, shared by the file format and the
-    # CLI's JSON reports
-    return {
-        "block_dim": int(pf.block_dim),
-        "coefficients": [matrix_to_pairs(m) for m in pf.coefficients],
-        "metadata": {str(k): str(v) for k, v in pf.metadata.items()},
-    }
+def _coefficient_array(pf):
+    # the coefficients as one complex (N + 1, d, d) array, checked as the
+    # parser checks them so that no file is written that cannot be read
+    d = pf.block_dim
+    try:
+        coefficients = np.asarray(pf.coefficients, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(
+            "coefficients: entries must be complex matrices of one shape"
+        ) from exc
+    if coefficients.ndim == 0 or not len(coefficients):
+        raise ProblemFormatError("coefficients must be a non-empty list of matrices")
+    if coefficients.shape[1:] != (d, d):
+        raise ProblemFormatError(
+            f"coefficient 0 has shape {coefficients.shape[1:]}, expected ({d}, {d})"
+        )
+    return coefficients
 
 
 def serialize_problem(pf):
     """Canonical text form of a problem file."""
     if pf.block_dim < 1:
         raise ProblemFormatError(f"block_dim must be >= 1, got {pf.block_dim}")
-    return canonical_json(_problem_dict(pf))
+    return canonical_json(
+        {
+            "block_dim": int(pf.block_dim),
+            "coefficients": _coefficient_array(pf),
+            "metadata": {str(k): str(v) for k, v in pf.metadata.items()},
+        }
+    )
+
+
+def _parse_coefficients(coeffs_raw, block_dim):
+    # one conversion for the whole list; the per-coefficient walk runs only
+    # on a malformed list, to name its first bad coefficient
+    try:
+        arr = np.array(coeffs_raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if (
+        arr is not None
+        and arr.shape == (len(coeffs_raw), block_dim, block_dim, 2)
+        and np.isfinite(arr).all()
+    ):
+        return arr[..., 0] + 1j * arr[..., 1]
+    coefficients = np.empty((len(coeffs_raw), block_dim, block_dim), dtype=complex)
+    for idx, rows in enumerate(coeffs_raw):
+        m = pairs_to_matrix(rows, what=f"coefficient {idx}")
+        if m.shape != (block_dim, block_dim):
+            raise ProblemFormatError(
+                f"coefficient {idx} has shape {m.shape}, expected "
+                f"({block_dim}, {block_dim})"
+            )
+        coefficients[idx] = m
+    return coefficients
 
 
 def parse_problem(text):
@@ -190,15 +264,7 @@ def parse_problem(text):
     coeffs_raw = raw["coefficients"]
     if not isinstance(coeffs_raw, list) or not coeffs_raw:
         raise ProblemFormatError("coefficients must be a non-empty list of matrices")
-    coefficients = np.empty((len(coeffs_raw), block_dim, block_dim), dtype=complex)
-    for idx, rows in enumerate(coeffs_raw):
-        m = pairs_to_matrix(rows, what=f"coefficient {idx}")
-        if m.shape != (block_dim, block_dim):
-            raise ProblemFormatError(
-                f"coefficient {idx} has shape {m.shape}, expected "
-                f"({block_dim}, {block_dim})"
-            )
-        coefficients[idx] = m
+    coefficients = _parse_coefficients(coeffs_raw, block_dim)
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()

@@ -246,11 +246,15 @@ def _check_realization(rlz, tol=1e-8):
         raise FixtureError(
             f"C must map the coefficient space into the state space, got {c.shape}"
         )
+    for name, m in (("D", d), ("C", c), ("V", v)):
+        if not np.isfinite(m).all():
+            raise FixtureError(f"{name} has a non-finite entry")
+    # written as "not <= tol" so that a NaN defect fails too
     skew_defect = np.linalg.norm(d + d.conj().T)
-    if skew_defect > tol:
+    if not skew_defect <= tol:
         raise FixtureError(f"D is not purely imaginary: ||D + D*|| = {skew_defect:.3e}")
     iso_defect = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[0]))
-    if iso_defect > tol:
+    if not iso_defect <= tol:
         raise FixtureError(f"V is not an isometry: ||V*V - I|| = {iso_defect:.3e}")
     return d, c, v
 

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herglotz import (
     CoefficientSequence,
@@ -16,6 +18,7 @@ from herglotz import (
     serialize_problem,
 )
 from herglotz import cli
+from herglotz import io as herglotz_io
 from herglotz.cli import (
     EXIT_DOMAIN,
     EXIT_INFEASIBLE,
@@ -25,7 +28,7 @@ from herglotz.cli import (
     build_parser,
     main,
 )
-from herglotz.io import canonical_json
+from herglotz.io import canonical_json, format_float
 
 
 def problem_text(values):
@@ -88,6 +91,150 @@ class TestProblemFormat:
     def test_metadata_must_be_string_map(self):
         with pytest.raises(ProblemFormatError, match="metadata"):
             parse_problem('{"block_dim": 1, "coefficients": [[[[1, 0]]]], "metadata": {"a": 1}}')
+
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            ([np.ones((1, 1)), np.ones((1, 1))], "coefficient 0 has shape (1, 1), expected (2, 2)"),
+            (np.ones((3, 1, 1)), "coefficient 0 has shape (1, 1), expected (2, 2)"),
+            (np.ones((0, 2, 2)), "coefficients must be a non-empty list of matrices"),
+            ([], "coefficients must be a non-empty list of matrices"),
+            ([np.ones((2, 2)), np.ones((1, 1))],
+             "coefficients: entries must be complex matrices of one shape"),
+        ],
+    )
+    def test_serialize_rejects_what_parse_rejects(self, coefficients, message):
+        pf = ProblemFile(block_dim=2, coefficients=coefficients)
+        with pytest.raises(ProblemFormatError) as err:
+            serialize_problem(pf)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            # ragged rows
+            ("[[[[1, 0], [0, 0]], [[0, 0]]]]",
+             "coefficient 0: entries must be [re, im] number pairs"),
+            ("[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0]]]]",
+             "coefficient 1: entries must be [re, im] number pairs"),
+            # a pair missing its imaginary part
+            ("[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0]], [[0, 0], [1, 0]]]]",
+             "coefficient 1: entries must be [re, im] number pairs"),
+            ("[[[[1], [0]], [[0], [1]]]]",
+             "coefficient 0: expected rows of [re, im] pairs, got shape (2, 2, 1)"),
+            # wrong block size in a later coefficient, and a later one still
+            ("[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]], [[[1, 0]]]]",
+             "coefficient 1 has shape (1, 1), expected (2, 2)"),
+            # a string
+            ('[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], ["x", 0]], [[0, 0], [1, 0]]]]',
+             "coefficient 1: entries must be [re, im] number pairs"),
+            # nesting one level too deep
+            ("[[[[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]]]",
+             "coefficient 0: expected rows of [re, im] pairs, got shape (2, 2, 1, 2)"),
+            # and one level too shallow
+            ("[[[1, 0], [0, 0]]]",
+             "coefficient 0: expected rows of [re, im] pairs, got shape (2, 2)"),
+            ("[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, NaN], [1, 0]]]]",
+             "coefficient 1: non-finite entry"),
+            ("[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [Infinity, 0]]]]",
+             "coefficient 1: non-finite entry"),
+        ],
+    )
+    def test_malformed_coefficients_name_the_first_bad_one(self, coefficients, message):
+        text = f'{{"block_dim": 2, "coefficients": {coefficients}}}'
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem(text)
+        assert str(err.value) == message
+
+
+def _reference_matrix_to_pairs(m):
+    m = np.asarray(m, dtype=complex)
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
+def _reference_emit(value):
+    # the per-float canonical emitter the bulk one replaced: plain trees of
+    # dicts, lists, ints, strings and floats, each float through format_float
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            f"{json.dumps(k)}: {_reference_emit(value[k])}" for k in sorted(value)
+        ) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_reference_emit(v) for v in value) + "]"
+    if isinstance(value, int):
+        return str(value)
+    return json.dumps(value)
+
+
+def _reference_tree(a):
+    # the pair tree the CLI and the problem file built per matrix
+    if a.ndim == 2:
+        return _reference_matrix_to_pairs(a)
+    return [_reference_tree(m) for m in a]
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7e308, -1.7e308, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 1e22, 1 / 3,
+    0.1, -2.0**-1074 * 12345,
+]
+finite_floats = st.one_of(
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+    .filter(np.isfinite),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(-(2**53), 2**53).map(float),
+)
+problem_shapes = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.integers(1, 6), st.just(d), st.just(d))
+)
+array_shapes = st.one_of(
+    problem_shapes,
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.sampled_from([(0, 1), (0, 3), (0, 2, 2), (2, 0)]),
+)
+
+
+@st.composite
+def complex_arrays(draw, shapes=array_shapes):
+    shape = draw(shapes)
+    size = int(np.prod(shape))
+    floats = draw(st.lists(finite_floats, min_size=2 * size, max_size=2 * size))
+    return np.array(floats, dtype=float).view(complex).reshape(shape)
+
+
+class TestBulkEmitter:
+    @settings(max_examples=150, deadline=None)
+    @given(complex_arrays())
+    def test_matches_the_per_float_emitter(self, a):
+        tree = _reference_tree(a)
+        assert canonical_json(a) == _reference_emit(tree) + "\n"
+        assert canonical_json({"x": [a, 1 / 3]}) == _reference_emit({"x": [tree, 1 / 3]}) + "\n"
+
+    @settings(max_examples=80, deadline=None)
+    @given(complex_arrays(problem_shapes))
+    def test_problem_files_match_and_round_trip(self, a):
+        pf = ProblemFile(block_dim=a.shape[1], coefficients=a, metadata={"k": "v"})
+        text = serialize_problem(pf)
+        expected = {"block_dim": a.shape[1], "coefficients": _reference_tree(a),
+                    "metadata": {"k": "v"}}
+        assert text == _reference_emit(expected) + "\n"
+        assert serialize_problem(parse_problem(text)) == text
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("index", [(0, 0, 0, 1), (1, 1, 0, 0), (2, 1, 1, 1)])
+    def test_non_finite_message_names_the_first_bad_float(self, bad, index):
+        floats = np.ones((3, 2, 2, 2))
+        floats[index] = bad
+        floats[2, 1, 1, 0] = -bad
+        a = floats.view(complex)[..., 0]
+        with pytest.raises(ProblemFormatError) as err:
+            canonical_json(a)
+        with pytest.raises(ProblemFormatError) as ref:
+            _reference_emit(_reference_tree(a))
+        assert str(err.value) == str(ref.value)
 
 
 class TestRunConfig:
@@ -219,14 +366,30 @@ class TestSolveCommand:
         assert report["kernel"]["min_eigenvalue"] >= -1e-6
         assert len(report["problem"]["coefficients"]) == 65
 
-    def test_json_report_and_output_file_share_the_problem(self, tmp_path, capsys):
-        path = write_problem(tmp_path, "p.json", [1, 0.5])
-        out_path = tmp_path / "solved.json"
-        argv = ["solve", path, "--horizon", "4", "--truncation", "4", "--json",
-                "--output", str(out_path)]
-        assert main(argv) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        assert out_path.read_text() == canonical_json(report["problem"])
+    def test_json_report_and_output_file_share_the_problem(self, tmp_path, capsys, monkeypatch):
+        # each command formats its product once: the --output file, the
+        # product embedded in the --json report and the count of formatted
+        # arrays all say so
+        path = write_problem(tmp_path, "p.json", [1 + 0.25j, 0.5])
+        out_path = tmp_path / "product.json"
+        formatted = []
+        emit_array = herglotz_io._emit_array
+        monkeypatch.setattr(
+            herglotz_io, "_emit_array", lambda a: formatted.append(a) or emit_array(a)
+        )
+        cases = [
+            (["solve", path, "--horizon", "4", "--truncation", "4"], "problem", 1),
+            (["reduce", path], "reduced", 3),  # d_imag, t0, t_coefficients
+            (["generate", "--block-dim", "2", "--order", "3"], "problem", 1),
+        ]
+        for argv, key, arrays in cases:
+            formatted.clear()
+            assert main([*argv, "--json", "--output", str(out_path)]) == EXIT_OK
+            stdout = capsys.readouterr().out
+            product = out_path.read_text()
+            assert product == canonical_json(json.loads(stdout)[key])
+            assert f'"{key}": {product[:-1]}' in stdout
+            assert len(formatted) == arrays
 
     def test_json_solution(self, tmp_path, capsys):
         path = write_problem(tmp_path, "p.json", [1, 0.5])
@@ -323,7 +486,8 @@ class TestReduceCommand:
         assert main(["reduce", path, "--json"]) == EXIT_OK
         reduced = json.loads(capsys.readouterr().out)["reduced"]
         assert reduced["rank"] == 0
-        assert reduced["t_coefficients"] == []
+        assert reduced["t0"] == [] and reduced["t_coefficients"] == []
+        assert reduced["d_imag"] == [[[0, 2]]]
 
     def test_incompatible_data(self, tmp_path):
         path = write_problem(tmp_path, "p.json", [2j, 0.5])

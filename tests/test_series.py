@@ -254,6 +254,34 @@ class TestEvalRealization:
             assert gap <= 2 * c_norm**2 * abs(z) ** 257 / (1 - abs(z)) + 1e-9
 
 
+REALIZATION_ENTRY_POINTS = {
+    "eval_realization": lambda rlz: eval_realization(rlz, 0.5),
+    "realization_coefficients": lambda rlz: realization_coefficients(rlz, 3),
+}
+
+
+class TestRealizationChecks:
+    @pytest.mark.parametrize("entry", sorted(REALIZATION_ENTRY_POINTS))
+    @pytest.mark.parametrize("part", ["D", "C", "V"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_raises(self, entry, part, bad):
+        parts = {"D": np.zeros((1, 1)), "C": np.ones((1, 1)), "V": np.ones((1, 1))}
+        parts[part] = np.array([[bad]])
+        with pytest.raises(FixtureError, match=f"{part} has a non-finite entry"):
+            REALIZATION_ENTRY_POINTS[entry](Realization(**parts))
+
+    @pytest.mark.parametrize("entry", sorted(REALIZATION_ENTRY_POINTS))
+    def test_nan_defect_raises(self, entry):
+        # finite entries whose V*V overflows to inf - inf: the isometry
+        # defect is NaN, which a "> tol" test would let through
+        big = 1e200
+        v = np.array([[big, big], [big, -big]], dtype=complex)
+        rlz = Realization(D=np.zeros((1, 1)), C=np.ones((2, 1)), V=v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FixtureError, match="V is not an isometry"):
+                REALIZATION_ENTRY_POINTS[entry](rlz)
+
+
 class TestRandomRealization:
     def test_deterministic_per_seed(self):
         a = random_realization(12, 3, 6)
