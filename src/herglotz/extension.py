@@ -39,12 +39,23 @@ takes the center gamma a, and a parametrized chain then moves to its ball
 point and borders the state.  The central chain's one S is checked once for
 all of its levels.
 
-The longest chained level is checked densely once more.  A Cholesky
-factorisation of its matrix shifted down by a rounding margin settles that
-check when it succeeds, since the dense eigenvalue check (``_certify``)
-then provably passes; when it fails the level is assembled afresh and the
-eigenvalue check decides, so verdicts and messages are those of the
-eigenvalue check.
+The longest chained level is checked once more.  For the central chain a
+banded certificate settles that check in O(L N d^3) from the chain's own
+predictor a: the block unit upper-triangular U that applies a to the
+columns past N nearly block-diagonalises the level's shifted matrix (the
+inverse of a band extension is block banded; Dym & Gohberg, LAA 36
+(1981)), and the residual of that structure bounds its smallest
+eigenvalue from below (``_banded_bound``), so a central extension to
+horizon H costs O(N^3 d^3 + H N d^3).  The bound passes where it clears
+the rounding margin of the eigenvalue check, which grows like m u ||T_L||,
+about H^2 u for coefficients that do not decay; so on long horizons of
+singular data with a tiny shift it can be too weak.  Where it is,
+and for parametrized chains, a Cholesky factorisation of the level's
+matrix shifted down by a rounding margin settles the check when it
+succeeds; when it fails the level is assembled afresh and the dense
+eigenvalue check (``_certify``) decides.  Each certificate passes only
+where the eigenvalue check provably passes, so verdicts and messages are
+those of the eigenvalue check.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -55,8 +66,10 @@ step solves the truncated-data interpolation problem for any horizon.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
+from .linalg import hermitian_split
 from .series import HerglotzSeries, certified_series
 from .toeplitz import CoefficientSequence, _certified_data, assemble, reverse_blocks
 
@@ -112,26 +125,24 @@ def _certify(seq, eps, tol):
 
 def _check_shift(eigs, eps):
     # the eps-shifted matrix with eigenvalues ``eigs`` is invertible at
-    # working precision; returns its largest eigenvalue
+    # working precision
     spread = eigs + eps
     if spread[0] <= spread[-1] * len(spread) * np.finfo(float).eps:
         raise SingularBlockError(
             f"eps = {eps:.3e} leaves the shifted matrix numerically singular "
             f"(spread {spread[0]:.3e} .. {spread[-1]:.3e})"
         )
-    return spread[-1]
 
 
 def _ball_state(seq, eps, tol):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
     # after the data check of ``certified_series`` and the shift check; also
-    # returns the largest shifted eigenvalue, the scale of working precision
-    # for later levels
+    # returns the eigenvalues of T_N that check computed
     if eps <= 0:
         raise ValueError(f"shift eps must be positive, got {eps}")
     d = seq.block_dim
     dense, eigs = _certified_data(seq, tol)
-    top = _check_shift(eigs, eps)
+    _check_shift(eigs, eps)
     shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
     # of recombining inverse blocks, which cancels catastrophically for tiny
@@ -141,7 +152,7 @@ def _ball_state(seq, eps, tol):
     forward = np.linalg.solve(sub, col)
     backward = np.linalg.solve(sub, gamma.conj().T)
     s = corner - gamma @ backward
-    return forward, backward, (s + s.conj().T) / 2, corner - col.conj().T @ forward, top
+    return forward, backward, (s + s.conj().T) / 2, corner - col.conj().T @ forward, eigs
 
 
 def _gamma(coeffs):
@@ -273,10 +284,14 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     whose T_N and eigenvalues the state is built from; every chained level
     through the bound S of its ball (one d x d eigendecomposition for the
     whole central chain); and the longest chained level used for a step
-    densely once more, which by interlacing covers the shorter ones.  That
-    last check is one Cholesky factorisation of the level's matrix shifted
-    down by a rounding margin, which when it succeeds proves that the
-    eigenvalue check passes; otherwise the eigenvalue check itself decides.
+    once more, which by interlacing covers the shorter ones.  For the
+    central chain that last check is the banded certificate of
+    ``_banded_bound``, O(H N d^3) with no dense matrix, so a central
+    extension to horizon H costs O(N^3 d^3 + H N d^3).  Where that bound
+    is too weak, and for parametrized chains, one Cholesky factorisation of
+    the level's matrix shifted down by a rounding margin settles the check,
+    and the dense eigenvalue check only when that fails.  Each certificate
+    passes only where the eigenvalue check provably passes.
 
     Raises
     ------
@@ -297,7 +312,8 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     if steps == 0:
         return seq
     n, d = len(seq), seq.block_dim
-    a, b, s, alpha_inv, top = _ball_state(seq, eps, tol)
+    a, b, s, alpha_inv, eigs = _ball_state(seq, eps, tol)
+    top = eigs[-1] + eps
     if contractions is None and steps > 1:
         _check_bound(s, top, range(n, n + steps - 1), d)
     # the coefficients newest first in one d x (N + 1 + steps) d row: the
@@ -324,16 +340,136 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         rev[:, pos] = x
     coeffs = rev[:, ::-1].transpose(1, 0, 2)
     if steps > 1:
-        _certify_chained(CoefficientSequence(coeffs[:-1]), eps, max(tol, eps))
+        level = coeffs[:-1]
+        if contractions is not None or not (
+            _banded_bound(level, a, alpha_inv, eigs, eps) > _chained_tau(level, eps)
+        ):
+            _certify_chained(CoefficientSequence(level), eps, max(tol, eps))
     return CoefficientSequence(coeffs)
+
+
+def _rounding(k):
+    # gamma_k = k u / (1 - k u) with u machine eps, twice the unit roundoff,
+    # which covers complex arithmetic (Higham, Accuracy and Stability, 3.6)
+    u = np.finfo(float).eps
+    return k * u / (1 - k * u)
+
+
+def _frobenius_squares(blocks):
+    # squared Frobenius norms of a stack of blocks, over its last two axes
+    return (blocks.real**2 + blocks.imag**2).sum(axis=(-2, -1))
+
+
+def _chained_tau(coeffs, eps):
+    # the margin tau a chained level M_0 .. M_L must clear for ``_certify``
+    # to pass (see ``_certify_chained``).  nu bounds ||T_L||_2 by block row
+    # sums, ||H_0||_2 + 2 sum ||M_k||_2, through Frobenius norms
+    # (||H_0||_F <= ||M_0||_F), grown by the relative rounding of their
+    # computation: each is a sum of 2 d^2 squares, then L + 1 are added.
+    m, d = coeffs.shape[0] * coeffs.shape[1], coeffs.shape[1]
+    u = np.finfo(float).eps
+    norms = np.sqrt(_frobenius_squares(coeffs))
+    nu = (norms[0] + 2 * norms[1:].sum()) * (1 + _rounding(len(coeffs) + 2 * d * d + 4))
+    return (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
+
+
+def _banded_bound(coeffs, a, alpha_inv, eigs, eps):
+    # A lower bound on lambda_min(A), A = eps I + T_L the shifted matrix of a
+    # central chain M_0 .. M_L (L > N), from its predictor a = (a_1; ...;
+    # a_N), the alpha^{-1} of ``_ball_state`` and the eigenvalues ``eigs`` of
+    # the data's T_N; -inf where the argument gives none.
+    #
+    # A has blocks A_lk = C_{k-l}, C_0 = H_0 + eps I, C_p = M_p, C_{-p} = C_p*.
+    # U, block unit upper triangular, has columns e_k for k <= N and column
+    # e_k - sum_j e_{k-j} a_j for k > N.  With, for n = 1 .. L,
+    #
+    #     rho_n = C_n - sum_j C_{n-j} a_j,
+    #
+    # the Yule-Walker residual of the computed a for n <= N and the rounding
+    # of the recursion for n > N, exact algebra gives (AU)_lk = rho_{k-l} for
+    # l < k, k > N, hence U* A U = [[A_N, P], [P*, Q]] with P_lk = rho_{k-l},
+    # every diagonal block of Q equal to
+    #
+    #     G = C_0 - sum_j C_j* a_j - sum_j a_j* rho_j     (~ alpha^{-1}),
+    #
+    # and Q_lk = q_{k-l} = rho_{k-l} - sum_j a_j* rho_{k-l+j} for l < k.  By
+    # Weyl, lambda_min(U* A U) >= min(lambda_min(A_N), lambda_min(G)) - ||E||
+    # with E the off-block-diagonal part; ||E||_2 is at most its largest row
+    # sum of d x d block norms, here <= sum_n ||rho_n|| + 2 sum_n ||q_n||
+    # <= (3 + 2 alpha) sum_n ||rho_n||, alpha = sum_j ||a_j||_F >= ||U|| - 1.
+    # When lambda_min(U* A U) >= 0, x* A x >= lambda_min(U* A U) ||x||^2 /
+    # ||U||^2, so lambda_min(A) >= [that] / (1 + alpha)^2.
+    #
+    # Rounding.  The computed rho^_n differs from rho_n by at most
+    # gamma_{Nd+4} (|C_n| + |W_n| |a|) entrywise (W_n the window
+    # C_{n-1} .. C_{n-N}; inner products of length Nd, complex, the rounding
+    # of C_0 and of the subtraction), so in Frobenius norm by e_n =
+    # gamma_{Nd+4} (||C_n||_F + ||W_n||_F ||a||_F), and ||rho_n||_2 <=
+    # ||rho^_n||_F + e_n.  alpha^{-1} = fl(C_0 - sum C_j* a_j) and G^ =
+    # fl(alpha^{-1} - sum a_j* rho^_j), with its Hermitian part h, lie within
+    # e_G = gamma_{Nd+4} (||C_0|| + ||col|| ||a|| + ||alpha^{-1}|| + ||a||
+    # ||rho^_{1..N}|| + ||G^||) + ||a|| sum_{n<=N} e_n (Frobenius norms) of
+    # G.  A computed eigenvalue of a Hermitian matrix of size m lies within
+    # 2 m u ||.||_2 of an exact one (the convention of
+    # ``positivity_profile``); for T_N, ||T_N||_2 <= max |eigs| / (1 - 2 m u).
+    # Every nonnegative quantity here is computed by at most K = L +
+    # 2 (N + 2) d^2 + 16 roundings of nonnegative terms, so it is grown by
+    # 1 + gamma_K.  The final few operations on terms of total size s err by
+    # less than 16 u s, which is subtracted, and the last division and the
+    # rounding of tau by a relative 3 u and 4 u, which 1 - 32 u covers with
+    # a relative 8 u to spare.  So a returned value above the computed
+    # ``_chained_tau`` puts the exact lambda_min(A) above tau (1 + 8 u), and
+    # then ``_certify`` passes: its computed lambda_min stays above -eps and
+    # its spread test holds even after rounding the shift and the products.
+    u = np.finfo(float).eps
+    last, d = len(coeffs) - 1, coeffs.shape[1]
+    n = len(a) // d
+    grow = 1 + _rounding(last + 2 * (n + 2) * d * d + 16)
+    # C_k newest first for k = L .. 1 - N: M_L .. M_1, C_0, M_1* .. M_{N-1}*;
+    # the window of rho_n starts at position L - n + 1
+    row = np.empty((d, last + n, d), dtype=complex)
+    row[:, :last] = coeffs[:0:-1].transpose(1, 0, 2)
+    if n:
+        row[:, last] = hermitian_split(coeffs[0])[0] + eps * np.eye(d)
+        row[:, last + 1 :] = coeffs[1:n].conj().transpose(2, 0, 1)
+    windows = sliding_window_view(row.reshape(d, -1), n * d, axis=1)[:, d::d]
+    # rho^_1 .. rho^_L and e_1 .. e_L
+    rho = (row[:, :last].transpose(1, 0, 2) - windows.transpose(1, 0, 2) @ a)[::-1]
+    squares = _frobenius_squares(row.transpose(1, 0, 2))
+    window_norms = np.sqrt(sliding_window_view(squares, n)[1 : last + 1].sum(axis=1))
+    a_norm = np.sqrt(_frobenius_squares(a))
+    err = (_rounding(n * d + 4) * (np.sqrt(squares[:last]) + window_norms * a_norm))[::-1]
+    alpha = np.sqrt(_frobenius_squares(a.reshape(n, d, d))).sum() * grow
+    off = (3 + 2 * alpha) * (np.sqrt(_frobenius_squares(rho)) + err).sum() * grow
+
+    first = rho[:n].reshape(n * d, d)
+    g = alpha_inv - a.conj().T @ first
+    h = (g + g.conj().T) / 2
+    m0_norm, alpha_inv_norm, g_norm, h_norm = np.sqrt(
+        _frobenius_squares(np.stack([coeffs[0], alpha_inv, g, h]))
+    )
+    col_norm = np.sqrt(squares[last - n : last].sum())
+    products = col_norm * a_norm + a_norm * np.sqrt(_frobenius_squares(first))
+    terms = m0_norm + eps * np.sqrt(d) + alpha_inv_norm + g_norm + products
+    err_g = (_rounding(n * d + 4) * terms + a_norm * err[:n].sum()) * grow
+    g_eigs = np.linalg.eigvalsh(h)
+    g_margin = 2 * d * u * h_norm * grow
+    size = len(eigs)
+    data_margin = 2 * size * u * max(-eigs[0], eigs[-1]) / (1 - 2 * size * u) * grow
+    lowest = min(eigs[0] + eps - data_margin, g_eigs[0] - g_margin - err_g)
+    total = abs(eigs[0]) + eps + data_margin + abs(g_eigs[0]) + g_margin + err_g + off
+    gap = lowest - off - 16 * u * total
+    if not gap > 0:
+        return -np.inf
+    return gap / (1 + alpha) ** 2 * (1 - 32 * u)
 
 
 def _certify_chained(seq, eps, tol):
     # ``_certify`` of a chained level, settled by one Cholesky factorisation
     # where that provably passes.  With A the level's m x m matrix,
-    # nu = ||H_0||_2 + 2 sum ||M_k||_2 >= ||A||_2, u machine eps (twice the
-    # unit roundoff, which covers complex arithmetic) and
-    # gamma = (m + 1) u / (1 - (m + 1) u), the factorisation of
+    # nu >= ||H_0||_2 + 2 sum ||M_k||_2 >= ||A||_2 (``_chained_tau``), u
+    # machine eps (twice the unit roundoff, which covers complex arithmetic)
+    # and gamma = (m + 1) u / (1 - (m + 1) u), the factorisation of
     # A + (eps - tau - 2 gamma tr(A + eps I)) I succeeding means the matrix
     # plus a backward error of norm <= gamma ||R||_F^2 = gamma tr (Higham,
     # Accuracy and Stability, Thm 10.3) is PSD, so lambda_min(A + eps I) > tau
@@ -344,14 +480,10 @@ def _certify_chained(seq, eps, tol):
     # lambda_min > -eps and a spread above (lambda_max + eps) m u: it passes.
     # Otherwise ``_certify`` itself decides on the level, assembled afresh
     # once the shifted copy is dropped.
-    coeffs = seq.coefficients
     dense = assemble(seq).dense
-    m, d = dense.shape[0], seq.block_dim
-    u = np.finfo(float).eps
-    norms = np.linalg.norm(coeffs[1:], 2, axis=(1, 2))
-    nu = np.linalg.norm(dense[:d, :d], 2) + 2 * norms.sum()
-    tau = (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
-    gamma = (m + 1) * u / (1 - (m + 1) * u)
+    m = dense.shape[0]
+    tau = _chained_tau(seq.coefficients, eps)
+    gamma = _rounding(m + 1)
     diagonal = dense.reshape(-1)[:: m + 1]
     diagonal += eps - tau - 2 * gamma * (diagonal.real.sum() + m * eps)
     try:
@@ -372,8 +504,10 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     ``certified_series``) and builds its ball from the same T_N and
     eigenvalues, so T_N is assembled and decomposed once.  The central
     chain is the order-N band recursion, and its longest level is
-    certified by one shifted Cholesky factorisation, so the cost is
-    O(N^3 d^3 + H N d^2) plus that one factorisation.  The returned series
+    certified by the banded certificate of ``extend``, so the cost is
+    O(N^3 d^3 + H N d^3); the dense check of that level (one shifted
+    Cholesky factorisation, then the eigenvalue check) runs only as the
+    fallback where the banded bound is too weak.  The returned series
     interpolates the input exactly: its first N + 1 coefficients are
     bitwise equal to ``seq``.
 

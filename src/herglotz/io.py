@@ -111,6 +111,9 @@ def format_float(x):
 def pairs_to_matrix(rows, what="matrix"):
     try:
         arr = np.asarray(rows, dtype=float)
+    except OverflowError as exc:
+        # JSON integers are unbounded; one past the float range cannot be read
+        raise ProblemFormatError(f"{what}: entry too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{what}: entries must be [re, im] number pairs") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
@@ -187,6 +190,10 @@ def _coefficient_array(pf):
     d = pf.block_dim
     try:
         coefficients = np.asarray(pf.coefficients, dtype=complex)
+    except OverflowError as exc:
+        raise ProblemFormatError(
+            f"{_overflowing(pf.coefficients)}: entry too large for a float"
+        ) from exc
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(
             "coefficients: entries must be complex matrices of one shape"
@@ -198,6 +205,18 @@ def _coefficient_array(pf):
             f"coefficient 0 has shape {coefficients.shape[1:]}, expected ({d}, {d})"
         )
     return coefficients
+
+
+def _overflowing(coefficients):
+    # names the first coefficient holding an integer too large for a float
+    for idx, matrix in enumerate(coefficients):
+        try:
+            np.asarray(matrix, dtype=complex)
+        except OverflowError:
+            return f"coefficient {idx}"
+        except (TypeError, ValueError):
+            pass
+    return "coefficients"
 
 
 def serialize_problem(pf):
@@ -226,7 +245,7 @@ def _parse_coefficients(coeffs_raw, block_dim):
         and np.isfinite(arr).all()
     ):
         return arr[..., 0] + 1j * arr[..., 1]
-    coefficients = np.empty((len(coeffs_raw), block_dim, block_dim), dtype=complex)
+    coefficients = []
     for idx, rows in enumerate(coeffs_raw):
         m = pairs_to_matrix(rows, what=f"coefficient {idx}")
         if m.shape != (block_dim, block_dim):
@@ -234,8 +253,8 @@ def _parse_coefficients(coeffs_raw, block_dim):
                 f"coefficient {idx} has shape {m.shape}, expected "
                 f"({block_dim}, {block_dim})"
             )
-        coefficients[idx] = m
-    return coefficients
+        coefficients.append(m)
+    return np.array(coefficients)
 
 
 def parse_problem(text):

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,15 +239,20 @@ class TestExtend:
 
     @pytest.mark.parametrize("steps", [10, 100])
     def test_dense_work_independent_of_step_count(self, count_dense_calls, steps):
-        # one assembly and one full eigvalsh for the data, one assembly and
-        # one Cholesky factorisation for the final check; per step only
-        # d x d linear algebra
+        # one assembly and one full eigvalsh for the data; the central chain's
+        # final check is the banded certificate, with only d x d linear
+        # algebra, while a parametrized chain's is one assembly and one
+        # Cholesky factorisation of its longest level
         seq = fixture_sequence(8, 2, 5, 3)
-        calls = count_dense_calls()
-        extend(seq, steps, eps=1e-8)
-        assert len(calls["assemble"]) == 2
-        assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == [len(seq) * seq.block_dim]
-        assert len(calls["cholesky"]) == 1
+        data = len(seq) * seq.block_dim
+        level = (len(seq) + steps - 1) * seq.block_dim
+        zeros = [np.zeros((2, 2))] * steps
+        for contractions, dense in ((None, []), (zeros, [level])):
+            calls = count_dense_calls()
+            extend(seq, steps, eps=1e-8, contractions=contractions)
+            assert calls["assemble"] == [data] + dense
+            assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == [data]
+            assert calls["cholesky"] == dense
 
     @pytest.mark.parametrize("seed, block_dim, state_dim, order", [(9, 2, 5, 2), (7, 3, 4, 3)])
     def test_unit_contraction_then_one_more_step_raises(self, seed, block_dim, state_dim, order):
@@ -381,6 +389,49 @@ class TestSolveCf:
         assert phi.seq.order == seq.order + 10
         assert calls["assemble"].count(size) == 1
         assert calls["eigvalsh"].count(size) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bench_shaped_central_solve_checks_no_dense_level(self, count_dense_calls, seed):
+        # rank-deficient order-8 data (state dimension 5 < 18) to horizon
+        # 128: the data level is assembled and decomposed once, and the
+        # banded certificate settles the chained level with d x d algebra
+        seq = fixture_sequence(40 + seed, 2, 5, 8)
+        data = len(seq) * seq.block_dim
+        calls = count_dense_calls()
+        phi = solve_cf(seq, horizon=128)
+        assert phi.seq.order == 128 and phi.certified
+        assert calls["assemble"] == [data]
+        assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == [data]
+        assert calls["cholesky"] == []
+
+    @pytest.mark.parametrize("state_dim, eps", [(18, 1e-8), (5, 1e-3)])
+    def test_long_horizon_builds_no_level_sized_array(
+        self, count_dense_calls, monkeypatch, state_dim, eps
+    ):
+        # H = 2000 on full-rank data, and on rank-deficient data with a shift
+        # well above the level's rounding margin: a (Hd)^2 complex array
+        # alone would be 256 MB, so the dense fallback fails before building
+        # one
+        def dense_fallback(*args):
+            raise AssertionError("the banded certificate left the level to the dense check")
+
+        monkeypatch.setattr(extension, "_certify_chained", dense_fallback)
+        seq = fixture_sequence(50, 2, state_dim, 8)
+        horizon, data = 2000, len(seq) * seq.block_dim
+        calls = count_dense_calls()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            phi = solve_cf(seq, horizon=horizon, eps=eps)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phi.seq.order == horizon
+        assert calls["assemble"] == [data] and calls["cholesky"] == []
+        assert max(calls["eigvalsh"]) == data
+        assert peak < 16 * (horizon * seq.block_dim) ** 2 / 64
+        assert elapsed < 1.0
 
     def test_short_horizon_returns_input(self):
         seq = scalar_seq([1, 0.5, 0.25])

@@ -88,6 +88,13 @@ class TestProblemFormat:
         with pytest.raises(ProblemFormatError):
             serialize_problem(pf)
 
+    def test_block_dim_past_any_array_size_names_the_shape(self):
+        # the per-coefficient walk checks each shape before it stacks them
+        huge = 10**40
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem(f'{{"block_dim": {huge}, "coefficients": [[[[1, 0]]]]}}')
+        assert str(err.value) == f"coefficient 0 has shape (1, 1), expected ({huge}, {huge})"
+
     def test_metadata_must_be_string_map(self):
         with pytest.raises(ProblemFormatError, match="metadata"):
             parse_problem('{"block_dim": 1, "coefficients": [[[[1, 0]]]], "metadata": {"a": 1}}')
@@ -101,6 +108,9 @@ class TestProblemFormat:
             ([], "coefficients must be a non-empty list of matrices"),
             ([np.ones((2, 2)), np.ones((1, 1))],
              "coefficients: entries must be complex matrices of one shape"),
+            # an integer past the float range
+            ([np.ones((2, 2)), [[1, 0], [0, 10**400]]],
+             "coefficient 1: entry too large for a float"),
         ],
     )
     def test_serialize_rejects_what_parse_rejects(self, coefficients, message):
@@ -138,6 +148,11 @@ class TestProblemFormat:
              "coefficient 1: non-finite entry"),
             ("[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [Infinity, 0]]]]",
              "coefficient 1: non-finite entry"),
+            # JSON integers past the float range, in a real and an imaginary part
+            ("[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1%s, 0]]]]"
+             % ("0" * 400), "coefficient 1: entry too large for a float"),
+            ("[[[[1, -1%s], [0, 0]], [[0, 0], [1, 0]]]]" % ("0" * 309),
+             "coefficient 0: entry too large for a float"),
         ],
     )
     def test_malformed_coefficients_name_the_first_bad_one(self, coefficients, message):
@@ -323,6 +338,12 @@ class TestCheckCommand:
         path.write_text("{broken")
         assert main(["check", str(path)]) == EXIT_PARSE
         assert "line" in capsys.readouterr().err
+
+    def test_integer_past_the_float_range_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"block_dim": 1, "coefficients": [[[[1, 0]]], [[[1%s, 0]]]]}' % ("0" * 400))
+        assert main(["check", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: coefficient 1: entry too large for a float\n"
 
 
 class TestSolveCommand:

@@ -3,8 +3,13 @@
 against per-level reports, for the windowed assembly against a
 per-diagonal one, for the one-decomposition data check of every entry
 point against a per-level scan, for the block-Levinson extension against a
-per-step re-built chain, and for the Cholesky check of a chained level
-against the eigenvalue check."""
+per-step re-built chain, for the Cholesky check of a chained level
+against the eigenvalue check, and for the banded certificate of the
+central chain: its bound never exceeds the computed smallest eigenvalue
+of the level, and ``extend`` keeps its outcome with the certificate
+switched off."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from herglotz import (
     realization_coefficients,
     series_tail_bound,
 )
+from herglotz import extension
 from herglotz.extension import _certify, _certify_chained
 from herglotz.linalg import hermitian_split
 from herglotz.series import _gram_matrix
@@ -295,3 +301,55 @@ def test_chained_level_check_matches_the_eigenvalue_check(seq, eps, tol):
     tol = max(tol, eps)
     expected = check_outcome(_certify, seq, eps, tol)
     assert check_outcome(_certify_chained, seq, eps, tol) == expected
+
+
+@st.composite
+def central_chains(draw):
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 12))
+    steps = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # rank-deficient realization data, scaled, and some of it perturbed
+    rlz = random_realization(rng, d, int(rng.integers(1, 9)))
+    coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** draw(st.integers(-12, 12))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    size = float(np.abs(coeffs).max())
+    coeffs[-1] += draw(st.sampled_from([0.0, 0.0, 1e-12, 1e-6, 1e-2])) * size * g
+    return CoefficientSequence(coeffs), steps
+
+
+def extend_outcome(seq, steps, eps):
+    # the coefficient bytes of a central extension, or the type and message
+    # of the error it raises
+    try:
+        return extend(seq, steps, eps=eps).coefficients.tobytes()
+    except (NotPsdError, SingularBlockError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(central_chains(), st.sampled_from([1e-12, 1e-8, 1e-3, 1.0]))
+def test_banded_certificate_is_sound_and_keeps_the_outcome(chain, eps):
+    seq, steps = chain
+    with mock.patch.object(extension, "_banded_bound", return_value=-np.inf):
+        expected = extend_outcome(seq, steps, eps)
+    assert extend_outcome(seq, steps, eps) == expected
+    try:
+        forward, _, _, alpha_inv, eigs = extension._ball_state(seq, eps, 1e-9)
+    except (NotPsdError, SingularBlockError):
+        return
+    # the band recursion M_m = sum_j M_{m-j} a_j, one block at a time, to the
+    # longest chained level M_0 .. M_L, L = N + steps - 1
+    n, d = len(seq), seq.block_dim
+    coeffs = list(seq.coefficients)
+    for _ in range(steps - 1):
+        terms = (coeffs[-j] @ forward[(j - 1) * d : j * d] for j in range(1, n))
+        coeffs.append(sum(terms, np.zeros((d, d), dtype=complex)))
+    if steps < 2:
+        return
+    level = CoefficientSequence(np.array(coeffs))
+    bound = extension._banded_bound(level.coefficients, forward, alpha_inv, eigs, eps)
+    dense = assemble(level).dense
+    m = dense.shape[0]
+    exact = np.linalg.eigvalsh(eps * np.eye(m) + dense)
+    assert bound <= exact[0] + 2 * m * np.finfo(float).eps * max(-exact[0], exact[-1])
