@@ -13,6 +13,7 @@ range space of the Hermitian part of M_0.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,12 @@ class HerglotzSeries:
     def __post_init__(self):
         if not 0 < self.declared_radius < 1:
             raise DomainError(f"declared radius must lie in (0, 1), got {self.declared_radius}")
+
+    @cached_property
+    def _max_block_norm(self):
+        # max_n ||M_n||_2 for the tail bound: one batched SVD on first use,
+        # none at construction; the coefficients are read-only
+        return float(np.linalg.norm(self.seq.coefficients, 2, axis=(1, 2)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +139,24 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
 
 
+def _powers(z, n):
+    # z^1 .. z^n along a new last axis, by running product: n - 1 complex
+    # multiplications per point, far cheaper than ``**``, which calls libm's
+    # cpow for every exponent of 100 or more
+    return np.cumprod(np.broadcast_to(z[..., None], z.shape + (n,)), axis=-1)
+
+
 def eval_series(phi, z):
     """Evaluate Phi(z) = M_0 + 2 sum_{n=1..T} z^n M_n.
 
     ``z`` is a point or a 1-d array of m points; the result is d x d or
-    m x d x d.  The omitted tail is bounded by ``series_tail_bound(phi, z)``.
+    m x d x d.  The powers z^n are formed by running product and contracted
+    with M_1 .. M_T in one ``tensordot``, so to first order in the unit
+    roundoff u each entry is off from the exact power sum by at most
+    4 (T + 2) u (|M_0| + 2 sum |z|^n |M_n|), taken entrywise: the n - 1
+    complex products in z^n, the product with M_n and the sum each add a
+    few u per term.  The omitted tail is bounded by
+    ``series_tail_bound(phi, z)``.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim > 1:
@@ -147,19 +167,18 @@ def eval_series(phi, z):
             f"|z| = {abs(z[outside].flat[0]):.6f} outside declared radius {phi.declared_radius}"
         )
     coeffs = phi.seq.coefficients
-    powers = z[..., None] ** np.arange(1, phi.seq.order + 1)
-    return coeffs[0] + 2 * np.tensordot(powers, coeffs[1:], axes=(-1, 0))
+    return coeffs[0] + 2 * np.tensordot(_powers(z, phi.seq.order), coeffs[1:], axes=(-1, 0))
 
 
 def series_tail_bound(phi, z):
     """Geometric bound on the dropped tail of ``eval_series``:
     2 max_n ||M_n|| |z|^{T+1} / (1 - |z|), for a point (a float) or a 1-d
-    array of points (an array)."""
+    array of points (an array).  max_n ||M_n|| is computed once per series,
+    on the first call."""
     r = np.abs(np.asarray(z, dtype=complex))
     if not (r < 1).all():
         raise DomainError(f"|z| = {r.max():.6f} must be below 1 for a finite tail bound")
-    max_norm = float(np.linalg.norm(phi.seq.coefficients, 2, axis=(1, 2)).max())
-    bound = 2 * max_norm * r ** (phi.seq.order + 1) / (1 - r)
+    bound = 2 * phi._max_block_norm * r ** (phi.seq.order + 1) / (1 - r)
     return bound if bound.ndim else float(bound)
 
 
@@ -176,33 +195,52 @@ def kernel_value(phi, z, w):
     return _kernel_blocks(phi, np.array([z, w], dtype=complex))[0, :, 1, :]
 
 
-def _gram_matrix(phi, pts, vectors=None):
+def _gram_matrix(phi, pts, vecs=None):
     # dense (m d) x (m d) kernel Gram at the 1-d point array ``pts``, or its
-    # m x m compression by one d-vector per point
-    m, d = len(pts), phi.seq.block_dim
-    blocks = _kernel_blocks(phi, pts)
-    if vectors is None:
-        return blocks.reshape(m * d, m * d)
-    if len(vectors) != m:
-        raise DimensionError("need exactly one vector per sample point")
-    vecs = np.asarray(vectors, dtype=complex).reshape(m, d)
-    return np.einsum("la,lajb,jb->lj", vecs.conj(), blocks, vecs)
+    # m x m compression by the (m, d) array of one vector h_l per point:
+    # with A[l, j] = <Phi(z_l) h_j, h_l> the compressed entry is
+    # (A[l, j] + conj(A[j, l])) / (1 - z_l conj(z_j)), no block tensor needed
+    if vecs is None:
+        m, d = len(pts), phi.seq.block_dim
+        return _kernel_blocks(phi, pts).reshape(m * d, m * d)
+    u_conj = np.einsum("lb,lba->la", vecs.conj(), eval_series(phi, pts))
+    a = u_conj @ vecs.T
+    return (a + a.conj().T) / (1 - np.multiply.outer(pts, pts.conj()))
 
 
 def kernel_gram(phi, points, vectors=None, tol=1e-6):
     """PSD report for the kernel Gram matrix sampled at ``points``.
 
-    Without ``vectors`` the dense (m d) x (m d) Gram with (l, j) block
-    K(z_l, z_j) is assembled; with one d-vector per point the compressed
-    m x m matrix of pairings <K(z_l, z_j) h_j, h_l> is used instead.  The
-    Gram is symmetrized before the eigenvalue check and the tolerance is
-    widened by the measured skew norm plus the truncation-tail allowance,
-    so the report's ``tolerance_used`` absorbs both.
+    ``points`` has shape (m,).  Without ``vectors`` the dense (m d) x (m d)
+    Gram with (l, j) block K(z_l, z_j) is assembled; with ``vectors`` of
+    shape (m, d), one d-vector h_l per point, the compressed m x m matrix of
+    pairings <K(z_l, z_j) h_j, h_l> is formed directly from the values
+    Phi(z_l) h_j, in O(m^2 d) work and without the (m, d, m, d) block
+    tensor.  The Gram is symmetrized before the eigenvalue check and the
+    tolerance is widened by the measured skew norm plus the truncation-tail
+    allowance, so the report's ``tolerance_used`` absorbs both.
+
+    Raises
+    ------
+    DimensionError
+        If ``points`` is not of shape (m,) with m >= 1 or ``vectors`` is
+        not of shape (m, d); both are checked before any evaluation.
     """
     pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 1:
+        raise DimensionError(f"expected points of shape (m,), got shape {pts.shape}")
     if len(pts) == 0:
         raise DimensionError("need at least one sample point")
-    gram = _gram_matrix(phi, pts, vectors)
+    vecs = None
+    if vectors is not None:
+        vecs = np.asarray(vectors, dtype=complex)
+        expected = (len(pts), phi.seq.block_dim)
+        if vecs.shape != expected:
+            raise DimensionError(
+                f"expected one vector per point, of shape (m, d) = {expected}, "
+                f"got shape {vecs.shape}"
+            )
+    gram = _gram_matrix(phi, pts, vecs)
     skew_norm = float(np.linalg.norm(gram - gram.conj().T)) / 2
     tail = float(np.max(series_tail_bound(phi, pts)))
     widened = tol + skew_norm + len(pts) * tail
@@ -229,8 +267,8 @@ def kernel_finite_section(seq, z, w, n):
     d = seq.block_dim
     dense = assemble(seq.truncated(n)).dense
     eye = np.eye(d)
-    row_z = np.kron((z ** np.arange(n, -1, -1))[None, :], eye)
-    row_w = np.kron((w ** np.arange(n, -1, -1))[None, :], eye)
+    row_z = np.kron(np.append(1, _powers(np.asarray(z), n))[None, ::-1], eye)
+    row_w = np.kron(np.append(1, _powers(np.asarray(w), n))[None, ::-1], eye)
     return 2 * row_z @ dense @ row_w.conj().T
 
 

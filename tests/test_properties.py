@@ -1,5 +1,7 @@
 """Property tests for the batched evaluation kernel over block dimensions
-1-3, orders 0-12 and 1-40 points, for the interlacing positivity profile
+1-3, orders 0-12 and 1-40 points, for its accuracy against a long-double
+power sum, for the compressed kernel Gram (block dimensions 1-4) against
+the block-tensor contraction, for the interlacing positivity profile
 against per-level reports, for the windowed assembly against a
 per-diagonal one, for the one-decomposition data check of every entry
 point against a per-level scan, for the block-Levinson extension against a
@@ -43,9 +45,9 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def series(draw):
-    d = draw(st.integers(1, 3))
-    order = draw(st.integers(0, 12))
+def series(draw, max_dim=3, max_order=12):
+    d = draw(st.integers(1, max_dim))
+    order = draw(st.integers(0, max_order))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = rng.standard_normal((order + 1, d, d)) + 1j * rng.standard_normal((order + 1, d, d))
     # a heavier constant term makes a mix of PSD and non-PSD levels
@@ -75,14 +77,28 @@ def test_batched_evaluation_matches_pointwise(phi, pts):
     np.testing.assert_allclose(bounds, [series_tail_bound(phi, z) for z in pts], rtol=1e-14)
 
 
+def long_double_power_sum(coeffs, z):
+    # M_0 + 2 sum z^n M_n in extended precision: the reference's own
+    # rounding is about 2^-11 of the float64 bound below
+    c = coeffs.astype(np.clongdouble)
+    powers = np.clongdouble(z) ** np.arange(1, len(coeffs))
+    return c[0] + 2 * np.einsum("n,nij->ij", powers, c[1:])
+
+
 @PROPERTY
-@given(series(), st.floats(0.0, 0.89), st.floats(0.0, 2 * np.pi))
-def test_scalar_evaluation_is_the_power_sum(phi, r, theta):
+@given(series(max_order=300), st.floats(0.0, 0.89), st.floats(0.0, 2 * np.pi))
+def test_evaluation_is_the_power_sum_within_its_rounding_bound(phi, r, theta):
+    # the bound stated by eval_series, entrywise: 4 (T + 2) u (|M_0| + 2
+    # sum |z|^n |M_n|); powers off by one exponent miss it by orders of
+    # magnitude at any z away from 0
     z = complex(r * np.exp(1j * theta))
     coeffs = phi.seq.coefficients
-    powers = z ** np.arange(1, phi.seq.order + 1)
-    expected = coeffs[0] + 2 * np.tensordot(powers, coeffs[1:], axes=(0, 0))
-    assert np.array_equal(eval_series(phi, z), expected)
+    order = phi.seq.order
+    magnitudes = np.abs(z) ** np.arange(1, order + 1)
+    size = np.abs(coeffs[0]) + 2 * np.tensordot(magnitudes, np.abs(coeffs[1:]), axes=(0, 0))
+    bound = 4 * (order + 2) * np.finfo(float).eps / 2 * size
+    error = np.abs(eval_series(phi, z) - long_double_power_sum(coeffs, z))
+    assert (error <= bound).all()
 
 
 @PROPERTY
@@ -103,18 +119,17 @@ def test_dense_gram_blocks_are_the_pointwise_kernel(phi, pts):
 
 
 @PROPERTY
-@given(series(), points, st.integers(0, 2**32 - 1))
+@given(series(max_dim=4), points, st.integers(0, 2**32 - 1))
 def test_compressed_gram_is_the_dense_gram_paired(phi, pts, seed):
     d = phi.seq.block_dim
     m = len(pts)
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-    dense = _gram_matrix(phi, pts)
     compressed = _gram_matrix(phi, pts, vecs)
-    blocks = dense.reshape(m, d, m, d)
-    expected = np.array(
-        [[vecs[l].conj() @ blocks[l, :, j, :] @ vecs[j] for j in range(m)] for l in range(m)]
-    )
+    # the reference pairs each block of the (m, d, m, d) block tensor
+    blocks = _gram_matrix(phi, pts).reshape(m, d, m, d)
+    expected = np.einsum("la,lajb,jb->lj", vecs.conj(), blocks, vecs)
+    assert compressed.shape == (m, m)
     size = scale(phi) * float(np.abs(vecs).max()) ** 2 / (1 - 0.89**2)
     np.testing.assert_allclose(compressed, expected, rtol=0, atol=1e-13 * size)
 

@@ -1,6 +1,10 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from herglotz import series as series_module
 from herglotz import (
     CoefficientSequence,
     DimensionError,
@@ -25,6 +29,7 @@ from herglotz import (
     realization_coefficients,
     reduce,
     series_tail_bound,
+    solve_cf,
 )
 
 
@@ -151,6 +156,103 @@ class TestKernelGram:
     def test_needs_points(self):
         with pytest.raises(DimensionError):
             kernel_gram(scalar_series([1.0]), [])
+
+    @pytest.mark.parametrize(
+        "points, shape", [(0.5, "()"), ([[0.1, 0.2]], "(1, 2)"), (np.zeros((2, 1)), "(2, 1)")]
+    )
+    def test_points_must_be_one_dimensional(self, points, shape):
+        message = f"expected points of shape (m,), got shape {shape}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            kernel_gram(scalar_series([1.0]), points)
+
+    @pytest.mark.parametrize(
+        "vectors, shape",
+        [(np.ones((2, 3)), "(2, 3)"), (np.ones((3, 2)), "(3, 2)"), (np.ones(4), "(4,)")],
+    )
+    def test_vectors_must_be_one_d_vector_per_point(self, vectors, shape):
+        phi = HerglotzSeries(realization_coefficients(fixture_realization(2), 8))
+        message = f"expected one vector per point, of shape (m, d) = (2, 2), got shape {shape}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            kernel_gram(phi, [0.1, 0.2j], vectors)
+
+    def test_arguments_are_checked_before_any_evaluation(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("evaluated before the arguments were checked")
+
+        monkeypatch.setattr(series_module, "eval_series", fail)
+        phi = HerglotzSeries(realization_coefficients(fixture_realization(2), 8))
+        for points, vectors in ((0.5, None), ([0.1, 0.2j], np.ones((2, 3)))):
+            with pytest.raises(DimensionError):
+                kernel_gram(phi, points, vectors)
+
+    def test_compressed_forms_no_block_tensor(self):
+        # one (m, d, m, d) complex array at m = 400, d = 4 is 41 MB; the
+        # compressed path holds a few m x m and m x T arrays (2.6 MB and
+        # 1.6 MB each)
+        m, d = 400, 4
+        rng = np.random.default_rng(9)
+        phi = HerglotzSeries(realization_coefficients(fixture_realization(9, d, 6), 256))
+        pts = 0.8 * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
+        vecs = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+        tracemalloc.start()
+        try:
+            rep = kernel_gram(phi, pts, vecs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.min_eigenvalue >= -1e-6
+        assert peak < 41e6 / 2
+
+
+class TestTailNorm:
+    """max_n ||M_n||_2 is one batched SVD per series, taken on first use."""
+
+    @staticmethod
+    def uncached_bound(phi, z):
+        r = np.abs(np.asarray(z, dtype=complex))
+        max_norm = float(np.linalg.norm(phi.seq.coefficients, 2, axis=(1, 2)).max())
+        return 2 * max_norm * r ** (phi.seq.order + 1) / (1 - r)
+
+    @pytest.fixture
+    def block_norms(self, monkeypatch):
+        # counts the np.linalg.norm calls over the block axes
+        calls = []
+        norm = np.linalg.norm
+
+        def counting(x, *args, **kwargs):
+            if kwargs.get("axis", args[1] if len(args) > 1 else None) == (1, 2):
+                calls.append(np.shape(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        return calls
+
+    def test_values_are_the_uncached_formula(self):
+        phi = HerglotzSeries(realization_coefficients(fixture_realization(6), 32))
+        pts = np.array([0.0, 0.5, -0.3 + 0.7j, 0.89j])
+        for _ in range(2):
+            assert series_tail_bound(phi, 0.5) == self.uncached_bound(phi, 0.5)
+            assert np.array_equal(series_tail_bound(phi, pts), self.uncached_bound(phi, pts))
+
+    def test_computed_once_per_series(self, block_norms):
+        rng = np.random.default_rng(6)
+        phi = HerglotzSeries(realization_coefficients(fixture_realization(6), 32))
+        assert block_norms == []
+        pts = 0.8 * np.exp(2j * np.pi * rng.uniform(0, 1, 5))
+        vecs = rng.standard_normal((5, 2)) + 0j
+        kernel_gram(phi, pts)
+        assert block_norms == [(33, 2, 2)]
+        kernel_gram(phi, pts)
+        kernel_gram(phi, pts, vecs)
+        series_tail_bound(phi, pts)
+        assert block_norms == [(33, 2, 2)]
+
+    def test_construction_and_solve_compute_no_block_norm(self, block_norms):
+        seq = realization_coefficients(fixture_realization(6), 4)
+        HerglotzSeries(seq)
+        certified_series(seq)
+        solve_cf(seq, 16)
+        assert block_norms == []
 
 
 class TestFiniteSectionKernel:
