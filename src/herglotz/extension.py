@@ -50,12 +50,20 @@ horizon H costs O(N^3 d^3 + H N d^3).  The bound passes where it clears
 the rounding margin of the eigenvalue check, which grows like m u ||T_L||,
 about H^2 u for coefficients that do not decay; so on long horizons of
 singular data with a tiny shift it can be too weak.  Where it is,
-and for parametrized chains, a Cholesky factorisation of the level's
+and for parametrized chains, one Cholesky factorisation of the level's
 matrix shifted down by a rounding margin settles the check when it
-succeeds; when it fails the level is assembled afresh and the dense
-eigenvalue check (``_certify``) decides.  Each certificate passes only
-where the eigenvalue check provably passes, so verdicts and messages are
-those of the eigenvalue check.
+succeeds (``toeplitz._cholesky_exceeds``, which carries the margin's
+proof and also decides the data of ``certified_series``); when it fails
+the level is assembled afresh and the dense eigenvalue check
+(``_certify``) decides.  Each certificate passes only where the
+eigenvalue check provably passes, so verdicts and messages are those of
+the eigenvalue check.
+
+The data themselves are checked by the eigenvalue check behind
+``certified_series`` (``toeplitz._certified_data``), not by its Cholesky
+certificate: the extension needs the spectrum of T_N, its largest
+eigenvalue for the singularity test of the bound S and all of it for the
+banded certificate.  Verdicts and messages are the same either way.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -71,7 +79,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
 from .linalg import hermitian_split
 from .series import HerglotzSeries, certified_series
-from .toeplitz import CoefficientSequence, _certified_data, assemble, reverse_blocks
+from .toeplitz import (
+    CoefficientSequence,
+    _certified_data,
+    _cholesky_exceeds,
+    _frobenius_squares,
+    _norm_bound,
+    _rounding,
+    assemble,
+    reverse_blocks,
+)
 
 __all__ = [
     "ExtensionStep",
@@ -136,8 +153,10 @@ def _check_shift(eigs, eps):
 
 def _ball_state(seq, eps, tol):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
-    # after the data check of ``certified_series`` and the shift check; also
-    # returns the eigenvalues of T_N that check computed
+    # after the eigenvalue check of the data (the verdicts of
+    # ``certified_series``) and the shift check; also returns the
+    # eigenvalues of T_N that check computed, which ``extend`` needs:
+    # eigs[-1] for ``_check_bound`` and all of them for ``_banded_bound``
     if eps <= 0:
         raise ValueError(f"shift eps must be positive, got {eps}")
     d = seq.block_dim
@@ -280,7 +299,9 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     Each produced prefix keeps its shifted Toeplitz matrix strictly
     positive, hence unshifted eigenvalues stay above ``-eps``; the
     feasibility tolerance for chained levels is widened accordingly.  The
-    data are checked with ``tol`` by the check of ``certified_series``,
+    data are checked with ``tol`` by the eigenvalue check behind
+    ``certified_series`` (same verdicts and messages; the extension needs
+    the spectrum of T_N, so it does not take the Cholesky certificate),
     whose T_N and eigenvalues the state is built from; every chained level
     through the bound S of its ball (one d x d eigendecomposition for the
     whole central chain); and the longest chained level used for a step
@@ -348,28 +369,13 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     return CoefficientSequence(coeffs)
 
 
-def _rounding(k):
-    # gamma_k = k u / (1 - k u) with u machine eps, twice the unit roundoff,
-    # which covers complex arithmetic (Higham, Accuracy and Stability, 3.6)
-    u = np.finfo(float).eps
-    return k * u / (1 - k * u)
-
-
-def _frobenius_squares(blocks):
-    # squared Frobenius norms of a stack of blocks, over its last two axes
-    return (blocks.real**2 + blocks.imag**2).sum(axis=(-2, -1))
-
-
 def _chained_tau(coeffs, eps):
     # the margin tau a chained level M_0 .. M_L must clear for ``_certify``
-    # to pass (see ``_certify_chained``).  nu bounds ||T_L||_2 by block row
-    # sums, ||H_0||_2 + 2 sum ||M_k||_2, through Frobenius norms
-    # (||H_0||_F <= ||M_0||_F), grown by the relative rounding of their
-    # computation: each is a sum of 2 d^2 squares, then L + 1 are added.
-    m, d = coeffs.shape[0] * coeffs.shape[1], coeffs.shape[1]
+    # to pass (see ``_certify_chained``), with nu >= ||T_L||_2 of
+    # ``_norm_bound``
+    m = coeffs.shape[0] * coeffs.shape[1]
     u = np.finfo(float).eps
-    norms = np.sqrt(_frobenius_squares(coeffs))
-    nu = (norms[0] + 2 * norms[1:].sum()) * (1 + _rounding(len(coeffs) + 2 * d * d + 4))
+    nu = _norm_bound(coeffs)
     return (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
 
 
@@ -465,43 +471,30 @@ def _banded_bound(coeffs, a, alpha_inv, eigs, eps):
 
 
 def _certify_chained(seq, eps, tol):
-    # ``_certify`` of a chained level, settled by one Cholesky factorisation
-    # where that provably passes.  With A the level's m x m matrix,
-    # nu >= ||H_0||_2 + 2 sum ||M_k||_2 >= ||A||_2 (``_chained_tau``), u
-    # machine eps (twice the unit roundoff, which covers complex arithmetic)
-    # and gamma = (m + 1) u / (1 - (m + 1) u), the factorisation of
-    # A + (eps - tau - 2 gamma tr(A + eps I)) I succeeding means the matrix
-    # plus a backward error of norm <= gamma ||R||_F^2 = gamma tr (Higham,
-    # Accuracy and Stability, Thm 10.3) is PSD, so lambda_min(A + eps I) > tau
-    # = (nu + eps) m u (1 + 2 m u) + 2 m u nu; the rest of the 2 gamma tr term
-    # covers the rounding of the shift and of the comparisons below.
-    # Eigenvalues computed by eigvalsh lie within 2 m u nu of the exact ones
-    # (the convention of ``positivity_profile``), so ``_certify`` would find
-    # lambda_min > -eps and a spread above (lambda_max + eps) m u: it passes.
-    # Otherwise ``_certify`` itself decides on the level, assembled afresh
-    # once the shifted copy is dropped.
-    dense = assemble(seq).dense
-    m = dense.shape[0]
-    tau = _chained_tau(seq.coefficients, eps)
-    gamma = _rounding(m + 1)
-    diagonal = dense.reshape(-1)[:: m + 1]
-    diagonal += eps - tau - 2 * gamma * (diagonal.real.sum() + m * eps)
-    try:
-        np.linalg.cholesky(dense)
-        return
-    except np.linalg.LinAlgError:
-        del dense
-    _certify(seq, eps, tol)
+    # ``_certify`` of a chained level, settled by one shifted Cholesky
+    # factorisation (``_cholesky_exceeds``) where that provably passes.  With
+    # A the level's m x m matrix, nu >= ||A||_2 and tau of ``_chained_tau``,
+    # the factorisation succeeding proves lambda_min(A + eps I) > tau =
+    # (nu + eps) m u (1 + 2 m u) + 2 m u nu.  Eigenvalues computed by
+    # eigvalsh lie within 2 m u nu of the exact ones (the convention of
+    # ``positivity_profile``), so ``_certify`` would find lambda_min > -eps
+    # and a spread above (lambda_max + eps) m u: it passes.  Otherwise
+    # ``_certify`` itself decides on the level, assembled afresh once the
+    # shifted copy is dropped.
+    if not _cholesky_exceeds(assemble(seq).dense, -eps, _chained_tau(seq.coefficients, eps)):
+        _certify(seq, eps, tol)
 
 
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     """Solve the truncated-coefficient interpolation problem.
 
-    Up to ``horizon`` = N this is ``certified_series``.  Beyond it the data
-    are extended centrally by ``extend`` until the coefficient list reaches
-    index ``horizon``; ``extend`` certifies the data with the same check
-    (one eigendecomposition of the top-level Toeplitz matrix T_N, see
-    ``certified_series``) and builds its ball from the same T_N and
+    Up to ``horizon`` = N this is ``certified_series``: one shifted
+    Cholesky factorisation of the top-level Toeplitz matrix T_N, and an
+    eigendecomposition only where that fails.  Beyond it the data are
+    extended centrally by ``extend`` until the coefficient list reaches
+    index ``horizon``; ``extend`` needs the spectrum of T_N, so it checks
+    the data with the eigenvalue check behind ``certified_series`` (same
+    verdicts and messages) and builds its ball from the same T_N and
     eigenvalues, so T_N is assembled and decomposed once.  The central
     chain is the order-N band recursion, and its longest level is
     certified by the banded certificate of ``extend``, so the cost is

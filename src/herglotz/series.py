@@ -33,7 +33,7 @@ from .linalg import (
     minimal_factorization,
     psd_report,
 )
-from .toeplitz import CoefficientSequence, _certified_data, assemble
+from .toeplitz import CoefficientSequence, _check_data, assemble
 
 __all__ = [
     "HerglotzSeries",
@@ -123,19 +123,24 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     """Construct a HerglotzSeries after verifying every truncation level.
 
     The level-n Toeplitz matrix T_n is the leading block of T_N, so by
-    Cauchy interlacing lambda_min(T_n) >= lambda_min(T_N), and one
-    eigendecomposition of T_N decides every level unless its computed
-    lambda_min lies within the rounding margin of ``-tol`` (the argument
-    and the margin are those of ``positivity_profile``).  There the levels
-    are decided as ``positivity_profile`` decides them, and the first
-    failing level is named with its computed lambda_min.
+    Cauchy interlacing lambda_min(T_n) >= lambda_min(T_N), and each level's
+    computed lambda_min is within 2 m u ||T_N||_2 of its exact value (m the
+    size of T_N, u the machine epsilon; the convention of
+    ``positivity_profile``).  One Cholesky factorisation of T_N, shifted
+    down to -tol plus that margin and its own rounding margin, proves that
+    every level passes, at a fraction of the cost of an eigendecomposition.
+    Only where it fails is T_N assembled afresh and decomposed: every level
+    passes unless its computed lambda_min lies within the rounding margin
+    of ``-tol``, and there the levels are decided as ``positivity_profile``
+    decides them and the first failing level is named with its computed
+    lambda_min.  Verdicts and messages are those of the eigenvalue check.
 
     Raises
     ------
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     """
-    _certified_data(seq, tol)
+    _check_data(seq, tol)
     return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
 
 
@@ -368,8 +373,11 @@ def reduce(seq, tol=1e-8):
         t_j = (T0 T0*)^{-1} T0 M_j T0* (T0 T0*)^{-1},
 
     exact whenever M_j factors through the range of T0*, which holds for
-    every genuine positive-Toeplitz truncation.  Residuals
-    ||M_j - T0* t_j T0|| are recorded per coefficient and failure is loud:
+    every genuine positive-Toeplitz truncation.  All t_j and the defects
+    M_j - T0* t_j T0 come from stacked products, each block bitwise the
+    product of its own matrices.  Residuals ||M_j - T0* t_j T0|| are
+    recorded per coefficient and failure is loud, at the first coefficient
+    over ``tol``:
 
     Raises
     ------
@@ -393,14 +401,13 @@ def reduce(seq, tol=1e-8):
             )
         return ReducedForm(d_imag=d_imag, t0=t0, t_seq=None, residuals=residuals)
     compress = np.linalg.pinv(t0).conj().T  # (T0 T0*)^{-1} T0, shape r x d
-    targets = [h0] + [coeffs[j] for j in range(1, len(seq))]
-    reduced = []
-    residuals = []
-    for j, target in enumerate(targets):
-        tj = compress @ target @ compress.conj().T
-        res = float(np.linalg.norm(target - t0.conj().T @ tj @ t0))
-        reduced.append(tj)
-        residuals.append(res)
+    targets = np.concatenate([h0[None], coeffs[1:]])
+    # stacked products, per block bitwise those of the 2-d products; one
+    # norm call per block keeps each residual bitwise too
+    reduced = compress @ targets @ compress.conj().T
+    defects = targets - t0.conj().T @ reduced @ t0
+    residuals = [float(np.linalg.norm(defect)) for defect in defects]
+    for j, res in enumerate(residuals):
         if res > tol:
             raise RangeCompatibilityError(
                 f"coefficient {j} does not factor through the range of T0*: "
@@ -409,7 +416,7 @@ def reduce(seq, tol=1e-8):
     return ReducedForm(
         d_imag=d_imag,
         t0=t0,
-        t_seq=CoefficientSequence(np.stack(reduced)),
+        t_seq=CoefficientSequence(reduced),
         residuals=residuals,
     )
 

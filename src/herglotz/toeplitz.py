@@ -196,13 +196,34 @@ def positivity_profile(seq, tol=1e-9):
     return _interlaced_reports(dense, seq.block_dim, tol, np.linalg.eigvalsh(dense))
 
 
+def _check_data(seq, tol):
+    # the check of ``certified_series``.  By interlacing and the eigvalsh
+    # convention of ``positivity_profile``, every level's computed lambda_min
+    # is at least lambda_min(T_N) - 2 m u ||T_N||_2 (m = (N + 1) d, u machine
+    # eps), and ||T_N||_2 <= nu (``_norm_bound``).  So once the shifted
+    # Cholesky factorisation proves lambda_min(T_N) > -tol + 2 (m + 1) u nu
+    # (the extra 2 u nu covers the rounding of that margin), each level's
+    # computed lambda_min is >= -tol and ``_certified_data`` would pass every
+    # level.  Otherwise ``_certified_data`` decides, on T_N assembled afresh;
+    # data too large for the margin to be finite go there.
+    m = len(seq) * seq.block_dim
+    with np.errstate(over="ignore"):
+        margin = 2 * (m + 1) * np.finfo(float).eps * _norm_bound(seq.coefficients)
+        if _cholesky_exceeds(assemble(seq).dense, -tol, margin):
+            return
+    _certified_data(seq, tol)
+
+
 def _certified_data(seq, tol):
-    # the check of ``certified_series``; returns T_N and its eigenvalues,
-    # from which the extension builds its ball.  Unless lambda_min(T_N) lies
-    # within the margin of -tol every level passes; otherwise the levels are
-    # decided as ``positivity_profile`` decides them, and the first failing
-    # level is a decomposed one (a bracket fails a level only when the
-    # decomposed level before it fails), named with its computed lambda_min
+    # the eigenvalue check of the data: returns T_N and its eigenvalues, from
+    # which the extension builds its ball (it needs the spectrum, so it runs
+    # this check rather than ``_check_data``), and decides the data where
+    # the Cholesky factorisation of ``_check_data`` does not.  Unless
+    # lambda_min(T_N) lies within the margin of -tol every level passes;
+    # otherwise the levels are decided as ``positivity_profile`` decides
+    # them, and the first failing level is a decomposed one (a bracket fails
+    # a level only when the decomposed level before it fails), named with
+    # its computed lambda_min
     dense = assemble(seq).dense
     eigs = np.linalg.eigvalsh(dense)
     if eigs[0] < _interlacing_margin(eigs) - tol:
@@ -212,6 +233,70 @@ def _certified_data(seq, tol):
                     f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
                 )
     return dense, eigs
+
+
+def _rounding(k):
+    # gamma_k = k u / (1 - k u) with u machine eps, twice the unit roundoff,
+    # which covers complex arithmetic (Higham, Accuracy and Stability, 3.6)
+    u = np.finfo(float).eps
+    return k * u / (1 - k * u)
+
+
+def _frobenius_squares(blocks):
+    # squared Frobenius norms of a stack of blocks, over its last two axes
+    return (blocks.real**2 + blocks.imag**2).sum(axis=(-2, -1))
+
+
+def _norm_bound(coeffs):
+    # nu >= ||T_L||_2 for the Toeplitz matrix of M_0 .. M_L: its block row
+    # sums, ||H_0||_2 + 2 sum ||M_k||_2, bounded through Frobenius norms
+    # (||H_0||_F <= ||M_0||_F) and grown by the relative rounding of their
+    # computation: each is a sum of 2 d^2 squares, then L + 1 are added
+    d = coeffs.shape[1]
+    norms = np.sqrt(_frobenius_squares(coeffs))
+    return (norms[0] + 2 * norms[1:].sum()) * (1 + _rounding(len(coeffs) + 2 * d * d + 4))
+
+
+def _cholesky_exceeds(dense, base, margin):
+    # Whether one Cholesky factorisation proves that the exact lambda_min of
+    # the Hermitian m x m matrix A = ``dense`` exceeds base + margin (the
+    # exact sum of the two floats, margin >= 0).  A's diagonal is shifted
+    # down in place, so ``dense`` is spent:
+    #
+    #     B = fl(A - s I),   s = base + margin + 4 gamma W,
+    #     W = t + m (|base| + margin),   gamma = gamma_{m+1} (``_rounding``),
+    #
+    # t the computed sum of |A_ii|, u machine eps (twice the unit roundoff,
+    # which covers complex arithmetic); as in Higham's bounds, no underflow.
+    #
+    # Proof.  B = A - s I + D with D diagonal, |D_ii| <= u |A_ii - s|.  If the
+    # factorisation of B succeeds, R* R = B + E with |E| <= gamma |R*| |R|
+    # entrywise (Higham, Accuracy and Stability, Thm 10.3), so ||E||_2 <=
+    # gamma ||R||_F^2, and ||R||_F^2 = tr(B + E) <= tr B + gamma ||R||_F^2
+    # gives ||E||_2 <= gamma tr B / (1 - gamma).  Every pivot was positive,
+    # so A_ii > s for all i, and ||D||_2 and tr B / (1 + u) are at most
+    # sum (A_ii - s) <= sum |A_ii| + m |s|.  B + E = R* R is PSD, so
+    #
+    #     lambda_min(A) >= s - ||D||_2 - ||E||_2
+    #                   >= s - (gamma + u) (1 + 3 gamma) (sum |A_ii| + m |s|).
+    #
+    # Here sum |A_ii| <= t (1 + gamma) (a sum of m nonnegative terms), the
+    # computed s is at least base + margin + 4 gamma W - 2 u W and |s| at most
+    # |base| + margin + 5 gamma W (its own few roundings), and u <= gamma / 2.
+    # So the bound exceeds base + margin + gamma W [3 - 3/2 (1 + 3 gamma)
+    # (1 + gamma) (1 + 5 m gamma)], which is > base + margin when W > 0 and
+    # m gamma < 1/40 (m up to 10^7).  W = 0 leaves a zero diagonal, whose
+    # factorisation fails.
+    m = dense.shape[0]
+    gamma = _rounding(m + 1)
+    diagonal = dense.reshape(-1)[:: m + 1]
+    weight = np.abs(diagonal.real).sum() + m * (abs(base) + margin)
+    diagonal -= base + (margin + 4 * gamma * weight)
+    try:
+        np.linalg.cholesky(dense)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _interlacing_margin(eigs):

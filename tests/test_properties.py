@@ -3,13 +3,14 @@
 power sum, for the compressed kernel Gram (block dimensions 1-4) against
 the block-tensor contraction, for the interlacing positivity profile
 against per-level reports, for the windowed assembly against a
-per-diagonal one, for the one-decomposition data check of every entry
-point against a per-level scan, for the block-Levinson extension against a
+per-diagonal one, for the data check of every entry point (the shifted
+Cholesky certificate, then the eigenvalue check) against a per-level scan, for the block-Levinson extension against a
 per-step re-built chain, for the Cholesky check of a chained level
 against the eigenvalue check, and for the banded certificate of the
 central chain: its bound never exceeds the computed smallest eigenvalue
 of the level, and ``extend`` keeps its outcome with the certificate
-switched off."""
+switched off; and for the stacked ``reduce`` against a per-coefficient
+reduction, bit for bit."""
 
 from unittest import mock
 
@@ -30,14 +31,16 @@ from herglotz import (
     extend,
     parametrized_step,
     positivity_profile,
+    RangeCompatibilityError,
     psd_report,
     random_realization,
     realization_coefficients,
+    reduce,
     series_tail_bound,
 )
 from herglotz import extension
 from herglotz.extension import _certify, _certify_chained
-from herglotz.linalg import hermitian_split
+from herglotz.linalg import hermitian_split, minimal_factorization
 from herglotz.series import _gram_matrix
 
 RADIUS = 0.9
@@ -368,3 +371,60 @@ def test_banded_certificate_is_sound_and_keeps_the_outcome(chain, eps):
     m = dense.shape[0]
     exact = np.linalg.eigvalsh(eps * np.eye(m) + dense)
     assert bound <= exact[0] + 2 * m * np.finfo(float).eps * max(-exact[0], exact[-1])
+
+
+@st.composite
+def reduction_problems(draw):
+    d = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # state dimensions below d make Re M_0 rank-deficient, where a
+    # perturbation can leave its range
+    rlz = random_realization(rng, d, draw(st.integers(1, d + 2)))
+    coeffs = realization_coefficients(rlz, order).coefficients.copy()
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    size = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-2]))
+    coeffs[draw(st.integers(0, order))] += size * g
+    return CoefficientSequence(coeffs)
+
+
+def reference_reduction(seq, tol):
+    # one coefficient at a time: t_j = compress M_j compress* and its
+    # residual, raising for the first coefficient over tol
+    h0 = hermitian_split(seq.coefficients[0])[0]
+    t0 = minimal_factorization(h0, tol_rank=1e-10).T
+    compress = np.linalg.pinv(t0).conj().T
+    reduced, residuals = [], []
+    for j, target in enumerate([h0, *seq.coefficients[1:]]):
+        tj = compress @ target @ compress.conj().T
+        res = float(np.linalg.norm(target - t0.conj().T @ tj @ t0))
+        if res > tol:
+            raise RangeCompatibilityError(
+                f"coefficient {j} does not factor through the range of T0*: "
+                f"residual {res:.3e} exceeds tol {tol:.1e}"
+            )
+        reduced.append(tj)
+        residuals.append(res)
+    return np.stack(reduced), residuals
+
+
+def stacked_reduction(seq, tol):
+    rf = reduce(seq, tol)
+    return rf.t_seq.coefficients, rf.residuals
+
+
+def reduction_outcome(reduction, seq, tol):
+    # the bytes of t_0 .. t_N and the residuals, or the type and message of
+    # the error raised (a perturbed M_0 can leave Re M_0 not PSD)
+    try:
+        t_seq, residuals = reduction(seq, tol)
+    except (NotPsdError, RangeCompatibilityError) as err:
+        return type(err), str(err)
+    return t_seq.tobytes(), residuals
+
+
+@PROPERTY
+@given(reduction_problems(), st.sampled_from([1e-8, 1e-6]))
+def test_stacked_reduce_is_the_per_coefficient_reduction(seq, tol):
+    expected = reduction_outcome(reference_reduction, seq, tol)
+    assert reduction_outcome(stacked_reduction, seq, tol) == expected

@@ -551,19 +551,57 @@ class TestCertifiedSeries:
             certified_series(CoefficientSequence.from_scalars([1, 2]))
 
     def test_psd_data_cost_one_decomposition(self, count_dense_calls):
+        # one assembly of T_N and one Cholesky factorisation of it, shifted
+        # in place; no eigendecomposition
         seq = realization_coefficients(fixture_realization(3), 12)
+        size = len(seq) * seq.block_dim
         calls = count_dense_calls()
         assert certified_series(seq).certified
-        assert len(calls["assemble"]) == 1
-        assert calls["eigvalsh"] == [len(seq) * 2]
+        assert calls["assemble"] == [size]
+        assert calls["cholesky"] == [size]
+        assert calls["eigvalsh"] == []
+
+    @pytest.mark.parametrize("block_dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [0, 8, 64])
+    @pytest.mark.parametrize("rank", ["one", "deficient", "full"])
+    def test_realization_data_take_the_cholesky_path(
+        self, count_dense_calls, block_dim, order, rank
+    ):
+        # unscaled realization data, of rank 1, rank-deficient at order >= 1
+        # (singular T_N, smallest eigenvalues at rounding level) and of full
+        # rank:
+        # one shifted Cholesky factorisation decides, no eigendecomposition
+        size = (order + 1) * block_dim
+        state_dim = {"one": 1, "deficient": block_dim + 1, "full": size + 2}[rank]
+        seq = realization_coefficients(random_realization(order, block_dim, state_dim), order)
+        calls = count_dense_calls()
+        assert certified_series(seq).certified
+        assert calls["assemble"] == [size]
+        assert calls["cholesky"] == [size]
+        assert calls["eigvalsh"] == []
+
+    def test_infeasible_data_fall_back_with_the_per_level_message(self, count_dense_calls):
+        seq = CoefficientSequence.from_scalars([1, 2])
+        calls = count_dense_calls()
+        with pytest.raises(NotPsdError) as info:
+            certified_series(seq)
+        assert str(info.value) == per_level_verdict(seq)
+        assert str(info.value) == "truncation level 1 is not PSD (min eigenvalue -1.000e+00)"
+        # the factorisation fails, and the eigenvalue check runs on T_N
+        # assembled afresh
+        assert calls["assemble"] == [2, 2]
+        assert calls["cholesky"] == [2]
+        assert calls["eigvalsh"][0] == 2
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_within_the_rounding_margin_checks_level_by_level(self, count_dense_calls, seed):
         # rank-deficient data scaled by 1e6: rounding in the top level's
-        # eigenvalues exceeds tol, so interlacing alone cannot decide
+        # eigenvalues exceeds tol, so neither the Cholesky factorisation nor
+        # interlacing alone can decide
         seq = CoefficientSequence(
             realization_coefficients(fixture_realization(seed), 8).coefficients * 1e6
         )
+        size = len(seq) * seq.block_dim
         eigs = np.linalg.eigvalsh(assemble(seq).dense)
         assert 4 * len(eigs) * np.finfo(float).eps * eigs[-1] > 1e-9
         expected = per_level_verdict(seq)
@@ -574,6 +612,8 @@ class TestCertifiedSeries:
             with pytest.raises(NotPsdError) as info:
                 certified_series(seq)
             assert str(info.value) == expected
+        assert calls["cholesky"] == [size]
+        assert calls["assemble"] == [size, size]
         assert len(calls["eigvalsh"]) > 1
 
     def test_radius_validation(self):
