@@ -42,6 +42,12 @@ for g in [0.0, 0.5, 1.0]:
 ext = extend(seq, 6, eps=1e-8)
 print("\ncentral extension of (1, 1/2):", np.round(np.real(ext.coefficients[:, 0, 0]), 6))
 
+# Singular data such as (1, 1) are determinate: their only extension is the
+# constant sequence, which extend takes exactly from the data's minimal
+# factor, with no shift to bias it.
+ext = extend(CoefficientSequence.from_scalars([1.0, 1.0]), 6)
+print("exact extension of (1, 1):", np.real(ext.coefficients[:, 0, 0]))
+
 # solve_cf wraps the interpolation problem: feasibility check, central
 # extension to a horizon, evaluation-ready series.
 phi = solve_cf(seq, horizon=64)

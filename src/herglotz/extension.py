@@ -59,11 +59,28 @@ the level is assembled afresh and the dense eigenvalue check
 eigenvalue check provably passes, so verdicts and messages are those of
 the eigenvalue check.
 
+Determinate data (rank T_N = rank T_{N-1}) have one extension only, and
+the central chain takes it exactly, with no shift (``_determinate_extension``):
+the eigenpairs of T_N give a minimal factor T_N = F* F whose block columns
+are F_j = U^j F_0 for a unitary U, so M_n = sum_k g_k g_k* lambda_k^n
+(g_k = F_0* q_k for the eigenpairs lambda_k, q_k of U) for every n, formed
+in one product over the unit-circle powers.  The rank is counted above the
+interlacing margin of the data check, so the routing is scale-relative.
+The output is certified by the measure it nearly is: the Toeplitz matrix of
+sum_k g_k g_k* l_k^n is exactly PSD for any |l_k| = 1, so lambda_min(T_L)
+>= -beta, beta the block row sum of the defects against it (on the data,
+then the rounding and drift of the powers), in O(L r d^2) for rank r.
+Where beta exceeds max(tol, eps), the bound of chained levels, or the data
+are not determinate (partially determinate data, 0 < rank S < d,
+included), the shifted chain decides as described above.  A determinate
+extension to horizon H costs O(N^3 d^3 + H r d^2).
+
 The data themselves are checked by the eigenvalue check behind
 ``certified_series`` (``toeplitz._certified_data``), not by its Cholesky
 certificate: the extension needs the spectrum of T_N, its largest
 eigenvalue for the singularity test of the bound S and all of it for the
-banded certificate.  Verdicts and messages are the same either way.
+banded certificate and the rank of a determinate factor.  Verdicts and
+messages are the same either way.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -78,12 +95,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
 from .linalg import hermitian_split
-from .series import HerglotzSeries, certified_series
+from .series import HerglotzSeries, _powers, certified_series
 from .toeplitz import (
     CoefficientSequence,
     _certified_data,
     _cholesky_exceeds,
     _frobenius_squares,
+    _interlacing_margin,
     _norm_bound,
     _rounding,
     assemble,
@@ -151,16 +169,22 @@ def _check_shift(eigs, eps):
         )
 
 
-def _ball_state(seq, eps, tol):
-    # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
-    # after the eigenvalue check of the data (the verdicts of
-    # ``certified_series``) and the shift check; also returns the
-    # eigenvalues of T_N that check computed, which ``extend`` needs:
-    # eigs[-1] for ``_check_bound`` and all of them for ``_banded_bound``
+def _checked_data(seq, eps, tol):
+    # T_N and its eigenvalues, after the shift's sign and the eigenvalue
+    # check of the data (the verdicts of ``certified_series``)
     if eps <= 0:
         raise ValueError(f"shift eps must be positive, got {eps}")
+    return _certified_data(seq, tol)
+
+
+def _ball_state(seq, eps, tol, data=None):
+    # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
+    # after ``_checked_data`` (or from its result ``data``, where the caller
+    # has it) and the shift check; also returns the eigenvalues of T_N that
+    # check computed, which ``extend`` needs: eigs[-1] for ``_check_bound``
+    # and all of them for ``_banded_bound``
     d = seq.block_dim
-    dense, eigs = _certified_data(seq, tol)
+    dense, eigs = _checked_data(seq, eps, tol) if data is None else data
     _check_shift(eigs, eps)
     shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
@@ -288,7 +312,20 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     With ``contractions`` absent every step takes the central choice;
     otherwise entry k selects the ball point of ``parametrized_step``.
     The first N + 1 coefficients of the output are bitwise those of the
-    input.  One block-Levinson state is built from the data.  Both chains
+    input.
+
+    The central choice on determinate data (rank T_N = rank T_{N-1}, the
+    rank counted above the rounding margin of the data check) is the unique
+    extension, taken exactly from the minimal factor of T_N: one ``eigh`` of
+    T_N, one SVD and one ``eigh`` of size r = rank T_N, and one product over
+    the unit-circle powers for all appended coefficients, O(N^3 d^3 +
+    H r d^2) to horizon H with no shift, so ``eps`` is unused there and no
+    eps is too small.  A measure certificate bounds the smallest eigenvalue
+    of the output's Toeplitz matrix by -beta, beta <= max(tol, eps) (see
+    ``_determinate_extension``); where it does not, and on all other data,
+    the shifted chain below decides, exactly as it would without this path.
+
+    Otherwise one block-Levinson state is built from the data.  Both chains
     run one loop over the coefficients kept newest first, so
     gamma = (M_{m-1} ... M_1) of each step is a view and the center is
     gamma a.  The central chain keeps S and alpha fixed and is the order-N
@@ -320,7 +357,8 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         Naming the first truncation level of the data whose Toeplitz
         matrix fails, or if a chained level leaves the ball.
     SingularBlockError
-        If a shifted Toeplitz matrix is singular at working precision.
+        If a shifted Toeplitz matrix is singular at working precision (never
+        on the determinate path, which inverts nothing at the shift).
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
     """
@@ -332,8 +370,13 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         )
     if steps == 0:
         return seq
+    data = _checked_data(seq, eps, tol)
+    if contractions is None:
+        exact = _determinate_extension(seq, *data, steps)
+        if exact is not None and exact[1] <= max(tol, eps):
+            return CoefficientSequence(exact[0])
     n, d = len(seq), seq.block_dim
-    a, b, s, alpha_inv, eigs = _ball_state(seq, eps, tol)
+    a, b, s, alpha_inv, eigs = _ball_state(seq, eps, tol, data)
     top = eigs[-1] + eps
     if contractions is None and steps > 1:
         _check_bound(s, top, range(n, n + steps - 1), d)
@@ -367,6 +410,119 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         ):
             _certify_chained(CoefficientSequence(level), eps, max(tol, eps))
     return CoefficientSequence(coeffs)
+
+
+def _determinate_extension(seq, dense, eigs, steps):
+    # The central extension M_0 .. M_L (L = N + steps) of determinate data
+    # from its minimal factor, with the bound beta of its measure
+    # certificate; None where the data are not determinate.  ``dense`` and
+    # ``eigs`` are T_N and its computed eigenvalues (``_checked_data``).
+    #
+    # Realization.  The r eigenpairs of T_N above the interlacing margin give
+    # a minimal factor T_N ~ F* F, F = (F_0 ... F_N) with r x d blocks; the
+    # past block P = (F_0 ... F_{N-1}) has only Nd columns, so r > Nd routes
+    # to the chain at once.  For the future block Q = (F_1 ... F_N),
+    # P* P = T_{N-1} = Q* Q, so (Q P*)* (Q P*) = (P P*)^2: the singular
+    # values of the r x r matrix Q P* are the squares of those of P.  The
+    # data are determinate when all r of them exceed the same margin
+    # (rank T_{N-1} = rank T_N).  Then Q = U P for a unitary U, F_j = U^j F_0
+    # and M_n = F_0* U^n F_0 for n <= N: the extension is unique and is this
+    # sequence continued (the determinate Caratheodory-Toeplitz case; Dym &
+    # Gohberg, LAA 36 (1981)).  U is taken as the polar factor of
+    # Q P* = U (P P*), the unitary least-squares solution of Q = U P
+    # (orthogonal Procrustes), from the same SVD.  The Hermitian part of
+    # e^{i} U has the eigenvectors q_k of U and eigenvalues
+    # cos(arg lambda_k + 1), which tie only where two arguments sum to -2
+    # (mod 2 pi): equal eigenvalues share their eigenvectors, and conjugate
+    # pairs (real data) and roots of unity never tie; an accidental near-tie
+    # mixes two eigenvectors, and the certificate then fails.  The
+    # eigenvalues lambda_k are read back as Rayleigh quotients scaled to unit
+    # modulus, so M_n = sum_k g_k g_k* lambda_k^n with g_k = F_0* q_k, for all
+    # n in one product with the powers of ``series._powers``.
+    #
+    # Certificate.  Let l_k = lambda_k / |lambda_k| exactly and
+    # Mt_n = sum_k g_k g_k* l_k^n for the stored g_k.  With x_k = (1,
+    # l_k^{-1}, ..., l_k^{-L}), the Toeplitz matrix of Mt_0 .. Mt_L is
+    # sum_k (x_k x_k*) (x) (g_k g_k*), exactly PSD.  T_L differs from it by
+    # the block Toeplitz matrix of the defects E_0 = H_0 - Mt_0 (H_0 the
+    # Hermitian part of M_0) and E_n = M_n - Mt_n, whose 2-norm is at most
+    # its largest row sum of block norms, so
+    #
+    #     lambda_min(T_L) >= -beta,   beta = ||E_0|| + 2 sum_{n=1..L} ||E_n||.
+    #
+    # Bounds (u machine eps, gamma_k of ``_rounding``).  ``_powers``
+    # multiplies by lambda_k once per exponent, each time with a relative
+    # error theta, |theta| <= sqrt 2 gamma_2 (complex multiplication;
+    # Higham, Accuracy and Stability, Lemma 3.5), which turns the phase by
+    # at most asin |theta| < 1.5 u; each power is then divided by its
+    # computed modulus, which turns it by less than u / 2.  p^_k1 is lambda_k
+    # before that division, with the phase of l_k, so a computed power
+    # p^_kn = rho e^{i phi} (p^_k0 = 1) has |phi - n arg l_k| <= f_n =
+    # 1.5 u n - u (f_0 = 0), and |rho - 1| <= |rho^2 - 1| <= |s - 1| + 2 u s
+    # for the computed s = fl(rho^2).  The computed product P^_n =
+    # fl(sum_k W_k p^_kn), W_k = fl(g_k g_k*), errs from sum_k g_k g_k* p^_kn
+    # by at most c = gamma_{r+4} times sum_k |g_k| |g_k|* rho entrywise (the
+    # outer products by sqrt 2 gamma_2, the inner products of length r by
+    # gamma_{r+2}), of Frobenius norm <= sum_k ||g_k||^2 (1 + |rho - 1|).
+    # The rest, sum_k g_k g_k* (p^_kn - l_k^n), is sum_k g_k g_k* (rho - 1)
+    # e^{i phi} plus G X G* with G = (g_1 ... g_r) and X diagonal, |X| <= f_n.
+    # So ||P^_n - Mt_n||_2 <= D_n = m_n + ||G||^2 f_n, with
+    # m_n = sum_k ||g_k||^2 ((1 + c)(|s - 1| + 2 u s) + c) and
+    # ||G||^2 = ||Mt_0||_2 <= ||P^_0||_F + m_0.  Past N the output is P^_n,
+    # so ||E_n|| <= D_n.  On the data ||E_n|| <= ||fl(M_n - P^_n)||_F (1 + u)
+    # + D_n for n >= 1, and the same for n = 0 with the computed Hermitian
+    # part (``hermitian_split``), plus u ||M_0||_F for its rounding.  Every
+    # nonnegative term is computed by at most K = L + r + 2 d^2 + 16
+    # roundings of nonnegative terms, so the sum grown by 1 + gamma_K bounds
+    # beta.  Its phase term grows like L^2 u ||G||^2, the rest like L r u;
+    # the path costs O(N^3 d^3 + L r d^2).
+    n, d = len(seq), seq.block_dim
+    margin = _interlacing_margin(eigs)
+    r = int(np.count_nonzero(eigs > margin))
+    if r > (n - 1) * d:
+        return None
+    last = n - 1 + steps
+    lam, g = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex)
+    if r:
+        w, v = np.linalg.eigh(dense)
+        factor = (v[:, -r:] * np.sqrt(w[-r:])).conj().T
+        outer, sv, inner = np.linalg.svd(factor[:, d:] @ factor[:, :-d].conj().T)
+        if not sv[-1] > margin:
+            return None
+        unitary = outer @ inner
+        rotated = np.exp(1j) * unitary
+        q = np.linalg.eigh(rotated + rotated.conj().T)[1]
+        lam = (q.conj() * (unitary @ q)).sum(axis=0)
+        lam /= np.abs(lam)
+        g = factor[:, :d].conj().T @ q
+    powers = np.empty((r, last + 1), dtype=complex)
+    powers[:, 0] = 1
+    raw = _powers(lam, last)
+    powers[:, 1:] = raw / np.abs(raw)
+    model = (
+        (g[:, None, :] * g.conj()[None, :, :]).reshape(d * d, r) @ powers
+    ).reshape(d, d, last + 1).transpose(2, 0, 1)
+
+    u = np.finfo(float).eps
+    m0 = seq.coefficients[0]
+    defects = np.sqrt(_frobenius_squares(seq.coefficients[1:] - model[1:n]))
+    defect0 = np.sqrt(_frobenius_squares(hermitian_split(m0)[0] - model[0]))
+    squares = powers.real**2 + powers.imag**2
+    c = _rounding(r + 4)
+    moduli = (g.real**2 + g.imag**2).sum(axis=0) @ (
+        (1 + c) * (np.abs(squares - 1) + 2 * u * squares) + c
+    )
+    # ||G||^2 times the phase bounds f_1 + ... + f_L
+    gram = np.sqrt(_frobenius_squares(model[0])) + moduli[0]
+    phases = gram * (0.75 * u * last * (last + 1) - u * last)
+    beta = (
+        (defect0 + 2 * defects.sum()) * (1 + u)
+        + u * np.sqrt(_frobenius_squares(m0))
+        + moduli[0]
+        + 2 * (moduli[1:].sum() + phases)
+    )
+    model[:n] = seq.coefficients
+    return model, beta * (1 + _rounding(last + r + 2 * d * d + 16))
 
 
 def _chained_tau(coeffs, eps):
@@ -494,15 +650,17 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     extended centrally by ``extend`` until the coefficient list reaches
     index ``horizon``; ``extend`` needs the spectrum of T_N, so it checks
     the data with the eigenvalue check behind ``certified_series`` (same
-    verdicts and messages) and builds its ball from the same T_N and
-    eigenvalues, so T_N is assembled and decomposed once.  The central
-    chain is the order-N band recursion, and its longest level is
-    certified by the banded certificate of ``extend``, so the cost is
-    O(N^3 d^3 + H N d^3); the dense check of that level (one shifted
-    Cholesky factorisation, then the eigenvalue check) runs only as the
-    fallback where the banded bound is too weak.  The returned series
-    interpolates the input exactly: its first N + 1 coefficients are
-    bitwise equal to ``seq``.
+    verdicts and messages), and T_N is assembled once.  Determinate data
+    (rank T_N = rank T_{N-1}) are extended exactly from their minimal
+    factor, with no shift, and certified by the measure certificate of
+    ``extend``: O(N^3 d^3 + H r d^2) for rank r, and ``eps`` unused.
+    Other data take the order-N band recursion, built from the same T_N
+    and eigenvalues, whose longest level is certified by the banded
+    certificate of ``extend``, so the cost is O(N^3 d^3 + H N d^3); the
+    dense check of that level (one shifted Cholesky factorisation, then the
+    eigenvalue check) runs only as the fallback where the banded bound is
+    too weak.  The returned series interpolates the input exactly: its
+    first N + 1 coefficients are bitwise equal to ``seq``.
 
     Raises
     ------

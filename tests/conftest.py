@@ -7,12 +7,15 @@ from herglotz import extension, series, toeplitz
 @pytest.fixture
 def count_dense_calls(monkeypatch):
     """Starts recording, when called, every call of ``assemble`` (through
-    each module that uses it), ``numpy.linalg.eigvalsh`` and
-    ``numpy.linalg.cholesky``.  Returns one list per name, holding the size
-    of the matrix of each call in order."""
+    each module that uses it) and of ``numpy.linalg``'s ``eigvalsh``,
+    ``eigh``, ``eig``, ``svd`` and ``cholesky``.  Returns one list per name,
+    holding the size of the matrix of each call in order (the larger side
+    of a rectangular one)."""
+
+    names = ("eigvalsh", "eigh", "eig", "svd", "cholesky")
 
     def start():
-        calls = {"assemble": [], "eigvalsh": [], "cholesky": []}
+        calls = {name: [] for name in ("assemble", *names)}
 
         def recording(name, func, size):
             def wrapper(arg, *args, **kwargs):
@@ -24,9 +27,9 @@ def count_dense_calls(monkeypatch):
         assemble = recording("assemble", toeplitz.assemble, lambda seq: len(seq) * seq.block_dim)
         for module in (toeplitz, series, extension):
             monkeypatch.setattr(module, "assemble", assemble)
-        for name in ("eigvalsh", "cholesky"):
-            func = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, recording(name, func, lambda a: np.shape(a)[-1]))
+        for name in names:
+            wrapper = recording(name, getattr(np.linalg, name), lambda a: max(np.shape(a)[-2:]))
+            monkeypatch.setattr(np.linalg, name, wrapper)
         return calls
 
     return start

@@ -30,6 +30,13 @@ def scalar_seq(values):
     return CoefficientSequence.from_scalars(values)
 
 
+def partially_determinate():
+    # M_0 = I, M_1 = diag(1, 1/2): T_1 has eigenvalues 0, 1/2, 3/2, 2, so
+    # rank T_1 = 3 exceeds rank T_0 = 2 and the data are not determinate,
+    # while the bound S of their ball is singular in one direction
+    return CoefficientSequence(np.array([np.eye(2), np.diag([1.0, 0.5])]))
+
+
 def fixture_sequence(seed, block_dim, state_dim, order):
     rlz = random_realization(seed, block_dim, state_dim)
     return realization_coefficients(rlz, order)
@@ -234,6 +241,7 @@ class TestExtend:
             raise AssertionError("ball state built for zero steps")
 
         monkeypatch.setattr(extension, "_ball_state", unexpected)
+        monkeypatch.setattr(extension, "_checked_data", unexpected)
         seq = scalar_seq([1, 0.5])
         assert extend(seq, 0) is seq
 
@@ -242,8 +250,10 @@ class TestExtend:
         # one assembly and one full eigvalsh for the data; the central chain's
         # final check is the banded certificate, with only d x d linear
         # algebra, while a parametrized chain's is one assembly and one
-        # Cholesky factorisation of its longest level
-        seq = fixture_sequence(8, 2, 5, 3)
+        # Cholesky factorisation of its longest level.  State dimension 7 of
+        # rank T_2 = 6 < rank T_3 = 7: not determinate, so the central chain
+        # runs
+        seq = fixture_sequence(8, 2, 7, 3)
         data = len(seq) * seq.block_dim
         level = (len(seq) + steps - 1) * seq.block_dim
         zeros = [np.zeros((2, 2))] * steps
@@ -278,12 +288,13 @@ class TestExtend:
 
     @pytest.mark.parametrize(
         "seed, block_dim, state_dim, order",
-        [(31, 1, 3, 0), (32, 1, 4, 3), (33, 2, 5, 2), (34, 3, 4, 4)],
+        [(31, 1, 3, 0), (32, 1, 4, 3), (33, 2, 5, 2), (34, 3, 14, 4)],
     )
     def test_central_recursion_matches_the_bordering_loop(self, seed, block_dim, state_dim, order):
         # zero contractions take the bordering loop; the central chain the
         # order-N recursion.  Both sum the same products; BLAS may order the
         # sums differently for the N-block window and the zero-padded row.
+        # Every state dimension exceeds N d, so no data are determinate.
         seq = fixture_sequence(seed, block_dim, state_dim, order)
         zeros = [np.zeros((block_dim, block_dim))] * 30
         central = extend(seq, 30, eps=1e-8).coefficients
@@ -292,31 +303,33 @@ class TestExtend:
         np.testing.assert_allclose(central, bordered, rtol=0, atol=1e-13 * size)
 
     def test_fixed_bound_names_the_level_it_turns_singular_at(self):
-        # [1, 1] at eps = 1e-14: S ~ 2 eps stays fixed while the threshold
-        # top * size * machine eps grows with the level
-        seq = scalar_seq([1, 1])
+        # partially determinate data at eps = 1e-14: the least eigenvalue of
+        # S, ~2 eps, stays fixed while the threshold top * size * machine eps
+        # grows with the level
+        seq = partially_determinate()
         eps, steps = 1e-14, 60
         step, _ = central_step(seq, eps)
         bound = np.linalg.eigvalsh(step.left_bound)[0]
         top = np.linalg.eigvalsh(assemble(seq).dense)[-1] + eps
         levels = range(len(seq), len(seq) + steps)
-        level = next(n for n in levels if bound <= top * (n + 1) * np.finfo(float).eps)
+        u, d = np.finfo(float).eps, seq.block_dim
+        level = next(n for n in levels if bound <= top * (n + 1) * d * u)
         assert len(seq) < level < len(seq) + steps - 1
         with pytest.raises(SingularBlockError, match=f"level {level} ") as central:
             extend(seq, steps, eps=eps)
         with pytest.raises(SingularBlockError) as bordered:
-            extend(seq, steps, eps=eps, contractions=[np.zeros((1, 1))] * steps)
+            extend(seq, steps, eps=eps, contractions=[np.zeros((2, 2))] * steps)
         assert str(central.value) == str(bordered.value)
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-11])
     def test_final_check_below_the_cholesky_margin_is_the_eigenvalue_check(
         self, count_dense_calls, eps
     ):
-        # a 100-step chain on singular data with a tiny shift: the longest
-        # level's margin is within the rounding allowance, the Cholesky
-        # factorisation fails, and the eigenvalue check decides (eps = 1e-12
-        # raises, 1e-11 passes)
-        seq, steps, tol = scalar_seq([1, 1]), 100, 1e-9
+        # a 100-step chain on singular, partially determinate data with a
+        # tiny shift: the longest level's margin is within the rounding
+        # allowance, the Cholesky factorisation fails, and the eigenvalue
+        # check decides (eps = 1e-12 raises, 1e-11 passes)
+        seq, steps, tol = partially_determinate(), 100, 1e-9
         forward = extension._ball_state(seq, eps, tol)[0]
         # the band recursion M_m = (M_{m-1} ... M_{m-N}) a, one block at a time
         chain = list(seq.coefficients)
@@ -392,10 +405,11 @@ class TestSolveCf:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bench_shaped_central_solve_checks_no_dense_level(self, count_dense_calls, seed):
-        # rank-deficient order-8 data (state dimension 5 < 18) to horizon
-        # 128: the data level is assembled and decomposed once, and the
-        # banded certificate settles the chained level with d x d algebra
-        seq = fixture_sequence(40 + seed, 2, 5, 8)
+        # rank-deficient order-8 data to horizon 128, not determinate (state
+        # dimension 17: rank T_7 = 16 < rank T_8 = 17 < 18): the data level
+        # is assembled and decomposed once, and the banded certificate
+        # settles the chained level with d x d algebra
+        seq = fixture_sequence(40 + seed, 2, 17, 8)
         data = len(seq) * seq.block_dim
         calls = count_dense_calls()
         phi = solve_cf(seq, horizon=128)
@@ -404,14 +418,15 @@ class TestSolveCf:
         assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == [data]
         assert calls["cholesky"] == []
 
-    @pytest.mark.parametrize("state_dim, eps", [(18, 1e-8), (5, 1e-3)])
+    @pytest.mark.parametrize("state_dim, eps", [(18, 1e-8), (17, 1e-3), (5, 1e-8)])
     def test_long_horizon_builds_no_level_sized_array(
         self, count_dense_calls, monkeypatch, state_dim, eps
     ):
-        # H = 2000 on full-rank data, and on rank-deficient data with a shift
-        # well above the level's rounding margin: a (Hd)^2 complex array
-        # alone would be 256 MB, so the dense fallback fails before building
-        # one
+        # H = 2000 on full-rank data; on rank-deficient, not determinate data
+        # with a shift well above the level's rounding margin; and on
+        # determinate data (state dimension 5 <= N d = 16), extended from
+        # their minimal factor: a (Hd)^2 complex array alone would be 256 MB,
+        # so the dense fallback fails before building one
         def dense_fallback(*args):
             raise AssertionError("the banded certificate left the level to the dense check")
 
@@ -437,3 +452,54 @@ class TestSolveCf:
         seq = scalar_seq([1, 0.5, 0.25])
         phi = solve_cf(seq, horizon=1)
         assert np.array_equal(phi.seq.coefficients, seq.coefficients)
+
+
+class TestDeterminateExtension:
+    @pytest.mark.parametrize("eps", [1e-8, 1e-14, 1e-300])
+    def test_singular_scalar_data_extend_exactly(self, eps):
+        # [1, 1] is determinate (rank T_1 = rank T_0 = 1): its extension is
+        # the constant sequence, with no shift to bias it and nothing
+        # inverted at the shift, so no eps is too small
+        ext = extend(scalar_seq([1, 1]), 60, eps=eps)
+        np.testing.assert_allclose(ext.coefficients[:, 0, 0], np.ones(62), rtol=0, atol=1e-14)
+
+    def test_partially_determinate_data_take_the_chain(self):
+        seq = partially_determinate()
+        data = extension._checked_data(seq, 1e-8, 1e-9)
+        assert extension._determinate_extension(seq, *data, 5) is None
+
+    def test_long_horizon_is_the_realization(self):
+        # order-8 data of a 5-dimensional realization to horizon 2000, which
+        # the shifted chain could only settle with a dense 4000 x 4000 check
+        rlz = random_realization(0, 2, 5)
+        seq = realization_coefficients(rlz, 8)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            phi = solve_cf(seq, 2000)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phi.certified and phi.seq.order == 2000
+        assert elapsed < 1.0
+        assert peak < 4 * 2**20
+        expected = realization_coefficients(rlz, 2000).coefficients
+        size = float(np.abs(expected).max())
+        np.testing.assert_allclose(phi.seq.coefficients, expected, rtol=0, atol=1e-10 * size)
+
+    @pytest.mark.parametrize("block_dim, state_dim", [(1, 3), (2, 5), (3, 20)])
+    def test_work_is_one_decomposition_pair_of_the_data(
+        self, count_dense_calls, block_dim, state_dim
+    ):
+        # to H = 2000: one eigvalsh (the data check) and one eigh (the
+        # minimal factor) of T_N, and nothing larger assembled or decomposed
+        seq = fixture_sequence(60, block_dim, state_dim, 8)
+        data = len(seq) * block_dim
+        calls = count_dense_calls()
+        phi = solve_cf(seq, horizon=2000)
+        assert phi.seq.order == 2000 and phi.certified
+        assert calls["assemble"] == [data]
+        assert calls["eigvalsh"].count(data) == 1 and calls["eigh"].count(data) == 1
+        assert max(n for sizes in calls.values() for n in sizes) == data
+        assert calls["cholesky"] == []
