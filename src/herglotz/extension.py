@@ -75,12 +75,17 @@ are not determinate (partially determinate data, 0 < rank S < d,
 included), the shifted chain decides as described above.  A determinate
 extension to horizon H costs O(N^3 d^3 + H r d^2).
 
-The data themselves are checked by the eigenvalue check behind
-``certified_series`` (``toeplitz._certified_data``), not by its Cholesky
-certificate: the extension needs the spectrum of T_N, its largest
-eigenvalue for the singularity test of the bound S and all of it for the
-banded certificate and the rank of a determinate factor.  Verdicts and
-messages are the same either way.
+The extension needs the spectrum of T_N (its largest eigenvalue for the
+singularity test of the bound S, all of it for the banded certificate and
+the rank of a determinate factor), so the data are not checked by the
+Cholesky certificate of ``certified_series`` but with their spectrum.  The
+central chain checks, ranks and factors the data from one ``eigh`` of T_N
+(``_decomposed_data``): where its smallest eigenvalue clears -tol by the
+interlacing margin, the eigenvalue check behind ``certified_series``
+(``toeplitz._certified_data``) provably passes every level, and otherwise
+that check decides on T_N assembled afresh.  ``central_step`` and
+parametrized chains, which need no eigenvectors, run the eigenvalue check
+itself.  Verdicts and messages are those of the eigenvalue check either way.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -91,10 +96,9 @@ step solves the truncated-data interpolation problem for any horizon.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
-from .linalg import hermitian_split
+from .linalg import _MACHINE_EPS, hermitian_split
 from .series import HerglotzSeries, _powers, certified_series
 from .toeplitz import (
     CoefficientSequence,
@@ -104,6 +108,7 @@ from .toeplitz import (
     _interlacing_margin,
     _norm_bound,
     _rounding,
+    _windows,
     assemble,
     reverse_blocks,
 )
@@ -162,7 +167,7 @@ def _check_shift(eigs, eps):
     # the eps-shifted matrix with eigenvalues ``eigs`` is invertible at
     # working precision
     spread = eigs + eps
-    if spread[0] <= spread[-1] * len(spread) * np.finfo(float).eps:
+    if spread[0] <= spread[-1] * len(spread) * _MACHINE_EPS:
         raise SingularBlockError(
             f"eps = {eps:.3e} leaves the shifted matrix numerically singular "
             f"(spread {spread[0]:.3e} .. {spread[-1]:.3e})"
@@ -177,12 +182,34 @@ def _checked_data(seq, eps, tol):
     return _certified_data(seq, tol)
 
 
+def _decomposed_data(seq, eps, tol):
+    # T_N and its eigenpairs from one ``eigh``, after the checks of
+    # ``_checked_data``, with their verdicts and messages.  ``eigh`` (zheevd
+    # with vectors) is backward stable under the convention of
+    # ``positivity_profile``: each eigenvalue it computes for T_N lies within
+    # 2 m u ||T_N||_2 of an exact one (m = (N + 1) d, u machine eps), half the
+    # interlacing margin.  So where the computed eigs[0] >= margin - tol, the
+    # exact lambda_min(T_N) >= -tol + margin / 2.  By interlacing every exact
+    # lambda_min(T_n) is at least that, and eigvalsh computes it within
+    # margin / 2 (||T_n||_2 <= ||T_N||_2): every level ``_certified_data``
+    # decomposes passes, and its brackets fail a level only after a
+    # decomposed one fails, so it would pass every level.  Otherwise
+    # ``_certified_data`` decides, unchanged, on T_N assembled afresh.
+    if eps <= 0:
+        raise ValueError(f"shift eps must be positive, got {eps}")
+    dense = assemble(seq).dense
+    eigs, vecs = np.linalg.eigh(dense)
+    if not eigs[0] >= _interlacing_margin(eigs) - tol:
+        _certified_data(seq, tol)
+    return dense, eigs, vecs
+
+
 def _ball_state(seq, eps, tol, data=None):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
-    # after ``_checked_data`` (or from its result ``data``, where the caller
-    # has it) and the shift check; also returns the eigenvalues of T_N that
-    # check computed, which ``extend`` needs: eigs[-1] for ``_check_bound``
-    # and all of them for ``_banded_bound``
+    # after ``_checked_data`` (or from ``data``, T_N and its eigenvalues
+    # after a data check, where the caller has them) and the shift check;
+    # also returns those eigenvalues, which ``extend`` needs: eigs[-1] for
+    # ``_check_bound`` and all of them for ``_banded_bound``
     d = seq.block_dim
     dense, eigs = _checked_data(seq, eps, tol) if data is None else data
     _check_shift(eigs, eps)
@@ -298,7 +325,7 @@ def _check_bound(s, top, levels, block_dim):
             f"matrix is not positive definite (bound eigenvalue {eigs[0]:.6e})"
         )
     sizes = (np.array(levels) + 1) * block_dim
-    singular = eigs[0] <= top * sizes * np.finfo(float).eps
+    singular = eigs[0] <= top * sizes * _MACHINE_EPS
     if singular.any():
         raise SingularBlockError(
             f"the shifted Toeplitz matrix at level {levels[np.argmax(singular)]} "
@@ -314,11 +341,12 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     The first N + 1 coefficients of the output are bitwise those of the
     input.
 
-    The central choice on determinate data (rank T_N = rank T_{N-1}, the
-    rank counted above the rounding margin of the data check) is the unique
-    extension, taken exactly from the minimal factor of T_N: one ``eigh`` of
-    T_N, one SVD and one ``eigh`` of size r = rank T_N, and one product over
-    the unit-circle powers for all appended coefficients, O(N^3 d^3 +
+    The central chain checks, ranks and factors the data from one ``eigh``
+    of T_N.  On determinate data (rank T_N = rank T_{N-1}, the rank counted
+    above the rounding margin of the data check) its choice is the unique
+    extension, taken exactly from the minimal factor of T_N that ``eigh``
+    gives: one SVD and one ``eigh`` of size r = rank T_N, and one product
+    over the unit-circle powers for all appended coefficients, O(N^3 d^3 +
     H r d^2) to horizon H with no shift, so ``eps`` is unused there and no
     eps is too small.  A measure certificate bounds the smallest eigenvalue
     of the output's Toeplitz matrix by -beta, beta <= max(tol, eps) (see
@@ -336,12 +364,15 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     Each produced prefix keeps its shifted Toeplitz matrix strictly
     positive, hence unshifted eigenvalues stay above ``-eps``; the
     feasibility tolerance for chained levels is widened accordingly.  The
-    data are checked with ``tol`` by the eigenvalue check behind
-    ``certified_series`` (same verdicts and messages; the extension needs
-    the spectrum of T_N, so it does not take the Cholesky certificate),
-    whose T_N and eigenvalues the state is built from; every chained level
+    data are checked with ``tol`` with the verdicts and messages of the
+    eigenvalue check behind ``certified_series`` (the extension needs the
+    spectrum of T_N, so it does not take the Cholesky certificate): the
+    central chain reads them off its one ``eigh`` where the smallest
+    eigenvalue clears -tol by a rounding margin and runs that check
+    otherwise, and a parametrized chain runs it; the state is built from
+    the same T_N and eigenvalues.  Every chained level is checked
     through the bound S of its ball (one d x d eigendecomposition for the
-    whole central chain); and the longest chained level used for a step
+    whole central chain), and the longest chained level used for a step
     once more, which by interlacing covers the shorter ones.  For the
     central chain that last check is the banded certificate of
     ``_banded_bound``, O(H N d^3) with no dense matrix, so a central
@@ -370,11 +401,14 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         )
     if steps == 0:
         return seq
-    data = _checked_data(seq, eps, tol)
     if contractions is None:
-        exact = _determinate_extension(seq, *data, steps)
+        dense, eigs, vecs = _decomposed_data(seq, eps, tol)
+        exact = _determinate_extension(seq, dense, eigs, vecs, steps)
         if exact is not None and exact[1] <= max(tol, eps):
             return CoefficientSequence(exact[0])
+        data = dense, eigs
+    else:
+        data = _checked_data(seq, eps, tol)
     n, d = len(seq), seq.block_dim
     a, b, s, alpha_inv, eigs = _ball_state(seq, eps, tol, data)
     top = eigs[-1] + eps
@@ -412,11 +446,12 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     return CoefficientSequence(coeffs)
 
 
-def _determinate_extension(seq, dense, eigs, steps):
+def _determinate_extension(seq, dense, eigs, vecs, steps):
     # The central extension M_0 .. M_L (L = N + steps) of determinate data
     # from its minimal factor, with the bound beta of its measure
-    # certificate; None where the data are not determinate.  ``dense`` and
-    # ``eigs`` are T_N and its computed eigenvalues (``_checked_data``).
+    # certificate; None where the data are not determinate.  ``dense``,
+    # ``eigs`` and ``vecs`` are T_N and its computed eigenpairs
+    # (``_decomposed_data``).
     #
     # Realization.  The r eigenpairs of T_N above the interlacing margin give
     # a minimal factor T_N ~ F* F, F = (F_0 ... F_N) with r x d blocks; the
@@ -484,8 +519,7 @@ def _determinate_extension(seq, dense, eigs, steps):
     last = n - 1 + steps
     lam, g = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex)
     if r:
-        w, v = np.linalg.eigh(dense)
-        factor = (v[:, -r:] * np.sqrt(w[-r:])).conj().T
+        factor = (vecs[:, -r:] * np.sqrt(eigs[-r:])).conj().T
         outer, sv, inner = np.linalg.svd(factor[:, d:] @ factor[:, :-d].conj().T)
         if not sv[-1] > margin:
             return None
@@ -497,27 +531,29 @@ def _determinate_extension(seq, dense, eigs, steps):
         g = factor[:, :d].conj().T @ q
     powers = np.empty((r, last + 1), dtype=complex)
     powers[:, 0] = 1
-    raw = _powers(lam, last)
-    powers[:, 1:] = raw / np.abs(raw)
+    raw = _powers(lam, last, out=powers[:, 1:])
+    raw /= np.abs(raw)
     model = (
         (g[:, None, :] * g.conj()[None, :, :]).reshape(d * d, r) @ powers
     ).reshape(d, d, last + 1).transpose(2, 0, 1)
 
-    u = np.finfo(float).eps
-    m0 = seq.coefficients[0]
-    defects = np.sqrt(_frobenius_squares(seq.coefficients[1:] - model[1:n]))
-    defect0 = np.sqrt(_frobenius_squares(hermitian_split(m0)[0] - model[0]))
+    u = _MACHINE_EPS
+    # T_N's first block row is (H_0, M_1 .. M_N) exactly (``assemble``)
+    defects = np.sqrt(
+        _frobenius_squares(dense[:d].reshape(d, n, d).transpose(1, 0, 2) - model[:n])
+    )
+    model0_norm, m0_norm = np.sqrt(_frobenius_squares(np.stack([model[0], seq.coefficients[0]])))
     squares = powers.real**2 + powers.imag**2
     c = _rounding(r + 4)
     moduli = (g.real**2 + g.imag**2).sum(axis=0) @ (
         (1 + c) * (np.abs(squares - 1) + 2 * u * squares) + c
     )
     # ||G||^2 times the phase bounds f_1 + ... + f_L
-    gram = np.sqrt(_frobenius_squares(model[0])) + moduli[0]
+    gram = model0_norm + moduli[0]
     phases = gram * (0.75 * u * last * (last + 1) - u * last)
     beta = (
-        (defect0 + 2 * defects.sum()) * (1 + u)
-        + u * np.sqrt(_frobenius_squares(m0))
+        (defects[0] + 2 * defects[1:].sum()) * (1 + u)
+        + u * m0_norm
         + moduli[0]
         + 2 * (moduli[1:].sum() + phases)
     )
@@ -530,7 +566,7 @@ def _chained_tau(coeffs, eps):
     # to pass (see ``_certify_chained``), with nu >= ||T_L||_2 of
     # ``_norm_bound``
     m = coeffs.shape[0] * coeffs.shape[1]
-    u = np.finfo(float).eps
+    u = _MACHINE_EPS
     nu = _norm_bound(coeffs)
     return (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
 
@@ -583,7 +619,7 @@ def _banded_bound(coeffs, a, alpha_inv, eigs, eps):
     # ``_chained_tau`` puts the exact lambda_min(A) above tau (1 + 8 u), and
     # then ``_certify`` passes: its computed lambda_min stays above -eps and
     # its spread test holds even after rounding the shift and the products.
-    u = np.finfo(float).eps
+    u = _MACHINE_EPS
     last, d = len(coeffs) - 1, coeffs.shape[1]
     n = len(a) // d
     grow = 1 + _rounding(last + 2 * (n + 2) * d * d + 16)
@@ -594,11 +630,11 @@ def _banded_bound(coeffs, a, alpha_inv, eigs, eps):
     if n:
         row[:, last] = hermitian_split(coeffs[0])[0] + eps * np.eye(d)
         row[:, last + 1 :] = coeffs[1:n].conj().transpose(2, 0, 1)
-    windows = sliding_window_view(row.reshape(d, -1), n * d, axis=1)[:, d::d]
+    windows = _windows(row, d, (last, d, n * d), (d, (last + n) * d, 1))
     # rho^_1 .. rho^_L and e_1 .. e_L
-    rho = (row[:, :last].transpose(1, 0, 2) - windows.transpose(1, 0, 2) @ a)[::-1]
+    rho = (row[:, :last].transpose(1, 0, 2) - windows @ a)[::-1]
     squares = _frobenius_squares(row.transpose(1, 0, 2))
-    window_norms = np.sqrt(sliding_window_view(squares, n)[1 : last + 1].sum(axis=1))
+    window_norms = np.sqrt(_windows(squares, 1, (last, n), (1, 1)).sum(axis=1))
     a_norm = np.sqrt(_frobenius_squares(a))
     err = (_rounding(n * d + 4) * (np.sqrt(squares[:last]) + window_norms * a_norm))[::-1]
     alpha = np.sqrt(_frobenius_squares(a.reshape(n, d, d))).sum() * grow
@@ -648,9 +684,11 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     Cholesky factorisation of the top-level Toeplitz matrix T_N, and an
     eigendecomposition only where that fails.  Beyond it the data are
     extended centrally by ``extend`` until the coefficient list reaches
-    index ``horizon``; ``extend`` needs the spectrum of T_N, so it checks
-    the data with the eigenvalue check behind ``certified_series`` (same
-    verdicts and messages), and T_N is assembled once.  Determinate data
+    index ``horizon``; ``extend`` needs the spectrum of T_N, so it assembles
+    T_N once and checks, ranks and factors the data from one ``eigh`` of
+    it, with the verdicts and messages of the eigenvalue check behind
+    ``certified_series`` (which runs itself only where the smallest
+    eigenvalue lies within a rounding margin of -tol).  Determinate data
     (rank T_N = rank T_{N-1}) are extended exactly from their minimal
     factor, with no shift, and certified by the measure certificate of
     ``extend``: O(N^3 d^3 + H r d^2) for rank r, and ``eps`` unused.

@@ -30,6 +30,9 @@ __all__ = [
     "schur_split",
 ]
 
+# u, the machine epsilon of float64: twice the unit roundoff
+_MACHINE_EPS = np.finfo(float).eps
+
 
 def _square(m, what="matrix"):
     m = np.asarray(m, dtype=complex)
@@ -266,7 +269,7 @@ def schur_split(g, k):
     d = g[k:, k:]
     svals = np.linalg.svd(a, compute_uv=False)
     smin, smax = float(svals[-1]), float(svals[0])
-    if smin <= smax * k * np.finfo(float).eps:
+    if smin <= smax * k * _MACHINE_EPS:
         raise SingularBlockError(
             f"leading {k} x {k} block is numerically singular "
             f"(smallest singular value {smin:.3e})"

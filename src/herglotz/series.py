@@ -144,11 +144,11 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
 
 
-def _powers(z, n):
+def _powers(z, n, out=None):
     # z^1 .. z^n along a new last axis, by running product: n - 1 complex
     # multiplications per point, far cheaper than ``**``, which calls libm's
-    # cpow for every exponent of 100 or more
-    return np.cumprod(np.broadcast_to(z[..., None], z.shape + (n,)), axis=-1)
+    # cpow for every exponent of 100 or more; written into ``out`` if given
+    return np.cumprod(np.broadcast_to(z[..., None], z.shape + (n,)), axis=-1, out=out)
 
 
 def eval_series(phi, z):

@@ -11,10 +11,9 @@ separately through the reduction machinery.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DimensionError, NotPsdError
-from .linalg import hermitian_split, psd_report
+from .linalg import _MACHINE_EPS, hermitian_split, psd_report
 
 __all__ = [
     "CoefficientSequence",
@@ -111,10 +110,20 @@ def assemble(seq):
     row[:, n - 1] = hermitian_split(coeffs[0])[0]
     row[:, n:] = coeffs[1:].transpose(1, 0, 2)
     row[:, : n - 1] = coeffs[:0:-1].conj().transpose(2, 0, 1)
-    windows = sliding_window_view(row.reshape(d, (2 * n - 1) * d), n * d, axis=1)
     dense = np.empty((n * d, n * d), dtype=complex)
-    dense.reshape(n, d, n * d)[:] = windows[:, (n - 1) * d :: -d].transpose(1, 0, 2)
+    windows = _windows(row, (n - 1) * d, (n, d, n * d), (-d, (2 * n - 1) * d, 1))
+    dense.reshape(n, d, n * d)[:] = windows
     return BlockToeplitz(block_dim=d, num_blocks=n, dense=dense)
+
+
+def _windows(base, offset, shape, strides):
+    # the view of the C-contiguous array ``base`` that starts at its flat
+    # element ``offset`` and steps ``strides`` elements along each axis; the
+    # caller keeps every index inside ``base``.  The block windows of a row
+    # are such views (about a microsecond, where ``sliding_window_view``
+    # validates for tens of microseconds)
+    item = base.itemsize
+    return np.ndarray(shape, base.dtype, base, offset * item, [k * item for k in strides])
 
 
 def reverse_blocks(dense, block_dim):
@@ -131,10 +140,9 @@ def reverse_blocks(dense, block_dim):
     if block_dim < 1 or n % block_dim:
         raise DimensionError(f"size {n} is not a multiple of block dimension {block_dim}")
     m = n // block_dim
-    idx = np.concatenate(
-        [np.arange((m - 1 - i) * block_dim, (m - i) * block_dim) for i in range(m)]
-    )
-    return dense[np.ix_(idx, idx)]
+    blocks = dense.reshape(m, block_dim, m, block_dim)[::-1, :, ::-1]
+    # a copy in the new order, never a view of ``dense``
+    return np.array(blocks).reshape(n, n)
 
 
 def reversal_conjugate(bt):
@@ -208,7 +216,7 @@ def _check_data(seq, tol):
     # data too large for the margin to be finite go there.
     m = len(seq) * seq.block_dim
     with np.errstate(over="ignore"):
-        margin = 2 * (m + 1) * np.finfo(float).eps * _norm_bound(seq.coefficients)
+        margin = 2 * (m + 1) * _MACHINE_EPS * _norm_bound(seq.coefficients)
         if _cholesky_exceeds(assemble(seq).dense, -tol, margin):
             return
     _certified_data(seq, tol)
@@ -217,8 +225,9 @@ def _check_data(seq, tol):
 def _certified_data(seq, tol):
     # the eigenvalue check of the data: returns T_N and its eigenvalues, from
     # which the extension builds its ball (it needs the spectrum, so it runs
-    # this check rather than ``_check_data``), and decides the data where
-    # the Cholesky factorisation of ``_check_data`` does not.  Unless
+    # this check rather than ``_check_data``; the central chain only where
+    # its own ``eigh`` of T_N leaves the verdict open), and decides the data
+    # where the Cholesky factorisation of ``_check_data`` does not.  Unless
     # lambda_min(T_N) lies within the margin of -tol every level passes;
     # otherwise the levels are decided as ``positivity_profile`` decides
     # them, and the first failing level is a decomposed one (a bracket fails
@@ -238,8 +247,7 @@ def _certified_data(seq, tol):
 def _rounding(k):
     # gamma_k = k u / (1 - k u) with u machine eps, twice the unit roundoff,
     # which covers complex arithmetic (Higham, Accuracy and Stability, 3.6)
-    u = np.finfo(float).eps
-    return k * u / (1 - k * u)
+    return k * _MACHINE_EPS / (1 - k * _MACHINE_EPS)
 
 
 def _frobenius_squares(blocks):
@@ -301,9 +309,9 @@ def _cholesky_exceeds(dense, base, margin):
 
 def _interlacing_margin(eigs):
     # 4 m u ||A||_2 for a Hermitian A of size m with computed eigenvalues
-    # ``eigs`` (ascending): each eigenvalue eigvalsh computes for A, or for a
-    # leading block of A, lies within half of it of an exact one
-    return float(4 * len(eigs) * np.finfo(float).eps * max(-eigs[0], eigs[-1]))
+    # ``eigs`` (ascending): each eigenvalue eigvalsh or eigh computes for A,
+    # or for a leading block of A, lies within half of it of an exact one
+    return float(4 * len(eigs) * _MACHINE_EPS * max(-eigs[0], eigs[-1]))
 
 
 def _bracket(lower, upper, tol):

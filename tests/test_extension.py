@@ -242,12 +242,15 @@ class TestExtend:
 
         monkeypatch.setattr(extension, "_ball_state", unexpected)
         monkeypatch.setattr(extension, "_checked_data", unexpected)
+        monkeypatch.setattr(extension, "_decomposed_data", unexpected)
         seq = scalar_seq([1, 0.5])
         assert extend(seq, 0) is seq
 
     @pytest.mark.parametrize("steps", [10, 100])
     def test_dense_work_independent_of_step_count(self, count_dense_calls, steps):
-        # one assembly and one full eigvalsh for the data; the central chain's
+        # one assembly and one full decomposition of the data: an eigh for
+        # the central chain, which checks, ranks and builds its state from
+        # it, and an eigvalsh for a parametrized one.  The central chain's
         # final check is the banded certificate, with only d x d linear
         # algebra, while a parametrized chain's is one assembly and one
         # Cholesky factorisation of its longest level.  State dimension 7 of
@@ -257,11 +260,14 @@ class TestExtend:
         data = len(seq) * seq.block_dim
         level = (len(seq) + steps - 1) * seq.block_dim
         zeros = [np.zeros((2, 2))] * steps
-        for contractions, dense in ((None, []), (zeros, [level])):
+        chains = ((None, [], "eigh"), (zeros, [level], "eigvalsh"))
+        for contractions, dense, decomposition in chains:
             calls = count_dense_calls()
             extend(seq, steps, eps=1e-8, contractions=contractions)
             assert calls["assemble"] == [data] + dense
-            assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == [data]
+            large = {name: [n for n in calls[name] if n > 2] for name in ("eigvalsh", "eigh")}
+            assert large == {"eigvalsh": [], "eigh": [], decomposition: [data]}
+            assert calls["svd"] == calls["eig"] == []
             assert calls["cholesky"] == dense
 
     @pytest.mark.parametrize("seed, block_dim, state_dim, order", [(9, 2, 5, 2), (7, 3, 4, 3)])
@@ -393,30 +399,32 @@ class TestSolveCf:
             solve_cf(scalar_seq([1, 2]), horizon=8)
 
     def test_data_level_assembled_and_decomposed_once(self, count_dense_calls):
-        # the feasibility check and the extension's ball state share one
-        # assembly and one eigvalsh of the data level
+        # the feasibility check, the rank and the minimal factor share one
+        # assembly and one eigh of the data level, and no eigvalsh runs
         seq = fixture_sequence(8, 2, 5, 6)
         size = len(seq) * seq.block_dim
         calls = count_dense_calls()
         phi = solve_cf(seq, horizon=seq.order + 10)
         assert phi.seq.order == seq.order + 10
-        assert calls["assemble"].count(size) == 1
-        assert calls["eigvalsh"].count(size) == 1
+        assert calls["assemble"] == [size]
+        assert calls["eigh"].count(size) == 1
+        assert calls["eigvalsh"] == []
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bench_shaped_central_solve_checks_no_dense_level(self, count_dense_calls, seed):
         # rank-deficient order-8 data to horizon 128, not determinate (state
         # dimension 17: rank T_7 = 16 < rank T_8 = 17 < 18): the data level
-        # is assembled and decomposed once, and the banded certificate
-        # settles the chained level with d x d algebra
+        # is assembled and decomposed once, by one eigh, and the banded
+        # certificate settles the chained level with d x d algebra
         seq = fixture_sequence(40 + seed, 2, 17, 8)
         data = len(seq) * seq.block_dim
         calls = count_dense_calls()
         phi = solve_cf(seq, horizon=128)
         assert phi.seq.order == 128 and phi.certified
         assert calls["assemble"] == [data]
-        assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == [data]
-        assert calls["cholesky"] == []
+        assert calls["eigh"] == [data]
+        assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == []
+        assert calls["cholesky"] == calls["svd"] == []
 
     @pytest.mark.parametrize("state_dim, eps", [(18, 1e-8), (17, 1e-3), (5, 1e-8)])
     def test_long_horizon_builds_no_level_sized_array(
@@ -444,7 +452,9 @@ class TestSolveCf:
             tracemalloc.stop()
         assert phi.seq.order == horizon
         assert calls["assemble"] == [data] and calls["cholesky"] == []
-        assert max(calls["eigvalsh"]) == data
+        assert calls["eigh"].count(data) == 1
+        assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == []
+        assert max(n for sizes in calls.values() for n in sizes) == data
         assert peak < 16 * (horizon * seq.block_dim) ** 2 / 64
         assert elapsed < 1.0
 
@@ -465,7 +475,7 @@ class TestDeterminateExtension:
 
     def test_partially_determinate_data_take_the_chain(self):
         seq = partially_determinate()
-        data = extension._checked_data(seq, 1e-8, 1e-9)
+        data = extension._decomposed_data(seq, 1e-8, 1e-9)
         assert extension._determinate_extension(seq, *data, 5) is None
 
     def test_long_horizon_is_the_realization(self):
@@ -492,14 +502,15 @@ class TestDeterminateExtension:
     def test_work_is_one_decomposition_pair_of_the_data(
         self, count_dense_calls, block_dim, state_dim
     ):
-        # to H = 2000: one eigvalsh (the data check) and one eigh (the
-        # minimal factor) of T_N, and nothing larger assembled or decomposed
+        # to H = 2000: one eigh of T_N (the data check, the rank and the
+        # minimal factor) and one of the r x r Hermitian part of the rotated
+        # unitary, with the r x r SVD between them (r = state dimension), no
+        # eigvalsh, and nothing larger assembled or decomposed
         seq = fixture_sequence(60, block_dim, state_dim, 8)
         data = len(seq) * block_dim
         calls = count_dense_calls()
         phi = solve_cf(seq, horizon=2000)
         assert phi.seq.order == 2000 and phi.certified
         assert calls["assemble"] == [data]
-        assert calls["eigvalsh"].count(data) == 1 and calls["eigh"].count(data) == 1
-        assert max(n for sizes in calls.values() for n in sizes) == data
-        assert calls["cholesky"] == []
+        assert calls["eigh"] == [data, state_dim] and calls["svd"] == [state_dim]
+        assert calls["eigvalsh"] == calls["eig"] == calls["cholesky"] == []

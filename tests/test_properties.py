@@ -3,9 +3,13 @@
 power sum, for the compressed kernel Gram (block dimensions 1-4) against
 the block-tensor contraction, for the interlacing positivity profile
 against per-level reports, for the windowed assembly against a
-per-diagonal one, for the data check of every entry point (the shifted
-Cholesky certificate, then the eigenvalue check) against a per-level scan, for the block-Levinson extension against a
-per-step re-built chain, for the Cholesky check of a chained level
+per-diagonal one and, bit for bit, against a ``sliding_window_view``
+construction (with the block reversal against an index gather), for the
+data check of every entry point (the shifted Cholesky certificate, then
+the eigenvalue check) against a per-level scan, for the one-``eigh`` data
+check of the central extension against the eigenvalue check where
+lambda_min(T_N) sits within a few rounding margins of -tol, for the
+block-Levinson extension against a per-step re-built chain, for the Cholesky check of a chained level
 against the eigenvalue check, and for the banded certificate of the
 central chain: its bound never exceeds the computed smallest eigenvalue
 of the level, and ``extend`` keeps its outcome with the certificate
@@ -21,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from herglotz import (
     CoefficientSequence,
@@ -39,12 +44,14 @@ from herglotz import (
     random_realization,
     realization_coefficients,
     reduce,
+    reverse_blocks,
     series_tail_bound,
 )
 from herglotz import extension
 from herglotz.extension import _certify, _certify_chained
 from herglotz.linalg import hermitian_split, minimal_factorization
 from herglotz.series import _gram_matrix
+from herglotz.toeplitz import _certified_data, _interlacing_margin
 
 RADIUS = 0.9
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -167,6 +174,37 @@ def test_assemble_is_the_per_diagonal_assembly(phi):
     assert not np.shares_memory(dense, seq.coefficients)
 
 
+def windowed_assemble(seq):
+    # block row i is the window of the row (M_{n-1}* .. M_1*, H_0, M_1 ..
+    # M_{n-1}) starting at block n - 1 - i, cut by ``sliding_window_view``
+    coeffs, d, n = seq.coefficients, seq.block_dim, len(seq)
+    row = np.empty((d, 2 * n - 1, d), dtype=complex)
+    row[:, n - 1] = hermitian_split(coeffs[0])[0]
+    row[:, n:] = coeffs[1:].transpose(1, 0, 2)
+    row[:, : n - 1] = coeffs[:0:-1].conj().transpose(2, 0, 1)
+    windows = sliding_window_view(row.reshape(d, (2 * n - 1) * d), n * d, axis=1)
+    dense = np.empty((n * d, n * d), dtype=complex)
+    dense.reshape(n, d, n * d)[:] = windows[:, (n - 1) * d :: -d].transpose(1, 0, 2)
+    return dense
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_assemble_and_reversal_are_the_windowed_and_gathered_ones(n, d, seed):
+    rng = np.random.default_rng(seed)
+    seq = CoefficientSequence(
+        rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    )
+    dense = assemble(seq).dense
+    assert dense.tobytes() == windowed_assemble(seq).tobytes()
+    # the block anti-diagonal permutation as one index gather
+    idx = np.concatenate([np.arange((n - 1 - i) * d, (n - i) * d) for i in range(n)])
+    for matrix in (dense, dense.real):
+        reversed_ = reverse_blocks(matrix, d)
+        assert reversed_.tobytes() == matrix[np.ix_(idx, idx)].tobytes()
+        assert reversed_.dtype == matrix.dtype and not np.shares_memory(reversed_, matrix)
+
+
 def check_outcome(check, *args):
     # None when the check passes, else the type and message it raises
     try:
@@ -224,6 +262,46 @@ def test_certification_matches_the_per_level_scan(seq, tol):
             assert outcome is None or outcome[0] is not NotPsdError
         else:
             assert outcome == (NotPsdError, expected)
+
+
+@st.composite
+def borderline_data(draw):
+    # realization data (full-rank or rank-deficient, scaled by 10^k) with
+    # M_0 shifted so that lambda_min(T_N) lands within four interlacing
+    # margins of -tol on either side, with that tol
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rlz = random_realization(rng, d, int(rng.integers(1, (order + 1) * d + 3)))
+    coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** draw(st.integers(-6, 6))
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    eigs = np.linalg.eigvalsh(assemble(CoefficientSequence(coeffs)).dense)
+    offset = draw(st.floats(-4.0, 4.0)) * _interlacing_margin(eigs)
+    coeffs[0] += (-tol - eigs[0] + offset) * np.eye(d)
+    return CoefficientSequence(coeffs), tol
+
+
+class DataPassed(Exception):
+    pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(borderline_data())
+def test_central_extension_decides_the_data_as_the_eigenvalue_check(problem):
+    # the central chain decides the data from one eigh of T_N: its verdict
+    # and message are exactly those of the eigenvalue check.  Everything
+    # after the data check is cut off by a sentinel
+    seq, tol = problem
+    expected = check_outcome(_certified_data, seq, tol)
+    with mock.patch.object(extension, "_determinate_extension", side_effect=DataPassed):
+        try:
+            extend(seq, 3, tol=tol)
+            got = "returned"
+        except DataPassed:
+            got = None
+        except NotPsdError as err:
+            got = type(err), str(err)
+    assert got == expected
 
 
 def reference_extend(seq, steps, eps, contractions=None, tol=1e-9):
@@ -440,7 +518,7 @@ def determinate_problems(draw, max_horizon=500, perturb=False):
 
 
 def determinate_extension(seq, horizon, tol):
-    data = extension._checked_data(seq, 1e-8, tol)
+    data = extension._decomposed_data(seq, 1e-8, tol)
     return extension._determinate_extension(seq, *data, horizon - seq.order)
 
 
@@ -491,7 +569,7 @@ def test_perturbed_data_are_certified_or_keep_the_chain_outcome(problem, eps):
     if got == chain_outcome(seq, steps, eps):
         return
     coeffs, beta = extension._determinate_extension(
-        seq, *extension._checked_data(seq, eps, 1e-9), steps
+        seq, *extension._decomposed_data(seq, eps, 1e-9), steps
     )
     assert beta <= max(1e-9, eps)
     assert got == coeffs.tobytes()
