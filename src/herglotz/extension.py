@@ -78,14 +78,15 @@ extension to horizon H costs O(N^3 d^3 + H r d^2).
 The extension needs the spectrum of T_N (its largest eigenvalue for the
 singularity test of the bound S, all of it for the banded certificate and
 the rank of a determinate factor), so the data are not checked by the
-Cholesky certificate of ``certified_series`` but with their spectrum.  The
-central chain checks, ranks and factors the data from one ``eigh`` of T_N
-(``_decomposed_data``): where its smallest eigenvalue clears -tol by the
-interlacing margin, the eigenvalue check behind ``certified_series``
+Cholesky certificate of ``certified_series`` but with their spectrum.
+Every entry point checks the data from one ``eigh`` of T_N
+(``_decomposed_data``), from which the central chain also ranks and
+factors them: where its smallest eigenvalue clears -tol by the interlacing
+margin, the eigenvalue check behind ``certified_series``
 (``toeplitz._certified_data``) provably passes every level, and otherwise
-that check decides on T_N assembled afresh.  ``central_step`` and
-parametrized chains, which need no eigenvectors, run the eigenvalue check
-itself.  Verdicts and messages are those of the eigenvalue check either way.
+that check decides on T_N assembled afresh.  Verdicts and messages are
+those of the eigenvalue check either way, and the ball is built from the
+same T_N and eigenvalues.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -143,8 +144,15 @@ class ExtensionStep:
 
 
 def _hermitian_sqrt(a, inverse=False):
-    # a must be Hermitian positive definite; tiny negatives are clamped
+    # the square root of the Hermitian part of a, tiny negatives clamped, or
+    # its inverse, which refuses a Hermitian part that is not positive
+    # definite (a clamped eigenvalue would give 1 / 0)
     eigs, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+    if inverse and not eigs[0] > 0:
+        raise SingularBlockError(
+            f"alpha is not positive definite at working precision "
+            f"(least eigenvalue {eigs[0]:.3e})"
+        )
     eigs = np.clip(eigs, 0.0, None)
     roots = np.sqrt(eigs)
     if inverse:
@@ -174,44 +182,37 @@ def _check_shift(eigs, eps):
         )
 
 
-def _checked_data(seq, eps, tol):
-    # T_N and its eigenvalues, after the shift's sign and the eigenvalue
-    # check of the data (the verdicts of ``certified_series``)
-    if eps <= 0:
-        raise ValueError(f"shift eps must be positive, got {eps}")
-    return _certified_data(seq, tol)
-
-
 def _decomposed_data(seq, eps, tol):
-    # T_N and its eigenpairs from one ``eigh``, after the checks of
-    # ``_checked_data``, with their verdicts and messages.  ``eigh`` (zheevd
-    # with vectors) is backward stable under the convention of
-    # ``positivity_profile``: each eigenvalue it computes for T_N lies within
-    # 2 m u ||T_N||_2 of an exact one (m = (N + 1) d, u machine eps), half the
-    # interlacing margin.  So where the computed eigs[0] >= margin - tol, the
-    # exact lambda_min(T_N) >= -tol + margin / 2.  By interlacing every exact
-    # lambda_min(T_n) is at least that, and eigvalsh computes it within
-    # margin / 2 (||T_n||_2 <= ||T_N||_2): every level ``_certified_data``
-    # decomposes passes, and its brackets fail a level only after a
-    # decomposed one fails, so it would pass every level.  Otherwise
-    # ``_certified_data`` decides, unchanged, on T_N assembled afresh.
+    # T_N, its eigenpairs from one ``eigh`` and their interlacing margin,
+    # after the shift's sign and the data check, with the verdicts and
+    # messages of the eigenvalue check behind ``certified_series``
+    # (``_certified_data``); every extension entry point takes its data
+    # here.  ``eigh`` (zheevd with vectors) is backward stable under the
+    # convention of ``positivity_profile``: each eigenvalue it computes for
+    # T_N lies within 2 m u ||T_N||_2 of an exact one (m = (N + 1) d, u
+    # machine eps), half the interlacing margin.  So where the computed
+    # eigs[0] >= margin - tol, the exact lambda_min(T_N) >= -tol + margin / 2.
+    # By interlacing every exact lambda_min(T_n) is at least that, and
+    # eigvalsh computes it within margin / 2 (||T_n||_2 <= ||T_N||_2): every
+    # level ``_certified_data`` decomposes passes, and its brackets fail a
+    # level only after a decomposed one fails, so it would pass every level.
+    # Otherwise ``_certified_data`` decides, unchanged, on T_N assembled
+    # afresh.
     if eps <= 0:
         raise ValueError(f"shift eps must be positive, got {eps}")
     dense = assemble(seq).dense
     eigs, vecs = np.linalg.eigh(dense)
-    if not eigs[0] >= _interlacing_margin(eigs) - tol:
+    margin = _interlacing_margin(eigs)
+    if not eigs[0] >= margin - tol:
         _certified_data(seq, tol)
-    return dense, eigs, vecs
+    return dense, eigs, vecs, margin
 
 
-def _ball_state(seq, eps, tol, data=None):
+def _ball_state(seq, eps, dense, eigs):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
-    # after ``_checked_data`` (or from ``data``, T_N and its eigenvalues
-    # after a data check, where the caller has them) and the shift check;
-    # also returns those eigenvalues, which ``extend`` needs: eigs[-1] for
-    # ``_check_bound`` and all of them for ``_banded_bound``
+    # with its gamma, from T_N = ``dense`` and its eigenvalues ``eigs``
+    # (``_decomposed_data``), after the shift check
     d = seq.block_dim
-    dense, eigs = _checked_data(seq, eps, tol) if data is None else data
     _check_shift(eigs, eps)
     shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
@@ -222,7 +223,7 @@ def _ball_state(seq, eps, tol, data=None):
     forward = np.linalg.solve(sub, col)
     backward = np.linalg.solve(sub, gamma.conj().T)
     s = corner - gamma @ backward
-    return forward, backward, (s + s.conj().T) / 2, corner - col.conj().T @ forward, eigs
+    return forward, backward, (s + s.conj().T) / 2, corner - col.conj().T @ forward, gamma
 
 
 def _gamma(coeffs):
@@ -261,8 +262,8 @@ def central_step(seq, eps, tol=1e-9):
         If ``eps`` is too small to make the shifted matrix invertible at
         working precision.
     """
-    forward, _, s, alpha_inv, _ = _ball_state(seq, eps, tol)
-    gamma = _gamma(seq.coefficients)
+    dense, eigs = _decomposed_data(seq, eps, tol)[:2]
+    forward, _, s, alpha_inv, gamma = _ball_state(seq, eps, dense, eigs)
     x = gamma @ forward
     return ExtensionStep(eps, np.linalg.inv(alpha_inv), gamma, x, s), x.copy()
 
@@ -295,6 +296,9 @@ def parametrized_step(step, contraction):
     ------
     OutOfBallError
         If Gamma has a non-finite entry or its operator norm exceeds 1.
+    SingularBlockError
+        If the Hermitian part of alpha is not positive definite at working
+        precision.
     """
     g = np.asarray(contraction, dtype=complex)
     if g.shape != step.x_center.shape:
@@ -366,17 +370,16 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     feasibility tolerance for chained levels is widened accordingly.  The
     data are checked with ``tol`` with the verdicts and messages of the
     eigenvalue check behind ``certified_series`` (the extension needs the
-    spectrum of T_N, so it does not take the Cholesky certificate): the
-    central chain reads them off its one ``eigh`` where the smallest
-    eigenvalue clears -tol by a rounding margin and runs that check
-    otherwise, and a parametrized chain runs it; the state is built from
-    the same T_N and eigenvalues.  Every chained level is checked
-    through the bound S of its ball (one d x d eigendecomposition for the
-    whole central chain), and the longest chained level used for a step
-    once more, which by interlacing covers the shorter ones.  For the
-    central chain that last check is the banded certificate of
-    ``_banded_bound``, O(H N d^3) with no dense matrix, so a central
-    extension to horizon H costs O(N^3 d^3 + H N d^3).  Where that bound
+    spectrum of T_N, so it does not take the Cholesky certificate): both
+    chains read them off one ``eigh`` of T_N where the smallest eigenvalue
+    clears -tol by a rounding margin and run that check otherwise; the
+    state is built from the same T_N and eigenvalues.  Every chained level
+    is checked through the bound S of its ball (one d x d
+    eigendecomposition for the whole central chain), and the longest
+    chained level used for a step once more, which by interlacing covers
+    the shorter ones.  For the central chain that last check is the banded
+    certificate of ``_banded_bound``, O(H N d^3) with no dense matrix, so a
+    central extension to horizon H costs O(N^3 d^3 + H N d^3).  Where that bound
     is too weak, and for parametrized chains, one Cholesky factorisation of
     the level's matrix shifted down by a rounding margin settles the check,
     and the dense eigenvalue check only when that fails.  Each certificate
@@ -388,7 +391,8 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         Naming the first truncation level of the data whose Toeplitz
         matrix fails, or if a chained level leaves the ball.
     SingularBlockError
-        If a shifted Toeplitz matrix is singular at working precision (never
+        If a shifted Toeplitz matrix is singular at working precision, or
+        the alpha of a parametrized step is not positive definite (never
         on the determinate path, which inverts nothing at the shift).
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
@@ -401,16 +405,13 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         )
     if steps == 0:
         return seq
+    dense, eigs, vecs, margin = _decomposed_data(seq, eps, tol)
     if contractions is None:
-        dense, eigs, vecs = _decomposed_data(seq, eps, tol)
-        exact = _determinate_extension(seq, dense, eigs, vecs, steps)
+        exact = _determinate_extension(seq, dense, eigs, vecs, margin, steps)
         if exact is not None and exact[1] <= max(tol, eps):
             return CoefficientSequence(exact[0])
-        data = dense, eigs
-    else:
-        data = _checked_data(seq, eps, tol)
     n, d = len(seq), seq.block_dim
-    a, b, s, alpha_inv, eigs = _ball_state(seq, eps, tol, data)
+    a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
     top = eigs[-1] + eps
     if contractions is None and steps > 1:
         _check_bound(s, top, range(n, n + steps - 1), d)
@@ -446,12 +447,12 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     return CoefficientSequence(coeffs)
 
 
-def _determinate_extension(seq, dense, eigs, vecs, steps):
+def _determinate_extension(seq, dense, eigs, vecs, margin, steps):
     # The central extension M_0 .. M_L (L = N + steps) of determinate data
     # from its minimal factor, with the bound beta of its measure
     # certificate; None where the data are not determinate.  ``dense``,
-    # ``eigs`` and ``vecs`` are T_N and its computed eigenpairs
-    # (``_decomposed_data``).
+    # ``eigs``, ``vecs`` and ``margin`` are T_N, its computed eigenpairs and
+    # their interlacing margin (``_decomposed_data``).
     #
     # Realization.  The r eigenpairs of T_N above the interlacing margin give
     # a minimal factor T_N ~ F* F, F = (F_0 ... F_N) with r x d blocks; the
@@ -512,7 +513,6 @@ def _determinate_extension(seq, dense, eigs, vecs, steps):
     # beta.  Its phase term grows like L^2 u ||G||^2, the rest like L r u;
     # the path costs O(N^3 d^3 + L r d^2).
     n, d = len(seq), seq.block_dim
-    margin = _interlacing_margin(eigs)
     r = int(np.count_nonzero(eigs > margin))
     if r > (n - 1) * d:
         return None

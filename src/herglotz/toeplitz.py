@@ -223,11 +223,9 @@ def _check_data(seq, tol):
 
 
 def _certified_data(seq, tol):
-    # the eigenvalue check of the data: returns T_N and its eigenvalues, from
-    # which the extension builds its ball (it needs the spectrum, so it runs
-    # this check rather than ``_check_data``; the central chain only where
-    # its own ``eigh`` of T_N leaves the verdict open), and decides the data
-    # where the Cholesky factorisation of ``_check_data`` does not.  Unless
+    # the eigenvalue check of the data: it decides the data where the
+    # Cholesky factorisation of ``_check_data`` does not, and for the
+    # extension where its ``eigh`` of T_N leaves the verdict open.  Unless
     # lambda_min(T_N) lies within the margin of -tol every level passes;
     # otherwise the levels are decided as ``positivity_profile`` decides
     # them, and the first failing level is a decomposed one (a bracket fails
@@ -241,7 +239,6 @@ def _certified_data(seq, tol):
                 raise NotPsdError(
                     f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
                 )
-    return dense, eigs
 
 
 def _rounding(k):

@@ -212,6 +212,21 @@ class TestParametrizedStep:
         with pytest.raises(OutOfBallError, match="non-finite"):
             extend(scalar_seq([1, 0.5]), 3, contractions=[np.array([[value]])] * 3)
 
+    def test_ill_conditioned_chain_refuses_an_indefinite_alpha(self):
+        # rank-deficient data scaled so that eps I + T_N has condition
+        # ~1e13: alpha = inv(alpha^{-1}) loses its Hermitian positive part
+        # after one bordering, and its inverse root would take 1 / 0 and end
+        # in a non-finite coefficient blamed on the data; it is refused as
+        # singular instead.  The zero-contraction chain on the same data
+        # extends
+        seq = fixture_sequence(16, 2, 7, 3)
+        seq = CoefficientSequence(seq.coefficients * 1e5)
+        contractions = [0.5 * (k % 2) * np.eye(2) for k in range(12)]
+        with pytest.raises(SingularBlockError, match="alpha is not positive definite"):
+            extend(seq, 12, eps=1e-8, contractions=contractions)
+        zeros = [np.zeros((2, 2))] * 12
+        assert extend(seq, 12, eps=1e-8, contractions=zeros).order == 15
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_contraction_stays_inside(self, seed):
         rng = np.random.default_rng(500 + seed)
@@ -241,32 +256,29 @@ class TestExtend:
             raise AssertionError("ball state built for zero steps")
 
         monkeypatch.setattr(extension, "_ball_state", unexpected)
-        monkeypatch.setattr(extension, "_checked_data", unexpected)
         monkeypatch.setattr(extension, "_decomposed_data", unexpected)
         seq = scalar_seq([1, 0.5])
         assert extend(seq, 0) is seq
 
     @pytest.mark.parametrize("steps", [10, 100])
     def test_dense_work_independent_of_step_count(self, count_dense_calls, steps):
-        # one assembly and one full decomposition of the data: an eigh for
-        # the central chain, which checks, ranks and builds its state from
-        # it, and an eigvalsh for a parametrized one.  The central chain's
-        # final check is the banded certificate, with only d x d linear
-        # algebra, while a parametrized chain's is one assembly and one
-        # Cholesky factorisation of its longest level.  State dimension 7 of
-        # rank T_2 = 6 < rank T_3 = 7: not determinate, so the central chain
-        # runs
+        # one assembly and one eigh of the data, from which both chains
+        # check it and build their state, and no eigvalsh larger than d.
+        # The central chain's final check is the banded certificate, with
+        # only d x d linear algebra, while a parametrized chain's is one
+        # assembly and one Cholesky factorisation of its longest level.
+        # State dimension 7 of rank T_2 = 6 < rank T_3 = 7: not determinate,
+        # so the central chain runs
         seq = fixture_sequence(8, 2, 7, 3)
         data = len(seq) * seq.block_dim
         level = (len(seq) + steps - 1) * seq.block_dim
         zeros = [np.zeros((2, 2))] * steps
-        chains = ((None, [], "eigh"), (zeros, [level], "eigvalsh"))
-        for contractions, dense, decomposition in chains:
+        for contractions, dense in ((None, []), (zeros, [level])):
             calls = count_dense_calls()
             extend(seq, steps, eps=1e-8, contractions=contractions)
             assert calls["assemble"] == [data] + dense
             large = {name: [n for n in calls[name] if n > 2] for name in ("eigvalsh", "eigh")}
-            assert large == {"eigvalsh": [], "eigh": [], decomposition: [data]}
+            assert large == {"eigvalsh": [], "eigh": [data]}
             assert calls["svd"] == calls["eig"] == []
             assert calls["cholesky"] == dense
 
@@ -336,7 +348,8 @@ class TestExtend:
         # allowance, the Cholesky factorisation fails, and the eigenvalue
         # check decides (eps = 1e-12 raises, 1e-11 passes)
         seq, steps, tol = partially_determinate(), 100, 1e-9
-        forward = extension._ball_state(seq, eps, tol)[0]
+        dense, eigs = extension._decomposed_data(seq, eps, tol)[:2]
+        forward = extension._ball_state(seq, eps, dense, eigs)[0]
         # the band recursion M_m = (M_{m-1} ... M_{m-N}) a, one block at a time
         chain = list(seq.coefficients)
         for _ in range(steps):

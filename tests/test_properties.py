@@ -7,9 +7,11 @@ per-diagonal one and, bit for bit, against a ``sliding_window_view``
 construction (with the block reversal against an index gather), for the
 data check of every entry point (the shifted Cholesky certificate, then
 the eigenvalue check) against a per-level scan, for the one-``eigh`` data
-check of the central extension against the eigenvalue check where
+check of every extension entry point against the eigenvalue check where
 lambda_min(T_N) sits within a few rounding margins of -tol, for the
-block-Levinson extension against a per-step re-built chain, for the Cholesky check of a chained level
+block-Levinson extension against a per-step re-built chain, for
+ill-conditioned parametrized chains (a result or a library error, never a
+non-finite coefficient), for the Cholesky check of a chained level
 against the eigenvalue check, and for the banded certificate of the
 central chain: its bound never exceeds the computed smallest eigenvalue
 of the level, and ``extend`` keeps its outcome with the certificate
@@ -285,17 +287,31 @@ class DataPassed(Exception):
     pass
 
 
-@settings(max_examples=200, deadline=None)
-@given(borderline_data())
-def test_central_extension_decides_the_data_as_the_eigenvalue_check(problem):
-    # the central chain decides the data from one eigh of T_N: its verdict
-    # and message are exactly those of the eigenvalue check.  Everything
-    # after the data check is cut off by a sentinel
+def zero_contraction_chain(seq, tol):
+    return extend(seq, 3, contractions=[np.zeros((seq.block_dim,) * 2)] * 3, tol=tol)
+
+
+ENTRY_POINTS = {
+    "central chain": lambda seq, tol: extend(seq, 3, tol=tol),
+    "zero-contraction chain": zero_contraction_chain,
+    "central_step": lambda seq, tol: central_step(seq, 1e-8, tol=tol),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(borderline_data(), st.sampled_from(sorted(ENTRY_POINTS)))
+def test_central_extension_decides_the_data_as_the_eigenvalue_check(problem, entry):
+    # every extension entry point decides the data from one eigh of T_N:
+    # its verdict and message are exactly those of the eigenvalue check.
+    # Everything after the data check (the determinate path of the central
+    # chain, the ball state of the others) is cut off by a sentinel
     seq, tol = problem
     expected = check_outcome(_certified_data, seq, tol)
-    with mock.patch.object(extension, "_determinate_extension", side_effect=DataPassed):
+    with mock.patch.object(
+        extension, "_determinate_extension", side_effect=DataPassed
+    ), mock.patch.object(extension, "_ball_state", side_effect=DataPassed):
         try:
-            extend(seq, 3, tol=tol)
+            ENTRY_POINTS[entry](seq, tol)
             got = "returned"
         except DataPassed:
             got = None
@@ -391,6 +407,45 @@ def test_extend_matches_the_per_step_reference(problem, eps):
 
 
 @st.composite
+def scaled_parametrized_chains(draw):
+    # realization data of full rank or short of it by one or two, scaled by
+    # 10^k, whose shifted matrices at eps = 1e-8 reach condition ~1e14, with
+    # a chain of 12 contractions, each zero or of norm ``size``.  About one
+    # such chain in a hundred, of block dimension 2 or 3, rank deficiency
+    # one or two and 10^k >= 1e3, meets an alpha whose Hermitian part is
+    # not positive definite
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 4))
+    steps = 12
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = (order + 1) * d - draw(st.sampled_from([0, 1, 2]))
+    rlz = random_realization(rng, d, max(rank, 1))
+    coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** draw(st.integers(-6, 6))
+    size = draw(st.sampled_from([0.5, 0.9]))
+    contractions = []
+    for _ in range(steps):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        contractions.append(size * rng.integers(0, 2) * g / np.linalg.norm(g, 2))
+    return CoefficientSequence(coeffs), contractions
+
+
+@settings(max_examples=500, deadline=None)
+@given(scaled_parametrized_chains())
+def test_parametrized_chains_never_produce_non_finite_coefficients(problem):
+    # an ill-conditioned chain returns its extension or raises a library
+    # error; it never leaks a numpy warning (the suite's filter turns one
+    # into an error) or LinAlgError, nor blames the data for a non-finite
+    # coefficient of its own making
+    seq, contractions = problem
+    try:
+        ext = extend(seq, len(contractions), eps=1e-8, contractions=contractions)
+    except (NotPsdError, SingularBlockError) as err:
+        assert "non-finite" not in str(err)
+        return
+    assert ext.coefficients[: len(seq)].tobytes() == seq.coefficients.tobytes()
+
+
+@st.composite
 def scaled_levels(draw):
     d = draw(st.integers(1, 3))
     blocks = draw(st.integers(1, 41))
@@ -478,7 +533,8 @@ def test_banded_certificate_is_sound_and_keeps_the_outcome(chain, eps):
         expected = chain_outcome(seq, steps, eps)
     assert chain_outcome(seq, steps, eps) == expected
     try:
-        forward, _, _, alpha_inv, eigs = extension._ball_state(seq, eps, 1e-9)
+        dense, eigs = extension._decomposed_data(seq, eps, 1e-9)[:2]
+        forward, _, _, alpha_inv, _ = extension._ball_state(seq, eps, dense, eigs)
     except (NotPsdError, SingularBlockError):
         return
     # the band recursion M_m = sum_j M_{m-j} a_j, one block at a time, to the
