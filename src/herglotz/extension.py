@@ -37,16 +37,30 @@ M_{m+1} = (M_m ... M_{m-N+1}) a for m >= N, with the a of the data.
 coefficients, in which gamma of every level is a strided view: each step
 takes the center gamma a, and a parametrized chain then moves to its ball
 point and borders the state.  The central chain's one S is checked once for
-all of its levels.
+all of its levels.  A parametrized step factors each d x d matrix once: one
+``eigh`` of S gives the eigenvalues that check its level and S^{1/2}, one
+``eigh`` of the Hermitian part of alpha^{-1} gives alpha^{-1/2} and
+alpha^{1/2} (and refuses an alpha^{-1} that is not positive definite), so
+D = S^{1/2} Gamma alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2}, and one
+solve gives v.  The subtraction updates of S and alpha^{-1} are kept on
+purpose: the congruence S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact
+algebra stays positive definite whatever the rounding does to the chain,
+so the check of S would see nothing.
 
-The longest chained level is checked once more.  For the central chain a
-banded certificate settles that check in O(L N d^3) from the chain's own
-predictor a: the block unit upper-triangular U that applies a to the
-columns past N nearly block-diagonalises the level's shifted matrix (the
-inverse of a band extension is block banded; Dym & Gohberg, LAA 36
-(1981)), and the residual of that structure bounds its smallest
-eigenvalue from below (``_banded_bound``), so a central extension to
-horizon H costs O(N^3 d^3 + H N d^3).  The bound passes where it clears
+The longest chained level is checked once more: for the central chain the
+level before its last coefficient, whose bordering its one S covers, and
+for a parametrized chain its whole output, whose last bordering no S
+checks (so a unit-norm contraction at the last step, which lands on the
+boundary of the ball, is refused).  The data passed their own check, so a
+chained level that fails is the chain's rounding and raises
+SingularBlockError.  For the central chain a banded certificate settles
+that check in O(L N d^3) from the chain's own predictor a: the block unit
+upper-triangular U that applies a to the columns past N nearly
+block-diagonalises the level's shifted matrix (the inverse of a band
+extension is block banded; Dym & Gohberg, LAA 36 (1981)), and the residual
+of that structure bounds its smallest eigenvalue from below
+(``_banded_bound``), so a central extension to horizon H costs
+O(N^3 d^3 + H N d^3).  The bound passes where it clears
 the rounding margin of the eigenvalue check, which grows like m u ||T_L||,
 about H^2 u for coefficients that do not decay; so on long horizons of
 singular data with a tiny shift it can be too weak.  Where it is,
@@ -143,30 +157,45 @@ class ExtensionStep:
     left_bound: np.ndarray
 
 
-def _hermitian_sqrt(a, inverse=False):
-    # the square root of the Hermitian part of a, tiny negatives clamped, or
-    # its inverse, which refuses a Hermitian part that is not positive
-    # definite (a clamped eigenvalue would give 1 / 0)
+def _roots(a, name=None):
+    # the eigenvalues of the Hermitian part of a and its square root, tiny
+    # negatives clamped; given the ``name`` of a, also its inverse square
+    # root, after refusing a Hermitian part that is not positive definite
+    # (a clamped eigenvalue would give 1 / 0)
     eigs, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    if inverse and not eigs[0] > 0:
+    if name is not None and not eigs[0] > 0:
         raise SingularBlockError(
-            f"alpha is not positive definite at working precision "
+            f"{name} is not positive definite at working precision "
             f"(least eigenvalue {eigs[0]:.3e})"
         )
-    eigs = np.clip(eigs, 0.0, None)
-    roots = np.sqrt(eigs)
-    if inverse:
-        roots = 1.0 / roots
-    return (vecs * roots) @ vecs.conj().T
+    roots = np.sqrt(np.clip(eigs, 0.0, None))
+    scales = [roots] if name is None else [roots, 1.0 / roots]
+    return (eigs, *[(vecs * r) @ vecs.conj().T for r in scales])
+
+
+def _contraction(contraction, shape):
+    # the contraction parameter as a complex array of the block ``shape``,
+    # refused when it has a non-finite entry or operator norm above 1
+    g = np.asarray(contraction, dtype=complex)
+    if g.shape != shape:
+        raise DimensionError(f"contraction shape {g.shape} does not match block shape {shape}")
+    if not np.isfinite(g).all():
+        raise OutOfBallError("contraction has a non-finite entry")
+    norm = float(np.linalg.norm(g, 2))
+    if not norm <= 1 + 1e-12:
+        raise OutOfBallError(f"contraction has operator norm {norm:.6f} > 1")
+    return g
 
 
 def _certify(seq, eps, tol):
-    # the dense eigenvalue check of one level: PSD within tol, and the
-    # eps-shifted matrix invertible at working precision
+    # the dense eigenvalue check of a chained level: PSD within tol, and the
+    # eps-shifted matrix invertible at working precision.  The data passed
+    # their own check, so a failure is the chain's rounding
     eigs = np.linalg.eigvalsh(assemble(seq).dense)
     if eigs[0] < -tol:
-        raise NotPsdError(
-            f"coefficient data infeasible: Toeplitz min eigenvalue {eigs[0]:.6e}"
+        raise SingularBlockError(
+            f"the chained Toeplitz matrix at level {seq.order} is not positive "
+            f"semidefinite within {tol:.3e} (min eigenvalue {eigs[0]:.6e})"
         )
     _check_shift(eigs, eps)
 
@@ -217,20 +246,14 @@ def _ball_state(seq, eps, dense, eigs):
     shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
     # of recombining inverse blocks, which cancels catastrophically for tiny
-    # eps
+    # eps; both predictors from one factorisation, copied out contiguous
+    # (numpy multiplies strided column blocks with other roundings)
     corner, col, sub = shifted_rev[:d, :d], shifted_rev[d:, :d], shifted_rev[d:, d:]
-    gamma = _gamma(seq.coefficients)
-    forward = np.linalg.solve(sub, col)
-    backward = np.linalg.solve(sub, gamma.conj().T)
+    gamma = shifted_rev[-d:, :-d]
+    both = np.linalg.solve(sub, np.hstack([col, gamma.conj().T]))
+    forward, backward = both[:, :d].copy(), both[:, d:].copy()
     s = corner - gamma @ backward
     return forward, backward, (s + s.conj().T) / 2, corner - col.conj().T @ forward, gamma
-
-
-def _gamma(coeffs):
-    # (M_N ... M_1) as one d x Nd row, a contiguous copy (for d = 1 the
-    # reshape alone would be a reversed-stride view of the coefficients)
-    n, d = coeffs.shape[:2]
-    return np.ascontiguousarray(coeffs[:0:-1].transpose(1, 0, 2).reshape(d, (n - 1) * d))
 
 
 def central_step(seq, eps, tol=1e-9):
@@ -300,29 +323,17 @@ def parametrized_step(step, contraction):
         If the Hermitian part of alpha is not positive definite at working
         precision.
     """
-    g = np.asarray(contraction, dtype=complex)
-    if g.shape != step.x_center.shape:
-        raise DimensionError(
-            f"contraction shape {g.shape} does not match block shape {step.x_center.shape}"
-        )
-    if not np.isfinite(g).all():
-        raise OutOfBallError("contraction has a non-finite entry")
-    norm = float(np.linalg.norm(g, 2))
-    if not norm <= 1 + 1e-12:
-        raise OutOfBallError(f"contraction has operator norm {norm:.6f} > 1")
-    s_half = _hermitian_sqrt(step.left_bound)
-    a_inv_half = _hermitian_sqrt(step.alpha, inverse=True)
-    return step.x_center + s_half @ g @ a_inv_half
+    g = _contraction(contraction, step.x_center.shape)
+    return step.x_center + _roots(step.left_bound)[1] @ g @ _roots(step.alpha, "alpha")[2]
 
 
-def _check_bound(s, top, levels, block_dim):
-    # S is the bound of the data M_0 .. M_level for each level of the range
-    # ``levels`` (the central chain keeps one S for all of its levels), whose
-    # shifted Toeplitz matrix A has largest eigenvalue >= top.  S is positive
-    # definite iff A is, and lambda_min(A) <= lambda_min(S), so a bound below
-    # top * size * machine eps puts A below working precision too.  The first
-    # failing level is named.
-    eigs = np.linalg.eigvalsh(s)
+def _check_bound(eigs, top, levels, block_dim):
+    # ``eigs`` are the eigenvalues of the bound S of the data M_0 .. M_level
+    # for each level of the range ``levels`` (the central chain keeps one S
+    # for all of its levels), whose shifted Toeplitz matrix A has largest
+    # eigenvalue >= top.  S is positive definite iff A is, and lambda_min(A)
+    # <= lambda_min(S), so a bound below top * size * machine eps puts A
+    # below working precision too.  The first failing level is named.
     if eigs[0] <= 0:
         raise NotPsdError(
             f"extension left the ball at level {levels[0]}: the shifted Toeplitz "
@@ -357,13 +368,15 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     ``_determinate_extension``); where it does not, and on all other data,
     the shifted chain below decides, exactly as it would without this path.
 
-    Otherwise one block-Levinson state is built from the data.  Both chains
-    run one loop over the coefficients kept newest first, so
-    gamma = (M_{m-1} ... M_1) of each step is a view and the center is
-    gamma a.  The central chain keeps S and alpha fixed and is the order-N
-    band recursion M_m = (M_{m-1} ... M_{m-N}) a, O(N d^2) per appended
-    coefficient; a parametrized chain borders the state in O(n d^3) per
-    coefficient (see the module docstring).
+    Otherwise one block-Levinson state is built from the data, with one
+    solve for both predictors.  Both chains run one loop over the
+    coefficients kept newest first, so gamma = (M_{m-1} ... M_1) of each
+    step is a view and the center is gamma a.  The central chain keeps S
+    and alpha fixed and is the order-N band recursion
+    M_m = (M_{m-1} ... M_{m-N}) a, O(N d^2) per appended coefficient; a
+    parametrized chain borders the state in O(n d^3) per coefficient, with
+    two d x d ``eigh`` (of S and of alpha^{-1}) and one d x d solve per
+    step and no inverse (see the module docstring).
 
     Each produced prefix keeps its shifted Toeplitz matrix strictly
     positive, hence unshifted eigenvalues stay above ``-eps``; the
@@ -376,8 +389,12 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     state is built from the same T_N and eigenvalues.  Every chained level
     is checked through the bound S of its ball (one d x d
     eigendecomposition for the whole central chain), and the longest
-    chained level used for a step once more, which by interlacing covers
-    the shorter ones.  For the central chain that last check is the banded
+    chained level once more, which by interlacing covers the shorter ones:
+    for the central chain the level before its last coefficient, whose
+    bordering the one S covers, and for a parametrized chain the whole
+    output, so a unit-norm contraction at the last step is refused (it
+    lands on the boundary of the ball).  For the central chain that last
+    check is the banded
     certificate of ``_banded_bound``, O(H N d^3) with no dense matrix, so a
     central extension to horizon H costs O(N^3 d^3 + H N d^3).  Where that bound
     is too weak, and for parametrized chains, one Cholesky factorisation of
@@ -389,11 +406,14 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     ------
     NotPsdError
         Naming the first truncation level of the data whose Toeplitz
-        matrix fails, or if a chained level leaves the ball.
+        matrix fails, or if the bound S of a chained level is not positive
+        definite.
     SingularBlockError
-        If a shifted Toeplitz matrix is singular at working precision, or
-        the alpha of a parametrized step is not positive definite (never
-        on the determinate path, which inverts nothing at the shift).
+        If a shifted Toeplitz matrix is singular at working precision, the
+        longest chained level fails its final check (the data passed
+        theirs, so the failure is the chain's rounding), or the alpha^{-1}
+        of a parametrized step is not positive definite (never on the
+        determinate path, which inverts nothing at the shift).
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
     """
@@ -414,7 +434,7 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
     top = eigs[-1] + eps
     if contractions is None and steps > 1:
-        _check_bound(s, top, range(n, n + steps - 1), d)
+        _check_bound(np.linalg.eigvalsh(s), top, range(n, n + steps - 1), d)
     # the coefficients newest first in one d x (N + 1 + steps) d row: the
     # one appended next goes to position ``pos``, and gamma is the window
     # after it
@@ -423,26 +443,32 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     for k in range(steps):
         pos = steps - 1 - k
         gamma = rev[:, pos + 1 : pos + 1 + len(a) // d].reshape(d, -1)
-        x = gamma @ a
+        rev[:, pos] = gamma @ a
         if contractions is not None:
+            # D = S^{1/2} G alpha^{-1/2} and p = alpha D* = alpha^{1/2} G* S^{1/2}
+            # from one eigh of S and one of alpha^{-1}
+            s_eigs, s_half = _roots(s)
             if k:
-                _check_bound(s, top, range(n + k - 1, n + k), d)
-            step = ExtensionStep(eps, np.linalg.inv(alpha_inv), gamma, x, s)
-            x = parametrized_step(step, contractions[k])
-            diff = x - step.x_center
+                _check_bound(s_eigs, top, range(n + k - 1, n + k), d)
+            g = _contraction(contractions[k], (d, d))
+            _, a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
+            diff = s_half @ g @ a_inv_half
+            rev[:, pos] += diff
             v = np.linalg.solve(s, diff)
-            p = step.alpha @ diff.conj().T
+            p = a_half @ g.conj().T @ s_half
             a, b = np.vstack([a - b @ v, v]), np.vstack([p, b - a @ p])
             s = s - diff @ p
             s = (s + s.conj().T) / 2
             alpha_inv = alpha_inv - diff.conj().T @ v
-        rev[:, pos] = x
     coeffs = rev[:, ::-1].transpose(1, 0, 2)
-    if steps > 1:
+    if contractions is not None:
+        # no bound S checks the bordering by the last coefficient of a
+        # parametrized chain, so its whole output is certified
+        _certify_chained(CoefficientSequence(coeffs), eps, max(tol, eps))
+    elif steps > 1:
+        # the central chain's one S covers its last bordering
         level = coeffs[:-1]
-        if contractions is not None or not (
-            _banded_bound(level, a, alpha_inv, eigs, eps) > _chained_tau(level, eps)
-        ):
+        if not _banded_bound(level, a, alpha_inv, eigs, margin, eps) > _chained_tau(level, eps):
             _certify_chained(CoefficientSequence(level), eps, max(tol, eps))
     return CoefficientSequence(coeffs)
 
@@ -571,11 +597,12 @@ def _chained_tau(coeffs, eps):
     return (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
 
 
-def _banded_bound(coeffs, a, alpha_inv, eigs, eps):
+def _banded_bound(coeffs, a, alpha_inv, eigs, margin, eps):
     # A lower bound on lambda_min(A), A = eps I + T_L the shifted matrix of a
     # central chain M_0 .. M_L (L > N), from its predictor a = (a_1; ...;
-    # a_N), the alpha^{-1} of ``_ball_state`` and the eigenvalues ``eigs`` of
-    # the data's T_N; -inf where the argument gives none.
+    # a_N), the alpha^{-1} of ``_ball_state``, the eigenvalues ``eigs`` of
+    # the data's T_N and their interlacing margin (``_decomposed_data``);
+    # -inf where the argument gives none.
     #
     # A has blocks A_lk = C_{k-l}, C_0 = H_0 + eps I, C_p = M_p, C_{-p} = C_p*.
     # U, block unit upper triangular, has columns e_k for k <= N and column
@@ -653,7 +680,7 @@ def _banded_bound(coeffs, a, alpha_inv, eigs, eps):
     g_eigs = np.linalg.eigvalsh(h)
     g_margin = 2 * d * u * h_norm * grow
     size = len(eigs)
-    data_margin = 2 * size * u * max(-eigs[0], eigs[-1]) / (1 - 2 * size * u) * grow
+    data_margin = margin / 2 / (1 - 2 * size * u) * grow
     lowest = min(eigs[0] + eps - data_margin, g_eigs[0] - g_margin - err_g)
     total = abs(eigs[0]) + eps + data_margin + abs(g_eigs[0]) + g_margin + err_g + off
     gap = lowest - off - 16 * u * total

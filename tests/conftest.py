@@ -8,11 +8,11 @@ from herglotz import extension, series, toeplitz
 def count_dense_calls(monkeypatch):
     """Starts recording, when called, every call of ``assemble`` (through
     each module that uses it) and of ``numpy.linalg``'s ``eigvalsh``,
-    ``eigh``, ``eig``, ``svd`` and ``cholesky``.  Returns one list per name,
-    holding the size of the matrix of each call in order (the larger side
-    of a rectangular one)."""
+    ``eigh``, ``eig``, ``svd``, ``cholesky``, ``inv`` and ``solve``.
+    Returns one list per name, holding the size of the matrix of each call
+    in order (the larger side of a rectangular one)."""
 
-    names = ("eigvalsh", "eigh", "eig", "svd", "cholesky")
+    names = ("eigvalsh", "eigh", "eig", "svd", "cholesky", "inv", "solve")
 
     def start():
         calls = {name: [] for name in ("assemble", *names)}

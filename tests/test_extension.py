@@ -51,6 +51,22 @@ def reversed_inverse_partition(seq, eps):
     return rev[:d, :d], rev[d:, :d], rev[d:, d:]
 
 
+def scaled_chain(seed):
+    # realization data of full rank or short of it by one or two, scaled by
+    # 10^k, with up to 12 contractions, each zero or of norm 0.5 or 0.9
+    rng = np.random.default_rng(seed)
+    d, order = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    state_dim = (order + 1) * d - int(rng.choice([0, 1, 2]))
+    seq = realization_coefficients(random_realization(rng, d, state_dim), order)
+    seq = CoefficientSequence(seq.coefficients * 10.0 ** int(rng.integers(-6, 7)))
+    size, steps = float(rng.choice([0.5, 0.9])), int(rng.integers(1, 13))
+    contractions = []
+    for _ in range(steps):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        contractions.append(size * rng.integers(0, 2) * g / np.linalg.norm(g, 2))
+    return seq, contractions
+
+
 def min_prefix_eigs(seq):
     return [
         np.linalg.eigvalsh(assemble(seq.truncated(n)).dense)[0] for n in range(len(seq))
@@ -214,18 +230,34 @@ class TestParametrizedStep:
 
     def test_ill_conditioned_chain_refuses_an_indefinite_alpha(self):
         # rank-deficient data scaled so that eps I + T_N has condition
-        # ~1e13: alpha = inv(alpha^{-1}) loses its Hermitian positive part
-        # after one bordering, and its inverse root would take 1 / 0 and end
-        # in a non-finite coefficient blamed on the data; it is refused as
-        # singular instead.  The zero-contraction chain on the same data
-        # extends
+        # ~1e13: the chain's rounding drives its output off the ball (level
+        # 15 has lambda_min ~ -5.7e5) while every bound S stays positive, and
+        # the certificate of the whole output refuses it as singular, without
+        # blaming the data or leaking a non-finite coefficient.  The
+        # zero-contraction chain on the same data extends
         seq = fixture_sequence(16, 2, 7, 3)
         seq = CoefficientSequence(seq.coefficients * 1e5)
         contractions = [0.5 * (k % 2) * np.eye(2) for k in range(12)]
-        with pytest.raises(SingularBlockError, match="alpha is not positive definite"):
+        with pytest.raises(SingularBlockError) as refused:
             extend(seq, 12, eps=1e-8, contractions=contractions)
+        assert "non-finite" not in str(refused.value)
+        assert "infeasible" not in str(refused.value)
         zeros = [np.zeros((2, 2))] * 12
         assert extend(seq, 12, eps=1e-8, contractions=zeros).order == 15
+
+    def test_chain_failing_its_final_check_is_not_blamed_on_the_data(self):
+        # 64 steps of norm 0.5 on rank-deficient data at eps = 1e-8: the data
+        # pass, every bound S passes, and the longest level's eigenvalue
+        # check fails by rounding; that names the chained level, not the data
+        seq = realization_coefficients(random_realization(5, 2, 17), 8)
+        rng = np.random.default_rng(3)
+        contractions = []
+        for _ in range(64):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            contractions.append(0.5 * g / np.linalg.norm(g, 2))
+        with pytest.raises(SingularBlockError, match="level 72 ") as refused:
+            extend(seq, 64, eps=1e-8, contractions=contractions)
+        assert "infeasible" not in str(refused.value)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_contraction_stays_inside(self, seed):
@@ -263,34 +295,64 @@ class TestExtend:
     @pytest.mark.parametrize("steps", [10, 100])
     def test_dense_work_independent_of_step_count(self, count_dense_calls, steps):
         # one assembly and one eigh of the data, from which both chains
-        # check it and build their state, and no eigvalsh larger than d.
-        # The central chain's final check is the banded certificate, with
-        # only d x d linear algebra, while a parametrized chain's is one
-        # assembly and one Cholesky factorisation of its longest level.
-        # State dimension 7 of rank T_2 = 6 < rank T_3 = 7: not determinate,
-        # so the central chain runs
+        # check it and build their state, and one solve against the N d x
+        # N d matrix one level down for both predictors.  The central chain then runs only d x d
+        # eigvalsh: its final check is the banded certificate.  A
+        # parametrized chain runs per step one eigh of S, one of alpha^{-1}
+        # and one d x d solve, and no inv; its final check is one assembly
+        # and one Cholesky factorisation of its whole output.  State
+        # dimension 7 of rank T_2 = 6 < rank T_3 = 7: not determinate, so
+        # the central chain runs
         seq = fixture_sequence(8, 2, 7, 3)
-        data = len(seq) * seq.block_dim
-        level = (len(seq) + steps - 1) * seq.block_dim
-        zeros = [np.zeros((2, 2))] * steps
-        for contractions, dense in ((None, []), (zeros, [level])):
+        d = seq.block_dim
+        data, past = len(seq) * d, seq.order * d
+        output = (len(seq) + steps) * d
+        zeros = [np.zeros((d, d))] * steps
+        central = {"assemble": [data], "eigh": [data], "solve": [past], "cholesky": []}
+        parametrized = {
+            "assemble": [data, output],
+            "eigh": [data] + [d] * 2 * steps,
+            "solve": [past] + [d] * steps,
+            "cholesky": [output],
+            "eigvalsh": [],
+        }
+        for contractions, expected in ((None, central), (zeros, parametrized)):
             calls = count_dense_calls()
             extend(seq, steps, eps=1e-8, contractions=contractions)
-            assert calls["assemble"] == [data] + dense
-            large = {name: [n for n in calls[name] if n > 2] for name in ("eigvalsh", "eigh")}
-            assert large == {"eigvalsh": [], "eigh": [data]}
-            assert calls["svd"] == calls["eig"] == []
-            assert calls["cholesky"] == dense
+            assert {name: calls[name] for name in expected} == expected
+            assert [n for n in calls["eigvalsh"] if n > d] == []
+            assert calls["svd"] == calls["eig"] == calls["inv"] == []
 
     @pytest.mark.parametrize("seed, block_dim, state_dim, order", [(9, 2, 5, 2), (7, 3, 4, 3)])
     def test_unit_contraction_then_one_more_step_raises(self, seed, block_dim, state_dim, order):
-        # a unit-norm contraction lands on the boundary of the ball: that
-        # step is allowed, but the shifted data it leaves is singular
+        # a unit-norm contraction lands on the boundary of the ball, where
+        # the shifted matrix of the output is singular: the certificate of
+        # the whole output refuses it as the last step, and the bound S of
+        # the next step refuses it before one more
         seq = fixture_sequence(seed, block_dim, state_dim, order)
         unit = np.eye(block_dim)
-        extend(seq, 1, eps=1e-8, contractions=[unit])
+        with pytest.raises(SingularBlockError):
+            extend(seq, 1, eps=1e-8, contractions=[unit])
         with pytest.raises(NotPsdError):
             extend(seq, 2, eps=1e-8, contractions=[unit, np.zeros_like(unit)])
+
+    @pytest.mark.parametrize(
+        "seed, shape, refusal",
+        [(785, (3, 2, 2), r"alpha\^\{-1\} is not positive"), (271, (3, 4, 2), "level 6 ")],
+        ids=["785", "271"],
+    )
+    def test_parametrized_chain_returns_no_output_below_minus_eps(self, seed, shape, refusal):
+        # two-step chains on 1e5-scaled rank-deficient data (d = 3; N = 2 and
+        # state dimension 7, N = 4 and 13) that rounding drives off the ball,
+        # to lambda_min -2.2e-6 and -4.5e-7 of the output's Toeplitz matrix
+        # at eps = 1e-8.  The first is refused at its second step, whose
+        # alpha^{-1} is indefinite; the second only by the certificate of the
+        # whole output, as no bound S checks the bordering by its last
+        # coefficient
+        seq, contractions = scaled_chain(seed)
+        assert (seq.block_dim, seq.order, len(contractions)) == shape
+        with pytest.raises(SingularBlockError, match=refusal):
+            extend(seq, len(contractions), eps=1e-8, contractions=contractions)
 
     def test_prefix_bitwise_preserved(self):
         seq = fixture_sequence(9, 2, 5, 2)

@@ -10,8 +10,8 @@ the eigenvalue check) against a per-level scan, for the one-``eigh`` data
 check of every extension entry point against the eigenvalue check where
 lambda_min(T_N) sits within a few rounding margins of -tol, for the
 block-Levinson extension against a per-step re-built chain, for
-ill-conditioned parametrized chains (a result or a library error, never a
-non-finite coefficient), for the Cholesky check of a chained level
+ill-conditioned parametrized chains (a library error, or a result whose
+Toeplitz matrix stays above -eps, never a non-finite coefficient), for the Cholesky check of a chained level
 against the eigenvalue check, and for the banded certificate of the
 central chain: its bound never exceeds the computed smallest eigenvalue
 of the level, and ``extend`` keeps its outcome with the certificate
@@ -412,8 +412,8 @@ def scaled_parametrized_chains(draw):
     # 10^k, whose shifted matrices at eps = 1e-8 reach condition ~1e14, with
     # a chain of 12 contractions, each zero or of norm ``size``.  About one
     # such chain in a hundred, of block dimension 2 or 3, rank deficiency
-    # one or two and 10^k >= 1e3, meets an alpha whose Hermitian part is
-    # not positive definite
+    # one or two and 10^k >= 1e3, meets an alpha^{-1} whose Hermitian part
+    # is not positive definite; more are driven off the ball by rounding
     d = draw(st.integers(1, 3))
     order = draw(st.integers(1, 4))
     steps = 12
@@ -435,7 +435,8 @@ def test_parametrized_chains_never_produce_non_finite_coefficients(problem):
     # an ill-conditioned chain returns its extension or raises a library
     # error; it never leaks a numpy warning (the suite's filter turns one
     # into an error) or LinAlgError, nor blames the data for a non-finite
-    # coefficient of its own making
+    # coefficient of its own making.  What it returns keeps the -eps
+    # guarantee of ``extend`` (-max(tol, eps) at the default tol = 1e-9)
     seq, contractions = problem
     try:
         ext = extend(seq, len(contractions), eps=1e-8, contractions=contractions)
@@ -443,6 +444,7 @@ def test_parametrized_chains_never_produce_non_finite_coefficients(problem):
         assert "non-finite" not in str(err)
         return
     assert ext.coefficients[: len(seq)].tobytes() == seq.coefficients.tobytes()
+    assert np.linalg.eigvalsh(assemble(ext).dense)[0] >= -max(1e-9, 1e-8)
 
 
 @st.composite
@@ -533,7 +535,7 @@ def test_banded_certificate_is_sound_and_keeps_the_outcome(chain, eps):
         expected = chain_outcome(seq, steps, eps)
     assert chain_outcome(seq, steps, eps) == expected
     try:
-        dense, eigs = extension._decomposed_data(seq, eps, 1e-9)[:2]
+        dense, eigs, _, margin = extension._decomposed_data(seq, eps, 1e-9)
         forward, _, _, alpha_inv, _ = extension._ball_state(seq, eps, dense, eigs)
     except (NotPsdError, SingularBlockError):
         return
@@ -547,7 +549,7 @@ def test_banded_certificate_is_sound_and_keeps_the_outcome(chain, eps):
     if steps < 2:
         return
     level = CoefficientSequence(np.array(coeffs))
-    bound = extension._banded_bound(level.coefficients, forward, alpha_inv, eigs, eps)
+    bound = extension._banded_bound(level.coefficients, forward, alpha_inv, eigs, margin, eps)
     dense = assemble(level).dense
     m = dense.shape[0]
     exact = np.linalg.eigvalsh(eps * np.eye(m) + dense)
