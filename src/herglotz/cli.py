@@ -91,7 +91,6 @@ def _run_flags():
         p.add_argument(
             f"--{f.name}", type=type(f.default), default=f.default, help=_FLAG_HELP[f.name]
         )
-    p.add_argument("--output", help="write the data product to this path")
     p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
     return p
 
@@ -103,11 +102,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     flags = _run_flags()
+    # only the commands with a data product take --output
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write the data product to this path")
+    with_output = [flags, output]
 
     p = sub.add_parser("check", parents=[flags], help="positivity profile of a problem file")
     p.add_argument("input", help="problem file (JSON)")
 
-    p = sub.add_parser("solve", parents=[flags], help="central extension to the horizon")
+    p = sub.add_parser("solve", parents=with_output, help="central extension to the horizon")
     p.add_argument("input", help="problem file (JSON)")
 
     p = sub.add_parser("eval", parents=[flags], help="evaluate the series at a point")
@@ -119,10 +122,10 @@ def build_parser():
     p.add_argument("--z", type=_complex_flag, required=True, help="first point 're,im'")
     p.add_argument("--w", type=_complex_flag, required=True, help="second point 're,im'")
 
-    p = sub.add_parser("reduce", parents=[flags], help="base-factor reduction of the data")
+    p = sub.add_parser("reduce", parents=with_output, help="base-factor reduction of the data")
     p.add_argument("input", help="problem file (JSON)")
 
-    p = sub.add_parser("generate", parents=[flags], help="seeded random fixture file")
+    p = sub.add_parser("generate", parents=with_output, help="seeded random fixture file")
     p.add_argument("--block-dim", type=int, default=1, help="coefficient block dimension d")
     p.add_argument("--state-dim", type=int, default=4, help="internal state dimension h")
     p.add_argument("--order", type=int, default=8, help="highest coefficient index N")

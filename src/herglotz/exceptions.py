@@ -31,7 +31,8 @@ class DomainError(ValueError):
 
 
 class OutOfBallError(ValueError):
-    """Contraction parameter exceeds unit operator norm."""
+    """Contraction parameter exceeds unit operator norm, or a contraction
+    or ball candidate has a non-finite entry."""
 
 
 class RangeCompatibilityError(ValueError):

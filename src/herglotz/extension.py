@@ -33,74 +33,74 @@ shifted Toeplitz matrix of (M_0 .. M_N, X) is.  For the center D = 0, so S
 and alpha stay fixed and a, b only gain a zero block: the central chain is
 the order-N maximum-entropy (band) recursion
 M_{m+1} = (M_m ... M_{m-N+1}) a for m >= N, with the a of the data.
-``extend`` runs both chains as one loop over a newest-first buffer of the
-coefficients, in which gamma of every level is a strided view: each step
-takes the center gamma a, and a parametrized chain then moves to its ball
-point and borders the state.  The central chain's one S is checked once for
-all of its levels.  A parametrized step factors each d x d matrix once: one
-``eigh`` of S gives the eigenvalues that check its level and S^{1/2}, one
-``eigh`` of the Hermitian part of alpha^{-1} gives alpha^{-1/2} and
-alpha^{1/2} (and refuses an alpha^{-1} that is not positive definite), so
+
+Routing.  Every entry point checks the data from one ``eigh`` of T_N
+(``_decomposed_data``): the extension needs the spectrum (its top for the
+singularity test of S, all of it for the banded certificate and the rank),
+so it does not take the Cholesky certificate of ``certified_series``.
+Where the smallest eigenvalue clears -tol by the interlacing margin, the
+eigenvalue check behind ``certified_series`` (``toeplitz._certified_data``)
+provably passes every level; otherwise that check decides on T_N
+assembled afresh.  Either way verdicts and messages are those of the
+eigenvalue check.  ``extend`` then takes one of two paths.
+
+Determinate data (rank T_N = rank T_{N-1}, the rank counted above the
+interlacing margin, so the routing is scale-relative) have one extension
+only, and the central chain takes it exactly, with no shift
+(``_determinate_extension``): the eigenpairs of T_N give a minimal factor
+T_N = F* F whose block columns are F_j = U^j F_0 for a unitary U, so
+M_n = sum_k g_k g_k* lambda_k^n (g_k = F_0* q_k for the eigenpairs
+lambda_k, q_k of U) for every n, formed in one product over the
+unit-circle powers.  The output is certified by the measure it nearly is:
+the Toeplitz matrix of sum_k g_k g_k* l_k^n is exactly PSD for any
+|l_k| = 1, so lambda_min(T_L) >= -beta, beta the block row sum of the
+defects against it, in O(L r d^2) for rank r.  Where beta exceeds
+max(tol, eps), and on all other data (partially determinate data,
+0 < rank S < d, included), the shifted chain decides.
+
+The shifted chain builds the state above from the same T_N and
+eigenvalues, with one solve for both predictors, and runs both chains as
+one loop over a newest-first buffer of the coefficients, in which gamma of
+every level is a strided view: each step takes the center gamma a, and a
+parametrized chain then moves to its ball point and borders the state.  A
+parametrized step factors each d x d matrix once: one ``eigh`` of S gives
+the eigenvalues that check its level and S^{1/2}, one ``eigh`` of the
+Hermitian part of alpha^{-1} gives alpha^{-1/2} and alpha^{1/2} (and
+refuses an alpha^{-1} that is not positive definite), so
 D = S^{1/2} Gamma alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2}, and one
 solve gives v.  The subtraction updates of S and alpha^{-1} are kept on
 purpose: the congruence S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact
 algebra stays positive definite whatever the rounding does to the chain,
-so the check of S would see nothing.
+so the check of S would see nothing.  The bound S of each chained level
+below the last is checked as the chain goes (``_check_bound``; the
+central chain's one S once for all of them), a cheap early refusal.
 
-The longest chained level is checked once more: for the central chain the
-level before its last coefficient, whose bordering its one S covers, and
-for a parametrized chain its whole output, whose last bordering no S
-checks (so a unit-norm contraction at the last step, which lands on the
-boundary of the ball, is refused).  The data passed their own check, so a
-chained level that fails is the chain's rounding and raises
-SingularBlockError.  For the central chain a banded certificate settles
-that check in O(L N d^3) from the chain's own predictor a: the block unit
-upper-triangular U that applies a to the columns past N nearly
-block-diagonalises the level's shifted matrix (the inverse of a band
-extension is block banded; Dym & Gohberg, LAA 36 (1981)), and the residual
-of that structure bounds its smallest eigenvalue from below
-(``_banded_bound``), so a central extension to horizon H costs
-O(N^3 d^3 + H N d^3).  The bound passes where it clears
-the rounding margin of the eigenvalue check, which grows like m u ||T_L||,
-about H^2 u for coefficients that do not decay; so on long horizons of
-singular data with a tiny shift it can be too weak.  Where it is,
-and for parametrized chains, one Cholesky factorisation of the level's
-matrix shifted down by a rounding margin settles the check when it
-succeeds (``toeplitz._cholesky_exceeds``, which carries the margin's
-proof and also decides the data of ``certified_series``); when it fails
-the level is assembled afresh and the dense eigenvalue check
-(``_certify``) decides.  Each certificate passes only where the
-eigenvalue check provably passes, so verdicts and messages are those of
-the eigenvalue check.
+Certificate of the shifted chain.  Its whole output M_0 .. M_L is then
+certified once, by the first of three checks that passes:
 
-Determinate data (rank T_N = rank T_{N-1}) have one extension only, and
-the central chain takes it exactly, with no shift (``_determinate_extension``):
-the eigenpairs of T_N give a minimal factor T_N = F* F whose block columns
-are F_j = U^j F_0 for a unitary U, so M_n = sum_k g_k g_k* lambda_k^n
-(g_k = F_0* q_k for the eigenpairs lambda_k, q_k of U) for every n, formed
-in one product over the unit-circle powers.  The rank is counted above the
-interlacing margin of the data check, so the routing is scale-relative.
-The output is certified by the measure it nearly is: the Toeplitz matrix of
-sum_k g_k g_k* l_k^n is exactly PSD for any |l_k| = 1, so lambda_min(T_L)
->= -beta, beta the block row sum of the defects against it (on the data,
-then the rounding and drift of the powers), in O(L r d^2) for rank r.
-Where beta exceeds max(tol, eps), the bound of chained levels, or the data
-are not determinate (partially determinate data, 0 < rank S < d,
-included), the shifted chain decides as described above.  A determinate
-extension to horizon H costs O(N^3 d^3 + H r d^2).
+1. for the central chain, the banded certificate (``_banded_bound``), in
+   O(L N d^3) from the chain's own predictor a: the block unit
+   upper-triangular U that applies a to the columns past N nearly
+   block-diagonalises the output's shifted matrix (the inverse of a band
+   extension is block banded; Dym & Gohberg, LAA 36 (1981)), and the
+   residual of that structure bounds its smallest eigenvalue from below,
+   for any L > N.  It passes where it clears the rounding margin tau of
+   the eigenvalue check (``_chained_tau``), which grows like m u ||T_L||,
+   about L^2 u for coefficients that do not decay, so on long horizons of
+   singular data with a tiny shift it can be too weak;
+2. one Cholesky factorisation of the output's matrix shifted down by tau
+   (``_certify_chained``, with the margin's proof in
+   ``toeplitz._cholesky_exceeds``, which also decides the data of
+   ``certified_series``);
+3. the dense eigenvalue check (``_certify``) on the output assembled
+   afresh: computed eigenvalues above -max(tol, eps), and the eps-shifted
+   matrix invertible at working precision.
 
-The extension needs the spectrum of T_N (its largest eigenvalue for the
-singularity test of the bound S, all of it for the banded certificate and
-the rank of a determinate factor), so the data are not checked by the
-Cholesky certificate of ``certified_series`` but with their spectrum.
-Every entry point checks the data from one ``eigh`` of T_N
-(``_decomposed_data``), from which the central chain also ranks and
-factors them: where its smallest eigenvalue clears -tol by the interlacing
-margin, the eigenvalue check behind ``certified_series``
-(``toeplitz._certified_data``) provably passes every level, and otherwise
-that check decides on T_N assembled afresh.  Verdicts and messages are
-those of the eigenvalue check either way, and the ball is built from the
-same T_N and eigenvalues.
+The first two pass only where the third provably passes, so verdicts and
+messages are those of the eigenvalue check of the output.  The data passed
+their own check, so an output that fails is the chain's rounding and
+raises SingularBlockError; a unit-norm contraction at the last step lands
+on the boundary of the ball and is refused so.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -173,14 +173,22 @@ def _roots(a, name=None):
     return (eigs, *[(vecs * r) @ vecs.conj().T for r in scales])
 
 
+def _block(x, shape, name):
+    # x as a complex array of the block ``shape``, refused (as ``name`` in
+    # the message) before any arithmetic when it has another shape or a
+    # non-finite entry
+    x = np.asarray(x, dtype=complex)
+    if x.shape != shape:
+        raise DimensionError(f"{name} shape {x.shape} does not match block shape {shape}")
+    if not np.isfinite(x).all():
+        raise OutOfBallError(f"{name} has a non-finite entry")
+    return x
+
+
 def _contraction(contraction, shape):
     # the contraction parameter as a complex array of the block ``shape``,
-    # refused when it has a non-finite entry or operator norm above 1
-    g = np.asarray(contraction, dtype=complex)
-    if g.shape != shape:
-        raise DimensionError(f"contraction shape {g.shape} does not match block shape {shape}")
-    if not np.isfinite(g).all():
-        raise OutOfBallError("contraction has a non-finite entry")
+    # refused by ``_block`` or when its operator norm exceeds 1
+    g = _block(contraction, shape, "contraction")
     norm = float(np.linalg.norm(g, 2))
     if not norm <= 1 + 1e-12:
         raise OutOfBallError(f"contraction has operator norm {norm:.6f} > 1")
@@ -296,13 +304,15 @@ def ball_membership(step, x):
 
     Returns ``(inside, margin)`` where margin is the smallest eigenvalue
     of ``S - (X - X_c) alpha (X - X_c)*`` and inside means margin > 0.
+
+    Raises
+    ------
+    DimensionError
+        If X does not have the block shape of the step.
+    OutOfBallError
+        If X has a non-finite entry.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != step.x_center.shape:
-        raise DimensionError(
-            f"candidate shape {x.shape} does not match block shape {step.x_center.shape}"
-        )
-    diff = x - step.x_center
+    diff = _block(x, step.x_center.shape, "candidate") - step.x_center
     gap = step.left_bound - diff @ step.alpha @ diff.conj().T
     margin = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
     return margin > 0, margin
@@ -354,65 +364,37 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     With ``contractions`` absent every step takes the central choice;
     otherwise entry k selects the ball point of ``parametrized_step``.
     The first N + 1 coefficients of the output are bitwise those of the
-    input.
+    input.  The data are checked with ``tol``, with the verdicts and
+    messages of the eigenvalue check behind ``certified_series``.  The
+    whole output is certified: on determinate data the smallest eigenvalue
+    of its Toeplitz matrix is proven at least -max(tol, eps) (``eps`` is
+    unused there), and otherwise the dense eigenvalue check of the output
+    at tolerance max(tol, eps) and shift ``eps`` provably passes.  The
+    module docstring describes the routing and the certificates.
 
-    The central chain checks, ranks and factors the data from one ``eigh``
-    of T_N.  On determinate data (rank T_N = rank T_{N-1}, the rank counted
-    above the rounding margin of the data check) its choice is the unique
-    extension, taken exactly from the minimal factor of T_N that ``eigh``
-    gives: one SVD and one ``eigh`` of size r = rank T_N, and one product
-    over the unit-circle powers for all appended coefficients, O(N^3 d^3 +
-    H r d^2) to horizon H with no shift, so ``eps`` is unused there and no
-    eps is too small.  A measure certificate bounds the smallest eigenvalue
-    of the output's Toeplitz matrix by -beta, beta <= max(tol, eps) (see
-    ``_determinate_extension``); where it does not, and on all other data,
-    the shifted chain below decides, exactly as it would without this path.
-
-    Otherwise one block-Levinson state is built from the data, with one
-    solve for both predictors.  Both chains run one loop over the
-    coefficients kept newest first, so gamma = (M_{m-1} ... M_1) of each
-    step is a view and the center is gamma a.  The central chain keeps S
-    and alpha fixed and is the order-N band recursion
-    M_m = (M_{m-1} ... M_{m-N}) a, O(N d^2) per appended coefficient; a
-    parametrized chain borders the state in O(n d^3) per coefficient, with
-    two d x d ``eigh`` (of S and of alpha^{-1}) and one d x d solve per
-    step and no inverse (see the module docstring).
-
-    Each produced prefix keeps its shifted Toeplitz matrix strictly
-    positive, hence unshifted eigenvalues stay above ``-eps``; the
-    feasibility tolerance for chained levels is widened accordingly.  The
-    data are checked with ``tol`` with the verdicts and messages of the
-    eigenvalue check behind ``certified_series`` (the extension needs the
-    spectrum of T_N, so it does not take the Cholesky certificate): both
-    chains read them off one ``eigh`` of T_N where the smallest eigenvalue
-    clears -tol by a rounding margin and run that check otherwise; the
-    state is built from the same T_N and eigenvalues.  Every chained level
-    is checked through the bound S of its ball (one d x d
-    eigendecomposition for the whole central chain), and the longest
-    chained level once more, which by interlacing covers the shorter ones:
-    for the central chain the level before its last coefficient, whose
-    bordering the one S covers, and for a parametrized chain the whole
-    output, so a unit-norm contraction at the last step is refused (it
-    lands on the boundary of the ball).  For the central chain that last
-    check is the banded
-    certificate of ``_banded_bound``, O(H N d^3) with no dense matrix, so a
-    central extension to horizon H costs O(N^3 d^3 + H N d^3).  Where that bound
-    is too weak, and for parametrized chains, one Cholesky factorisation of
-    the level's matrix shifted down by a rounding margin settles the check,
-    and the dense eigenvalue check only when that fails.  Each certificate
-    passes only where the eigenvalue check provably passes.
+    Cost to horizon H = N + steps: O(N^3 d^3 + H r d^2) on determinate
+    data of rank r; O(N^3 d^3 + H N d^3) for a central chain that its
+    banded certificate settles; O(N^3 d^3 + H^2 d^3) for the steps of a
+    parametrized chain.  The dense check of the output (one shifted
+    Cholesky factorisation, and the eigenvalue check where that fails)
+    adds O(H^3 d^3) to a parametrized chain and to a central chain whose
+    banded bound is too weak.
 
     Raises
     ------
+    ValueError
+        If ``steps`` is negative or ``eps`` is not positive.
+    DimensionError
+        If the number or the block shape of the contractions is wrong.
     NotPsdError
         Naming the first truncation level of the data whose Toeplitz
         matrix fails, or if the bound S of a chained level is not positive
         definite.
     SingularBlockError
         If a shifted Toeplitz matrix is singular at working precision, the
-        longest chained level fails its final check (the data passed
-        theirs, so the failure is the chain's rounding), or the alpha^{-1}
-        of a parametrized step is not positive definite (never on the
+        output fails its final check (the data passed theirs, so the
+        failure is the chain's rounding), or the alpha^{-1} of a
+        parametrized step is not positive definite (never on the
         determinate path, which inverts nothing at the shift).
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
@@ -460,17 +442,14 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
             s = s - diff @ p
             s = (s + s.conj().T) / 2
             alpha_inv = alpha_inv - diff.conj().T @ v
-    coeffs = rev[:, ::-1].transpose(1, 0, 2)
-    if contractions is not None:
-        # no bound S checks the bordering by the last coefficient of a
-        # parametrized chain, so its whole output is certified
-        _certify_chained(CoefficientSequence(coeffs), eps, max(tol, eps))
-    elif steps > 1:
-        # the central chain's one S covers its last bordering
-        level = coeffs[:-1]
-        if not _banded_bound(level, a, alpha_inv, eigs, margin, eps) > _chained_tau(level, eps):
-            _certify_chained(CoefficientSequence(level), eps, max(tol, eps))
-    return CoefficientSequence(coeffs)
+    # the one final check, on the whole output (see the module docstring)
+    out = CoefficientSequence(rev[:, ::-1].transpose(1, 0, 2))
+    tau = _chained_tau(out.coefficients, eps)
+    if contractions is not None or not (
+        _banded_bound(out.coefficients, a, alpha_inv, eigs, margin, eps) > tau
+    ):
+        _certify_chained(out, eps, max(tol, eps), tau)
+    return out
 
 
 def _determinate_extension(seq, dense, eigs, vecs, margin, steps):
@@ -689,18 +668,18 @@ def _banded_bound(coeffs, a, alpha_inv, eigs, margin, eps):
     return gap / (1 + alpha) ** 2 * (1 - 32 * u)
 
 
-def _certify_chained(seq, eps, tol):
+def _certify_chained(seq, eps, tol, tau):
     # ``_certify`` of a chained level, settled by one shifted Cholesky
     # factorisation (``_cholesky_exceeds``) where that provably passes.  With
-    # A the level's m x m matrix, nu >= ||A||_2 and tau of ``_chained_tau``,
-    # the factorisation succeeding proves lambda_min(A + eps I) > tau =
-    # (nu + eps) m u (1 + 2 m u) + 2 m u nu.  Eigenvalues computed by
-    # eigvalsh lie within 2 m u nu of the exact ones (the convention of
-    # ``positivity_profile``), so ``_certify`` would find lambda_min > -eps
-    # and a spread above (lambda_max + eps) m u: it passes.  Otherwise
-    # ``_certify`` itself decides on the level, assembled afresh once the
-    # shifted copy is dropped.
-    if not _cholesky_exceeds(assemble(seq).dense, -eps, _chained_tau(seq.coefficients, eps)):
+    # A the level's m x m matrix, nu >= ||A||_2 and ``tau`` its
+    # ``_chained_tau`` (which the caller has), the factorisation succeeding
+    # proves lambda_min(A + eps I) > tau = (nu + eps) m u (1 + 2 m u) +
+    # 2 m u nu.  Eigenvalues computed by eigvalsh lie within 2 m u nu of the
+    # exact ones (the convention of ``positivity_profile``), so ``_certify``
+    # would find lambda_min > -eps and a spread above (lambda_max + eps) m u:
+    # it passes.  Otherwise ``_certify`` itself decides on the level,
+    # assembled afresh once the shifted copy is dropped.
+    if not _cholesky_exceeds(assemble(seq).dense, -eps, tau):
         _certify(seq, eps, tol)
 
 
@@ -708,29 +687,19 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     """Solve the truncated-coefficient interpolation problem.
 
     Up to ``horizon`` = N this is ``certified_series``: one shifted
-    Cholesky factorisation of the top-level Toeplitz matrix T_N, and an
-    eigendecomposition only where that fails.  Beyond it the data are
+    Cholesky factorisation of T_N, O(N^3 d^3).  Beyond it the data are
     extended centrally by ``extend`` until the coefficient list reaches
-    index ``horizon``; ``extend`` needs the spectrum of T_N, so it assembles
-    T_N once and checks, ranks and factors the data from one ``eigh`` of
-    it, with the verdicts and messages of the eigenvalue check behind
-    ``certified_series`` (which runs itself only where the smallest
-    eigenvalue lies within a rounding margin of -tol).  Determinate data
-    (rank T_N = rank T_{N-1}) are extended exactly from their minimal
-    factor, with no shift, and certified by the measure certificate of
-    ``extend``: O(N^3 d^3 + H r d^2) for rank r, and ``eps`` unused.
-    Other data take the order-N band recursion, built from the same T_N
-    and eigenvalues, whose longest level is certified by the banded
-    certificate of ``extend``, so the cost is O(N^3 d^3 + H N d^3); the
-    dense check of that level (one shifted Cholesky factorisation, then the
-    eigenvalue check) runs only as the fallback where the banded bound is
-    too weak.  The returned series interpolates the input exactly: its
-    first N + 1 coefficients are bitwise equal to ``seq``.
+    index ``horizon``, with its certificate and cost.  The returned series
+    interpolates the input exactly: its first N + 1 coefficients are
+    bitwise equal to ``seq``.
 
     Raises
     ------
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
+    SingularBlockError
+        As ``extend``: a shift too small for the data, or an extension that
+        fails its final check.
     """
     if horizon <= seq.order:
         return certified_series(seq, radius, tol)

@@ -193,6 +193,12 @@ class TestBallMembership:
         with pytest.raises(DimensionError):
             ball_membership(self.step, np.eye(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_non_finite_candidate_raises(self, value):
+        # refused before any arithmetic, so no numpy warning and no nan margin
+        with pytest.raises(OutOfBallError, match="candidate has a non-finite entry"):
+            ball_membership(self.step, np.array([[value]]))
+
 
 class TestParametrizedStep:
     def test_zero_contraction_is_center(self):
@@ -406,7 +412,7 @@ class TestExtend:
         self, count_dense_calls, eps
     ):
         # a 100-step chain on singular, partially determinate data with a
-        # tiny shift: the longest level's margin is within the rounding
+        # tiny shift: the whole output's margin is within the rounding
         # allowance, the Cholesky factorisation fails, and the eigenvalue
         # check decides (eps = 1e-12 raises, 1e-11 passes)
         seq, steps, tol = partially_determinate(), 100, 1e-9
@@ -416,7 +422,7 @@ class TestExtend:
         chain = list(seq.coefficients)
         for _ in range(steps):
             chain.append(np.hstack(chain[-1 : -len(seq) : -1]) @ forward)
-        level = CoefficientSequence(np.array(chain[:-1]))
+        level = CoefficientSequence(np.array(chain))
         try:
             extension._certify(level, eps, max(tol, eps))
             expected = None
@@ -436,6 +442,18 @@ class TestExtend:
     def test_contraction_count_mismatch(self):
         with pytest.raises(DimensionError):
             extend(scalar_seq([1]), 2, contractions=[np.zeros((1, 1))])
+
+    def test_negative_step_count_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            extend(scalar_seq([1, 0.5]), -1)
+
+    def test_contraction_of_the_wrong_shape_raises(self):
+        seq = scalar_seq([1, 0.5])
+        step, _ = central_step(seq, eps=0.1)
+        with pytest.raises(DimensionError, match="contraction shape"):
+            parametrized_step(step, np.zeros((2, 2)))
+        with pytest.raises(DimensionError, match="contraction shape"):
+            extend(seq, 2, contractions=[np.zeros((1, 1)), np.zeros((2, 2))])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closure_random_complex_seeds(self, seed):

@@ -614,3 +614,17 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as err:
             main(["eval"])  # missing input and --z
         assert err.value.code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "command", [["check"], ["eval", "--z", "0.5"], ["kernel", "--z", "0.5", "--w", "0.25"]]
+    )
+    def test_output_without_a_data_product_is_an_argument_error(self, tmp_path, capsys, command):
+        # only generate, reduce and solve write a data product, so only they
+        # take --output; the others refuse it rather than write nothing
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        out_path = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as err:
+            main([command[0], path, *command[1:], "--output", str(out_path)])
+        assert err.value.code == EXIT_PARSE
+        assert "--output" in capsys.readouterr().err
+        assert not out_path.exists()

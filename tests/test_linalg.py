@@ -155,6 +155,20 @@ class TestConnectingIsometry:
         assert np.linalg.norm(v @ v.conj().T - np.eye(r)) <= 1e-8
         assert np.linalg.norm(v @ t.T - t_prime) <= 1e-8 * np.linalg.norm(t_prime)
 
+    def test_round_off_is_snapped_back_to_an_isometry(self):
+        # a factor with a tiny singular value amplifies 1e-10 noise in T'
+        # into a least-squares map T' T^+ that is 1e-3 off an isometry; the
+        # polar factor of that map is an isometry to rounding
+        rng = np.random.default_rng(0)
+        t = np.diag([1.0, 1e-7])
+        q, _ = np.linalg.qr(random_complex(rng, 2, 2))
+        t_prime = q @ t + 1e-10 * random_complex(rng, 2, 2)
+        raw = t_prime @ np.linalg.pinv(t)
+        assert np.linalg.norm(raw.conj().T @ raw - np.eye(2)) > 1e-4
+        v = connecting_isometry(t, t_prime)
+        assert np.linalg.norm(v.conj().T @ v - np.eye(2)) <= 1e-14
+        assert np.linalg.norm(v - q) <= 1e-2
+
     def test_non_minimal_target_gives_isometry_only(self):
         rng = np.random.default_rng(42)
         a = random_psd(rng, 3)

@@ -14,8 +14,10 @@ ill-conditioned parametrized chains (a library error, or a result whose
 Toeplitz matrix stays above -eps, never a non-finite coefficient), for the Cholesky check of a chained level
 against the eigenvalue check, and for the banded certificate of the
 central chain: its bound never exceeds the computed smallest eigenvalue
-of the level, and ``extend`` keeps its outcome with the certificate
-switched off; for the exact extension of determinate data: it is the
+of the output, and ``extend`` keeps its outcome with the certificate
+switched off; for every output of the shifted chain, central or
+parametrized, of one step or many: it passes the dense eigenvalue check;
+for the exact extension of determinate data: it is the
 generating realization, its measure certificate never exceeds the computed
 smallest eigenvalue of the output, and perturbed data are either certified
 on it or keep the shifted chain's outcome; and for the stacked ``reduce``
@@ -50,7 +52,7 @@ from herglotz import (
     series_tail_bound,
 )
 from herglotz import extension
-from herglotz.extension import _certify, _certify_chained
+from herglotz.extension import _certify, _certify_chained, _chained_tau
 from herglotz.linalg import hermitian_split, minimal_factorization
 from herglotz.series import _gram_matrix
 from herglotz.toeplitz import _certified_data, _interlacing_margin
@@ -492,7 +494,8 @@ def test_profile_brackets_the_per_level_reports(seq, tol):
 def test_chained_level_check_matches_the_eigenvalue_check(seq, eps, tol):
     tol = max(tol, eps)
     expected = check_outcome(_certify, seq, eps, tol)
-    assert check_outcome(_certify_chained, seq, eps, tol) == expected
+    tau = _chained_tau(seq.coefficients, eps)
+    assert check_outcome(_certify_chained, seq, eps, tol, tau) == expected
 
 
 @st.composite
@@ -540,20 +543,56 @@ def test_banded_certificate_is_sound_and_keeps_the_outcome(chain, eps):
     except (NotPsdError, SingularBlockError):
         return
     # the band recursion M_m = sum_j M_{m-j} a_j, one block at a time, to the
-    # longest chained level M_0 .. M_L, L = N + steps - 1
+    # whole output M_0 .. M_L, L = N + steps
     n, d = len(seq), seq.block_dim
     coeffs = list(seq.coefficients)
-    for _ in range(steps - 1):
+    for _ in range(steps):
         terms = (coeffs[-j] @ forward[(j - 1) * d : j * d] for j in range(1, n))
         coeffs.append(sum(terms, np.zeros((d, d), dtype=complex)))
-    if steps < 2:
-        return
     level = CoefficientSequence(np.array(coeffs))
     bound = extension._banded_bound(level.coefficients, forward, alpha_inv, eigs, margin, eps)
     dense = assemble(level).dense
     m = dense.shape[0]
     exact = np.linalg.eigvalsh(eps * np.eye(m) + dense)
     assert bound <= exact[0] + 2 * m * np.finfo(float).eps * max(-exact[0], exact[-1])
+
+
+@st.composite
+def shifted_chains(draw, central):
+    # realization data of full rank or short of it by one or two, scaled by
+    # 10^k, with a chain of one step (as often as any other count) up to 60;
+    # a parametrized chain takes contractions each zero or of norm 0.5 or 0.9
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 8))
+    steps = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = (order + 1) * d - draw(st.sampled_from([0, 1, 2]))
+    rlz = random_realization(rng, d, max(rank, 1))
+    coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** draw(st.integers(-6, 6))
+    if central:
+        return CoefficientSequence(coeffs), steps, None
+    size = draw(st.sampled_from([0.5, 0.9]))
+    contractions = []
+    for _ in range(steps):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        contractions.append(size * rng.integers(0, 2) * g / np.linalg.norm(g, 2))
+    return CoefficientSequence(coeffs), steps, contractions
+
+
+@pytest.mark.parametrize("central", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([1e-14, 1e-8, 1e-3]), st.sampled_from([1e-9, 1e-6]))
+def test_every_shifted_chain_output_passes_the_eigenvalue_check(central, data, eps, tol):
+    # whatever the shifted chain returns, central or parametrized, of one
+    # step or many, passes the dense eigenvalue check of its whole output
+    seq, steps, contractions = data.draw(shifted_chains(central))
+    with mock.patch.object(extension, "_determinate_extension", return_value=None):
+        try:
+            out = extend(seq, steps, eps=eps, contractions=contractions, tol=tol)
+        except (NotPsdError, SingularBlockError):
+            return
+    assert out.coefficients[: len(seq)].tobytes() == seq.coefficients.tobytes()
+    _certify(out, eps, max(tol, eps))
 
 
 @st.composite
