@@ -113,11 +113,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
-from .linalg import _MACHINE_EPS, hermitian_split
+from .linalg import _MACHINE_EPS, _procrustes, hermitian_split
 from .series import HerglotzSeries, _powers, certified_series
 from .toeplitz import (
     CoefficientSequence,
     _certified_data,
+    _check_tol,
     _cholesky_exceeds,
     _frobenius_squares,
     _interlacing_margin,
@@ -235,8 +236,9 @@ def _decomposed_data(seq, eps, tol):
     # level only after a decomposed one fails, so it would pass every level.
     # Otherwise ``_certified_data`` decides, unchanged, on T_N assembled
     # afresh.
-    if eps <= 0:
-        raise ValueError(f"shift eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"shift eps must be positive and finite, got {eps}")
+    _check_tol(tol)
     dense = assemble(seq).dense
     eigs, vecs = np.linalg.eigh(dense)
     margin = _interlacing_margin(eigs)
@@ -286,6 +288,9 @@ def central_step(seq, eps, tol=1e-9):
 
     Raises
     ------
+    ValueError
+        If ``eps`` is not positive and finite, or ``tol`` is NaN or
+        infinite.
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails (the
         check of ``certified_series``).
@@ -383,7 +388,8 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     Raises
     ------
     ValueError
-        If ``steps`` is negative or ``eps`` is not positive.
+        If ``steps`` is negative, ``eps`` is not positive and finite, or
+        ``tol`` is NaN or infinite.
     DimensionError
         If the number or the block shape of the contractions is wrong.
     NotPsdError
@@ -471,8 +477,8 @@ def _determinate_extension(seq, dense, eigs, vecs, margin, steps):
     # sequence continued (the determinate Caratheodory-Toeplitz case; Dym &
     # Gohberg, LAA 36 (1981)).  U is taken as the polar factor of
     # Q P* = U (P P*), the unitary least-squares solution of Q = U P
-    # (orthogonal Procrustes), from the same SVD.  The Hermitian part of
-    # e^{i} U has the eigenvectors q_k of U and eigenvalues
+    # (orthogonal Procrustes, ``_procrustes``), from the same SVD.  The
+    # Hermitian part of e^{i} U has the eigenvectors q_k of U and eigenvalues
     # cos(arg lambda_k + 1), which tie only where two arguments sum to -2
     # (mod 2 pi): equal eigenvalues share their eigenvectors, and conjugate
     # pairs (real data) and roots of unity never tie; an accidental near-tie
@@ -525,10 +531,9 @@ def _determinate_extension(seq, dense, eigs, vecs, margin, steps):
     lam, g = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex)
     if r:
         factor = (vecs[:, -r:] * np.sqrt(eigs[-r:])).conj().T
-        outer, sv, inner = np.linalg.svd(factor[:, d:] @ factor[:, :-d].conj().T)
+        unitary, sv = _procrustes(factor[:, d:], factor[:, :-d])
         if not sv[-1] > margin:
             return None
-        unitary = outer @ inner
         rotated = np.exp(1j) * unitary
         q = np.linalg.eigh(rotated + rotated.conj().T)[1]
         lam = (q.conj() * (unitary @ q)).sum(axis=0)
@@ -695,12 +700,17 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
 
     Raises
     ------
+    ValueError
+        If ``horizon`` is negative, ``tol`` is NaN or infinite, or, beyond
+        N, ``eps`` is not positive and finite.
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     SingularBlockError
         As ``extend``: a shift too small for the data, or an extension that
         fails its final check.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     if horizon <= seq.order:
         return certified_series(seq, radius, tol)
     return HerglotzSeries(extend(seq, horizon - seq.order, eps, tol=tol), radius, certified=True)

@@ -58,10 +58,10 @@ class RunConfig:
     radius: float = 0.9
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ProblemFormatError(f"eps must be positive, got {self.eps}")
-        if self.tol <= 0:
-            raise ProblemFormatError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.eps < math.inf:
+            raise ProblemFormatError(f"eps must be positive and finite, got {self.eps}")
+        if not 0 < self.tol < math.inf:
+            raise ProblemFormatError(f"tol must be positive and finite, got {self.tol}")
         if self.horizon < 0:
             raise ProblemFormatError(f"horizon must be nonnegative, got {self.horizon}")
         if self.truncation < 0:

@@ -2,9 +2,11 @@
 
 Hermitian/skew splitting, positive-semidefiniteness certification, minimal
 factorizations A = T*T, connecting isometries between factorizations, and
-block LDU splitting around a Schur complement.  Matrices are plain numpy
-arrays of complex128; the adjoint ``A*`` is the conjugate transpose
-throughout.  All functions are pure: inputs are never modified.
+block LDU splitting around a Schur complement.  Every isometry the library
+forms is an orthogonal Procrustes solution (``_procrustes``): the polar
+factor of one thin SVD.  Matrices are plain numpy arrays of complex128; the
+adjoint ``A*`` is the conjugate transpose throughout.  All functions are
+pure: inputs are never modified.
 """
 
 from dataclasses import dataclass
@@ -191,6 +193,16 @@ def minimal_factorization(a, tol_rank=1e-10):
     return Factorization(T=t, rank=int(keep.sum()), residual=residual)
 
 
+def _procrustes(target, source):
+    # the isometry V minimising ||V source - target||_F over V* V = I
+    # (orthogonal Procrustes; Schoenemann, Psychometrika 31 (1966)): the
+    # polar factor of target source*, from its thin SVD, returned with that
+    # SVD's singular values.  An isometry needs target to have at least as
+    # many rows as source; with fewer, the polar factor is a co-isometry
+    outer, sv, inner = np.linalg.svd(target @ source.conj().T, full_matrices=False)
+    return outer @ inner, sv
+
+
 def connecting_isometry(minimal, other, tol=1e-8):
     """Isometry V with V T = T' between two factorizations of the same matrix.
 
@@ -199,34 +211,46 @@ def connecting_isometry(minimal, other, tol=1e-8):
     minimal : Factorization or array_like
         Minimal factor T (full row rank, r x n) of some PSD matrix A.
     other : array_like
-        A second factor T' (r' x n) with (T')* T' = A.
+        A second factor T' (r' x n, r' >= r) with (T')* T' = A.
     tol : float
-        Consistency tolerance; also bounds the returned defects.
+        Consistency tolerance on ``T*T - (T')*(T')``.
 
     Returns
     -------
     numpy.ndarray
-        V of shape (r', r) with ``V* V = I_r`` and ``V T = T'`` within
-        tolerance.  When T' is also minimal (r' = r), V is unitary.
+        V of shape (r', r) with ``V* V = I_r`` to rounding and ``V T = T'``
+        as closely as any isometry achieves, up to rounding.  When T' is
+        also minimal (r' = r), V is unitary.
 
     Notes
     -----
     V maps each column of T to the matching column of T' (the graph of the
     isometric relation between the two factor spaces).  Numerically it is
-    obtained as the least-squares map T' T^+ against the minimal factor and
-    snapped back onto the isometry manifold by a polar decomposition when
-    round-off pushes ``V* V`` away from the identity.
+    the orthogonal Procrustes solution: the isometry minimising
+    ||V T - T'||_F, the polar factor of T' T* from one thin SVD.  It is an
+    isometry to rounding by construction, and because it minimises the
+    residual over all isometries, ``V T = T'`` holds as well as the data
+    allow even where T has tiny singular values, which would amplify noise
+    in T' through a least-squares map T' T^+.
 
     Raises
     ------
+    DimensionError
+        If T and T' do not share the source dimension n.
     FactorizationMismatchError
-        If ``T*T`` and ``(T')*(T')`` differ beyond ``tol``.
+        If T' has fewer rows than T (no isometry maps the range of T into
+        it), or ``T*T`` and ``(T')*(T')`` differ beyond ``tol``.
     """
     t = np.asarray(minimal.T if isinstance(minimal, Factorization) else minimal, dtype=complex)
     tp = np.asarray(other, dtype=complex)
     if t.ndim != 2 or tp.ndim != 2 or t.shape[1] != tp.shape[1]:
         raise DimensionError(
             f"factors must share the source dimension, got {t.shape} and {tp.shape}"
+        )
+    if tp.shape[0] < t.shape[0]:
+        raise FactorizationMismatchError(
+            f"second factor has {tp.shape[0]} rows, fewer than the {t.shape[0]} "
+            f"of the minimal factor"
         )
     a1 = t.conj().T @ t
     a2 = tp.conj().T @ tp
@@ -235,12 +259,7 @@ def connecting_isometry(minimal, other, tol=1e-8):
         raise FactorizationMismatchError(
             f"factorizations disagree: ||T*T - (T')*(T')|| = {gap:.3e}"
         )
-    v = tp @ np.linalg.pinv(t)
-    r = t.shape[0]
-    if r and np.linalg.norm(v.conj().T @ v - np.eye(r)) > tol / 10:
-        u, _, wh = np.linalg.svd(v, full_matrices=False)
-        v = u @ wh
-    return v
+    return _procrustes(tp, t)[0]
 
 
 def schur_split(g, k):

@@ -199,9 +199,23 @@ def positivity_profile(seq, tol=1e-9):
     bitwise that of ``psd_report`` of its own assembly; every verdict
     equals it, and every bracket contains its ``min_eigenvalue``.  Where
     the verdicts change once, O(log N) levels are decomposed.
+
+    Raises
+    ------
+    ValueError
+        If ``tol`` is NaN or infinite.
     """
+    _check_tol(tol)
     dense = assemble(seq).dense
     return _interlaced_reports(dense, seq.block_dim, tol, np.linalg.eigvalsh(dense))
+
+
+def _check_tol(tol):
+    # a NaN tol makes every comparison of the data checks false, which
+    # passes the data, and an infinite one passes any data: neither
+    # certifies anything
+    if not np.isfinite(tol):
+        raise ValueError(f"tolerance tol must be finite, got {tol}")
 
 
 def _check_data(seq, tol):
@@ -214,6 +228,7 @@ def _check_data(seq, tol):
     # computed lambda_min is >= -tol and ``_certified_data`` would pass every
     # level.  Otherwise ``_certified_data`` decides, on T_N assembled afresh;
     # data too large for the margin to be finite go there.
+    _check_tol(tol)
     m = len(seq) * seq.block_dim
     with np.errstate(over="ignore"):
         margin = 2 * (m + 1) * _MACHINE_EPS * _norm_bound(seq.coefficients)

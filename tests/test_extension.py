@@ -26,6 +26,9 @@ from herglotz import (
 )
 
 
+NON_FINITE_ARGUMENTS = [{"eps": np.nan}, {"eps": np.inf}, {"tol": np.nan}, {"tol": np.inf}]
+
+
 def scalar_seq(values):
     return CoefficientSequence.from_scalars(values)
 
@@ -102,6 +105,12 @@ class TestCentralStep:
     def test_vanishing_eps_rejected(self):
         with pytest.raises(ValueError):
             central_step(scalar_seq([1, 0.5]), eps=0.0)
+
+    @pytest.mark.parametrize("kwargs", NON_FINITE_ARGUMENTS)
+    def test_non_finite_eps_or_tol_rejected(self, kwargs):
+        kwargs = {"eps": 1e-8, **kwargs}
+        with pytest.raises(ValueError, match="finite"):
+            central_step(scalar_seq([1, 2]), **kwargs)
 
     def test_eps_below_working_precision_raises(self):
         # singular data plus a shift smaller than round-off cannot be inverted
@@ -447,6 +456,14 @@ class TestExtend:
         with pytest.raises(ValueError, match="nonnegative"):
             extend(scalar_seq([1, 0.5]), -1)
 
+    @pytest.mark.parametrize("kwargs", NON_FINITE_ARGUMENTS)
+    @pytest.mark.parametrize("values", [[1, 2], [2, 1]])
+    def test_non_finite_eps_or_tol_raises(self, kwargs, values):
+        # refused as an argument, not blamed on the data: [1, 2] are
+        # infeasible, [2, 1] are not determinate and fine
+        with pytest.raises(ValueError, match="finite"):
+            extend(scalar_seq(values), 5, **kwargs)
+
     def test_contraction_of_the_wrong_shape_raises(self):
         seq = scalar_seq([1, 0.5])
         step, _ = central_step(seq, eps=0.1)
@@ -490,6 +507,16 @@ class TestSolveCf:
     def test_infeasible_names_first_failing_level(self):
         with pytest.raises(NotPsdError, match="level 1"):
             solve_cf(scalar_seq([1, 2]), horizon=8)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 5])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_raises(self, horizon, tol):
+        with pytest.raises(ValueError, match="finite"):
+            solve_cf(scalar_seq([1, 2]), horizon, tol=tol)
+
+    def test_negative_horizon_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_cf(scalar_seq([1, 0.5]), -3)
 
     def test_data_level_assembled_and_decomposed_once(self, count_dense_calls):
         # the feasibility check, the rank and the minimal factor share one

@@ -268,6 +268,10 @@ class TestRunConfig:
             {"grid": 0},
             {"horizon": -1},
             {"truncation": -1},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -284,6 +288,14 @@ class TestRunConfig:
     def test_invalid_run_flag_is_an_argument_error(self, tmp_path, capsys, flag):
         path = write_problem(tmp_path, "p.json", [1, 0.5])
         assert main(["solve", path, flag]) == EXIT_PARSE
+        assert flag[2:].split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("flag", ["--tol=nan", "--tol=inf", "--eps=nan", "--eps=inf"])
+    def test_non_finite_tolerance_is_an_argument_error(self, tmp_path, capsys, command, flag):
+        # infeasible data: a NaN or infinite tolerance would pass them
+        path = write_problem(tmp_path, "bad.json", [1, 2])
+        assert main([command, path, flag]) == EXIT_PARSE
         assert flag[2:].split("=")[0] in capsys.readouterr().err
 
 

@@ -142,6 +142,11 @@ class TestConnectingIsometry:
         with pytest.raises(FactorizationMismatchError):
             connecting_isometry(np.eye(2), 2 * np.eye(2))
 
+    def test_target_with_fewer_rows_than_the_rank_raises(self):
+        # no isometry maps a rank-2 range into one row, however loose tol is
+        with pytest.raises(FactorizationMismatchError, match="fewer"):
+            connecting_isometry(np.eye(2), [[1.0, 0.0]], tol=10)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_two_minimal_factorizations_connect_unitarily(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -155,19 +160,32 @@ class TestConnectingIsometry:
         assert np.linalg.norm(v @ v.conj().T - np.eye(r)) <= 1e-8
         assert np.linalg.norm(v @ t.T - t_prime) <= 1e-8 * np.linalg.norm(t_prime)
 
-    def test_round_off_is_snapped_back_to_an_isometry(self):
-        # a factor with a tiny singular value amplifies 1e-10 noise in T'
-        # into a least-squares map T' T^+ that is 1e-3 off an isometry; the
-        # polar factor of that map is an isometry to rounding
+    @staticmethod
+    def noisy_ill_conditioned_pair():
+        # T with a tiny singular value and T' = Q T plus 1e-10 noise
         rng = np.random.default_rng(0)
         t = np.diag([1.0, 1e-7])
         q, _ = np.linalg.qr(random_complex(rng, 2, 2))
-        t_prime = q @ t + 1e-10 * random_complex(rng, 2, 2)
+        return t, q, q @ t + 1e-10 * random_complex(rng, 2, 2)
+
+    def test_round_off_is_snapped_back_to_an_isometry(self):
+        # the tiny singular value amplifies the noise in T' into a
+        # least-squares map T' T^+ that is 1e-3 off an isometry; the
+        # Procrustes solution, the polar factor of T' T*, is an isometry to
+        # rounding and within the noise of Q
+        t, q, t_prime = self.noisy_ill_conditioned_pair()
         raw = t_prime @ np.linalg.pinv(t)
         assert np.linalg.norm(raw.conj().T @ raw - np.eye(2)) > 1e-4
         v = connecting_isometry(t, t_prime)
         assert np.linalg.norm(v.conj().T @ v - np.eye(2)) <= 1e-14
         assert np.linalg.norm(v - q) <= 1e-2
+
+    def test_noisy_factor_is_matched_within_tol(self):
+        # the polar factor of T' T^+ misses T' by 5e-4 here; the Procrustes
+        # solution minimises ||V T - T'|| and meets the noise level
+        t, _, t_prime = self.noisy_ill_conditioned_pair()
+        v = connecting_isometry(t, t_prime, tol=1e-8)
+        assert np.linalg.norm(v @ t - t_prime) <= 1e-8
 
     def test_non_minimal_target_gives_isometry_only(self):
         rng = np.random.default_rng(42)

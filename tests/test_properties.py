@@ -20,8 +20,11 @@ parametrized, of one step or many: it passes the dense eigenvalue check;
 for the exact extension of determinate data: it is the
 generating realization, its measure certificate never exceeds the computed
 smallest eigenvalue of the output, and perturbed data are either certified
-on it or keep the shifted chain's outcome; and for the stacked ``reduce``
-against a per-coefficient reduction, bit for bit."""
+on it or keep the shifted chain's outcome; for the stacked ``reduce``
+against a per-coefficient reduction, bit for bit; and for the orthogonal
+Procrustes isometry of ``connecting_isometry``: an isometry to rounding
+whose residual is never above that of the polar factor of the
+least-squares map T' T^+, on factors of condition up to 1e12."""
 
 from unittest import mock
 
@@ -39,6 +42,7 @@ from herglotz import (
     assemble,
     central_step,
     certified_series,
+    connecting_isometry,
     eval_series,
     extend,
     parametrized_step,
@@ -727,3 +731,49 @@ def reduction_outcome(reduction, seq, tol):
 def test_stacked_reduce_is_the_per_coefficient_reduction(seq, tol):
     expected = reduction_outcome(reference_reduction, seq, tol)
     assert reduction_outcome(stacked_reduction, seq, tol) == expected
+
+
+@st.composite
+def factor_pairs(draw):
+    # T (r x n) of condition up to 1e12 and scale 10^k, the factor of a
+    # full-rank (r = n) or rank-deficient (r < n) matrix, and T' = W T for
+    # an isometry W with up to two more rows, with relative noise
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    rows = r + draw(st.integers(0, 2))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    noise = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(m, k):
+        return rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+
+    left, right = np.linalg.qr(gaussian(r, r))[0], np.linalg.qr(gaussian(n, r))[0]
+    singular = np.logspace(0, -draw(st.floats(0.0, 12.0)), r)
+    t = scale * (left * singular) @ right.conj().T
+    w = np.linalg.qr(gaussian(rows, r))[0]
+    return t, w @ t + noise * scale * gaussian(rows, n)
+
+
+def least_squares_isometry(t, t_prime):
+    # the map ``connecting_isometry`` returned before it solved the
+    # Procrustes problem: the polar factor of the least-squares map T' T^+
+    outer, _, inner = np.linalg.svd(t_prime @ np.linalg.pinv(t), full_matrices=False)
+    return outer @ inner
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_pairs())
+def test_connecting_isometry_is_the_best_isometry(pair):
+    # V minimises ||V T - T'||_F over isometries up to a backward error
+    # delta in T' T*, which raises the squared residual by at most
+    # 4 ||delta||_*, a few r u ||T||_F ||T'||_F
+    t, t_prime = pair
+    r = t.shape[0]
+    u = np.finfo(float).eps
+    v = connecting_isometry(t, t_prime, tol=1e-3)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(r)) <= 10 * r * u
+    size = np.linalg.norm(t) + np.linalg.norm(t_prime)
+    residual = np.linalg.norm(v @ t - t_prime)
+    reference = np.linalg.norm(least_squares_isometry(t, t_prime) @ t - t_prime)
+    assert residual**2 <= reference**2 + 10 * r * u * size**2

@@ -21,9 +21,11 @@ from herglotz import (
     eval_realization,
     eval_series,
     gram_isometries,
+    hermitian_split,
     kernel_gram,
     kernel_finite_section,
     kernel_value,
+    minimal_factorization,
     psd_report,
     random_realization,
     realization_coefficients,
@@ -482,6 +484,24 @@ class TestGramIsometries:
             r = v.shape[1]
             assert np.linalg.norm(v.conj().T @ v - np.eye(r)) <= 1e-8
 
+    @pytest.mark.parametrize("values", [[0, 0, 0], [1j, 0]])
+    def test_vanishing_hermitian_part_gives_empty_factors(self, values):
+        gf = gram_isometries(CoefficientSequence.from_scalars(values))
+        assert gf.factor.shape == (0, len(values))
+        assert all(v.shape == (0, 0) for v in gf.isometries)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rank_deficient_base_factor(self, seed):
+        # state dimension 1 below block dimension 3: Re M_0 has rank 1, and
+        # each column block of F is V_j T0 for an isometry V_j
+        seq = realization_coefficients(random_realization(seed, 3, 1), 4)
+        gf = gram_isometries(seq)
+        t0 = minimal_factorization(hermitian_split(seq.coefficients[0])[0], tol_rank=1e-8).T
+        assert t0.shape[0] == 1
+        for v, block in zip(gf.isometries, gf.blocks):
+            assert np.linalg.norm(v.conj().T @ v - np.eye(1)) <= 1e-14
+            assert np.linalg.norm(v @ t0 - block) <= 1e-10 * np.linalg.norm(block)
+
 
 class TestComposeReduced:
     def test_scalar_composition(self):
@@ -549,6 +569,13 @@ class TestCertifiedSeries:
     def test_rejects_and_names_level(self):
         with pytest.raises(NotPsdError, match="level 1"):
             certified_series(CoefficientSequence.from_scalars([1, 2]))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_raises(self, tol):
+        # a NaN tolerance passes every comparison and an infinite one any
+        # data, so either would certify these infeasible data
+        with pytest.raises(ValueError, match="finite"):
+            certified_series(CoefficientSequence.from_scalars([1, 2]), tol=tol)
 
     def test_psd_data_cost_one_decomposition(self, count_dense_calls):
         # one assembly of T_N and one Cholesky factorisation of it, shifted

@@ -139,6 +139,11 @@ class TestPositivityProfile:
         assert reports[1].upper == pytest.approx(-1.0)
         assert not reports[1].is_psd
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_raises(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            positivity_profile(CoefficientSequence.from_scalars([1, 2]), tol)
+
     def test_interlaced_levels_carry_a_bracket(self):
         # every level of identity data has lambda_min 1: the two ends decide
         # the levels between them, whose brackets hold 1
