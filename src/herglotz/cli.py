@@ -74,7 +74,7 @@ def _complex_flag(text):
 
 
 _FLAG_HELP = {
-    "eps": "positive extension shift (unused for determinate data, which extend exactly)",
+    "eps": "positive extension shift (determinate data take none; certified to -max(tol, eps))",
     "tol": "positivity tolerance",
     "horizon": "highest output coefficient index",
     "truncation": "series evaluation truncation",

@@ -54,8 +54,9 @@ lambda_k, q_k of U) for every n, formed in one product over the
 unit-circle powers.  The output is certified by the measure it nearly is:
 the Toeplitz matrix of sum_k g_k g_k* l_k^n is exactly PSD for any
 |l_k| = 1, so lambda_min(T_L) >= -beta, beta the block row sum of the
-defects against it, in O(L r d^2) for rank r.  Where beta exceeds
-max(tol, eps), and on all other data (partially determinate data,
+defects against it, in O(L r d^2) for rank r.  The output is returned
+where beta <= max(tol, eps), so lambda_min(T_L) >= -max(tol, eps); where
+beta exceeds it, and on all other data (partially determinate data,
 0 < rank S < d, included), the shifted chain decides.
 
 The shifted chain builds the state above from the same T_N and
@@ -71,9 +72,21 @@ D = S^{1/2} Gamma alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2}, and one
 solve gives v.  The subtraction updates of S and alpha^{-1} are kept on
 purpose: the congruence S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact
 algebra stays positive definite whatever the rounding does to the chain,
-so the check of S would see nothing.  The bound S of each chained level
-below the last is checked as the chain goes (``_check_bound``; the
-central chain's one S once for all of them), a cheap early refusal.
+so the check of S would see nothing.
+
+One singularity rule (``_check_definite``) decides every level of the
+shifted chain: the eps-shifted matrix of level n, of size m = (n + 1) d,
+is positive definite at working precision when a tested eigenvalue clears
+top m u, top its largest eigenvalue.  It tests the data level N before the
+state is built, the bound S of each chained level below the last as the
+chain goes (S is a Schur complement of the level's shifted matrix, so it
+is positive definite exactly when that matrix is; the central chain's one
+S once for all of its levels), a cheap early refusal, and the output's
+own eigenvalues in its final check.  The data passed their own check, so
+a refusal raises SingularBlockError naming the level: the shift is too
+small for the data, or the chain's rounding (or a unit-norm contraction,
+whose ball point lies on the boundary) took it off the ball.  NotPsdError
+is raised for the data only.
 
 Certificate of the shifted chain.  Its whole output M_0 .. M_L is then
 certified once, by the first of three checks that passes:
@@ -93,14 +106,14 @@ certified once, by the first of three checks that passes:
    ``toeplitz._cholesky_exceeds``, which also decides the data of
    ``certified_series``);
 3. the dense eigenvalue check (``_certify``) on the output assembled
-   afresh: computed eigenvalues above -max(tol, eps), and the eps-shifted
-   matrix invertible at working precision.
+   afresh: the singularity rule on its computed eigenvalues.
 
 The first two pass only where the third provably passes, so verdicts and
-messages are those of the eigenvalue check of the output.  The data passed
-their own check, so an output that fails is the chain's rounding and
-raises SingularBlockError; a unit-norm contraction at the last step lands
-on the boundary of the ball and is refused so.
+messages are those of the eigenvalue check of the output.  Whatever the
+shifted chain returns has its eps-shifted matrix positive definite at
+working precision, so its computed lambda_min(T_L) > -eps; ``tol`` plays
+no part.  A unit-norm contraction at the last step lands on the boundary
+of the ball, and the output is refused as singular.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -112,13 +125,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NotPsdError, OutOfBallError, SingularBlockError
-from .linalg import _MACHINE_EPS, _procrustes, hermitian_split
+from .exceptions import DimensionError, OutOfBallError, SingularBlockError
+from .linalg import _MACHINE_EPS, _check_tol, _procrustes, hermitian_split
 from .series import HerglotzSeries, _powers, certified_series
 from .toeplitz import (
     CoefficientSequence,
     _certified_data,
-    _check_tol,
     _cholesky_exceeds,
     _frobenius_squares,
     _interlacing_margin,
@@ -196,28 +208,35 @@ def _contraction(contraction, shape):
     return g
 
 
-def _certify(seq, eps, tol):
-    # the dense eigenvalue check of a chained level: PSD within tol, and the
-    # eps-shifted matrix invertible at working precision.  The data passed
-    # their own check, so a failure is the chain's rounding
+def _check_definite(least, top, levels, d, eps):
+    # the one singularity rule of the shifted chain: the eps-shifted Toeplitz
+    # matrix A of each level in the range ``levels`` (data M_0 .. M_level,
+    # size m = (level + 1) d) is positive definite at working precision.
+    # ``least`` is the smallest computed eigenvalue of A, or of the bound S
+    # of the level, a Schur complement of A, so lambda_min(A) <=
+    # lambda_min(S) and A is positive definite exactly when S is; ``top`` is
+    # the largest eigenvalue of A, or a lower bound on it.  The first level
+    # whose threshold top m u ``least`` does not clear is refused.  The data
+    # passed their own check, so a refusal is the shift or the chain's
+    # rounding, never the data
+    sizes = (np.asarray(levels) + 1) * d
+    thresholds = top * sizes * _MACHINE_EPS
+    singular = least <= thresholds
+    if singular.any():
+        first = int(np.argmax(singular))
+        raise SingularBlockError(
+            f"the eps-shifted Toeplitz matrix at level {levels[first]} is not positive "
+            f"definite at working precision (eps = {eps:.3e}: tested eigenvalue "
+            f"{least:.3e} <= threshold {thresholds[first]:.3e})"
+        )
+
+
+def _certify(seq, eps):
+    # the dense check of a chained level M_0 .. M_L on its eigenvalues: the
+    # eps-shifted matrix positive definite at working precision, so its
+    # computed lambda_min(T_L) > -eps
     eigs = np.linalg.eigvalsh(assemble(seq).dense)
-    if eigs[0] < -tol:
-        raise SingularBlockError(
-            f"the chained Toeplitz matrix at level {seq.order} is not positive "
-            f"semidefinite within {tol:.3e} (min eigenvalue {eigs[0]:.6e})"
-        )
-    _check_shift(eigs, eps)
-
-
-def _check_shift(eigs, eps):
-    # the eps-shifted matrix with eigenvalues ``eigs`` is invertible at
-    # working precision
-    spread = eigs + eps
-    if spread[0] <= spread[-1] * len(spread) * _MACHINE_EPS:
-        raise SingularBlockError(
-            f"eps = {eps:.3e} leaves the shifted matrix numerically singular "
-            f"(spread {spread[0]:.3e} .. {spread[-1]:.3e})"
-        )
+    _check_definite(eigs[0] + eps, eigs[-1] + eps, range(seq.order, len(seq)), seq.block_dim, eps)
 
 
 def _decomposed_data(seq, eps, tol):
@@ -250,9 +269,9 @@ def _decomposed_data(seq, eps, tol):
 def _ball_state(seq, eps, dense, eigs):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
     # with its gamma, from T_N = ``dense`` and its eigenvalues ``eigs``
-    # (``_decomposed_data``), after the shift check
+    # (``_decomposed_data``), after the singularity check of its level
     d = seq.block_dim
-    _check_shift(eigs, eps)
+    _check_definite(eigs[0] + eps, eigs[-1] + eps, range(seq.order, len(seq)), d, eps)
     shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
     # of recombining inverse blocks, which cancels catastrophically for tiny
@@ -342,27 +361,6 @@ def parametrized_step(step, contraction):
     return step.x_center + _roots(step.left_bound)[1] @ g @ _roots(step.alpha, "alpha")[2]
 
 
-def _check_bound(eigs, top, levels, block_dim):
-    # ``eigs`` are the eigenvalues of the bound S of the data M_0 .. M_level
-    # for each level of the range ``levels`` (the central chain keeps one S
-    # for all of its levels), whose shifted Toeplitz matrix A has largest
-    # eigenvalue >= top.  S is positive definite iff A is, and lambda_min(A)
-    # <= lambda_min(S), so a bound below top * size * machine eps puts A
-    # below working precision too.  The first failing level is named.
-    if eigs[0] <= 0:
-        raise NotPsdError(
-            f"extension left the ball at level {levels[0]}: the shifted Toeplitz "
-            f"matrix is not positive definite (bound eigenvalue {eigs[0]:.6e})"
-        )
-    sizes = (np.array(levels) + 1) * block_dim
-    singular = eigs[0] <= top * sizes * _MACHINE_EPS
-    if singular.any():
-        raise SingularBlockError(
-            f"the shifted Toeplitz matrix at level {levels[np.argmax(singular)]} "
-            f"is numerically singular (bound eigenvalue {eigs[0]:.3e})"
-        )
-
-
 def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     """Append ``steps`` coefficients by iterated one-step extension.
 
@@ -371,11 +369,12 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     The first N + 1 coefficients of the output are bitwise those of the
     input.  The data are checked with ``tol``, with the verdicts and
     messages of the eigenvalue check behind ``certified_series``.  The
-    whole output is certified: on determinate data the smallest eigenvalue
-    of its Toeplitz matrix is proven at least -max(tol, eps) (``eps`` is
-    unused there), and otherwise the dense eigenvalue check of the output
-    at tolerance max(tol, eps) and shift ``eps`` provably passes.  The
-    module docstring describes the routing and the certificates.
+    whole output is certified.  On determinate data, extended exactly with
+    no shift, the smallest eigenvalue of its Toeplitz matrix T_L is proven
+    at least -max(tol, eps).  Otherwise the shifted chain's output has its
+    eps-shifted matrix positive definite at working precision, so its
+    computed lambda_min(T_L) > -eps, and ``tol`` plays no part.  The module
+    docstring describes the routing and the certificates.
 
     Cost to horizon H = N + steps: O(N^3 d^3 + H r d^2) on determinate
     data of rank r; O(N^3 d^3 + H N d^3) for a central chain that its
@@ -394,14 +393,16 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         If the number or the block shape of the contractions is wrong.
     NotPsdError
         Naming the first truncation level of the data whose Toeplitz
-        matrix fails, or if the bound S of a chained level is not positive
-        definite.
+        matrix fails; raised for the data only.
     SingularBlockError
-        If a shifted Toeplitz matrix is singular at working precision, the
-        output fails its final check (the data passed theirs, so the
-        failure is the chain's rounding), or the alpha^{-1} of a
-        parametrized step is not positive definite (never on the
-        determinate path, which inverts nothing at the shift).
+        Naming the first level whose eps-shifted Toeplitz matrix is not
+        positive definite at working precision: the data level (a shift too
+        small for the data), a chained level whose bound S fails, or the
+        whole output in its final check (the data passed theirs, so the
+        failure is the chain's rounding or a unit-norm contraction); or if
+        the alpha^{-1} of a parametrized step is not positive definite
+        (never on the determinate path, which inverts nothing at the
+        shift).
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
     """
@@ -422,7 +423,7 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
     top = eigs[-1] + eps
     if contractions is None and steps > 1:
-        _check_bound(np.linalg.eigvalsh(s), top, range(n, n + steps - 1), d)
+        _check_definite(np.linalg.eigvalsh(s)[0], top, range(n, n + steps - 1), d, eps)
     # the coefficients newest first in one d x (N + 1 + steps) d row: the
     # one appended next goes to position ``pos``, and gamma is the window
     # after it
@@ -437,7 +438,7 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
             # from one eigh of S and one of alpha^{-1}
             s_eigs, s_half = _roots(s)
             if k:
-                _check_bound(s_eigs, top, range(n + k - 1, n + k), d)
+                _check_definite(s_eigs[0], top, range(n + k - 1, n + k), d, eps)
             g = _contraction(contractions[k], (d, d))
             _, a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
             diff = s_half @ g @ a_inv_half
@@ -454,7 +455,7 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     if contractions is not None or not (
         _banded_bound(out.coefficients, a, alpha_inv, eigs, margin, eps) > tau
     ):
-        _certify_chained(out, eps, max(tol, eps), tau)
+        _certify_chained(out, eps, tau)
     return out
 
 
@@ -628,8 +629,9 @@ def _banded_bound(coeffs, a, alpha_inv, eigs, margin, eps):
     # rounding of tau by a relative 3 u and 4 u, which 1 - 32 u covers with
     # a relative 8 u to spare.  So a returned value above the computed
     # ``_chained_tau`` puts the exact lambda_min(A) above tau (1 + 8 u), and
-    # then ``_certify`` passes: its computed lambda_min stays above -eps and
-    # its spread test holds even after rounding the shift and the products.
+    # then ``_certify`` passes: its computed lambda_min + eps clears the
+    # threshold (lambda_max + eps) m u of ``_check_definite`` even after
+    # rounding the shift and the products, so lambda_min > -eps.
     u = _MACHINE_EPS
     last, d = len(coeffs) - 1, coeffs.shape[1]
     n = len(a) // d
@@ -673,7 +675,7 @@ def _banded_bound(coeffs, a, alpha_inv, eigs, margin, eps):
     return gap / (1 + alpha) ** 2 * (1 - 32 * u)
 
 
-def _certify_chained(seq, eps, tol, tau):
+def _certify_chained(seq, eps, tau):
     # ``_certify`` of a chained level, settled by one shifted Cholesky
     # factorisation (``_cholesky_exceeds``) where that provably passes.  With
     # A the level's m x m matrix, nu >= ||A||_2 and ``tau`` its
@@ -681,11 +683,12 @@ def _certify_chained(seq, eps, tol, tau):
     # proves lambda_min(A + eps I) > tau = (nu + eps) m u (1 + 2 m u) +
     # 2 m u nu.  Eigenvalues computed by eigvalsh lie within 2 m u nu of the
     # exact ones (the convention of ``positivity_profile``), so ``_certify``
-    # would find lambda_min > -eps and a spread above (lambda_max + eps) m u:
-    # it passes.  Otherwise ``_certify`` itself decides on the level,
-    # assembled afresh once the shifted copy is dropped.
+    # would find lambda_min + eps above the threshold (lambda_max + eps) m u
+    # of ``_check_definite``, hence lambda_min > -eps: it passes.  Otherwise
+    # ``_certify`` itself decides on the level, assembled afresh once the
+    # shifted copy is dropped.  ``tol`` plays no part in either.
     if not _cholesky_exceeds(assemble(seq).dense, -eps, tau):
-        _certify(seq, eps, tol)
+        _certify(seq, eps)
 
 
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):

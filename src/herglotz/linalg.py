@@ -36,6 +36,14 @@ __all__ = [
 _MACHINE_EPS = np.finfo(float).eps
 
 
+def _check_tol(tol):
+    # a NaN tolerance makes every comparison against it false, which passes
+    # or blames whatever it guards, and an infinite one admits anything:
+    # neither certifies anything
+    if not np.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol}")
+
+
 def _square(m, what="matrix"):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -126,10 +134,13 @@ def psd_report(h, tol=1e-9):
 
     Raises
     ------
+    ValueError
+        If ``tol`` is NaN or infinite.
     NotHermitianError
         If ``h`` deviates from Hermitian symmetry beyond ``tol``, or has a
         non-finite entry.
     """
+    _check_tol(tol)
     herm = _hermitian_part(_square(h), tol)
     eigs = np.linalg.eigvalsh(herm) if herm.size else np.array([np.inf])
     return _psd_verdict(float(eigs[0]), tol)
@@ -169,6 +180,8 @@ def minimal_factorization(a, tol_rank=1e-10):
 
     Raises
     ------
+    ValueError
+        If ``tol_rank`` is NaN or infinite.
     NotPsdError
         If the smallest eigenvalue is below ``-tol_rank``; the offending
         eigenvalue is reported.
@@ -176,6 +189,7 @@ def minimal_factorization(a, tol_rank=1e-10):
         If ``a`` deviates from Hermitian symmetry beyond ``tol_rank``, or
         has a non-finite entry.
     """
+    _check_tol(tol_rank)
     herm = _hermitian_part(_square(a), tol_rank)
     if herm.size == 0:
         return Factorization(T=np.zeros((0, 0), dtype=complex), rank=0, residual=0.0)
@@ -235,12 +249,15 @@ def connecting_isometry(minimal, other, tol=1e-8):
 
     Raises
     ------
+    ValueError
+        If ``tol`` is NaN or infinite.
     DimensionError
         If T and T' do not share the source dimension n.
     FactorizationMismatchError
         If T' has fewer rows than T (no isometry maps the range of T into
         it), or ``T*T`` and ``(T')*(T')`` differ beyond ``tol``.
     """
+    _check_tol(tol)
     t = np.asarray(minimal.T if isinstance(minimal, Factorization) else minimal, dtype=complex)
     tp = np.asarray(other, dtype=complex)
     if t.ndim != 2 or tp.ndim != 2 or t.shape[1] != tp.shape[1]:

@@ -27,6 +27,7 @@ from .exceptions import (
     RangeCompatibilityError,
 )
 from .linalg import (
+    _check_tol,
     _psd_verdict,
     connecting_isometry,
     hermitian_split,
@@ -228,10 +229,13 @@ def kernel_gram(phi, points, vectors=None, tol=1e-6):
 
     Raises
     ------
+    ValueError
+        If ``tol`` is NaN or infinite.
     DimensionError
         If ``points`` is not of shape (m,) with m >= 1 or ``vectors`` is
         not of shape (m, d); both are checked before any evaluation.
     """
+    _check_tol(tol)
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1:
         raise DimensionError(f"expected points of shape (m,), got shape {pts.shape}")
@@ -279,6 +283,7 @@ def kernel_finite_section(seq, z, w, n):
 
 
 def _check_realization(rlz, tol=1e-8):
+    _check_tol(tol)
     d = np.asarray(rlz.D, dtype=complex)
     c = np.asarray(rlz.C, dtype=complex)
     v = np.asarray(rlz.V, dtype=complex)
@@ -382,10 +387,13 @@ def reduce(seq, tol=1e-8):
 
     Raises
     ------
+    ValueError
+        If ``tol`` is NaN or infinite.
     RangeCompatibilityError
         If any residual exceeds ``tol`` (the data cannot be a truncated
         Herglotz series; equivalently some Toeplitz level is not PSD).
     """
+    _check_tol(tol)
     coeffs = seq.coefficients
     h0, d_imag = hermitian_split(coeffs[0])
     fact = minimal_factorization(h0, tol_rank=1e-10)
@@ -440,6 +448,8 @@ def gram_isometries(seq, tol=1e-8):
 
     Raises
     ------
+    ValueError
+        If ``tol`` is NaN or infinite (``minimal_factorization``).
     NotPsdError
         If T_N has an eigenvalue below -``tol`` (``minimal_factorization``).
     FactorizationMismatchError

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError
-from .linalg import _MACHINE_EPS, hermitian_split, psd_report
+from .linalg import _MACHINE_EPS, _check_tol, hermitian_split, psd_report
 
 __all__ = [
     "CoefficientSequence",
@@ -210,14 +210,6 @@ def positivity_profile(seq, tol=1e-9):
     return _interlaced_reports(dense, seq.block_dim, tol, np.linalg.eigvalsh(dense))
 
 
-def _check_tol(tol):
-    # a NaN tol makes every comparison of the data checks false, which
-    # passes the data, and an infinite one passes any data: neither
-    # certifies anything
-    if not np.isfinite(tol):
-        raise ValueError(f"tolerance tol must be finite, got {tol}")
-
-
 def _check_data(seq, tol):
     # the check of ``certified_series``.  By interlacing and the eigvalsh
     # convention of ``positivity_profile``, every level's computed lambda_min
@@ -377,6 +369,8 @@ def cross_block_bound_check(bt, samples, tol=1e-9):
 
     Raises
     ------
+    ValueError
+        If ``tol`` is NaN or infinite (``psd_report``).
     NotPsdError
         If ``bt`` is not PSD within ``tol`` (contract violation).
     """

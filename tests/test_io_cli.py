@@ -95,6 +95,39 @@ class TestProblemFormat:
             parse_problem(f'{{"block_dim": {huge}, "coefficients": [[[[1, 0]]]]}}')
         assert str(err.value) == f"coefficient 0 has shape (1, 1), expected ({huge}, {huge})"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "top level must be an object"),
+            ('{"block_dim": 0, "coefficients": [[[[1, 0]]]]}',
+             "block_dim must be a positive integer, got 0"),
+        ],
+        ids=["list", "block_dim-0"],
+    )
+    def test_malformed_schema_is_named(self, text, message):
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem(text)
+        assert str(err.value) == message
+
+    def test_serialize_rejects_block_dim_zero(self):
+        pf = ProblemFile(block_dim=0, coefficients=np.zeros((1, 0, 0)))
+        with pytest.raises(ProblemFormatError, match="block_dim must be >= 1"):
+            serialize_problem(pf)
+
+    def test_save_and_load_round_trip(self, tmp_path):
+        pf = parse_problem(problem_text([1, 0.5 + 0.25j]))
+        path = tmp_path / "p.json"
+        herglotz_io.save_problem(pf, path)
+        loaded = herglotz_io.load_problem(path)
+        assert path.read_text() == serialize_problem(pf)
+        assert np.array_equal(loaded.coefficients, pf.coefficients)
+
+    def test_canonical_json_scalars(self):
+        # a numpy float that is not a Python float is formatted as its value
+        assert canonical_json([np.float32(0.5)]) == "[0.5]\n"
+        with pytest.raises(ProblemFormatError, match="type set"):
+            canonical_json({"a": {1}})
+
     def test_metadata_must_be_string_map(self):
         with pytest.raises(ProblemFormatError, match="metadata"):
             parse_problem('{"block_dim": 1, "coefficients": [[[[1, 0]]]], "metadata": {"a": 1}}')
@@ -153,6 +186,7 @@ class TestProblemFormat:
              % ("0" * 400), "coefficient 1: entry too large for a float"),
             ("[[[[1, -1%s], [0, 0]], [[0, 0], [1, 0]]]]" % ("0" * 309),
              "coefficient 0: entry too large for a float"),
+            ("[]", "coefficients must be a non-empty list of matrices"),
         ],
     )
     def test_malformed_coefficients_name_the_first_bad_one(self, coefficients, message):
@@ -272,6 +306,7 @@ class TestRunConfig:
             {"eps": float("inf")},
             {"tol": float("nan")},
             {"tol": float("inf")},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -434,6 +469,18 @@ class TestSolveCommand:
         coeffs = report["problem"]["coefficients"]
         assert coeffs[2][0][0][0] == pytest.approx(0.25, abs=1e-6)
 
+    def test_shift_below_working_precision_is_a_tolerance_failure(self, tmp_path, capsys):
+        # eps = 1e-300 leaves the shifted matrix of the data singular at
+        # working precision: the extension raises, and nothing is emitted
+        fixture = tmp_path / "fixture.json"
+        argv = ["generate", "--block-dim", "2", "--state-dim", "5", "--order", "2"]
+        assert main([*argv, "--output", str(fixture)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", str(fixture), "--eps", "1e-300", "--horizon", "8"]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the eps-shifted Toeplitz matrix at level 2 ")
+
     def test_kernel_report_not_psd_fails(self, tmp_path, capsys):
         # eps = 1 moves the extension off the data's ball: the report is
         # still emitted, and its own verdict sets the exit status
@@ -574,6 +621,10 @@ class TestGenerateCommand:
             if idx > 0:
                 assert not m.any()
 
+    def test_zero_block_dim_is_an_argument_error(self, capsys):
+        assert main(["generate", "--block-dim", "0"]) == EXIT_PARSE
+        assert "block-dim >= 1" in capsys.readouterr().err
+
     def test_unwritable_output_is_an_argument_error(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "x.json"
         assert main(["generate", "--seed", "0", "--output", str(out_path)]) == EXIT_PARSE
@@ -626,6 +677,14 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as err:
             main(["eval"])  # missing input and --z
         assert err.value.code == EXIT_PARSE
+
+    @pytest.mark.parametrize("point", ["1,2,3", "x"])
+    def test_malformed_point_is_an_argument_error(self, tmp_path, capsys, point):
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        with pytest.raises(SystemExit) as err:
+            main(["eval", path, "--z", point])
+        assert err.value.code == EXIT_PARSE
+        assert "expected 're,im' or 're'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", [["check"], ["eval", "--z", "0.5"], ["kernel", "--z", "0.5", "--w", "0.25"]]

@@ -106,6 +106,10 @@ class TestMinimalFactorization:
         assert np.linalg.norm(a - fact.T.conj().T @ fact.T) <= 1e-12 * np.linalg.norm(a)
         assert fact.residual <= 1e-12
 
+    def test_empty_matrix_has_an_empty_factor(self):
+        fact = minimal_factorization(np.zeros((0, 0)))
+        assert fact.T.shape == (0, 0) and fact.rank == 0 and fact.residual == 0.0
+
     def test_not_psd_raises_with_eigenvalue(self):
         with pytest.raises(NotPsdError, match="-1"):
             minimal_factorization([[1, 2], [2, 1]])
@@ -141,6 +145,10 @@ class TestConnectingIsometry:
     def test_mismatch_raises(self):
         with pytest.raises(FactorizationMismatchError):
             connecting_isometry(np.eye(2), 2 * np.eye(2))
+
+    def test_factors_of_different_source_dimensions_raise(self):
+        with pytest.raises(DimensionError, match="source dimension"):
+            connecting_isometry(np.eye(2), np.eye(3))
 
     def test_target_with_fewer_rows_than_the_rank_raises(self):
         # no isometry maps a rank-2 range into one row, however loose tol is
@@ -197,6 +205,24 @@ class TestConnectingIsometry:
         assert v.shape == (5, 3)
         assert np.linalg.norm(v.conj().T @ v - np.eye(3)) <= 1e-8
         assert np.linalg.norm(v @ v.conj().T - np.eye(5)) > 1e-3
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a NaN tolerance would blame the matrix for its asymmetry, and an
+        # infinite one would pass it
+        lambda tol: psd_report([[-1.0]], tol),
+        lambda tol: minimal_factorization([[-1.0]], tol_rank=tol),
+        # factors that disagree: a NaN tolerance would connect them
+        lambda tol: connecting_isometry(np.eye(2), 2 * np.eye(2), tol=tol),
+    ],
+    ids=["psd_report", "minimal_factorization", "connecting_isometry"],
+)
+def test_non_finite_tolerance_raises(call, tol):
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        call(tol)
 
 
 class TestSchurSplit:

@@ -17,6 +17,8 @@ central chain: its bound never exceeds the computed smallest eigenvalue
 of the output, and ``extend`` keeps its outcome with the certificate
 switched off; for every output of the shifted chain, central or
 parametrized, of one step or many: it passes the dense eigenvalue check;
+on data that pass their check, ``extend`` with any contractions, unit-norm
+ones included, never raises NotPsdError;
 for the exact extension of determinate data: it is the
 generating realization, its measure certificate never exceeds the computed
 smallest eigenvalue of the output, and perturbed data are either certified
@@ -494,12 +496,11 @@ def test_profile_brackets_the_per_level_reports(seq, tol):
 
 
 @settings(max_examples=300, deadline=None)
-@given(scaled_levels(), st.sampled_from([1e-8, 1e-3, 1.0]), st.sampled_from([1e-9, 1e-6]))
-def test_chained_level_check_matches_the_eigenvalue_check(seq, eps, tol):
-    tol = max(tol, eps)
-    expected = check_outcome(_certify, seq, eps, tol)
+@given(scaled_levels(), st.sampled_from([1e-8, 1e-3, 1.0]))
+def test_chained_level_check_matches_the_eigenvalue_check(seq, eps):
+    expected = check_outcome(_certify, seq, eps)
     tau = _chained_tau(seq.coefficients, eps)
-    assert check_outcome(_certify_chained, seq, eps, tol, tau) == expected
+    assert check_outcome(_certify_chained, seq, eps, tau) == expected
 
 
 @st.composite
@@ -562,10 +563,11 @@ def test_banded_certificate_is_sound_and_keeps_the_outcome(chain, eps):
 
 
 @st.composite
-def shifted_chains(draw, central):
+def shifted_chains(draw, central, sizes=(0.5, 0.9)):
     # realization data of full rank or short of it by one or two, scaled by
     # 10^k, with a chain of one step (as often as any other count) up to 60;
-    # a parametrized chain takes contractions each zero or of norm 0.5 or 0.9
+    # a parametrized chain takes contractions each zero or of one norm drawn
+    # from ``sizes``
     d = draw(st.integers(1, 3))
     order = draw(st.integers(0, 8))
     steps = draw(st.one_of(st.just(1), st.integers(1, 60)))
@@ -575,7 +577,7 @@ def shifted_chains(draw, central):
     coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** draw(st.integers(-6, 6))
     if central:
         return CoefficientSequence(coeffs), steps, None
-    size = draw(st.sampled_from([0.5, 0.9]))
+    size = draw(st.sampled_from(sizes))
     contractions = []
     for _ in range(steps):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -596,7 +598,28 @@ def test_every_shifted_chain_output_passes_the_eigenvalue_check(central, data, e
         except (NotPsdError, SingularBlockError):
             return
     assert out.coefficients[: len(seq)].tobytes() == seq.coefficients.tobytes()
-    _certify(out, eps, max(tol, eps))
+    _certify(out, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.booleans().flatmap(lambda central: shifted_chains(central, sizes=(0.5, 0.9, 1.0))),
+    st.sampled_from([1e-14, 1e-8, 1e-3]),
+    st.sampled_from([1e-9, 1e-6]),
+)
+def test_extend_blames_no_data_that_pass_their_check(chain, eps, tol):
+    # NotPsdError names the data only: on data that ``certified_series``
+    # passes, a chain that fails, even one a unit-norm contraction takes to
+    # the boundary of the ball, raises SingularBlockError
+    seq, steps, contractions = chain
+    try:
+        certified_series(seq, tol=tol)
+    except NotPsdError:
+        return
+    try:
+        extend(seq, steps, eps=eps, contractions=contractions, tol=tol)
+    except SingularBlockError:
+        pass
 
 
 @st.composite

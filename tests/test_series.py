@@ -9,6 +9,7 @@ from herglotz import (
     CoefficientSequence,
     DimensionError,
     DomainError,
+    FactorizationMismatchError,
     FixtureError,
     HerglotzSeries,
     InsufficientDataError,
@@ -87,6 +88,10 @@ class TestEvalSeries:
         for check in checks:
             with pytest.raises(DomainError):
                 check()
+
+    def test_two_dimensional_points_raise(self):
+        with pytest.raises(DimensionError, match="1-d array"):
+            eval_series(all_ones_series(4), np.zeros((2, 2)))
 
     def test_tail_bound_dominates_truncation_error(self):
         exact = 3.0
@@ -375,6 +380,21 @@ class TestRealizationChecks:
             REALIZATION_ENTRY_POINTS[entry](Realization(**parts))
 
     @pytest.mark.parametrize("entry", sorted(REALIZATION_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            ({"D": (1, 2), "C": (1, 1), "V": (1, 1)}, "D must be square"),
+            ({"D": (1, 1), "C": (1, 1), "V": (1, 2)}, "V must be square"),
+            ({"D": (1, 1), "C": (2, 1), "V": (1, 1)}, "C must map"),
+        ],
+        ids=["D", "V", "C"],
+    )
+    def test_misshapen_part_raises(self, entry, shapes, message):
+        parts = {part: np.ones(shape) for part, shape in shapes.items()}
+        with pytest.raises(FixtureError, match=message):
+            REALIZATION_ENTRY_POINTS[entry](Realization(**parts))
+
+    @pytest.mark.parametrize("entry", sorted(REALIZATION_ENTRY_POINTS))
     def test_nan_defect_raises(self, entry):
         # finite entries whose V*V overflows to inf - inf: the isometry
         # defect is NaN, which a "> tol" test would let through
@@ -398,6 +418,11 @@ class TestRandomRealization:
         rlz = random_realization(4, 2, 7)
         assert np.linalg.norm(rlz.V.conj().T @ rlz.V - np.eye(7)) <= 1e-12
         assert np.linalg.norm(rlz.D + rlz.D.conj().T) <= 1e-15
+
+    @pytest.mark.parametrize("dims", [(0, 3), (2, 0)])
+    def test_zero_dimension_raises(self, dims):
+        with pytest.raises(DimensionError, match="at least 1"):
+            random_realization(0, *dims)
 
     def test_zero_c_flag(self):
         rlz = random_realization(4, 2, 7, zero_c=True)
@@ -490,6 +515,23 @@ class TestGramIsometries:
         assert gf.factor.shape == (0, len(values))
         assert all(v.shape == (0, 0) for v in gf.isometries)
 
+    def test_unreproduced_coefficient_raises(self):
+        # T_N has a double eigenvalue -0.082, within tol = 0.1, which its
+        # minimal factor clamps to zero; the isometries then miss M_1 by
+        # 0.116, beyond tol max(1, ||T_N||_F) = tol (||T_N||_F = 0.97)
+        m1 = 0.27 * np.array([[-1.0, -1.0], [-1.0, 1.0]])
+        seq = CoefficientSequence(np.array([0.3 * np.eye(2), m1]))
+        with pytest.raises(FactorizationMismatchError, match="coefficient 1 is not reproduced"):
+            gram_isometries(seq, tol=0.1)
+
+    def test_unreproduced_toeplitz_matrix_raises(self):
+        # T_1 of (1, 0.983) has eigenvalue 0.017, below tol lambda_max, which
+        # the minimal factor drops: M_1 comes back off by 0.017, within
+        # tol ||T_1||_F = 0.0198, but T_1 off by 0.024, beyond it
+        seq = CoefficientSequence.from_scalars([1, 0.983])
+        with pytest.raises(FactorizationMismatchError, match="Gram reconstruction"):
+            gram_isometries(seq, tol=1e-2)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_rank_deficient_base_factor(self, seed):
         # state dimension 1 below block dimension 3: Re M_0 has rank 1, and
@@ -501,6 +543,31 @@ class TestGramIsometries:
         for v, block in zip(gf.isometries, gf.blocks):
             assert np.linalg.norm(v.conj().T @ v - np.eye(1)) <= 1e-14
             assert np.linalg.norm(v @ t0 - block) <= 1e-10 * np.linalg.norm(block)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: kernel_gram(scalar_series([1, 0.5]), [0.1, 0.2j], tol=tol),
+        lambda tol: reduce(CoefficientSequence.from_scalars([1, 2]), tol=tol),
+        lambda tol: gram_isometries(CoefficientSequence.from_scalars([1, 2]), tol=tol),
+        lambda tol: realization_coefficients(fixture_realization(0), 2, tol=tol),
+        lambda tol: eval_realization(fixture_realization(0), 0.5, tol=tol),
+    ],
+    ids=[
+        "kernel_gram",
+        "reduce",
+        "gram_isometries",
+        "realization_coefficients",
+        "eval_realization",
+    ],
+)
+def test_non_finite_tolerance_raises(call, tol):
+    # each would otherwise give a verdict no tolerance backs: a NaN passes
+    # or blames whatever it guards, an infinite one admits anything
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        call(tol)
 
 
 class TestComposeReduced:

@@ -34,6 +34,22 @@ class TestCoefficientSequence:
         with pytest.raises(DimensionError):
             seq.truncated(7)
 
+    def test_one_matrix_is_one_block(self):
+        seq = CoefficientSequence(np.eye(2))
+        assert seq.order == 0 and seq.block_dim == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CoefficientSequence(np.zeros((0, 2, 2))),
+            lambda: CoefficientSequence.from_scalars([[1]]),
+        ],
+        ids=["empty-stack", "nested-scalars"],
+    )
+    def test_rejects_empty_or_nested_data(self, build):
+        with pytest.raises(DimensionError):
+            build()
+
     def test_rejects_ragged_blocks(self):
         with pytest.raises(DimensionError):
             CoefficientSequence(np.ones((2, 2, 3)))
@@ -122,6 +138,10 @@ class TestReversal:
         with pytest.raises(DimensionError):
             reverse_blocks(np.eye(5), 2)
 
+    def test_non_square_raises(self):
+        with pytest.raises(DimensionError, match="square"):
+            reverse_blocks(np.ones((2, 4)), 2)
+
 
 class TestPositivityProfile:
     def test_all_ones(self):
@@ -199,6 +219,14 @@ class TestCrossBlockBound:
         bt = assemble(CoefficientSequence.from_scalars([1, 2]))
         with pytest.raises(NotPsdError):
             cross_block_bound_check(bt, [((0, 1), [1.0], [1.0])])
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_raises(self, tol):
+        # infeasible data: a NaN tolerance would blame the matrix for its
+        # asymmetry, and an infinite one would pass it
+        bt = assemble(CoefficientSequence.from_scalars([1, 2]))
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            cross_block_bound_check(bt, [((0, 1), [1.0], [1.0])], tol=tol)
 
     def test_bad_block_index(self):
         bt = assemble(CoefficientSequence.from_scalars([1, 0]))
