@@ -11,7 +11,9 @@ decomposition would give (``min_eigenvalue_bounds``); see
 Exit statuses: 0 success, 2 parse/argument error (including an input that
 cannot be read or an ``--output`` that cannot be written), 3 infeasible
 data, 4 domain error, 5 internal tolerance failure (including a ``solve``
-whose own kernel Gram report is not PSD; the report is still emitted).
+whose own kernel Gram report is not PSD, where the report is still
+emitted, and an ``eval`` or ``kernel`` value or tail bound that is not
+finite, in either output mode, where nothing is emitted).
 """
 
 import argparse
@@ -171,6 +173,16 @@ def _emit(args, report, lines, product=None):
         print(line, file=out)
 
 
+def _emit_value(args, report, lines):
+    # eval and kernel: a value or tail bound that overflowed is a numerical
+    # failure, in either output mode, and nothing is emitted
+    if not (np.isfinite(report["value"]).all() and np.isfinite(report["tail_bound"])):
+        print(f"error: {report['command']} value or tail bound is not finite", file=sys.stderr)
+        return EXIT_TOLERANCE
+    _emit(args, report, lines)
+    return EXIT_OK
+
+
 def _level_entry(n, r):
     # a decomposed level reports its min eigenvalue, an interlaced one the
     # bracket that contains it
@@ -263,8 +275,7 @@ def cmd_eval(args):
         *_matrix_lines(value),
         f"truncation tail bound: {tail:.3e}",
     ]
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _emit_value(args, report, lines)
 
 
 def cmd_kernel(args):
@@ -284,8 +295,7 @@ def cmd_kernel(args):
         *_matrix_lines(value),
         f"truncation tail bound: {tail:.3e}",
     ]
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _emit_value(args, report, lines)
 
 
 def cmd_reduce(args):

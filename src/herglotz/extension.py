@@ -308,8 +308,8 @@ def central_step(seq, eps, tol=1e-9):
     Raises
     ------
     ValueError
-        If ``eps`` is not positive and finite, or ``tol`` is NaN or
-        infinite.
+        If ``eps`` is not positive and finite, or ``tol`` is negative,
+        NaN or infinite.
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails (the
         check of ``certified_series``).
@@ -388,7 +388,7 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     ------
     ValueError
         If ``steps`` is negative, ``eps`` is not positive and finite, or
-        ``tol`` is NaN or infinite.
+        ``tol`` is negative, NaN or infinite.
     DimensionError
         If the number or the block shape of the contractions is wrong.
     NotPsdError
@@ -704,8 +704,8 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     Raises
     ------
     ValueError
-        If ``horizon`` is negative, ``tol`` is NaN or infinite, or, beyond
-        N, ``eps`` is not positive and finite.
+        If ``horizon`` is negative, ``tol`` is negative, NaN or infinite,
+        or, beyond N, ``eps`` is not positive and finite.
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     SingularBlockError

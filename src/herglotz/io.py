@@ -15,9 +15,12 @@ significant digits - so parse followed by serialize is the identity on
 canonical files, byte for byte.
 
 Arrays travel whole.  The emitter takes a complex ndarray as a leaf and
-formats all of its floats with one %-template built from its shape; the
-parser converts all coefficients with one ``np.array`` call and walks them
-one by one only to name what is wrong with a malformed file.  Text made by
+formats all of its floats with one %-template built from its shape.  Parse
+and serialize check coefficients through one function: it converts all of
+them with one ``np.asarray`` call and walks them one by one only when that
+fails, to name the first bad coefficient, so the file's [re, im] pairs and
+a ``ProblemFile``'s complex matrices are refused with the same message for
+the same fault.  Text made by
 ``canonical_json`` is itself a leaf that is emitted verbatim, so a command
 formats each data product once and embeds that text in its report.
 """
@@ -108,21 +111,27 @@ def format_float(x):
     return f"{x:.17g}"
 
 
-def pairs_to_matrix(rows, what="matrix"):
+def _matrix(entries, what, pairs):
+    # one coefficient as a complex matrix, from rows of [re, im] pairs (the
+    # file form, ``pairs``) or of complex numbers (a ProblemFile's)
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(entries, dtype=float if pairs else complex)
     except OverflowError as exc:
         # JSON integers are unbounded; one past the float range cannot be read
         raise ProblemFormatError(f"{what}: entry too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{what}: entries must be [re, im] number pairs") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    if pairs and (arr.ndim != 3 or arr.shape[2] != 2):
         raise ProblemFormatError(
             f"{what}: expected rows of [re, im] pairs, got shape {arr.shape}"
         )
     if not np.isfinite(arr).all():
         raise ProblemFormatError(f"{what}: non-finite entry")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    return arr[:, :, 0] + 1j * arr[:, :, 1] if pairs else arr
+
+
+def pairs_to_matrix(rows, what="matrix"):
+    return _matrix(rows, what, pairs=True)
 
 
 class CanonicalText(str):
@@ -184,39 +193,29 @@ def canonical_json(obj):
     return CanonicalText(_emit(obj) + "\n")
 
 
-def _coefficient_array(pf):
-    # the coefficients as one complex (N + 1, d, d) array, checked as the
-    # parser checks them so that no file is written that cannot be read
-    d = pf.block_dim
+def _coefficient_array(coefficients, d, pairs):
+    # the coefficients as one complex (N + 1, d, d) array, from the file's
+    # [re, im] pairs (``pairs``) or a ProblemFile's complex matrices.  The
+    # whole list is converted in one call; only when that fails are the
+    # coefficients walked, to name the first bad one, so parse and
+    # serialize refuse a fault with one message
     try:
-        coefficients = np.asarray(pf.coefficients, dtype=complex)
-    except OverflowError as exc:
-        raise ProblemFormatError(
-            f"{_overflowing(pf.coefficients)}: entry too large for a float"
-        ) from exc
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(
-            "coefficients: entries must be complex matrices of one shape"
-        ) from exc
-    if coefficients.ndim == 0 or not len(coefficients):
-        raise ProblemFormatError("coefficients must be a non-empty list of matrices")
-    if coefficients.shape[1:] != (d, d):
-        raise ProblemFormatError(
-            f"coefficient 0 has shape {coefficients.shape[1:]}, expected ({d}, {d})"
-        )
-    return coefficients
-
-
-def _overflowing(coefficients):
-    # names the first coefficient holding an integer too large for a float
-    for idx, matrix in enumerate(coefficients):
-        try:
-            np.asarray(matrix, dtype=complex)
-        except OverflowError:
-            return f"coefficient {idx}"
-        except (TypeError, ValueError):
-            pass
-    return "coefficients"
+        arr = np.asarray(coefficients, dtype=float if pairs else complex)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is not None:
+        if arr.ndim == 0 or not len(arr):
+            raise ProblemFormatError("coefficients must be a non-empty list of matrices")
+        if arr.shape[1:] == ((d, d, 2) if pairs else (d, d)) and np.isfinite(arr).all():
+            return arr[..., 0] + 1j * arr[..., 1] if pairs else arr
+    for idx, entries in enumerate(coefficients):
+        m = _matrix(entries, f"coefficient {idx}", pairs)
+        if m.shape != (d, d):
+            raise ProblemFormatError(
+                f"coefficient {idx} has shape {m.shape}, expected ({d}, {d})"
+            )
+    # each coefficient is a finite d x d matrix, so the list converts whole
+    raise ProblemFormatError("coefficients pass one by one but do not convert whole")
 
 
 def serialize_problem(pf):
@@ -226,35 +225,10 @@ def serialize_problem(pf):
     return canonical_json(
         {
             "block_dim": int(pf.block_dim),
-            "coefficients": _coefficient_array(pf),
+            "coefficients": _coefficient_array(pf.coefficients, pf.block_dim, pairs=False),
             "metadata": {str(k): str(v) for k, v in pf.metadata.items()},
         }
     )
-
-
-def _parse_coefficients(coeffs_raw, block_dim):
-    # one conversion for the whole list; the per-coefficient walk runs only
-    # on a malformed list, to name its first bad coefficient
-    try:
-        arr = np.array(coeffs_raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if (
-        arr is not None
-        and arr.shape == (len(coeffs_raw), block_dim, block_dim, 2)
-        and np.isfinite(arr).all()
-    ):
-        return arr[..., 0] + 1j * arr[..., 1]
-    coefficients = []
-    for idx, rows in enumerate(coeffs_raw):
-        m = pairs_to_matrix(rows, what=f"coefficient {idx}")
-        if m.shape != (block_dim, block_dim):
-            raise ProblemFormatError(
-                f"coefficient {idx} has shape {m.shape}, expected "
-                f"({block_dim}, {block_dim})"
-            )
-        coefficients.append(m)
-    return np.array(coefficients)
 
 
 def parse_problem(text):
@@ -281,9 +255,9 @@ def parse_problem(text):
     if not isinstance(block_dim, int) or isinstance(block_dim, bool) or block_dim < 1:
         raise ProblemFormatError(f"block_dim must be a positive integer, got {block_dim!r}")
     coeffs_raw = raw["coefficients"]
-    if not isinstance(coeffs_raw, list) or not coeffs_raw:
+    if not isinstance(coeffs_raw, list):
         raise ProblemFormatError("coefficients must be a non-empty list of matrices")
-    coefficients = _parse_coefficients(coeffs_raw, block_dim)
+    coefficients = _coefficient_array(coeffs_raw, block_dim, pairs=True)
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()

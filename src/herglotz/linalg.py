@@ -38,10 +38,10 @@ _MACHINE_EPS = np.finfo(float).eps
 
 def _check_tol(tol):
     # a NaN tolerance makes every comparison against it false, which passes
-    # or blames whatever it guards, and an infinite one admits anything:
-    # neither certifies anything
-    if not np.isfinite(tol):
-        raise ValueError(f"tolerance must be finite, got {tol}")
+    # or blames whatever it guards, an infinite one admits anything, and a
+    # negative one fails exact data: none certifies anything
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
 def _square(m, what="matrix"):
@@ -135,7 +135,7 @@ def psd_report(h, tol=1e-9):
     Raises
     ------
     ValueError
-        If ``tol`` is NaN or infinite.
+        If ``tol`` is negative, NaN or infinite.
     NotHermitianError
         If ``h`` deviates from Hermitian symmetry beyond ``tol``, or has a
         non-finite entry.
@@ -181,7 +181,7 @@ def minimal_factorization(a, tol_rank=1e-10):
     Raises
     ------
     ValueError
-        If ``tol_rank`` is NaN or infinite.
+        If ``tol_rank`` is negative, NaN or infinite.
     NotPsdError
         If the smallest eigenvalue is below ``-tol_rank``; the offending
         eigenvalue is reported.
@@ -250,7 +250,7 @@ def connecting_isometry(minimal, other, tol=1e-8):
     Raises
     ------
     ValueError
-        If ``tol`` is NaN or infinite.
+        If ``tol`` is negative, NaN or infinite.
     DimensionError
         If T and T' do not share the source dimension n.
     FactorizationMismatchError

@@ -100,7 +100,8 @@ class ReducedForm:
     ``t0`` is the minimal factor of (M_0 + M_0*)/2 (full row rank r x d);
     ``t_seq`` holds the reduced coefficients t_0 .. t_N over dimension r
     with t_0 = I, or None when r = 0; ``residuals[j]`` records
-    ||M_j - T0* t_j T0|| (Frobenius).
+    ||M_j - T0* t_j T0|| (Frobenius), at every rank r including 0, where
+    T0 is 0 x d and the residuals are the norms of the coefficients.
     """
 
     d_imag: np.ndarray
@@ -138,7 +139,7 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     Raises
     ------
     ValueError
-        If ``tol`` is NaN or infinite.
+        If ``tol`` is negative, NaN or infinite.
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     """
@@ -230,7 +231,7 @@ def kernel_gram(phi, points, vectors=None, tol=1e-6):
     Raises
     ------
     ValueError
-        If ``tol`` is NaN or infinite.
+        If ``tol`` is negative, NaN or infinite.
     DimensionError
         If ``points`` is not of shape (m,) with m >= 1 or ``vectors`` is
         not of shape (m, d); both are checked before any evaluation.
@@ -314,7 +315,17 @@ def realization_coefficients(rlz, n_max, tol=1e-8):
 
     Every truncation-level Toeplitz matrix of the result is PSD by
     construction, which makes realizations the fixture oracle of choice.
+
+    Raises
+    ------
+    ValueError
+        If ``n_max`` is negative, or ``tol`` is negative, NaN or infinite.
+    FixtureError
+        If the realization is malformed: shapes that do not fit, a
+        non-finite entry, D not skew or V not an isometry within ``tol``.
     """
+    if n_max < 0:
+        raise ValueError(f"order must be nonnegative, got {n_max}")
     d, c, v = _check_realization(rlz, tol)
     blocks = [d + c.conj().T @ c]
     y = c
@@ -383,12 +394,14 @@ def reduce(seq, tol=1e-8):
     M_j - T0* t_j T0 come from stacked products, each block bitwise the
     product of its own matrices.  Residuals ||M_j - T0* t_j T0|| are
     recorded per coefficient and failure is loud, at the first coefficient
-    over ``tol``:
+    over ``tol``.  Rank 0 (Re M_0 = 0) takes the same path: T0 is 0 x d,
+    each defect is its own coefficient (Re M_0 for j = 0), and ``t_seq`` is
+    None.
 
     Raises
     ------
     ValueError
-        If ``tol`` is NaN or infinite.
+        If ``tol`` is negative, NaN or infinite.
     RangeCompatibilityError
         If any residual exceeds ``tol`` (the data cannot be a truncated
         Herglotz series; equivalently some Toeplitz level is not PSD).
@@ -398,17 +411,6 @@ def reduce(seq, tol=1e-8):
     h0, d_imag = hermitian_split(coeffs[0])
     fact = minimal_factorization(h0, tol_rank=1e-10)
     t0 = fact.T
-    r = fact.rank
-    if r == 0:
-        residuals = [float(np.linalg.norm(h0))]
-        residuals += [float(np.linalg.norm(coeffs[j])) for j in range(1, len(seq))]
-        worst = int(np.argmax(residuals))
-        if residuals[worst] > tol:
-            raise RangeCompatibilityError(
-                f"Re M_0 vanishes but coefficient {worst} has norm "
-                f"{residuals[worst]:.3e}; data is not a Herglotz truncation"
-            )
-        return ReducedForm(d_imag=d_imag, t0=t0, t_seq=None, residuals=residuals)
     compress = np.linalg.pinv(t0).conj().T  # (T0 T0*)^{-1} T0, shape r x d
     targets = np.concatenate([h0[None], coeffs[1:]])
     # stacked products, per block bitwise those of the 2-d products; one
@@ -425,7 +427,7 @@ def reduce(seq, tol=1e-8):
     return ReducedForm(
         d_imag=d_imag,
         t0=t0,
-        t_seq=CoefficientSequence(reduced),
+        t_seq=CoefficientSequence(reduced) if fact.rank else None,
         residuals=residuals,
     )
 
@@ -449,7 +451,8 @@ def gram_isometries(seq, tol=1e-8):
     Raises
     ------
     ValueError
-        If ``tol`` is NaN or infinite (``minimal_factorization``).
+        If ``tol`` is negative, NaN or infinite
+        (``minimal_factorization``).
     NotPsdError
         If T_N has an eigenvalue below -``tol`` (``minimal_factorization``).
     FactorizationMismatchError
@@ -490,7 +493,7 @@ def compose_reduced(rf, phi_reduced, z):
     reconstructs M_0 exactly; with empty T0 the function is the constant
     D_imag.
     """
-    if rf.t_seq is None or rf.t0.shape[0] == 0:
+    if rf.t_seq is None:
         return rf.d_imag.copy()
     if phi_reduced.seq.block_dim != rf.t0.shape[0]:
         raise DimensionError(

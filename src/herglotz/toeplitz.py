@@ -203,7 +203,7 @@ def positivity_profile(seq, tol=1e-9):
     Raises
     ------
     ValueError
-        If ``tol`` is NaN or infinite.
+        If ``tol`` is negative, NaN or infinite.
     """
     _check_tol(tol)
     dense = assemble(seq).dense
@@ -370,7 +370,7 @@ def cross_block_bound_check(bt, samples, tol=1e-9):
     Raises
     ------
     ValueError
-        If ``tol`` is NaN or infinite (``psd_report``).
+        If ``tol`` is negative, NaN or infinite (``psd_report``).
     NotPsdError
         If ``bt`` is not PSD within ``tol`` (contract violation).
     """

@@ -26,7 +26,9 @@ from herglotz import (
 )
 
 
-NON_FINITE_ARGUMENTS = [{"eps": np.nan}, {"eps": np.inf}, {"tol": np.nan}, {"tol": np.inf}]
+NON_FINITE_ARGUMENTS = [
+    {"eps": np.nan}, {"eps": np.inf}, {"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}
+]
 
 
 def scalar_seq(values):
@@ -510,7 +512,7 @@ class TestSolveCf:
             solve_cf(scalar_seq([1, 2]), horizon=8)
 
     @pytest.mark.parametrize("horizon", [0, 1, 5])
-    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_non_finite_tolerance_raises(self, horizon, tol):
         with pytest.raises(ValueError, match="finite"):
             solve_cf(scalar_seq([1, 2]), horizon, tol=tol)

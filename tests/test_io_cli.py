@@ -139,8 +139,7 @@ class TestProblemFormat:
             (np.ones((3, 1, 1)), "coefficient 0 has shape (1, 1), expected (2, 2)"),
             (np.ones((0, 2, 2)), "coefficients must be a non-empty list of matrices"),
             ([], "coefficients must be a non-empty list of matrices"),
-            ([np.ones((2, 2)), np.ones((1, 1))],
-             "coefficients: entries must be complex matrices of one shape"),
+            ([np.ones((2, 2)), np.ones((1, 1))], "coefficient 1 has shape (1, 1), expected (2, 2)"),
             # an integer past the float range
             ([np.ones((2, 2)), [[1, 0], [0, 10**400]]],
              "coefficient 1: entry too large for a float"),
@@ -284,6 +283,66 @@ class TestBulkEmitter:
         with pytest.raises(ProblemFormatError) as ref:
             _reference_emit(_reference_tree(a))
         assert str(err.value) == str(ref.value)
+
+
+FAULTS = ["ragged", "string", "huge", "shape", "nan", "inf", "empty"]
+
+
+@st.composite
+def coefficient_lists(draw):
+    # a coefficient list of complex matrices, valid or with one fault in one
+    # coefficient, as a ProblemFile holds it and as a file writes it
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    floats = draw(st.lists(finite_floats, min_size=2 * n * d * d, max_size=2 * n * d * d))
+    values = np.array(floats).view(complex).reshape(n, d, d).tolist()
+    fault = draw(st.none() | st.sampled_from(FAULTS))
+    k, i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    if fault == "ragged":
+        # a row one entry too long: ragged when d > 1, a wrong shape when d = 1
+        values[k][i].append(0j)
+    elif fault == "string":
+        values[k][i][j] = "x"
+    elif fault == "huge":
+        values[k][i][j] = -(10**400)
+    elif fault == "shape":
+        side = draw(st.integers(1, 4).filter(lambda m: m != d))
+        values[k] = np.ones((side, side), dtype=complex).tolist()
+    elif fault in ("nan", "inf"):
+        values[k][i][j] = complex(float(fault), 0.0)
+    elif fault == "empty":
+        values = []
+    return d, values
+
+
+def _pairs(entry):
+    if isinstance(entry, list):
+        return [_pairs(e) for e in entry]
+    if isinstance(entry, complex):
+        return [entry.real, entry.imag]
+    return [entry, 0]
+
+
+class TestOneCoefficientWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_lists())
+    def test_parse_and_serialize_refuse_together(self, case):
+        # serialize_problem of the complex matrices and parse_problem of the
+        # same matrices as [re, im] pairs refuse the same fault with the same
+        # message, and accept the same lists, byte for byte
+        d, values = case
+        text = json.dumps({"block_dim": d, "coefficients": _pairs(values)})
+        try:
+            written = serialize_problem(ProblemFile(block_dim=d, coefficients=values))
+        except ProblemFormatError as exc:
+            with pytest.raises(ProblemFormatError) as err:
+                parse_problem(text)
+            assert str(err.value) == str(exc)
+            return
+        parsed = parse_problem(text)
+        assert np.array_equal(parsed.coefficients, np.array(values))
+        assert serialize_problem(parsed) == written
+        assert serialize_problem(parse_problem(written)) == written
 
 
 class TestRunConfig:
@@ -519,6 +578,23 @@ class TestEvalCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: |z| = nan")
+
+    # numpy's overflow warnings are what this data must raise; the suite's
+    # warnings-as-errors would stop the command before its own check
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command", [["eval"], ["kernel", "--w", "0.5"]])
+    def test_non_finite_value_is_a_tolerance_failure(self, tmp_path, capsys, command, mode):
+        # M_0 + 2 z M_1 overflows at M_n = 1e308: exit 5 with an error line
+        # in both output modes, not +inf with exit 0 nor a parse error
+        path = tmp_path / "big.json"
+        path.write_text('{"block_dim": 1, "coefficients": [[[[1e308, 0]]], [[[1e308, 0]]]]}')
+        argv = [command[0], str(path), "--z", "0.5", *command[1:], *mode]
+        assert main(argv) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {command[0]} value or tail bound is not finite\n"
 
     def test_kernel_all_ones(self, tmp_path, capsys):
         path = write_problem(tmp_path, "p.json", np.ones(201))

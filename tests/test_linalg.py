@@ -207,7 +207,7 @@ class TestConnectingIsometry:
         assert np.linalg.norm(v @ v.conj().T - np.eye(5)) > 1e-3
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize(
     "call",
     [

@@ -329,6 +329,11 @@ class TestRealizationCoefficients:
         with pytest.raises(FixtureError):
             realization_coefficients(rlz, 3)
 
+    def test_negative_order_raises(self):
+        # refused as extend refuses a negative step count, not read as order 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            realization_coefficients(random_realization(0, 2, 3), -3)
+
 
 class TestEvalRealization:
     def test_scalar_at_origin(self):
@@ -467,11 +472,18 @@ class TestReduce:
         rf = reduce(CoefficientSequence.from_scalars([2j, 0]))
         assert rf.t0.shape == (0, 1)
         assert rf.t_seq is None
+        assert rf.residuals == [0.0, 0.0]
         assert np.allclose(rf.d_imag, [[2j]])
 
     def test_zero_real_part_incompatible(self):
         with pytest.raises(RangeCompatibilityError):
             reduce(CoefficientSequence.from_scalars([2j, 0.5]))
+
+    def test_zero_real_part_names_the_first_residual_over_tol(self):
+        # rank 0 takes the general path: the first coefficient over tol is
+        # named, not the largest
+        with pytest.raises(RangeCompatibilityError, match="^coefficient 2 does not factor"):
+            reduce(CoefficientSequence.from_scalars([2j, 0, 0.5, 0.7]))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fixture_reduction_quality(self, seed):
@@ -545,7 +557,7 @@ class TestGramIsometries:
             assert np.linalg.norm(v @ t0 - block) <= 1e-10 * np.linalg.norm(block)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize(
     "call",
     [
@@ -637,7 +649,7 @@ class TestCertifiedSeries:
         with pytest.raises(NotPsdError, match="level 1"):
             certified_series(CoefficientSequence.from_scalars([1, 2]))
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_non_finite_tolerance_raises(self, tol):
         # a NaN tolerance passes every comparison and an infinite one any
         # data, so either would certify these infeasible data

@@ -159,7 +159,7 @@ class TestPositivityProfile:
         assert reports[1].upper == pytest.approx(-1.0)
         assert not reports[1].is_psd
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_non_finite_tolerance_raises(self, tol):
         with pytest.raises(ValueError, match="finite"):
             positivity_profile(CoefficientSequence.from_scalars([1, 2]), tol)
@@ -220,7 +220,7 @@ class TestCrossBlockBound:
         with pytest.raises(NotPsdError):
             cross_block_bound_check(bt, [((0, 1), [1.0], [1.0])])
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_non_finite_tolerance_raises(self, tol):
         # infeasible data: a NaN tolerance would blame the matrix for its
         # asymmetry, and an infinite one would pass it
