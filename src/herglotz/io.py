@@ -17,16 +17,19 @@ canonical files, byte for byte.
 Arrays travel whole.  The emitter takes a complex ndarray as a leaf and
 formats all of its floats with one %-template built from its shape.  Parse
 and serialize check coefficients through one function: it converts all of
-them with one ``np.asarray`` call and walks them one by one only when that
-fails, to name the first bad coefficient, so the file's [re, im] pairs and
-a ``ProblemFile``'s complex matrices are refused with the same message for
-the same fault.  Text made by
+them with one ``np.asarray`` call, which refuses entries that are not
+numbers (a string such as "1" among them), and walks them one by one only
+when that fails, to name the first bad coefficient, so the file's [re, im]
+pairs and a ``ProblemFile``'s complex matrices are refused with the same
+message for the same fault; an empty coefficient or row is named by its
+shape on both sides.  Text made by
 ``canonical_json`` is itself a leaf that is emitted verbatim, so a command
 formats each data product once and embeds that text in its report.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,16 +114,39 @@ def format_float(x):
     return f"{x:.17g}"
 
 
+def _numbers(entries, pairs):
+    # ``entries`` as one array of numbers: real ones for the file's [re, im]
+    # pairs (``pairs``), complex ones for a ProblemFile's matrices.  One
+    # ``np.asarray`` call without a dtype, so a string stays a string and is
+    # refused here (a dtype would read "1" as 1.0).  Only numbers numpy keeps
+    # as objects, such as a JSON integer past int64, are converted again,
+    # after each is checked to be a number; one past the float range raises
+    # OverflowError.  A fault raises TypeError or ValueError
+    arr = np.asarray(entries)
+    if arr.dtype.kind == "O":
+        number = numbers.Real if pairs else numbers.Complex
+        if not all(isinstance(x, number) for x in arr.flat):
+            raise TypeError("entries must be numbers")
+        arr = np.asarray(entries, dtype=float if pairs else complex)
+    if arr.dtype.kind not in ("biuf" if pairs else "biufc"):
+        raise TypeError("entries must be numbers")
+    return arr
+
+
 def _matrix(entries, what, pairs):
     # one coefficient as a complex matrix, from rows of [re, im] pairs (the
     # file form, ``pairs``) or of complex numbers (a ProblemFile's)
     try:
-        arr = np.asarray(entries, dtype=float if pairs else complex)
+        arr = _numbers(entries, pairs)
     except OverflowError as exc:
         # JSON integers are unbounded; one past the float range cannot be read
         raise ProblemFormatError(f"{what}: entry too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{what}: entries must be [re, im] number pairs") from exc
+    if pairs and arr.size == 0:
+        # no pair to read: the matrix has the shape of the rows, as a
+        # ProblemFile's empty matrix has
+        return np.zeros(arr.shape, dtype=complex)
     if pairs and (arr.ndim != 3 or arr.shape[2] != 2):
         raise ProblemFormatError(
             f"{what}: expected rows of [re, im] pairs, got shape {arr.shape}"
@@ -200,14 +226,14 @@ def _coefficient_array(coefficients, d, pairs):
     # coefficients walked, to name the first bad one, so parse and
     # serialize refuse a fault with one message
     try:
-        arr = np.asarray(coefficients, dtype=float if pairs else complex)
+        arr = _numbers(coefficients, pairs)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is not None:
         if arr.ndim == 0 or not len(arr):
             raise ProblemFormatError("coefficients must be a non-empty list of matrices")
         if arr.shape[1:] == ((d, d, 2) if pairs else (d, d)) and np.isfinite(arr).all():
-            return arr[..., 0] + 1j * arr[..., 1] if pairs else arr
+            return arr[..., 0] + 1j * arr[..., 1] if pairs else arr.astype(complex, copy=False)
     for idx, entries in enumerate(coefficients):
         m = _matrix(entries, f"coefficient {idx}", pairs)
         if m.shape != (d, d):

@@ -107,11 +107,17 @@ def hermitian_split(m):
     merely to tolerance).
     """
     m = _square(m)
-    # halved before adding, so finite entries near the float maximum give a
-    # finite split; away from overflow and underflow the bits are those of
-    # (M + M*)/2
-    half, half_h = m / 2, m.conj().T / 2
-    return half + half_h, half - half_h
+    return _hermitian(m), m / 2 - m.conj().T / 2
+
+
+def _hermitian(m, out=None):
+    # the Hermitian part (M + M*) / 2 of a square complex array, written into
+    # ``out`` if given: the formula of ``hermitian_split``, of the diagonal
+    # of ``toeplitz.assemble`` and of every checked Hermitian part
+    # (``_hermitian_part``).  Halved before adding, so finite entries near
+    # the float maximum give a finite result; away from overflow and
+    # underflow the bits are those of (M + M*) / 2
+    return np.add(m / 2, m.conj().T / 2, out=out)
 
 
 def psd_report(h, tol=1e-9):
@@ -147,17 +153,18 @@ def psd_report(h, tol=1e-9):
 
 
 def _hermitian_part(h, tol):
-    # (h + h*) / 2, after checking that h is Hermitian within tol.  Taken
-    # entrywise, so the leading blocks of the result are the Hermitian parts
-    # of the leading blocks of h.  A non-finite entry makes the defect NaN
-    # (inf - inf on the diagonal), which fails the check.
-    with np.errstate(invalid="ignore"):
+    # (h + h*) / 2 (``_hermitian``), after checking that h is Hermitian
+    # within tol.  Taken entrywise, so the leading blocks of the result are
+    # the Hermitian parts of the leading blocks of h.  A non-finite entry
+    # makes the defect NaN (inf - inf on the diagonal), and a difference past
+    # the float maximum makes it inf; either fails the check.
+    with np.errstate(invalid="ignore", over="ignore"):
         defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
     if not defect <= tol:
         raise NotHermitianError(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds tol {tol:.3e}"
         )
-    return (h + h.conj().T) / 2
+    return _hermitian(h)
 
 
 def _psd_verdict(min_eig, tol):
@@ -202,18 +209,27 @@ def minimal_factorization(a, tol_rank=1e-10):
     cutoff = tol_rank * eigs[-1]
     keep = eigs > cutoff
     t = np.sqrt(eigs[keep])[:, None] * vecs[:, keep].conj().T
-    norm_a = np.linalg.norm(herm)
-    residual = float(np.linalg.norm(herm - t.conj().T @ t) / norm_a) if norm_a > 0 else 0.0
+    # the residual of A and of its defect scaled by the power of 2 at or just
+    # above A's largest entry: the scaling is exact, so the ratio keeps the
+    # bits of the unscaled one wherever that neither overflows nor
+    # underflows, and entries near the float maximum square without overflow
+    top = float(np.abs(herm).max())
+    residual = 0.0
+    if top > 0:
+        scale = np.ldexp(1.0, -max(int(np.frexp(top)[1]), -1021))
+        defect = (herm - t.conj().T @ t) * scale
+        residual = float(np.linalg.norm(defect) / np.linalg.norm(herm * scale))
     return Factorization(T=t, rank=int(keep.sum()), residual=residual)
 
 
-def _procrustes(target, source):
+def _procrustes(cross):
     # the isometry V minimising ||V source - target||_F over V* V = I
     # (orthogonal Procrustes; Schoenemann, Psychometrika 31 (1966)): the
-    # polar factor of target source*, from its thin SVD, returned with that
-    # SVD's singular values.  An isometry needs target to have at least as
-    # many rows as source; with fewer, the polar factor is a co-isometry
-    outer, sv, inner = np.linalg.svd(target @ source.conj().T, full_matrices=False)
+    # polar factor of their ``cross`` product target source*, which the
+    # caller forms, from its thin SVD, returned with that SVD's singular
+    # values.  An isometry needs target to have at least as many rows as
+    # source; with fewer, the polar factor is a co-isometry
+    outer, sv, inner = np.linalg.svd(cross, full_matrices=False)
     return outer @ inner, sv
 
 
@@ -276,7 +292,7 @@ def connecting_isometry(minimal, other, tol=1e-8):
         raise FactorizationMismatchError(
             f"factorizations disagree: ||T*T - (T')*(T')|| = {gap:.3e}"
         )
-    return _procrustes(tp, t)[0]
+    return _procrustes(tp @ t.conj().T)[0]
 
 
 def schur_split(g, k):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError
-from .linalg import _MACHINE_EPS, _check_tol, hermitian_split, psd_report
+from .linalg import _MACHINE_EPS, _check_tol, _hermitian, psd_report
 
 __all__ = [
     "CoefficientSequence",
@@ -107,9 +107,9 @@ def assemble(seq):
     # Lower blocks are the stored conjugate transposes of the upper ones, so
     # the result is exactly Hermitian.
     row = np.empty((d, 2 * n - 1, d), dtype=complex)
-    row[:, n - 1] = hermitian_split(coeffs[0])[0]
+    _hermitian(coeffs[0], out=row[:, n - 1])
     row[:, n:] = coeffs[1:].transpose(1, 0, 2)
-    row[:, : n - 1] = coeffs[:0:-1].conj().transpose(2, 0, 1)
+    np.conjugate(coeffs[:0:-1].transpose(2, 0, 1), out=row[:, : n - 1])
     dense = np.empty((n * d, n * d), dtype=complex)
     windows = _windows(row, (n - 1) * d, (n, d, n * d), (-d, (2 * n - 1) * d, 1))
     dense.reshape(n, d, n * d)[:] = windows

@@ -637,3 +637,23 @@ class TestDeterminateExtension:
         assert calls["assemble"] == [data]
         assert calls["eigh"] == [data, state_dim] and calls["svd"] == [state_dim]
         assert calls["eigvalsh"] == calls["eig"] == calls["cholesky"] == []
+        assert calls["inv"] == calls["solve"] == []
+
+    @pytest.mark.parametrize("block_dim, horizon", [(1, 64), (2, 64), (2, 128)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bench_shaped_solve_is_three_lapack_calls(
+        self, count_dense_calls, block_dim, horizon, seed
+    ):
+        # order-8 realization data of state dimension at most N d, the shape
+        # of every ``extend`` bench op: one assembly, one eigh of T_N, the
+        # Procrustes SVD and one r x r eigh, and nothing inverted or solved
+        rng = np.random.default_rng(seed)
+        state_dim = int(rng.integers(block_dim, 9))
+        seq = fixture_sequence(70 + seed, block_dim, state_dim, 8)
+        data = len(seq) * block_dim
+        calls = count_dense_calls()
+        phi = solve_cf(seq, horizon=horizon)
+        assert phi.seq.order == horizon and phi.certified
+        assert calls["assemble"] == [data]
+        assert calls["eigh"] == [data, state_dim] and calls["svd"] == [state_dim]
+        assert calls["eigvalsh"] == calls["inv"] == calls["solve"] == calls["cholesky"] == []

@@ -285,7 +285,10 @@ class TestBulkEmitter:
         assert str(err.value) == str(ref.value)
 
 
-FAULTS = ["ragged", "string", "huge", "shape", "nan", "inf", "empty"]
+FAULTS = [
+    "ragged", "string", "numeric string", "huge", "shape", "nan", "inf", "empty",
+    "empty row", "empty coefficient",
+]
 
 
 @st.composite
@@ -303,6 +306,13 @@ def coefficient_lists(draw):
         values[k][i].append(0j)
     elif fault == "string":
         values[k][i][j] = "x"
+    elif fault == "numeric string":
+        values[k][i][j] = "1"
+    elif fault == "empty row":
+        # ragged when d > 1, a 1 x 0 coefficient when d = 1
+        values[k][i] = []
+    elif fault == "empty coefficient":
+        values[k] = []
     elif fault == "huge":
         values[k][i][j] = -(10**400)
     elif fault == "shape":
@@ -444,6 +454,22 @@ class TestCheckCommand:
         path.write_text("{broken")
         assert main(["check", str(path)]) == EXIT_PARSE
         assert "line" in capsys.readouterr().err
+
+    def test_numeric_string_is_a_parse_error(self, tmp_path, capsys):
+        # the schema asks for numbers; "1" is text, even where it reads as one
+        path = tmp_path / "text.json"
+        path.write_text('{"block_dim": 1, "coefficients": [[[["1", "0.5"]]]]}')
+        assert main(["check", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: coefficient 0: entries must be [re, im] number pairs\n"
+        )
+
+    def test_integer_past_int64_is_a_number(self, tmp_path, capsys):
+        # numpy holds it as an object; it still reads as the float it rounds to
+        path = tmp_path / "wide.json"
+        path.write_text('{"block_dim": 1, "coefficients": [[[[1%s, 0]]]]}' % ("0" * 30))
+        assert main(["check", str(path)]) == EXIT_OK
+        assert parse_problem(path.read_text()).coefficients[0, 0, 0] == 1e30
 
     def test_integer_past_the_float_range_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -644,6 +670,16 @@ class TestReduceCommand:
         assert reduced["rank"] == 0
         assert reduced["t0"] == [] and reduced["t_coefficients"] == []
         assert reduced["d_imag"] == [[[0, 2]]]
+
+    def test_entries_near_the_float_maximum_reduce(self, tmp_path, capsys):
+        # (M_0 + M_0*) / 2 halved before adding and the factor's residual
+        # scaled by a power of 2: no overflow (which the suite turns into an
+        # error) and no residual refused as inf
+        path = tmp_path / "big.json"
+        path.write_text('{"block_dim": 1, "coefficients": [[[[1e308, 0]]], [[[1e308, 0]]]]}')
+        assert main(["reduce", str(path), "--json"]) == EXIT_OK
+        reduced = json.loads(capsys.readouterr().out)["reduced"]
+        assert reduced["rank"] == 1 and reduced["residuals"] == [0, 0]
 
     def test_incompatible_data(self, tmp_path):
         path = write_problem(tmp_path, "p.json", [2j, 0.5])

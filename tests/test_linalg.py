@@ -52,6 +52,11 @@ class TestHermitianSplit:
         assert np.array_equal(h2, h)
         assert not s2.any()
 
+    def test_near_overflow_split_is_finite(self):
+        h, s = hermitian_split([[1.7e308, 1.7e308], [-1.7e308, 1e308j]])
+        assert np.isfinite(h).all() and np.isfinite(s).all()
+        assert h[0, 0] == 1.7e308 and h[0, 1] == 0 and s[0, 1] == 1.7e308
+
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
             hermitian_split(np.ones((2, 3)))
@@ -113,6 +118,35 @@ class TestMinimalFactorization:
     def test_not_psd_raises_with_eigenvalue(self):
         with pytest.raises(NotPsdError, match="-1"):
             minimal_factorization([[1, 2], [2, 1]])
+
+    @pytest.mark.parametrize(
+        "matrix, rank",
+        [
+            ([[1e308]], 1),
+            ([[1.7e308]], 1),
+            ([[1e308, 1e307j], [-1e307j, 1e307]], 2),
+            ([[1e308, 0], [0, 1e-300]], 1),
+            ([[1e-310]], 1),
+        ],
+    )
+    def test_entries_near_the_float_limits_factor(self, matrix, rank):
+        # the Hermitian part is halved before adding and the residual is
+        # taken on a copy scaled by a power of 2, so neither overflows (the
+        # suite turns numpy's overflow warning into an error)
+        fact = minimal_factorization(matrix)
+        assert fact.rank == rank and np.isfinite(fact.T).all()
+        assert 0 <= fact.residual <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_is_the_unscaled_ratio(self, seed):
+        # the power-of-2 scaling is exact: away from overflow and underflow
+        # the residual has the bits of ||A - T*T|| / ||A||
+        rng = np.random.default_rng(seed)
+        a = random_psd(rng, 6, 3)
+        a = (a + a.conj().T) / 2 * 10.0 ** rng.integers(-100, 1)
+        fact = minimal_factorization(a)
+        expected = np.linalg.norm(a - fact.T.conj().T @ fact.T) / np.linalg.norm(a)
+        assert fact.residual == float(expected)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_psd_minimality(self, seed):

@@ -60,8 +60,13 @@ from herglotz import (
 from herglotz import extension
 from herglotz.extension import _certify, _certify_chained, _chained_tau
 from herglotz.linalg import hermitian_split, minimal_factorization
-from herglotz.series import _gram_matrix
-from herglotz.toeplitz import _certified_data, _interlacing_margin
+from herglotz.series import _gram_matrix, _powers
+from herglotz.toeplitz import (
+    _certified_data,
+    _frobenius_squares,
+    _interlacing_margin,
+    _rounding,
+)
 
 RADIUS = 0.9
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -697,6 +702,126 @@ def test_perturbed_data_are_certified_or_keep_the_chain_outcome(problem, eps):
     )
     assert beta <= max(1e-9, eps)
     assert got == coeffs.tobytes()
+
+
+def reference_determinate_extension(seq, dense, eigs, vecs, margin, steps):
+    # the determinate extension and its beta as the plain formulas give them:
+    # the factor and its adjoints formed whole, each array squared and summed
+    # by itself (``_frobenius_squares``), the scalar tail in numpy floats
+    n, d = len(seq), seq.block_dim
+    r = int(np.count_nonzero(eigs > margin))
+    if r > (n - 1) * d:
+        return None
+    last = n - 1 + steps
+    lam, g = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex)
+    if r:
+        factor = (vecs[:, -r:] * np.sqrt(eigs[-r:])).conj().T
+        target, source = factor[:, d:], factor[:, :-d]
+        outer, sv, inner = np.linalg.svd(target @ source.conj().T, full_matrices=False)
+        unitary = outer @ inner
+        if not sv[-1] > margin:
+            return None
+        rotated = np.exp(1j) * unitary
+        q = np.linalg.eigh(rotated + rotated.conj().T)[1]
+        lam = (q.conj() * (unitary @ q)).sum(axis=0)
+        lam /= np.abs(lam)
+        g = factor[:, :d].conj().T @ q
+    powers = np.empty((r, last + 1), dtype=complex)
+    powers[:, 0] = 1
+    raw = _powers(lam, last, out=powers[:, 1:])
+    raw /= np.abs(raw)
+    model = (
+        (g[:, None, :] * g.conj()[None, :, :]).reshape(d * d, r) @ powers
+    ).reshape(d, d, last + 1).transpose(2, 0, 1)
+    u = np.finfo(float).eps
+    defects = np.sqrt(
+        _frobenius_squares(dense[:d].reshape(d, n, d).transpose(1, 0, 2) - model[:n])
+    )
+    model0_norm, m0_norm = np.sqrt(_frobenius_squares(np.stack([model[0], seq.coefficients[0]])))
+    squares = powers.real**2 + powers.imag**2
+    c = _rounding(r + 4)
+    moduli = (g.real**2 + g.imag**2).sum(axis=0) @ (
+        (1 + c) * (np.abs(squares - 1) + 2 * u * squares) + c
+    )
+    gram = model0_norm + moduli[0]
+    phases = gram * (0.75 * u * last * (last + 1) - u * last)
+    beta = (
+        (defects[0] + 2 * defects[1:].sum()) * (1 + u)
+        + u * m0_norm
+        + moduli[0]
+        + 2 * (moduli[1:].sum() + phases)
+    )
+    model[:n] = seq.coefficients
+    return model, beta * (1 + _rounding(last + r + 2 * d * d + 16))
+
+
+@st.composite
+def rank_zero_problems(draw):
+    # T_N = 0: M_0 purely imaginary (possibly 0) and every later coefficient
+    # 0, so the minimal factor has no rows
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 10))
+    coeffs = np.zeros((order + 1, d, d), dtype=complex)
+    entries = st.floats(-1e3, 1e3, allow_nan=False)
+    skew = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d)))
+    coeffs[0] = 1j * (skew.reshape(d, d) + skew.reshape(d, d).T) * draw(st.sampled_from([0, 1]))
+    return CoefficientSequence(coeffs), draw(st.integers(order + 1, 200)), None, 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        determinate_problems(max_horizon=200),
+        determinate_problems(max_horizon=200, perturb=True),
+        rank_zero_problems(),
+    ),
+    st.sampled_from([1e-8, 1e-3]),
+)
+def test_determinate_extension_is_bitwise_the_plain_formulas(problem, eps):
+    # coefficients and beta bit for bit, and the same None where the data
+    # are not determinate
+    seq, horizon, _, scale = problem
+    try:
+        data = extension._decomposed_data(seq, eps, 1e-9 * scale)
+    except NotPsdError:
+        return
+    steps = horizon - seq.order
+    got = extension._determinate_extension(seq, *data, steps)
+    expected = reference_determinate_extension(seq, *data, steps)
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    assert np.ascontiguousarray(got[0]).tobytes() == np.ascontiguousarray(expected[0]).tobytes()
+    assert float(got[1]).hex() == float(expected[1]).hex()
+
+
+def seeded_determinate_problem(k):
+    # order 1-10 realization data of state dimension at most N d, d = 2 or
+    # 3, scaled by 10^-6 .. 10^6; odd k moves the last coefficient by a
+    # relative 1e-12 .. 1e-2
+    rng = np.random.default_rng([99, k])
+    d, order = int(rng.integers(2, 4)), int(rng.integers(1, 11))
+    rlz = random_realization(rng, d, int(rng.integers(1, order * d + 1)))
+    coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** int(rng.integers(-6, 7))
+    if k % 2:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        coeffs[-1] += [1e-12, 1e-9, 1e-6, 1e-2][k % 4] * float(np.abs(coeffs).max()) * g
+    return CoefficientSequence(coeffs)
+
+
+@pytest.mark.parametrize("k", [189, 298, 400, 589, 1112, 1909])
+def test_determinate_beta_sums_each_block_in_its_layout(k):
+    # data whose beta changes in its last bits when the defects' squares
+    # are summed as contiguous blocks instead of as block columns of T_N's
+    # first block row, or those of model[0] and M_0 by columns
+    seq = seeded_determinate_problem(k)
+    data = extension._decomposed_data(seq, 1e-8, 1e-9)
+    got = extension._determinate_extension(seq, *data, 50)
+    expected = reference_determinate_extension(seq, *data, 50)
+    assert got is not None and expected is not None
+    assert np.ascontiguousarray(got[0]).tobytes() == np.ascontiguousarray(expected[0]).tobytes()
+    assert float(got[1]).hex() == float(expected[1]).hex()
 
 
 @st.composite

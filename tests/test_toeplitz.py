@@ -8,6 +8,7 @@ from herglotz import (
     NotPsdError,
     assemble,
     cross_block_bound_check,
+    hermitian_split,
     positivity_profile,
     random_realization,
     realization_coefficients,
@@ -89,6 +90,21 @@ class TestAssemble:
     def test_diagonal_takes_hermitian_part(self):
         bt = assemble(CoefficientSequence.from_scalars([1 + 2j, 1]))
         assert np.array_equal(bt.dense, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_diagonal_is_bitwise_the_hermitian_split(self, seed):
+        # every diagonal block is hermitian_split(M_0)[0], bit for bit, at
+        # scales from near underflow to near overflow
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        coeffs = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        coeffs *= 10.0 ** rng.choice([-300, -8, 0, 8, 307])
+        seq = CoefficientSequence(coeffs)
+        dense = assemble(seq).dense
+        expected = hermitian_split(seq.coefficients[0])[0]
+        for k in range(n):
+            block = dense[k * d : (k + 1) * d, k * d : (k + 1) * d]
+            assert block.tobytes() == expected.tobytes()
 
     def test_finite_near_overflow_stays_finite(self):
         # (M_0 + M_0*)/2 taken as a sum would overflow to inf
