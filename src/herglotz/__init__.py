@@ -2,132 +2,26 @@
 functions: assembly and certification, one-step central extension,
 truncated-data interpolation, positive kernels, state-space realization
 oracles, and reduction to a minimal base-factor form.
+
+Each public name is listed once, in its module's ``__all__``; the package
+re-exports those names and its ``__all__`` joins the lists.
 """
 
-from .exceptions import (
-    DimensionError,
-    DomainError,
-    FactorizationMismatchError,
-    FixtureError,
-    InsufficientDataError,
-    NotHermitianError,
-    NotPsdError,
-    OutOfBallError,
-    ProblemFormatError,
-    RangeCompatibilityError,
-    SingularBlockError,
-)
-from .extension import (
-    ExtensionStep,
-    ball_membership,
-    central_step,
-    extend,
-    parametrized_step,
-    solve_cf,
-)
-from .io import (
-    ProblemFile,
-    RunConfig,
-    load_problem,
-    parse_problem,
-    save_problem,
-    serialize_problem,
-)
-from .linalg import (
-    Factorization,
-    PsdReport,
-    SchurSplit,
-    connecting_isometry,
-    hermitian_split,
-    minimal_factorization,
-    psd_report,
-    schur_split,
-)
-from .series import (
-    GramFactor,
-    HerglotzSeries,
-    Realization,
-    ReducedForm,
-    certified_series,
-    compose_reduced,
-    eval_realization,
-    eval_series,
-    gram_isometries,
-    kernel_gram,
-    kernel_finite_section,
-    kernel_value,
-    random_realization,
-    realization_coefficients,
-    reduce,
-    series_tail_bound,
-)
-from .toeplitz import (
-    BlockToeplitz,
-    CoefficientSequence,
-    LevelReport,
-    assemble,
-    cross_block_bound_check,
-    positivity_profile,
-    reversal_conjugate,
-    reverse_blocks,
-)
+from . import exceptions, extension, io, linalg, series, toeplitz
+from .exceptions import *
+from .extension import *
+from .io import *
+from .linalg import *
+from .series import *
+from .toeplitz import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockToeplitz",
-    "CoefficientSequence",
-    "DimensionError",
-    "DomainError",
-    "ExtensionStep",
-    "Factorization",
-    "FactorizationMismatchError",
-    "FixtureError",
-    "GramFactor",
-    "HerglotzSeries",
-    "InsufficientDataError",
-    "LevelReport",
-    "NotHermitianError",
-    "NotPsdError",
-    "OutOfBallError",
-    "ProblemFile",
-    "ProblemFormatError",
-    "PsdReport",
-    "Realization",
-    "RangeCompatibilityError",
-    "ReducedForm",
-    "RunConfig",
-    "SchurSplit",
-    "SingularBlockError",
-    "assemble",
-    "ball_membership",
-    "central_step",
-    "certified_series",
-    "compose_reduced",
-    "connecting_isometry",
-    "cross_block_bound_check",
-    "eval_realization",
-    "eval_series",
-    "extend",
-    "gram_isometries",
-    "hermitian_split",
-    "kernel_gram",
-    "kernel_finite_section",
-    "kernel_value",
-    "load_problem",
-    "minimal_factorization",
-    "parametrized_step",
-    "parse_problem",
-    "positivity_profile",
-    "psd_report",
-    "random_realization",
-    "realization_coefficients",
-    "reduce",
-    "reversal_conjugate",
-    "reverse_blocks",
-    "save_problem",
-    "schur_split",
-    "serialize_problem",
-    "series_tail_bound",
-    "solve_cf",
+    *exceptions.__all__,
+    *extension.__all__,
+    *io.__all__,
+    *linalg.__all__,
+    *series.__all__,
+    *toeplitz.__all__,
 ]

@@ -13,7 +13,9 @@ cannot be read or an ``--output`` that cannot be written), 3 infeasible
 data, 4 domain error, 5 internal tolerance failure (including a ``solve``
 whose own kernel Gram report is not PSD, where the report is still
 emitted, and an ``eval`` or ``kernel`` value or tail bound that is not
-finite, in either output mode, where nothing is emitted).
+finite, in either output mode, where nothing is emitted).  One table,
+``_EXIT_STATUS``, maps each failure to its status, and ``main`` writes its
+one ``error:`` line.
 """
 
 import argparse
@@ -63,6 +65,29 @@ EXIT_DOMAIN = 4
 EXIT_TOLERANCE = 5
 
 
+class _CommandFailure(Exception):
+    """A numerical failure a command finds in its own results."""
+
+
+# the exit status of each failure a command may raise; ``main`` catches
+# exactly these classes, and any other exception propagates
+_EXIT_STATUS = {
+    ProblemFormatError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    NotPsdError: EXIT_INFEASIBLE,
+    RangeCompatibilityError: EXIT_INFEASIBLE,
+    DomainError: EXIT_DOMAIN,
+    DimensionError: EXIT_TOLERANCE,
+    NotHermitianError: EXIT_TOLERANCE,
+    FactorizationMismatchError: EXIT_TOLERANCE,
+    SingularBlockError: EXIT_TOLERANCE,
+    OutOfBallError: EXIT_TOLERANCE,
+    FixtureError: EXIT_TOLERANCE,
+    InsufficientDataError: EXIT_TOLERANCE,
+    _CommandFailure: EXIT_TOLERANCE,
+}
+
+
 def _complex_flag(text):
     parts = text.split(",")
     try:
@@ -79,7 +104,8 @@ _FLAG_HELP = {
     "eps": "positive extension shift (determinate data take none; certified to -max(tol, eps))",
     "tol": "positivity tolerance",
     "horizon": "highest output coefficient index",
-    "truncation": "series evaluation truncation",
+    "truncation": "series evaluation truncation (solve extends to the longer of this and "
+    "--horizon; the last bits of the written coefficients depend on it)",
     "grid": "number of kernel test points",
     "seed": "random generator seed (PCG64)",
     "radius": "declared evaluation radius",
@@ -173,13 +199,15 @@ def _emit(args, report, lines, product=None):
         print(line, file=out)
 
 
-def _emit_value(args, report, lines):
-    # eval and kernel: a value or tail bound that overflowed is a numerical
-    # failure, in either output mode, and nothing is emitted
-    if not (np.isfinite(report["value"]).all() and np.isfinite(report["tail_bound"])):
-        print(f"error: {report['command']} value or tail bound is not finite", file=sys.stderr)
-        return EXIT_TOLERANCE
-    _emit(args, report, lines)
+def _emit_value(args, heading, value, tail, **points):
+    # eval and kernel: the value at the named ``points``.  A value or tail
+    # bound that overflowed is a numerical failure, in either output mode,
+    # and nothing is emitted
+    if not (np.isfinite(value).all() and np.isfinite(tail)):
+        raise _CommandFailure(f"{args.command} value or tail bound is not finite")
+    report = {"command": args.command, "tail_bound": tail, "value": value}
+    report.update((name, [p.real, p.imag]) for name, p in points.items())
+    _emit(args, report, [heading, *_matrix_lines(value), f"truncation tail bound: {tail:.3e}"])
     return EXIT_OK
 
 
@@ -217,11 +245,13 @@ def cmd_solve(args):
     cfg = _config(args)
     pf = load_problem(args.input)
     seq = pf.to_sequence()
-    # extend once to the longer of horizon/truncation; the central extension
-    # is deterministic, so the written horizon prefix is unaffected
+    # extend once to the longer of horizon and truncation.  The written
+    # prefix depends on that length: the determinate path forms all new
+    # coefficients in one matrix product, whose rounding of each column
+    # depends on the product's width
     target = max(cfg.horizon, cfg.truncation, seq.order)
     full = solve_cf(seq, target, eps=cfg.eps, tol=cfg.tol, radius=cfg.radius)
-    out_seq = full.seq.truncated(min(cfg.horizon, full.seq.order))
+    out_seq = full.seq.truncated(cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     points = _sample_points(rng, cfg.grid, cfg.radius)
     gram = kernel_gram(full, points)
@@ -244,58 +274,35 @@ def cmd_solve(args):
     ]
     _emit(args, report, summary, product)
     if not gram.is_psd:
-        print(
-            f"error: kernel Gram matrix is not PSD: min eigenvalue "
-            f"{gram.min_eigenvalue:.6e} below -{gram.tolerance_used:.3e}",
-            file=sys.stderr,
+        # the report is written first: it holds the failing Gram summary
+        raise _CommandFailure(
+            f"kernel Gram matrix is not PSD: min eigenvalue "
+            f"{gram.min_eigenvalue:.6e} below -{gram.tolerance_used:.3e}"
         )
-        return EXIT_TOLERANCE
     return EXIT_OK
 
 
-def _eval_series_from_file(pf, cfg):
-    seq = pf.to_sequence()
+def _file_series(args):
+    # the problem file's series, truncated for evaluation
+    cfg = _config(args)
+    seq = load_problem(args.input).to_sequence()
     level = min(seq.order, cfg.truncation)
     return HerglotzSeries(seq.truncated(level), declared_radius=cfg.radius, certified=False)
 
 
 def cmd_eval(args):
-    cfg = _config(args)
-    phi = _eval_series_from_file(load_problem(args.input), cfg)
+    phi = _file_series(args)
     value = eval_series(phi, args.z)
     tail = series_tail_bound(phi, args.z)
-    report = {
-        "command": "eval",
-        "tail_bound": tail,
-        "value": value,
-        "z": [args.z.real, args.z.imag],
-    }
-    lines = [
-        f"value at z = {args.z}:",
-        *_matrix_lines(value),
-        f"truncation tail bound: {tail:.3e}",
-    ]
-    return _emit_value(args, report, lines)
+    return _emit_value(args, f"value at z = {args.z}:", value, tail, z=args.z)
 
 
 def cmd_kernel(args):
-    cfg = _config(args)
-    phi = _eval_series_from_file(load_problem(args.input), cfg)
+    phi = _file_series(args)
     value = kernel_value(phi, args.z, args.w)
     tail = series_tail_bound(phi, [args.z, args.w]).sum() / abs(1 - args.z * np.conj(args.w))
-    report = {
-        "command": "kernel",
-        "tail_bound": tail,
-        "value": value,
-        "w": [args.w.real, args.w.imag],
-        "z": [args.z.real, args.z.imag],
-    }
-    lines = [
-        f"kernel at z = {args.z}, w = {args.w}:",
-        *_matrix_lines(value),
-        f"truncation tail bound: {tail:.3e}",
-    ]
-    return _emit_value(args, report, lines)
+    heading = f"kernel at z = {args.z}, w = {args.w}:"
+    return _emit_value(args, heading, value, tail, z=args.z, w=args.w)
 
 
 def cmd_reduce(args):
@@ -351,26 +358,9 @@ def main(argv=None):
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (ProblemFormatError, OSError) as exc:
+    except tuple(_EXIT_STATUS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotPsdError, RangeCompatibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (
-        DimensionError,
-        NotHermitianError,
-        FactorizationMismatchError,
-        SingularBlockError,
-        OutOfBallError,
-        FixtureError,
-        InsufficientDataError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        return next(code for cls, code in _EXIT_STATUS.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -3,6 +3,20 @@
 # Every failure mode that callers may want to distinguish gets its own
 # class; the CLI maps these onto distinct exit statuses.
 
+__all__ = [
+    "DimensionError",
+    "NotHermitianError",
+    "NotPsdError",
+    "FactorizationMismatchError",
+    "SingularBlockError",
+    "DomainError",
+    "OutOfBallError",
+    "RangeCompatibilityError",
+    "FixtureError",
+    "InsufficientDataError",
+    "ProblemFormatError",
+]
+
 
 class DimensionError(ValueError):
     """Input has the wrong shape (non-square, mismatched blocks, bad index)."""

@@ -416,9 +416,9 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         raise DimensionError(
             f"expected {steps} contraction parameters, got {len(contractions)}"
         )
+    dense, eigs, vecs, margin = _decomposed_data(seq, eps, tol)
     if steps == 0:
         return seq
-    dense, eigs, vecs, margin = _decomposed_data(seq, eps, tol)
     if contractions is None:
         exact = _determinate_extension(seq, dense, eigs, vecs, margin, steps)
         if exact is not None and exact[1] <= max(tol, eps):

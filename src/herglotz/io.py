@@ -37,6 +37,9 @@ import numpy as np
 from .exceptions import ProblemFormatError
 from .toeplitz import CoefficientSequence
 
+# the package exports these; the text helpers ``format_float``,
+# ``pairs_to_matrix``, ``canonical_json`` and ``CanonicalText`` serve the CLI
+# and stay out of the package namespace
 __all__ = [
     "ProblemFile",
     "RunConfig",
@@ -44,10 +47,6 @@ __all__ = [
     "serialize_problem",
     "load_problem",
     "save_problem",
-    "format_float",
-    "pairs_to_matrix",
-    "canonical_json",
-    "CanonicalText",
 ]
 
 

@@ -200,26 +200,26 @@ def minimal_factorization(a, tol_rank=1e-10):
     herm = _hermitian_part(_square(a), tol_rank)
     if herm.size == 0:
         return Factorization(T=np.zeros((0, 0), dtype=complex), rank=0, residual=0.0)
-    eigs, vecs = np.linalg.eigh(herm)
-    if not eigs[0] >= -tol_rank:
-        raise NotPsdError(
-            f"matrix is not PSD: eigenvalue {eigs[0]:.6e} below -{tol_rank:.1e}"
-        )
-    eigs = np.where(eigs < 0.0, 0.0, eigs)
-    cutoff = tol_rank * eigs[-1]
-    keep = eigs > cutoff
-    t = np.sqrt(eigs[keep])[:, None] * vecs[:, keep].conj().T
-    # the residual of A and of its defect scaled by the power of 2 at or just
-    # above A's largest entry: the scaling is exact, so the ratio keeps the
-    # bits of the unscaled one wherever that neither overflows nor
-    # underflows, and entries near the float maximum square without overflow
+    # A is decomposed divided by half^2, the even power of 2 nearest its
+    # largest entry, and its factor is scaled back by half.  The scalings are
+    # exact and eigh commutes with them, so the verdict, the factor and the
+    # residual keep the bits of the unscaled ones wherever those neither
+    # overflow nor underflow, and an eigenvalue past the float maximum still
+    # gives a finite factor
     top = float(np.abs(herm).max())
+    half = np.ldexp(1.0, max(int(np.frexp(top)[1]), -1021) // 2)
+    scaled = herm / half / half
+    eigs, vecs = np.linalg.eigh(scaled)
+    least = eigs[0] * half * half
+    if not least >= -tol_rank:
+        raise NotPsdError(f"matrix is not PSD: eigenvalue {least:.6e} below -{tol_rank:.1e}")
+    eigs = np.where(eigs < 0.0, 0.0, eigs)
+    keep = eigs > tol_rank * eigs[-1]
+    t = np.sqrt(eigs[keep])[:, None] * vecs[:, keep].conj().T
     residual = 0.0
     if top > 0:
-        scale = np.ldexp(1.0, -max(int(np.frexp(top)[1]), -1021))
-        defect = (herm - t.conj().T @ t) * scale
-        residual = float(np.linalg.norm(defect) / np.linalg.norm(herm * scale))
-    return Factorization(T=t, rank=int(keep.sum()), residual=residual)
+        residual = float(np.linalg.norm(scaled - t.conj().T @ t) / np.linalg.norm(scaled))
+    return Factorization(T=t * half, rank=int(keep.sum()), residual=residual)
 
 
 def _procrustes(cross):

@@ -225,8 +225,10 @@ def kernel_gram(phi, points, vectors=None, tol=1e-6):
     pairings <K(z_l, z_j) h_j, h_l> is formed directly from the values
     Phi(z_l) h_j, in O(m^2 d) work and without the (m, d, m, d) block
     tensor.  The Gram is symmetrized before the eigenvalue check and the
-    tolerance is widened by the measured skew norm plus the truncation-tail
-    allowance, so the report's ``tolerance_used`` absorbs both.
+    tolerance is widened by the measured skew norm plus m times the largest
+    per-point tail bound.  That allowance does not bound the Gram's
+    truncation error, which can reach 2 max tail lambda_max([1 / (1 - z_l
+    conj(z_j))]) (times max |h_l|^2 with ``vectors``).
 
     Raises
     ------

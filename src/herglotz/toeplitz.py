@@ -232,20 +232,16 @@ def _check_data(seq, tol):
 def _certified_data(seq, tol):
     # the eigenvalue check of the data: it decides the data where the
     # Cholesky factorisation of ``_check_data`` does not, and for the
-    # extension where its ``eigh`` of T_N leaves the verdict open.  Unless
-    # lambda_min(T_N) lies within the margin of -tol every level passes;
-    # otherwise the levels are decided as ``positivity_profile`` decides
-    # them, and the first failing level is a decomposed one (a bracket fails
-    # a level only when the decomposed level before it fails), named with
-    # its computed lambda_min
-    dense = assemble(seq).dense
-    eigs = np.linalg.eigvalsh(dense)
-    if eigs[0] < _interlacing_margin(eigs) - tol:
-        for n, report in enumerate(_interlaced_reports(dense, seq.block_dim, tol, eigs)):
-            if not report.is_psd:
-                raise NotPsdError(
-                    f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
-                )
+    # extension where its ``eigh`` of T_N leaves the verdict open.  The data
+    # are refused at the first level ``positivity_profile`` fails, so a
+    # refusal is the ``check`` command's first failing level; that level is
+    # a decomposed one (a bracket fails a level only when the decomposed
+    # level before it fails), named with its computed lambda_min
+    for n, report in enumerate(positivity_profile(seq, tol)):
+        if not report.is_psd:
+            raise NotPsdError(
+                f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
+            )
 
 
 def _rounding(k):

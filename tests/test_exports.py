@@ -1,34 +1,48 @@
-"""Every public name is stated three times: in its module's ``__all__``, in
-the import of ``herglotz/__init__.py`` and in ``herglotz.__all__``.  These
-tests fail when one of the three is forgotten."""
+"""Every public name is stated once, in its module's ``__all__``; the package
+re-exports each module with ``from .<module> import *`` and joins their
+lists into ``herglotz.__all__``.  These tests check that the join exports
+exactly those names, that every exception class is listed, and that the
+star re-exports leak no helper into the package namespace."""
 
 import importlib
 import inspect
+import subprocess
+import sys
 
 import herglotz
 from herglotz import exceptions
 
-SUBMODULES = ["extension", "io", "linalg", "series", "toeplitz"]
+SUBMODULES = ["exceptions", "extension", "io", "linalg", "series", "toeplitz"]
 # io's text helpers serve the CLI and stay out of the package namespace
 IO_TEXT_HELPERS = {"format_float", "pairs_to_matrix", "canonical_json", "CanonicalText"}
 
 
 def test_package_exports_every_submodule_export():
-    names = {
-        name
-        for module in SUBMODULES
-        for name in importlib.import_module(f"herglotz.{module}").__all__
-    }
-    names |= {
+    lists = [importlib.import_module(f"herglotz.{module}").__all__ for module in SUBMODULES]
+    names = [name for names in lists for name in names]
+    # each name in exactly one list, and every exception class in one
+    assert len(set(names)) == len(names)
+    assert {
         name
         for name, obj in vars(exceptions).items()
         if inspect.isclass(obj) and issubclass(obj, Exception)
-    }
-    assert sorted(herglotz.__all__) == sorted(names - IO_TEXT_HELPERS)
-    assert len(set(herglotz.__all__)) == len(herglotz.__all__)
+    } == set(exceptions.__all__)
+    assert sorted(herglotz.__all__) == sorted(names)
+    assert not IO_TEXT_HELPERS & set(names)
+    assert all(hasattr(herglotz.io, name) for name in IO_TEXT_HELPERS)
 
 
 def test_every_listed_name_resolves():
     for module in [herglotz, *(importlib.import_module(f"herglotz.{m}") for m in SUBMODULES)]:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_namespace_is_the_listed_names_and_the_submodules():
+    # in a fresh interpreter: a test that imports herglotz.cli binds it here
+    code = "import herglotz; print(' '.join(n for n in dir(herglotz) if not n.startswith('_')))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert sorted(run.stdout.split()) == sorted([*herglotz.__all__, *SUBMODULES])
+    star = {}
+    exec("from herglotz import *", star)
+    assert set(star) - {"__builtins__"} == set(herglotz.__all__)

@@ -300,14 +300,18 @@ class TestExtend:
         assert np.allclose(got, [1, 0, 0, 0, 0, 0], atol=1e-7)
 
     def test_zero_steps_unchanged(self, monkeypatch):
-        # no step, no state: solve with horizon = order pays nothing
+        # zero steps check the data as any step count does, but build no state
         def unexpected(*args):
             raise AssertionError("ball state built for zero steps")
 
         monkeypatch.setattr(extension, "_ball_state", unexpected)
-        monkeypatch.setattr(extension, "_decomposed_data", unexpected)
         seq = scalar_seq([1, 0.5])
         assert extend(seq, 0) is seq
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_infeasible_data_raise_for_every_step_count(self, steps):
+        with pytest.raises(NotPsdError, match="truncation level 1 is not PSD"):
+            extend(scalar_seq([1, 2]), steps)
 
     @pytest.mark.parametrize("steps", [10, 100])
     def test_dense_work_independent_of_step_count(self, count_dense_calls, steps):
@@ -466,6 +470,11 @@ class TestExtend:
         # infeasible, [2, 1] are not determinate and fine
         with pytest.raises(ValueError, match="finite"):
             extend(scalar_seq(values), 5, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", NON_FINITE_ARGUMENTS)
+    def test_zero_steps_refuse_non_finite_eps_or_tol(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            extend(scalar_seq([2, 1]), 0, **kwargs)
 
     def test_contraction_of_the_wrong_shape_raises(self):
         seq = scalar_seq([1, 0.5])

@@ -17,7 +17,7 @@ from herglotz import (
     parse_problem,
     serialize_problem,
 )
-from herglotz import cli
+from herglotz import cli, exceptions
 from herglotz import io as herglotz_io
 from herglotz.cli import (
     EXIT_DOMAIN,
@@ -28,7 +28,7 @@ from herglotz.cli import (
     build_parser,
     main,
 )
-from herglotz.io import canonical_json, format_float
+from herglotz.io import canonical_json, format_float, pairs_to_matrix
 
 
 def problem_text(values):
@@ -101,13 +101,28 @@ class TestProblemFormat:
             ("[]", "top level must be an object"),
             ('{"block_dim": 0, "coefficients": [[[[1, 0]]]]}',
              "block_dim must be a positive integer, got 0"),
+            ('{"block_dim": 1, "coefficients": [[[[null, 0]]]]}',
+             "coefficient 0: entries must be [re, im] number pairs"),
+            ('{"block_dim": 1, "coefficients": {}}',
+             "coefficients must be a non-empty list of matrices"),
         ],
-        ids=["list", "block_dim-0"],
+        ids=["list", "block_dim-0", "null-entry", "coefficients-object"],
     )
-    def test_malformed_schema_is_named(self, text, message):
+    def test_malformed_schema_is_named(self, tmp_path, capsys, text, message):
+        # by the parser, and by the CLI with exit status 2
         with pytest.raises(ProblemFormatError) as err:
             parse_problem(text)
         assert str(err.value) == message
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_pairs_to_matrix(self):
+        assert np.array_equal(pairs_to_matrix([[[1, 2], [3, -4]]]), [[1 + 2j, 3 - 4j]])
+        with pytest.raises(ProblemFormatError) as err:
+            pairs_to_matrix([[[None, 0]]], "M_1")
+        assert str(err.value) == "M_1: entries must be [re, im] number pairs"
 
     def test_serialize_rejects_block_dim_zero(self):
         pf = ProblemFile(block_dim=0, coefficients=np.zeros((1, 0, 0)))
@@ -784,6 +799,50 @@ class TestEntryPoint:
         assert main(["check", path]) == EXIT_OK
         monkeypatch.setattr(cli, "cmd_check", lambda args: 42)
         assert main(["check", path]) == 42
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            *(
+                cls
+                for cls in vars(exceptions).values()
+                if isinstance(cls, type) and issubclass(cls, Exception)
+            ),
+            OSError,
+            FileNotFoundError,
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_each_failure_exits_with_its_documented_status(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        # 2 argument, 3 infeasible, 4 domain, 5 every other library error,
+        # with one error line and nothing on stdout
+        documented = {
+            exceptions.ProblemFormatError: EXIT_PARSE,
+            OSError: EXIT_PARSE,
+            FileNotFoundError: EXIT_PARSE,
+            exceptions.NotPsdError: EXIT_INFEASIBLE,
+            exceptions.RangeCompatibilityError: EXIT_INFEASIBLE,
+            exceptions.DomainError: EXIT_DOMAIN,
+        }
+
+        def failing(args):
+            raise error("the reason")
+
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        monkeypatch.setattr(cli, "cmd_check", failing)
+        assert main(["check", path]) == documented.get(error, EXIT_TOLERANCE)
+        assert capsys.readouterr() == ("", "error: the reason\n")
+
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
+        def failing(args):
+            raise KeyError("not a command failure")
+
+        path = write_problem(tmp_path, "p.json", [1, 0.5])
+        monkeypatch.setattr(cli, "cmd_check", failing)
+        with pytest.raises(KeyError):
+            main(["check", path])
 
     def test_argument_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

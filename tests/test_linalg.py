@@ -127,12 +127,14 @@ class TestMinimalFactorization:
             ([[1e308, 1e307j], [-1e307j, 1e307]], 2),
             ([[1e308, 0], [0, 1e-300]], 1),
             ([[1e-310]], 1),
+            ([[1e308, 1e308], [1e308, 1e308]], 1),
         ],
     )
     def test_entries_near_the_float_limits_factor(self, matrix, rank):
-        # the Hermitian part is halved before adding and the residual is
-        # taken on a copy scaled by a power of 2, so neither overflows (the
-        # suite turns numpy's overflow warning into an error)
+        # the Hermitian part is halved before adding and the matrix is
+        # decomposed scaled by a power of 2, so neither overflows (the suite
+        # turns numpy's overflow warning into an error), and an eigenvalue
+        # past the float maximum (2e308, the last case) is kept
         fact = minimal_factorization(matrix)
         assert fact.rank == rank and np.isfinite(fact.T).all()
         assert 0 <= fact.residual <= 1e-15

@@ -6,7 +6,9 @@ against per-level reports, for the windowed assembly against a
 per-diagonal one and, bit for bit, against a ``sliding_window_view``
 construction (with the block reversal against an index gather), for the
 data check of every entry point (the shifted Cholesky certificate, then
-the eigenvalue check) against a per-level scan, for the one-``eigh`` data
+the eigenvalue check) against a per-level scan, for the eigenvalue check,
+which refuses at the first level the profile fails, against its former
+body, for the one-``eigh`` data
 check of every extension entry point against the eigenvalue check where
 lambda_min(T_N) sits within a few rounding margins of -tol, for the
 block-Levinson extension against a per-step re-built chain, for
@@ -64,6 +66,7 @@ from herglotz.series import _gram_matrix, _powers
 from herglotz.toeplitz import (
     _certified_data,
     _frobenius_squares,
+    _interlaced_reports,
     _interlacing_margin,
     _rounding,
 )
@@ -296,6 +299,34 @@ def borderline_data(draw):
     return CoefficientSequence(coeffs), tol
 
 
+def reference_certified_data(seq, tol):
+    # the eigenvalue check as it was written before it took the reports of
+    # ``positivity_profile``: its own eigvalsh of T_N, and the interlaced
+    # reports only where lambda_min(T_N) lies within the margin of -tol
+    dense = assemble(seq).dense
+    eigs = np.linalg.eigvalsh(dense)
+    if eigs[0] < _interlacing_margin(eigs) - tol:
+        for n, report in enumerate(_interlaced_reports(dense, seq.block_dim, tol, eigs)):
+            if not report.is_psd:
+                raise NotPsdError(
+                    f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
+                )
+
+
+@settings(max_examples=600, deadline=None)
+@given(borderline_data())
+def test_eigenvalue_check_refuses_at_the_first_failing_profile_level(problem):
+    # the eigenvalue check refuses the data at the first level the profile
+    # fails, with the verdict and message of the reference
+    seq, tol = problem
+    got = check_outcome(_certified_data, seq, tol)
+    assert got == check_outcome(reference_certified_data, seq, tol)
+    failing = [n for n, r in enumerate(positivity_profile(seq, tol)) if not r.is_psd]
+    assert (got is None) == (not failing)
+    if failing:
+        assert f"truncation level {failing[0]} is not PSD" in got[1]
+
+
 class DataPassed(Exception):
     pass
 
@@ -319,7 +350,7 @@ def test_central_extension_decides_the_data_as_the_eigenvalue_check(problem, ent
     # Everything after the data check (the determinate path of the central
     # chain, the ball state of the others) is cut off by a sentinel
     seq, tol = problem
-    expected = check_outcome(_certified_data, seq, tol)
+    expected = check_outcome(reference_certified_data, seq, tol)
     with mock.patch.object(
         extension, "_determinate_extension", side_effect=DataPassed
     ), mock.patch.object(extension, "_ball_state", side_effect=DataPassed):
