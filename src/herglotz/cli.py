@@ -292,15 +292,19 @@ def _file_series(args):
 
 def cmd_eval(args):
     phi = _file_series(args)
-    value = eval_series(phi, args.z)
-    tail = series_tail_bound(phi, args.z)
+    # an overflow gives a non-finite value or tail, which ``_emit_value``
+    # refuses with its one error line
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = eval_series(phi, args.z)
+        tail = series_tail_bound(phi, args.z)
     return _emit_value(args, f"value at z = {args.z}:", value, tail, z=args.z)
 
 
 def cmd_kernel(args):
     phi = _file_series(args)
-    value = kernel_value(phi, args.z, args.w)
-    tail = series_tail_bound(phi, [args.z, args.w]).sum() / abs(1 - args.z * np.conj(args.w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = kernel_value(phi, args.z, args.w)
+        tail = series_tail_bound(phi, [args.z, args.w]).sum() / abs(1 - args.z * np.conj(args.w))
     heading = f"kernel at z = {args.z}, w = {args.w}:"
     return _emit_value(args, heading, value, tail, z=args.z, w=args.w)
 

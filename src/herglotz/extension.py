@@ -121,7 +121,6 @@ The center X_c is the canonical (central) completion; choosing it at every
 step solves the truncated-data interpolation problem for any horizon.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -529,25 +528,18 @@ def _determinate_extension(seq, dense, eigs, vecs, margin, steps):
     # grown by 1 + gamma_K bounds beta.  Its phase term grows like
     # L^2 u ||G||^2, the rest like L r u; the path costs O(N^3 d^3 + L r d^2).
     #
-    # One pass.  F = W* for W, the top r eigenvectors scaled by the roots of
-    # their eigenvalues, so Q P* = W_Q* W_P and F_0* = W_0 need no adjoint of
-    # F.  Every array whose squared moduli the bound takes (the power table,
-    # G, the defects E_0 .. E_N, P^_0 and M_0) lives in one buffer and is
-    # squared once.  Each block is summed in the order of its own layout:
-    # the defects as block columns of T_N's first block row, P^_0 and M_0 as
-    # contiguous blocks, the orders ``_frobenius_squares`` takes on such
-    # stacks.  The scalar tail runs in Python floats, which round as float64
-    # does.
+    # F = W* for W, the top r eigenvectors scaled by the roots of their
+    # eigenvalues, so Q P* = W_Q* W_P and F_0* = W_0 need no adjoint of F;
+    # each array's squared moduli are summed in its own layout
+    # (``_frobenius_squares``): the defects as block columns of T_N's first
+    # block row, P^_0 and M_0 as one stack of contiguous blocks.
     n, d = len(seq), seq.block_dim
-    # ``eigh`` returns the eigenvalues ascending
-    r = len(eigs) - bisect_right(eigs.tolist(), margin)
+    # ``eigh`` returns the eigenvalues ascending: the top r are the last
+    r = np.count_nonzero(eigs > margin)
     if r > (n - 1) * d:
         return None
     last = n - 1 + steps
-    size, blocks = r * (last + 1), n * d * d
-    buf = np.empty(size + r * d + blocks + 2 * d * d, dtype=complex)
-    powers = buf[:size].reshape(r, last + 1)
-    g = buf[size : size + r * d].reshape(d, r)
+    lam, g = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex)
     if r:
         rows = vecs[:, -r:] * np.sqrt(eigs[-r:])
         unitary, sv = _procrustes(rows[d:].conj().T @ rows[:-d])
@@ -557,60 +549,38 @@ def _determinate_extension(seq, dense, eigs, vecs, margin, steps):
         q = np.linalg.eigh(rotated + rotated.conj().T)[1]
         lam = (q.conj() * (unitary @ q)).sum(axis=0)
         lam /= np.abs(lam)
-        np.matmul(rows[:d], q, out=g)
-    else:
-        lam = buf[:0]  # no eigenvalues: the table and g are empty
-    powers[:, 0] = 1
-    raw = _powers(lam, last, out=powers[:, 1:])
+        g = rows[:d] @ q
+    raw = _powers(lam, last)
     raw /= np.abs(raw)
+    powers = np.concatenate((np.ones((r, 1)), raw), axis=1)
     model = (
         (g[:, None, :] * g.conj()[None, :, :]).reshape(d * d, r) @ powers
     ).reshape(d, d, last + 1).transpose(2, 0, 1)
-    # T_N's first block row is (H_0, M_1 .. M_N) exactly (``assemble``)
-    as_row = (1, 0, 2)
-    normed = buf[size + r * d :]
-    np.subtract(
-        dense[:d].reshape(d, n, d).transpose(as_row),
-        model[:n],
-        out=normed[:blocks].reshape(d, n, d).transpose(as_row),
-    )
-    ends = normed[blocks:].reshape(2, d, d)
-    ends[0] = model[0]
-    ends[1] = seq.coefficients[0]
-
-    # |z|^2 = re^2 + im^2 of every entry of the buffer
-    squares = np.square(buf.view(float))
-    squares = squares[::2] + squares[1::2]
-    bound = squares[:size].reshape(r, last + 1)
-    weights = np.add.reduce(squares[size : size + r * d].reshape(d, r), axis=0)
-    block_squares = squares[size + r * d :]
-    norms = np.empty(n + 2)
-    defect_squares = block_squares[:blocks].reshape(d, n, d).transpose(as_row)
-    np.add.reduce(defect_squares, axis=(1, 2), out=norms[:n])
-    np.add.reduce(block_squares[blocks:].reshape(2, d, d), axis=(1, 2), out=norms[n:])
-    np.sqrt(norms, out=norms)
-    # m_0 .. m_L, the factor (1 + c)(|s - 1| + 2 u s) + c formed in place
-    u, c = float(_MACHINE_EPS), float(_rounding(r + 4))
-    shifted = bound - 1
-    bound *= 2 * u
-    bound += np.abs(shifted, out=shifted)
-    bound *= 1 + c
-    bound += c
-    moduli = weights @ bound
-    defect0, *_, model0_norm, m0_norm = norms.tolist()
-    defect_sum, moduli_sum = float(np.add.reduce(norms[1:n])), float(np.add.reduce(moduli[1:]))
-    moduli0 = float(moduli[0])
-    # ||G||^2 times the phase bounds f_1 + ... + f_L
-    gram = model0_norm + moduli0
-    phases = gram * (0.75 * u * last * (last + 1) - u * last)
-    beta = (
-        (defect0 + 2 * defect_sum) * (1 + u)
-        + u * m0_norm
-        + moduli0
-        + 2 * (moduli_sum + phases)
-    )
+    u, c = _MACHINE_EPS, _rounding(r + 4)
+    # data near the float maximum overflow here to an infinite or NaN beta,
+    # which fails the caller's test and leaves the data to the chain
+    with np.errstate(over="ignore", invalid="ignore"):
+        # T_N's first block row is (H_0, M_1 .. M_N) exactly (``assemble``)
+        defects = np.sqrt(
+            _frobenius_squares(dense[:d].reshape(d, n, d).transpose(1, 0, 2) - model[:n])
+        )
+        model0_norm, m0_norm = np.sqrt(
+            _frobenius_squares(np.array([model[0], seq.coefficients[0]]))
+        )
+        squares = powers.real**2 + powers.imag**2
+        moduli = (g.real**2 + g.imag**2).sum(axis=0) @ (
+            (1 + c) * (np.abs(squares - 1) + 2 * u * squares) + c
+        )
+        # ||G||^2 times the phase bounds f_1 + ... + f_L
+        phases = (model0_norm + moduli[0]) * (0.75 * u * last * (last + 1) - u * last)
+        beta = (
+            (defects[0] + 2 * defects[1:].sum()) * (1 + u)
+            + u * m0_norm
+            + moduli[0]
+            + 2 * (moduli[1:].sum() + phases)
+        )
     model[:n] = seq.coefficients
-    return model, beta * (1 + float(_rounding(last + r + 2 * d * d + 16)))
+    return model, beta * (1 + _rounding(last + r + 2 * d * d + 16))
 
 
 def _chained_tau(coeffs, eps):

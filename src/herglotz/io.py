@@ -113,21 +113,26 @@ def format_float(x):
     return f"{x:.17g}"
 
 
-def _numbers(entries, pairs):
+def _numbers(entries, pairs, exact=True):
     # ``entries`` as one array of numbers: real ones for the file's [re, im]
-    # pairs (``pairs``), complex ones for a ProblemFile's matrices.  One
+    # pairs (``pairs``), complex ones for a ProblemFile's matrices.  numpy
+    # reads a bool among numbers in a list as 0 or 1, so an ``exact``
+    # conversion of a list first takes its entries as Python objects and
+    # checks that each is a number and not a bool.  An array's dtype already
+    # shows a bool, and a list that cannot hold one is converted in one
     # ``np.asarray`` call without a dtype, so a string stays a string and is
-    # refused here (a dtype would read "1" as 1.0).  Only numbers numpy keeps
-    # as objects, such as a JSON integer past int64, are converted again,
-    # after each is checked to be a number; one past the float range raises
-    # OverflowError.  A fault raises TypeError or ValueError
-    arr = np.asarray(entries)
+    # refused here (a dtype would read "1" as 1.0).  Numbers numpy keeps as
+    # objects, such as a JSON integer past int64, are checked the same way
+    # and converted again; one past the float range raises OverflowError.
+    # A fault raises TypeError or ValueError
+    exact = exact and not isinstance(entries, np.ndarray)
+    arr = np.asarray(entries, dtype=object if exact else None)
     if arr.dtype.kind == "O":
         number = numbers.Real if pairs else numbers.Complex
-        if not all(isinstance(x, number) for x in arr.flat):
+        if not all(isinstance(x, number) and not isinstance(x, bool) for x in arr.flat):
             raise TypeError("entries must be numbers")
         arr = np.asarray(entries, dtype=float if pairs else complex)
-    if arr.dtype.kind not in ("biuf" if pairs else "biufc"):
+    if arr.dtype.kind not in ("iuf" if pairs else "iufc"):
         raise TypeError("entries must be numbers")
     return arr
 
@@ -218,14 +223,14 @@ def canonical_json(obj):
     return CanonicalText(_emit(obj) + "\n")
 
 
-def _coefficient_array(coefficients, d, pairs):
+def _coefficient_array(coefficients, d, pairs, exact=True):
     # the coefficients as one complex (N + 1, d, d) array, from the file's
     # [re, im] pairs (``pairs``) or a ProblemFile's complex matrices.  The
-    # whole list is converted in one call; only when that fails are the
-    # coefficients walked, to name the first bad one, so parse and
-    # serialize refuse a fault with one message
+    # whole list is converted in one call, ``exact`` where it may hold a
+    # bool; only when that fails are the coefficients walked, to name the
+    # first bad one, so parse and serialize refuse a fault with one message
     try:
-        arr = _numbers(coefficients, pairs)
+        arr = _numbers(coefficients, pairs, exact)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is not None:
@@ -282,7 +287,11 @@ def parse_problem(text):
     coeffs_raw = raw["coefficients"]
     if not isinstance(coeffs_raw, list):
         raise ProblemFormatError("coefficients must be a non-empty list of matrices")
-    coefficients = _coefficient_array(coeffs_raw, block_dim, pairs=True)
+    # a bool can only come from a bare true or false; a file whose every
+    # such word is the string "true" or "false" holds none, and is spared
+    # the exact conversion
+    bare = any(text.count(word) != text.count(f'"{word}"') for word in ("true", "false"))
+    coefficients = _coefficient_array(coeffs_raw, block_dim, pairs=True, exact=bare)
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()

@@ -110,14 +110,13 @@ def hermitian_split(m):
     return _hermitian(m), m / 2 - m.conj().T / 2
 
 
-def _hermitian(m, out=None):
-    # the Hermitian part (M + M*) / 2 of a square complex array, written into
-    # ``out`` if given: the formula of ``hermitian_split``, of the diagonal
-    # of ``toeplitz.assemble`` and of every checked Hermitian part
-    # (``_hermitian_part``).  Halved before adding, so finite entries near
-    # the float maximum give a finite result; away from overflow and
-    # underflow the bits are those of (M + M*) / 2
-    return np.add(m / 2, m.conj().T / 2, out=out)
+def _hermitian(m):
+    # the Hermitian part (M + M*) / 2 of a square complex array: the formula
+    # of ``hermitian_split``, of the diagonal of ``toeplitz.assemble`` and of
+    # every checked Hermitian part (``_hermitian_part``).  Halved before
+    # adding, so finite entries near the float maximum give a finite result;
+    # away from overflow and underflow the bits are those of (M + M*) / 2
+    return m / 2 + m.conj().T / 2
 
 
 def psd_report(h, tol=1e-9):
@@ -285,10 +284,11 @@ def connecting_isometry(minimal, other, tol=1e-8):
             f"second factor has {tp.shape[0]} rows, fewer than the {t.shape[0]} "
             f"of the minimal factor"
         )
-    a1 = t.conj().T @ t
-    a2 = tp.conj().T @ tp
-    gap = np.linalg.norm(a1 - a2)
-    if gap > tol * max(1.0, np.linalg.norm(a1)):
+    with np.errstate(invalid="ignore"):
+        # a non-finite entry gives a NaN gap, which the test below refuses
+        a1 = t.conj().T @ t
+        gap = np.linalg.norm(a1 - tp.conj().T @ tp)
+    if not gap <= tol * max(1.0, np.linalg.norm(a1)):
         raise FactorizationMismatchError(
             f"factorizations disagree: ||T*T - (T')*(T')|| = {gap:.3e}"
         )

@@ -147,11 +147,15 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
 
 
-def _powers(z, n, out=None):
+def _powers(z, n):
     # z^1 .. z^n along a new last axis, by running product: n - 1 complex
     # multiplications per point, far cheaper than ``**``, which calls libm's
-    # cpow for every exponent of 100 or more; written into ``out`` if given
-    return np.cumprod(np.broadcast_to(z[..., None], z.shape + (n,)), axis=-1, out=out)
+    # cpow for every exponent of 100 or more.  The table is filled with z and
+    # multiplied through in place, which gives bitwise the ``cumprod`` of
+    # the broadcast z without its strided read
+    table = np.empty(z.shape + (n,), dtype=z.dtype)
+    table[...] = z[..., None]
+    return np.multiply.accumulate(table, axis=-1, out=table)
 
 
 def eval_series(phi, z):
@@ -474,13 +478,13 @@ def gram_isometries(seq, tol=1e-8):
     scale = max(1.0, float(np.linalg.norm(bt.dense)))
     for j in range(1, n):
         gap = np.linalg.norm(seq.coefficients[j] - gram[:d, j * d : (j + 1) * d])
-        if gap > tol * scale:
+        if not gap <= tol * scale:
             raise FactorizationMismatchError(
                 f"coefficient {j} is not reproduced by the base isometries: "
                 f"||M_j - T0* V_0* V_j T0|| = {gap:.3e}"
             )
     gap = np.linalg.norm(bt.dense - gram)
-    if gap > tol * scale:
+    if not gap <= tol * scale:
         raise FactorizationMismatchError(
             f"Gram reconstruction of the Toeplitz matrix off by {gap:.3e}"
         )

@@ -107,9 +107,9 @@ def assemble(seq):
     # Lower blocks are the stored conjugate transposes of the upper ones, so
     # the result is exactly Hermitian.
     row = np.empty((d, 2 * n - 1, d), dtype=complex)
-    _hermitian(coeffs[0], out=row[:, n - 1])
+    row[:, n - 1] = _hermitian(coeffs[0])
     row[:, n:] = coeffs[1:].transpose(1, 0, 2)
-    np.conjugate(coeffs[:0:-1].transpose(2, 0, 1), out=row[:, : n - 1])
+    row[:, : n - 1] = coeffs[:0:-1].transpose(2, 0, 1).conj()
     dense = np.empty((n * d, n * d), dtype=complex)
     windows = _windows(row, (n - 1) * d, (n, d, n * d), (-d, (2 * n - 1) * d, 1))
     dense.reshape(n, d, n * d)[:] = windows

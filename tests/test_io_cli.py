@@ -302,7 +302,7 @@ class TestBulkEmitter:
 
 FAULTS = [
     "ragged", "string", "numeric string", "huge", "shape", "nan", "inf", "empty",
-    "empty row", "empty coefficient",
+    "empty row", "empty coefficient", "boolean",
 ]
 
 
@@ -328,6 +328,9 @@ def coefficient_lists(draw):
         values[k][i] = []
     elif fault == "empty coefficient":
         values[k] = []
+    elif fault == "boolean":
+        # numpy would read it as 1 among numbers; the file writes [true, 0]
+        values[k][i][j] = True
     elif fault == "huge":
         values[k][i][j] = -(10**400)
     elif fault == "shape":
@@ -479,6 +482,30 @@ class TestCheckCommand:
             "error: coefficient 0: entries must be [re, im] number pairs\n"
         )
 
+    @pytest.mark.parametrize(
+        "coefficients, index",
+        [("[[[[true, 0]]]]", 0), ("[[[[1.5, 0]]], [[[false, 0.5]]]]", 1)],
+        ids=["alone", "among-numbers"],
+    )
+    def test_boolean_is_a_parse_error(self, tmp_path, capsys, coefficients, index):
+        # numpy reads true among numbers as 1, which would not round-trip
+        path = tmp_path / "bool.json"
+        path.write_text('{"block_dim": 1, "coefficients": %s}' % coefficients)
+        assert main(["check", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: coefficient {index}: entries must be [re, im] number pairs\n"
+        )
+
+    @pytest.mark.parametrize(
+        "coefficients, index",
+        [(np.array([[[True]]]), 0), ([[[1.5]], [[True]]], 1)],
+        ids=["bool-array", "among-numbers"],
+    )
+    def test_boolean_is_not_serialized(self, coefficients, index):
+        with pytest.raises(ProblemFormatError) as err:
+            serialize_problem(ProblemFile(1, coefficients))
+        assert str(err.value) == f"coefficient {index}: entries must be [re, im] number pairs"
+
     def test_integer_past_int64_is_a_number(self, tmp_path, capsys):
         # numpy holds it as an object; it still reads as the float it rounds to
         path = tmp_path / "wide.json"
@@ -581,6 +608,17 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: the eps-shifted Toeplitz matrix at level 2 ")
 
+    def test_overflowing_data_write_only_the_error_line(self, tmp_path, capsys):
+        # the determinate certificate overflows to a non-finite beta, which
+        # leaves the data to the chain; its refusal is the one line written
+        path = tmp_path / "big.json"
+        path.write_text('{"block_dim": 1, "coefficients": [[[[1e308, 0]]], [[[1e308, 0]]]]}')
+        assert main(["solve", str(path)]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the eps-shifted Toeplitz matrix at level 1 ")
+        assert captured.err.count("\n") == 1
+
     def test_kernel_report_not_psd_fails(self, tmp_path, capsys):
         # eps = 1 moves the extension off the data's ball: the report is
         # still emitted, and its own verdict sets the exit status
@@ -620,10 +658,6 @@ class TestEvalCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: |z| = nan")
 
-    # numpy's overflow warnings are what this data must raise; the suite's
-    # warnings-as-errors would stop the command before its own check
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize("command", [["eval"], ["kernel", "--w", "0.5"]])
     def test_non_finite_value_is_a_tolerance_failure(self, tmp_path, capsys, command, mode):

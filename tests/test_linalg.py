@@ -182,6 +182,16 @@ class TestConnectingIsometry:
         with pytest.raises(FactorizationMismatchError):
             connecting_isometry(np.eye(2), 2 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_non_finite_factor_raises(self, bad, first):
+        # the gap is NaN, which fails the check before the SVD sees it
+        t, t_prime = np.array([[1.0, 0.0]]), np.array([[bad, 0.0]])
+        if first:
+            t, t_prime = t_prime, t
+        with pytest.raises(FactorizationMismatchError, match="= nan"):
+            connecting_isometry(t, t_prime)
+
     def test_factors_of_different_source_dimensions_raise(self):
         with pytest.raises(DimensionError, match="source dimension"):
             connecting_isometry(np.eye(2), np.eye(3))

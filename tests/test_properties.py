@@ -1,7 +1,8 @@
 """Property tests for the batched evaluation kernel over block dimensions
 1-3, orders 0-12 and 1-40 points, for its accuracy against a long-double
 power sum, for the compressed kernel Gram (block dimensions 1-4) against
-the block-tensor contraction, for the interlacing positivity profile
+the block-tensor contraction, for the power table against the
+``cumprod`` of the broadcast points, bit for bit, for the interlacing positivity profile
 against per-level reports, for the windowed assembly against a
 per-diagonal one and, bit for bit, against a ``sliding_window_view``
 construction (with the block reversal against an index gather), for the
@@ -130,6 +131,33 @@ def test_evaluation_is_the_power_sum_within_its_rounding_bound(phi, r, theta):
     bound = 4 * (order + 2) * np.finfo(float).eps / 2 * size
     error = np.abs(eval_series(phi, z) - long_double_power_sum(coeffs, z))
     assert (error <= bound).all()
+
+
+# power-table entries of modulus 0, of modulus 1 and of any modulus up to 2
+power_entries = st.one_of(
+    st.just(0j),
+    st.floats(-np.pi, np.pi).map(lambda t: complex(np.exp(1j * t))),
+    st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.just(()), st.tuples(st.integers(0, 100)), st.tuples(st.integers(0, 4), st.integers(0, 8))
+    ).flatmap(
+        lambda shape: st.lists(
+            power_entries, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))
+        ).map(lambda zs: np.array(zs, dtype=complex).reshape(shape))
+    ),
+    st.integers(0, 300),
+)
+def test_powers_are_bitwise_the_broadcast_cumprod(z, n):
+    # the in-place running product is the cumprod of the broadcast points
+    expected = np.cumprod(np.broadcast_to(z[..., None], z.shape + (n,)), axis=-1)
+    got = _powers(z, n)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 @PROPERTY
@@ -737,8 +765,9 @@ def test_perturbed_data_are_certified_or_keep_the_chain_outcome(problem, eps):
 
 def reference_determinate_extension(seq, dense, eigs, vecs, margin, steps):
     # the determinate extension and its beta as the plain formulas give them:
-    # the factor and its adjoints formed whole, each array squared and summed
-    # by itself (``_frobenius_squares``), the scalar tail in numpy floats
+    # the factor and its adjoints formed whole, the powers as the ``cumprod``
+    # of the broadcast eigenvalues, each array squared and summed by itself
+    # (``_frobenius_squares``), the scalar tail in numpy floats
     n, d = len(seq), seq.block_dim
     r = int(np.count_nonzero(eigs > margin))
     if r > (n - 1) * d:
@@ -759,7 +788,7 @@ def reference_determinate_extension(seq, dense, eigs, vecs, margin, steps):
         g = factor[:, :d].conj().T @ q
     powers = np.empty((r, last + 1), dtype=complex)
     powers[:, 0] = 1
-    raw = _powers(lam, last, out=powers[:, 1:])
+    raw = np.cumprod(np.broadcast_to(lam[:, None], (r, last)), axis=1, out=powers[:, 1:])
     raw /= np.abs(raw)
     model = (
         (g[:, None, :] * g.conj()[None, :, :]).reshape(d * d, r) @ powers
@@ -843,9 +872,10 @@ def seeded_determinate_problem(k):
 
 @pytest.mark.parametrize("k", [189, 298, 400, 589, 1112, 1909])
 def test_determinate_beta_sums_each_block_in_its_layout(k):
-    # data whose beta changes in its last bits when the defects' squares
-    # are summed as contiguous blocks instead of as block columns of T_N's
-    # first block row, or those of model[0] and M_0 by columns
+    # the per-array sums: data whose beta changes in its last bits when
+    # the defects' squares are summed as contiguous blocks instead of as
+    # block columns of T_N's first block row, or those of model[0] and M_0
+    # by columns instead of as one stack of contiguous blocks
     seq = seeded_determinate_problem(k)
     data = extension._decomposed_data(seq, 1e-8, 1e-9)
     got = extension._determinate_extension(seq, *data, 50)
