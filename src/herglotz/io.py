@@ -16,15 +16,17 @@ canonical files, byte for byte.
 
 Arrays travel whole.  The emitter takes a complex ndarray as a leaf and
 formats all of its floats with one %-template built from its shape.  Parse
-and serialize check coefficients through one function: it converts all of
-them with one ``np.asarray`` call, which refuses entries that are not
-numbers (a string such as "1" among them), and walks them one by one only
-when that fails, to name the first bad coefficient, so the file's [re, im]
-pairs and a ``ProblemFile``'s complex matrices are refused with the same
-message for the same fault; an empty coefficient or row is named by its
-shape on both sides.  Text made by
-``canonical_json`` is itself a leaf that is emitted verbatim, so a command
-formats each data product once and embeds that text in its report.
+and serialize check coefficients through one function and one conversion:
+an ndarray is judged by its dtype, and anything else is taken whole as
+Python objects by one ``np.asarray`` call, its leaf types checked once each
+(numbers, not bools; a string such as "1" is refused, not read as 1.0),
+then cast to floats.  Only when that fails are the coefficients walked one
+by one, to name the first bad coefficient, so the file's [re, im] pairs and
+a ``ProblemFile``'s complex matrices are refused with the same message for
+the same fault; an empty coefficient or row is named by its shape on both
+sides.  Text made by ``canonical_json`` is itself a leaf that is emitted
+verbatim, so a command formats each data product once and embeds that text
+in its report.
 """
 
 import json
@@ -113,25 +115,21 @@ def format_float(x):
     return f"{x:.17g}"
 
 
-def _numbers(entries, pairs, exact=True):
+def _numbers(entries, pairs):
     # ``entries`` as one array of numbers: real ones for the file's [re, im]
-    # pairs (``pairs``), complex ones for a ProblemFile's matrices.  numpy
-    # reads a bool among numbers in a list as 0 or 1, so an ``exact``
-    # conversion of a list first takes its entries as Python objects and
-    # checks that each is a number and not a bool.  An array's dtype already
-    # shows a bool, and a list that cannot hold one is converted in one
-    # ``np.asarray`` call without a dtype, so a string stays a string and is
-    # refused here (a dtype would read "1" as 1.0).  Numbers numpy keeps as
-    # objects, such as a JSON integer past int64, are checked the same way
-    # and converted again; one past the float range raises OverflowError.
-    # A fault raises TypeError or ValueError
-    exact = exact and not isinstance(entries, np.ndarray)
-    arr = np.asarray(entries, dtype=object if exact else None)
+    # pairs (``pairs``), complex ones for a ProblemFile's matrices.  An
+    # array's dtype shows what it holds.  Anything else is taken as Python
+    # objects, so that numpy reads neither a bool as 0 or 1 nor a string "1"
+    # as 1.0; a ragged list becomes an array of lists.  Each leaf type is
+    # checked once, and the cast to floats raises OverflowError on an integer
+    # past the float range (JSON integers are unbounded).  A fault raises
+    # TypeError or ValueError
+    arr = entries if isinstance(entries, np.ndarray) else np.asarray(entries, dtype=object)
     if arr.dtype.kind == "O":
         number = numbers.Real if pairs else numbers.Complex
-        if not all(isinstance(x, number) and not isinstance(x, bool) for x in arr.flat):
+        if not all(issubclass(t, number) and t is not bool for t in set(map(type, arr.flat))):
             raise TypeError("entries must be numbers")
-        arr = np.asarray(entries, dtype=float if pairs else complex)
+        arr = arr.astype(float if pairs else complex)
     if arr.dtype.kind not in ("iuf" if pairs else "iufc"):
         raise TypeError("entries must be numbers")
     return arr
@@ -223,14 +221,14 @@ def canonical_json(obj):
     return CanonicalText(_emit(obj) + "\n")
 
 
-def _coefficient_array(coefficients, d, pairs, exact=True):
+def _coefficient_array(coefficients, d, pairs):
     # the coefficients as one complex (N + 1, d, d) array, from the file's
     # [re, im] pairs (``pairs``) or a ProblemFile's complex matrices.  The
-    # whole list is converted in one call, ``exact`` where it may hold a
-    # bool; only when that fails are the coefficients walked, to name the
-    # first bad one, so parse and serialize refuse a fault with one message
+    # whole list is converted once; only when that fails are the
+    # coefficients walked, to name the first bad one, so parse and
+    # serialize refuse a fault with one message
     try:
-        arr = _numbers(coefficients, pairs, exact)
+        arr = _numbers(coefficients, pairs)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is not None:
@@ -287,11 +285,7 @@ def parse_problem(text):
     coeffs_raw = raw["coefficients"]
     if not isinstance(coeffs_raw, list):
         raise ProblemFormatError("coefficients must be a non-empty list of matrices")
-    # a bool can only come from a bare true or false; a file whose every
-    # such word is the string "true" or "false" holds none, and is spared
-    # the exact conversion
-    bare = any(text.count(word) != text.count(f'"{word}"') for word in ("true", "false"))
-    coefficients = _coefficient_array(coeffs_raw, block_dim, pairs=True, exact=bare)
+    coefficients = _coefficient_array(coeffs_raw, block_dim, pairs=True)
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()

@@ -9,6 +9,7 @@ adjoint ``A*`` is the conjugate transpose throughout.  All functions are
 pure: inputs are never modified.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,13 +285,25 @@ def connecting_isometry(minimal, other, tol=1e-8):
             f"second factor has {tp.shape[0]} rows, fewer than the {t.shape[0]} "
             f"of the minimal factor"
         )
+    # T and T' are multiplied by ``scale``, the power of 2 that brings their
+    # largest real or imaginary part into [1/2, 1) (raising a tiny one by
+    # 2^511 at most), so T*T cannot overflow, and the gap is tested in units
+    # scaled by scale^2.  The scalings are exact and the SVD commutes with
+    # them, so the verdict, the message and the isometry keep the bits of the
+    # unscaled ones wherever those neither overflow nor underflow and T' T*
+    # lies where LAPACK does not rescale it (entries between about 1e-138
+    # and 1e138).  scale^2 stays finite, so tol = 0 still asks for a zero gap
+    top = max(float(np.abs(part).max(initial=0.0)) for x in (t, tp) for part in (x.real, x.imag))
+    scale = math.ldexp(1.0, -max(math.frexp(top)[1], -511))
     with np.errstate(invalid="ignore"):
         # a non-finite entry gives a NaN gap, which the test below refuses
+        t = t * scale
+        tp = tp * scale
         a1 = t.conj().T @ t
-        gap = np.linalg.norm(a1 - tp.conj().T @ tp)
-    if not gap <= tol * max(1.0, np.linalg.norm(a1)):
+        gap = float(np.linalg.norm(a1 - tp.conj().T @ tp))
+    if not gap <= tol * max(scale * scale, float(np.linalg.norm(a1))):
         raise FactorizationMismatchError(
-            f"factorizations disagree: ||T*T - (T')*(T')|| = {gap:.3e}"
+            f"factorizations disagree: ||T*T - (T')*(T')|| = {gap / scale / scale:.3e}"
         )
     return _procrustes(tp @ t.conj().T)[0]
 

@@ -237,7 +237,8 @@ def kernel_gram(phi, points, vectors=None, tol=1e-6):
     Raises
     ------
     ValueError
-        If ``tol`` is negative, NaN or infinite.
+        If ``tol`` is negative, NaN or infinite, or ``vectors`` has a
+        non-finite entry (checked before any evaluation).
     DimensionError
         If ``points`` is not of shape (m,) with m >= 1 or ``vectors`` is
         not of shape (m, d); both are checked before any evaluation.
@@ -257,6 +258,8 @@ def kernel_gram(phi, points, vectors=None, tol=1e-6):
                 f"expected one vector per point, of shape (m, d) = {expected}, "
                 f"got shape {vecs.shape}"
             )
+        if not np.isfinite(vecs).all():
+            raise ValueError("vectors must be finite")
     gram = _gram_matrix(phi, pts, vecs)
     skew_norm = float(np.linalg.norm(gram - gram.conj().T)) / 2
     tail = float(np.max(series_tail_bound(phi, pts)))

@@ -251,8 +251,11 @@ def _rounding(k):
 
 
 def _frobenius_squares(blocks):
-    # squared Frobenius norms of a stack of blocks, over its last two axes
-    return (blocks.real**2 + blocks.imag**2).sum(axis=(-2, -1))
+    # squared Frobenius norms of a stack of blocks, over its last two axes.
+    # Entries past about 1.3e154 square to inf, which every bound built on
+    # these reads as no certificate, so the overflow is no fault
+    with np.errstate(over="ignore"):
+        return (blocks.real**2 + blocks.imag**2).sum(axis=(-2, -1))
 
 
 def _norm_bound(coeffs):

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -483,6 +484,24 @@ class TestExtend:
             parametrized_step(step, np.zeros((2, 2)))
         with pytest.raises(DimensionError, match="contraction shape"):
             extend(seq, 2, contractions=[np.zeros((1, 1)), np.zeros((2, 2))])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("central", [True, False], ids=["central", "parametrized"])
+    def test_data_past_the_square_root_of_the_float_range_warn_nothing(self, scale, central):
+        # squared block norms of such data overflow to inf, which the bounds
+        # read as no certificate; the output and its bytes are those of a
+        # run with warnings ignored, and the suite turns any into an error
+        seq = fixture_sequence(3, 2, 18, 8)
+        seq = CoefficientSequence(seq.coefficients * scale)
+        contractions = None if central else [0.5 * np.eye(2)] * 10
+
+        def run():
+            return extend(seq, 10, eps=1e-8 * scale, contractions=contractions, tol=1e-9 * scale)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = run().coefficients.tobytes()
+        assert run().coefficients.tobytes() == quiet
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closure_random_complex_seeds(self, seed):

@@ -351,15 +351,36 @@ def _pairs(entry):
     return [entry, 0]
 
 
+def _decorated(text, decoration):
+    # the same file with a bare literal outside its coefficients, or a
+    # metadata value that holds the word "true"
+    raw = json.loads(text)
+    if decoration == "flag":
+        raw["flag"] = True
+    elif decoration == "untrue":
+        raw["metadata"] = {"note": "untrue"}
+    return json.dumps(raw)
+
+
+def _parse_outcome(text):
+    try:
+        return parse_problem(text).coefficients.tobytes()
+    except ProblemFormatError as exc:
+        return str(exc)
+
+
 class TestOneCoefficientWalk:
     @settings(max_examples=200, deadline=None)
-    @given(coefficient_lists())
-    def test_parse_and_serialize_refuse_together(self, case):
+    @given(coefficient_lists(), st.sampled_from([None, "flag", "untrue"]))
+    def test_parse_and_serialize_refuse_together(self, case, decoration):
         # serialize_problem of the complex matrices and parse_problem of the
         # same matrices as [re, im] pairs refuse the same fault with the same
-        # message, and accept the same lists, byte for byte
+        # message, and accept the same lists, byte for byte; what the file
+        # holds outside its coefficients changes neither
         d, values = case
         text = json.dumps({"block_dim": d, "coefficients": _pairs(values)})
+        if decoration:
+            assert _parse_outcome(_decorated(text, decoration)) == _parse_outcome(text)
         try:
             written = serialize_problem(ProblemFile(block_dim=d, coefficients=values))
         except ProblemFormatError as exc:
@@ -371,6 +392,46 @@ class TestOneCoefficientWalk:
         assert np.array_equal(parsed.coefficients, np.array(values))
         assert serialize_problem(parsed) == written
         assert serialize_problem(parse_problem(written)) == written
+
+    @pytest.fixture
+    def list_conversions(self, monkeypatch):
+        # the dtype of each np.asarray call that herglotz.io makes on
+        # anything but an ndarray
+        calls = []
+        asarray = np.asarray
+
+        def counting(a, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "herglotz.io":
+                if not isinstance(a, np.ndarray):
+                    calls.append(kwargs.get("dtype", args[0] if args else None))
+            return asarray(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "asarray", counting)
+        return calls
+
+    def test_a_list_is_converted_once(self, list_conversions):
+        values = np.array([[[1 + 2j, 0.5], [0, 3]], [[0.25j, 1], [-1, 2]]])
+        written = serialize_problem(ProblemFile(block_dim=2, coefficients=values.tolist()))
+        assert list_conversions == [object]
+        list_conversions.clear()
+        text = _decorated(written, "flag")
+        assert np.array_equal(parse_problem(text).coefficients, values)
+        assert list_conversions == [object]
+
+    def test_numpy_scalars_convert_as_their_values(self):
+        values = [
+            [[np.float32(0.1), np.int64(2**62 + 1)], [np.complex64(0.1 + 0.2j), 1.0]],
+            [[np.int64(-3), np.complex64(1j)], [np.float32(2.5), 0.5j]],
+        ]
+        exact = np.array([[[complex(x) for x in row] for row in m] for m in values])
+        written = serialize_problem(ProblemFile(block_dim=2, coefficients=values))
+        assert written == serialize_problem(ProblemFile(block_dim=2, coefficients=exact))
+
+    def test_numpy_bool_is_refused(self):
+        pf = ProblemFile(block_dim=1, coefficients=[[[1.0]], [[np.True_]]])
+        with pytest.raises(ProblemFormatError) as err:
+            serialize_problem(pf)
+        assert str(err.value) == "coefficient 1: entries must be [re, im] number pairs"
 
 
 class TestRunConfig:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,30 @@ class TestConnectingIsometry:
             t, t_prime = t_prime, t
         with pytest.raises(FactorizationMismatchError, match="= nan"):
             connecting_isometry(t, t_prime)
+
+    @pytest.mark.parametrize("size", [1e160, 1e200])
+    def test_identical_factors_past_the_square_root_of_the_float_range(self, size):
+        # T*T of such entries overflows unscaled; scaled by a power of 2 it
+        # does not, and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = connecting_isometry(np.array([[size]]), np.array([[size]]))
+        assert np.array_equal(v, [[1.0]])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("power", [-300, -40, 3, 500])
+    def test_power_of_two_multiples_keep_the_bits(self, seed, power):
+        # the scaling is exact and the SVD commutes with it: the isometry of
+        # 2^k T and 2^k T' is that of T and T', here with noise 1e-10 ..
+        # 1e-5 in T' and a tol that admits it at every scale
+        rng = np.random.default_rng(300 + seed)
+        n, r = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        t = random_complex(rng, r, n)
+        noise = 10.0 ** (seed - 10) * random_complex(rng, r + 1, n)
+        t_prime = np.vstack([t, np.zeros((1, n))]) + noise
+        v = connecting_isometry(t, t_prime, tol=1.0)
+        factor = 2.0**power
+        assert connecting_isometry(factor * t, factor * t_prime, tol=1.0).tobytes() == v.tobytes()
 
     def test_factors_of_different_source_dimensions_raise(self):
         with pytest.raises(DimensionError, match="source dimension"):

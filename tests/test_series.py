@@ -182,6 +182,13 @@ class TestKernelGram:
         with pytest.raises(DimensionError, match=re.escape(message)):
             kernel_gram(phi, [0.1, 0.2j], vectors)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vectors_are_refused(self, monkeypatch, bad):
+        # before any evaluation, not reported as a NaN eigenvalue
+        monkeypatch.setattr(series_module, "eval_series", None)
+        with pytest.raises(ValueError, match="vectors must be finite"):
+            kernel_gram(scalar_series([1.0, 0.5]), [0.1], vectors=[[bad]])
+
     def test_arguments_are_checked_before_any_evaluation(self, monkeypatch):
         def fail(*args):
             raise AssertionError("evaluated before the arguments were checked")
