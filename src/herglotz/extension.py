@@ -322,8 +322,10 @@ def central_step(seq, eps, tol=1e-9):
     """
     dense, eigs = _decomposed_data(seq, eps, tol)[:2]
     forward, _, s, alpha_inv, gamma = _ball_state(seq, eps, dense, eigs)
+    # the step keeps its own d x Nd gamma, not a view that pins the shifted
+    # (N + 1)d x (N + 1)d matrix it was cut from
     x = gamma @ forward
-    return ExtensionStep(eps, np.linalg.inv(alpha_inv), gamma, x, s), x.copy()
+    return ExtensionStep(eps, np.linalg.inv(alpha_inv), gamma.copy(), x, s), x.copy()
 
 
 def ball_membership(step, x):

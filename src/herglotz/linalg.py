@@ -320,6 +320,10 @@ def schur_split(g, k):
 
     Raises
     ------
+    DimensionError
+        If G is not square or ``k`` is not in 1..n.
+    ValueError
+        If G has a non-finite entry (checked before the SVD of A).
     SingularBlockError
         If A is numerically singular; the smallest singular value is
         reported.
@@ -328,6 +332,8 @@ def schur_split(g, k):
     n = g.shape[0]
     if not 1 <= k <= n:
         raise DimensionError(f"leading block size {k} out of range for {n} x {n} matrix")
+    if not np.isfinite(g).all():
+        raise ValueError("matrix must be finite")
     a = g[:k, :k]
     b = g[:k, k:]
     c = g[k:, :k]

@@ -28,6 +28,7 @@ from .exceptions import (
 )
 from .linalg import (
     _check_tol,
+    _hermitian,
     _psd_verdict,
     connecting_isometry,
     hermitian_split,
@@ -196,10 +197,14 @@ def series_tail_bound(phi, z):
 
 def _kernel_blocks(phi, pts):
     # (m, d, m, d) array whose [l, :, j, :] block is
-    # K(z_l, z_j) = (Phi(z_l) + Phi(z_j)*) / (1 - z_l conj(z_j))
+    # K(z_l, z_j) = (Phi(z_l) + Phi(z_j)*) / (1 - z_l conj(z_j)), divided in
+    # place: no second block tensor
     values = eval_series(phi, pts)
     num = values[:, :, None, :] + values.conj().transpose(2, 0, 1)[None]
-    return num / (1 - np.multiply.outer(pts, pts.conj()))[:, None, :, None]
+    # numpy's complex multiply is not conjugate-symmetric, its division is:
+    # with the denominators made Hermitian, so is the Gram, bit for bit
+    den = _hermitian(1 - np.multiply.outer(pts, pts.conj()))
+    return np.divide(num, den[:, None, :, None], out=num)
 
 
 def kernel_value(phi, z, w):
@@ -211,13 +216,14 @@ def _gram_matrix(phi, pts, vecs=None):
     # dense (m d) x (m d) kernel Gram at the 1-d point array ``pts``, or its
     # m x m compression by the (m, d) array of one vector h_l per point:
     # with A[l, j] = <Phi(z_l) h_j, h_l> the compressed entry is
-    # (A[l, j] + conj(A[j, l])) / (1 - z_l conj(z_j)), no block tensor needed
+    # (A[l, j] + conj(A[j, l])) / (1 - z_l conj(z_j)), no block tensor needed,
+    # over the Hermitian denominators of ``_kernel_blocks``
     if vecs is None:
         m, d = len(pts), phi.seq.block_dim
         return _kernel_blocks(phi, pts).reshape(m * d, m * d)
     u_conj = np.einsum("lb,lba->la", vecs.conj(), eval_series(phi, pts))
     a = u_conj @ vecs.T
-    return (a + a.conj().T) / (1 - np.multiply.outer(pts, pts.conj()))
+    return (a + a.conj().T) / _hermitian(1 - np.multiply.outer(pts, pts.conj()))
 
 
 def kernel_gram(phi, points, vectors=None, tol=1e-6):
@@ -228,11 +234,11 @@ def kernel_gram(phi, points, vectors=None, tol=1e-6):
     shape (m, d), one d-vector h_l per point, the compressed m x m matrix of
     pairings <K(z_l, z_j) h_j, h_l> is formed directly from the values
     Phi(z_l) h_j, in O(m^2 d) work and without the (m, d, m, d) block
-    tensor.  The Gram is symmetrized before the eigenvalue check and the
-    tolerance is widened by the measured skew norm plus m times the largest
-    per-point tail bound.  That allowance does not bound the Gram's
-    truncation error, which can reach 2 max tail lambda_max([1 / (1 - z_l
-    conj(z_j))]) (times max |h_l|^2 with ``vectors``).
+    tensor.  Either Gram is Hermitian by construction, bit for bit, so its
+    smallest eigenvalue is judged as computed, against ``tol`` plus m times
+    the largest per-point tail bound.  That allowance does not bound the
+    Gram's truncation error, which can reach 2 max tail lambda_max([1 / (1 -
+    z_l conj(z_j))]) (times max |h_l|^2 with ``vectors``).
 
     Raises
     ------
@@ -261,12 +267,8 @@ def kernel_gram(phi, points, vectors=None, tol=1e-6):
         if not np.isfinite(vecs).all():
             raise ValueError("vectors must be finite")
     gram = _gram_matrix(phi, pts, vecs)
-    skew_norm = float(np.linalg.norm(gram - gram.conj().T)) / 2
-    tail = float(np.max(series_tail_bound(phi, pts)))
-    widened = tol + skew_norm + len(pts) * tail
-    # the symmetrized Gram is exactly Hermitian: no second symmetry check
-    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-    return _psd_verdict(float(eigs[0]), widened)
+    widened = tol + len(pts) * float(np.max(series_tail_bound(phi, pts)))
+    return _psd_verdict(float(np.linalg.eigvalsh(gram)[0]), widened)
 
 
 def kernel_finite_section(seq, z, w, n):

@@ -364,14 +364,18 @@ def cross_block_bound_check(bt, samples, tol=1e-9):
 
     which is nonnegative for PSD input because the compressed 2 x 2 matrix
     [[<A_ll v,v>, <A_lj w,v>], [conj, <A_jj w,w>]] is PSD and so is its
-    determinant.
+    determinant.  Every sample is checked before any slack is computed.
 
     Raises
     ------
     ValueError
-        If ``tol`` is negative, NaN or infinite (``psd_report``).
+        If ``tol`` is negative, NaN or infinite (``psd_report``), or a
+        sample vector has a non-finite entry.
     NotPsdError
         If ``bt`` is not PSD within ``tol`` (contract violation).
+    DimensionError
+        If a sample's block indices are out of range or a sample vector
+        does not have d entries.
     """
     report = psd_report(bt.dense, tol)
     if not report.is_psd:
@@ -380,12 +384,20 @@ def cross_block_bound_check(bt, samples, tol=1e-9):
         )
     d = bt.block_dim
     m = bt.num_blocks
-    slacks = []
+    checked = []
     for (l, j), v, w in samples:
         if not (0 <= l < m and 0 <= j < m):
             raise DimensionError(f"block indices ({l}, {j}) out of range 0..{m - 1}")
-        v = np.asarray(v, dtype=complex).reshape(d)
-        w = np.asarray(w, dtype=complex).reshape(d)
+        v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
+        if v.size != d or w.size != d:
+            raise DimensionError(
+                f"sample vectors must have d = {d} entries, got {v.size} and {w.size}"
+            )
+        if not (np.isfinite(v).all() and np.isfinite(w).all()):
+            raise ValueError("sample vectors must be finite")
+        checked.append((l, j, v.reshape(d), w.reshape(d)))
+    slacks = []
+    for l, j, v, w in checked:
         a_ll = bt.dense[l * d : (l + 1) * d, l * d : (l + 1) * d]
         a_jj = bt.dense[j * d : (j + 1) * d, j * d : (j + 1) * d]
         a_lj = bt.dense[l * d : (l + 1) * d, j * d : (j + 1) * d]

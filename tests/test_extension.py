@@ -85,6 +85,12 @@ class TestCentralStep:
         _, m_next = central_step(scalar_seq([1, 1]), eps)
         assert abs(complex(m_next[0, 0]) - 1 / (1 + eps)) <= 1e-12
 
+    def test_step_owns_its_gamma(self):
+        # not a view pinning the shifted (N + 1)d x (N + 1)d matrix
+        step, _ = central_step(fixture_sequence(21, 2, 5, 3), 1e-4)
+        assert step.gamma.base is None
+        assert step.gamma.shape == (2, 6)
+
     def test_no_coupling_gives_zero_center(self):
         step, m_next = central_step(scalar_seq([1]), eps=0.5)
         assert np.allclose(m_next, 0.0)

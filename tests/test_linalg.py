@@ -338,3 +338,17 @@ class TestSchurSplit:
     def test_bad_split_index_raises(self):
         with pytest.raises(DimensionError):
             schur_split(np.eye(3), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_entry_is_refused_before_the_svd(self, monkeypatch, bad, where):
+        # in the leading block (0, 0) and off it: numpy's SVD failed to
+        # converge on NaN, and inf gave a NaN condition or a NaN complement
+        def fail(*args, **kwargs):
+            raise AssertionError("the SVD ran on a non-finite matrix")
+
+        g = np.array([[1.0, 1.0], [1.0, 1.0]])
+        g[where] = bad
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            schur_split(g, 1)

@@ -1,7 +1,9 @@
 """Property tests for the batched evaluation kernel over block dimensions
 1-3, orders 0-12 and 1-40 points, for its accuracy against a long-double
 power sum, for the compressed kernel Gram (block dimensions 1-4) against
-the block-tensor contraction, for the power table against the
+the block-tensor contraction, for the kernel Gram, dense and compressed,
+and every kernel pair K(z, w), K(w, z)* on realization series: Hermitian
+bit for bit, for the power table against the
 ``cumprod`` of the broadcast points, bit for bit, for the interlacing positivity profile
 against per-level reports, for the windowed assembly against a
 per-diagonal one and, bit for bit, against a ``sliding_window_view``
@@ -50,6 +52,7 @@ from herglotz import (
     connecting_isometry,
     eval_series,
     extend,
+    kernel_value,
     parametrized_step,
     positivity_profile,
     RangeCompatibilityError,
@@ -89,9 +92,13 @@ def series(draw, max_dim=3, max_order=12):
 
 # radii stay below the declared radius so rounding in r e^{i theta} cannot
 # push a point outside it
-points = st.lists(
-    st.tuples(st.floats(0.0, 0.89), st.floats(0.0, 2 * np.pi)), min_size=1, max_size=40
-).map(lambda polar: np.array([r * np.exp(1j * t) for r, t in polar]))
+def disk_points(max_size):
+    return st.lists(
+        st.tuples(st.floats(0.0, 0.89), st.floats(0.0, 2 * np.pi)), min_size=1, max_size=max_size
+    ).map(lambda polar: np.array([r * np.exp(1j * t) for r, t in polar]))
+
+
+points = disk_points(40)
 
 
 def scale(phi):
@@ -191,6 +198,29 @@ def test_compressed_gram_is_the_dense_gram_paired(phi, pts, seed):
     assert compressed.shape == (m, m)
     size = scale(phi) * float(np.abs(vecs).max()) ** 2 / (1 - 0.89**2)
     np.testing.assert_allclose(compressed, expected, rtol=0, atol=1e-13 * size)
+
+
+@st.composite
+def realization_series(draw):
+    d = draw(st.integers(1, 4))
+    rlz = random_realization(draw(st.integers(0, 2**32 - 1)), d, draw(st.integers(1, 6)))
+    return HerglotzSeries(realization_coefficients(rlz, draw(st.integers(0, 300))), RADIUS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(realization_series(), disk_points(120), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_kernel_is_hermitian_bit_for_bit(phi, pts, seed):
+    # the Gram, dense or compressed, is its own conjugate transpose, and so
+    # is every pair K(z, w), K(w, z)*
+    vecs = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        shape = (len(pts), phi.seq.block_dim)
+        vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gram = _gram_matrix(phi, pts, vecs)
+    assert np.array_equal(gram, gram.conj().T)
+    z, w = pts[0], pts[-1]
+    assert np.array_equal(kernel_value(phi, z, w), kernel_value(phi, w, z).conj().T)
 
 
 def reference_assemble(seq):

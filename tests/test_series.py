@@ -122,7 +122,7 @@ class TestKernelValue:
         phi = HerglotzSeries(realization_coefficients(rlz, 64))
         k_zw = kernel_value(phi, 0.3 + 0.2j, -0.1 + 0.4j)
         k_wz = kernel_value(phi, -0.1 + 0.4j, 0.3 + 0.2j)
-        assert np.allclose(k_zw, k_wz.conj().T, atol=1e-12)
+        assert np.array_equal(k_zw, k_wz.conj().T)
 
 
 class TestKernelGram:
@@ -216,6 +216,36 @@ class TestKernelGram:
             tracemalloc.stop()
         assert rep.min_eigenvalue >= -1e-6
         assert peak < 41e6 / 2
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_tolerance_is_tol_plus_m_times_the_largest_tail(self, compressed):
+        # the Gram is Hermitian by construction: no skew term in the
+        # allowance.  At tol = 0 and a tail of about 1e-17, a skew norm of
+        # order 1e-15 would show
+        rng = np.random.default_rng(31)
+        m, d, tol = 40, 2, 0.0
+        phi = HerglotzSeries(realization_coefficients(fixture_realization(31), 256))
+        pts = 0.85 * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
+        vecs = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+        rep = kernel_gram(phi, pts, vecs if compressed else None, tol=tol)
+        assert rep.tolerance_used == tol + m * max(series_tail_bound(phi, pts))
+
+    def test_dense_gram_holds_one_block_tensor_and_its_eigensolve(self):
+        # the (m, d, m, d) tensor at m = 200, d = 2 is 2.56 MB; dividing it
+        # in place and skipping the skew and symmetrisation passes took the
+        # peak from 3.05 to 2.01 times that
+        m, d = 200, 2
+        rng = np.random.default_rng(13)
+        phi = HerglotzSeries(realization_coefficients(fixture_realization(13, d, 5), 256))
+        pts = 0.9 * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
+        tracemalloc.start()
+        try:
+            rep = kernel_gram(phi, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.min_eigenvalue >= -1e-6
+        assert peak <= 2.5 * (m * d) ** 2 * 16
 
 
 class TestTailNorm:

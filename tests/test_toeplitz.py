@@ -249,6 +249,38 @@ class TestCrossBlockBound:
         with pytest.raises(DimensionError):
             cross_block_bound_check(bt, [((0, 5), [1.0], [1.0])])
 
+    @pytest.mark.parametrize("v, w", [([1.0, 0.0], [1.0]), ([1.0], [1.0, 0.0]), ([], [1.0])])
+    def test_sample_vector_of_wrong_length(self, v, w):
+        bt = assemble(CoefficientSequence.from_scalars([1, 0.5]))
+        with pytest.raises(DimensionError, match="sample vectors must have d = 1 entries"):
+            cross_block_bound_check(bt, [((0, 1), v, w)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_sample_vector(self, bad):
+        bt = assemble(CoefficientSequence.from_scalars([1, 0.5]))
+        for v, w in (([bad], [1.0]), ([1.0], [bad])):
+            with pytest.raises(ValueError, match="sample vectors must be finite"):
+                cross_block_bound_check(bt, [((0, 1), v, w)])
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (((0, 5), [1.0], [1.0]), DimensionError),
+            (((0, 1), [1.0, 2.0], [1.0]), DimensionError),
+            (((0, 1), [np.nan], [1.0]), ValueError),
+        ],
+    )
+    def test_every_sample_is_checked_before_any_slack(self, monkeypatch, bad, error):
+        # a bad last sample is refused before the first one's slack, whose
+        # first step is np.real of a quadratic form
+        def fail(*args):
+            raise AssertionError("a slack was computed before every sample was checked")
+
+        bt = assemble(CoefficientSequence.from_scalars([1, 0.5]))
+        monkeypatch.setattr(np, "real", fail)
+        with pytest.raises(error):
+            cross_block_bound_check(bt, [((0, 1), [1.0], [1.0]), bad])
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_psd_slacks_nonnegative(self, seed):
         rng = np.random.default_rng(300 + seed)
