@@ -101,11 +101,12 @@ def _complex_flag(text):
 
 
 _FLAG_HELP = {
-    "eps": "positive extension shift (determinate data take none; certified to -max(tol, eps))",
+    "eps": "positive shift of the chain that decides where the central extension's "
+    "certificate does not (the central extension takes none; certified to -max(tol, eps))",
     "tol": "positivity tolerance",
     "horizon": "highest output coefficient index",
     "truncation": "series evaluation truncation (solve extends to the longer of this and "
-    "--horizon; the last bits of the written coefficients depend on it)",
+    "--horizon)",
     "grid": "number of kernel test points",
     "seed": "random generator seed (PCG64)",
     "radius": "declared evaluation radius",
@@ -245,10 +246,7 @@ def cmd_solve(args):
     cfg = _config(args)
     pf = load_problem(args.input)
     seq = pf.to_sequence()
-    # extend once to the longer of horizon and truncation.  The written
-    # prefix depends on that length: the determinate path forms all new
-    # coefficients in one matrix product, whose rounding of each column
-    # depends on the product's width
+    # extend once to the longer of horizon and truncation
     target = max(cfg.horizon, cfg.truncation, seq.order)
     full = solve_cf(seq, target, eps=cfg.eps, tol=cfg.tol, radius=cfg.radius)
     out_seq = full.seq.truncated(cfg.horizon)

@@ -30,49 +30,67 @@ O(N d^3) from D = X - X_c:
 
 By the Schur-complement criterion S' is positive definite exactly when the
 shifted Toeplitz matrix of (M_0 .. M_N, X) is.  For the center D = 0, so S
-and alpha stay fixed and a, b only gain a zero block: the central chain is
-the order-N maximum-entropy (band) recursion
-M_{m+1} = (M_m ... M_{m-N+1}) a for m >= N, with the a of the data.
+and alpha stay fixed and a, b only gain a zero block: the shifted central
+chain is the order-N band recursion M_{m+1} = (M_m ... M_{m-N+1}) a for
+m >= N, with the a of the data, the maximum-entropy extension of the
+eps-shifted data.
 
 Routing.  Every entry point checks the data from one ``eigh`` of T_N
 (``_decomposed_data``): the extension needs the spectrum (its top for the
-singularity test of S, all of it for the banded certificate and the rank),
-so it does not take the Cholesky certificate of ``certified_series``.
-Where the smallest eigenvalue clears -tol by the interlacing margin, the
+singularity test of S, all of it for the minimal factor and its rank), so
+it does not take the Cholesky certificate of ``certified_series``.  Where
+the smallest eigenvalue clears -tol by the interlacing margin, the
 eigenvalue check behind ``certified_series`` (``toeplitz._certified_data``)
 provably passes every level; otherwise that check decides on T_N
 assembled afresh.  Either way verdicts and messages are those of the
-eigenvalue check.  ``extend`` then takes one of two paths.
+eigenvalue check.
 
-Determinate data (rank T_N = rank T_{N-1}, the rank counted above the
-interlacing margin, so the routing is scale-relative) have one extension
-only, and the central chain takes it exactly, with no shift
-(``_determinate_extension``): the eigenpairs of T_N give a minimal factor
-T_N = F* F whose block columns are F_j = U^j F_0 for a unitary U, so
-M_n = sum_k g_k g_k* lambda_k^n (g_k = F_0* q_k for the eigenpairs
-lambda_k, q_k of U) for every n, formed in one product over the
-unit-circle powers.  The output is certified by the measure it nearly is:
-the Toeplitz matrix of sum_k g_k g_k* l_k^n is exactly PSD for any
-|l_k| = 1, so lambda_min(T_L) >= -beta, beta the block row sum of the
-defects against it, in O(L r d^2) for rank r.  The output is returned
-where beta <= max(tol, eps), so lambda_min(T_L) >= -max(tol, eps); where
-beta exceeds it, and on all other data (partially determinate data,
-0 < rank S < d, included), the shifted chain decides.
+Central extension.  ``extend`` without contractions takes the central
+extension from the data's minimal factor, with no shift
+(``_central_extension``): the r eigenpairs of T_N above the interlacing
+margin give T_N = F* F with r x d blocks F_j, and W = Q P^+, for the past
+and future blocks P = (F_0 ... F_{N-1}) and Q = (F_1 ... F_N), is the
+partial isometry from ran P onto ran Q with F_j = W^j F_0.  Then
+M_n = F_0* W^n F_0 for n <= N, and continued past N this is the central
+(maximum-entropy) extension: the zero parameter of the Arov-Grossman
+description of all extensions, which the eps-shifted center chain below
+approaches as eps -> 0.  W comes from the SVD of Q P* = W (P P*), its rank
+k counted above the same margin, so the routing is scale-relative.  On
+determinate data (k = r: rank T_N = rank T_{N-1}) W is unitary and the
+extension unique; M_n = sum_k g_k g_k* lambda_k^n over the eigenpairs of
+W, in one product over the unit-circle powers, O(N^3 d^3 + L r d^2).
+Otherwise (k < r, partially determinate data, 0 < rank S < d, included)
+X_n = W X_{n-1} from X_0 = F_0 and M_n = F_0* X_n, one r x r by r x d
+product per step, O(N^3 d^3 + L r^2 d).  Either way each coefficient's
+bits do not depend on the horizon L.
 
-The shifted chain builds the state above from the same T_N and
-eigenvalues, with one solve for both predictors, and runs both chains as
-one loop over a newest-first buffer of the coefficients, in which gamma of
-every level is a strided view: each step takes the center gamma a, and a
-parametrized chain then moves to its ball point and borders the state.  A
-parametrized step factors each d x d matrix once: one ``eigh`` of S gives
-the eigenvalues that check its level and S^{1/2}, one ``eigh`` of the
-Hermitian part of alpha^{-1} gives alpha^{-1/2} and alpha^{1/2} (and
-refuses an alpha^{-1} that is not positive definite), so
-D = S^{1/2} Gamma alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2}, and one
-solve gives v.  The subtraction updates of S and alpha^{-1} are kept on
-purpose: the congruence S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact
-algebra stays positive definite whatever the rounding does to the chain,
-so the check of S would see nothing.
+Its certificate.  For a contraction Wt, the Toeplitz matrix of
+F_0* Wt^n F_0 is exactly PSD (a unitary dilation of Wt makes it a Gram
+matrix; for unitary W it is the matrix of a measure on the circle).  So
+lambda_min(T_L) >= -beta, beta the block row sum of the output's defects
+against that model: the data's defects, the rounding of each product and,
+for k < r, its propagation through the powers of the computed W (whose
+decay is bounded by repeated squaring) and the drift of Wt = W / (1 +
+delta), delta >= ||W||_2 - 1.  The output is returned where beta <=
+max(tol, eps), so lambda_min(T_L) >= -max(tol, eps).  beta grows with the
+data and, for slowly decaying powers of W, with L^2; where it exceeds
+max(tol, eps), the shifted central chain decides.
+
+Shifted chain.  It decides those data and every parametrized chain.  It
+builds the state above from the same T_N and eigenvalues, with one solve
+for both predictors, and runs both chains as one loop over a newest-first
+buffer of the coefficients, in which gamma of every level is a strided
+view: each step takes the center gamma a, and a parametrized chain then
+moves to its ball point and borders the state.  A parametrized step
+factors each d x d matrix once: one ``eigh`` of S gives the eigenvalues
+that check its level and S^{1/2}, one ``eigh`` of the Hermitian part of
+alpha^{-1} gives alpha^{-1/2} and alpha^{1/2} (and refuses an alpha^{-1}
+that is not positive definite), so D = S^{1/2} Gamma alpha^{-1/2} and
+p = alpha^{1/2} Gamma* S^{1/2}, and one solve gives v.  The subtraction
+updates of S and alpha^{-1} are kept on purpose: the congruence
+S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact algebra stays positive
+definite whatever the rounding does to the chain, so the check of S would
+see nothing.
 
 One singularity rule (``_check_definite``) decides every level of the
 shifted chain: the eps-shifted matrix of level n, of size m = (n + 1) d,
@@ -88,32 +106,19 @@ small for the data, or the chain's rounding (or a unit-norm contraction,
 whose ball point lies on the boundary) took it off the ball.  NotPsdError
 is raised for the data only.
 
-Certificate of the shifted chain.  Its whole output M_0 .. M_L is then
-certified once, by the first of three checks that passes:
-
-1. for the central chain, the banded certificate (``_banded_bound``), in
-   O(L N d^3) from the chain's own predictor a: the block unit
-   upper-triangular U that applies a to the columns past N nearly
-   block-diagonalises the output's shifted matrix (the inverse of a band
-   extension is block banded; Dym & Gohberg, LAA 36 (1981)), and the
-   residual of that structure bounds its smallest eigenvalue from below,
-   for any L > N.  It passes where it clears the rounding margin tau of
-   the eigenvalue check (``_chained_tau``), which grows like m u ||T_L||,
-   about L^2 u for coefficients that do not decay, so on long horizons of
-   singular data with a tiny shift it can be too weak;
-2. one Cholesky factorisation of the output's matrix shifted down by tau
-   (``_certify_chained``, with the margin's proof in
-   ``toeplitz._cholesky_exceeds``, which also decides the data of
-   ``certified_series``);
-3. the dense eigenvalue check (``_certify``) on the output assembled
-   afresh: the singularity rule on its computed eigenvalues.
-
-The first two pass only where the third provably passes, so verdicts and
-messages are those of the eigenvalue check of the output.  Whatever the
-shifted chain returns has its eps-shifted matrix positive definite at
-working precision, so its computed lambda_min(T_L) > -eps; ``tol`` plays
-no part.  A unit-norm contraction at the last step lands on the boundary
-of the ball, and the output is refused as singular.
+Certificate of the shifted chain.  Its whole output M_0 .. M_L is
+certified once, by the first of two checks that passes: one Cholesky
+factorisation of the output's matrix shifted down by the rounding margin
+tau of the eigenvalue check (``_certify_chained``, with the margin's proof
+in ``toeplitz._cholesky_exceeds``, which also decides the data of
+``certified_series``), then the dense eigenvalue check (``_certify``) on
+the output assembled afresh: the singularity rule on its computed
+eigenvalues.  The first passes only where the second provably passes, so
+verdicts and messages are those of the eigenvalue check of the output.
+Whatever the shifted chain returns has its eps-shifted matrix positive
+definite at working precision, so its computed lambda_min(T_L) > -eps;
+``tol`` plays no part.  A unit-norm contraction at the last step lands on
+the boundary of the ball, and the output is refused as singular.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -126,7 +131,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, OutOfBallError, SingularBlockError
-from .linalg import _MACHINE_EPS, _check_tol, _hermitian, _procrustes
+from .linalg import _MACHINE_EPS, _check_tol, _procrustes
 from .series import HerglotzSeries, _powers, certified_series
 from .toeplitz import (
     CoefficientSequence,
@@ -136,7 +141,6 @@ from .toeplitz import (
     _interlacing_margin,
     _norm_bound,
     _rounding,
-    _windows,
     assemble,
     reverse_blocks,
 )
@@ -150,8 +154,10 @@ __all__ = [
     "solve_cf",
 ]
 
-# e^{i}, the turn of U whose Hermitian part gives U's eigenvectors
+# e^{i}, the turn of a unitary W whose Hermitian part gives W's eigenvectors
 _TURN = np.exp(1j)
+# the number of coefficients each block of the determinate product forms
+_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,27 +373,34 @@ def parametrized_step(step, contraction):
 
 
 def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
-    """Append ``steps`` coefficients by iterated one-step extension.
+    """Append ``steps`` coefficients: the central extension or a chain of ball points.
 
-    With ``contractions`` absent every step takes the central choice;
-    otherwise entry k selects the ball point of ``parametrized_step``.
-    The first N + 1 coefficients of the output are bitwise those of the
-    input.  The data are checked with ``tol``, with the verdicts and
-    messages of the eigenvalue check behind ``certified_series``.  The
-    whole output is certified.  On determinate data, extended exactly with
-    no shift, the smallest eigenvalue of its Toeplitz matrix T_L is proven
-    at least -max(tol, eps).  Otherwise the shifted chain's output has its
-    eps-shifted matrix positive definite at working precision, so its
-    computed lambda_min(T_L) > -eps, and ``tol`` plays no part.  The module
-    docstring describes the routing and the certificates.
+    With ``contractions`` absent the output is the central
+    (maximum-entropy) extension, taken with no shift from the data's
+    minimal factor; otherwise entry k selects the ball point of
+    ``parametrized_step`` of the eps-shifted chain.  The first N + 1
+    coefficients of the output are bitwise those of the input, and the
+    central extension's coefficients do not depend on ``steps``: a shorter
+    one is bitwise a prefix of a longer one.  The data are checked with
+    ``tol``, with the verdicts and messages of the eigenvalue check behind
+    ``certified_series``.  The whole output is certified.  The central
+    extension is returned where its certificate proves the smallest
+    eigenvalue of its Toeplitz matrix T_L at least -max(tol, eps); where
+    it does not (it grows with the data's scale, and with H^2 where the
+    powers of the partial isometry decay slowly), the shifted central
+    chain decides.  ``eps`` shifts only that chain and parametrized ones,
+    whose output has its eps-shifted matrix positive definite at working
+    precision, so its computed lambda_min(T_L) > -eps, and ``tol`` plays no
+    part.  The module docstring describes the routing and the
+    certificates.
 
-    Cost to horizon H = N + steps: O(N^3 d^3 + H r d^2) on determinate
-    data of rank r; O(N^3 d^3 + H N d^3) for a central chain that its
-    banded certificate settles; O(N^3 d^3 + H^2 d^3) for the steps of a
-    parametrized chain.  The dense check of the output (one shifted
-    Cholesky factorisation, and the eigenvalue check where that fails)
-    adds O(H^3 d^3) to a parametrized chain and to a central chain whose
-    banded bound is too weak.
+    Cost to horizon H = N + steps, for data of rank r: O(N^3 d^3 + H r d^2)
+    for the central extension of determinate data (rank T_N = rank
+    T_{N-1}), O(N^3 d^3 + H r^2 d) for that of other data, plus its
+    certificate's propagation bound, O(H log H + r^3 log H);
+    O(N^3 d^3 + H^2 d^3) for the steps of a shifted chain, whose dense
+    check of the output (one shifted Cholesky factorisation, and the
+    eigenvalue check where that fails) adds O(H^3 d^3).
 
     Raises
     ------
@@ -400,14 +413,15 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         Naming the first truncation level of the data whose Toeplitz
         matrix fails; raised for the data only.
     SingularBlockError
-        Naming the first level whose eps-shifted Toeplitz matrix is not
-        positive definite at working precision: the data level (a shift too
+        Where a shifted chain decides, naming the first level whose
+        eps-shifted Toeplitz matrix is not positive definite at working
+        precision: the data level (a shift too
         small for the data), a chained level whose bound S fails, or the
         whole output in its final check (the data passed theirs, so the
         failure is the chain's rounding or a unit-norm contraction); or if
         the alpha^{-1} of a parametrized step is not positive definite
-        (never on the determinate path, which inverts nothing at the
-        shift).
+        (never where the central extension is returned, which inverts
+        nothing at the shift).
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
     """
@@ -421,9 +435,9 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     if steps == 0:
         return seq
     if contractions is None:
-        exact = _determinate_extension(seq, dense, eigs, vecs, margin, steps)
-        if exact is not None and exact[1] <= max(tol, eps):
-            return CoefficientSequence(exact[0])
+        coeffs, beta = _central_extension(seq, dense, eigs, vecs, margin, steps)
+        if beta <= max(tol, eps):
+            return CoefficientSequence(coeffs)
     n, d = len(seq), seq.block_dim
     a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
     top = eigs[-1] + eps
@@ -456,44 +470,47 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
             alpha_inv = alpha_inv - diff.conj().T @ v
     # the one final check, on the whole output (see the module docstring)
     out = CoefficientSequence(rev[:, ::-1].transpose(1, 0, 2))
-    tau = _chained_tau(out.coefficients, eps)
-    if contractions is not None or not (
-        _banded_bound(out.coefficients, a, alpha_inv, eigs, margin, eps) > tau
-    ):
-        _certify_chained(out, eps, tau)
+    _certify_chained(out, eps)
     return out
 
 
-def _determinate_extension(seq, dense, eigs, vecs, margin, steps):
-    # The central extension M_0 .. M_L (L = N + steps) of determinate data
-    # from its minimal factor, with the bound beta of its measure
-    # certificate; None where the data are not determinate.  ``dense``,
-    # ``eigs``, ``vecs`` and ``margin`` are T_N, its computed eigenpairs and
-    # their interlacing margin (``_decomposed_data``).
+def _central_extension(seq, dense, eigs, vecs, margin, steps):
+    # The central extension M_0 .. M_L (L = N + steps) of the data from their
+    # minimal factor, with the bound beta of its certificate,
+    # lambda_min(T_L) >= -beta.  ``dense``, ``eigs``, ``vecs`` and ``margin``
+    # are T_N, its computed eigenpairs and their interlacing margin
+    # (``_decomposed_data``).
     #
     # Realization.  The r eigenpairs of T_N above the interlacing margin give
-    # a minimal factor T_N ~ F* F, F = (F_0 ... F_N) with r x d blocks; the
-    # past block P = (F_0 ... F_{N-1}) has only Nd columns, so r > Nd routes
-    # to the chain at once.  For the future block Q = (F_1 ... F_N),
-    # P* P = T_{N-1} = Q* Q, so (Q P*)* (Q P*) = (P P*)^2: the singular
-    # values of the r x r matrix Q P* are the squares of those of P.  The
-    # data are determinate when all r of them exceed the same margin
-    # (rank T_{N-1} = rank T_N).  Then Q = U P for a unitary U, F_j = U^j F_0
-    # and M_n = F_0* U^n F_0 for n <= N: the extension is unique and is this
-    # sequence continued (the determinate Caratheodory-Toeplitz case; Dym &
-    # Gohberg, LAA 36 (1981)).  U is taken as the polar factor of
-    # Q P* = U (P P*), the unitary least-squares solution of Q = U P
-    # (orthogonal Procrustes, ``_procrustes``), from the same SVD.  The
-    # Hermitian part of e^{i} U has the eigenvectors q_k of U and eigenvalues
-    # cos(arg lambda_k + 1), which tie only where two arguments sum to -2
-    # (mod 2 pi): equal eigenvalues share their eigenvectors, and conjugate
-    # pairs (real data) and roots of unity never tie; an accidental near-tie
-    # mixes two eigenvectors, and the certificate then fails.  The
-    # eigenvalues lambda_k are read back as Rayleigh quotients scaled to unit
-    # modulus, so M_n = sum_k g_k g_k* lambda_k^n with g_k = F_0* q_k, for all
-    # n in one product with the powers of ``series._powers``.
+    # a minimal factor T_N ~ F* F, F = (F_0 ... F_N) with r x d blocks.  For
+    # the past block P = (F_0 ... F_{N-1}) and the future block Q = (F_1 ...
+    # F_N), P* P = T_{N-1} = Q* Q, so Q x = 0 exactly where P x = 0, and
+    # W = Q P^+ maps ran P isometrically onto ran Q and is zero on its
+    # complement: a partial isometry with Q = W P, so F_j = W^j F_0 and
+    # M_n = F_0* W^n F_0 for n <= N.  Continued past N this is the central
+    # (maximum-entropy) extension, the zero parameter of the Arov-Grossman
+    # description of all extensions (Math. Nachr. 157 (1992); Dym & Gohberg,
+    # LAA 36 (1981)).  Q P* = W (P P*) is a polar decomposition, so the SVD
+    # outer sv inner of the r x r matrix Q P* (the singular values are the
+    # eigenvalues of P P*) gives W = outer_k inner_k from the k singular
+    # values above the same margin (``linalg._procrustes``).  k = r is
+    # rank T_{N-1} = rank T_N (P has N d columns, so r <= N d): the data are
+    # determinate, W is unitary and the extension is unique (the determinate
+    # Caratheodory-Toeplitz case).
     #
-    # Certificate.  Let l_k = lambda_k / |lambda_k| exactly and
+    # Determinate data (k = r).  The Hermitian part of e^{i} W has the
+    # eigenvectors q_k of W and eigenvalues cos(arg lambda_k + 1), which tie
+    # only where two arguments sum to -2 (mod 2 pi): equal eigenvalues share
+    # their eigenvectors, and conjugate pairs (real data) and roots of unity
+    # never tie; an accidental near-tie mixes two eigenvectors, and the
+    # certificate then fails.  The eigenvalues lambda_k are read back as
+    # Rayleigh quotients scaled to unit modulus, so M_n = sum_k g_k g_k*
+    # lambda_k^n with g_k = F_0* q_k, in one (L, r) x (r, d^2) product with
+    # the powers of ``series._powers``.  The product is formed in row
+    # blocks of one height, _BLOCK, over a power table padded to a multiple
+    # of it, so the bits of each M_n do not depend on L.
+    #
+    # Certificate (k = r).  Let l_k = lambda_k / |lambda_k| exactly and
     # Mt_n = sum_k g_k g_k* l_k^n for the stored g_k.  With x_k = (1,
     # l_k^{-1}, ..., l_k^{-L}), the Toeplitz matrix of Mt_0 .. Mt_L is
     # sum_k (x_k x_k*) (x) (g_k g_k*), exactly PSD.  T_L differs from it by
@@ -528,40 +545,106 @@ def _determinate_extension(seq, dense, eigs, vecs, margin, steps):
     # u ||M_0||_F for its rounding.  Every nonnegative term is computed by at
     # most K = L + r + 2 d^2 + 16 roundings of nonnegative terms, so the sum
     # grown by 1 + gamma_K bounds beta.  Its phase term grows like
-    # L^2 u ||G||^2, the rest like L r u; the path costs O(N^3 d^3 + L r d^2).
+    # L^2 u ||G||^2, the rest like L r u; the branch costs O(N^3 d^3 + L r d^2).
     #
-    # F = W* for W, the top r eigenvectors scaled by the roots of their
-    # eigenvalues, so Q P* = W_Q* W_P and F_0* = W_0 need no adjoint of F;
-    # each array's squared moduli are summed in its own layout
+    # Other data (k < r).  X_0 = F_0 and X_n = fl(W^ X_{n-1}) for the
+    # computed W^, one r x r by r x d product per step, and M^_n =
+    # fl(F_0* X_n): each coefficient comes from the same products whatever
+    # L, in O(N^3 d^3 + L r^2 d).
+    #
+    # Certificate (k < r).  With delta >= ||W^||_2 - 1, Wt = W^ / (1 + delta)
+    # is a contraction, so Wt^n = P_H U^n |_H for a unitary dilation U
+    # (Sz.-Nagy), and the Toeplitz matrix of Mt_n = F_0* Wt^n F_0 is a Gram
+    # matrix, exactly PSD.  beta is formed against it as above; the model's
+    # part of each defect splits as
+    #
+    #     M^_n - Mt_n = (M^_n - F_0* X_n) + F_0* (X_n - W^^n F_0)
+    #                   + (1 - (1 + delta)^-n) F_0* W^^n F_0.
+    #
+    # With x_n = ||X_n||_F and f = x_0 >= ||F_0||_2, the first term is at
+    # most c f x_n (inner products of length r).  The second is F_0* sum_j
+    # W^^{n-j} e_j for the rounding e_j of step j, ||e_j||_F <= c ||W^||_F
+    # x_{j-1}, for bounds w_m >= ||W^^m||_2: the product of nu_i over the
+    # binary digits 2^i of m, nu_0 = 1 + delta rounded up, and nu_i >=
+    # ||W^^(2^i)||_2 the lesser of nu_{i-1}^2 and ||Z_i||_F + a_i for the
+    # computed squares Z_i = fl(Z_{i-1}^2), Z_0 = W^, whose distance a_i from
+    # W^^(2^i) obeys a_i <= (2 nu_{i-1} + a_{i-1}) a_{i-1} + c ||Z_{i-1}||_F^2
+    # (A^2 - B^2 = A (A - B) + (A - B) B).  So the decay of the powers bounds
+    # the propagation: the second terms sum over n to at most c f ||W^||_F
+    # sum_j x_{j-1} s_{L-j}, with the prefix sums s_K = w_0 + ... + w_K.  The
+    # third term is at most min(1, n delta) ||F_0* W^^n F_0||, and that norm
+    # at most ||M^_n||_F plus the bounds of the first two: the model's share
+    # of ||E_n|| is at most twice those bounds plus min(1, n delta) ||M^_n||_F.
+    # For delta, W^ = fl(U V*) with U = outer_k and V* = inner_k; ||U||_2^2
+    # <= 1 + a_U, a_U = ||fl(U* U - I)||_F (1 + u) + c ||U||_F^2, the same for
+    # V, so ||W^||_2 <= 1 + (a_U + a_V) / 2 + c ||U||_F ||V||_F.  delta, each
+    # a_i and each nu_i is grown by 1 + gamma_{2 r^2 + 16}, which covers its
+    # own roundings (a Frobenius norm of an r x r matrix and a few more), so
+    # each is a bound computed from bounds.  The data's defects enter as
+    # above.  Every other nonnegative term is computed from those by at most
+    # K = 2 (L + r d + d^2 + log_2 L) + 32 roundings of nonnegative terms, so
+    # the sum grown by 1 + gamma_K bounds beta.
+    #
+    # F = V_r* for V_r, the top r eigenvectors scaled by the roots of their
+    # eigenvalues, so Q P* and F_0* = V_r[:d] need no adjoint of F; each
+    # array's squared moduli are summed in its own layout
     # (``_frobenius_squares``): the defects as block columns of T_N's first
-    # block row, P^_0 and M_0 as one stack of contiguous blocks.
+    # block row, the model's M_0 and the data's as one stack of blocks.
     n, d = len(seq), seq.block_dim
+    last = n - 1 + steps
     # ``eigh`` returns the eigenvalues ascending: the top r are the last
     r = np.count_nonzero(eigs > margin)
-    if r > (n - 1) * d:
-        return None
-    last = n - 1 + steps
-    lam, g = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex)
-    if r:
-        rows = vecs[:, -r:] * np.sqrt(eigs[-r:])
-        unitary, sv = _procrustes(rows[d:].conj().T @ rows[:-d])
-        if not sv[-1] > margin:
-            return None
-        rotated = _TURN * unitary
-        q = np.linalg.eigh(rotated + rotated.conj().T)[1]
-        lam = (q.conj() * (unitary @ q)).sum(axis=0)
-        lam /= np.abs(lam)
-        g = rows[:d] @ q
-    raw = _powers(lam, last)
-    raw /= np.abs(raw)
-    powers = np.concatenate((np.ones((r, 1)), raw), axis=1)
-    model = (
-        (g[:, None, :] * g.conj()[None, :, :]).reshape(d * d, r) @ powers
-    ).reshape(d, d, last + 1).transpose(2, 0, 1)
     u, c = _MACHINE_EPS, _rounding(r + 4)
+    lam, g, k = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex), 0
     # data near the float maximum overflow here to an infinite or NaN beta,
     # which fails the caller's test and leaves the data to the chain
     with np.errstate(over="ignore", invalid="ignore"):
+        if r:
+            rows = vecs[:, -r:] * np.sqrt(eigs[-r:])
+            outer, _, inner = _procrustes(rows[d:].conj().T @ rows[:-d], margin)
+            w, k = outer @ inner, outer.shape[1]
+        if k < r:
+            xs = np.empty((last + 1, r, d), dtype=complex)
+            xs[0] = rows[:d].conj().T
+            for j in range(last):
+                np.matmul(w, xs[j], out=xs[j + 1])
+            model = rows[:d] @ xs
+            x = np.sqrt(_frobenius_squares(xs))
+            basis = np.stack((outer, inner.conj().T))
+            sizes, up = _frobenius_squares(basis), 1 + _rounding(2 * r * r + 16)
+            a_u, a_v = np.sqrt(
+                _frobenius_squares(basis.conj().transpose(0, 2, 1) @ basis - np.eye(k))
+            ) * (1 + u) + c * sizes
+            delta = ((a_u + a_v) / 2 + c * np.sqrt(sizes[0] * sizes[1])) * up
+            nu, err, z = [1 + 2 * delta + u], 0.0, w
+            z_norm = w_norm = np.sqrt(_frobenius_squares(w))
+            for _ in range(1, int(last).bit_length()):
+                err = ((2 * nu[-1] + err) * err + c * z_norm * z_norm) * up
+                z = z @ z
+                z_norm = np.sqrt(_frobenius_squares(z))
+                nu.append(min(nu[-1] ** 2, z_norm + err) * up)
+            exps = np.arange(last + 1)
+            bounds = np.where((exps[:, None] >> np.arange(len(nu))) & 1, nu, 1.0).prod(axis=1)
+            sums = np.cumsum(bounds)
+            drift = np.minimum(1.0, exps[1:] * delta) @ np.sqrt(_frobenius_squares(model[1:]))
+            propagated = x[:-1] @ sums[-2::-1]
+            tail = 2 * c * x[0] * (x[0] + 2 * x[1:].sum() + 2 * w_norm * propagated) + 2 * drift
+            grow = _rounding(2 * (last + r * d + d * d + len(nu)) + 32)
+        else:
+            if r:
+                rotated = _TURN * w
+                q = np.linalg.eigh(rotated + rotated.conj().T)[1]
+                lam = (q.conj() * (w @ q)).sum(axis=0)
+                lam /= np.abs(lam)
+                g = rows[:d] @ q
+            width = -(-(last + 1) // _BLOCK) * _BLOCK
+            raw = _powers(lam, width - 1)
+            raw /= np.abs(raw)
+            table = np.concatenate((np.ones((r, 1)), raw), axis=1)
+            weights = (g[:, None, :] * g.conj()[None, :, :]).reshape(d * d, r)
+            blocks = table.T.reshape(width // _BLOCK, _BLOCK, r) @ weights.T
+            model = blocks.reshape(width, d, d)[: last + 1]
+            powers = table[:, : last + 1]
         # T_N's first block row is (H_0, M_1 .. M_N) exactly (``assemble``)
         defects = np.sqrt(
             _frobenius_squares(dense[:d].reshape(d, n, d).transpose(1, 0, 2) - model[:n])
@@ -569,137 +652,37 @@ def _determinate_extension(seq, dense, eigs, vecs, margin, steps):
         model0_norm, m0_norm = np.sqrt(
             _frobenius_squares(np.array([model[0], seq.coefficients[0]]))
         )
-        squares = powers.real**2 + powers.imag**2
-        moduli = (g.real**2 + g.imag**2).sum(axis=0) @ (
-            (1 + c) * (np.abs(squares - 1) + 2 * u * squares) + c
-        )
-        # ||G||^2 times the phase bounds f_1 + ... + f_L
-        phases = (model0_norm + moduli[0]) * (0.75 * u * last * (last + 1) - u * last)
-        beta = (
-            (defects[0] + 2 * defects[1:].sum()) * (1 + u)
-            + u * m0_norm
-            + moduli[0]
-            + 2 * (moduli[1:].sum() + phases)
-        )
+        beta = (defects[0] + 2 * defects[1:].sum()) * (1 + u) + u * m0_norm
+        if k < r:
+            beta = beta + tail
+        else:
+            squares = powers.real**2 + powers.imag**2
+            moduli = (g.real**2 + g.imag**2).sum(axis=0) @ (
+                (1 + c) * (np.abs(squares - 1) + 2 * u * squares) + c
+            )
+            # ||G||^2 times the phase bounds f_1 + ... + f_L
+            phases = (model0_norm + moduli[0]) * (0.75 * u * last * (last + 1) - u * last)
+            beta = beta + moduli[0] + 2 * (moduli[1:].sum() + phases)
+            grow = _rounding(last + r + 2 * d * d + 16)
     model[:n] = seq.coefficients
-    return model, beta * (1 + _rounding(last + r + 2 * d * d + 16))
+    return model, beta * (1 + grow)
 
 
-def _chained_tau(coeffs, eps):
-    # the margin tau a chained level M_0 .. M_L must clear for ``_certify``
-    # to pass (see ``_certify_chained``), with nu >= ||T_L||_2 of
-    # ``_norm_bound``
-    m = coeffs.shape[0] * coeffs.shape[1]
-    u = _MACHINE_EPS
-    nu = _norm_bound(coeffs)
-    return (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
-
-
-def _banded_bound(coeffs, a, alpha_inv, eigs, margin, eps):
-    # A lower bound on lambda_min(A), A = eps I + T_L the shifted matrix of a
-    # central chain M_0 .. M_L (L > N), from its predictor a = (a_1; ...;
-    # a_N), the alpha^{-1} of ``_ball_state``, the eigenvalues ``eigs`` of
-    # the data's T_N and their interlacing margin (``_decomposed_data``);
-    # -inf where the argument gives none.
-    #
-    # A has blocks A_lk = C_{k-l}, C_0 = H_0 + eps I, C_p = M_p, C_{-p} = C_p*.
-    # U, block unit upper triangular, has columns e_k for k <= N and column
-    # e_k - sum_j e_{k-j} a_j for k > N.  With, for n = 1 .. L,
-    #
-    #     rho_n = C_n - sum_j C_{n-j} a_j,
-    #
-    # the Yule-Walker residual of the computed a for n <= N and the rounding
-    # of the recursion for n > N, exact algebra gives (AU)_lk = rho_{k-l} for
-    # l < k, k > N, hence U* A U = [[A_N, P], [P*, Q]] with P_lk = rho_{k-l},
-    # every diagonal block of Q equal to
-    #
-    #     G = C_0 - sum_j C_j* a_j - sum_j a_j* rho_j     (~ alpha^{-1}),
-    #
-    # and Q_lk = q_{k-l} = rho_{k-l} - sum_j a_j* rho_{k-l+j} for l < k.  By
-    # Weyl, lambda_min(U* A U) >= min(lambda_min(A_N), lambda_min(G)) - ||E||
-    # with E the off-block-diagonal part; ||E||_2 is at most its largest row
-    # sum of d x d block norms, here <= sum_n ||rho_n|| + 2 sum_n ||q_n||
-    # <= (3 + 2 alpha) sum_n ||rho_n||, alpha = sum_j ||a_j||_F >= ||U|| - 1.
-    # When lambda_min(U* A U) >= 0, x* A x >= lambda_min(U* A U) ||x||^2 /
-    # ||U||^2, so lambda_min(A) >= [that] / (1 + alpha)^2.
-    #
-    # Rounding.  The computed rho^_n differs from rho_n by at most
-    # gamma_{Nd+4} (|C_n| + |W_n| |a|) entrywise (W_n the window
-    # C_{n-1} .. C_{n-N}; inner products of length Nd, complex, the rounding
-    # of C_0 and of the subtraction), so in Frobenius norm by e_n =
-    # gamma_{Nd+4} (||C_n||_F + ||W_n||_F ||a||_F), and ||rho_n||_2 <=
-    # ||rho^_n||_F + e_n.  alpha^{-1} = fl(C_0 - sum C_j* a_j) and G^ =
-    # fl(alpha^{-1} - sum a_j* rho^_j), with its Hermitian part h, lie within
-    # e_G = gamma_{Nd+4} (||C_0|| + ||col|| ||a|| + ||alpha^{-1}|| + ||a||
-    # ||rho^_{1..N}|| + ||G^||) + ||a|| sum_{n<=N} e_n (Frobenius norms) of
-    # G.  A computed eigenvalue of a Hermitian matrix of size m lies within
-    # 2 m u ||.||_2 of an exact one (the convention of
-    # ``positivity_profile``); for T_N, ||T_N||_2 <= max |eigs| / (1 - 2 m u).
-    # Every nonnegative quantity here is computed by at most K = L +
-    # 2 (N + 2) d^2 + 16 roundings of nonnegative terms, so it is grown by
-    # 1 + gamma_K.  The final few operations on terms of total size s err by
-    # less than 16 u s, which is subtracted, and the last division and the
-    # rounding of tau by a relative 3 u and 4 u, which 1 - 32 u covers with
-    # a relative 8 u to spare.  So a returned value above the computed
-    # ``_chained_tau`` puts the exact lambda_min(A) above tau (1 + 8 u), and
-    # then ``_certify`` passes: its computed lambda_min + eps clears the
-    # threshold (lambda_max + eps) m u of ``_check_definite`` even after
-    # rounding the shift and the products, so lambda_min > -eps.
-    u = _MACHINE_EPS
-    last, d = len(coeffs) - 1, coeffs.shape[1]
-    n = len(a) // d
-    grow = 1 + _rounding(last + 2 * (n + 2) * d * d + 16)
-    # C_k newest first for k = L .. 1 - N: M_L .. M_1, C_0, M_1* .. M_{N-1}*;
-    # the window of rho_n starts at position L - n + 1
-    row = np.empty((d, last + n, d), dtype=complex)
-    row[:, :last] = coeffs[:0:-1].transpose(1, 0, 2)
-    if n:
-        row[:, last] = _hermitian(coeffs[0]) + eps * np.eye(d)
-        row[:, last + 1 :] = coeffs[1:n].conj().transpose(2, 0, 1)
-    windows = _windows(row, d, (last, d, n * d), (d, (last + n) * d, 1))
-    # rho^_1 .. rho^_L and e_1 .. e_L
-    rho = (row[:, :last].transpose(1, 0, 2) - windows @ a)[::-1]
-    squares = _frobenius_squares(row.transpose(1, 0, 2))
-    window_norms = np.sqrt(_windows(squares, 1, (last, n), (1, 1)).sum(axis=1))
-    a_norm = np.sqrt(_frobenius_squares(a))
-    err = (_rounding(n * d + 4) * (np.sqrt(squares[:last]) + window_norms * a_norm))[::-1]
-    alpha = np.sqrt(_frobenius_squares(a.reshape(n, d, d))).sum() * grow
-    off = (3 + 2 * alpha) * (np.sqrt(_frobenius_squares(rho)) + err).sum() * grow
-
-    first = rho[:n].reshape(n * d, d)
-    g = alpha_inv - a.conj().T @ first
-    h = (g + g.conj().T) / 2
-    m0_norm, alpha_inv_norm, g_norm, h_norm = np.sqrt(
-        _frobenius_squares(np.stack([coeffs[0], alpha_inv, g, h]))
-    )
-    col_norm = np.sqrt(squares[last - n : last].sum())
-    products = col_norm * a_norm + a_norm * np.sqrt(_frobenius_squares(first))
-    terms = m0_norm + eps * np.sqrt(d) + alpha_inv_norm + g_norm + products
-    err_g = (_rounding(n * d + 4) * terms + a_norm * err[:n].sum()) * grow
-    g_eigs = np.linalg.eigvalsh(h)
-    g_margin = 2 * d * u * h_norm * grow
-    size = len(eigs)
-    data_margin = margin / 2 / (1 - 2 * size * u) * grow
-    lowest = min(eigs[0] + eps - data_margin, g_eigs[0] - g_margin - err_g)
-    total = abs(eigs[0]) + eps + data_margin + abs(g_eigs[0]) + g_margin + err_g + off
-    gap = lowest - off - 16 * u * total
-    if not gap > 0:
-        return -np.inf
-    return gap / (1 + alpha) ** 2 * (1 - 32 * u)
-
-
-def _certify_chained(seq, eps, tau):
+def _certify_chained(seq, eps):
     # ``_certify`` of a chained level, settled by one shifted Cholesky
     # factorisation (``_cholesky_exceeds``) where that provably passes.  With
-    # A the level's m x m matrix, nu >= ||A||_2 and ``tau`` its
-    # ``_chained_tau`` (which the caller has), the factorisation succeeding
-    # proves lambda_min(A + eps I) > tau = (nu + eps) m u (1 + 2 m u) +
-    # 2 m u nu.  Eigenvalues computed by eigvalsh lie within 2 m u nu of the
-    # exact ones (the convention of ``positivity_profile``), so ``_certify``
-    # would find lambda_min + eps above the threshold (lambda_max + eps) m u
-    # of ``_check_definite``, hence lambda_min > -eps: it passes.  Otherwise
-    # ``_certify`` itself decides on the level, assembled afresh once the
-    # shifted copy is dropped.  ``tol`` plays no part in either.
+    # A the level's m x m matrix and nu >= ||A||_2 of ``_norm_bound``, the
+    # factorisation succeeding proves lambda_min(A + eps I) > tau =
+    # (nu + eps) m u (1 + 2 m u) + 2 m u nu.  Eigenvalues computed by eigvalsh
+    # lie within 2 m u nu of the exact ones (the convention of
+    # ``positivity_profile``), so ``_certify`` would find lambda_min + eps
+    # above the threshold (lambda_max + eps) m u of ``_check_definite``,
+    # hence lambda_min > -eps: it passes.  Otherwise ``_certify`` itself
+    # decides on the level, assembled afresh once the shifted copy is
+    # dropped.  ``tol`` plays no part in either.
+    m = seq.coefficients.shape[0] * seq.block_dim
+    u, nu = _MACHINE_EPS, _norm_bound(seq.coefficients)
+    tau = (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
     if not _cholesky_exceeds(assemble(seq).dense, -eps, tau):
         _certify(seq, eps)
 
@@ -710,9 +693,13 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     Up to ``horizon`` = N this is ``certified_series``: one shifted
     Cholesky factorisation of T_N, O(N^3 d^3).  Beyond it the data are
     extended centrally by ``extend`` until the coefficient list reaches
-    index ``horizon``, with its certificate and cost.  The returned series
-    interpolates the input exactly: its first N + 1 coefficients are
-    bitwise equal to ``seq``.
+    index ``horizon``, with its certificate and cost: the central
+    extension from the data's minimal factor, in O(N^3 d^3 + H r^2 d) for
+    data of rank r (O(N^3 d^3 + H r d^2) on determinate data), with no
+    shift; ``eps`` acts only where its certificate leaves the output to
+    the shifted chain.  The returned series interpolates the input
+    exactly: its first N + 1 coefficients are bitwise equal to ``seq``,
+    and the later ones do not depend on ``horizon``.
 
     Raises
     ------
@@ -722,8 +709,8 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     SingularBlockError
-        As ``extend``: a shift too small for the data, or an extension that
-        fails its final check.
+        As ``extend``: where the shifted chain decides, a shift too small
+        for the data, or an extension that fails its final check.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")

@@ -222,15 +222,19 @@ def minimal_factorization(a, tol_rank=1e-10):
     return Factorization(T=t * half, rank=int(keep.sum()), residual=residual)
 
 
-def _procrustes(cross):
+def _procrustes(cross, floor=-np.inf):
     # the isometry V minimising ||V source - target||_F over V* V = I
     # (orthogonal Procrustes; Schoenemann, Psychometrika 31 (1966)): the
     # polar factor of their ``cross`` product target source*, which the
-    # caller forms, from its thin SVD, returned with that SVD's singular
-    # values.  An isometry needs target to have at least as many rows as
-    # source; with fewer, the polar factor is a co-isometry
+    # caller forms, from its thin SVD, returned as its two factors (V =
+    # outer inner) with that SVD's singular values.  An isometry needs target
+    # to have at least as many rows as source; with fewer, the polar factor
+    # is a co-isometry.  Singular values at or below ``floor`` are dropped
+    # with their singular vectors, which leaves the partial isometry of the
+    # polar decomposition of a cross product of that rank
     outer, sv, inner = np.linalg.svd(cross, full_matrices=False)
-    return outer @ inner, sv
+    k = np.count_nonzero(sv > floor)
+    return outer[:, :k], sv, inner[:k]
 
 
 def connecting_isometry(minimal, other, tol=1e-8):
@@ -243,7 +247,8 @@ def connecting_isometry(minimal, other, tol=1e-8):
     other : array_like
         A second factor T' (r' x n, r' >= r) with (T')* T' = A.
     tol : float
-        Consistency tolerance on ``T*T - (T')*(T')``.
+        Consistency tolerance on ``||T*T - (T')*(T')||_F`` relative to
+        ``||T*T||_F``, so the verdict does not depend on the factors' scale.
 
     Returns
     -------
@@ -288,11 +293,12 @@ def connecting_isometry(minimal, other, tol=1e-8):
     # T and T' are multiplied by ``scale``, the power of 2 that brings their
     # largest real or imaginary part into [1/2, 1) (raising a tiny one by
     # 2^511 at most), so T*T cannot overflow, and the gap is tested in units
-    # scaled by scale^2.  The scalings are exact and the SVD commutes with
-    # them, so the verdict, the message and the isometry keep the bits of the
-    # unscaled ones wherever those neither overflow nor underflow and T' T*
-    # lies where LAPACK does not rescale it (entries between about 1e-138
-    # and 1e138).  scale^2 stays finite, so tol = 0 still asks for a zero gap
+    # scaled by scale^2, relative to ||T*T||_F.  The scalings are exact and
+    # the SVD commutes with them, so the verdict, the message and the
+    # isometry keep the bits of the unscaled ones wherever those neither
+    # overflow nor underflow and T' T* lies where LAPACK does not rescale it
+    # (entries between about 1e-138 and 1e138); T = 0, and tol = 0, ask for
+    # a zero gap
     top = max(float(np.abs(part).max(initial=0.0)) for x in (t, tp) for part in (x.real, x.imag))
     scale = math.ldexp(1.0, -max(math.frexp(top)[1], -511))
     with np.errstate(invalid="ignore"):
@@ -301,11 +307,12 @@ def connecting_isometry(minimal, other, tol=1e-8):
         tp = tp * scale
         a1 = t.conj().T @ t
         gap = float(np.linalg.norm(a1 - tp.conj().T @ tp))
-    if not gap <= tol * max(scale * scale, float(np.linalg.norm(a1))):
+    if not gap <= tol * float(np.linalg.norm(a1)):
         raise FactorizationMismatchError(
             f"factorizations disagree: ||T*T - (T')*(T')|| = {gap / scale / scale:.3e}"
         )
-    return _procrustes(tp @ t.conj().T)[0]
+    outer, _, inner = _procrustes(tp @ t.conj().T)
+    return outer @ inner
 
 
 def schur_split(g, k):

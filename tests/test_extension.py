@@ -322,24 +322,28 @@ class TestExtend:
 
     @pytest.mark.parametrize("steps", [10, 100])
     def test_dense_work_independent_of_step_count(self, count_dense_calls, steps):
-        # one assembly and one eigh of the data, from which both chains
-        # check it and build their state, and one solve against the N d x
-        # N d matrix one level down for both predictors.  The central chain then runs only d x d
-        # eigvalsh: its final check is the banded certificate.  A
-        # parametrized chain runs per step one eigh of S, one of alpha^{-1}
-        # and one d x d solve, and no inv; its final check is one assembly
-        # and one Cholesky factorisation of its whole output.  State
-        # dimension 7 of rank T_2 = 6 < rank T_3 = 7: not determinate, so
-        # the central chain runs
+        # one assembly and one eigh of the data, from which both extensions
+        # check it.  The central extension then takes the 7 x 7 SVD of its
+        # minimal factor (state dimension 7 of rank T_2 = 6 < rank T_3 = 7:
+        # not determinate) and solves and decomposes nothing else.  A
+        # parametrized chain builds its state with one solve against the
+        # N d x N d matrix one level down for both predictors, and runs per
+        # step one eigh of S, one of alpha^{-1} and one d x d solve, and no
+        # inv; its final check is one assembly and one Cholesky
+        # factorisation of its whole output
         seq = fixture_sequence(8, 2, 7, 3)
         d = seq.block_dim
         data, past = len(seq) * d, seq.order * d
         output = (len(seq) + steps) * d
         zeros = [np.zeros((d, d))] * steps
-        central = {"assemble": [data], "eigh": [data], "solve": [past], "cholesky": []}
+        central = {
+            "assemble": [data], "eigh": [data], "svd": [7], "solve": [], "cholesky": [],
+            "eigvalsh": [],
+        }
         parametrized = {
             "assemble": [data, output],
             "eigh": [data] + [d] * 2 * steps,
+            "svd": [],
             "solve": [past] + [d] * steps,
             "cholesky": [output],
             "eigvalsh": [],
@@ -348,8 +352,7 @@ class TestExtend:
             calls = count_dense_calls()
             extend(seq, steps, eps=1e-8, contractions=contractions)
             assert {name: calls[name] for name in expected} == expected
-            assert [n for n in calls["eigvalsh"] if n > d] == []
-            assert calls["svd"] == calls["eig"] == calls["inv"] == []
+            assert calls["eig"] == calls["inv"] == []
 
     @pytest.mark.parametrize("seed, block_dim, state_dim, order", [(9, 2, 5, 2), (7, 3, 4, 3)])
     def test_unit_contraction_then_one_more_step_raises(self, seed, block_dim, state_dim, order):
@@ -388,22 +391,32 @@ class TestExtend:
         ext = extend(seq, 4, eps=1e-8)
         assert np.array_equal(ext.coefficients[:3], seq.coefficients)
 
-    def test_zero_contractions_match_central(self):
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_zero_contractions_take_the_shift_the_central_extension_does_not(self, eps):
+        # the central extension of (1, 1/2) is 0.5^n at any shift; zero
+        # contractions run the shifted chain through the ball centers, the
+        # first of them 1/(4 (1 + eps))
         seq = scalar_seq([1, 0.5])
-        central = extend(seq, 3, eps=1e-6)
+        central = extend(seq, 3, eps=eps).coefficients[:, 0, 0]
+        assert np.abs(central - 0.5 ** np.arange(5)).max() <= 1e-15
         zeros = [np.zeros((1, 1))] * 3
-        parametrized = extend(seq, 3, eps=1e-6, contractions=zeros)
-        assert np.array_equal(central.coefficients, parametrized.coefficients)
+        chained = extend(seq, 3, eps=eps, contractions=zeros).coefficients[:, 0, 0]
+        assert abs(chained[2] - 1 / (4 * (1 + eps))) <= 1e-15
 
     @pytest.mark.parametrize(
         "seed, block_dim, state_dim, order",
         [(31, 1, 3, 0), (32, 1, 4, 3), (33, 2, 5, 2), (34, 3, 14, 4)],
     )
-    def test_central_recursion_matches_the_bordering_loop(self, seed, block_dim, state_dim, order):
-        # zero contractions take the bordering loop; the central chain the
-        # order-N recursion.  Both sum the same products; BLAS may order the
-        # sums differently for the N-block window and the zero-padded row.
-        # Every state dimension exceeds N d, so no data are determinate.
+    def test_central_recursion_matches_the_bordering_loop(
+        self, monkeypatch, seed, block_dim, state_dim, order
+    ):
+        # zero contractions take the bordering loop; the shifted central
+        # chain, which decides data whose central extension its certificate
+        # leaves open (forced here), the order-N recursion.  Both sum the
+        # same products; BLAS may order the sums differently for the N-block
+        # window and the zero-padded row.  Every state dimension exceeds N d,
+        # so no data are determinate.
+        monkeypatch.setattr(extension, "_central_extension", lambda *args: (None, np.inf))
         seq = fixture_sequence(seed, block_dim, state_dim, order)
         zeros = [np.zeros((block_dim, block_dim))] * 30
         central = extend(seq, 30, eps=1e-8).coefficients
@@ -412,9 +425,9 @@ class TestExtend:
         np.testing.assert_allclose(central, bordered, rtol=0, atol=1e-13 * size)
 
     def test_fixed_bound_names_the_level_it_turns_singular_at(self):
-        # partially determinate data at eps = 1e-14: the least eigenvalue of
-        # S, ~2 eps, stays fixed while the threshold top * size * machine eps
-        # grows with the level
+        # partially determinate data at eps = 1e-14 through zero
+        # contractions: the least eigenvalue of S, ~2 eps, stays fixed while
+        # the threshold top * size * machine eps grows with the level
         seq = partially_determinate()
         eps, steps = 1e-14, 60
         step, _ = central_step(seq, eps)
@@ -424,28 +437,23 @@ class TestExtend:
         u, d = np.finfo(float).eps, seq.block_dim
         level = next(n for n in levels if bound <= top * (n + 1) * d * u)
         assert len(seq) < level < len(seq) + steps - 1
-        with pytest.raises(SingularBlockError, match=f"level {level} ") as central:
-            extend(seq, steps, eps=eps)
-        with pytest.raises(SingularBlockError) as bordered:
+        with pytest.raises(SingularBlockError, match=f"level {level} "):
             extend(seq, steps, eps=eps, contractions=[np.zeros((2, 2))] * steps)
-        assert str(central.value) == str(bordered.value)
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-11])
     def test_final_check_below_the_cholesky_margin_is_the_eigenvalue_check(
-        self, count_dense_calls, eps
+        self, count_dense_calls, monkeypatch, eps
     ):
-        # a 100-step chain on singular, partially determinate data with a
-        # tiny shift: the whole output's margin is within the rounding
-        # allowance, the Cholesky factorisation fails, and the eigenvalue
-        # check decides (eps = 1e-12 raises, 1e-11 passes)
+        # a 100-step chain through zero contractions on singular, partially
+        # determinate data with a tiny shift: the whole output's margin is
+        # within the rounding allowance, the Cholesky factorisation fails,
+        # and the eigenvalue check decides (eps = 1e-12 raises, 1e-11 passes)
         seq, steps, tol = partially_determinate(), 100, 1e-9
-        dense, eigs = extension._decomposed_data(seq, eps, tol)[:2]
-        forward = extension._ball_state(seq, eps, dense, eigs)[0]
-        # the band recursion M_m = (M_{m-1} ... M_{m-N}) a, one block at a time
-        chain = list(seq.coefficients)
-        for _ in range(steps):
-            chain.append(np.hstack(chain[-1 : -len(seq) : -1]) @ forward)
-        level = CoefficientSequence(np.array(chain))
+        zeros = [np.zeros((2, 2))] * steps
+        with monkeypatch.context() as patch:
+            # the chain's output, its final check switched off
+            patch.setattr(extension, "_certify_chained", lambda *args: None)
+            level = extend(seq, steps, eps=eps, contractions=zeros, tol=tol)
         try:
             extension._certify(level, eps)
             expected = None
@@ -453,7 +461,7 @@ class TestExtend:
             expected = (type(err), str(err))
         calls = count_dense_calls()
         try:
-            extend(seq, steps, eps=eps, tol=tol)
+            extend(seq, steps, eps=eps, contractions=zeros, tol=tol)
             got = None
         except (NotPsdError, SingularBlockError) as err:
             got = (type(err), str(err))
@@ -520,8 +528,10 @@ class TestExtend:
 
 class TestSolveCf:
     def test_geometric_interpolant(self):
+        # the central extension of (1, 1/2) is 0.5^n, taken with no shift
         phi = solve_cf(scalar_seq([1, 0.5]), horizon=64)
         assert phi.certified
+        assert np.abs(phi.seq.coefficients[:, 0, 0] - 0.5 ** np.arange(65)).max() <= 1e-15
         assert abs(complex(eval_series(phi, 0.5)[0, 0]) - 5 / 3) <= 1e-6
 
     def test_constant_function(self):
@@ -571,8 +581,9 @@ class TestSolveCf:
     def test_bench_shaped_central_solve_checks_no_dense_level(self, count_dense_calls, seed):
         # rank-deficient order-8 data to horizon 128, not determinate (state
         # dimension 17: rank T_7 = 16 < rank T_8 = 17 < 18): the data level
-        # is assembled and decomposed once, by one eigh, and the banded
-        # certificate settles the chained level with d x d algebra
+        # is assembled and decomposed once, by one eigh, the minimal factor's
+        # 17 x 17 SVD gives the partial isometry, and its certificate
+        # settles the output with r x r algebra
         seq = fixture_sequence(40 + seed, 2, 17, 8)
         data = len(seq) * seq.block_dim
         calls = count_dense_calls()
@@ -581,19 +592,19 @@ class TestSolveCf:
         assert calls["assemble"] == [data]
         assert calls["eigh"] == [data]
         assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == []
-        assert calls["cholesky"] == calls["svd"] == []
+        assert calls["cholesky"] == [] and calls["svd"] == [17]
 
     @pytest.mark.parametrize("state_dim, eps", [(18, 1e-8), (17, 1e-3), (5, 1e-8)])
     def test_long_horizon_builds_no_level_sized_array(
         self, count_dense_calls, monkeypatch, state_dim, eps
     ):
-        # H = 2000 on full-rank data; on rank-deficient, not determinate data
-        # with a shift well above the level's rounding margin; and on
-        # determinate data (state dimension 5 <= N d = 16), extended from
-        # their minimal factor: a (Hd)^2 complex array alone would be 256 MB,
-        # so the dense fallback fails before building one
+        # H = 2000 on full-rank data, on rank-deficient data that are not
+        # determinate, and on determinate data (state dimension 5 <= N d =
+        # 16), each extended from its minimal factor and settled by its
+        # certificate: a (Hd)^2 complex array alone would be 256 MB, so the
+        # dense fallback fails before building one
         def dense_fallback(*args):
-            raise AssertionError("the banded certificate left the level to the dense check")
+            raise AssertionError("the certificate left the output to the dense check")
 
         monkeypatch.setattr(extension, "_certify_chained", dense_fallback)
         seq = fixture_sequence(50, 2, state_dim, 8)
@@ -630,10 +641,19 @@ class TestDeterminateExtension:
         ext = extend(scalar_seq([1, 1]), 60, eps=eps)
         np.testing.assert_allclose(ext.coefficients[:, 0, 0], np.ones(62), rtol=0, atol=1e-14)
 
-    def test_partially_determinate_data_take_the_chain(self):
-        seq = partially_determinate()
-        data = extension._decomposed_data(seq, 1e-8, 1e-9)
-        assert extension._determinate_extension(seq, *data, 5) is None
+    @pytest.mark.parametrize("eps", [1e-8, 1e-14])
+    def test_partially_determinate_data_extend_exactly(self, count_dense_calls, eps):
+        # diag(1, 1/2): the first direction is determinate, the second not;
+        # the partial isometry of the minimal factor (rank 3, past rank 2)
+        # extends both with no shift to diag(1, 0.5^n), which the shifted
+        # chain at eps = 1e-14 refuses at level 22, and its certificate
+        # settles the output with no dense check
+        calls = count_dense_calls()
+        ext = extend(partially_determinate(), 60, eps=eps)
+        expected = np.zeros((62, 2, 2))
+        expected[:, 0, 0], expected[:, 1, 1] = 1, 0.5 ** np.arange(62)
+        np.testing.assert_allclose(ext.coefficients, expected, rtol=0, atol=1e-15)
+        assert calls["cholesky"] == calls["eigvalsh"] == calls["solve"] == []
 
     def test_long_horizon_is_the_realization(self):
         # order-8 data of a 5-dimensional realization to horizon 2000, which

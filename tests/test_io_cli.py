@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -658,12 +659,20 @@ class TestSolveCommand:
         assert coeffs[2][0][0][0] == pytest.approx(0.25, abs=1e-6)
 
     def test_shift_below_working_precision_is_a_tolerance_failure(self, tmp_path, capsys):
-        # eps = 1e-300 leaves the shifted matrix of the data singular at
-        # working precision: the extension raises, and nothing is emitted
+        # the central extension takes no shift, so eps = 1e-300 solves the
+        # rank-deficient fixture; scaled by 1e4, the certificate of its
+        # central extension (which grows with the data) exceeds tol, the
+        # shifted chain decides, and eps = 1e-300 leaves the shifted matrix
+        # of the data singular at working precision: the extension raises,
+        # and nothing is emitted
         fixture = tmp_path / "fixture.json"
         argv = ["generate", "--block-dim", "2", "--state-dim", "5", "--order", "2"]
         assert main([*argv, "--output", str(fixture)]) == EXIT_OK
+        assert main(["solve", str(fixture), "--eps", "1e-300", "--horizon", "8"]) == EXIT_OK
         capsys.readouterr()
+        seq = parse_problem(fixture.read_text()).to_sequence()
+        scaled = CoefficientSequence(seq.coefficients * 1e4)
+        fixture.write_text(serialize_problem(ProblemFile.from_sequence(scaled)))
         assert main(["solve", str(fixture), "--eps", "1e-300", "--horizon", "8"]) == EXIT_TOLERANCE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -680,16 +689,48 @@ class TestSolveCommand:
         assert captured.err.startswith("error: the eps-shifted Toeplitz matrix at level 1 ")
         assert captured.err.count("\n") == 1
 
-    def test_kernel_report_not_psd_fails(self, tmp_path, capsys):
-        # eps = 1 moves the extension off the data's ball: the report is
+    def test_kernel_report_not_psd_fails(self, tmp_path, capsys, monkeypatch):
+        # a failing kernel Gram (its verdict forced here): the report is
         # still emitted, and its own verdict sets the exit status
         path = write_problem(tmp_path, "p.json", [1, 0.9])
-        assert main(["solve", path, "--eps", "1", "--json"]) == EXIT_TOLERANCE
+        kernel_gram = cli.kernel_gram
+
+        def failing(*args):
+            return dataclasses.replace(kernel_gram(*args), min_eigenvalue=-2.0, is_psd=False)
+
+        monkeypatch.setattr(cli, "kernel_gram", failing)
+        assert main(["solve", path, "--json"]) == EXIT_TOLERANCE
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["kernel"]["psd"] is False
-        assert report["kernel"]["min_eigenvalue"] < -1
+        assert report["kernel"]["min_eigenvalue"] == -2.0
         assert "error: kernel Gram matrix is not PSD" in captured.err
+
+    def test_a_large_shift_keeps_the_central_extension(self, tmp_path, capsys):
+        # eps = 1 would move the shifted chain off the data's ball, to an
+        # output whose Toeplitz matrix reaches -0.241; the central extension
+        # takes no shift: (1, 0.9) extends as 0.9^n, and its kernel passes
+        path = write_problem(tmp_path, "p.json", [1, 0.9])
+        assert main(["solve", path, "--eps", "1", "--json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["kernel"]["psd"] is True
+        got = [c[0][0][0] for c in report["problem"]["coefficients"]]
+        np.testing.assert_allclose(got, 0.9 ** np.arange(65), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_written_prefix_does_not_depend_on_the_truncation(self, tmp_path, seed):
+        # the solve writes the same bytes whatever length it extends to:
+        # each coefficient comes from products of one width
+        fixture = tmp_path / "fixture.json"
+        argv = ["generate", "--seed", str(seed), "--block-dim", "3", "--state-dim", "8"]
+        assert main([*argv, "--order", "6", "--output", str(fixture)]) == EXIT_OK
+        written = []
+        for truncation in ("64", "256"):
+            out = tmp_path / f"solved-{truncation}.json"
+            argv = ["solve", str(fixture), "--horizon", "64", "--truncation", truncation]
+            assert main([*argv, "--output", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestEvalCommands:

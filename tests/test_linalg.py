@@ -208,7 +208,9 @@ class TestConnectingIsometry:
     def test_power_of_two_multiples_keep_the_bits(self, seed, power):
         # the scaling is exact and the SVD commutes with it: the isometry of
         # 2^k T and 2^k T' is that of T and T', here with noise 1e-10 ..
-        # 1e-5 in T' and a tol that admits it at every scale
+        # 1e-5 in T' and a tol that admits it at every scale; at the default
+        # tol the verdict, which refuses the larger noise, is the same at
+        # every scale too
         rng = np.random.default_rng(300 + seed)
         n, r = int(rng.integers(1, 6)), int(rng.integers(1, 4))
         t = random_complex(rng, r, n)
@@ -217,6 +219,25 @@ class TestConnectingIsometry:
         v = connecting_isometry(t, t_prime, tol=1.0)
         factor = 2.0**power
         assert connecting_isometry(factor * t, factor * t_prime, tol=1.0).tobytes() == v.tobytes()
+
+        def verdict(scale):
+            try:
+                return connecting_isometry(scale * t, scale * t_prime).tobytes()
+            except FactorizationMismatchError as err:
+                return str(err).split(" = ")[0]
+
+        assert verdict(factor) == verdict(1.0)
+
+    @pytest.mark.parametrize("power", [0, -40, 40])
+    def test_gap_is_judged_relative_to_the_data(self, power):
+        # T' = [T; 0] plus noise 1e-7 relative to T: refused at the default
+        # tol whatever the factors' scale
+        rng = np.random.default_rng(7)
+        t = random_complex(rng, 3, 4)
+        t_prime = np.vstack([t, np.zeros((1, 4))]) + 1e-7 * random_complex(rng, 4, 4)
+        factor = 2.0**power
+        with pytest.raises(FactorizationMismatchError, match="disagree"):
+            connecting_isometry(factor * t, factor * t_prime)
 
     def test_factors_of_different_source_dimensions_raise(self):
         with pytest.raises(DimensionError, match="source dimension"):

@@ -565,11 +565,14 @@ class TestGramIsometries:
         assert all(v.shape == (0, 0) for v in gf.isometries)
 
     def test_unreproduced_coefficient_raises(self):
-        # T_N has a double eigenvalue -0.082, within tol = 0.1, which its
-        # minimal factor clamps to zero; the isometries then miss M_1 by
-        # 0.116, beyond tol max(1, ||T_N||_F) = tol (||T_N||_F = 0.97)
-        m1 = 0.27 * np.array([[-1.0, -1.0], [-1.0, 1.0]])
-        seq = CoefficientSequence(np.array([0.3 * np.eye(2), m1]))
+        # T_N has eigenvalues 0.047 and 0.059 below tol lambda_max = 0.074
+        # (tol = 0.1), which its minimal factor drops; every block still
+        # factors Re M_0 within tol relative to ||Re M_0||_F, and the
+        # isometries then miss M_1 by 0.121, beyond tol max(1, ||T_N||_F) =
+        # tol (||T_N||_F = 0.99)
+        m0 = np.array([[0.163, -0.171], [-0.171, 0.589]])
+        m1 = np.array([[-0.012, -0.164], [0.181, -0.042]])
+        seq = CoefficientSequence(np.array([m0, m1]))
         with pytest.raises(FactorizationMismatchError, match="coefficient 1 is not reproduced"):
             gram_isometries(seq, tol=0.1)
 
