@@ -34,7 +34,7 @@ from .linalg import (
     hermitian_split,
     minimal_factorization,
 )
-from .toeplitz import CoefficientSequence, _check_data, assemble
+from .toeplitz import CoefficientSequence, _check_data, _frobenius_squares, assemble
 
 __all__ = [
     "HerglotzSeries",
@@ -75,9 +75,21 @@ class HerglotzSeries:
 
     @cached_property
     def _max_block_norm(self):
-        # max_n ||M_n||_2 for the tail bound: one batched SVD on first use,
-        # none at construction; the coefficients are read-only
-        return float(np.linalg.norm(self.seq.coefficients, 2, axis=(1, 2)).max())
+        # max_n ||M_n||_2 for the tail bound, on first use, none at
+        # construction; the coefficients are read-only.  ||M||_2 <= ||M||_F
+        # <= sqrt(d) ||M||_2, so a block whose squared Frobenius norm times
+        # d is below another's cannot reach the maximum, and only the other
+        # blocks go through the batched SVD: the same bits as all of them.
+        # The relative allowance 2^-20 is far above the rounding of the
+        # squares and of a computed largest singular value (a few d^2 u),
+        # the absolute 2^-1000 above that of squares that underflow; a
+        # block whose square overflows is kept
+        coeffs = self.seq.coefficients
+        squares = _frobenius_squares(coeffs)
+        largest = np.max(squares, initial=0.0, where=np.isfinite(squares))
+        with np.errstate(over="ignore"):
+            reach = squares * (coeffs.shape[1] * (1 + 2.0**-20)) + 2.0**-1000
+        return float(np.linalg.norm(coeffs[~(reach < largest)], 2, axis=(1, 2)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,9 +197,12 @@ def eval_series(phi, z):
 
 def series_tail_bound(phi, z):
     """Geometric bound on the dropped tail of ``eval_series``:
-    2 max_n ||M_n|| |z|^{T+1} / (1 - |z|), for a point (a float) or a 1-d
-    array of points (an array).  max_n ||M_n|| is computed once per series,
-    on the first call."""
+    2 max_n ||M_n||_2 |z|^{T+1} / (1 - |z|), for a point (a float) or a 1-d
+    array of points (an array).  max_n ||M_n||_2 is computed once per
+    series, on the first call: ||M_n||_2 <= ||M_n||_F <= sqrt(d) ||M_n||_2,
+    so only the blocks whose Frobenius norm is within a factor sqrt(d) of
+    the largest one are decomposed, and the maximum is bitwise that of a
+    spectral norm of every block."""
     r = np.abs(np.asarray(z, dtype=complex))
     if not (r < 1).all():
         raise DomainError(f"|z| = {r.max():.6f} must be below 1 for a finite tail bound")
@@ -453,11 +468,12 @@ def gram_isometries(seq, tol=1e-8):
     ``connecting_isometry``.  Verifies the factorisation through
     G = (V_0 T0 ... V_N T0): its first block row reproduces the data,
     M_j = T0* V_0* V_j T0 for j >= 1, and G* G reproduces T_N, each within
-    ``tol`` times max(1, ||T_N||_F); data with Re M_0 = 0 are checked the
-    same way.  The V_j are not tested for ``V_j* V_j = I``, nor their Gram
-    matrix for positivity: a polar factor from a thin SVD is an isometry
-    to rounding by construction, and a Gram matrix W* W is PSD whatever W
-    is, so neither check could fail at a tolerance above rounding.
+    ``tol`` times ||T_N||_F, so the verdict does not change when the data
+    are rescaled; data with Re M_0 = 0 are checked the same way.  The V_j
+    are not tested for ``V_j* V_j = I``, nor their Gram matrix for
+    positivity: a polar factor from a thin SVD is an isometry to rounding
+    by construction, and a Gram matrix W* W is PSD whatever W is, so
+    neither check could fail at a tolerance above rounding.
 
     Raises
     ------
@@ -480,16 +496,16 @@ def gram_isometries(seq, tol=1e-8):
     isometries = [connecting_isometry(base, fj, tol=tol) for fj in blocks]
     g = np.hstack([v @ base.T for v in isometries])
     gram = g.conj().T @ g
-    scale = max(1.0, float(np.linalg.norm(bt.dense)))
+    allowed = tol * float(np.linalg.norm(bt.dense))
     for j in range(1, n):
         gap = np.linalg.norm(seq.coefficients[j] - gram[:d, j * d : (j + 1) * d])
-        if not gap <= tol * scale:
+        if not gap <= allowed:
             raise FactorizationMismatchError(
                 f"coefficient {j} is not reproduced by the base isometries: "
                 f"||M_j - T0* V_0* V_j T0|| = {gap:.3e}"
             )
     gap = np.linalg.norm(bt.dense - gram)
-    if not gap <= tol * scale:
+    if not gap <= allowed:
         raise FactorizationMismatchError(
             f"Gram reconstruction of the Toeplitz matrix off by {gap:.3e}"
         )

@@ -183,22 +183,32 @@ def positivity_profile(seq, tol=1e-9):
 
     Level n is the leading (n + 1) d x (n + 1) d principal submatrix T_n of
     the assembled T_N, entrywise the assembly of ``seq.truncated(n)``.  By
-    Cauchy interlacing the exact lambda_min(T_n) is non-increasing in n.
-    ``eigvalsh`` is backward stable: each eigenvalue it computes for a
-    Hermitian matrix A of size m lies within 2 m u ||A||_2 of an exact one
-    (u the machine epsilon; the observed error is far smaller), and
-    ||T_n||_2 <= ||T_N||_2.  So between two decomposed levels i < j every
-    level's computed lambda_min lies in
+    Cauchy interlacing the exact lambda_min(T_n) is non-increasing in n, and
+    at most lambda_{(N - n) d + 1}(T_N), the eigenvalue of T_N that
+    (N - n) d others lie below.  ``eigvalsh`` is backward stable: the k-th
+    eigenvalue it computes for a Hermitian matrix A of size m lies within
+    2 m u ||A||_2 of the exact k-th one (u the machine epsilon; Weyl's
+    inequality; the observed error is far smaller), and ||T_n||_2 <=
+    ||T_N||_2.  So between two decomposed levels i < j every level n's
+    computed lambda_min lies in
 
-        [lambda_j - margin, lambda_i + margin],   margin = 4 m u ||T_N||_2
+        [lambda_j - margin, min(lambda_i + margin, c_n)],
+        c_n = max(eigs[(N - n) d] + margin, -tol),   margin = 4 m u ||T_N||_2
 
-    with m = (N + 1) d and ||T_N||_2 the largest computed eigenvalue
-    magnitude.  Levels 0 and N are decomposed, and an interval is bisected
-    only where that bracket leaves a level's ``is_psd`` or
-    ``is_strictly_positive`` undecided.  A decomposed level's report is
-    bitwise that of ``psd_report`` of its own assembly; every verdict
-    equals it, and every bracket contains its ``min_eigenvalue``.  Where
-    the verdicts change once, O(log N) levels are decomposed.
+    with m = (N + 1) d, ``eigs`` the computed spectrum of T_N (ascending)
+    and ||T_N||_2 its largest magnitude.  The ceiling c_n from the spectrum
+    is never below ``-tol``, so a bracket fails a level only after a
+    decomposed level fails.  Levels 0 and N are decomposed.  Between two
+    decomposed levels the upper ends do not increase with n, so the levels
+    whose bracket leaves ``is_psd`` or ``is_strictly_positive`` undecided
+    come first; the interval is split at its midpoint, or at the midpoint
+    of those levels where its own midpoint is decided.  A decomposed
+    level's report is bitwise that of ``psd_report`` of its own assembly;
+    every verdict equals it, and every bracket contains its
+    ``min_eigenvalue``.  Where the verdicts change once, O(log N) levels are
+    decomposed.  PSD data of rank r make every level n >= r / d singular;
+    where ``tol`` is well above the margin, those levels are decided from
+    the spectrum of T_N alone.
 
     Raises
     ------
@@ -331,27 +341,41 @@ def _level_report(dense, block_dim, n, tol):
     return _bracket(min_eig, min_eig, tol)
 
 
+def _decides(lower, upper, tol):
+    # whether the bracket [lower, upper] decides both verdicts of a level
+    return (lower >= -tol or upper < -tol) and (lower > tol or upper <= tol)
+
+
 def _interlaced_reports(dense, block_dim, tol, eigs):
     # the reports of ``positivity_profile`` from T_N and its eigenvalues
-    # ``eigs``
+    # ``eigs``.  ``ceiling[n]`` bounds level n's computed lambda_min from
+    # above by eigs[(N - n) d], and is never below -tol.  A pending interval
+    # (i, j, lower) holds the levels between the decomposed level i and
+    # level j, all bounded below by ``lower`` from a decomposed level at or
+    # after j.  Their upper ends do not increase with n, so the levels their
+    # brackets decide are a trailing run; the interval is split at its
+    # midpoint, or, where that falls in the run, at the midpoint of the rest
     top = len(eigs) // block_dim - 1
     margin = _interlacing_margin(eigs)
+    ceiling = np.maximum(eigs[::block_dim][::-1] + margin, -tol).tolist()
     reports = [None] * (top + 1)
     reports[top] = _bracket(float(eigs[0]), float(eigs[0]), tol)
     if top:
         reports[0] = _level_report(dense, block_dim, 0, tol)
-    pending = [(0, top)]
+    pending = [(0, top, reports[top].lower - margin)]
     while pending:
-        i, j = pending.pop()
-        if j - i < 2:
-            continue
-        lower, upper = reports[j].lower - margin, reports[i].upper + margin
-        if (lower >= -tol or upper < -tol) and (lower > tol or upper <= tol):
-            reports[i + 1 : j] = [_bracket(lower, upper, tol)] * (j - i - 1)
-        else:
+        i, j, lower = pending.pop()
+        cap = reports[i].upper + margin
+        k = j
+        while k - i > 1 and _decides(lower, min(ceiling[k - 1], cap), tol):
+            k -= 1
+            reports[k] = _bracket(lower, min(ceiling[k], cap), tol)
+        if k - i > 1:
+            if (i + j) // 2 >= k:
+                j = k
             mid = (i + j) // 2
             reports[mid] = _level_report(dense, block_dim, mid, tol)
-            pending += [(i, mid), (mid, j)]
+            pending += [(i, mid, reports[mid].lower - margin), (mid, j, lower)]
     return reports
 
 

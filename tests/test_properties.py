@@ -4,8 +4,11 @@ power sum, for the compressed kernel Gram (block dimensions 1-4) against
 the block-tensor contraction, for the kernel Gram, dense and compressed,
 and every kernel pair K(z, w), K(w, z)* on realization series: Hermitian
 bit for bit, for the power table against the
-``cumprod`` of the broadcast points, bit for bit, for the interlacing positivity profile
-against per-level reports, for the windowed assembly against a
+``cumprod`` of the broadcast points, bit for bit, for the tail bound's
+largest block norm against that of every block, bit for bit, for the
+interlacing positivity profile against per-level reports (rank-deficient
+data with M_0 shifted down or a late coefficient perturbed among them),
+for the windowed assembly against a
 per-diagonal one and, bit for bit, against a ``sliding_window_view``
 construction (with the block reversal against an index gather), for the
 data check of every entry point (the shifted Cholesky certificate, then
@@ -42,7 +45,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -228,6 +231,45 @@ def test_kernel_is_hermitian_bit_for_bit(phi, pts, seed):
     assert np.array_equal(gram, gram.conj().T)
     z, w = pts[0], pts[-1]
     assert np.array_equal(kernel_value(phi, z, w), kernel_value(phi, w, z).conj().T)
+
+
+@st.composite
+def block_stacks(draw):
+    # T + 1 = 1 .. 301 blocks of dimension 1 .. 4: Gaussian, Gaussian with
+    # decaying sizes, unit multiples of one unitary (every spectral norm
+    # tied), realization data, or Gaussian with sizes spread over
+    # 10^-300 .. 10^300; scaled by 10^k, or to where the squares of the
+    # Frobenius norms underflow (1e-160) or overflow (1e154, 1e300)
+    d = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 301))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "decaying", "tied", "realization", "spread"]))
+    blocks = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    if kind == "decaying":
+        blocks *= rng.uniform(0, 1, count)[:, None, None] ** np.arange(count)[:, None, None]
+    elif kind == "tied":
+        phases = np.exp(2j * np.pi * rng.uniform(0, 1, count))
+        blocks = phases[:, None, None] * np.linalg.qr(blocks[0])[0]
+    elif kind == "realization":
+        blocks = realization_coefficients(random_realization(rng, d, d + 2), count - 1).coefficients
+    elif kind == "spread":
+        blocks *= 10.0 ** rng.uniform(-300, 300, count)[:, None, None]
+        return CoefficientSequence(blocks)
+    powers = st.integers(-12, 12).map(lambda k: 10.0**k)
+    scale = draw(st.one_of(powers, st.sampled_from([1e-160, 1e154, 1e300])))
+    return CoefficientSequence(blocks * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_stacks())
+# a block whose square is finite has the larger norm: 1.3e154 against 1e154
+# for 1e154 I, whose square overflows
+@example(CoefficientSequence(np.array([np.diag([1.3e154, 0, 0, 0]), 1e154 * np.eye(4)])))
+def test_max_block_norm_is_that_of_every_block(seq):
+    # the tail bound's max_n ||M_n||_2 decomposes only the blocks that can
+    # reach it, and is bitwise the maximum over the spectral norms of all
+    expected = float(np.linalg.norm(seq.coefficients, 2, axis=(1, 2)).max())
+    assert HerglotzSeries(seq)._max_block_norm == expected
 
 
 def reference_assemble(seq):
@@ -581,12 +623,36 @@ def scaled_levels(draw, max_size=None):
     return CoefficientSequence(coeffs)
 
 
-@PROPERTY
-@given(scaled_levels(), st.sampled_from([1e-9, 1e-6, 1e-2]))
+@st.composite
+def rank_deficient_levels(draw):
+    # realization data of rank below (N + 1) d at N = 16 .. 40, scaled by
+    # 10^k: the levels past the rank are singular, and the upper end of
+    # their brackets comes from the spectrum of T_N.  M_0 shifted down, or
+    # a late coefficient perturbed, makes levels fail there too
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(16, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rlz = random_realization(rng, d, draw(st.integers(1, (order + 1) * d - 1)))
+    coeffs = realization_coefficients(rlz, order).coefficients
+    coeffs = coeffs * 10.0 ** draw(st.integers(-12, 12))
+    size = float(np.abs(coeffs).max())
+    change = draw(st.sampled_from(["none", "shift", "late"]))
+    amount = draw(st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1])) * size
+    if change == "shift":
+        coeffs[0] -= amount * np.eye(d)
+    elif change == "late":
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        coeffs[order - draw(st.integers(0, 3))] += amount * g
+    return CoefficientSequence(coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(scaled_levels(), rank_deficient_levels()), st.sampled_from([1e-9, 1e-6, 1e-2]))
 def test_profile_brackets_the_per_level_reports(seq, tol):
     # decomposed levels are bitwise the per-level report, interlaced ones
     # hold it in their bracket, and every verdict is the per-level one; the
-    # first failing level, which certified_series names, is decomposed
+    # first failing level, which certified_series names, is decomposed, and
+    # the eigenvalue check's message is the per-level scan's
     profile = positivity_profile(seq, tol)
     assert len(profile) == len(seq)
     assert profile[0].lower == profile[0].upper and profile[-1].lower == profile[-1].upper
@@ -600,6 +666,8 @@ def test_profile_brackets_the_per_level_reports(seq, tol):
         assert level.is_psd == reference.is_psd
         assert level.is_strictly_positive == reference.is_strictly_positive
         assert level.tolerance_used == tol
+    expected = reference_certification(seq, tol)
+    assert check_outcome(_certified_data, seq, tol) == (expected and (NotPsdError, expected))
 
 
 @settings(max_examples=300, deadline=None)

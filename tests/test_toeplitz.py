@@ -205,13 +205,30 @@ class TestPositivityProfile:
         assert all(r.lower >= -1e-8 for r in positivity_profile(seq, 1e-8))
 
     def test_cli_shaped_data_takes_logarithmically_many_decompositions(self, count_dense_calls):
-        # the size of the cli benchmark's data: the verdicts change once, so
-        # the bisection decomposes O(log N) of the N + 1 levels
-        order = 64
-        seq = fixture_sequence(11, 2, 6, order)
+        # the cli benchmark's data: order 64, d = 2 and rank 6.  The spectrum
+        # of T_N decides every level from 3 on, where T_n is singular, so
+        # besides T_N and level 0 only levels of size <= 3 d are decomposed
+        seq = fixture_sequence(11, 2, 6, 64)
         calls = count_dense_calls()
-        positivity_profile(seq, 1e-9)
-        assert len(calls["eigvalsh"]) <= 2 * int(np.ceil(np.log2(order + 1))) + 2
+        reports = positivity_profile(seq, 1e-9)
+        sizes = calls["eigvalsh"]
+        assert sizes[:2] == [130, 2]
+        assert len(sizes) <= 4 and max(sizes[2:]) <= 6
+        assert all(r.lower < r.upper and not r.is_strictly_positive for r in reports[3:-1])
+
+    def test_full_rank_data_failing_at_the_top_are_bisected_arithmetically(
+        self, count_dense_calls
+    ):
+        # 0.5^n with 0.9 added to M_32: only T_32 fails, and no eigenvalue of
+        # it decides a level, so the bisection halves each interval
+        values = 0.5 ** np.arange(33)
+        values[-1] += 0.9
+        calls = count_dense_calls()
+        reports = positivity_profile(CoefficientSequence.from_scalars(values), 1e-9)
+        assert calls["eigvalsh"] == [33, 1, 17, 25, 29, 31, 32]
+        decomposed = [n for n, r in enumerate(reports) if r.lower == r.upper]
+        assert decomposed == [0, 16, 24, 28, 30, 31, 32]
+        assert [r.is_psd for r in reports] == [True] * 32 + [False]
 
 
 class TestCrossBlockBound:
