@@ -101,8 +101,8 @@ def _complex_flag(text):
 
 
 _FLAG_HELP = {
-    "eps": "positive shift of the chain that decides where the central extension's "
-    "certificate does not (the central extension takes none; certified to -max(tol, eps))",
+    "eps": "bound of the central extension's certificate, to -max(tol, eps); it takes no "
+    "shift, so eps never moves its output (the shift of parametrized chains only)",
     "tol": "positivity tolerance",
     "horizon": "highest output coefficient index",
     "truncation": "series evaluation truncation (solve extends to the longer of this and "

@@ -29,11 +29,8 @@ O(N d^3) from D = X - X_c:
     S' = S - D p,               alpha'^{-1} = alpha^{-1} - D* v.
 
 By the Schur-complement criterion S' is positive definite exactly when the
-shifted Toeplitz matrix of (M_0 .. M_N, X) is.  For the center D = 0, so S
-and alpha stay fixed and a, b only gain a zero block: the shifted central
-chain is the order-N band recursion M_{m+1} = (M_m ... M_{m-N+1}) a for
-m >= N, with the a of the data, the maximum-entropy extension of the
-eps-shifted data.
+shifted Toeplitz matrix of (M_0 .. M_N, X) is.  Zero contractions take the
+centers, the central extension of the eps-shifted data.
 
 Routing.  Every entry point checks the data from one ``eigh`` of T_N
 (``_decomposed_data``): the extension needs the spectrum (its top for the
@@ -53,7 +50,7 @@ and future blocks P = (F_0 ... F_{N-1}) and Q = (F_1 ... F_N), is the
 partial isometry from ran P onto ran Q with F_j = W^j F_0.  Then
 M_n = F_0* W^n F_0 for n <= N, and continued past N this is the central
 (maximum-entropy) extension: the zero parameter of the Arov-Grossman
-description of all extensions, which the eps-shifted center chain below
+description of all extensions, which the chain of eps-shifted centers
 approaches as eps -> 0.  W comes from the SVD of Q P* = W (P P*), its rank
 k counted above the same margin, so the routing is scale-relative.  On
 determinate data (k = r: rank T_N = rank T_{N-1}) W is unitary and the
@@ -74,23 +71,24 @@ decay is bounded by repeated squaring) and the drift of Wt = W / (1 +
 delta), delta >= ||W||_2 - 1.  The output is returned where beta <=
 max(tol, eps), so lambda_min(T_L) >= -max(tol, eps).  beta grows with the
 data and, for slowly decaying powers of W, with L^2; where it exceeds
-max(tol, eps), the shifted central chain decides.
+max(tol, eps), the dense check below decides on the same output, with
+max(tol, eps) in place of the shift.  Either way the output is the central
+extension's, whatever eps is: eps moves no central output.
 
-Shifted chain.  It decides those data and every parametrized chain.  It
-builds the state above from the same T_N and eigenvalues, with one solve
-for both predictors, and runs both chains as one loop over a newest-first
-buffer of the coefficients, in which gamma of every level is a strided
-view: each step takes the center gamma a, and a parametrized chain then
-moves to its ball point and borders the state.  A parametrized step
-factors each d x d matrix once: one ``eigh`` of S gives the eigenvalues
-that check its level and S^{1/2}, one ``eigh`` of the Hermitian part of
-alpha^{-1} gives alpha^{-1/2} and alpha^{1/2} (and refuses an alpha^{-1}
-that is not positive definite), so D = S^{1/2} Gamma alpha^{-1/2} and
-p = alpha^{1/2} Gamma* S^{1/2}, and one solve gives v.  The subtraction
-updates of S and alpha^{-1} are kept on purpose: the congruence
-S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact algebra stays positive
-definite whatever the rounding does to the chain, so the check of S would
-see nothing.
+Shifted chain.  Only parametrized chains take it.  It builds the state
+above from the same T_N and eigenvalues, with one solve for both
+predictors, and runs one loop over a newest-first buffer of the
+coefficients, in which gamma of every level is a strided view: each step
+takes the center gamma a, moves to its ball point and borders the state.
+A step factors each d x d matrix once: one ``eigh`` of S gives the
+eigenvalues that check its level and S^{1/2}, one ``eigh`` of the
+Hermitian part of alpha^{-1} gives alpha^{-1/2} and alpha^{1/2} (and
+refuses an alpha^{-1} that is not positive definite), so D = S^{1/2} Gamma
+alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2}, and one solve gives v.
+The subtraction updates of S and alpha^{-1} are kept on purpose: the
+congruence S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact algebra stays
+positive definite whatever the rounding does to the chain, so the check of
+S would see nothing.
 
 One singularity rule (``_check_definite``) decides every level of the
 shifted chain: the eps-shifted matrix of level n, of size m = (n + 1) d,
@@ -98,27 +96,32 @@ is positive definite at working precision when a tested eigenvalue clears
 top m u, top its largest eigenvalue.  It tests the data level N before the
 state is built, the bound S of each chained level below the last as the
 chain goes (S is a Schur complement of the level's shifted matrix, so it
-is positive definite exactly when that matrix is; the central chain's one
-S once for all of its levels), a cheap early refusal, and the output's
-own eigenvalues in its final check.  The data passed their own check, so
-a refusal raises SingularBlockError naming the level: the shift is too
-small for the data, or the chain's rounding (or a unit-norm contraction,
-whose ball point lies on the boundary) took it off the ball.  NotPsdError
-is raised for the data only.
+is positive definite exactly when that matrix is), and the output's own
+eigenvalues in its final check.  The data passed their own check, so a
+refusal raises SingularBlockError naming the level: the shift is too small
+for the data, or the chain's rounding (or a unit-norm contraction, whose
+ball point lies on the boundary) took it off the ball.  NotPsdError is
+raised for the data only.
 
-Certificate of the shifted chain.  Its whole output M_0 .. M_L is
-certified once, by the first of two checks that passes: one Cholesky
-factorisation of the output's matrix shifted down by the rounding margin
-tau of the eigenvalue check (``_certify_chained``, with the margin's proof
-in ``toeplitz._cholesky_exceeds``, which also decides the data of
+Dense check of an output.  The whole output M_0 .. M_L of a shifted chain,
+and a central extension whose beta exceeds max(tol, eps), is checked once,
+at the chain's shift eps or at the central bound max(tol, eps), by the
+first of two checks that passes: one Cholesky factorisation of the
+output's matrix shifted down by the rounding margin tau of the eigenvalue
+check (``_certify_chained``, with the margin's proof in
+``toeplitz._cholesky_exceeds``, which also decides the data of
 ``certified_series``), then the dense eigenvalue check (``_certify``) on
 the output assembled afresh: the singularity rule on its computed
 eigenvalues.  The first passes only where the second provably passes, so
 verdicts and messages are those of the eigenvalue check of the output.
 Whatever the shifted chain returns has its eps-shifted matrix positive
 definite at working precision, so its computed lambda_min(T_L) > -eps;
-``tol`` plays no part.  A unit-norm contraction at the last step lands on
-the boundary of the ball, and the output is refused as singular.
+``tol`` plays no part.  A central output so checked has its computed
+lambda_min(T_L) > -max(tol, eps), and a refusal names the central
+extension.  A central output with a non-finite coefficient (data near the
+float maximum) is refused before any check.  A unit-norm contraction at
+the last step lands on the boundary of the ball, and the output is
+refused as singular.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -217,35 +220,36 @@ def _contraction(contraction, shape):
     return g
 
 
-def _check_definite(least, top, levels, d, eps):
+def _check_definite(least, top, level, d, eps, central=False):
     # the one singularity rule of the shifted chain: the eps-shifted Toeplitz
-    # matrix A of each level in the range ``levels`` (data M_0 .. M_level,
-    # size m = (level + 1) d) is positive definite at working precision.
-    # ``least`` is the smallest computed eigenvalue of A, or of the bound S
-    # of the level, a Schur complement of A, so lambda_min(A) <=
-    # lambda_min(S) and A is positive definite exactly when S is; ``top`` is
-    # the largest eigenvalue of A, or a lower bound on it.  The first level
-    # whose threshold top m u ``least`` does not clear is refused.  The data
-    # passed their own check, so a refusal is the shift or the chain's
-    # rounding, never the data
-    sizes = (np.asarray(levels) + 1) * d
-    thresholds = top * sizes * _MACHINE_EPS
-    singular = least <= thresholds
-    if singular.any():
-        first = int(np.argmax(singular))
+    # matrix A of ``level`` (data M_0 .. M_level, size m = (level + 1) d) is
+    # positive definite at working precision.  ``least`` is the smallest
+    # computed eigenvalue of A, or of the bound S of the level, a Schur
+    # complement of A, so lambda_min(A) <= lambda_min(S) and A is positive
+    # definite exactly when S is; ``top`` is the largest eigenvalue of A, or
+    # a lower bound on it.  A ``least`` that does not clear the threshold
+    # top m u is refused.  The data passed their own check, so a refusal is
+    # the shift or the chain's rounding, never the data.  For the
+    # ``central`` extension A is its output's matrix and eps its bound
+    # max(tol, eps), and the message names both.  m u is exact (u a power of
+    # 2), so top is multiplied once: no overflow for top near the float
+    # maximum, and the bits of top m u elsewhere (away from underflow)
+    threshold = top * ((level + 1) * d * _MACHINE_EPS)
+    if least <= threshold:
+        shift = "max(tol, eps)" if central else "eps"
         raise SingularBlockError(
-            f"the eps-shifted Toeplitz matrix at level {levels[first]} is not positive "
-            f"definite at working precision (eps = {eps:.3e}: tested eigenvalue "
-            f"{least:.3e} <= threshold {thresholds[first]:.3e})"
+            f"the {shift}-shifted Toeplitz matrix{' of the central extension' * central} at "
+            f"level {level} is not positive definite at working precision ({shift} = "
+            f"{eps:.3e}: tested eigenvalue {least:.3e} <= threshold {threshold:.3e})"
         )
 
 
-def _certify(seq, eps):
-    # the dense check of a chained level M_0 .. M_L on its eigenvalues: the
+def _certify(seq, eps, central=False):
+    # the dense check of an output M_0 .. M_L on its eigenvalues: the
     # eps-shifted matrix positive definite at working precision, so its
     # computed lambda_min(T_L) > -eps
     eigs = np.linalg.eigvalsh(assemble(seq).dense)
-    _check_definite(eigs[0] + eps, eigs[-1] + eps, range(seq.order, len(seq)), seq.block_dim, eps)
+    _check_definite(eigs[0] + eps, eigs[-1] + eps, seq.order, seq.block_dim, eps, central)
 
 
 def _decomposed_data(seq, eps, tol):
@@ -280,7 +284,7 @@ def _ball_state(seq, eps, dense, eigs):
     # with its gamma, from T_N = ``dense`` and its eigenvalues ``eigs``
     # (``_decomposed_data``), after the singularity check of its level
     d = seq.block_dim
-    _check_definite(eigs[0] + eps, eigs[-1] + eps, range(seq.order, len(seq)), d, eps)
+    _check_definite(eigs[0] + eps, eigs[-1] + eps, seq.order, d, eps)
     shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
     # of recombining inverse blocks, which cancels catastrophically for tiny
@@ -384,23 +388,24 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     one is bitwise a prefix of a longer one.  The data are checked with
     ``tol``, with the verdicts and messages of the eigenvalue check behind
     ``certified_series``.  The whole output is certified.  The central
-    extension is returned where its certificate proves the smallest
-    eigenvalue of its Toeplitz matrix T_L at least -max(tol, eps); where
-    it does not (it grows with the data's scale, and with H^2 where the
-    powers of the partial isometry decay slowly), the shifted central
-    chain decides.  ``eps`` shifts only that chain and parametrized ones,
-    whose output has its eps-shifted matrix positive definite at working
-    precision, so its computed lambda_min(T_L) > -eps, and ``tol`` plays no
-    part.  The module docstring describes the routing and the
-    certificates.
+    extension is the same output whatever ``eps`` is: its certificate
+    proves the smallest eigenvalue of its Toeplitz matrix T_L at least
+    -max(tol, eps), or, where it does not (it grows with the data's scale,
+    and with H^2 where the powers of the partial isometry decay slowly),
+    the dense check of the output shows its computed lambda_min(T_L) >
+    -max(tol, eps).  ``eps`` shifts parametrized chains only, whose output
+    has its eps-shifted matrix positive definite at working precision, so
+    its computed lambda_min(T_L) > -eps, and ``tol`` plays no part there.
+    The module docstring describes the routing and the certificates.
 
     Cost to horizon H = N + steps, for data of rank r: O(N^3 d^3 + H r d^2)
     for the central extension of determinate data (rank T_N = rank
     T_{N-1}), O(N^3 d^3 + H r^2 d) for that of other data, plus its
     certificate's propagation bound, O(H log H + r^3 log H);
-    O(N^3 d^3 + H^2 d^3) for the steps of a shifted chain, whose dense
-    check of the output (one shifted Cholesky factorisation, and the
-    eigenvalue check where that fails) adds O(H^3 d^3).
+    O(N^3 d^3 + H^2 d^3) for the steps of a parametrized chain.  The dense
+    check of an output (one shifted Cholesky factorisation, and the
+    eigenvalue check where that fails), which every parametrized chain and
+    a central extension past its certificate take, adds O(H^3 d^3).
 
     Raises
     ------
@@ -413,51 +418,55 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         Naming the first truncation level of the data whose Toeplitz
         matrix fails; raised for the data only.
     SingularBlockError
-        Where a shifted chain decides, naming the first level whose
-        eps-shifted Toeplitz matrix is not positive definite at working
-        precision: the data level (a shift too
-        small for the data), a chained level whose bound S fails, or the
-        whole output in its final check (the data passed theirs, so the
-        failure is the chain's rounding or a unit-norm contraction); or if
-        the alpha^{-1} of a parametrized step is not positive definite
-        (never where the central extension is returned, which inverts
-        nothing at the shift).
+        For the central extension, where its certificate fails and the
+        max(tol, eps)-shifted Toeplitz matrix of the output is not positive
+        definite at working precision, or an output coefficient is not
+        finite; the message names the central extension.  For a
+        parametrized chain, naming the first level whose eps-shifted
+        Toeplitz matrix is not positive definite at working precision: the
+        data level (a shift too small for the data), a chained level whose
+        bound S fails, or the whole output in its final check (the data
+        passed theirs, so the failure is the chain's rounding or a
+        unit-norm contraction); or if the alpha^{-1} of a step is not
+        positive definite.
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
     """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     if contractions is not None and len(contractions) != steps:
-        raise DimensionError(
-            f"expected {steps} contraction parameters, got {len(contractions)}"
-        )
+        raise DimensionError(f"expected {steps} contraction parameters, got {len(contractions)}")
     dense, eigs, vecs, margin = _decomposed_data(seq, eps, tol)
     if steps == 0:
         return seq
     if contractions is None:
         coeffs, beta = _central_extension(seq, dense, eigs, vecs, margin, steps)
-        if beta <= max(tol, eps):
+        bound = max(tol, eps)
+        if beta <= bound:
             return CoefficientSequence(coeffs)
-    n, d = len(seq), seq.block_dim
-    a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
-    top = eigs[-1] + eps
-    if contractions is None and steps > 1:
-        _check_definite(np.linalg.eigvalsh(s)[0], top, range(n, n + steps - 1), d, eps)
-    # the coefficients newest first in one d x (N + 1 + steps) d row: the
-    # one appended next goes to position ``pos``, and gamma is the window
-    # after it
-    rev = np.empty((d, n + steps, d), dtype=complex)
-    rev[:, steps:] = seq.coefficients[::-1].transpose(1, 0, 2)
-    for k in range(steps):
-        pos = steps - 1 - k
-        gamma = rev[:, pos + 1 : pos + 1 + len(a) // d].reshape(d, -1)
-        rev[:, pos] = gamma @ a
-        if contractions is not None:
+        # data near the float maximum can overflow the output, which is
+        # refused before a sequence is built, so NotPsdError names the data
+        # only; beta overflows sooner (its squared norms, for entries past
+        # 1e154), and reads as no certificate
+        if not np.isfinite(coeffs).all():
+            raise SingularBlockError("the central extension has a non-finite coefficient")
+    else:
+        n, d, bound = len(seq), seq.block_dim, eps
+        a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
+        # the coefficients newest first in one d x (N + 1 + steps) d row: the
+        # one appended next goes to position ``pos``, and gamma is the window
+        # after it
+        rev = np.empty((d, n + steps, d), dtype=complex)
+        rev[:, steps:] = seq.coefficients[::-1].transpose(1, 0, 2)
+        for k in range(steps):
+            pos = steps - 1 - k
+            gamma = rev[:, pos + 1 : pos + 1 + len(a) // d].reshape(d, -1)
+            rev[:, pos] = gamma @ a
             # D = S^{1/2} G alpha^{-1/2} and p = alpha D* = alpha^{1/2} G* S^{1/2}
             # from one eigh of S and one of alpha^{-1}
             s_eigs, s_half = _roots(s)
             if k:
-                _check_definite(s_eigs[0], top, range(n + k - 1, n + k), d, eps)
+                _check_definite(s_eigs[0], eigs[-1] + eps, n + k - 1, d, eps)
             g = _contraction(contractions[k], (d, d))
             _, a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
             diff = s_half @ g @ a_inv_half
@@ -468,9 +477,10 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
             s = s - diff @ p
             s = (s + s.conj().T) / 2
             alpha_inv = alpha_inv - diff.conj().T @ v
-    # the one final check, on the whole output (see the module docstring)
-    out = CoefficientSequence(rev[:, ::-1].transpose(1, 0, 2))
-    _certify_chained(out, eps)
+        coeffs = rev[:, ::-1].transpose(1, 0, 2)
+    # the one dense check of the whole output (see the module docstring)
+    out = CoefficientSequence(coeffs)
+    _certify_chained(out, bound, contractions is None)
     return out
 
 
@@ -597,7 +607,7 @@ def _central_extension(seq, dense, eigs, vecs, margin, steps):
     u, c = _MACHINE_EPS, _rounding(r + 4)
     lam, g, k = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex), 0
     # data near the float maximum overflow here to an infinite or NaN beta,
-    # which fails the caller's test and leaves the data to the chain
+    # which fails the caller's test and leaves the output to its dense check
     with np.errstate(over="ignore", invalid="ignore"):
         if r:
             rows = vecs[:, -r:] * np.sqrt(eigs[-r:])
@@ -668,8 +678,8 @@ def _central_extension(seq, dense, eigs, vecs, margin, steps):
     return model, beta * (1 + grow)
 
 
-def _certify_chained(seq, eps):
-    # ``_certify`` of a chained level, settled by one shifted Cholesky
+def _certify_chained(seq, eps, central=False):
+    # ``_certify`` of an output, settled by one shifted Cholesky
     # factorisation (``_cholesky_exceeds``) where that provably passes.  With
     # A the level's m x m matrix and nu >= ||A||_2 of ``_norm_bound``, the
     # factorisation succeeding proves lambda_min(A + eps I) > tau =
@@ -679,12 +689,13 @@ def _certify_chained(seq, eps):
     # above the threshold (lambda_max + eps) m u of ``_check_definite``,
     # hence lambda_min > -eps: it passes.  Otherwise ``_certify`` itself
     # decides on the level, assembled afresh once the shifted copy is
-    # dropped.  ``tol`` plays no part in either.
+    # dropped.  eps is a chain's shift, or the bound max(tol, eps) of the
+    # ``central`` extension, whose refusal names it.
     m = seq.coefficients.shape[0] * seq.block_dim
     u, nu = _MACHINE_EPS, _norm_bound(seq.coefficients)
     tau = (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
     if not _cholesky_exceeds(assemble(seq).dense, -eps, tau):
-        _certify(seq, eps)
+        _certify(seq, eps, central)
 
 
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
@@ -696,8 +707,9 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     index ``horizon``, with its certificate and cost: the central
     extension from the data's minimal factor, in O(N^3 d^3 + H r^2 d) for
     data of rank r (O(N^3 d^3 + H r d^2) on determinate data), with no
-    shift; ``eps`` acts only where its certificate leaves the output to
-    the shifted chain.  The returned series interpolates the input
+    shift; ``eps`` only enters the bound max(tol, eps) of its certificate
+    and of the output's dense check where that certificate fails, and
+    moves no coefficient.  The returned series interpolates the input
     exactly: its first N + 1 coefficients are bitwise equal to ``seq``,
     and the later ones do not depend on ``horizon``.
 
@@ -709,8 +721,8 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     SingularBlockError
-        As ``extend``: where the shifted chain decides, a shift too small
-        for the data, or an extension that fails its final check.
+        As ``extend``: where the central extension fails both its
+        certificate and the dense check of the output.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")

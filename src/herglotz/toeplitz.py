@@ -306,13 +306,15 @@ def _cholesky_exceeds(dense, base, margin):
     # |base| + margin + 5 gamma W (its own few roundings), and u <= gamma / 2.
     # So the bound exceeds base + margin + gamma W [3 - 3/2 (1 + 3 gamma)
     # (1 + gamma) (1 + 5 m gamma)], which is > base + margin when W > 0 and
-    # m gamma < 1/40 (m up to 10^7).  W = 0 leaves a zero diagonal, whose
-    # factorisation fails.
+    # m gamma < 1/40 (m up to 10^7).  W = 0 leaves a zero diagonal, and a W
+    # past the float maximum an infinite one, whose factorisations fail: no
+    # certificate, so that overflow is no fault.
     m = dense.shape[0]
     gamma = _rounding(m + 1)
     diagonal = dense.reshape(-1)[:: m + 1]
-    weight = np.abs(diagonal.real).sum() + m * (abs(base) + margin)
-    diagonal -= base + (margin + 4 * gamma * weight)
+    with np.errstate(over="ignore"):
+        weight = np.abs(diagonal.real).sum() + m * (abs(base) + margin)
+        diagonal -= base + (margin + 4 * gamma * weight)
     try:
         np.linalg.cholesky(dense)
     except np.linalg.LinAlgError:

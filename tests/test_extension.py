@@ -407,22 +407,23 @@ class TestExtend:
         "seed, block_dim, state_dim, order",
         [(31, 1, 3, 0), (32, 1, 4, 3), (33, 2, 5, 2), (34, 3, 14, 4)],
     )
-    def test_central_recursion_matches_the_bordering_loop(
-        self, monkeypatch, seed, block_dim, state_dim, order
-    ):
-        # zero contractions take the bordering loop; the shifted central
-        # chain, which decides data whose central extension its certificate
-        # leaves open (forced here), the order-N recursion.  Both sum the
-        # same products; BLAS may order the sums differently for the N-block
-        # window and the zero-padded row.  Every state dimension exceeds N d,
-        # so no data are determinate.
-        monkeypatch.setattr(extension, "_central_extension", lambda *args: (None, np.inf))
+    def test_central_recursion_matches_the_bordering_loop(self, seed, block_dim, state_dim, order):
+        # the central extension runs the recursion X_n = W X_{n-1} of the
+        # data's partial isometry with no shift, the same bits at every eps;
+        # zero contractions run the bordering loop of the eps-shifted chain
+        # through its ball centers, the central extension of the shifted
+        # data.  The two agree to first order in eps (the gap per unit eps,
+        # relative to the largest coefficient, is at most 16.2 on these
+        # fixtures).  Every state dimension exceeds N d, so no data are
+        # determinate.
         seq = fixture_sequence(seed, block_dim, state_dim, order)
         zeros = [np.zeros((block_dim, block_dim))] * 30
         central = extend(seq, 30, eps=1e-8).coefficients
-        bordered = extend(seq, 30, eps=1e-8, contractions=zeros).coefficients
-        size = float(np.abs(bordered).max())
-        np.testing.assert_allclose(central, bordered, rtol=0, atol=1e-13 * size)
+        size = float(np.abs(central).max())
+        for eps in (1e-8, 1e-10):
+            assert extend(seq, 30, eps=eps).coefficients.tobytes() == central.tobytes()
+            bordered = extend(seq, 30, eps=eps, contractions=zeros).coefficients
+            np.testing.assert_allclose(bordered, central, rtol=0, atol=100 * eps * size)
 
     def test_fixed_bound_names_the_level_it_turns_singular_at(self):
         # partially determinate data at eps = 1e-14 through zero
@@ -516,6 +517,33 @@ class TestExtend:
             warnings.simplefilter("ignore")
             quiet = run().coefficients.tobytes()
         assert run().coefficients.tobytes() == quiet
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, 5e307]])
+    def test_central_extension_past_the_float_range_is_refused_quietly(self, values):
+        # the spectrum of the output's Toeplitz matrix passes the float
+        # maximum: beta and the Cholesky weight overflow (no certificate), and
+        # the eigenvalue check refuses the output as the central extension's,
+        # with no warning (the suite turns any into an error)
+        with pytest.raises(SingularBlockError, match="of the central extension at level 5 "):
+            extend(scalar_seq(values), 4)
+
+    def test_chain_threshold_near_the_float_maximum_does_not_overflow(self):
+        # top m u is formed as top (m u): T_1 of (1e308, 5e307) has top
+        # eigenvalue 1.5e308, whose product with m = 2 would overflow and
+        # refuse the data level; the zero-contraction chain passes it and is
+        # refused at its output, whose spectrum passes the float maximum
+        zeros = [np.zeros((1, 1))] * 4
+        with pytest.raises(SingularBlockError, match="eps-shifted Toeplitz matrix at level 5 "):
+            extend(scalar_seq([1e308, 5e307]), 4, contractions=zeros)
+
+    def test_non_finite_central_output_is_refused_as_the_extension(self, monkeypatch):
+        # an output coefficient past the float maximum (forced here) is
+        # refused as the central extension's before any sequence is built,
+        # whose own check would blame the data with NotPsdError
+        coeffs = np.full((4, 1, 1), np.inf, dtype=complex)
+        monkeypatch.setattr(extension, "_central_extension", lambda *args: (coeffs, np.inf))
+        with pytest.raises(SingularBlockError, match="central extension has a non-finite"):
+            extend(scalar_seq([1, 0.5]), 2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closure_random_complex_seeds(self, seed):
@@ -625,6 +653,29 @@ class TestSolveCf:
         assert max(n for sizes in calls.values() for n in sizes) == data
         assert peak < 16 * (horizon * seq.block_dim) ** 2 / 64
         assert elapsed < 1.0
+
+    def test_slowly_decaying_powers_are_checked_densely(self, count_dense_calls, monkeypatch):
+        # the powers of W decay slowly here (spectral radius 0.9994), so the
+        # certificate's beta (5.2e-8 at H = 1000) exceeds max(tol, eps): one
+        # shifted Cholesky factorisation of the output's T_L settles it, no
+        # eigenvalue check runs, and the output is the central extension's,
+        # bit for bit.  The eps-shifted chain, which decided such data
+        # before, took 2.5-3.6 s here, its output falling through to eigvalsh
+        def unexpected(*args):
+            raise AssertionError("the central extension built the shifted chain's state")
+
+        monkeypatch.setattr(extension, "_ball_state", unexpected)
+        seq = fixture_sequence(3, 2, 17, 8)
+        data = extension._decomposed_data(seq, 1e-8, 1e-9)
+        coeffs, beta = extension._central_extension(seq, *data, 992)
+        assert beta > 1e-8
+        calls = count_dense_calls()
+        start = time.perf_counter()
+        phi = solve_cf(seq, horizon=1000)
+        elapsed = time.perf_counter() - start
+        assert phi.seq.coefficients.tobytes() == coeffs.tobytes()
+        assert calls["cholesky"] == [2002] and calls["eigvalsh"] == []
+        assert elapsed < 2.0
 
     def test_short_horizon_returns_input(self):
         seq = scalar_seq([1, 0.5, 0.25])

@@ -658,35 +658,40 @@ class TestSolveCommand:
         coeffs = report["problem"]["coefficients"]
         assert coeffs[2][0][0][0] == pytest.approx(0.25, abs=1e-6)
 
-    def test_shift_below_working_precision_is_a_tolerance_failure(self, tmp_path, capsys):
-        # the central extension takes no shift, so eps = 1e-300 solves the
-        # rank-deficient fixture; scaled by 1e4, the certificate of its
-        # central extension (which grows with the data) exceeds tol, the
-        # shifted chain decides, and eps = 1e-300 leaves the shifted matrix
-        # of the data singular at working precision: the extension raises,
-        # and nothing is emitted
+    def test_shift_below_working_precision_moves_no_central_output(self, tmp_path, capsys):
+        # the central extension takes no shift, so eps = 1e-300 writes the
+        # default's bytes for the rank-deficient fixture, extended to order
+        # 8; scaled by 1e4, the certificate of its central extension (which
+        # grows with the data) exceeds max(tol, eps), the output's dense
+        # check settles it, and eps = 1e-300 still writes the default's bytes
         fixture = tmp_path / "fixture.json"
         argv = ["generate", "--block-dim", "2", "--state-dim", "5", "--order", "2"]
         assert main([*argv, "--output", str(fixture)]) == EXIT_OK
-        assert main(["solve", str(fixture), "--eps", "1e-300", "--horizon", "8"]) == EXIT_OK
-        capsys.readouterr()
         seq = parse_problem(fixture.read_text()).to_sequence()
-        scaled = CoefficientSequence(seq.coefficients * 1e4)
-        fixture.write_text(serialize_problem(ProblemFile.from_sequence(scaled)))
-        assert main(["solve", str(fixture), "--eps", "1e-300", "--horizon", "8"]) == EXIT_TOLERANCE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: the eps-shifted Toeplitz matrix at level 2 ")
+        for scale in (1.0, 1e4):
+            scaled = CoefficientSequence(seq.coefficients * scale)
+            fixture.write_text(serialize_problem(ProblemFile.from_sequence(scaled)))
+            written = []
+            for eps in ("1e-8", "1e-300"):
+                out = tmp_path / f"solved-{eps}.json"
+                argv = ["solve", str(fixture), "--eps", eps, "--horizon", "8", "--truncation", "8"]
+                assert main([*argv, "--output", str(out)]) == EXIT_OK
+                written.append(out.read_bytes())
+            assert written[0] == written[1]
+        capsys.readouterr()
 
     def test_overflowing_data_write_only_the_error_line(self, tmp_path, capsys):
-        # the determinate certificate overflows to a non-finite beta, which
-        # leaves the data to the chain; its refusal is the one line written
+        # the spectrum of T_1 overflows, and so does the certificate's beta;
+        # the dense check of the central extension, quiet on overflow,
+        # refuses it with the one line written
         path = tmp_path / "big.json"
         path.write_text('{"block_dim": 1, "coefficients": [[[[1e308, 0]]], [[[1e308, 0]]]]}')
         assert main(["solve", str(path)]) == EXIT_TOLERANCE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: the eps-shifted Toeplitz matrix at level 1 ")
+        assert captured.err.startswith(
+            "error: the max(tol, eps)-shifted Toeplitz matrix of the central extension at level "
+        )
         assert captured.err.count("\n") == 1
 
     def test_kernel_report_not_psd_fails(self, tmp_path, capsys, monkeypatch):

@@ -25,16 +25,19 @@ exact rational arithmetic (``exact.is_positive_definite``), for the
 Cholesky certificate of ``_cholesky_exceeds``; for the central extension
 from the minimal factor, on determinate data and others: its certificate
 beta holds against the exact spectrum, the data come back within it, its
-output is the same bits at every shift and a prefix of every longer one,
-it commutes with scaling, and it is the zero-contraction shifted chain
-with the shift extrapolated away; for every output of the shifted chain,
-central or parametrized, of one step or many: it passes the dense
-eigenvalue check; on data that pass their check, ``extend`` with any
-contractions, unit-norm ones included, never raises NotPsdError; for the
-exact extension of determinate data: it is the generating realization,
-its measure certificate never exceeds the computed smallest eigenvalue of
-the output, it is bitwise the plain formulas, and perturbed data are
-either certified on it or keep the shifted chain's outcome; for the stacked ``reduce``
+output is the same bits at every shift (or refused as the central
+extension's) and a prefix of every longer one, where the dense check of
+the output settles it T_L + max(tol, eps) (1 + 2^-40) I is exactly
+positive definite, it commutes with scaling, and it is the
+zero-contraction shifted chain with the shift extrapolated away; for every
+output of the shifted chain, through zero contractions or others, of one
+step or many: it passes the dense eigenvalue check; on data that pass
+their check, ``extend`` with any contractions, unit-norm ones included,
+never raises NotPsdError; for the exact extension of determinate data: it
+is the generating realization, its measure certificate never exceeds the
+computed smallest eigenvalue of the output, it is bitwise the plain
+formulas, and perturbed data are either certified by beta or by the dense
+check of the output; for the stacked ``reduce``
 against a per-coefficient reduction, bit for bit; and for the orthogonal
 Procrustes isometry of ``connecting_isometry``: an isometry to rounding
 whose residual is never above that of the polar factor of the
@@ -443,7 +446,7 @@ def zero_contraction_chain(seq, tol):
 
 
 ENTRY_POINTS = {
-    "central chain": lambda seq, tol: extend(seq, 3, tol=tol),
+    "central extension": lambda seq, tol: extend(seq, 3, tol=tol),
     "zero-contraction chain": zero_contraction_chain,
     "central_step": lambda seq, tol: central_step(seq, 1e-8, tol=tol),
 }
@@ -535,8 +538,8 @@ def assert_is_the_realization(coeffs, rlz, seq, scale=1.0):
 def test_extend_matches_the_per_step_reference(problem, eps):
     # the per-step eps chain for chains; determinate data (state dimension
     # at most N d) extend centrally as their realization, other data as
-    # their central extension where its certificate settles them, and as
-    # the per-step chain where it does not
+    # their central extension, bit for bit, whether its certificate or the
+    # dense check of its output settles it
     seq, steps, contractions, rlz = problem
     got = extend(seq, steps, eps=eps, contractions=contractions).coefficients
     assert got[: len(seq)].tobytes() == seq.coefficients.tobytes()
@@ -545,10 +548,8 @@ def test_extend_matches_the_per_step_reference(problem, eps):
         assert_is_the_realization(got, rlz, seq)
         return
     if contractions is None and steps:
-        coeffs, beta = central_extension(seq, steps, 1e-9)
-        if beta <= max(1e-9, eps):
-            assert got.tobytes() == coeffs.tobytes()
-            return
+        assert got.tobytes() == central_extension(seq, steps, 1e-9)[0].tobytes()
+        return
     expected = reference_extend(seq, steps, eps, contractions).coefficients
     assert got.shape == expected.shape
     size = float(np.linalg.norm(expected, 2, axis=(1, 2)).max())
@@ -692,20 +693,13 @@ def test_cholesky_certificate_is_exact(seq, offset, margin):
         assert is_positive_definite(dense, -(Fraction(base) + Fraction(margin)))
 
 
-def extend_outcome(seq, steps, eps):
+def extend_outcome(seq, steps, eps, tol=1e-9):
     # the coefficient bytes of a central extension, or the type and message
     # of the error it raises
     try:
-        return extend(seq, steps, eps=eps).coefficients.tobytes()
+        return extend(seq, steps, eps=eps, tol=tol).coefficients.tobytes()
     except (NotPsdError, SingularBlockError) as err:
         return type(err), str(err)
-
-
-def chain_outcome(seq, steps, eps):
-    # ``extend_outcome`` with the central extension's certificate failing:
-    # the shifted chain's outcome
-    with mock.patch.object(extension, "_central_extension", return_value=(None, np.inf)):
-        return extend_outcome(seq, steps, eps)
 
 
 @st.composite
@@ -749,6 +743,27 @@ def test_central_extension_is_certified_exactly(problem):
     assert is_positive_definite(dense, Fraction(beta) * (1 + Fraction(1, 2**40)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(route_problems(max_size=24, perturb=True), st.sampled_from([1e-15, 1e-13, 1e-11]))
+def test_densely_checked_central_extension_is_certified_exactly(problem, tol):
+    # where beta exceeds max(tol, eps) and the dense check of the output
+    # passes, T_L + max(tol, eps) (1 + 2^-40) I is positive definite in
+    # rational arithmetic.  A tol of 1e-15 .. 1e-11 relative to the data and
+    # eps = 1e-300 leave about 40% of the draws to that check
+    seq, steps, scale = problem
+    tol *= scale
+    with mock.patch.object(
+        extension, "_certify_chained", wraps=extension._certify_chained
+    ) as dense:
+        try:
+            out = extend(seq, steps, eps=1e-300, tol=tol)
+        except (NotPsdError, SingularBlockError):
+            return
+    if dense.call_count:
+        bound = Fraction(max(tol, 1e-300)) * (1 + Fraction(1, 2**40))
+        assert is_positive_definite(assemble(out).dense, bound)
+
+
 def partial_isometry(seq, dense, eigs, vecs, margin):
     # F_0 and W^ of the minimal factor as the plain formulas give them: the
     # factor formed whole, the singular vectors of Q P* above the margin
@@ -780,20 +795,30 @@ def test_central_extension_gives_the_data_back(problem):
 
 
 @PROPERTY
-@given(route_problems())
-def test_central_extension_takes_no_shift(problem):
-    # where both runs take the route, eps = 1e-8 and eps = 1e-3 give
-    # bitwise the same output, the central extension's; and its
-    # coefficients do not depend on the horizon: a shorter one is bitwise
-    # its prefix
+@given(st.one_of(route_problems(), route_problems(perturb=True)), st.sampled_from([1e-9, 1e-13]))
+def test_central_extension_takes_no_shift(problem, tol):
+    # at eps = 1e-14, 1e-8, 1e-3 and 1, extend either returns bitwise the
+    # central extension's output, whether its beta settles it or the dense
+    # check of the output, or refuses it, naming the central extension; no
+    # central call builds the shifted chain's state.  Its coefficients do
+    # not depend on the horizon: a shorter one is bitwise its prefix.  At
+    # tol = 1e-13 relative to the data, about half the draws that pass the
+    # data check leave the output to the dense check at eps = 1e-14
     seq, steps, scale = problem
-    tol = 1e-9 * scale
-    coeffs, beta = central_extension(seq, steps, tol)
+    tol *= scale
+    try:
+        coeffs = central_extension(seq, steps, tol)[0]
+    except NotPsdError:
+        return
     shorter = central_extension(seq, (steps + 1) // 2, tol)[0]
     assert shorter.tobytes() == coeffs[: len(shorter)].tobytes()
-    if beta <= max(tol, 1e-8):
-        for eps in (1e-8, 1e-3):
-            assert extend(seq, steps, eps=eps, tol=tol).coefficients.tobytes() == coeffs.tobytes()
+    with mock.patch.object(extension, "_ball_state", side_effect=AssertionError):
+        for eps in (1e-14, 1e-8, 1e-3, 1.0):
+            got = extend_outcome(seq, steps, eps, tol)
+            if isinstance(got, bytes):
+                assert got == coeffs.tobytes()
+            else:
+                assert got[0] is SingularBlockError and "of the central extension" in got[1]
 
 
 @PROPERTY
@@ -861,14 +886,16 @@ def shifted_chains(draw, central, sizes=(0.5, 0.9)):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from([1e-14, 1e-8, 1e-3]), st.sampled_from([1e-9, 1e-6]))
 def test_every_shifted_chain_output_passes_the_eigenvalue_check(central, data, eps, tol):
-    # whatever the shifted chain returns, central or parametrized, of one
-    # step or many, passes the dense eigenvalue check of its whole output
+    # whatever the shifted chain returns, through its ball centers (zero
+    # contractions, the ``central`` arm) or parametrized, of one step or
+    # many, passes the dense eigenvalue check of its whole output
     seq, steps, contractions = data.draw(shifted_chains(central))
-    with mock.patch.object(extension, "_central_extension", return_value=(None, np.inf)):
-        try:
-            out = extend(seq, steps, eps=eps, contractions=contractions, tol=tol)
-        except (NotPsdError, SingularBlockError):
-            return
+    if contractions is None:
+        contractions = [np.zeros((seq.block_dim,) * 2)] * steps
+    try:
+        out = extend(seq, steps, eps=eps, contractions=contractions, tol=tol)
+    except (NotPsdError, SingularBlockError):
+        return
     assert out.coefficients[: len(seq)].tobytes() == seq.coefficients.tobytes()
     _certify(out, eps)
 
@@ -945,20 +972,28 @@ def test_measure_certificate_is_sound(problem):
 
 @settings(max_examples=100, deadline=None)
 @given(determinate_problems(max_horizon=150, perturb=True), st.sampled_from([1e-8, 1e-3]))
-def test_perturbed_data_are_certified_or_keep_the_chain_outcome(problem, eps):
-    # a perturbed last coefficient: extend either returns the central
-    # extension, certified within max(tol, eps), or exactly what the
-    # shifted chain returns or raises
+def test_perturbed_data_are_certified_or_checked_densely(problem, eps):
+    # a perturbed last coefficient: extend returns the central extension's
+    # bits, with no dense check where its beta is within max(tol, eps), and
+    # after one where it is not; a refusal is that dense check's, naming the
+    # central extension.  No step of the shifted chain runs
     seq, horizon, _, _ = problem
     steps = horizon - seq.order
-    got = extend_outcome(seq, steps, eps)
-    if got == chain_outcome(seq, steps, eps):
+    try:
+        coeffs, beta = extension._central_extension(
+            seq, *extension._decomposed_data(seq, eps, 1e-9), steps
+        )
+    except NotPsdError:
         return
-    coeffs, beta = extension._central_extension(
-        seq, *extension._decomposed_data(seq, eps, 1e-9), steps
-    )
-    assert beta <= max(1e-9, eps)
-    assert got == coeffs.tobytes()
+    with mock.patch.object(
+        extension, "_certify_chained", wraps=extension._certify_chained
+    ) as dense, mock.patch.object(extension, "_ball_state", side_effect=AssertionError):
+        got = extend_outcome(seq, steps, eps)
+    assert dense.call_count == (beta > max(1e-9, eps))
+    if isinstance(got, bytes):
+        assert got == coeffs.tobytes()
+    else:
+        assert got[0] is SingularBlockError and "of the central extension" in got[1]
 
 
 def reference_determinate_extension(seq, dense, eigs, vecs, margin, steps):
