@@ -37,8 +37,8 @@ for g in [0.0, 0.5, 1.0]:
     x = parametrized_step(step, np.array([[g]]))
     print(f"  contraction {g:3.1f} -> X = {x[0, 0].real:.4f}")
 
-# Iterating the central choice extends the data as far as wanted; for
-# geometric input the extension continues the geometric law.
+# The central extension comes from the data's minimal factor, with no
+# shift, to any horizon; for geometric input it continues the geometric law.
 ext = extend(seq, 6, eps=1e-8)
 print("\ncentral extension of (1, 1/2):", np.round(np.real(ext.coefficients[:, 0, 0]), 6))
 

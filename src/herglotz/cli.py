@@ -101,8 +101,8 @@ def _complex_flag(text):
 
 
 _FLAG_HELP = {
-    "eps": "bound of the central extension's certificate, to -max(tol, eps); it takes no "
-    "shift, so eps never moves its output (the shift of parametrized chains only)",
+    "eps": "bound of the central extension: the smallest eigenvalue of its Toeplitz matrix "
+    "is at least -max(tol, eps); the extension takes no shift, so eps never moves it",
     "tol": "positivity tolerance",
     "horizon": "highest output coefficient index",
     "truncation": "series evaluation truncation (solve extends to the longer of this and "

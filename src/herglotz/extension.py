@@ -34,13 +34,15 @@ centers, the central extension of the eps-shifted data.
 
 Routing.  Every entry point checks the data from one ``eigh`` of T_N
 (``_decomposed_data``): the extension needs the spectrum (its top for the
-singularity test of S, all of it for the minimal factor and its rank), so
-it does not take the Cholesky certificate of ``certified_series``.  Where
-the smallest eigenvalue clears -tol by the interlacing margin, the
-eigenvalue check behind ``certified_series`` (``toeplitz._certified_data``)
-provably passes every level; otherwise that check decides on T_N
-assembled afresh.  Either way verdicts and messages are those of the
-eigenvalue check.
+singularity rule of the chain, all of it for the minimal factor and its
+rank), so it does not take the Cholesky certificate of
+``certified_series``.  Where the smallest eigenvalue clears -tol by the
+interlacing margin, the eigenvalue check behind ``certified_series``
+(``toeplitz._certified_data``) provably passes every level; otherwise that
+check decides on T_N assembled afresh.  Either way verdicts and messages
+are those of the eigenvalue check.  Data that pass it but whose spectrum
+passes the float maximum (a non-finite top eigenvalue of T_N) are refused
+there with SingularBlockError naming the spectrum, for every entry point.
 
 Central extension.  ``extend`` without contractions takes the central
 extension from the data's minimal factor, with no shift
@@ -71,9 +73,9 @@ decay is bounded by repeated squaring) and the drift of Wt = W / (1 +
 delta), delta >= ||W||_2 - 1.  The output is returned where beta <=
 max(tol, eps), so lambda_min(T_L) >= -max(tol, eps).  beta grows with the
 data and, for slowly decaying powers of W, with L^2; where it exceeds
-max(tol, eps), the dense check below decides on the same output, with
-max(tol, eps) in place of the shift.  Either way the output is the central
-extension's, whatever eps is: eps moves no central output.
+max(tol, eps), the output check below decides on the same output.  Either
+way the output is the central extension's, whatever eps is: eps moves no
+central output.
 
 Shifted chain.  Only parametrized chains take it.  It builds the state
 above from the same T_N and eigenvalues, with one solve for both
@@ -88,40 +90,38 @@ alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2}, and one solve gives v.
 The subtraction updates of S and alpha^{-1} are kept on purpose: the
 congruence S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact algebra stays
 positive definite whatever the rounding does to the chain, so the check of
-S would see nothing.
+S would see nothing.  Every Hermitian part is formed by
+``linalg._hermitian``, halved before adding, so data near the float
+maximum give a finite S.
 
-One singularity rule (``_check_definite``) decides every level of the
-shifted chain: the eps-shifted matrix of level n, of size m = (n + 1) d,
-is positive definite at working precision when a tested eigenvalue clears
-top m u, top its largest eigenvalue.  It tests the data level N before the
-state is built, the bound S of each chained level below the last as the
-chain goes (S is a Schur complement of the level's shifted matrix, so it
-is positive definite exactly when that matrix is), and the output's own
-eigenvalues in its final check.  The data passed their own check, so a
-refusal raises SingularBlockError naming the level: the shift is too small
-for the data, or the chain's rounding (or a unit-norm contraction, whose
-ball point lies on the boundary) took it off the ball.  NotPsdError is
-raised for the data only.
+The chain's singularity rule (``_check_definite``) guards its solves: the
+eps-shifted matrix of level n, of size m = (n + 1) d, is positive definite
+at working precision when a tested eigenvalue clears top m u, top its
+largest eigenvalue.  It tests the data level N before the state is built,
+and the bound S of each chained level below the last as the chain goes (S
+is a Schur complement of the level's shifted matrix, so it is positive
+definite exactly when that matrix is).  The data passed their own check,
+so a refusal raises SingularBlockError naming the level: the shift is too
+small for the data, or the chain's rounding (or a unit-norm contraction,
+whose ball point lies on the boundary) took it off the ball.  NotPsdError
+is raised for the data only.
 
-Dense check of an output.  The whole output M_0 .. M_L of a shifted chain,
-and a central extension whose beta exceeds max(tol, eps), is checked once,
-at the chain's shift eps or at the central bound max(tol, eps), by the
-first of two checks that passes: one Cholesky factorisation of the
-output's matrix shifted down by the rounding margin tau of the eigenvalue
-check (``_certify_chained``, with the margin's proof in
-``toeplitz._cholesky_exceeds``, which also decides the data of
-``certified_series``), then the dense eigenvalue check (``_certify``) on
-the output assembled afresh: the singularity rule on its computed
-eigenvalues.  The first passes only where the second provably passes, so
-verdicts and messages are those of the eigenvalue check of the output.
-Whatever the shifted chain returns has its eps-shifted matrix positive
-definite at working precision, so its computed lambda_min(T_L) > -eps;
-``tol`` plays no part.  A central output so checked has its computed
-lambda_min(T_L) > -max(tol, eps), and a refusal names the central
-extension.  A central output with a non-finite coefficient (data near the
-float maximum) is refused before any check.  A unit-norm contraction at
-the last step lands on the boundary of the ball, and the output is
-refused as singular.
+One output check (``_checked_output``).  Every output promises one
+inequality, lambda_min(T_L) >= -bound, with bound = max(tol, eps) for the
+central extension and eps for a parametrized chain.  beta proves it for a
+central output; every other output, a central one past beta and every
+parametrized chain's, is decided by its computed lambda_min(T_L) >= -bound.
+The first rung is the Cholesky rung of the data check
+(``toeplitz._cholesky_clears``): one factorisation of T_L shifted down to
+-bound plus the rounding margin of the eigenvalue computation, which passes
+only where the computed lambda_min(T_L) >= -bound.  Where it fails, one
+``eigvalsh`` of T_L decides.  A refusal raises SingularBlockError naming
+the route, the level L, the bound and the least eigenvalue.  A non-finite
+output (data near the float maximum) is refused by the same check before
+any sequence is built, so NotPsdError still names only the data.  A
+unit-norm contraction at the last step lands on the boundary of the ball,
+where lambda_min(T_L) = -eps in exact arithmetic, and the computed value
+decides.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -134,15 +134,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, OutOfBallError, SingularBlockError
-from .linalg import _MACHINE_EPS, _check_tol, _procrustes
+from .linalg import _MACHINE_EPS, _check_tol, _hermitian, _procrustes
 from .series import HerglotzSeries, _powers, certified_series
 from .toeplitz import (
     CoefficientSequence,
     _certified_data,
-    _cholesky_exceeds,
+    _cholesky_clears,
     _frobenius_squares,
     _interlacing_margin,
-    _norm_bound,
     _rounding,
     assemble,
     reverse_blocks,
@@ -187,7 +186,7 @@ def _roots(a, name=None):
     # negatives clamped; given the ``name`` of a, also its inverse square
     # root, after refusing a Hermitian part that is not positive definite
     # (a clamped eigenvalue would give 1 / 0)
-    eigs, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+    eigs, vecs = np.linalg.eigh(_hermitian(a))
     if name is not None and not eigs[0] > 0:
         raise SingularBlockError(
             f"{name} is not positive definite at working precision "
@@ -220,36 +219,47 @@ def _contraction(contraction, shape):
     return g
 
 
-def _check_definite(least, top, level, d, eps, central=False):
-    # the one singularity rule of the shifted chain: the eps-shifted Toeplitz
-    # matrix A of ``level`` (data M_0 .. M_level, size m = (level + 1) d) is
-    # positive definite at working precision.  ``least`` is the smallest
-    # computed eigenvalue of A, or of the bound S of the level, a Schur
-    # complement of A, so lambda_min(A) <= lambda_min(S) and A is positive
-    # definite exactly when S is; ``top`` is the largest eigenvalue of A, or
-    # a lower bound on it.  A ``least`` that does not clear the threshold
-    # top m u is refused.  The data passed their own check, so a refusal is
-    # the shift or the chain's rounding, never the data.  For the
-    # ``central`` extension A is its output's matrix and eps its bound
-    # max(tol, eps), and the message names both.  m u is exact (u a power of
-    # 2), so top is multiplied once: no overflow for top near the float
-    # maximum, and the bits of top m u elsewhere (away from underflow)
+def _check_definite(least, top, level, d, eps):
+    # the singularity rule of the shifted chain, which needs the eps-shifted
+    # Toeplitz matrix A of ``level`` (data M_0 .. M_level, size m = (level +
+    # 1) d) invertible for its solves: A is positive definite at working
+    # precision.  ``least`` is the smallest computed eigenvalue of A, or of
+    # the bound S of the level, a Schur complement of A, so lambda_min(A) <=
+    # lambda_min(S) and A is positive definite exactly when S is; ``top`` is
+    # the largest eigenvalue of A, or a lower bound on it.  A ``least`` that
+    # does not clear the threshold top m u is refused.  The data passed their
+    # own check, so a refusal is the shift or the chain's rounding, never the
+    # data.  m u is exact (u a power of 2), so top is multiplied once: no
+    # overflow for top near the float maximum, and the bits of top m u
+    # elsewhere (away from underflow)
     threshold = top * ((level + 1) * d * _MACHINE_EPS)
     if least <= threshold:
-        shift = "max(tol, eps)" if central else "eps"
         raise SingularBlockError(
-            f"the {shift}-shifted Toeplitz matrix{' of the central extension' * central} at "
-            f"level {level} is not positive definite at working precision ({shift} = "
-            f"{eps:.3e}: tested eigenvalue {least:.3e} <= threshold {threshold:.3e})"
+            f"the eps-shifted Toeplitz matrix at level {level} is not positive definite at "
+            f"working precision (eps = {eps:.3e}: tested eigenvalue {least:.3e} <= threshold "
+            f"{threshold:.3e})"
         )
 
 
-def _certify(seq, eps, central=False):
-    # the dense check of an output M_0 .. M_L on its eigenvalues: the
-    # eps-shifted matrix positive definite at working precision, so its
-    # computed lambda_min(T_L) > -eps
-    eigs = np.linalg.eigvalsh(assemble(seq).dense)
-    _check_definite(eigs[0] + eps, eigs[-1] + eps, seq.order, seq.block_dim, eps, central)
+def _checked_output(coeffs, bound, route):
+    # the one check of an ``extend`` output M_0 .. M_L = ``coeffs`` that beta
+    # does not settle, as a sequence: its computed lambda_min(T_L) >= -bound,
+    # the bound the ``route`` promises.  The Cholesky rung of the data check
+    # passes only where that holds; otherwise one eigvalsh of T_L decides.  A
+    # non-finite output is refused before a sequence is built, whose own
+    # check would blame the data with NotPsdError
+    least = np.nan
+    if np.isfinite(coeffs).all():
+        out = CoefficientSequence(coeffs)
+        if _cholesky_clears(out, bound):
+            return out
+        least = np.linalg.eigvalsh(assemble(out).dense)[0]
+        if least >= -bound:
+            return out
+    raise SingularBlockError(
+        f"the Toeplitz matrix of the {route} at level {len(coeffs) - 1} is not PSD within "
+        f"{bound:.3e} (least eigenvalue {least:.3e})"
+    )
 
 
 def _decomposed_data(seq, eps, tol):
@@ -267,7 +277,9 @@ def _decomposed_data(seq, eps, tol):
     # level ``_certified_data`` decomposes passes, and its brackets fail a
     # level only after a decomposed one fails, so it would pass every level.
     # Otherwise ``_certified_data`` decides, unchanged, on T_N assembled
-    # afresh.
+    # afresh.  Data that pass but whose spectrum passes the float maximum
+    # are refused here, for every entry point, before any caller reads its
+    # rank from the (infinite) margin or the chain's threshold from the top.
     if not 0 < eps < np.inf:
         raise ValueError(f"shift eps must be positive and finite, got {eps}")
     _check_tol(tol)
@@ -276,6 +288,8 @@ def _decomposed_data(seq, eps, tol):
     margin = _interlacing_margin(eigs)
     if not eigs[0] >= margin - tol:
         _certified_data(seq, tol)
+    if not np.isfinite(eigs[-1]):
+        raise SingularBlockError(f"the spectrum of T_{seq.order} passes the float maximum")
     return dense, eigs, vecs, margin
 
 
@@ -295,7 +309,7 @@ def _ball_state(seq, eps, dense, eigs):
     both = np.linalg.solve(sub, np.hstack([col, gamma.conj().T]))
     forward, backward = both[:, :d].copy(), both[:, d:].copy()
     s = corner - gamma @ backward
-    return forward, backward, (s + s.conj().T) / 2, corner - col.conj().T @ forward, gamma
+    return forward, backward, _hermitian(s), corner - col.conj().T @ forward, gamma
 
 
 def central_step(seq, eps, tol=1e-9):
@@ -327,8 +341,8 @@ def central_step(seq, eps, tol=1e-9):
         Naming the first truncation level whose Toeplitz matrix fails (the
         check of ``certified_series``).
     SingularBlockError
-        If ``eps`` is too small to make the shifted matrix invertible at
-        working precision.
+        If the spectrum of T_N passes the float maximum, or ``eps`` is too
+        small to make the shifted matrix invertible at working precision.
     """
     dense, eigs = _decomposed_data(seq, eps, tol)[:2]
     forward, _, s, alpha_inv, gamma = _ball_state(seq, eps, dense, eigs)
@@ -353,7 +367,7 @@ def ball_membership(step, x):
     """
     diff = _block(x, step.x_center.shape, "candidate") - step.x_center
     gap = step.left_bound - diff @ step.alpha @ diff.conj().T
-    margin = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
+    margin = float(np.linalg.eigvalsh(_hermitian(gap))[0])
     return margin > 0, margin
 
 
@@ -387,25 +401,26 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     central extension's coefficients do not depend on ``steps``: a shorter
     one is bitwise a prefix of a longer one.  The data are checked with
     ``tol``, with the verdicts and messages of the eigenvalue check behind
-    ``certified_series``.  The whole output is certified.  The central
+    ``certified_series``.  Every output keeps one bound: the smallest
+    eigenvalue of its Toeplitz matrix T_L is at least -max(tol, eps) for
+    the central extension and -eps for a parametrized chain.  The central
     extension is the same output whatever ``eps`` is: its certificate
-    proves the smallest eigenvalue of its Toeplitz matrix T_L at least
-    -max(tol, eps), or, where it does not (it grows with the data's scale,
-    and with H^2 where the powers of the partial isometry decay slowly),
-    the dense check of the output shows its computed lambda_min(T_L) >
+    proves its bound, or, where it does not (it grows with the data's
+    scale, and with H^2 where the powers of the partial isometry decay
+    slowly), the one output check shows its computed lambda_min(T_L) >=
     -max(tol, eps).  ``eps`` shifts parametrized chains only, whose output
-    has its eps-shifted matrix positive definite at working precision, so
-    its computed lambda_min(T_L) > -eps, and ``tol`` plays no part there.
-    The module docstring describes the routing and the certificates.
+    the same check shows has computed lambda_min(T_L) >= -eps; ``tol``
+    plays no part there.  The module docstring describes the routing and
+    the certificates.
 
     Cost to horizon H = N + steps, for data of rank r: O(N^3 d^3 + H r d^2)
     for the central extension of determinate data (rank T_N = rank
     T_{N-1}), O(N^3 d^3 + H r^2 d) for that of other data, plus its
     certificate's propagation bound, O(H log H + r^3 log H);
-    O(N^3 d^3 + H^2 d^3) for the steps of a parametrized chain.  The dense
-    check of an output (one shifted Cholesky factorisation, and the
-    eigenvalue check where that fails), which every parametrized chain and
-    a central extension past its certificate take, adds O(H^3 d^3).
+    O(N^3 d^3 + H^2 d^3) for the steps of a parametrized chain.  The output
+    check (one shifted Cholesky factorisation, and one ``eigvalsh`` of T_L
+    where that fails), which every parametrized chain and a central
+    extension past its certificate take, adds O(H^3 d^3).
 
     Raises
     ------
@@ -418,16 +433,16 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         Naming the first truncation level of the data whose Toeplitz
         matrix fails; raised for the data only.
     SingularBlockError
-        For the central extension, where its certificate fails and the
-        max(tol, eps)-shifted Toeplitz matrix of the output is not positive
-        definite at working precision, or an output coefficient is not
-        finite; the message names the central extension.  For a
-        parametrized chain, naming the first level whose eps-shifted
-        Toeplitz matrix is not positive definite at working precision: the
-        data level (a shift too small for the data), a chained level whose
-        bound S fails, or the whole output in its final check (the data
-        passed theirs, so the failure is the chain's rounding or a
-        unit-norm contraction); or if the alpha^{-1} of a step is not
+        If the spectrum of the data's Toeplitz matrix passes the float
+        maximum.  Where the output check refuses an output (not finite, or
+        its computed lambda_min(T_L) below minus its bound), naming the
+        central extension or the parametrized chain, level L, the bound and
+        the least eigenvalue.  For a parametrized chain also, naming the
+        level, where the eps-shifted Toeplitz matrix its solves need is not
+        positive definite at working precision: the data level (a shift too
+        small for the data) or a chained level whose bound S fails (the
+        data passed their check, so the failure is the chain's rounding or
+        a unit-norm contraction); or if the alpha^{-1} of a step is not
         positive definite.
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
@@ -444,44 +459,32 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         bound = max(tol, eps)
         if beta <= bound:
             return CoefficientSequence(coeffs)
-        # data near the float maximum can overflow the output, which is
-        # refused before a sequence is built, so NotPsdError names the data
-        # only; beta overflows sooner (its squared norms, for entries past
-        # 1e154), and reads as no certificate
-        if not np.isfinite(coeffs).all():
-            raise SingularBlockError("the central extension has a non-finite coefficient")
-    else:
-        n, d, bound = len(seq), seq.block_dim, eps
-        a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
-        # the coefficients newest first in one d x (N + 1 + steps) d row: the
-        # one appended next goes to position ``pos``, and gamma is the window
-        # after it
-        rev = np.empty((d, n + steps, d), dtype=complex)
-        rev[:, steps:] = seq.coefficients[::-1].transpose(1, 0, 2)
-        for k in range(steps):
-            pos = steps - 1 - k
-            gamma = rev[:, pos + 1 : pos + 1 + len(a) // d].reshape(d, -1)
-            rev[:, pos] = gamma @ a
-            # D = S^{1/2} G alpha^{-1/2} and p = alpha D* = alpha^{1/2} G* S^{1/2}
-            # from one eigh of S and one of alpha^{-1}
-            s_eigs, s_half = _roots(s)
-            if k:
-                _check_definite(s_eigs[0], eigs[-1] + eps, n + k - 1, d, eps)
-            g = _contraction(contractions[k], (d, d))
-            _, a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
-            diff = s_half @ g @ a_inv_half
-            rev[:, pos] += diff
-            v = np.linalg.solve(s, diff)
-            p = a_half @ g.conj().T @ s_half
-            a, b = np.vstack([a - b @ v, v]), np.vstack([p, b - a @ p])
-            s = s - diff @ p
-            s = (s + s.conj().T) / 2
-            alpha_inv = alpha_inv - diff.conj().T @ v
-        coeffs = rev[:, ::-1].transpose(1, 0, 2)
-    # the one dense check of the whole output (see the module docstring)
-    out = CoefficientSequence(coeffs)
-    _certify_chained(out, bound, contractions is None)
-    return out
+        return _checked_output(coeffs, bound, "central extension")
+    n, d = len(seq), seq.block_dim
+    a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
+    # the coefficients newest first in one d x (N + 1 + steps) d row: the one
+    # appended next goes to position ``pos``, and gamma is the window after it
+    rev = np.empty((d, n + steps, d), dtype=complex)
+    rev[:, steps:] = seq.coefficients[::-1].transpose(1, 0, 2)
+    for k in range(steps):
+        pos = steps - 1 - k
+        gamma = rev[:, pos + 1 : pos + 1 + len(a) // d].reshape(d, -1)
+        rev[:, pos] = gamma @ a
+        # D = S^{1/2} G alpha^{-1/2} and p = alpha D* = alpha^{1/2} G* S^{1/2}
+        # from one eigh of S and one of alpha^{-1}
+        s_eigs, s_half = _roots(s)
+        if k:
+            _check_definite(s_eigs[0], eigs[-1] + eps, n + k - 1, d, eps)
+        g = _contraction(contractions[k], (d, d))
+        _, a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
+        diff = s_half @ g @ a_inv_half
+        rev[:, pos] += diff
+        v = np.linalg.solve(s, diff)
+        p = a_half @ g.conj().T @ s_half
+        a, b = np.vstack([a - b @ v, v]), np.vstack([p, b - a @ p])
+        s = _hermitian(s - diff @ p)
+        alpha_inv = alpha_inv - diff.conj().T @ v
+    return _checked_output(rev[:, ::-1].transpose(1, 0, 2), eps, "parametrized chain")
 
 
 def _central_extension(seq, dense, eigs, vecs, margin, steps):
@@ -607,7 +610,7 @@ def _central_extension(seq, dense, eigs, vecs, margin, steps):
     u, c = _MACHINE_EPS, _rounding(r + 4)
     lam, g, k = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex), 0
     # data near the float maximum overflow here to an infinite or NaN beta,
-    # which fails the caller's test and leaves the output to its dense check
+    # which fails the caller's test and leaves the output to the output check
     with np.errstate(over="ignore", invalid="ignore"):
         if r:
             rows = vecs[:, -r:] * np.sqrt(eigs[-r:])
@@ -678,26 +681,6 @@ def _central_extension(seq, dense, eigs, vecs, margin, steps):
     return model, beta * (1 + grow)
 
 
-def _certify_chained(seq, eps, central=False):
-    # ``_certify`` of an output, settled by one shifted Cholesky
-    # factorisation (``_cholesky_exceeds``) where that provably passes.  With
-    # A the level's m x m matrix and nu >= ||A||_2 of ``_norm_bound``, the
-    # factorisation succeeding proves lambda_min(A + eps I) > tau =
-    # (nu + eps) m u (1 + 2 m u) + 2 m u nu.  Eigenvalues computed by eigvalsh
-    # lie within 2 m u nu of the exact ones (the convention of
-    # ``positivity_profile``), so ``_certify`` would find lambda_min + eps
-    # above the threshold (lambda_max + eps) m u of ``_check_definite``,
-    # hence lambda_min > -eps: it passes.  Otherwise ``_certify`` itself
-    # decides on the level, assembled afresh once the shifted copy is
-    # dropped.  eps is a chain's shift, or the bound max(tol, eps) of the
-    # ``central`` extension, whose refusal names it.
-    m = seq.coefficients.shape[0] * seq.block_dim
-    u, nu = _MACHINE_EPS, _norm_bound(seq.coefficients)
-    tau = (nu + eps) * m * u * (1 + 2 * m * u) + 2 * m * u * nu
-    if not _cholesky_exceeds(assemble(seq).dense, -eps, tau):
-        _certify(seq, eps, central)
-
-
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     """Solve the truncated-coefficient interpolation problem.
 
@@ -707,11 +690,12 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     index ``horizon``, with its certificate and cost: the central
     extension from the data's minimal factor, in O(N^3 d^3 + H r^2 d) for
     data of rank r (O(N^3 d^3 + H r d^2) on determinate data), with no
-    shift; ``eps`` only enters the bound max(tol, eps) of its certificate
-    and of the output's dense check where that certificate fails, and
-    moves no coefficient.  The returned series interpolates the input
-    exactly: its first N + 1 coefficients are bitwise equal to ``seq``,
-    and the later ones do not depend on ``horizon``.
+    shift; ``eps`` only enters the bound max(tol, eps) that its
+    certificate, or the output check where that certificate fails, proves
+    for lambda_min(T_L), and moves no coefficient.  The returned series
+    interpolates the input exactly: its first N + 1 coefficients are
+    bitwise equal to ``seq``, and the later ones do not depend on
+    ``horizon``.
 
     Raises
     ------
@@ -721,8 +705,9 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     SingularBlockError
-        As ``extend``: where the central extension fails both its
-        certificate and the dense check of the output.
+        As ``extend``: where the spectrum of T_N passes the float maximum,
+        or the central extension fails both its certificate and the output
+        check.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")

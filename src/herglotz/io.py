@@ -40,8 +40,8 @@ from .exceptions import ProblemFormatError
 from .toeplitz import CoefficientSequence
 
 # the package exports these; the text helpers ``format_float``,
-# ``pairs_to_matrix``, ``canonical_json`` and ``CanonicalText`` serve the CLI
-# and stay out of the package namespace
+# ``canonical_json`` and ``CanonicalText`` serve the CLI and stay out of the
+# package namespace
 __all__ = [
     "ProblemFile",
     "RunConfig",
@@ -156,10 +156,6 @@ def _matrix(entries, what, pairs):
     if not np.isfinite(arr).all():
         raise ProblemFormatError(f"{what}: non-finite entry")
     return arr[:, :, 0] + 1j * arr[:, :, 1] if pairs else arr
-
-
-def pairs_to_matrix(rows, what="matrix"):
-    return _matrix(rows, what, pairs=True)
 
 
 class CanonicalText(str):

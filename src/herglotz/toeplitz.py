@@ -221,22 +221,27 @@ def positivity_profile(seq, tol=1e-9):
 
 
 def _check_data(seq, tol):
-    # the check of ``certified_series``.  By interlacing and the eigvalsh
+    # the check of ``certified_series``: the Cholesky rung, and where that
+    # fails ``_certified_data`` on T_N assembled afresh
+    _check_tol(tol)
+    if not _cholesky_clears(seq, tol):
+        _certified_data(seq, tol)
+
+
+def _cholesky_clears(seq, bound):
+    # Whether one shifted Cholesky factorisation of T_N proves every level's
+    # computed lambda_min >= -bound, the rung of the data check and of the
+    # check of an ``extend`` output.  By interlacing and the eigvalsh
     # convention of ``positivity_profile``, every level's computed lambda_min
     # is at least lambda_min(T_N) - 2 m u ||T_N||_2 (m = (N + 1) d, u machine
-    # eps), and ||T_N||_2 <= nu (``_norm_bound``).  So once the shifted
-    # Cholesky factorisation proves lambda_min(T_N) > -tol + 2 (m + 1) u nu
-    # (the extra 2 u nu covers the rounding of that margin), each level's
-    # computed lambda_min is >= -tol and ``_certified_data`` would pass every
-    # level.  Otherwise ``_certified_data`` decides, on T_N assembled afresh;
-    # data too large for the margin to be finite go there.
-    _check_tol(tol)
+    # eps), and ||T_N||_2 <= nu (``_norm_bound``).  So the factorisation
+    # proving lambda_min(T_N) > -bound + 2 (m + 1) u nu (the extra 2 u nu
+    # covers the rounding of that margin) is enough.  Data too large for the
+    # margin to be finite get no certificate
     m = len(seq) * seq.block_dim
     with np.errstate(over="ignore"):
         margin = 2 * (m + 1) * _MACHINE_EPS * _norm_bound(seq.coefficients)
-        if _cholesky_exceeds(assemble(seq).dense, -tol, margin):
-            return
-    _certified_data(seq, tol)
+        return _cholesky_exceeds(assemble(seq).dense, -bound, margin)
 
 
 def _certified_data(seq, tol):

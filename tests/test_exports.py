@@ -14,7 +14,7 @@ from herglotz import exceptions
 
 SUBMODULES = ["exceptions", "extension", "io", "linalg", "series", "toeplitz"]
 # io's text helpers serve the CLI and stay out of the package namespace
-IO_TEXT_HELPERS = {"format_float", "pairs_to_matrix", "canonical_json", "CanonicalText"}
+IO_TEXT_HELPERS = {"format_float", "canonical_json", "CanonicalText"}
 
 
 def test_package_exports_every_submodule_export():

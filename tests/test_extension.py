@@ -447,25 +447,29 @@ class TestExtend:
     ):
         # a 100-step chain through zero contractions on singular, partially
         # determinate data with a tiny shift: the whole output's margin is
-        # within the rounding allowance, the Cholesky factorisation fails,
-        # and the eigenvalue check decides (eps = 1e-12 raises, 1e-11 passes)
+        # within the rounding allowance, the Cholesky rung fails, and one
+        # eigvalsh of T_L decides on its computed lambda_min >= -eps, the
+        # refusal naming the chain, the level, eps and that eigenvalue
         seq, steps, tol = partially_determinate(), 100, 1e-9
         zeros = [np.zeros((2, 2))] * steps
         with monkeypatch.context() as patch:
-            # the chain's output, its final check switched off
-            patch.setattr(extension, "_certify_chained", lambda *args: None)
+            # the chain's output, its Cholesky rung forced to pass
+            patch.setattr(extension, "_cholesky_clears", lambda *args: True)
             level = extend(seq, steps, eps=eps, contractions=zeros, tol=tol)
-        try:
-            extension._certify(level, eps)
-            expected = None
-        except (NotPsdError, SingularBlockError) as err:
-            expected = (type(err), str(err))
+        least = np.linalg.eigvalsh(assemble(level).dense)[0]
+        expected = None
+        if not least >= -eps:
+            expected = (
+                f"the Toeplitz matrix of the parametrized chain at level {level.order} is not "
+                f"PSD within {eps:.3e} (least eigenvalue {least:.3e})"
+            )
         calls = count_dense_calls()
         try:
-            extend(seq, steps, eps=eps, contractions=zeros, tol=tol)
+            got = extend(seq, steps, eps=eps, contractions=zeros, tol=tol)
+            assert got.coefficients.tobytes() == level.coefficients.tobytes()
             got = None
-        except (NotPsdError, SingularBlockError) as err:
-            got = (type(err), str(err))
+        except SingularBlockError as err:
+            got = str(err)
         assert got == expected
         size = len(level) * level.block_dim
         assert calls["cholesky"] == [size]
@@ -518,31 +522,64 @@ class TestExtend:
             quiet = run().coefficients.tobytes()
         assert run().coefficients.tobytes() == quiet
 
-    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, 5e307]])
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, 9e307]])
     def test_central_extension_past_the_float_range_is_refused_quietly(self, values):
-        # the spectrum of the output's Toeplitz matrix passes the float
-        # maximum: beta and the Cholesky weight overflow (no certificate), and
-        # the eigenvalue check refuses the output as the central extension's,
-        # with no warning (the suite turns any into an error)
-        with pytest.raises(SingularBlockError, match="of the central extension at level 5 "):
+        # data that pass their check but whose T_1 has its top eigenvalue
+        # past the float maximum (2e308, 1.9e308): refused for the spectrum
+        # before any extension is formed, with no warning (the suite turns
+        # any into an error)
+        with pytest.raises(SingularBlockError, match="spectrum of T_1 passes the float maximum"):
             extend(scalar_seq(values), 4)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda seq: extend(seq, 4, contractions=[np.zeros((1, 1))] * 4),
+            lambda seq: central_step(seq, 1e-8),
+        ],
+        ids=["chain", "central_step"],
+    )
+    def test_overflowed_spectrum_is_refused_by_every_entry_point(self, run):
+        # (1e308, 1e308) pass the data check, but T_1 has eigenvalues 0 and
+        # inf: the chain and the step refuse the spectrum as the central
+        # extension does (above), not the data level's threshold
+        with pytest.raises(SingularBlockError, match=r"^the spectrum of T_1 passes the float"):
+            run(scalar_seq([1e308, 1e308]))
 
     def test_chain_threshold_near_the_float_maximum_does_not_overflow(self):
         # top m u is formed as top (m u): T_1 of (1e308, 5e307) has top
         # eigenvalue 1.5e308, whose product with m = 2 would overflow and
-        # refuse the data level; the zero-contraction chain passes it and is
-        # refused at its output, whose spectrum passes the float maximum
-        zeros = [np.zeros((1, 1))] * 4
-        with pytest.raises(SingularBlockError, match="eps-shifted Toeplitz matrix at level 5 "):
-            extend(scalar_seq([1e308, 5e307]), 4, contractions=zeros)
+        # refuse the data level; the zero-contraction chain passes it, and its
+        # output, whose Toeplitz matrix is PSD though its spectrum passes the
+        # float maximum, is returned quietly as the central extension is:
+        # 0.5^n 1e308
+        seq = scalar_seq([1e308, 5e307])
+        expected = 1e308 * 0.5 ** np.arange(6)
+        for contractions in ([np.zeros((1, 1))] * 4, None):
+            got = extend(seq, 4, contractions=contractions).coefficients[:, 0, 0]
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+    def test_hermitian_parts_near_the_float_maximum_stay_finite(self):
+        # S = (x + x*) / 2 of M_0 = 1e308 is formed halved first: the bound of
+        # the ball stays 1e308, and the zero-contraction chain extends by
+        # zeros, with no warning (the suite turns any into an error)
+        seq = scalar_seq([1e308])
+        step, center = central_step(seq, 1e-8)
+        assert step.left_bound.tolist() == [[1e308]] and center.tolist() == [[0]]
+        zeros = [np.zeros((1, 1))] * 3
+        got = extend(seq, 3, contractions=zeros).coefficients[:, 0, 0]
+        assert got.tolist() == [1e308, 0, 0, 0]
+        assert ball_membership(step, [[0]]) == (True, 1e308)
 
     def test_non_finite_central_output_is_refused_as_the_extension(self, monkeypatch):
         # an output coefficient past the float maximum (forced here) is
-        # refused as the central extension's before any sequence is built,
-        # whose own check would blame the data with NotPsdError
+        # refused by the output check, as the central extension's, before any
+        # sequence is built, whose own check would blame the data with
+        # NotPsdError
         coeffs = np.full((4, 1, 1), np.inf, dtype=complex)
         monkeypatch.setattr(extension, "_central_extension", lambda *args: (coeffs, np.inf))
-        with pytest.raises(SingularBlockError, match="central extension has a non-finite"):
+        message = r"central extension at level 3 is not PSD within 1\.000e-08 \(least eigenv"
+        with pytest.raises(SingularBlockError, match=message + "alue nan"):
             extend(scalar_seq([1, 0.5]), 2)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -632,9 +669,9 @@ class TestSolveCf:
         # certificate: a (Hd)^2 complex array alone would be 256 MB, so the
         # dense fallback fails before building one
         def dense_fallback(*args):
-            raise AssertionError("the certificate left the output to the dense check")
+            raise AssertionError("the certificate left the output to the output check")
 
-        monkeypatch.setattr(extension, "_certify_chained", dense_fallback)
+        monkeypatch.setattr(extension, "_checked_output", dense_fallback)
         seq = fixture_sequence(50, 2, state_dim, 8)
         horizon, data = 2000, len(seq) * seq.block_dim
         calls = count_dense_calls()
@@ -698,7 +735,7 @@ class TestDeterminateExtension:
         # the partial isometry of the minimal factor (rank 3, past rank 2)
         # extends both with no shift to diag(1, 0.5^n), which the shifted
         # chain at eps = 1e-14 refuses at level 22, and its certificate
-        # settles the output with no dense check
+        # settles the output with no output check
         calls = count_dense_calls()
         ext = extend(partially_determinate(), 60, eps=eps)
         expected = np.zeros((62, 2, 2))

@@ -20,24 +20,28 @@ lambda_min(T_N) sits within a few rounding margins of -tol, for the
 block-Levinson extension against a per-step re-built chain, for
 ill-conditioned parametrized chains (a library error, or a result whose
 Toeplitz matrix stays above -eps, never a non-finite coefficient), for the
-Cholesky check of a chained level against the eigenvalue check, and, in
-exact rational arithmetic (``exact.is_positive_definite``), for the
-Cholesky certificate of ``_cholesky_exceeds``; for the central extension
+output check of ``extend`` (its Cholesky rung, then one eigvalsh) against
+the eigenvalue check alone, and, in exact rational arithmetic
+(``exact.is_positive_definite``), for the Cholesky certificate of
+``_cholesky_exceeds`` and for the interlacing margins (every profile
+bracket, widened by half the margin, holds the exact lambda_min of its
+level, and data that the one-``eigh`` check passes on the margin have
+T_N + (tol - margin / 2) I exactly PSD); for the central extension
 from the minimal factor, on determinate data and others: its certificate
 beta holds against the exact spectrum, the data come back within it, its
 output is the same bits at every shift (or refused as the central
-extension's) and a prefix of every longer one, where the dense check of
-the output settles it T_L + max(tol, eps) (1 + 2^-40) I is exactly
-positive definite, it commutes with scaling, and it is the
+extension's) and a prefix of every longer one, where the output check
+settles it T_L + max(tol, eps) (1 + 2^-40) I is exactly positive
+definite, it commutes with scaling, and it is the
 zero-contraction shifted chain with the shift extrapolated away; for every
 output of the shifted chain, through zero contractions or others, of one
-step or many: it passes the dense eigenvalue check; on data that pass
+step or many: its computed lambda_min(T_L) is at least -eps; on data that pass
 their check, ``extend`` with any contractions, unit-norm ones included,
 never raises NotPsdError; for the exact extension of determinate data: it
 is the generating realization, its measure certificate never exceeds the
 computed smallest eigenvalue of the output, it is bitwise the plain
-formulas, and perturbed data are either certified by beta or by the dense
-check of the output; for the stacked ``reduce``
+formulas, and perturbed data are either certified by beta or by the
+output check; for the stacked ``reduce``
 against a per-coefficient reduction, bit for bit; and for the orthogonal
 Procrustes isometry of ``connecting_isometry``: an isometry to rounding
 whose residual is never above that of the polar factor of the
@@ -75,11 +79,12 @@ from herglotz import (
     series_tail_bound,
 )
 from herglotz import extension
-from herglotz.extension import _certify, _certify_chained
+from herglotz.extension import _checked_output
 from herglotz.linalg import hermitian_split, minimal_factorization
 from herglotz.series import _gram_matrix, _powers
 from herglotz.toeplitz import (
     _certified_data,
+    _cholesky_clears,
     _cholesky_exceeds,
     _frobenius_squares,
     _interlaced_reports,
@@ -393,12 +398,13 @@ def test_certification_matches_the_per_level_scan(seq, tol):
 
 
 @st.composite
-def borderline_data(draw):
+def borderline_data(draw, max_size=None):
     # realization data (full-rank or rank-deficient, scaled by 10^k) with
     # M_0 shifted so that lambda_min(T_N) lands within four interlacing
-    # margins of -tol on either side, with that tol
+    # margins of -tol on either side, with that tol; ``max_size`` caps the
+    # size (N + 1) d of T_N
     d = draw(st.integers(1, 3))
-    order = draw(st.integers(0, 8))
+    order = draw(st.integers(0, 8 if max_size is None else max_size // d - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rlz = random_realization(rng, d, int(rng.integers(1, (order + 1) * d + 3)))
     coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** draw(st.integers(-6, 6))
@@ -539,7 +545,7 @@ def test_extend_matches_the_per_step_reference(problem, eps):
     # the per-step eps chain for chains; determinate data (state dimension
     # at most N d) extend centrally as their realization, other data as
     # their central extension, bit for bit, whether its certificate or the
-    # dense check of its output settles it
+    # output check settles it
     seq, steps, contractions, rlz = problem
     got = extend(seq, steps, eps=eps, contractions=contractions).coefficients
     assert got[: len(seq)].tobytes() == seq.coefficients.tobytes()
@@ -671,11 +677,27 @@ def test_profile_brackets_the_per_level_reports(seq, tol):
     assert check_outcome(_certified_data, seq, tol) == (expected and (NotPsdError, expected))
 
 
+def reference_output_check(coeffs, bound, route):
+    # the output check with no Cholesky rung: one eigvalsh of T_L
+    least = np.linalg.eigvalsh(assemble(CoefficientSequence(coeffs)).dense)[0]
+    if not least >= -bound:
+        raise SingularBlockError(
+            f"the Toeplitz matrix of the {route} at level {len(coeffs) - 1} is not PSD within "
+            f"{bound:.3e} (least eigenvalue {least:.3e})"
+        )
+
+
 @settings(max_examples=300, deadline=None)
 @given(scaled_levels(), st.sampled_from([1e-8, 1e-3, 1.0]))
-def test_chained_level_check_matches_the_eigenvalue_check(seq, eps):
-    expected = check_outcome(_certify, seq, eps)
-    assert check_outcome(_certify_chained, seq, eps) == expected
+def test_output_check_matches_the_eigenvalue_check(seq, bound):
+    # the Cholesky rung shared with the data check passes only where the
+    # eigenvalue check does, so the output check's verdicts and messages are
+    # those of one eigvalsh of T_L
+    if _cholesky_clears(seq, bound):
+        assert np.linalg.eigvalsh(assemble(seq).dense)[0] >= -bound
+    route = "parametrized chain"
+    expected = check_outcome(reference_output_check, seq.coefficients, bound, route)
+    assert check_outcome(_checked_output, seq.coefficients, bound, route) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -691,6 +713,53 @@ def test_cholesky_certificate_is_exact(seq, offset, margin):
     base = float(np.linalg.eigvalsh(dense)[0]) - margin - offset * unit
     if _cholesky_exceeds(dense.copy(), base, margin):
         assert is_positive_definite(dense, -(Fraction(base) + Fraction(margin)))
+
+
+def allowance(*terms):
+    # the 2^-40 relative allowance of the exact properties, on a sum of terms
+    return sum(abs(Fraction(t)) for t in terms) / 2**40
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(scaled_levels(max_size=24), st.sampled_from([1e-9, 1e-6, 1e-2])),
+        borderline_data(max_size=24),
+    )
+)
+def test_profile_brackets_hold_the_exact_spectrum(problem):
+    # the convention of ``positivity_profile`` against the exact spectrum:
+    # every level's computed lambda_min lies within half the interlacing
+    # margin of T_N of its exact one, so the bracket [lower, upper] of
+    # every level it reports, decomposed or interlaced, widened by that half
+    # margin, holds the exact lambda_min(T_n)
+    seq, tol = problem
+    dense = assemble(seq).dense
+    half = Fraction(_interlacing_margin(np.linalg.eigvalsh(dense))) / 2
+    d = seq.block_dim
+    for n, level in enumerate(positivity_profile(seq, tol)):
+        top = dense[: (n + 1) * d, : (n + 1) * d]
+        low, high = Fraction(level.lower) - half, Fraction(level.upper) + half
+        # lambda_min(T_n) > low - allowance, and not above high + allowance
+        assert is_positive_definite(top, allowance(low, half) - low)
+        assert not is_positive_definite(top, -high - allowance(high, half))
+
+
+@settings(max_examples=100, deadline=None)
+@given(borderline_data(max_size=24))
+def test_decomposed_data_passing_on_the_margin_are_exactly_above_it(problem):
+    # where the computed eigs[0] >= margin - tol lets ``_decomposed_data``
+    # pass the data without the eigenvalue check, the exact lambda_min(T_N)
+    # is at least -tol + margin / 2: T_N + (tol - margin / 2) I is PSD,
+    # exactly, up to the allowance
+    seq, tol = problem
+    try:
+        dense, eigs, _, margin = extension._decomposed_data(seq, 1e-8, tol)
+    except NotPsdError:
+        return
+    if eigs[0] >= margin - tol:
+        shift = Fraction(tol) - Fraction(margin) / 2
+        assert is_positive_definite(dense, shift + allowance(tol, margin))
 
 
 def extend_outcome(seq, steps, eps, tol=1e-9):
@@ -746,22 +815,25 @@ def test_central_extension_is_certified_exactly(problem):
 @settings(max_examples=100, deadline=None)
 @given(route_problems(max_size=24, perturb=True), st.sampled_from([1e-15, 1e-13, 1e-11]))
 def test_densely_checked_central_extension_is_certified_exactly(problem, tol):
-    # where beta exceeds max(tol, eps) and the dense check of the output
-    # passes, T_L + max(tol, eps) (1 + 2^-40) I is positive definite in
-    # rational arithmetic.  A tol of 1e-15 .. 1e-11 relative to the data and
-    # eps = 1e-300 leave about 40% of the draws to that check
+    # where beta exceeds max(tol, eps) and the output check passes, T_L +
+    # max(tol, eps) (1 + 2^-40) I is positive definite in rational arithmetic
+    # where its Cholesky rung passed.  Where one eigvalsh decided, on the
+    # computed lambda_min, the exact one lies within half the interlacing
+    # margin of it (the convention of ``positivity_profile``), and the shift
+    # grows by that half margin.  A tol of 1e-15 .. 1e-11 relative to the
+    # data and eps = 1e-300 leave about 40% of the draws to that check
     seq, steps, scale = problem
     tol *= scale
-    with mock.patch.object(
-        extension, "_certify_chained", wraps=extension._certify_chained
-    ) as dense:
-        try:
-            out = extend(seq, steps, eps=1e-300, tol=tol)
-        except (NotPsdError, SingularBlockError):
-            return
-    if dense.call_count:
-        bound = Fraction(max(tol, 1e-300)) * (1 + Fraction(1, 2**40))
-        assert is_positive_definite(assemble(out).dense, bound)
+    try:
+        beta = central_extension(seq, steps, tol)[1]
+        out = extend(seq, steps, eps=1e-300, tol=tol)
+    except (NotPsdError, SingularBlockError):
+        return
+    if beta > max(tol, 1e-300):
+        bound, dense = Fraction(max(tol, 1e-300)), assemble(out).dense
+        if not _cholesky_clears(out, max(tol, 1e-300)):
+            bound += Fraction(_interlacing_margin(np.linalg.eigvalsh(dense))) / 2
+        assert is_positive_definite(dense, bound * (1 + Fraction(1, 2**40)))
 
 
 def partial_isometry(seq, dense, eigs, vecs, margin):
@@ -798,12 +870,12 @@ def test_central_extension_gives_the_data_back(problem):
 @given(st.one_of(route_problems(), route_problems(perturb=True)), st.sampled_from([1e-9, 1e-13]))
 def test_central_extension_takes_no_shift(problem, tol):
     # at eps = 1e-14, 1e-8, 1e-3 and 1, extend either returns bitwise the
-    # central extension's output, whether its beta settles it or the dense
-    # check of the output, or refuses it, naming the central extension; no
+    # central extension's output, whether its beta settles it or the output
+    # check, or refuses it, naming the central extension; no
     # central call builds the shifted chain's state.  Its coefficients do
     # not depend on the horizon: a shorter one is bitwise its prefix.  At
     # tol = 1e-13 relative to the data, about half the draws that pass the
-    # data check leave the output to the dense check at eps = 1e-14
+    # data check leave the output to the output check at eps = 1e-14
     seq, steps, scale = problem
     tol *= scale
     try:
@@ -888,7 +960,8 @@ def shifted_chains(draw, central, sizes=(0.5, 0.9)):
 def test_every_shifted_chain_output_passes_the_eigenvalue_check(central, data, eps, tol):
     # whatever the shifted chain returns, through its ball centers (zero
     # contractions, the ``central`` arm) or parametrized, of one step or
-    # many, passes the dense eigenvalue check of its whole output
+    # many, keeps the bound of its output check: the computed
+    # lambda_min(T_L) of its whole output is at least -eps
     seq, steps, contractions = data.draw(shifted_chains(central))
     if contractions is None:
         contractions = [np.zeros((seq.block_dim,) * 2)] * steps
@@ -897,7 +970,7 @@ def test_every_shifted_chain_output_passes_the_eigenvalue_check(central, data, e
     except (NotPsdError, SingularBlockError):
         return
     assert out.coefficients[: len(seq)].tobytes() == seq.coefficients.tobytes()
-    _certify(out, eps)
+    assert np.linalg.eigvalsh(assemble(out).dense)[0] >= -eps
 
 
 @settings(max_examples=100, deadline=None)
@@ -974,9 +1047,9 @@ def test_measure_certificate_is_sound(problem):
 @given(determinate_problems(max_horizon=150, perturb=True), st.sampled_from([1e-8, 1e-3]))
 def test_perturbed_data_are_certified_or_checked_densely(problem, eps):
     # a perturbed last coefficient: extend returns the central extension's
-    # bits, with no dense check where its beta is within max(tol, eps), and
-    # after one where it is not; a refusal is that dense check's, naming the
-    # central extension.  No step of the shifted chain runs
+    # bits, with no output check where its beta is within max(tol, eps), and
+    # after one where it is not; a refusal is that output check's, naming
+    # the central extension.  No step of the shifted chain runs
     seq, horizon, _, _ = problem
     steps = horizon - seq.order
     try:
@@ -986,7 +1059,7 @@ def test_perturbed_data_are_certified_or_checked_densely(problem, eps):
     except NotPsdError:
         return
     with mock.patch.object(
-        extension, "_certify_chained", wraps=extension._certify_chained
+        extension, "_checked_output", wraps=extension._checked_output
     ) as dense, mock.patch.object(extension, "_ball_state", side_effect=AssertionError):
         got = extend_outcome(seq, steps, eps)
     assert dense.call_count == (beta > max(1e-9, eps))
