@@ -110,18 +110,25 @@ One output check (``_checked_output``).  Every output promises one
 inequality, lambda_min(T_L) >= -bound, with bound = max(tol, eps) for the
 central extension and eps for a parametrized chain.  beta proves it for a
 central output; every other output, a central one past beta and every
-parametrized chain's, is decided by its computed lambda_min(T_L) >= -bound.
-The first rung is the Cholesky rung of the data check
-(``toeplitz._cholesky_clears``): one factorisation of T_L shifted down to
--bound plus the rounding margin of the eigenvalue computation, which passes
-only where the computed lambda_min(T_L) >= -bound.  Where it fails, one
-``eigvalsh`` of T_L decides.  A refusal raises SingularBlockError naming
-the route, the level L, the bound and the least eigenvalue.  A non-finite
-output (data near the float maximum) is refused by the same check before
-any sequence is built, so NotPsdError still names only the data.  A
-unit-norm contraction at the last step lands on the boundary of the ball,
-where lambda_min(T_L) = -eps in exact arithmetic, and the computed value
-decides.
+parametrized chain's, goes through one check of that bound.  The first
+rung is the Cholesky rung of the data check (``toeplitz._cholesky_clears``):
+one factorisation of T_L shifted down to -bound plus the rounding margin of
+the eigenvalue computation, which proves the exact lambda_min(T_L) > -bound.
+Where it fails, one ``eigvalsh`` of T_L decides: its computed lambda_min
+must clear -bound by the rounding margin (lambda_max + bound) m u, for T_L
+of size m and u machine eps, the working-precision threshold of the chain's
+rule: a margin for the rounding of eigvalsh, which the property tests check
+against the exact lambda_min(T_L) in rational arithmetic.  A refusal raises
+SingularBlockError naming the route, the level L, the bound, the least
+eigenvalue and the margin.  A non-finite output (data near the float
+maximum) is refused by the same check before any sequence is built, so
+NotPsdError still names only the data.  A unit-norm contraction at the
+last step lands on the boundary of the ball, where lambda_min(T_L) = -eps
+in exact arithmetic: it is refused.  The margin grows with the size and
+scale of T_L, so at a fixed bound large outputs of large data are refused
+even where they are PSD (rank-deficient data scaled by 1e4, extended to 256
+levels at the default bound 1e-8, are refused so): the absolute bounds
+await relative tolerances.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
@@ -243,22 +250,25 @@ def _check_definite(least, top, level, d, eps):
 
 def _checked_output(coeffs, bound, route):
     # the one check of an ``extend`` output M_0 .. M_L = ``coeffs`` that beta
-    # does not settle, as a sequence: its computed lambda_min(T_L) >= -bound,
-    # the bound the ``route`` promises.  The Cholesky rung of the data check
-    # passes only where that holds; otherwise one eigvalsh of T_L decides.  A
+    # does not settle, as a sequence: lambda_min(T_L) >= -bound, the bound
+    # the ``route`` promises.  The Cholesky rung of the data check proves
+    # it; otherwise one eigvalsh of T_L decides, its computed lambda_min
+    # clearing -bound by the rounding margin (lambda_max + bound) m u (T_L of
+    # size m, u machine eps), the threshold of the chain's rule.  A
     # non-finite output is refused before a sequence is built, whose own
     # check would blame the data with NotPsdError
-    least = np.nan
+    least = margin = np.nan
     if np.isfinite(coeffs).all():
         out = CoefficientSequence(coeffs)
         if _cholesky_clears(out, bound):
             return out
-        least = np.linalg.eigvalsh(assemble(out).dense)[0]
-        if least >= -bound:
+        eigs = np.linalg.eigvalsh(assemble(out).dense)
+        least, margin = eigs[0], (eigs[-1] + bound) * (len(eigs) * _MACHINE_EPS)
+        if least + bound > margin:
             return out
     raise SingularBlockError(
         f"the Toeplitz matrix of the {route} at level {len(coeffs) - 1} is not PSD within "
-        f"{bound:.3e} (least eigenvalue {least:.3e})"
+        f"{bound:.3e} (least eigenvalue {least:.3e}, rounding margin {margin:.3e})"
     )
 
 
@@ -407,11 +417,12 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     extension is the same output whatever ``eps`` is: its certificate
     proves its bound, or, where it does not (it grows with the data's
     scale, and with H^2 where the powers of the partial isometry decay
-    slowly), the one output check shows its computed lambda_min(T_L) >=
-    -max(tol, eps).  ``eps`` shifts parametrized chains only, whose output
-    the same check shows has computed lambda_min(T_L) >= -eps; ``tol``
-    plays no part there.  The module docstring describes the routing and
-    the certificates.
+    slowly), the one output check does: a shifted Cholesky factorisation
+    of T_L, or its computed lambda_min clearing -max(tol, eps) by the
+    rounding margin (lambda_max + bound) m u of its size m.  ``eps`` shifts
+    parametrized chains only, whose output the same check holds to -eps;
+    ``tol`` plays no part there.  The module docstring describes the
+    routing and the certificates.
 
     Cost to horizon H = N + steps, for data of rank r: O(N^3 d^3 + H r d^2)
     for the central extension of determinate data (rank T_N = rank
@@ -435,14 +446,15 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     SingularBlockError
         If the spectrum of the data's Toeplitz matrix passes the float
         maximum.  Where the output check refuses an output (not finite, or
-        its computed lambda_min(T_L) below minus its bound), naming the
-        central extension or the parametrized chain, level L, the bound and
-        the least eigenvalue.  For a parametrized chain also, naming the
-        level, where the eps-shifted Toeplitz matrix its solves need is not
-        positive definite at working precision: the data level (a shift too
-        small for the data) or a chained level whose bound S fails (the
-        data passed their check, so the failure is the chain's rounding or
-        a unit-norm contraction); or if the alpha^{-1} of a step is not
+        its computed lambda_min(T_L) short of minus its bound plus the
+        rounding margin), naming the central extension or the parametrized
+        chain, level L, the bound, the least eigenvalue and the margin.
+        For a parametrized chain also, naming the level, where the
+        eps-shifted Toeplitz matrix its solves need is not positive
+        definite at working precision: the data level (a shift too small
+        for the data) or a chained level whose bound S fails (the data
+        passed their check, so the failure is the chain's rounding or a
+        unit-norm contraction); or if the alpha^{-1} of a step is not
         positive definite.
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.

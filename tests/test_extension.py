@@ -357,13 +357,16 @@ class TestExtend:
     @pytest.mark.parametrize("seed, block_dim, state_dim, order", [(9, 2, 5, 2), (7, 3, 4, 3)])
     def test_unit_contraction_then_one_more_step_raises(self, seed, block_dim, state_dim, order):
         # a unit-norm contraction lands on the boundary of the ball, where
-        # the shifted matrix of the output is singular: the certificate of
-        # the whole output refuses it as the last step, and the bound S of
-        # the next step refuses it before one more, naming level N + 1.  The
-        # data passed their check, so neither refusal blames them
+        # the shifted matrix of the output is singular: lambda_min(T_L) =
+        # -eps, so its computed value does not clear -eps by the rounding
+        # margin and the output check refuses it as the last step, naming
+        # level N + 1; the bound S of the next step refuses it before one
+        # more, naming the same level.  The data passed their check, so
+        # neither refusal blames them
         seq = fixture_sequence(seed, block_dim, state_dim, order)
         unit = np.eye(block_dim)
-        with pytest.raises(SingularBlockError):
+        refusal = f"parametrized chain at level {order + 1} is not PSD within 1.000e-08 "
+        with pytest.raises(SingularBlockError, match=refusal):
             extend(seq, 1, eps=1e-8, contractions=[unit])
         with pytest.raises(SingularBlockError, match=f"level {order + 1} "):
             extend(seq, 2, eps=1e-8, contractions=[unit, np.zeros_like(unit)])
@@ -448,20 +451,23 @@ class TestExtend:
         # a 100-step chain through zero contractions on singular, partially
         # determinate data with a tiny shift: the whole output's margin is
         # within the rounding allowance, the Cholesky rung fails, and one
-        # eigvalsh of T_L decides on its computed lambda_min >= -eps, the
-        # refusal naming the chain, the level, eps and that eigenvalue
+        # eigvalsh of T_L decides on its computed lambda_min + eps >
+        # (lambda_max + eps) m u, the refusal naming the chain, the level,
+        # eps, that eigenvalue and the rounding margin
         seq, steps, tol = partially_determinate(), 100, 1e-9
         zeros = [np.zeros((2, 2))] * steps
         with monkeypatch.context() as patch:
             # the chain's output, its Cholesky rung forced to pass
             patch.setattr(extension, "_cholesky_clears", lambda *args: True)
             level = extend(seq, steps, eps=eps, contractions=zeros, tol=tol)
-        least = np.linalg.eigvalsh(assemble(level).dense)[0]
+        eigs = np.linalg.eigvalsh(assemble(level).dense)
+        margin = (eigs[-1] + eps) * (len(eigs) * np.finfo(float).eps)
         expected = None
-        if not least >= -eps:
+        if not eigs[0] + eps > margin:
             expected = (
                 f"the Toeplitz matrix of the parametrized chain at level {level.order} is not "
-                f"PSD within {eps:.3e} (least eigenvalue {least:.3e})"
+                f"PSD within {eps:.3e} (least eigenvalue {eigs[0]:.3e}, rounding margin "
+                f"{margin:.3e})"
             )
         calls = count_dense_calls()
         try:
@@ -549,15 +555,16 @@ class TestExtend:
     def test_chain_threshold_near_the_float_maximum_does_not_overflow(self):
         # top m u is formed as top (m u): T_1 of (1e308, 5e307) has top
         # eigenvalue 1.5e308, whose product with m = 2 would overflow and
-        # refuse the data level; the zero-contraction chain passes it, and its
-        # output, whose Toeplitz matrix is PSD though its spectrum passes the
-        # float maximum, is returned quietly as the central extension is:
-        # 0.5^n 1e308
+        # refuse the data level; the zero-contraction chain passes it.  Its
+        # output 0.5^n 1e308, as the central extension's, has a Toeplitz
+        # matrix whose spectrum passes the float maximum, so the rounding
+        # margin of the output check is infinite: both are refused at level 5
         seq = scalar_seq([1e308, 5e307])
-        expected = 1e308 * 0.5 ** np.arange(6)
-        for contractions in ([np.zeros((1, 1))] * 4, None):
-            got = extend(seq, 4, contractions=contractions).coefficients[:, 0, 0]
-            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+        zeros = [np.zeros((1, 1))] * 4
+        for contractions, route in ((zeros, "parametrized chain"), (None, "central extension")):
+            refusal = f"{route} at level 5 is not PSD within .* rounding margin inf"
+            with pytest.raises(SingularBlockError, match=refusal):
+                extend(seq, 4, contractions=contractions)
 
     def test_hermitian_parts_near_the_float_maximum_stay_finite(self):
         # S = (x + x*) / 2 of M_0 = 1e308 is formed halved first: the bound of

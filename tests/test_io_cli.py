@@ -684,12 +684,16 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == "error: the spectrum of T_1 passes the float maximum\n"
 
-    def test_scaled_rank_deficient_data_solve_at_default_flags(self, tmp_path, capsys):
+    def test_scaled_rank_deficient_data_are_refused_by_the_rounding_margin(
+        self, tmp_path, capsys
+    ):
         # rank-deficient data scaled by 1e4 extend to the default truncation,
-        # 256: the certificate's beta exceeds max(tol, eps) and T_256 is
-        # singular by construction (rank 5), so its computed eigenvalues sit
-        # at rounding level, within the bound max(tol, eps) the output check
-        # asks for; the output is written, with its kernel report
+        # 256: the certificate's beta exceeds max(tol, eps) = 1e-8, and T_256
+        # is singular by construction (rank 5).  Its computed least
+        # eigenvalue lies within 1e-8 of 0, but at this size and scale the
+        # rounding of eigvalsh (and of the Cholesky rung) exceeds 1e-8, so no
+        # check at working precision shows lambda_min(T_256) >= -1e-8: the
+        # output is refused, naming the margin, until tolerances are relative
         fixture = tmp_path / "fixture.json"
         argv = ["generate", "--block-dim", "2", "--state-dim", "5", "--order", "2"]
         assert main([*argv, "--output", str(fixture)]) == EXIT_OK
@@ -697,12 +701,14 @@ class TestSolveCommand:
         scaled = CoefficientSequence(seq.coefficients * 1e4)
         fixture.write_text(serialize_problem(ProblemFile.from_sequence(scaled)))
         capsys.readouterr()
-        assert main(["solve", str(fixture), "--json"]) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        coeffs = report["problem"]["coefficients"]
-        assert len(coeffs) == 65
-        solved = np.array(coeffs)[..., 0] + 1j * np.array(coeffs)[..., 1]
-        assert np.array_equal(solved[:3], scaled.coefficients)
+        assert main(["solve", str(fixture), "--json"]) == EXIT_TOLERANCE
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: the Toeplitz matrix of the central extension at level 256 is not PSD within "
+            "1.000e-08 (least eigenvalue "
+        )
+        margin = float(err.rsplit("rounding margin ", 1)[1].rstrip(")\n"))
+        assert margin > 1e-8
 
     def test_kernel_report_not_psd_fails(self, tmp_path, capsys, monkeypatch):
         # a failing kernel Gram (its verdict forced here): the report is

@@ -678,12 +678,14 @@ def test_profile_brackets_the_per_level_reports(seq, tol):
 
 
 def reference_output_check(coeffs, bound, route):
-    # the output check with no Cholesky rung: one eigvalsh of T_L
-    least = np.linalg.eigvalsh(assemble(CoefficientSequence(coeffs)).dense)[0]
-    if not least >= -bound:
+    # the output check with no Cholesky rung: one eigvalsh of T_L, whose
+    # least eigenvalue must clear -bound by (lambda_max + bound) m u
+    eigs = np.linalg.eigvalsh(assemble(CoefficientSequence(coeffs)).dense)
+    margin = (eigs[-1] + bound) * (len(eigs) * np.finfo(float).eps)
+    if not eigs[0] + bound > margin:
         raise SingularBlockError(
             f"the Toeplitz matrix of the {route} at level {len(coeffs) - 1} is not PSD within "
-            f"{bound:.3e} (least eigenvalue {least:.3e})"
+            f"{bound:.3e} (least eigenvalue {eigs[0]:.3e}, rounding margin {margin:.3e})"
         )
 
 
@@ -694,7 +696,7 @@ def test_output_check_matches_the_eigenvalue_check(seq, bound):
     # eigenvalue check does, so the output check's verdicts and messages are
     # those of one eigvalsh of T_L
     if _cholesky_clears(seq, bound):
-        assert np.linalg.eigvalsh(assemble(seq).dense)[0] >= -bound
+        assert check_outcome(reference_output_check, seq.coefficients, bound, "") is None
     route = "parametrized chain"
     expected = check_outcome(reference_output_check, seq.coefficients, bound, route)
     assert check_outcome(_checked_output, seq.coefficients, bound, route) == expected
@@ -816,12 +818,9 @@ def test_central_extension_is_certified_exactly(problem):
 @given(route_problems(max_size=24, perturb=True), st.sampled_from([1e-15, 1e-13, 1e-11]))
 def test_densely_checked_central_extension_is_certified_exactly(problem, tol):
     # where beta exceeds max(tol, eps) and the output check passes, T_L +
-    # max(tol, eps) (1 + 2^-40) I is positive definite in rational arithmetic
-    # where its Cholesky rung passed.  Where one eigvalsh decided, on the
-    # computed lambda_min, the exact one lies within half the interlacing
-    # margin of it (the convention of ``positivity_profile``), and the shift
-    # grows by that half margin.  A tol of 1e-15 .. 1e-11 relative to the
-    # data and eps = 1e-300 leave about 40% of the draws to that check
+    # max(tol, eps) (1 + 2^-40) I is positive definite in rational
+    # arithmetic, whichever rung decided.  A tol of 1e-15 .. 1e-11 relative
+    # to the data and eps = 1e-300 leave about 40% of the draws to that check
     seq, steps, scale = problem
     tol *= scale
     try:
@@ -830,10 +829,8 @@ def test_densely_checked_central_extension_is_certified_exactly(problem, tol):
     except (NotPsdError, SingularBlockError):
         return
     if beta > max(tol, 1e-300):
-        bound, dense = Fraction(max(tol, 1e-300)), assemble(out).dense
-        if not _cholesky_clears(out, max(tol, 1e-300)):
-            bound += Fraction(_interlacing_margin(np.linalg.eigvalsh(dense))) / 2
-        assert is_positive_definite(dense, bound * (1 + Fraction(1, 2**40)))
+        bound = Fraction(max(tol, 1e-300)) * (1 + Fraction(1, 2**40))
+        assert is_positive_definite(assemble(out).dense, bound)
 
 
 def partial_isometry(seq, dense, eigs, vecs, margin):
