@@ -70,12 +70,11 @@ lambda_min(T_L) >= -beta, beta the block row sum of the output's defects
 against that model: the data's defects, the rounding of each product and,
 for k < r, its propagation through the powers of the computed W (whose
 decay is bounded by repeated squaring) and the drift of Wt = W / (1 +
-delta), delta >= ||W||_2 - 1.  The output is returned where beta <=
-max(tol, eps), so lambda_min(T_L) >= -max(tol, eps).  beta grows with the
-data and, for slowly decaying powers of W, with L^2; where it exceeds
-max(tol, eps), the output check below decides on the same output.  Either
-way the output is the central extension's, whatever eps is: eps moves no
-central output.
+delta), delta >= ||W||_2 - 1.  beta is the first rung of the output check
+below, at the bound max(tol, eps).  It grows with the data and, for slowly
+decaying powers of W, with L^2; where it exceeds the bound, the later rungs
+decide on the same output.  Either way the output is the central
+extension's, whatever eps is: eps moves no central output.
 
 Shifted chain.  Only parametrized chains take it.  It builds the state
 above from the same T_N and eigenvalues, with one solve for both
@@ -108,32 +107,41 @@ is raised for the data only.
 
 One output check (``_checked_output``).  Every output promises one
 inequality, lambda_min(T_L) >= -bound, with bound = max(tol, eps) for the
-central extension and eps for a parametrized chain.  beta proves it for a
-central output; every other output, a central one past beta and every
-parametrized chain's, goes through one check of that bound.  The first
-rung is the Cholesky rung of the data check (``toeplitz._cholesky_clears``):
-one factorisation of T_L shifted down to -bound plus the rounding margin of
-the eigenvalue computation, which proves the exact lambda_min(T_L) > -bound.
-Where it fails, one ``eigvalsh`` of T_L decides: its computed lambda_min
-must clear -bound by the rounding margin (lambda_max + bound) m u, for T_L
-of size m and u machine eps, the working-precision threshold of the chain's
-rule: a margin for the rounding of eigvalsh, which the property tests check
-against the exact lambda_min(T_L) in rational arithmetic.  A refusal raises
-SingularBlockError naming the route, the level L, the bound, the least
-eigenvalue and the margin.  A non-finite output (data near the float
-maximum) is refused by the same check before any sequence is built, so
-NotPsdError still names only the data.  A unit-norm contraction at the
-last step lands on the boundary of the ball, where lambda_min(T_L) = -eps
-in exact arithmetic: it is refused.  The margin grows with the size and
-scale of T_L, so at a fixed bound large outputs of large data are refused
-even where they are PSD (rank-deficient data scaled by 1e4, extended to 256
-levels at the default bound 1e-8, are refused so): the absolute bounds
-await relative tolerances.
+central extension and eps for a parametrized chain, and every output is
+judged in one place, by the first of these rungs that proves it:
+
+1. the certificate, beta <= bound (the central extension only);
+2. the Cholesky rung of the data check (``toeplitz._cholesky_clears``): one
+   factorisation of T_L shifted down to -bound plus the rounding margin of
+   the eigenvalue computation, which proves the exact lambda_min(T_L) >
+   -bound;
+3. the eigenvalue rung: one ``eigvalsh`` of T_L, whose computed lambda_min
+   must clear -bound by the rounding margin (lambda_max + bound) m u, for
+   T_L of size m and u machine eps, the working-precision threshold of the
+   chain's rule: a margin for the rounding of eigvalsh, which the property
+   tests check against the exact lambda_min(T_L) in rational arithmetic.
+   T_L and the bound are scaled by 2^-k first, k the exponent of T_L's
+   largest diagonal entry.  A power of 2 scales exactly, so where the
+   spectrum of T_L is finite the rung decides as on T_L itself, and where
+   it passes the float maximum the rung still decides.
+
+Where all three fail, SingularBlockError names the route, the level L, the
+bound, the least eigenvalue and the margin, unscaled.  A non-finite output
+(data near the float maximum) is refused by the same check before any
+sequence is built, so NotPsdError still names only the data.  A unit-norm
+contraction at the last step lands on the boundary of the ball, where
+lambda_min(T_L) = -eps in exact arithmetic: it is refused.  The margin
+grows with the size and scale of T_L, so at a fixed bound large outputs of
+large data are refused even where they are PSD (rank-deficient data scaled
+by 1e4, extended to 256 levels at the default bound 1e-8, are refused so):
+the absolute bounds await relative tolerances.
 
 For real symmetric data the reversed and unreversed partitions coincide;
 for complex data only the reversed one keeps the bordered matrix positive.
-The center X_c is the canonical (central) completion; choosing it at every
-step solves the truncated-data interpolation problem for any horizon.
+The center X_c is the central completion of the eps-shifted data, not the
+unshifted central extension that ``extend`` returns: the chain of centers
+approaches that extension as eps -> 0, so each is a solution of the
+truncated-data interpolation problem, with different bits.
 """
 
 from dataclasses import dataclass
@@ -248,24 +256,30 @@ def _check_definite(least, top, level, d, eps):
         )
 
 
-def _checked_output(coeffs, bound, route):
-    # the one check of an ``extend`` output M_0 .. M_L = ``coeffs`` that beta
-    # does not settle, as a sequence: lambda_min(T_L) >= -bound, the bound
-    # the ``route`` promises.  The Cholesky rung of the data check proves
-    # it; otherwise one eigvalsh of T_L decides, its computed lambda_min
-    # clearing -bound by the rounding margin (lambda_max + bound) m u (T_L of
-    # size m, u machine eps), the threshold of the chain's rule.  A
-    # non-finite output is refused before a sequence is built, whose own
-    # check would blame the data with NotPsdError
+def _checked_output(coeffs, bound, route, beta=np.inf):
+    # the one judge of an ``extend`` output M_0 .. M_L = ``coeffs``, as a
+    # sequence: lambda_min(T_L) >= -bound, the bound the ``route`` promises,
+    # by the first rung of the module docstring's ladder that proves it: the
+    # certificate ``beta`` (the central extension's; a chain has none), the
+    # Cholesky rung of the data check, then one eigvalsh of T_L scaled by
+    # 2^-k, k the exponent of its largest diagonal entry (T_L's diagonal is
+    # Re M_0's), against the bound scaled alike, so that a spectrum past the
+    # float maximum is decided too.  A non-finite output is refused before a
+    # sequence is built, whose own check would blame the data with
+    # NotPsdError
     least = margin = np.nan
     if np.isfinite(coeffs).all():
         out = CoefficientSequence(coeffs)
-        if _cholesky_clears(out, bound):
+        if beta <= bound or _cholesky_clears(out, bound):
             return out
-        eigs = np.linalg.eigvalsh(assemble(out).dense)
-        least, margin = eigs[0], (eigs[-1] + bound) * (len(eigs) * _MACHINE_EPS)
-        if least + bound > margin:
+        k = np.frexp(coeffs[0].diagonal().real.max())[1]
+        # T_L as its interleaved real and imaginary parts, which ldexp scales
+        eigs = np.linalg.eigvalsh(np.ldexp(assemble(out).dense.view(float), -k).view(complex))
+        shift = np.ldexp(bound, -k)
+        least, margin = eigs[0], (eigs[-1] + shift) * (len(eigs) * _MACHINE_EPS)
+        if least + shift > margin:
             return out
+        least, margin = np.ldexp((least, margin), k)
     raise SingularBlockError(
         f"the Toeplitz matrix of the {route} at level {len(coeffs) - 1} is not PSD within "
         f"{bound:.3e} (least eigenvalue {least:.3e}, rounding margin {margin:.3e})"
@@ -323,7 +337,11 @@ def _ball_state(seq, eps, dense, eigs):
 
 
 def central_step(seq, eps, tol=1e-9):
-    """One central extension step: the ball data and its center.
+    """The eps-shifted ball of the next coefficient and its center.
+
+    The center X_c is the central completion of the eps-shifted data, not
+    the next coefficient of ``extend``'s unshifted central extension; it
+    approaches that coefficient as ``eps`` -> 0.
 
     Parameters
     ----------
@@ -340,7 +358,7 @@ def central_step(seq, eps, tol=1e-9):
     Returns
     -------
     (ExtensionStep, numpy.ndarray)
-        The step intermediates and M_{N+1} = X_c.
+        The step intermediates and the ball's center X_c.
 
     Raises
     ------
@@ -413,25 +431,19 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     ``tol``, with the verdicts and messages of the eigenvalue check behind
     ``certified_series``.  Every output keeps one bound: the smallest
     eigenvalue of its Toeplitz matrix T_L is at least -max(tol, eps) for
-    the central extension and -eps for a parametrized chain.  The central
-    extension is the same output whatever ``eps`` is: its certificate
-    proves its bound, or, where it does not (it grows with the data's
-    scale, and with H^2 where the powers of the partial isometry decay
-    slowly), the one output check does: a shifted Cholesky factorisation
-    of T_L, or its computed lambda_min clearing -max(tol, eps) by the
-    rounding margin (lambda_max + bound) m u of its size m.  ``eps`` shifts
-    parametrized chains only, whose output the same check holds to -eps;
-    ``tol`` plays no part there.  The module docstring describes the
-    routing and the certificates.
+    the central extension, which is the same output whatever ``eps`` is,
+    and -eps for a parametrized chain, where ``tol`` plays no part.  One
+    output check judges every output against its bound; the module
+    docstring states its rungs and the certificates.
 
     Cost to horizon H = N + steps, for data of rank r: O(N^3 d^3 + H r d^2)
     for the central extension of determinate data (rank T_N = rank
     T_{N-1}), O(N^3 d^3 + H r^2 d) for that of other data, plus its
     certificate's propagation bound, O(H log H + r^3 log H);
-    O(N^3 d^3 + H^2 d^3) for the steps of a parametrized chain.  The output
-    check (one shifted Cholesky factorisation, and one ``eigvalsh`` of T_L
-    where that fails), which every parametrized chain and a central
-    extension past its certificate take, adds O(H^3 d^3).
+    O(N^3 d^3 + H^2 d^3) for the steps of a parametrized chain.  Where the
+    certificate does not settle the output (every parametrized chain, and
+    a central extension past it), the output check's dense rungs add
+    O(H^3 d^3).
 
     Raises
     ------
@@ -445,10 +457,9 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         matrix fails; raised for the data only.
     SingularBlockError
         If the spectrum of the data's Toeplitz matrix passes the float
-        maximum.  Where the output check refuses an output (not finite, or
-        its computed lambda_min(T_L) short of minus its bound plus the
-        rounding margin), naming the central extension or the parametrized
-        chain, level L, the bound, the least eigenvalue and the margin.
+        maximum.  Where the output check refuses an output, naming the
+        central extension or the parametrized chain, level L, the bound,
+        the least eigenvalue and the margin.
         For a parametrized chain also, naming the level, where the
         eps-shifted Toeplitz matrix its solves need is not positive
         definite at working precision: the data level (a shift too small
@@ -468,10 +479,7 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         return seq
     if contractions is None:
         coeffs, beta = _central_extension(seq, dense, eigs, vecs, margin, steps)
-        bound = max(tol, eps)
-        if beta <= bound:
-            return CoefficientSequence(coeffs)
-        return _checked_output(coeffs, bound, "central extension")
+        return _checked_output(coeffs, max(tol, eps), "central extension", beta)
     n, d = len(seq), seq.block_dim
     a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
     # the coefficients newest first in one d x (N + 1 + steps) d row: the one
@@ -481,7 +489,6 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     for k in range(steps):
         pos = steps - 1 - k
         gamma = rev[:, pos + 1 : pos + 1 + len(a) // d].reshape(d, -1)
-        rev[:, pos] = gamma @ a
         # D = S^{1/2} G alpha^{-1/2} and p = alpha D* = alpha^{1/2} G* S^{1/2}
         # from one eigh of S and one of alpha^{-1}
         s_eigs, s_half = _roots(s)
@@ -490,7 +497,7 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         g = _contraction(contractions[k], (d, d))
         _, a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
         diff = s_half @ g @ a_inv_half
-        rev[:, pos] += diff
+        rev[:, pos] = gamma @ a + diff
         v = np.linalg.solve(s, diff)
         p = a_half @ g.conj().T @ s_half
         a, b = np.vstack([a - b @ v, v]), np.vstack([p, b - a @ p])
@@ -622,11 +629,12 @@ def _central_extension(seq, dense, eigs, vecs, margin, steps):
     u, c = _MACHINE_EPS, _rounding(r + 4)
     lam, g, k = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex), 0
     # data near the float maximum overflow here to an infinite or NaN beta,
-    # which fails the caller's test and leaves the output to the output check
+    # which fails the output check's first rung and leaves the output to the
+    # later ones
     with np.errstate(over="ignore", invalid="ignore"):
         if r:
             rows = vecs[:, -r:] * np.sqrt(eigs[-r:])
-            outer, _, inner = _procrustes(rows[d:].conj().T @ rows[:-d], margin)
+            outer, inner = _procrustes(rows[d:].conj().T @ rows[:-d], margin)
             w, k = outer @ inner, outer.shape[1]
         if k < r:
             xs = np.empty((last + 1, r, d), dtype=complex)
@@ -699,12 +707,10 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     Up to ``horizon`` = N this is ``certified_series``: one shifted
     Cholesky factorisation of T_N, O(N^3 d^3).  Beyond it the data are
     extended centrally by ``extend`` until the coefficient list reaches
-    index ``horizon``, with its certificate and cost: the central
-    extension from the data's minimal factor, in O(N^3 d^3 + H r^2 d) for
-    data of rank r (O(N^3 d^3 + H r d^2) on determinate data), with no
-    shift; ``eps`` only enters the bound max(tol, eps) that its
-    certificate, or the output check where that certificate fails, proves
-    for lambda_min(T_L), and moves no coefficient.  The returned series
+    index ``horizon``, with its contract and cost: lambda_min(T_L) >=
+    -max(tol, eps), in O(N^3 d^3 + H r^2 d) for data of rank r
+    (O(N^3 d^3 + H r d^2) on determinate data) while the certificate
+    settles it, and ``eps`` moves no coefficient.  The returned series
     interpolates the input exactly: its first N + 1 coefficients are
     bitwise equal to ``seq``, and the later ones do not depend on
     ``horizon``.
@@ -718,8 +724,7 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
         Naming the first truncation level whose Toeplitz matrix fails.
     SingularBlockError
         As ``extend``: where the spectrum of T_N passes the float maximum,
-        or the central extension fails both its certificate and the output
-        check.
+        or the output check refuses the central extension.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")

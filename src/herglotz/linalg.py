@@ -227,14 +227,14 @@ def _procrustes(cross, floor=-np.inf):
     # (orthogonal Procrustes; Schoenemann, Psychometrika 31 (1966)): the
     # polar factor of their ``cross`` product target source*, which the
     # caller forms, from its thin SVD, returned as its two factors (V =
-    # outer inner) with that SVD's singular values.  An isometry needs target
-    # to have at least as many rows as source; with fewer, the polar factor
-    # is a co-isometry.  Singular values at or below ``floor`` are dropped
-    # with their singular vectors, which leaves the partial isometry of the
-    # polar decomposition of a cross product of that rank
+    # outer inner).  An isometry needs target to have at least as many rows
+    # as source; with fewer, the polar factor is a co-isometry.  Singular
+    # values at or below ``floor`` are dropped with their singular vectors,
+    # which leaves the partial isometry of the polar decomposition of a cross
+    # product of that rank
     outer, sv, inner = np.linalg.svd(cross, full_matrices=False)
     k = np.count_nonzero(sv > floor)
-    return outer[:, :k], sv, inner[:k]
+    return outer[:, :k], inner[:k]
 
 
 def connecting_isometry(minimal, other, tol=1e-8):
@@ -311,7 +311,7 @@ def connecting_isometry(minimal, other, tol=1e-8):
         raise FactorizationMismatchError(
             f"factorizations disagree: ||T*T - (T')*(T')|| = {gap / scale / scale:.3e}"
         )
-    outer, _, inner = _procrustes(tp @ t.conj().T)
+    outer, inner = _procrustes(tp @ t.conj().T)
     return outer @ inner
 
 

@@ -10,9 +10,13 @@ def count_dense_calls(monkeypatch):
     each module that uses it) and of ``numpy.linalg``'s ``eigvalsh``,
     ``eigh``, ``eig``, ``svd``, ``cholesky``, ``inv`` and ``solve``.
     Returns one list per name, holding the size of the matrix of each call
-    in order (the larger side of a rectangular one)."""
+    in order (the larger side of a rectangular one).  Each call starts
+    afresh, wrapping the unrecorded functions, so a property test can count
+    each example by itself."""
 
     names = ("eigvalsh", "eigh", "eig", "svd", "cholesky", "inv", "solve")
+    originals = {name: getattr(np.linalg, name) for name in names}
+    originals["assemble"] = toeplitz.assemble
 
     def start():
         calls = {name: [] for name in ("assemble", *names)}
@@ -24,11 +28,13 @@ def count_dense_calls(monkeypatch):
 
             return wrapper
 
-        assemble = recording("assemble", toeplitz.assemble, lambda seq: len(seq) * seq.block_dim)
+        assemble = recording(
+            "assemble", originals["assemble"], lambda seq: len(seq) * seq.block_dim
+        )
         for module in (toeplitz, series, extension):
             monkeypatch.setattr(module, "assemble", assemble)
         for name in names:
-            wrapper = recording(name, getattr(np.linalg, name), lambda a: max(np.shape(a)[-2:]))
+            wrapper = recording(name, originals[name], lambda a: max(np.shape(a)[-2:]))
             monkeypatch.setattr(np.linalg, name, wrapper)
         return calls
 

@@ -557,14 +557,16 @@ class TestExtend:
         # eigenvalue 1.5e308, whose product with m = 2 would overflow and
         # refuse the data level; the zero-contraction chain passes it.  Its
         # output 0.5^n 1e308, as the central extension's, has a Toeplitz
-        # matrix whose spectrum passes the float maximum, so the rounding
-        # margin of the output check is infinite: both are refused at level 5
+        # matrix whose largest eigenvalue passes the float maximum while its
+        # least is 3.5e307: the output check decides it on T_5 scaled by a
+        # power of 2, and both routes return it with no warning (the suite
+        # turns any into an error)
         seq = scalar_seq([1e308, 5e307])
-        zeros = [np.zeros((1, 1))] * 4
-        for contractions, route in ((zeros, "parametrized chain"), (None, "central extension")):
-            refusal = f"{route} at level 5 is not PSD within .* rounding margin inf"
-            with pytest.raises(SingularBlockError, match=refusal):
-                extend(seq, 4, contractions=contractions)
+        expected = 1e308 * 0.5 ** np.arange(6)
+        for contractions in ([np.zeros((1, 1))] * 4, None):
+            got = extend(seq, 4, contractions=contractions).coefficients[:, 0, 0]
+            assert got[:2].tolist() == [1e308, 5e307]
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
     def test_hermitian_parts_near_the_float_maximum_stay_finite(self):
         # S = (x + x*) / 2 of M_0 = 1e308 is formed halved first: the bound of
@@ -588,6 +590,40 @@ class TestExtend:
         message = r"central extension at level 3 is not PSD within 1\.000e-08 \(least eigenv"
         with pytest.raises(SingularBlockError, match=message + "alue nan"):
             extend(scalar_seq([1, 0.5]), 2)
+
+    @pytest.mark.parametrize(
+        "eps, tol, contractions, settled",
+        [
+            (1e-8, 1e-9, None, True),
+            (1e-300, 1e-300, None, False),
+            (1e-8, 1e-9, [np.zeros((1, 1))] * 6, False),
+        ],
+        ids=["central-settled-by-beta", "central-past-beta", "parametrized-chain"],
+    )
+    def test_every_output_is_judged_once_by_the_output_check(
+        self, count_dense_calls, monkeypatch, eps, tol, contractions, settled
+    ):
+        # whichever route, extend hands its output to _checked_output exactly
+        # once and returns what it returns; beta (central only) settles the
+        # first case with no T_L-sized factorisation, the others take the
+        # Cholesky rung (beta 7.5e-14 against the bound 1e-300 in the second)
+        judged = []
+
+        def judge(coeffs, bound, route, beta=np.inf):
+            judged.append((coeffs, bound, route, beta))
+            return checked(coeffs, bound, route, beta)
+
+        checked = extension._checked_output
+        monkeypatch.setattr(extension, "_checked_output", judge)
+        calls = count_dense_calls()
+        out = extend(scalar_seq([1, 0.5]), 6, eps=eps, contractions=contractions, tol=tol)
+        assert len(judged) == 1
+        coeffs, bound, route, beta = judged[0]
+        assert bound == (eps if contractions else max(tol, eps))
+        assert route == ("parametrized chain" if contractions else "central extension")
+        assert (beta <= bound) == settled
+        assert coeffs.tobytes() == out.coefficients.tobytes()
+        assert (8 in calls["cholesky"]) != settled and calls["eigvalsh"] == []
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closure_random_complex_seeds(self, seed):
@@ -667,18 +703,13 @@ class TestSolveCf:
         assert calls["cholesky"] == [] and calls["svd"] == [17]
 
     @pytest.mark.parametrize("state_dim, eps", [(18, 1e-8), (17, 1e-3), (5, 1e-8)])
-    def test_long_horizon_builds_no_level_sized_array(
-        self, count_dense_calls, monkeypatch, state_dim, eps
-    ):
+    def test_long_horizon_builds_no_level_sized_array(self, count_dense_calls, state_dim, eps):
         # H = 2000 on full-rank data, on rank-deficient data that are not
         # determinate, and on determinate data (state dimension 5 <= N d =
         # 16), each extended from its minimal factor and settled by its
-        # certificate: a (Hd)^2 complex array alone would be 256 MB, so the
-        # dense fallback fails before building one
-        def dense_fallback(*args):
-            raise AssertionError("the certificate left the output to the output check")
-
-        monkeypatch.setattr(extension, "_checked_output", dense_fallback)
+        # certificate, the output check's first rung: no T_L-sized Cholesky
+        # factorisation or eigvalsh runs, and a (Hd)^2 complex array alone
+        # would be 256 MB
         seq = fixture_sequence(50, 2, state_dim, 8)
         horizon, data = 2000, len(seq) * seq.block_dim
         calls = count_dense_calls()

@@ -35,7 +35,9 @@ settles it T_L + max(tol, eps) (1 + 2^-40) I is exactly positive
 definite, it commutes with scaling, and it is the
 zero-contraction shifted chain with the shift extrapolated away; for every
 output of the shifted chain, through zero contractions or others, of one
-step or many: its computed lambda_min(T_L) is at least -eps; on data that pass
+step or many: its computed lambda_min(T_L) is at least -eps, and, in exact
+arithmetic at sizes up to 24, T_L + eps (1 + 2^-40) I is positive definite
+whichever rung of the output check decided; on data that pass
 their check, ``extend`` with any contractions, unit-norm ones included,
 never raises NotPsdError; for the exact extension of determinate data: it
 is the generating realization, its measure certificate never exceeds the
@@ -52,7 +54,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -929,14 +931,15 @@ def test_central_extension_is_the_zero_contraction_chain_without_its_shift(probl
 
 
 @st.composite
-def shifted_chains(draw, central, sizes=(0.5, 0.9)):
+def shifted_chains(draw, central, sizes=(0.5, 0.9), max_size=None):
     # realization data of full rank or short of it by one or two, scaled by
     # 10^k, with a chain of one step (as often as any other count) up to 60;
     # a parametrized chain takes contractions each zero or of one norm drawn
-    # from ``sizes``
+    # from ``sizes``; ``max_size`` caps the size (N + 1 + steps) d of T_L
     d = draw(st.integers(1, 3))
-    order = draw(st.integers(0, 8))
-    steps = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    blocks = 1 + 8 + 60 if max_size is None else max_size // d
+    order = draw(st.integers(0, min(8, blocks - 2)))
+    steps = draw(st.one_of(st.just(1), st.integers(1, min(60, blocks - 1 - order))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rank = (order + 1) * d - draw(st.sampled_from([0, 1, 2]))
     rlz = random_realization(rng, d, max(rank, 1))
@@ -968,6 +971,29 @@ def test_every_shifted_chain_output_passes_the_eigenvalue_check(central, data, e
         return
     assert out.coefficients[: len(seq)].tobytes() == seq.coefficients.tobytes()
     assert np.linalg.eigvalsh(assemble(out).dense)[0] >= -eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda central: shifted_chains(central, sizes=(0.5, 0.9, 1.0), max_size=24)
+    ),
+    st.sampled_from([1e-14, 1e-8, 1e-3]),
+)
+def test_shifted_chain_outputs_are_certified_exactly(chain, eps):
+    # whatever a chain returns, through zero contractions or parametrized,
+    # unit-norm ones among them, has T_L + eps (1 + 2^-40) I positive
+    # definite in rational arithmetic, whichever rung of the output check
+    # decided (T_L of size at most 24: of 1500 draws, 1073 returned, 1021
+    # by the Cholesky rung and 52 by the eigvalsh rung)
+    seq, steps, contractions = chain
+    if contractions is None:
+        contractions = [np.zeros((seq.block_dim,) * 2)] * steps
+    try:
+        out = extend(seq, steps, eps=eps, contractions=contractions)
+    except (NotPsdError, SingularBlockError):
+        return
+    assert is_positive_definite(assemble(out).dense, Fraction(eps) * (1 + Fraction(1, 2**40)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1040,13 +1066,16 @@ def test_measure_certificate_is_sound(problem):
     assert -beta <= eigs[0] + rounding
 
 
-@settings(max_examples=100, deadline=None)
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(determinate_problems(max_horizon=150, perturb=True), st.sampled_from([1e-8, 1e-3]))
-def test_perturbed_data_are_certified_or_checked_densely(problem, eps):
+def test_perturbed_data_are_certified_or_checked_densely(count_dense_calls, problem, eps):
     # a perturbed last coefficient: extend returns the central extension's
-    # bits, with no output check where its beta is within max(tol, eps), and
-    # after one where it is not; a refusal is that output check's, naming
-    # the central extension.  No step of the shifted chain runs
+    # bits, with no T_L-sized Cholesky factorisation or eigvalsh where its
+    # beta is within max(tol, eps), and after the output check's dense rungs
+    # where it is not; a refusal is that check's, naming the central
+    # extension.  No step of the shifted chain runs
     seq, horizon, _, _ = problem
     steps = horizon - seq.order
     try:
@@ -1055,11 +1084,11 @@ def test_perturbed_data_are_certified_or_checked_densely(problem, eps):
         )
     except NotPsdError:
         return
-    with mock.patch.object(
-        extension, "_checked_output", wraps=extension._checked_output
-    ) as dense, mock.patch.object(extension, "_ball_state", side_effect=AssertionError):
+    calls = count_dense_calls()
+    with mock.patch.object(extension, "_ball_state", side_effect=AssertionError):
         got = extend_outcome(seq, steps, eps)
-    assert dense.call_count == (beta > max(1e-9, eps))
+    size = (horizon + 1) * seq.block_dim
+    assert (size in calls["cholesky"] + calls["eigvalsh"]) == (beta > max(1e-9, eps))
     if isinstance(got, bytes):
         assert got == coeffs.tobytes()
     else:
