@@ -33,9 +33,10 @@ shifted Toeplitz matrix of (M_0 .. M_N, X) is.  Zero contractions take the
 centers, the central extension of the eps-shifted data.
 
 Routing.  Every entry point checks the data from one ``eigh`` of T_N
-(``_decomposed_data``): the extension needs the spectrum (its top for the
-singularity rule of the chain, all of it for the minimal factor and its
-rank), so it does not take the Cholesky certificate of
+(``_decomposed_data``: the shift's sign, then ``toeplitz._decomposed``,
+which ``series.gram_isometries`` shares): the extension needs the spectrum
+(its top for the singularity rule of the chain, all of it for the minimal
+factor and its rank), so it does not take the Cholesky certificate of
 ``certified_series``.  Where the smallest eigenvalue clears -tol by the
 interlacing margin, the eigenvalue check behind ``certified_series``
 (``toeplitz._certified_data``) provably passes every level; otherwise that
@@ -149,14 +150,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, OutOfBallError, SingularBlockError
-from .linalg import _MACHINE_EPS, _check_tol, _hermitian, _procrustes
+from .linalg import _MACHINE_EPS, _hermitian
 from .series import HerglotzSeries, _powers, certified_series
 from .toeplitz import (
     CoefficientSequence,
-    _certified_data,
     _cholesky_clears,
+    _decomposed,
     _frobenius_squares,
-    _interlacing_margin,
+    _minimal_factor,
     _rounding,
     assemble,
     reverse_blocks,
@@ -287,34 +288,12 @@ def _checked_output(coeffs, bound, route, beta=np.inf):
 
 
 def _decomposed_data(seq, eps, tol):
-    # T_N, its eigenpairs from one ``eigh`` and their interlacing margin,
-    # after the shift's sign and the data check, with the verdicts and
-    # messages of the eigenvalue check behind ``certified_series``
-    # (``_certified_data``); every extension entry point takes its data
-    # here.  ``eigh`` (zheevd with vectors) is backward stable under the
-    # convention of ``positivity_profile``: each eigenvalue it computes for
-    # T_N lies within 2 m u ||T_N||_2 of an exact one (m = (N + 1) d, u
-    # machine eps), half the interlacing margin.  So where the computed
-    # eigs[0] >= margin - tol, the exact lambda_min(T_N) >= -tol + margin / 2.
-    # By interlacing every exact lambda_min(T_n) is at least that, and
-    # eigvalsh computes it within margin / 2 (||T_n||_2 <= ||T_N||_2): every
-    # level ``_certified_data`` decomposes passes, and its brackets fail a
-    # level only after a decomposed one fails, so it would pass every level.
-    # Otherwise ``_certified_data`` decides, unchanged, on T_N assembled
-    # afresh.  Data that pass but whose spectrum passes the float maximum
-    # are refused here, for every entry point, before any caller reads its
-    # rank from the (infinite) margin or the chain's threshold from the top.
+    # T_N, its eigenpairs and their interlacing margin after the shift's sign
+    # and the data check of ``toeplitz._decomposed``: every extension entry
+    # point takes its data here
     if not 0 < eps < np.inf:
         raise ValueError(f"shift eps must be positive and finite, got {eps}")
-    _check_tol(tol)
-    dense = assemble(seq).dense
-    eigs, vecs = np.linalg.eigh(dense)
-    margin = _interlacing_margin(eigs)
-    if not eigs[0] >= margin - tol:
-        _certified_data(seq, tol)
-    if not np.isfinite(eigs[-1]):
-        raise SingularBlockError(f"the spectrum of T_{seq.order} passes the float maximum")
-    return dense, eigs, vecs, margin
+    return _decomposed(seq, tol)
 
 
 def _ball_state(seq, eps, dense, eigs):
@@ -618,24 +597,21 @@ def _central_extension(seq, dense, eigs, vecs, margin, steps):
     # the sum grown by 1 + gamma_K bounds beta.
     #
     # F = V_r* for V_r, the top r eigenvectors scaled by the roots of their
-    # eigenvalues, so Q P* and F_0* = V_r[:d] need no adjoint of F; each
+    # eigenvalues (``toeplitz._minimal_factor``, which also gives W's two
+    # factors), so Q P* and F_0* = V_r[:d] need no adjoint of F; each
     # array's squared moduli are summed in its own layout
     # (``_frobenius_squares``): the defects as block columns of T_N's first
     # block row, the model's M_0 and the data's as one stack of blocks.
     n, d = len(seq), seq.block_dim
     last = n - 1 + steps
-    # ``eigh`` returns the eigenvalues ascending: the top r are the last
-    r = np.count_nonzero(eigs > margin)
+    rows, r, outer, inner = _minimal_factor(eigs, vecs, margin, d)
     u, c = _MACHINE_EPS, _rounding(r + 4)
-    lam, g, k = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex), 0
+    lam, g, k = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex), outer.shape[1]
     # data near the float maximum overflow here to an infinite or NaN beta,
     # which fails the output check's first rung and leaves the output to the
     # later ones
     with np.errstate(over="ignore", invalid="ignore"):
-        if r:
-            rows = vecs[:, -r:] * np.sqrt(eigs[-r:])
-            outer, inner = _procrustes(rows[d:].conj().T @ rows[:-d], margin)
-            w, k = outer @ inner, outer.shape[1]
+        w = outer @ inner
         if k < r:
             xs = np.empty((last + 1, r, d), dtype=complex)
             xs[0] = rows[:d].conj().T

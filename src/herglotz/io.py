@@ -270,6 +270,10 @@ def parse_problem(text):
         raise ProblemFormatError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # arrays nested past the recursion limit, or an integer literal past
+        # the interpreter's limit on the digits of a str -> int conversion
+        raise ProblemFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProblemFormatError("top level must be an object")
     for key in ("block_dim", "coefficients"):
@@ -296,9 +300,14 @@ def load_problem(path):
             text = fh.read()
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     return parse_problem(text)
 
 
 def save_problem(pf, path):
+    # serialized before the file is opened, so a refused problem leaves an
+    # existing file as it was
+    text = serialize_problem(pf)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_problem(pf))
+        fh.write(text)

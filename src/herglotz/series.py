@@ -34,7 +34,8 @@ from .linalg import (
     hermitian_split,
     minimal_factorization,
 )
-from .toeplitz import CoefficientSequence, _check_data, _frobenius_squares, assemble
+from .toeplitz import CoefficientSequence, _check_data, _decomposed, _frobenius_squares
+from .toeplitz import _minimal_factor, assemble
 
 __all__ = [
     "HerglotzSeries",
@@ -440,10 +441,16 @@ def reduce(seq, tol=1e-8):
     compress = np.linalg.pinv(t0).conj().T  # (T0 T0*)^{-1} T0, shape r x d
     targets = np.concatenate([h0[None], coeffs[1:]])
     # stacked products, per block bitwise those of the 2-d products; one
-    # norm call per block keeps each residual bitwise too
+    # norm call per block keeps each residual bitwise too.  Each defect is
+    # scaled by the power of 2 that brings its largest real or imaginary
+    # part into [1/2, 1) (raising a tiny one by 2^511 at most), so no square
+    # overflows; the scaling is exact, so the residual keeps its bits
+    # wherever the unscaled norm neither overflows nor underflows
     reduced = compress @ targets @ compress.conj().T
     defects = targets - t0.conj().T @ reduced @ t0
-    residuals = [float(np.linalg.norm(defect)) for defect in defects]
+    tops = np.abs(defects.view(float)).max(axis=(1, 2), initial=0.0)
+    scales = np.ldexp(1.0, -np.maximum(np.frexp(tops)[1], -511)).tolist()
+    residuals = [float(np.linalg.norm(defect * s)) / s for defect, s in zip(defects, scales)]
     for j, res in enumerate(residuals):
         if res > tol:
             raise RangeCompatibilityError(
@@ -462,49 +469,63 @@ def gram_isometries(seq, tol=1e-8):
     """Factor the assembled Toeplitz matrix and express its column blocks
     through the base factor.
 
-    With F the minimal factor of the assembled matrix T_N and F_j its
-    column blocks, every F_j factors Re M_0, so there are isometries V_j
-    with F_j = V_j T0, each the orthogonal Procrustes solution of
-    ``connecting_isometry``.  Verifies the factorisation through
-    G = (V_0 T0 ... V_N T0): its first block row reproduces the data,
-    M_j = T0* V_0* V_j T0 for j >= 1, and G* G reproduces T_N, each within
-    ``tol`` times ||T_N||_F, so the verdict does not change when the data
-    are rescaled; data with Re M_0 = 0 are checked the same way.  The V_j
-    are not tested for ``V_j* V_j = I``, nor their Gram matrix for
-    positivity: a polar factor from a thin SVD is an isometry to rounding
-    by construction, and a Gram matrix W* W is PSD whatever W is, so
-    neither check could fail at a tolerance above rounding.
+    F is the minimal factor of T_N that ``extend`` builds, from the same
+    one ``eigh``: the eigenpairs above the interlacing margin 4 m u
+    ||T_N||_2 (m the size of T_N, u machine eps), so its rank rule is
+    relative to the data's scale and does not depend on ``tol``.  Its
+    column blocks satisfy F_j = W^j F_0 for the partial isometry W from the
+    past blocks (F_0 ... F_{N-1}) onto the future ones (F_1 ... F_N), and
+    F_0 factors Re M_0 = T0* T0.  So V_0 is the orthogonal Procrustes
+    solution of ``connecting_isometry`` with F_0 = V_0 T0, and V_j = W V_{j-1}
+    gives F_j = V_j T0: one SVD for V_0 and one for W.  Verifies the
+    factorisation through G = (V_0 T0 ... V_N T0): its first block row
+    reproduces the data, M_j = T0* V_0* V_j T0 for j >= 1, and G* G
+    reproduces T_N, each within ``tol`` times ||T_N||_F, so the verdict
+    does not change when the data are rescaled; data with Re M_0 = 0 are
+    checked the same way.  The V_j are not tested for ``V_j* V_j = I``, nor
+    their Gram matrix for positivity: V_0, a polar factor from a thin SVD,
+    is an isometry to rounding by construction, and W is one on the range
+    of the past blocks, which holds F_0 ... F_{N-1}, less the singular
+    values it drops at the margin; a defect of V_j that reaches T0 shows in
+    the diagonal blocks of G* G, which the Gram check judges, and a Gram
+    matrix is PSD whatever its factor is.  ``tol`` also checks the data and
+    is the rank tolerance of T0 (``minimal_factorization``).
 
     Raises
     ------
     ValueError
-        If ``tol`` is negative, NaN or infinite
-        (``minimal_factorization``).
+        If ``tol`` is negative, NaN or infinite.
     NotPsdError
-        If T_N has an eigenvalue below -``tol`` (``minimal_factorization``).
+        Naming the first truncation level whose Toeplitz matrix fails (the
+        eigenvalue check behind ``certified_series``).
+    SingularBlockError
+        If the spectrum of T_N passes the float maximum.
     FactorizationMismatchError
         If a coefficient or T_N is not reproduced within the tolerance, or
-        a block F_j does not factor Re M_0 (``connecting_isometry``).
+        F_0 does not factor Re M_0 (``connecting_isometry``).
     """
-    bt = assemble(seq)
+    dense, eigs, vecs, margin = _decomposed(seq, tol)
     d = seq.block_dim
-    n = len(seq)
-    f = minimal_factorization(bt.dense, tol_rank=tol).T
-    h0, _ = hermitian_split(seq.coefficients[0])
-    base = minimal_factorization(h0, tol_rank=tol)
-    blocks = [f[:, j * d : (j + 1) * d] for j in range(n)]
-    isometries = [connecting_isometry(base, fj, tol=tol) for fj in blocks]
+    rows, _, outer, inner = _minimal_factor(eigs, vecs, margin, d)
+    f = rows.conj().T
+    # T_N's leading block is Re M_0 (``assemble``)
+    base = minimal_factorization(dense[:d, :d], tol_rank=tol)
+    blocks = [f[:, j * d : (j + 1) * d] for j in range(len(seq))]
+    isometries = [connecting_isometry(base, blocks[0], tol=tol)]
+    w = outer @ inner
+    for _ in blocks[1:]:
+        isometries.append(w @ isometries[-1])
     g = np.hstack([v @ base.T for v in isometries])
     gram = g.conj().T @ g
-    allowed = tol * float(np.linalg.norm(bt.dense))
-    for j in range(1, n):
+    allowed = tol * float(np.linalg.norm(dense))
+    for j in range(1, len(seq)):
         gap = np.linalg.norm(seq.coefficients[j] - gram[:d, j * d : (j + 1) * d])
         if not gap <= allowed:
             raise FactorizationMismatchError(
                 f"coefficient {j} is not reproduced by the base isometries: "
                 f"||M_j - T0* V_0* V_j T0|| = {gap:.3e}"
             )
-    gap = np.linalg.norm(bt.dense - gram)
+    gap = np.linalg.norm(dense - gram)
     if not gap <= allowed:
         raise FactorizationMismatchError(
             f"Gram reconstruction of the Toeplitz matrix off by {gap:.3e}"

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NotPsdError
-from .linalg import _MACHINE_EPS, _check_tol, _hermitian, psd_report
+from .exceptions import DimensionError, NotPsdError, SingularBlockError
+from .linalg import _MACHINE_EPS, _check_tol, _hermitian, _procrustes, psd_report
 
 __all__ = [
     "CoefficientSequence",
@@ -257,6 +257,54 @@ def _certified_data(seq, tol):
             raise NotPsdError(
                 f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
             )
+
+
+def _decomposed(seq, tol):
+    # T_N, its eigenpairs from one ``eigh`` and their interlacing margin,
+    # after the data check, with the verdicts and messages of the eigenvalue
+    # check behind ``certified_series`` (``_certified_data``); every entry
+    # point that reads the minimal factor of T_N takes its data here.
+    # ``eigh`` (zheevd with vectors) is backward stable under the convention
+    # of ``positivity_profile``: each eigenvalue it computes for T_N lies
+    # within 2 m u ||T_N||_2 of an exact one (m = (N + 1) d, u machine eps),
+    # half the interlacing margin.  So where the computed eigs[0] >= margin -
+    # tol, the exact lambda_min(T_N) >= -tol + margin / 2.  By interlacing
+    # every exact lambda_min(T_n) is at least that, and eigvalsh computes it
+    # within margin / 2 (||T_n||_2 <= ||T_N||_2): every level
+    # ``_certified_data`` decomposes passes, and its brackets fail a level
+    # only after a decomposed one fails, so it would pass every level.
+    # Otherwise ``_certified_data`` decides, unchanged, on T_N assembled
+    # afresh.  Data that pass but whose spectrum passes the float maximum
+    # are refused here, for every entry point, before any caller reads a
+    # rank from the (infinite) margin or a threshold from the top.
+    _check_tol(tol)
+    dense = assemble(seq).dense
+    eigs, vecs = np.linalg.eigh(dense)
+    margin = _interlacing_margin(eigs)
+    if not eigs[0] >= margin - tol:
+        _certified_data(seq, tol)
+    if not np.isfinite(eigs[-1]):
+        raise SingularBlockError(f"the spectrum of T_{seq.order} passes the float maximum")
+    return dense, eigs, vecs, margin
+
+
+def _minimal_factor(eigs, vecs, margin, block_dim):
+    # The minimal factor of T_N from its eigenpairs (``_decomposed``), under
+    # the one rank rule of the library's factor of T_N: the r eigenvalues
+    # above the interlacing margin, which is relative to ||T_N||_2.  Returns
+    # the factor's rows F* (the top r eigenvectors scaled by the roots of
+    # their eigenvalues, so T_N ~ F* F with r x d column blocks F_j), r, and
+    # the two factors (outer, inner) of the partial isometry W = outer inner
+    # with F_j = W^j F_0, the Procrustes solution for Q P* of the future and
+    # past blocks, its rank k counted above the same margin (derived in
+    # ``extension._central_extension``).  Data near the float maximum may
+    # overflow Q P*, which is left to the caller's checks
+    r = np.count_nonzero(eigs > margin)
+    # ``eigh`` returns the eigenvalues ascending: the top r are the last
+    rows = vecs[:, len(eigs) - r :] * np.sqrt(eigs[len(eigs) - r :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer, inner = _procrustes(rows[block_dim:].conj().T @ rows[:-block_dim], margin)
+    return rows, r, outer, inner
 
 
 def _rounding(k):

@@ -17,6 +17,7 @@ from herglotz import (
     central_step,
     eval_series,
     extend,
+    gram_isometries,
     kernel_gram,
     parametrized_step,
     random_realization,
@@ -542,13 +543,15 @@ class TestExtend:
         [
             lambda seq: extend(seq, 4, contractions=[np.zeros((1, 1))] * 4),
             lambda seq: central_step(seq, 1e-8),
+            gram_isometries,
         ],
-        ids=["chain", "central_step"],
+        ids=["chain", "central_step", "gram_isometries"],
     )
     def test_overflowed_spectrum_is_refused_by_every_entry_point(self, run):
         # (1e308, 1e308) pass the data check, but T_1 has eigenvalues 0 and
-        # inf: the chain and the step refuse the spectrum as the central
-        # extension does (above), not the data level's threshold
+        # inf: the chain, the step and the factor of ``gram_isometries``
+        # refuse the spectrum as the central extension does (above), not the
+        # data level's threshold
         with pytest.raises(SingularBlockError, match=r"^the spectrum of T_1 passes the float"):
             run(scalar_seq([1e308, 1e308]))
 

@@ -132,6 +132,15 @@ class TestProblemFormat:
         assert path.read_text() == serialize_problem(pf)
         assert np.array_equal(loaded.coefficients, pf.coefficients)
 
+    def test_refused_problem_leaves_the_file_as_it_was(self, tmp_path):
+        # the problem is serialized before the file is opened
+        path = tmp_path / "p.json"
+        path.write_bytes(b"kept")
+        pf = ProblemFile(block_dim=1, coefficients=np.array([[[np.nan]]]))
+        with pytest.raises(ProblemFormatError, match="non-finite"):
+            herglotz_io.save_problem(pf, path)
+        assert path.read_bytes() == b"kept"
+
     def test_canonical_json_scalars(self):
         # a numpy float that is not a Python float is formatted as its value
         assert canonical_json([np.float32(0.5)]) == "[0.5]\n"
@@ -528,6 +537,26 @@ class TestCheckCommand:
         path.write_text("{broken")
         assert main(["check", str(path)]) == EXIT_PARSE
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            b'{"block_dim": 1, "coefficients": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+            b'{"block_dim": 1, "coefficients": [[[[1' + b"0" * 5000 + b', 0]]]]}',
+        ],
+        ids=["not-utf-8", "nested-past-the-recursion-limit", "integer-of-5001-digits"],
+    )
+    def test_unreadable_text_is_a_parse_error(self, tmp_path, capsys, content):
+        # each is refused with one error line; the message is the
+        # interpreter's (a Python before 3.10.7 reads the long integer and
+        # refuses it as too large for a float)
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["check", str(path)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_numeric_string_is_a_parse_error(self, tmp_path, capsys):
         # the schema asks for numbers; "1" is text, even where it reads as one

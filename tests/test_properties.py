@@ -43,7 +43,10 @@ never raises NotPsdError; for the exact extension of determinate data: it
 is the generating realization, its measure certificate never exceeds the
 computed smallest eigenvalue of the output, it is bitwise the plain
 formulas, and perturbed data are either certified by beta or by the
-output check; for the stacked ``reduce``
+output check; for ``gram_isometries`` on realization data, plain and
+perturbed: its factor is bitwise the F that ``extend`` builds, with its
+rank, its data verdicts are ``extend``'s, and the isometries it returns
+are isometries within 1e-8 that reproduce the data; for the stacked ``reduce``
 against a per-coefficient reduction, bit for bit; and for the orthogonal
 Procrustes isometry of ``connecting_isometry``: an isometry to rounding
 whose residual is never above that of the polar factor of the
@@ -60,6 +63,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from herglotz import (
     CoefficientSequence,
+    FactorizationMismatchError,
     HerglotzSeries,
     NotPsdError,
     SingularBlockError,
@@ -69,6 +73,7 @@ from herglotz import (
     connecting_isometry,
     eval_series,
     extend,
+    gram_isometries,
     kernel_value,
     parametrized_step,
     positivity_profile,
@@ -80,7 +85,7 @@ from herglotz import (
     reverse_blocks,
     series_tail_bound,
 )
-from herglotz import extension
+from herglotz import extension, toeplitz
 from herglotz.extension import _checked_output
 from herglotz.linalg import hermitian_split, minimal_factorization
 from herglotz.series import _gram_matrix, _powers
@@ -863,6 +868,61 @@ def test_central_extension_gives_the_data_back(problem):
         x = w @ x
     assert max(defects) <= beta
     assert max(defects) <= 100 * len(seq) * kappa * np.finfo(float).eps * eigs[-1]
+
+
+def gram_outcome(seq, tol):
+    # the factor F that ``extend`` builds (None where it refuses the data)
+    # and its r, the data verdict of ``extend`` (None where it passes), and
+    # what ``gram_isometries`` gives at the same tol: its GramFactor, or the
+    # type and message it raises
+    built = []
+
+    def recording(*args):
+        built.append(toeplitz._minimal_factor(*args))
+        return built[-1]
+
+    with mock.patch.object(extension, "_minimal_factor", recording):
+        verdict = check_outcome(extend, seq, 1, 1e-8, None, tol)
+    try:
+        got = gram_isometries(seq, tol)
+    except (NotPsdError, SingularBlockError, FactorizationMismatchError) as err:
+        got = type(err), str(err)
+    rows, r = built[0][:2] if built else (None, None)
+    return rows, r, verdict, got
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda moved: st.tuples(route_problems(max_size=24, perturb=moved), st.just(moved))
+    )
+)
+def test_gram_isometries_read_the_factor_of_extend(case):
+    # one minimal factor of T_N and one rank rule: where ``extend`` takes
+    # the data, the factor of ``gram_isometries`` is bitwise its F, with its
+    # rank r; where it refuses them, ``gram_isometries`` refuses them with
+    # the same error.  Realization data, plain (which it always takes) or
+    # with the last coefficient moved (which may leave them no factorization
+    # within tol), get isometries that are isometries within 1e-8 and
+    # reproduce every coefficient within tol ||T_N||_F
+    (seq, _, _), moved = case
+    tol = 1e-8
+    rows, r, verdict, got = gram_outcome(seq, tol)
+    if verdict is not None and verdict[0] is NotPsdError:
+        assert got == verdict
+        return
+    if moved and isinstance(got, tuple):
+        assert got[0] is FactorizationMismatchError
+        return
+    assert got.factor.tobytes() == rows.conj().T.tobytes()
+    assert got.factor.shape == (r, len(seq) * seq.block_dim)
+    d = seq.block_dim
+    t0 = minimal_factorization(hermitian_split(seq.coefficients[0])[0], tol).T
+    allowed = tol * np.linalg.norm(assemble(seq).dense)
+    for j, v in enumerate(got.isometries):
+        assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) <= 1e-8
+        m_j = t0.conj().T @ got.isometries[0].conj().T @ v @ t0
+        assert j == 0 or np.linalg.norm(seq.coefficients[j] - m_j) <= allowed
 
 
 @PROPERTY

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from herglotz import series as series_module
+from herglotz import toeplitz
 from herglotz import (
     CoefficientSequence,
     DimensionError,
@@ -519,6 +520,16 @@ class TestReduce:
         with pytest.raises(RangeCompatibilityError):
             reduce(CoefficientSequence.from_scalars([2j, 0.5]))
 
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    def test_residuals_of_huge_data_are_refused_quietly(self, scale):
+        # realization data past unit scale leave defects far above the
+        # absolute tol; their squares would overflow, but each residual is
+        # taken on its defect scaled by a power of 2, so it is finite and
+        # raises no warning (the suite turns any into an error)
+        seq = realization_coefficients(fixture_realization(0), 2)
+        with pytest.raises(RangeCompatibilityError, match=r"residual \d\.\d{3}e\+\d+ exceeds"):
+            reduce(CoefficientSequence(seq.coefficients * scale))
+
     def test_zero_real_part_names_the_first_residual_over_tol(self):
         # rank 0 takes the general path: the first coefficient over tol is
         # named, not the largest
@@ -567,28 +578,59 @@ class TestGramIsometries:
         assert gf.factor.shape == (0, len(values))
         assert all(v.shape == (0, 0) for v in gf.isometries)
 
-    def test_unreproduced_coefficient_raises(self):
-        # T_N has eigenvalues 0.047 and 0.059 below tol lambda_max = 0.074
-        # (tol = 0.1), which its minimal factor drops; every block still
-        # factors Re M_0 within tol relative to ||Re M_0||_F, and the
-        # isometries then miss M_1 by 0.121, beyond tol ||T_N||_F = 0.099.
-        # Both scale with the data, so the data raise at every power of 2
+    @staticmethod
+    def perturb_w(monkeypatch, factor):
+        # W = outer inner of the shared minimal factor, multiplied by
+        # ``factor`` before the isometries are chained through it
+        def perturbed(*args):
+            rows, r, outer, inner = toeplitz._minimal_factor(*args)
+            return rows, r, outer * factor, inner
+
+        monkeypatch.setattr(series_module, "_minimal_factor", perturbed)
+
+    def test_unreproduced_coefficient_raises(self, monkeypatch):
+        # a W turned by the phase e^{0.1 i} turns V_1 = W V_0 with it, and
+        # T0* V_0* V_1 T0 misses M_1 by about 0.1 ||M_1||, far beyond
+        # tol ||T_N||_F.  Both scale with the data, so the data raise at
+        # every power of 2; unturned, they pass
         m0 = np.array([[0.163, -0.171], [-0.171, 0.589]])
         m1 = np.array([[-0.012, -0.164], [0.181, -0.042]])
         for power in (-40, -10, 0, 10):
             seq = CoefficientSequence(np.array([m0, m1]) * 2.0**power)
-            with pytest.raises(
-                FactorizationMismatchError, match="coefficient 1 is not reproduced"
-            ):
-                gram_isometries(seq, tol=0.1)
+            gram_isometries(seq)
+            with monkeypatch.context() as patch:
+                self.perturb_w(patch, np.exp(0.1j))
+                with pytest.raises(
+                    FactorizationMismatchError, match="coefficient 1 is not reproduced"
+                ):
+                    gram_isometries(seq)
 
-    def test_unreproduced_toeplitz_matrix_raises(self):
-        # T_1 of (1, 0.983) has eigenvalue 0.017, below tol lambda_max, which
-        # the minimal factor drops: M_1 comes back off by 0.017, within
-        # tol ||T_1||_F = 0.0198, but T_1 off by 0.024, beyond it
-        seq = CoefficientSequence.from_scalars([1, 0.983])
+    def test_unreproduced_toeplitz_matrix_raises(self, monkeypatch):
+        # T_1 = I for the data (1, 0): V_0 and V_1 = W V_0 are orthogonal, so
+        # a W doubled still reproduces M_1 = 0, but the Gram's last diagonal
+        # block comes back as 4, not 1
+        self.perturb_w(monkeypatch, 2.0)
         with pytest.raises(FactorizationMismatchError, match="Gram reconstruction"):
-            gram_isometries(seq, tol=1e-2)
+            gram_isometries(CoefficientSequence.from_scalars([1, 0]))
+
+    def test_one_svd_for_w_and_one_for_v0(self, count_dense_calls, monkeypatch):
+        # the isometries come from W and V_0 alone, whatever N: two SVDs,
+        # one eigh of T_N (shared with ``extend``) and one of Re M_0, its
+        # only ``minimal_factorization``
+        factored = []
+
+        def recording(a, *args, **kwargs):
+            factored.append(np.shape(a))
+            return minimal_factorization(a, *args, **kwargs)
+
+        monkeypatch.setattr(series_module, "minimal_factorization", recording)
+        seq = realization_coefficients(random_realization(4, 2, 7), 6)
+        calls = count_dense_calls()
+        gf = gram_isometries(seq)
+        assert len(gf.isometries) == 7
+        assert calls["svd"] == [gf.factor.shape[0]] * 2
+        assert calls["eigh"] == [14, 2]
+        assert factored == [(2, 2)]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rank_deficient_base_factor(self, seed):
