@@ -122,12 +122,14 @@ def _numbers(entries, pairs):
     # objects, so that numpy reads neither a bool as 0 or 1 nor a string "1"
     # as 1.0; a ragged list becomes an array of lists.  Each leaf type is
     # checked once, and the cast to floats raises OverflowError on an integer
-    # past the float range (JSON integers are unbounded).  A fault raises
-    # TypeError or ValueError
+    # past the float range (JSON integers are unbounded).  The leaves are read
+    # through ``ravel``: numpy 2's arrays reach 64 dimensions, its ``flat``
+    # iterator only 32, and lists nested deeper are leaves that fail the
+    # check.  A fault raises TypeError or ValueError
     arr = entries if isinstance(entries, np.ndarray) else np.asarray(entries, dtype=object)
     if arr.dtype.kind == "O":
         number = numbers.Real if pairs else numbers.Complex
-        if not all(issubclass(t, number) and t is not bool for t in set(map(type, arr.flat))):
+        if not all(issubclass(t, number) and t is not bool for t in set(map(type, arr.ravel()))):
             raise TypeError("entries must be numbers")
         arr = arr.astype(float if pairs else complex)
     if arr.dtype.kind not in ("iuf" if pairs else "iufc"):

@@ -116,8 +116,15 @@ def _hermitian(m):
     # of ``hermitian_split``, of the diagonal of ``toeplitz.assemble`` and of
     # every checked Hermitian part (``_hermitian_part``).  Halved before
     # adding, so finite entries near the float maximum give a finite result;
-    # away from overflow and underflow the bits are those of (M + M*) / 2
-    return m / 2 + m.conj().T / 2
+    # away from overflow and underflow the bits are those of (M + M*) / 2.
+    # M* is formed in C order, halved and added to in place: the bits of
+    # M / 2 + M* / 2 in two temporaries, not four.  (The conjugate of M / 2
+    # is not M* / 2 bit for bit: numpy divides by 2 + 0i, which can turn the
+    # sign of a zero real part)
+    herm = np.conjugate(m.T, order="C")
+    herm /= 2
+    herm += m / 2
+    return herm
 
 
 def psd_report(h, tol=1e-9):

@@ -177,7 +177,8 @@ def eval_series(phi, z):
 
     ``z`` is a point or a 1-d array of m points; the result is d x d or
     m x d x d.  The powers z^n are formed by running product and contracted
-    with M_1 .. M_T in one ``tensordot``, so to first order in the unit
+    with M_1 .. M_T, read as a T x d^2 matrix, in one ``np.dot`` (the
+    product that ``np.tensordot`` forms), so to first order in the unit
     roundoff u each entry is off from the exact power sum by at most
     4 (T + 2) u (|M_0| + 2 sum |z|^n |M_n|), taken entrywise: the n - 1
     complex products in z^n, the product with M_n and the sum each add a
@@ -187,13 +188,19 @@ def eval_series(phi, z):
     z = np.asarray(z, dtype=complex)
     if z.ndim > 1:
         raise DimensionError(f"expected a point or a 1-d array of points, got shape {z.shape}")
-    outside = ~(np.abs(z) <= phi.declared_radius)
-    if outside.any():
+    inside = np.abs(z) <= phi.declared_radius
+    if not inside.all():
         raise DomainError(
-            f"|z| = {abs(z[outside].flat[0]):.6f} outside declared radius {phi.declared_radius}"
+            f"|z| = {abs(z[~inside].flat[0]):.6f} outside declared radius {phi.declared_radius}"
         )
     coeffs = phi.seq.coefficients
-    return coeffs[0] + 2 * np.tensordot(_powers(z, phi.seq.order), coeffs[1:], axes=(-1, 0))
+    t, d = phi.seq.order, phi.seq.block_dim
+    # 2 sum + M_0 in place, the bits of M_0 + 2 sum: doubling is exact and
+    # addition commutes
+    values = np.dot(_powers(z, t), coeffs[1:].reshape(t, d * d)).reshape(z.shape + (d, d))
+    values *= 2
+    values += coeffs[0]
+    return values
 
 
 def series_tail_bound(phi, z):
@@ -211,16 +218,30 @@ def series_tail_bound(phi, z):
     return bound if bound.ndim else float(bound)
 
 
+def _szego_denominators(pts):
+    # the m x m Hermitian matrix of 1 - z_l conj(z_j) at the 1-d point array
+    # ``pts``, shared by every kernel Gram: the outer product is taken from 1
+    # in place, then made Hermitian.  numpy's complex multiply is not
+    # conjugate-symmetric, its division is: with the denominators made
+    # Hermitian, so is the Gram, bit for bit
+    den = np.multiply.outer(pts, pts.conj())
+    return _hermitian(np.subtract(1, den, out=den))
+
+
 def _kernel_blocks(phi, pts):
     # (m, d, m, d) array whose [l, :, j, :] block is
-    # K(z_l, z_j) = (Phi(z_l) + Phi(z_j)*) / (1 - z_l conj(z_j)), divided in
-    # place: no second block tensor
+    # K(z_l, z_j) = (Phi(z_l) + Phi(z_j)*) / (1 - z_l conj(z_j)), from one
+    # ``eval_series`` and the shared denominators.  Row (l, a) is row a of
+    # Phi(z_l) tiled m times, plus row a of [Phi(z_1)* .. Phi(z_m)*], over
+    # its row of denominators each repeated d times: the sum and the
+    # division run in place over rows of m d contiguous entries, with the
+    # operands and bits of the broadcast (m, d, m, d) forms
     values = eval_series(phi, pts)
-    num = values[:, :, None, :] + values.conj().transpose(2, 0, 1)[None]
-    # numpy's complex multiply is not conjugate-symmetric, its division is:
-    # with the denominators made Hermitian, so is the Gram, bit for bit
-    den = _hermitian(1 - np.multiply.outer(pts, pts.conj()))
-    return np.divide(num, den[:, None, :, None], out=num)
+    m, d = values.shape[:2]
+    blocks = np.tile(values, m)
+    blocks += np.ascontiguousarray(values.conj().transpose(2, 0, 1)).reshape(d, m * d)
+    blocks /= np.repeat(_szego_denominators(pts), d, axis=1)[:, None, :]
+    return blocks.reshape(m, d, m, d)
 
 
 def kernel_value(phi, z, w):
@@ -233,13 +254,14 @@ def _gram_matrix(phi, pts, vecs=None):
     # m x m compression by the (m, d) array of one vector h_l per point:
     # with A[l, j] = <Phi(z_l) h_j, h_l> the compressed entry is
     # (A[l, j] + conj(A[j, l])) / (1 - z_l conj(z_j)), no block tensor needed,
-    # over the Hermitian denominators of ``_kernel_blocks``
+    # over the shared Hermitian denominators, divided in place
     if vecs is None:
         m, d = len(pts), phi.seq.block_dim
         return _kernel_blocks(phi, pts).reshape(m * d, m * d)
     u_conj = np.einsum("lb,lba->la", vecs.conj(), eval_series(phi, pts))
     a = u_conj @ vecs.T
-    return (a + a.conj().T) / _hermitian(1 - np.multiply.outer(pts, pts.conj()))
+    num = a + a.conj().T
+    return np.divide(num, _szego_denominators(pts), out=num)
 
 
 def kernel_gram(phi, points, vectors=None, tol=1e-6):
@@ -354,13 +376,16 @@ def realization_coefficients(rlz, n_max, tol=1e-8):
     if n_max < 0:
         raise ValueError(f"order must be nonnegative, got {n_max}")
     d, c, v = _check_realization(rlz, tol)
-    blocks = [d + c.conj().T @ c]
-    y = c
+    # the states y_k = (V*)^k C, one after another, then every C* y_k in one
+    # stacked matmul: the bits of the products taken step by step
+    states = np.empty((n_max + 1,) + c.shape, dtype=complex)
+    states[0] = c
     vh = v.conj().T
-    for _ in range(n_max):
-        y = vh @ y
-        blocks.append(c.conj().T @ y)
-    return CoefficientSequence(np.stack(blocks))
+    for k in range(n_max):
+        np.matmul(vh, states[k], out=states[k + 1])
+    blocks = c.conj().T @ states
+    blocks[0] += d
+    return CoefficientSequence(blocks)
 
 
 def eval_realization(rlz, z, tol=1e-8):

@@ -43,6 +43,38 @@ def write_problem(tmp_path, name, values):
     return str(path)
 
 
+# coefficients nested deeper than numpy's ``flat`` iterator takes (32
+# dimensions) and than numpy 2's arrays reach (64), up to just below the
+# recursion limit that ``json.loads`` refuses
+DEEP_NESTINGS = [34, 64, 500, 990]
+
+
+def deeply_nested_text(depth, leaf=""):
+    return '{"block_dim": 1, "coefficients": ' + "[" * depth + leaf + "]" * depth + "}"
+
+
+@pytest.fixture
+def stack_headroom():
+    # json.loads counts the caller's frames against the recursion limit
+    # before Python 3.12, and a test runs some 50 frames deeper than a
+    # command does (``python -m herglotz check`` parses 985 levels and
+    # refuses 988 as too deep); 200 more frames let the 990-deep nesting
+    # reach the parser from a test on every supported Python
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 200)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def is_deep_nesting_refusal(message):
+    # numpy 2 reads up to 64 levels as dimensions, so a shallower nesting
+    # gets the shape message; deeper levels are lists where numbers belong
+    return message == "coefficient 0: entries must be [re, im] number pairs" or (
+        message.startswith("coefficient 0 has shape (1, 1, 1, ")
+        or message.startswith("coefficient 0: expected rows of [re, im] pairs, got shape (1, 1, ")
+    )
+
+
 class TestProblemFormat:
     def test_round_trip_awkward_floats(self):
         seq = CoefficientSequence.from_scalars([1 / 3, 1e-17 + 0.1j, -0.0, 2**-52])
@@ -212,6 +244,14 @@ class TestProblemFormat:
         with pytest.raises(ProblemFormatError) as err:
             parse_problem(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("leaf", ["", "1, 0"], ids=["empty", "pair"])
+    @pytest.mark.parametrize("depth", DEEP_NESTINGS)
+    def test_deeply_nested_coefficients_are_malformed(self, stack_headroom, depth, leaf):
+        # past numpy's 32 iterator dimensions, below the recursion limit
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem(deeply_nested_text(depth, leaf))
+        assert is_deep_nesting_refusal(str(err.value))
 
 
 def _reference_matrix_to_pairs(m):
@@ -544,13 +584,16 @@ class TestCheckCommand:
             b"\xff\xfe{}",
             b'{"block_dim": 1, "coefficients": ' + b"[" * 100000 + b"]" * 100000 + b"}",
             b'{"block_dim": 1, "coefficients": [[[[1' + b"0" * 5000 + b', 0]]]]}',
-        ],
-        ids=["not-utf-8", "nested-past-the-recursion-limit", "integer-of-5001-digits"],
+        ]
+        + [deeply_nested_text(depth).encode() for depth in DEEP_NESTINGS],
+        ids=["not-utf-8", "nested-past-the-recursion-limit", "integer-of-5001-digits"]
+        + [f"coefficients-nested-{depth}-deep" for depth in DEEP_NESTINGS],
     )
-    def test_unreadable_text_is_a_parse_error(self, tmp_path, capsys, content):
+    def test_unreadable_text_is_a_parse_error(self, stack_headroom, tmp_path, capsys, content):
         # each is refused with one error line; the message is the
         # interpreter's (a Python before 3.10.7 reads the long integer and
-        # refuses it as too large for a float)
+        # refuses it as too large for a float), and for the nested
+        # coefficients it depends on the dimensions numpy's arrays reach
         path = tmp_path / "bad.json"
         path.write_bytes(content)
         assert main(["check", str(path)]) == EXIT_PARSE

@@ -47,7 +47,9 @@ output check; for ``gram_isometries`` on realization data, plain and
 perturbed: its factor is bitwise the F that ``extend`` builds, with its
 rank, its data verdicts are ``extend``'s, and the isometries it returns
 are isometries within 1e-8 that reproduce the data; for the stacked ``reduce``
-against a per-coefficient reduction, bit for bit; and for the orthogonal
+against a per-coefficient reduction, bit for bit; for the stacked products
+C* (V*)^n C of ``realization_coefficients`` against one product per step,
+bit for bit; and for the orthogonal
 Procrustes isometry of ``connecting_isometry``: an isometry to rounding
 whose residual is never above that of the polar factor of the
 least-squares map T' T^+, on factors of condition up to 1e12."""
@@ -78,6 +80,7 @@ from herglotz import (
     parametrized_step,
     positivity_profile,
     RangeCompatibilityError,
+    Realization,
     psd_report,
     random_realization,
     realization_coefficients,
@@ -230,6 +233,36 @@ def realization_series(draw):
     d = draw(st.integers(1, 4))
     rlz = random_realization(draw(st.integers(0, 2**32 - 1)), d, draw(st.integers(1, 6)))
     return HerglotzSeries(realization_coefficients(rlz, draw(st.integers(0, 300))), RADIUS)
+
+
+def per_step_coefficients(rlz, n_max):
+    # M_0 = D + C*C and M_n = C* y_n with y_n = V* y_{n-1}: one product C* y_n
+    # per step
+    d, c, v = (np.asarray(x, dtype=complex) for x in (rlz.D, rlz.C, rlz.V))
+    blocks = [d + c.conj().T @ c]
+    y = c
+    vh = v.conj().T
+    for _ in range(n_max):
+        y = vh @ y
+        blocks.append(c.conj().T @ y)
+    return np.stack(blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.integers(0, 64),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-150, 1.0, 1e150]),
+)
+def test_realization_coefficients_are_bitwise_the_per_step_products(d, h, order, seed, c_scale):
+    # the stacked product of C* with every state is the per-step products,
+    # zero C included
+    rlz = random_realization(seed, d, h)
+    rlz = Realization(D=rlz.D, C=rlz.C * c_scale, V=rlz.V)
+    got = realization_coefficients(rlz, order).coefficients
+    assert got.tobytes() == per_step_coefficients(rlz, order).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

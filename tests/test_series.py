@@ -35,6 +35,7 @@ from herglotz import (
     series_tail_bound,
     solve_cf,
 )
+from herglotz.linalg import _hermitian
 
 
 def scalar_series(values, radius=0.9):
@@ -247,6 +248,130 @@ class TestKernelGram:
             tracemalloc.stop()
         assert rep.min_eigenvalue >= -1e-6
         assert peak <= 2.5 * (m * d) ** 2 * 16
+
+
+def reference_hermitian(m):
+    # the Hermitian part as two halves and one sum
+    return m / 2 + m.conj().T / 2
+
+
+def reference_power_sum(phi, z):
+    # M_0 + 2 sum z^n M_n with the powers as the cumprod of the broadcast
+    # points and the sum as one tensordot over the block stack
+    z = np.asarray(z, dtype=complex)
+    coeffs = phi.seq.coefficients
+    n = phi.seq.order
+    powers = np.cumprod(np.broadcast_to(z[..., None], z.shape + (n,)), axis=-1)
+    return coeffs[0] + 2 * np.tensordot(powers, coeffs[1:], axes=(-1, 0))
+
+
+def reference_denominators(pts):
+    return reference_hermitian(1 - np.multiply.outer(pts, pts.conj()))
+
+
+def reference_gram(phi, pts, vecs=None):
+    # dense: the broadcast (m, d, m, d) block tensor over the broadcast
+    # denominators; compressed: the einsum pairing of the values with the
+    # vectors, over the denominators
+    values = reference_power_sum(phi, pts)
+    if vecs is None:
+        m, d = len(pts), phi.seq.block_dim
+        num = values[:, :, None, :] + values.conj().transpose(2, 0, 1)[None]
+        return (num / reference_denominators(pts)[:, None, :, None]).reshape(m * d, m * d)
+    u_conj = np.einsum("lb,lba->la", vecs.conj(), values)
+    a = u_conj @ vecs.T
+    return (a + a.conj().T) / reference_denominators(pts)
+
+
+def reference_tail(phi, pts):
+    r = np.abs(pts)
+    return 2 * phi._max_block_norm * r ** (phi.seq.order + 1) / (1 - r)
+
+
+def grid_cases(seed, count):
+    # seeded series and grids: block dimension 1-4; orders 0, 1 and 2 half
+    # the time, else 3-300; realization data, or Gaussian coefficients
+    # scaled by 10^-3 .. 10^3; 1-40 points in the disk of radius 0.89, a
+    # quarter of them moved to the origin, the real or the imaginary axis;
+    # and one vector per point
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(1, 5))
+        order = int(rng.integers(0, 3)) if rng.random() < 0.5 else int(rng.integers(3, 301))
+        if rng.random() < 0.5:
+            rlz = random_realization(rng, d, int(rng.integers(1, 7)))
+            seq = realization_coefficients(rlz, order)
+        else:
+            shape = (order + 1, d, d)
+            coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            seq = CoefficientSequence(coeffs * 10.0 ** int(rng.integers(-3, 4)))
+        m = int(rng.integers(1, 41))
+        pts = 0.89 * np.sqrt(rng.uniform(0, 1, m)) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
+        moved = rng.random(m) < 0.25
+        pts[moved] = rng.choice([0, 1, 1j], moved.sum()) * pts[moved].real
+        vecs = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+        yield HerglotzSeries(seq, declared_radius=0.9), pts, vecs
+
+
+class TestKernelGridBits:
+    """The kernel grid is bitwise the plain reference forms kept here: the
+    power sum by one ``tensordot``, the Hermitian part as two halves summed,
+    the denominators as the Hermitian part of 1 - z_l conj(z_j), the dense
+    Gram as the broadcast block tensor over them, the compressed one as the
+    ``einsum`` pairing, and the report as the least eigenvalue of that Gram
+    against tol plus m times the largest tail bound of the array."""
+
+    CASES = 400
+
+    def test_power_sum_is_the_tensordot_sum(self):
+        for phi, pts, _ in grid_cases(1, self.CASES):
+            for z in (pts, pts[0], complex(pts[-1])):
+                assert eval_series(phi, z).tobytes() == reference_power_sum(phi, z).tobytes()
+
+    def test_gram_is_the_reference_form(self):
+        for phi, pts, vecs in grid_cases(2, self.CASES):
+            for v in (None, vecs):
+                gram = series_module._gram_matrix(phi, pts, v)
+                assert gram.tobytes() == reference_gram(phi, pts, v).tobytes()
+
+    def test_kernel_value_is_the_reference_block(self):
+        for phi, pts, _ in grid_cases(3, self.CASES):
+            z, w = pts[0], pts[-1]
+            d = phi.seq.block_dim
+            expected = reference_gram(phi, np.array([z, w]))[:d, d:]
+            assert kernel_value(phi, z, w).tobytes() == expected.tobytes()
+
+    def test_report_is_the_reference_report(self):
+        for phi, pts, vecs in grid_cases(4, self.CASES):
+            for v, tol in ((None, 1e-6), (vecs, 0.0)):
+                rep = kernel_gram(phi, pts, v, tol=tol)
+                min_eig = float(np.linalg.eigvalsh(reference_gram(phi, pts, v))[0])
+                widened = tol + len(pts) * float(np.max(reference_tail(phi, pts)))
+                assert rep.min_eigenvalue == min_eig and rep.tolerance_used == widened
+                assert rep.is_psd == (min_eig >= -widened)
+
+    def test_denominators_are_the_hermitian_part_of_one_minus_the_outer_product(self):
+        for _, pts, _ in grid_cases(5, self.CASES):
+            den = series_module._szego_denominators(pts)
+            assert den.tobytes() == reference_denominators(pts).tobytes()
+
+    def test_hermitian_part_is_the_two_halves_summed(self):
+        # zeros of either sign, subnormals and parts near the float maximum,
+        # where halving before the sum decides the bits, in every position
+        rng = np.random.default_rng(6)
+        parts = np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308, -1.7e308, 1.0, -3.5]
+        )
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            special = rng.choice(parts, (2, n, n))
+            gaussian = rng.standard_normal((2, n, n))
+            real, imag = np.where(rng.random((2, n, n)) < 0.7, special, gaussian)
+            m = real + 1j * imag
+            for a in (m, m.real.copy()):
+                got = _hermitian(a)
+                assert got.dtype == reference_hermitian(a).dtype
+                assert got.tobytes() == reference_hermitian(a).tobytes()
 
 
 class TestTailNorm:
