@@ -77,29 +77,34 @@ decaying powers of W, with L^2; where it exceeds the bound, the later rungs
 decide on the same output.  Either way the output is the central
 extension's, whatever eps is: eps moves no central output.
 
-Shifted chain.  Only parametrized chains take it.  It builds the state
-above from the same T_N and eigenvalues, with one solve for both
-predictors, and runs one loop over a newest-first buffer of the
-coefficients, in which gamma of every level is a strided view: each step
-takes the center gamma a, moves to its ball point and borders the state.
-A step factors each d x d matrix once: one ``eigh`` of S gives the
-eigenvalues that check its level and S^{1/2}, one ``eigh`` of the
-Hermitian part of alpha^{-1} gives alpha^{-1/2} and alpha^{1/2} (and
-refuses an alpha^{-1} that is not positive definite), so D = S^{1/2} Gamma
-alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2}, and one solve gives v.
-The subtraction updates of S and alpha^{-1} are kept on purpose: the
-congruence S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact algebra stays
-positive definite whatever the rounding does to the chain, so the check of
-S would see nothing.  Every Hermitian part is formed by
+Shifted chain.  Only parametrized chains take it.  Every contraction is
+checked (block shape, finite entries, operator norm at most 1) before the
+data, so the loop does arithmetic only.  The chain builds the state above
+from the same T_N and eigenvalues, with one solve for both predictors, and
+runs one loop over a newest-first buffer of the coefficients, in which
+gamma of every level is a strided view: each step takes the center gamma a,
+moves to its ball point and borders the state.  A step factors each d x d
+matrix it divides by once, by two ``eigh`` and no solve: the ``eigh`` of S
+gives the eigenvalues that the singularity rule tests, S^{1/2} and
+S^{-1/2}; the ``eigh`` of the Hermitian part of alpha^{-1} gives
+alpha^{-1/2} and alpha^{1/2} (and refuses an alpha^{-1} that is not
+positive definite).  So D = S^{1/2} Gamma alpha^{-1/2},
+v = S^{-1} D = S^{-1/2} Gamma alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2},
+and a zero Gamma gives D = v = p = 0 exactly.  The subtraction updates of S
+and alpha^{-1} are kept on purpose: the congruence
+S' = S^{1/2} (I - Gamma Gamma*) S^{1/2} of exact algebra stays positive
+definite whatever the rounding does to the chain, so the check of S would
+see nothing.  Every Hermitian part is formed by
 ``linalg._hermitian``, halved before adding, so data near the float
 maximum give a finite S.
 
-The chain's singularity rule (``_check_definite``) guards its solves: the
-eps-shifted matrix of level n, of size m = (n + 1) d, is positive definite
-at working precision when a tested eigenvalue clears top m u, top its
-largest eigenvalue.  It tests the data level N before the state is built,
-and the bound S of each chained level below the last as the chain goes (S
-is a Schur complement of the level's shifted matrix, so it is positive
+The chain's singularity rule (``_check_definite``) guards what the chain
+inverts: the eps-shifted matrix of level n, of size m = (n + 1) d, is
+positive definite at working precision when a tested eigenvalue clears
+top m u, top its largest eigenvalue.  It tests the data level N before the
+state is built (the predictors' solve is against level N - 1), and at each
+step the bound S that the step inverts, of level N at the first step (S is
+a Schur complement of the level's shifted matrix, so it is positive
 definite exactly when that matrix is).  The data passed their own check,
 so a refusal raises SingularBlockError naming the level: the shift is too
 small for the data, or the chain's rounding (or a unit-norm contraction,
@@ -145,6 +150,7 @@ approaches that extension as eps -> 0, so each is a solution of the
 truncated-data interpolation problem, with different bits.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,20 +203,23 @@ class ExtensionStep:
     left_bound: np.ndarray
 
 
-def _roots(a, name=None):
-    # the eigenvalues of the Hermitian part of a and its square root, tiny
-    # negatives clamped; given the ``name`` of a, also its inverse square
-    # root, after refusing a Hermitian part that is not positive definite
-    # (a clamped eigenvalue would give 1 / 0)
+def _roots(a, name=None, *rule):
+    # the square root of the Hermitian part of a, tiny negatives of its
+    # eigenvalues clamped; given the ``name`` of a, also its inverse square
+    # root, after refusing a part that is not positive definite (a clamped
+    # eigenvalue would give 1 / 0): by the chain's singularity rule
+    # ``_check_definite`` where its arguments after the least eigenvalue are
+    # given as ``rule``, and otherwise where that eigenvalue is not positive
     eigs, vecs = np.linalg.eigh(_hermitian(a))
-    if name is not None and not eigs[0] > 0:
+    if rule:
+        _check_definite(eigs[0], *rule)
+    elif name is not None and not eigs[0] > 0:
         raise SingularBlockError(
             f"{name} is not positive definite at working precision "
             f"(least eigenvalue {eigs[0]:.3e})"
         )
     roots = np.sqrt(np.clip(eigs, 0.0, None))
-    scales = [roots] if name is None else [roots, 1.0 / roots]
-    return (eigs, *[(vecs * r) @ vecs.conj().T for r in scales])
+    return [(vecs * r) @ vecs.conj().T for r in ([roots] if name is None else [roots, 1 / roots])]
 
 
 def _block(x, shape, name):
@@ -223,6 +232,17 @@ def _block(x, shape, name):
     if not np.isfinite(x).all():
         raise OutOfBallError(f"{name} has a non-finite entry")
     return x
+
+
+def _count(value, name):
+    # ``value`` as a nonnegative int (numpy integers pass), refused as the
+    # argument ``name`` before any arithmetic
+    try:
+        if (count := operator.index(value)) >= 0:
+            return count
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    raise ValueError(f"{name} must be nonnegative, got {count}")
 
 
 def _contraction(contraction, shape):
@@ -302,13 +322,12 @@ def _ball_state(seq, eps, dense, eigs):
     # (``_decomposed_data``), after the singularity check of its level
     d = seq.block_dim
     _check_definite(eigs[0] + eps, eigs[-1] + eps, seq.order, d, eps)
-    shifted_rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
+    rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
     # of recombining inverse blocks, which cancels catastrophically for tiny
     # eps; both predictors from one factorisation, copied out contiguous
     # (numpy multiplies strided column blocks with other roundings)
-    corner, col, sub = shifted_rev[:d, :d], shifted_rev[d:, :d], shifted_rev[d:, d:]
-    gamma = shifted_rev[-d:, :-d]
+    corner, col, sub, gamma = rev[:d, :d], rev[d:, :d], rev[d:, d:], rev[-d:, :-d]
     both = np.linalg.solve(sub, np.hstack([col, gamma.conj().T]))
     forward, backward = both[:, :d].copy(), both[:, d:].copy()
     s = corner - gamma @ backward
@@ -351,8 +370,7 @@ def central_step(seq, eps, tol=1e-9):
         If the spectrum of T_N passes the float maximum, or ``eps`` is too
         small to make the shifted matrix invertible at working precision.
     """
-    dense, eigs = _decomposed_data(seq, eps, tol)[:2]
-    forward, _, s, alpha_inv, gamma = _ball_state(seq, eps, dense, eigs)
+    forward, _, s, alpha_inv, gamma = _ball_state(seq, eps, *_decomposed_data(seq, eps, tol)[:2])
     # the step keeps its own d x Nd gamma, not a view that pins the shifted
     # (N + 1)d x (N + 1)d matrix it was cut from
     x = gamma @ forward
@@ -394,7 +412,7 @@ def parametrized_step(step, contraction):
         precision.
     """
     g = _contraction(contraction, step.x_center.shape)
-    return step.x_center + _roots(step.left_bound)[1] @ g @ _roots(step.alpha, "alpha")[2]
+    return step.x_center + _roots(step.left_bound)[0] @ g @ _roots(step.alpha, "alpha")[1]
 
 
 def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
@@ -426,6 +444,9 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
 
     Raises
     ------
+    TypeError
+        If ``steps`` is not an integer (numpy integers are), before any
+        arithmetic.
     ValueError
         If ``steps`` is negative, ``eps`` is not positive and finite, or
         ``tol`` is negative, NaN or infinite.
@@ -440,19 +461,22 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         central extension or the parametrized chain, level L, the bound,
         the least eigenvalue and the margin.
         For a parametrized chain also, naming the level, where the
-        eps-shifted Toeplitz matrix its solves need is not positive
-        definite at working precision: the data level (a shift too small
-        for the data) or a chained level whose bound S fails (the data
-        passed their check, so the failure is the chain's rounding or a
-        unit-norm contraction); or if the alpha^{-1} of a step is not
-        positive definite.
+        eps-shifted Toeplitz matrix it inverts is not positive definite at
+        working precision: the data level (a shift too small for the data)
+        or a level whose bound S a step inverts (the data passed their
+        check, so the failure is the chain's rounding or a unit-norm
+        contraction); or if the alpha^{-1} of a step is not positive
+        definite.
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
+        Every contraction is checked, after their count and before the
+        data.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
+    steps = _count(steps, "steps")
     if contractions is not None and len(contractions) != steps:
         raise DimensionError(f"expected {steps} contraction parameters, got {len(contractions)}")
+    if contractions is not None:
+        contractions = [_contraction(g, (seq.block_dim,) * 2) for g in contractions]
     dense, eigs, vecs, margin = _decomposed_data(seq, eps, tol)
     if steps == 0:
         return seq
@@ -461,27 +485,22 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         return _checked_output(coeffs, max(tol, eps), "central extension", beta)
     n, d = len(seq), seq.block_dim
     a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
-    # the coefficients newest first in one d x (N + 1 + steps) d row: the one
-    # appended next goes to position ``pos``, and gamma is the window after it
+    # the coefficients newest first in one d x (N + 1 + steps) d row, filled
+    # from the right
     rev = np.empty((d, n + steps, d), dtype=complex)
     rev[:, steps:] = seq.coefficients[::-1].transpose(1, 0, 2)
-    for k in range(steps):
-        pos = steps - 1 - k
-        gamma = rev[:, pos + 1 : pos + 1 + len(a) // d].reshape(d, -1)
-        # D = S^{1/2} G alpha^{-1/2} and p = alpha D* = alpha^{1/2} G* S^{1/2}
-        # from one eigh of S and one of alpha^{-1}
-        s_eigs, s_half = _roots(s)
-        if k:
-            _check_definite(s_eigs[0], eigs[-1] + eps, n + k - 1, d, eps)
-        g = _contraction(contractions[k], (d, d))
-        _, a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
+    for k, g in enumerate(contractions):
+        # D = S^{1/2} G alpha^{-1/2}, v = S^{-1} D = S^{-1/2} G alpha^{-1/2} and
+        # p = alpha D* = alpha^{1/2} G* S^{1/2} from one eigh of S, whose level
+        # N + k the singularity rule tests first, and one of alpha^{-1}; the
+        # step's coefficient goes before the window of gamma, M_{N+k} .. M_1
+        s_half, s_inv_half = _roots(s, "S", eigs[-1] + eps, n - 1 + k, d, eps)
+        a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
         diff = s_half @ g @ a_inv_half
-        rev[:, pos] = gamma @ a + diff
-        v = np.linalg.solve(s, diff)
-        p = a_half @ g.conj().T @ s_half
+        rev[:, steps - 1 - k] = rev[:, steps - k : -1].reshape(d, -1) @ a + diff
+        v, p = s_inv_half @ g @ a_inv_half, a_half @ g.conj().T @ s_half
         a, b = np.vstack([a - b @ v, v]), np.vstack([p, b - a @ p])
-        s = _hermitian(s - diff @ p)
-        alpha_inv = alpha_inv - diff.conj().T @ v
+        s, alpha_inv = _hermitian(s - diff @ p), alpha_inv - diff.conj().T @ v
     return _checked_output(rev[:, ::-1].transpose(1, 0, 2), eps, "parametrized chain")
 
 
@@ -693,6 +712,9 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
 
     Raises
     ------
+    TypeError
+        If ``horizon`` is not an integer (numpy integers are), before any
+        arithmetic.
     ValueError
         If ``horizon`` is negative, ``tol`` is negative, NaN or infinite,
         or, beyond N, ``eps`` is not positive and finite.
@@ -702,8 +724,7 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
         As ``extend``: where the spectrum of T_N passes the float maximum,
         or the output check refuses the central extension.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    horizon = _count(horizon, "horizon")
     if horizon <= seq.order:
         return certified_series(seq, radius, tol)
     return HerglotzSeries(extend(seq, horizon - seq.order, eps, tol=tol), radius, certified=True)

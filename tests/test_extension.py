@@ -74,6 +74,20 @@ def scaled_chain(seed):
     return seq, contractions
 
 
+def cholesky_seconds(size):
+    # the wall time of one Cholesky factorisation of a size x size complex
+    # positive definite matrix, the unit of this module's time guards.  Timed
+    # beside the call that a guard bounds, it slows as that call does when the
+    # host is loaded, so the guard trips on dense work of the wrong order, not
+    # on a busy host
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    a = a + a.conj().T + 4 * size * np.eye(size)
+    start = time.perf_counter()
+    np.linalg.cholesky(a)
+    return time.perf_counter() - start
+
+
 def min_prefix_eigs(seq):
     return [
         np.linalg.eigvalsh(assemble(seq.truncated(n)).dense)[0] for n in range(len(seq))
@@ -329,9 +343,9 @@ class TestExtend:
         # not determinate) and solves and decomposes nothing else.  A
         # parametrized chain builds its state with one solve against the
         # N d x N d matrix one level down for both predictors, and runs per
-        # step one eigh of S, one of alpha^{-1} and one d x d solve, and no
-        # inv; its final check is one assembly and one Cholesky
-        # factorisation of its whole output
+        # step one eigh of S, one of alpha^{-1} and no solve or inv; its final
+        # check is one assembly and one Cholesky factorisation of its whole
+        # output
         seq = fixture_sequence(8, 2, 7, 3)
         d = seq.block_dim
         data, past = len(seq) * d, seq.order * d
@@ -345,7 +359,7 @@ class TestExtend:
             "assemble": [data, output],
             "eigh": [data] + [d] * 2 * steps,
             "svd": [],
-            "solve": [past] + [d] * steps,
+            "solve": [past],
             "cholesky": [output],
             "eigvalsh": [],
         }
@@ -489,6 +503,46 @@ class TestExtend:
     def test_negative_step_count_raises(self):
         with pytest.raises(ValueError, match="nonnegative"):
             extend(scalar_seq([1, 0.5]), -1)
+
+    @pytest.mark.parametrize("steps", [2.5, 2.0, np.float64(2)])
+    def test_non_integral_step_count_raises_before_the_data_check(self, monkeypatch, steps):
+        def unexpected(*args):
+            raise AssertionError("the data were checked before the step count")
+
+        monkeypatch.setattr(extension, "_decomposed_data", unexpected)
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            extend(scalar_seq([1, 0.5]), steps)
+
+    @pytest.mark.parametrize("contractions", [None, [np.zeros((1, 1))] * 3])
+    def test_numpy_integer_step_count_counts_as_its_int(self, contractions):
+        seq = scalar_seq([1, 0.5])
+        expected = extend(seq, 3, contractions=contractions).coefficients.tobytes()
+        got = extend(seq, np.int64(3), contractions=contractions).coefficients.tobytes()
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "last, error, refusal",
+        [
+            (np.zeros((3, 3)), DimensionError, "contraction shape"),
+            (np.array([[0.5, np.nan], [0, 0.5]]), OutOfBallError, "non-finite"),
+            (np.diag([0.5, 1.5]), OutOfBallError, "operator norm 1.500000 > 1"),
+        ],
+        ids=["shape", "non-finite", "norm"],
+    )
+    def test_malformed_last_contraction_is_refused_before_the_data_check(
+        self, count_dense_calls, monkeypatch, last, error, refusal
+    ):
+        # every contraction is checked before the data's eigh and the chain's
+        # loop, so a bad last one is refused before any decomposition
+        def unexpected(*args):
+            raise AssertionError("the data were checked before the contractions")
+
+        monkeypatch.setattr(extension, "_decomposed_data", unexpected)
+        contractions = [0.5 * np.eye(2)] * 3 + [last]
+        calls = count_dense_calls()
+        with pytest.raises(error, match=refusal):
+            extend(fixture_sequence(9, 2, 5, 2), 4, eps=1e-8, contractions=contractions)
+        assert calls["eigh"] == calls["eigvalsh"] == calls["solve"] == calls["assemble"] == []
 
     @pytest.mark.parametrize("kwargs", NON_FINITE_ARGUMENTS)
     @pytest.mark.parametrize("values", [[1, 2], [2, 1]])
@@ -676,6 +730,20 @@ class TestSolveCf:
         with pytest.raises(ValueError, match="nonnegative"):
             solve_cf(scalar_seq([1, 0.5]), -3)
 
+    @pytest.mark.parametrize("horizon", [1.0, 3.5, np.float64(4)])
+    def test_non_integral_horizon_raises_before_any_arithmetic(self, count_dense_calls, horizon):
+        # below, at and past the order of the data alike
+        calls = count_dense_calls()
+        with pytest.raises(TypeError, match="horizon must be an integer"):
+            solve_cf(scalar_seq([1, 0.5]), horizon)
+        assert all(sizes == [] for sizes in calls.values())
+
+    @pytest.mark.parametrize("horizon", [1, 4])
+    def test_numpy_integer_horizon_counts_as_its_int(self, horizon):
+        seq = scalar_seq([1, 0.5])
+        expected = solve_cf(seq, horizon).seq.coefficients.tobytes()
+        assert solve_cf(seq, np.int32(horizon)).seq.coefficients.tobytes() == expected
+
     def test_data_level_assembled_and_decomposed_once(self, count_dense_calls):
         # the feasibility check, the rank and the minimal factor share one
         # assembly and one eigh of the data level, and no eigvalsh runs
@@ -712,9 +780,12 @@ class TestSolveCf:
         # 16), each extended from its minimal factor and settled by its
         # certificate, the output check's first rung: no T_L-sized Cholesky
         # factorisation or eigvalsh runs, and a (Hd)^2 complex array alone
-        # would be 256 MB
+        # would be 256 MB.  The call takes less time than one Cholesky
+        # factorisation of half T_L's size, an eighth of the dense rung it
+        # must not run
         seq = fixture_sequence(50, 2, state_dim, 8)
         horizon, data = 2000, len(seq) * seq.block_dim
+        unit = cholesky_seconds(horizon * seq.block_dim // 2)
         calls = count_dense_calls()
         tracemalloc.start()
         start = time.perf_counter()
@@ -730,14 +801,16 @@ class TestSolveCf:
         assert [n for n in calls["eigvalsh"] if n > seq.block_dim] == []
         assert max(n for sizes in calls.values() for n in sizes) == data
         assert peak < 16 * (horizon * seq.block_dim) ** 2 / 64
-        assert elapsed < 1.0
+        assert elapsed < unit
 
     def test_slowly_decaying_powers_are_checked_densely(self, count_dense_calls, monkeypatch):
         # the powers of W decay slowly here (spectral radius 0.9994), so the
         # certificate's beta (5.2e-8 at H = 1000) exceeds max(tol, eps): one
         # shifted Cholesky factorisation of the output's T_L settles it, no
         # eigenvalue check runs, and the output is the central extension's,
-        # bit for bit.  The eps-shifted chain, which decided such data
+        # bit for bit.  The call takes less time than three Cholesky
+        # factorisations of T_L's size, where that rung run once per step
+        # would take 992.  The eps-shifted chain, which decided such data
         # before, took 2.5-3.6 s here, its output falling through to eigvalsh
         def unexpected(*args):
             raise AssertionError("the central extension built the shifted chain's state")
@@ -747,13 +820,14 @@ class TestSolveCf:
         data = extension._decomposed_data(seq, 1e-8, 1e-9)
         coeffs, beta = extension._central_extension(seq, *data, 992)
         assert beta > 1e-8
+        unit = cholesky_seconds(2002)
         calls = count_dense_calls()
         start = time.perf_counter()
         phi = solve_cf(seq, horizon=1000)
         elapsed = time.perf_counter() - start
         assert phi.seq.coefficients.tobytes() == coeffs.tobytes()
         assert calls["cholesky"] == [2002] and calls["eigvalsh"] == []
-        assert elapsed < 2.0
+        assert elapsed < 3 * unit
 
     def test_short_horizon_returns_input(self):
         seq = scalar_seq([1, 0.5, 0.25])
@@ -786,9 +860,12 @@ class TestDeterminateExtension:
 
     def test_long_horizon_is_the_realization(self):
         # order-8 data of a 5-dimensional realization to horizon 2000, which
-        # the shifted chain could only settle with a dense 4000 x 4000 check
+        # the shifted chain could only settle with a dense 4002 x 4002 check:
+        # the call takes less time than one Cholesky factorisation of half
+        # that size, an eighth of that check
         rlz = random_realization(0, 2, 5)
         seq = realization_coefficients(rlz, 8)
+        unit = cholesky_seconds(2001)
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -798,7 +875,7 @@ class TestDeterminateExtension:
         finally:
             tracemalloc.stop()
         assert phi.certified and phi.seq.order == 2000
-        assert elapsed < 1.0
+        assert elapsed < unit
         assert peak < 4 * 2**20
         expected = realization_coefficients(rlz, 2000).coefficients
         size = float(np.abs(expected).max())
