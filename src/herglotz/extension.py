@@ -60,9 +60,10 @@ determinate data (k = r: rank T_N = rank T_{N-1}) W is unitary and the
 extension unique; M_n = sum_k g_k g_k* lambda_k^n over the eigenpairs of
 W, in one product over the unit-circle powers, O(N^3 d^3 + L r d^2).
 Otherwise (k < r, partially determinate data, 0 < rank S < d, included)
-X_n = W X_{n-1} from X_0 = F_0 and M_n = F_0* X_n, one r x r by r x d
-product per step, O(N^3 d^3 + L r^2 d).  Either way each coefficient's
-bits do not depend on the horizon L.
+the orbit X_n = W^n F_0 (``series._orbit``, the running product that also
+expands the realization fixtures and ``series.gram_isometries``) gives
+M_n = F_0* X_n, one r x r by r x d product per step, O(N^3 d^3 + L r^2 d).
+Either way each coefficient's bits do not depend on the horizon L.
 
 Its certificate.  For a contraction Wt, the Toeplitz matrix of
 F_0* Wt^n F_0 is exactly PSD (a unitary dilation of Wt makes it a Gram
@@ -150,14 +151,13 @@ approaches that extension as eps -> 0, so each is a solution of the
 truncated-data interpolation problem, with different bits.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionError, OutOfBallError, SingularBlockError
-from .linalg import _MACHINE_EPS, _hermitian
-from .series import HerglotzSeries, _powers, certified_series
+from .linalg import _MACHINE_EPS, _hermitian, _integer
+from .series import HerglotzSeries, _orbit, _powers, certified_series
 from .toeplitz import (
     CoefficientSequence,
     _cholesky_clears,
@@ -235,14 +235,18 @@ def _block(x, shape, name):
 
 
 def _count(value, name):
-    # ``value`` as a nonnegative int (numpy integers pass), refused as the
-    # argument ``name`` before any arithmetic
-    try:
-        if (count := operator.index(value)) >= 0:
-            return count
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    raise ValueError(f"{name} must be nonnegative, got {count}")
+    # ``value`` as a nonnegative int (numpy integers pass, ``linalg._integer``),
+    # refused as the argument ``name`` before any arithmetic
+    if (count := _integer(value, name)) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {count}")
+    return count
+
+
+def _check_shift(eps):
+    # the shift ``eps`` of every extension entry point, refused unless
+    # positive and finite
+    if not 0 < eps < np.inf:
+        raise ValueError(f"shift eps must be positive and finite, got {eps}")
 
 
 def _contraction(contraction, shape):
@@ -311,8 +315,7 @@ def _decomposed_data(seq, eps, tol):
     # T_N, its eigenpairs and their interlacing margin after the shift's sign
     # and the data check of ``toeplitz._decomposed``: every extension entry
     # point takes its data here
-    if not 0 < eps < np.inf:
-        raise ValueError(f"shift eps must be positive and finite, got {eps}")
+    _check_shift(eps)
     return _decomposed(seq, tol)
 
 
@@ -578,9 +581,10 @@ def _central_extension(seq, dense, eigs, vecs, margin, steps):
     # L^2 u ||G||^2, the rest like L r u; the branch costs O(N^3 d^3 + L r d^2).
     #
     # Other data (k < r).  X_0 = F_0 and X_n = fl(W^ X_{n-1}) for the
-    # computed W^, one r x r by r x d product per step, and M^_n =
-    # fl(F_0* X_n): each coefficient comes from the same products whatever
-    # L, in O(N^3 d^3 + L r^2 d).
+    # computed W^: the orbit of F_0 under W^ (``series._orbit``, the running
+    # product of every realization in the library), one r x r by r x d
+    # product per step, and M^_n = fl(F_0* X_n): each coefficient comes from
+    # the same products whatever L, in O(N^3 d^3 + L r^2 d).
     #
     # Certificate (k < r).  With delta >= ||W^||_2 - 1, Wt = W^ / (1 + delta)
     # is a contraction, so Wt^n = P_H U^n |_H for a unitary dilation U
@@ -632,10 +636,7 @@ def _central_extension(seq, dense, eigs, vecs, margin, steps):
     with np.errstate(over="ignore", invalid="ignore"):
         w = outer @ inner
         if k < r:
-            xs = np.empty((last + 1, r, d), dtype=complex)
-            xs[0] = rows[:d].conj().T
-            for j in range(last):
-                np.matmul(w, xs[j], out=xs[j + 1])
+            xs = _orbit(w, rows[:d].conj().T, last)
             model = rows[:d] @ xs
             x = np.sqrt(_frobenius_squares(xs))
             basis = np.stack((outer, inner.conj().T))
@@ -716,8 +717,9 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
         If ``horizon`` is not an integer (numpy integers are), before any
         arithmetic.
     ValueError
-        If ``horizon`` is negative, ``tol`` is negative, NaN or infinite,
-        or, beyond N, ``eps`` is not positive and finite.
+        If ``horizon`` is negative, ``eps`` is not positive and finite (at
+        every horizon, checked before the data), or ``tol`` is negative,
+        NaN or infinite.
     NotPsdError
         Naming the first truncation level whose Toeplitz matrix fails.
     SingularBlockError
@@ -725,6 +727,7 @@ def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
         or the output check refuses the central extension.
     """
     horizon = _count(horizon, "horizon")
+    _check_shift(eps)
     if horizon <= seq.order:
         return certified_series(seq, radius, tol)
     return HerglotzSeries(extend(seq, horizon - seq.order, eps, tol=tol), radius, certified=True)

@@ -10,6 +10,7 @@ pure: inputs are never modified.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,16 @@ def _check_tol(tol):
     # negative one fails exact data: none certifies anything
     if not 0 <= tol < np.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def _integer(value, name):
+    # ``value`` as an int (numpy integers pass), refused as the argument
+    # ``name`` before any work: a float count would otherwise fail only in
+    # numpy's slicing or reshaping, after the work before it
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _square(m, what="matrix"):
@@ -334,6 +345,8 @@ def schur_split(g, k):
 
     Raises
     ------
+    TypeError
+        If ``k`` is not an integer (numpy integers are), checked first.
     DimensionError
         If G is not square or ``k`` is not in 1..n.
     ValueError
@@ -342,6 +355,7 @@ def schur_split(g, k):
         If A is numerically singular; the smallest singular value is
         reported.
     """
+    k = _integer(k, "k")
     g = _square(g)
     n = g.shape[0]
     if not 1 <= k <= n:

@@ -29,6 +29,7 @@ from .exceptions import (
 from .linalg import (
     _check_tol,
     _hermitian,
+    _integer,
     _psd_verdict,
     connecting_isometry,
     hermitian_split,
@@ -170,6 +171,20 @@ def _powers(z, n):
     table = np.empty(z.shape + (n,), dtype=z.dtype)
     table[...] = z[..., None]
     return np.multiply.accumulate(table, axis=-1, out=table)
+
+
+def _orbit(a, y, n):
+    # y, a y, ..., a^n y stacked on a new first axis: the expansion of every
+    # Hilbert-space realization C* V^n C of the library (the fixtures, the
+    # central extension's minimal factor, the base isometries of
+    # ``gram_isometries``).  Each power is one matmul into its slot of the
+    # stack, so a^k y has the bits of k products taken one after another,
+    # whatever n is: a longer orbit extends a shorter one bit for bit
+    ys = np.empty((n + 1,) + y.shape, dtype=complex)
+    ys[0] = y
+    for k in range(n):
+        np.matmul(a, ys[k], out=ys[k + 1])
+    return ys
 
 
 def eval_series(phi, z):
@@ -314,8 +329,10 @@ def kernel_finite_section(seq, z, w, n):
 
     Computes ``2 row(z) M_n row(w)*`` with row(z) = (z^n I, ..., z I, I);
     as n grows this converges geometrically to K(z, w) of the series of
-    ``seq`` for |z|, |w| < 1.
+    ``seq`` for |z|, |w| < 1.  ``n`` must be an integer (numpy integers
+    are); anything else raises ``TypeError`` before any work.
     """
+    n = _integer(n, "n")
     z = complex(z)
     w = complex(w)
     if not (abs(z) < 1 and abs(w) < 1):
@@ -364,26 +381,26 @@ def realization_coefficients(rlz, n_max, tol=1e-8):
 
     Every truncation-level Toeplitz matrix of the result is PSD by
     construction, which makes realizations the fixture oracle of choice.
+    The states (V*)^n C are the orbit of C under V* (``_orbit``, the one
+    running product of every realization in the library), and every
+    C* (V*)^n C comes from one stacked product: the bits of the products
+    taken step by step.
 
     Raises
     ------
+    TypeError
+        If ``n_max`` is not an integer (numpy integers are), before the
+        realization is checked.
     ValueError
         If ``n_max`` is negative, or ``tol`` is negative, NaN or infinite.
     FixtureError
         If the realization is malformed: shapes that do not fit, a
         non-finite entry, D not skew or V not an isometry within ``tol``.
     """
-    if n_max < 0:
+    if (n_max := _integer(n_max, "n_max")) < 0:
         raise ValueError(f"order must be nonnegative, got {n_max}")
     d, c, v = _check_realization(rlz, tol)
-    # the states y_k = (V*)^k C, one after another, then every C* y_k in one
-    # stacked matmul: the bits of the products taken step by step
-    states = np.empty((n_max + 1,) + c.shape, dtype=complex)
-    states[0] = c
-    vh = v.conj().T
-    for k in range(n_max):
-        np.matmul(vh, states[k], out=states[k + 1])
-    blocks = c.conj().T @ states
+    blocks = c.conj().T @ _orbit(v.conj().T, c, n_max)
     blocks[0] += d
     return CoefficientSequence(blocks)
 
@@ -408,8 +425,12 @@ def random_realization(seed, block_dim, state_dim, zero_c=False):
 
     ``seed`` may be an integer or a ``numpy.random.Generator``.  The
     unitary is an orthogonalized complex Gaussian with the QR phase fix,
-    so identical seeds reproduce identical fixtures bit for bit.
+    so identical seeds reproduce identical fixtures bit for bit.  The
+    dimensions must be integers (numpy integers are; anything else raises
+    ``TypeError``) and at least 1 (``DimensionError``), both checked before
+    anything is drawn from a given ``Generator``.
     """
+    block_dim, state_dim = _integer(block_dim, "block_dim"), _integer(state_dim, "state_dim")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if block_dim < 1 or state_dim < 1:
         raise DimensionError("block and state dimensions must be at least 1")
@@ -501,13 +522,13 @@ def gram_isometries(seq, tol=1e-8):
     column blocks satisfy F_j = W^j F_0 for the partial isometry W from the
     past blocks (F_0 ... F_{N-1}) onto the future ones (F_1 ... F_N), and
     F_0 factors Re M_0 = T0* T0.  So V_0 is the orthogonal Procrustes
-    solution of ``connecting_isometry`` with F_0 = V_0 T0, and V_j = W V_{j-1}
-    gives F_j = V_j T0: one SVD for V_0 and one for W.  Verifies the
-    factorisation through G = (V_0 T0 ... V_N T0): its first block row
-    reproduces the data, M_j = T0* V_0* V_j T0 for j >= 1, and G* G
-    reproduces T_N, each within ``tol`` times ||T_N||_F, so the verdict
-    does not change when the data are rescaled; data with Re M_0 = 0 are
-    checked the same way.  The V_j are not tested for ``V_j* V_j = I``, nor
+    solution of ``connecting_isometry`` with F_0 = V_0 T0, and the orbit
+    V_j = W^j V_0 (``_orbit``) gives F_j = V_j T0: one SVD for V_0 and one
+    for W.  Verifies the factorisation through G = (V_0 T0 ... V_N T0): its
+    first block row reproduces the data, M_j = T0* V_0* V_j T0 for j >= 1,
+    and G* G reproduces T_N, each within ``tol`` times ||T_N||_F, so the
+    verdict does not change when the data are rescaled; data with Re M_0 =
+    0 are checked the same way.  The V_j are not tested for ``V_j* V_j = I``, nor
     their Gram matrix for positivity: V_0, a polar factor from a thin SVD,
     is an isometry to rounding by construction, and W is one on the range
     of the past blocks, which holds F_0 ... F_{N-1}, less the singular
@@ -536,10 +557,8 @@ def gram_isometries(seq, tol=1e-8):
     # T_N's leading block is Re M_0 (``assemble``)
     base = minimal_factorization(dense[:d, :d], tol_rank=tol)
     blocks = [f[:, j * d : (j + 1) * d] for j in range(len(seq))]
-    isometries = [connecting_isometry(base, blocks[0], tol=tol)]
-    w = outer @ inner
-    for _ in blocks[1:]:
-        isometries.append(w @ isometries[-1])
+    v0 = connecting_isometry(base, blocks[0], tol=tol)
+    isometries = list(_orbit(outer @ inner, v0, seq.order))
     g = np.hstack([v @ base.T for v in isometries])
     gram = g.conj().T @ g
     allowed = tol * float(np.linalg.norm(dense))

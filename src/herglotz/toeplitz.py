@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError, SingularBlockError
-from .linalg import _MACHINE_EPS, _check_tol, _hermitian, _procrustes, psd_report
+from .linalg import _MACHINE_EPS, _check_tol, _hermitian, _integer, _procrustes, psd_report
 
 __all__ = [
     "CoefficientSequence",
@@ -77,7 +77,12 @@ class CoefficientSequence:
         return self.coefficients.shape[0]
 
     def truncated(self, n):
-        """Sequence of the first n + 1 coefficients M_0 .. M_n."""
+        """Sequence of the first n + 1 coefficients M_0 .. M_n.
+
+        Raises ``TypeError`` if ``n`` is not an integer (numpy integers
+        are) and ``DimensionError`` if it is not in 0..N.
+        """
+        n = _integer(n, "n")
         if not 0 <= n <= self.order:
             raise DimensionError(f"truncation level {n} out of range 0..{self.order}")
         return CoefficientSequence(self.coefficients[: n + 1])
@@ -131,8 +136,10 @@ def reverse_blocks(dense, block_dim):
 
     Block (i, j) of the output equals block (m-1-i, m-1-j) of the input,
     where m is the number of blocks per side.  Works on any square matrix
-    whose size is a multiple of ``block_dim``.
+    whose size is a multiple of ``block_dim``; a ``block_dim`` that is not
+    an integer (numpy integers are) raises ``TypeError`` first.
     """
+    block_dim = _integer(block_dim, "block_dim")
     dense = np.asarray(dense)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {dense.shape}")
@@ -443,10 +450,13 @@ def cross_block_bound_check(bt, samples, tol=1e-9):
 
     which is nonnegative for PSD input because the compressed 2 x 2 matrix
     [[<A_ll v,v>, <A_lj w,v>], [conj, <A_jj w,w>]] is PSD and so is its
-    determinant.  Every sample is checked before any slack is computed.
+    determinant.  Every sample is checked before the matrix is decomposed
+    and before any slack is computed.
 
     Raises
     ------
+    TypeError
+        If a sample's block index is not an integer (numpy integers are).
     ValueError
         If ``tol`` is negative, NaN or infinite (``psd_report``), or a
         sample vector has a non-finite entry.
@@ -456,15 +466,11 @@ def cross_block_bound_check(bt, samples, tol=1e-9):
         If a sample's block indices are out of range or a sample vector
         does not have d entries.
     """
-    report = psd_report(bt.dense, tol)
-    if not report.is_psd:
-        raise NotPsdError(
-            f"block Toeplitz matrix is not PSD: min eigenvalue {report.min_eigenvalue:.3e}"
-        )
     d = bt.block_dim
     m = bt.num_blocks
     checked = []
     for (l, j), v, w in samples:
+        l, j = _integer(l, "block index"), _integer(j, "block index")
         if not (0 <= l < m and 0 <= j < m):
             raise DimensionError(f"block indices ({l}, {j}) out of range 0..{m - 1}")
         v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
@@ -475,6 +481,11 @@ def cross_block_bound_check(bt, samples, tol=1e-9):
         if not (np.isfinite(v).all() and np.isfinite(w).all()):
             raise ValueError("sample vectors must be finite")
         checked.append((l, j, v.reshape(d), w.reshape(d)))
+    report = psd_report(bt.dense, tol)
+    if not report.is_psd:
+        raise NotPsdError(
+            f"block Toeplitz matrix is not PSD: min eigenvalue {report.min_eigenvalue:.3e}"
+        )
     slacks = []
     for l, j, v, w in checked:
         a_ll = bt.dense[l * d : (l + 1) * d, l * d : (l + 1) * d]

@@ -730,6 +730,16 @@ class TestSolveCf:
         with pytest.raises(ValueError, match="nonnegative"):
             solve_cf(scalar_seq([1, 0.5]), -3)
 
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 9])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1e-8])
+    def test_bad_shift_raises_at_every_horizon(self, count_dense_calls, horizon, eps):
+        # below, at and past the order N = 1 of the data alike, before the
+        # data are checked; up to N the shift used to go unread
+        calls = count_dense_calls()
+        with pytest.raises(ValueError, match="shift eps must be positive and finite"):
+            solve_cf(scalar_seq([1, 0.5]), horizon, eps=eps)
+        assert all(sizes == [] for sizes in calls.values())
+
     @pytest.mark.parametrize("horizon", [1.0, 3.5, np.float64(4)])
     def test_non_integral_horizon_raises_before_any_arithmetic(self, count_dense_calls, horizon):
         # below, at and past the order of the data alike

@@ -360,6 +360,21 @@ class TestSchurSplit:
         with pytest.raises(DimensionError):
             schur_split(np.eye(3), 0)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, np.float64(1)])
+    def test_non_integral_split_index_raises_before_the_svd(self, monkeypatch, k):
+        def fail(*args, **kwargs):
+            raise AssertionError("the SVD ran before the split index was checked")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(TypeError, match="k must be an integer"):
+            schur_split(np.eye(3), k)
+
+    def test_numpy_integer_split_index_counts_as_its_int(self):
+        rng = np.random.default_rng(5)
+        g = random_complex(rng, 4, 4) + 4 * np.eye(4)
+        got = schur_split(g, np.int64(2))
+        assert got.schur_complement.tobytes() == schur_split(g, 2).schur_complement.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_non_finite_entry_is_refused_before_the_svd(self, monkeypatch, bad, where):

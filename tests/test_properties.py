@@ -47,9 +47,12 @@ output check; for ``gram_isometries`` on realization data, plain and
 perturbed: its factor is bitwise the F that ``extend`` builds, with its
 rank, its data verdicts are ``extend``'s, and the isometries it returns
 are isometries within 1e-8 that reproduce the data; for the stacked ``reduce``
-against a per-coefficient reduction, bit for bit; for the stacked products
-C* (V*)^n C of ``realization_coefficients`` against one product per step,
-bit for bit; and for the orthogonal
+against a per-coefficient reduction, bit for bit; for the one running
+product ``series._orbit`` against one product per step, bit for bit, at
+each realization it expands: the stacked products C* (V*)^n C of
+``realization_coefficients``, the k < r model F_0* W^n F_0 of the central
+extension and the base isometries W^j V_0 of ``gram_isometries`` (r = 0 and
+order 0 among them); and for the orthogonal
 Procrustes isometry of ``connecting_isometry``: an isometry to rounding
 whose residual is never above that of the polar factor of the
 least-squares map T' T^+, on factors of condition up to 1e12."""
@@ -235,16 +238,21 @@ def realization_series(draw):
     return HerglotzSeries(realization_coefficients(rlz, draw(st.integers(0, 300))), RADIUS)
 
 
+def per_step_orbit(a, y, n):
+    # y, a y, ..., a^n y, each power one product of a with the one before:
+    # the reference of ``series._orbit`` for every realization it expands
+    ys = [np.ascontiguousarray(y)]
+    for _ in range(n):
+        ys.append(a @ ys[-1])
+    return ys
+
+
 def per_step_coefficients(rlz, n_max):
     # M_0 = D + C*C and M_n = C* y_n with y_n = V* y_{n-1}: one product C* y_n
     # per step
     d, c, v = (np.asarray(x, dtype=complex) for x in (rlz.D, rlz.C, rlz.V))
-    blocks = [d + c.conj().T @ c]
-    y = c
-    vh = v.conj().T
-    for _ in range(n_max):
-        y = vh @ y
-        blocks.append(c.conj().T @ y)
+    blocks = [c.conj().T @ y for y in per_step_orbit(v.conj().T, c, n_max)]
+    blocks[0] = d + blocks[0]
     return np.stack(blocks)
 
 
@@ -956,6 +964,74 @@ def test_gram_isometries_read_the_factor_of_extend(case):
         assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) <= 1e-8
         m_j = t0.conj().T @ got.isometries[0].conj().T @ v @ t0
         assert j == 0 or np.linalg.norm(seq.coefficients[j] - m_j) <= allowed
+
+
+@st.composite
+def general_route_problems(draw):
+    # data of the general route of the central extension (k < r): a
+    # realization of state dimension above N d, so rank T_N > rank T_{N-1},
+    # d 1-3, N 0-8 (order 0 included: with no past blocks k = 0 < r),
+    # scaled by 10^k (|k| <= 6), to a horizon up to N + 80
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rlz = random_realization(rng, d, order * d + draw(st.integers(1, d + 2)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    seq = CoefficientSequence(realization_coefficients(rlz, order).coefficients * scale)
+    return seq, draw(st.integers(1, 80)), scale
+
+
+ORBIT_EXAMPLES = [
+    # r = 0 (Re M_0 = 0, no factor rows) and order 0 (no past blocks)
+    (CoefficientSequence.from_scalars([1j, 0]), 7, 1.0),
+    (CoefficientSequence.from_scalars([2.0]), 7, 1.0),
+    (CoefficientSequence(np.array([[2.0, 1j], [-1j, 3.0]])), 7, 1.0),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(general_route_problems())
+@example(ORBIT_EXAMPLES[0])
+@example(ORBIT_EXAMPLES[1])
+@example(ORBIT_EXAMPLES[2])
+def test_general_central_extension_is_bitwise_the_per_step_products(problem):
+    # past N the model of the k < r route is M_n = F_0* X_n with X_n = W^
+    # X_{n-1} from X_0 = F_0, each product taken by itself, bit for bit; at
+    # r = 0 (which takes the determinate branch) both are zero
+    seq, steps, scale = problem
+    data = extension._decomposed_data(seq, 1e-8, 1e-9 * scale)
+    rows, r, outer, inner = toeplitz._minimal_factor(*data[1:], seq.block_dim)
+    assert outer.shape[1] < r or r == 0
+    d, n, last = seq.block_dim, len(seq), seq.order + steps
+    expected = [rows[:d] @ x for x in per_step_orbit(outer @ inner, rows[:d].conj().T, last)]
+    got = extension._central_extension(seq, *data, steps)[0]
+    assert got[n:].tobytes() == np.stack(expected)[n:].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(route_problems(max_size=40), route_problems(max_size=40, perturb=True)))
+@example(ORBIT_EXAMPLES[0])
+@example(ORBIT_EXAMPLES[1])
+@example(ORBIT_EXAMPLES[2])
+def test_gram_isometries_are_bitwise_the_per_step_products(problem):
+    # V_0 is the Procrustes solution of the base factor and F_0, and V_j =
+    # W^ V_{j-1}, each product taken by itself, bit for bit; at r = 0 every
+    # V_j is 0 x 0, and at order 0 there is V_0 alone
+    seq, _, _ = problem
+    tol = 1e-8
+    try:
+        got = gram_isometries(seq, tol)
+    except (NotPsdError, SingularBlockError, FactorizationMismatchError):
+        return
+    dense, eigs, vecs, margin = toeplitz._decomposed(seq, tol)
+    d = seq.block_dim
+    rows, _, outer, inner = toeplitz._minimal_factor(eigs, vecs, margin, d)
+    base = minimal_factorization(dense[:d, :d], tol_rank=tol)
+    v0 = connecting_isometry(base, rows.conj().T[:, :d], tol=tol)
+    expected = per_step_orbit(outer @ inner, v0, seq.order)
+    assert len(got.isometries) == len(expected) == len(seq)
+    for v, e in zip(got.isometries, expected):
+        assert v.shape == e.shape and v.tobytes() == e.tobytes()
 
 
 @PROPERTY

@@ -460,6 +460,27 @@ class TestFiniteSectionKernel:
         with pytest.raises(DomainError):
             kernel_finite_section(seq, 1.0, 0.0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 1.0, np.float64(1)])
+    def test_non_integral_order_raises_before_any_work(self, monkeypatch, n):
+        # 2.5 used to fail in numpy's slicing, after the order test
+        def fail(*args):
+            raise AssertionError("the matrix was assembled before the order was checked")
+
+        monkeypatch.setattr(series_module, "assemble", fail)
+        seq = CoefficientSequence.from_scalars([1, 0.5, 0.25])
+        with pytest.raises(TypeError, match="n must be an integer"):
+            kernel_finite_section(seq, 0.1, 0.2, n)
+
+    def test_numpy_integer_order_counts_as_its_int(self):
+        seq = CoefficientSequence.from_scalars([1, 0.5, 0.25])
+        got = kernel_finite_section(seq, 0.1, 0.2, np.int64(2))
+        assert got.tobytes() == kernel_finite_section(seq, 0.1, 0.2, 2).tobytes()
+
+    @pytest.mark.parametrize("n, error", [(-1, DimensionError), (3, InsufficientDataError)])
+    def test_order_out_of_range_keeps_its_error(self, n, error):
+        with pytest.raises(error):
+            kernel_finite_section(CoefficientSequence.from_scalars([1, 0.5, 0.25]), 0.1, 0.2, n)
+
 
 class TestRealizationCoefficients:
     def test_scalar_all_ones(self):
@@ -497,8 +518,25 @@ class TestRealizationCoefficients:
 
     def test_negative_order_raises(self):
         # refused as extend refuses a negative step count, not read as order 0
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="order must be nonnegative, got -3"):
             realization_coefficients(random_realization(0, 2, 3), -3)
+
+    @pytest.mark.parametrize("n_max", [2.5, 2.0, np.float64(2), -1.5])
+    def test_non_integral_order_raises_before_the_realization_is_checked(
+        self, monkeypatch, n_max
+    ):
+        # the realization check is where the first matmul would run
+        def fail(*args):
+            raise AssertionError("the realization was checked before the order")
+
+        monkeypatch.setattr(series_module, "_check_realization", fail)
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            realization_coefficients(random_realization(0, 2, 3), n_max)
+
+    def test_numpy_integer_order_counts_as_its_int(self):
+        rlz = random_realization(0, 2, 3)
+        got = realization_coefficients(rlz, np.int64(5)).coefficients
+        assert got.tobytes() == realization_coefficients(rlz, 5).coefficients.tobytes()
 
 
 class TestEvalRealization:
@@ -594,6 +632,30 @@ class TestRandomRealization:
     def test_zero_dimension_raises(self, dims):
         with pytest.raises(DimensionError, match="at least 1"):
             random_realization(0, *dims)
+
+    @pytest.mark.parametrize(
+        "dims, error, message",
+        [
+            ((2.5, 3), TypeError, "block_dim must be an integer"),
+            ((2, 3.0), TypeError, "state_dim must be an integer"),
+            ((np.float64(2), 3), TypeError, "block_dim must be an integer"),
+            ((0, 3), DimensionError, "at least 1"),
+            ((2, -1), DimensionError, "at least 1"),
+        ],
+    )
+    def test_refusal_draws_nothing_from_the_callers_generator(self, dims, error, message):
+        # a float block dimension used to fail only at the draw of C, after
+        # the draw of V had advanced the generator
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        with pytest.raises(error, match=message):
+            random_realization(rng, *dims)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integer_dimensions_count_as_their_ints(self):
+        a = random_realization(12, np.int64(3), np.int32(6))
+        b = random_realization(12, 3, 6)
+        assert all(np.array_equal(x, y) for x, y in ((a.D, b.D), (a.C, b.C), (a.V, b.V)))
 
     def test_zero_c_flag(self):
         rlz = random_realization(4, 2, 7, zero_c=True)

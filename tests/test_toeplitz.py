@@ -34,6 +34,18 @@ class TestCoefficientSequence:
         assert seq.truncated(1).order == 1
         with pytest.raises(DimensionError):
             seq.truncated(7)
+        with pytest.raises(DimensionError, match="truncation level -1 out of range 0..2"):
+            seq.truncated(-1)
+
+    @pytest.mark.parametrize("n", [2.5, 1.0, np.float64(1), "1"])
+    def test_non_integral_truncation_level_raises(self, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            CoefficientSequence.from_scalars([1, 2, 3]).truncated(n)
+
+    def test_numpy_integer_truncation_level_counts_as_its_int(self):
+        seq = CoefficientSequence.from_scalars([1, 2, 3])
+        got = seq.truncated(np.int32(1)).coefficients
+        assert got.tobytes() == seq.truncated(1).coefficients.tobytes()
 
     def test_one_matrix_is_one_block(self):
         seq = CoefficientSequence(np.eye(2))
@@ -158,6 +170,20 @@ class TestReversal:
         with pytest.raises(DimensionError, match="square"):
             reverse_blocks(np.ones((2, 4)), 2)
 
+    @pytest.mark.parametrize("block_dim", [2.0, 2.5, np.float64(2)])
+    def test_non_integral_block_dim_raises(self, block_dim):
+        # 2.0 used to fail in numpy's reshape, 2.5 in the multiple test
+        with pytest.raises(TypeError, match="block_dim must be an integer"):
+            reverse_blocks(np.eye(4), block_dim)
+
+    def test_zero_block_dim_still_raises_dimension_error(self):
+        with pytest.raises(DimensionError, match="not a multiple of block dimension 0"):
+            reverse_blocks(np.eye(4), 0)
+
+    def test_numpy_integer_block_dim_counts_as_its_int(self):
+        dense = np.arange(16).reshape(4, 4).astype(complex)
+        assert np.array_equal(reverse_blocks(dense, np.int64(2)), reverse_blocks(dense, 2))
+
 
 class TestPositivityProfile:
     def test_all_ones(self):
@@ -265,6 +291,33 @@ class TestCrossBlockBound:
         bt = assemble(CoefficientSequence.from_scalars([1, 0]))
         with pytest.raises(DimensionError):
             cross_block_bound_check(bt, [((0, 5), [1.0], [1.0])])
+
+    @pytest.mark.parametrize(
+        "index, error",
+        [
+            ((0.5, 1), TypeError),
+            ((0, 1.0), TypeError),
+            ((np.float64(0), 1), TypeError),
+            ((0, 5), DimensionError),
+        ],
+    )
+    def test_bad_block_index_is_refused_before_the_eigensolve(
+        self, count_dense_calls, index, error
+    ):
+        # a last sample with a bad index is refused before the matrix's
+        # eigvalsh; a float index used to pass the range test and fail in
+        # the slicing, after it
+        bt = assemble(CoefficientSequence.from_scalars([1, 0.5]))
+        calls = count_dense_calls()
+        with pytest.raises(error, match="block ind"):
+            cross_block_bound_check(bt, [((0, 1), [1.0], [1.0]), (index, [1.0], [1.0])])
+        assert all(sizes == [] for sizes in calls.values())
+
+    def test_numpy_integer_block_indices_count_as_their_ints(self):
+        bt = assemble(CoefficientSequence.from_scalars([1, 0.5]))
+        index = (np.int64(0), np.int32(1))
+        got = cross_block_bound_check(bt, [(index, [1.0], [1.0])])
+        assert got == cross_block_bound_check(bt, [((0, 1), [1.0], [1.0])])
 
     @pytest.mark.parametrize("v, w", [([1.0, 0.0], [1.0]), ([1.0], [1.0, 0.0]), ([], [1.0])])
     def test_sample_vector_of_wrong_length(self, v, w):
