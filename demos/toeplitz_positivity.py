@@ -23,8 +23,10 @@ print(np.real(bt.dense))
 
 
 def print_profile(seq):
-    # a decomposed level has its min eigenvalue; a level between two
-    # decomposed ones has the interlacing bracket that decides its verdicts
+    # a decomposed level has its min eigenvalue; any other level has the
+    # bracket that decides its verdicts: from the decomposed levels around
+    # it and the Cholesky factorisation of the top level, or, where those
+    # do not decide, from the spectrum of the top level
     for n, rep in enumerate(positivity_profile(seq, tol=1e-9)):
         if rep.lower == rep.upper:
             value = f"{rep.lower:+.6f}"
@@ -43,9 +45,11 @@ bad = CoefficientSequence.from_scalars([1.0, 2.0])
 print("\nprofile for the infeasible pair (1, 2):")
 print_profile(bad)
 
-# Longer data: levels 0 and N are decomposed, and by Cauchy interlacing
-# the levels between them are bracketed, bisecting only where a bracket
-# leaves a verdict open.
+# Longer data: one Cholesky factorisation proves every level PSD but marks
+# no level that is not strictly positive, so the spectrum of the top level
+# decides: levels 0 and N are decomposed, and by Cauchy interlacing the
+# levels between them are bracketed, bisecting only where a bracket leaves
+# a verdict open.
 print("\nprofile for (1, 1/2, 1/4, ..., 1/2^8):")
 print_profile(CoefficientSequence.from_scalars(0.5 ** np.arange(9)))
 

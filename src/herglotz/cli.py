@@ -5,9 +5,12 @@ plus kernel Gram summary), ``eval`` and ``kernel`` (point evaluation),
 ``reduce`` (base-factor reduction), ``generate`` (seeded random fixture).
 ``check`` reports each truncation level's verdicts with its smallest
 eigenvalue where the level was decomposed (``min_eigenvalue``), and
-otherwise with the interlacing bracket that contains the value a
-decomposition would give (``min_eigenvalue_bounds``); see
-``positivity_profile``.
+otherwise with the bracket that contains the value a decomposition would
+give and proves the verdicts (``min_eigenvalue_bounds``).  Where one
+Cholesky factorisation of the top level decides the profile, the levels a
+few small decompositions do not reach carry such a bracket, the top level
+among them; otherwise the brackets come from the spectrum of the top level
+by interlacing.  See ``positivity_profile``.
 Exit statuses: 0 success, 2 parse/argument error (including an input that
 cannot be read or an ``--output`` that cannot be written), 3 infeasible
 data, 4 domain error, 5 internal tolerance failure (including a ``solve``
@@ -213,8 +216,8 @@ def _emit_value(args, heading, value, tail, **points):
 
 
 def _level_entry(n, r):
-    # a decomposed level reports its min eigenvalue, an interlaced one the
-    # bracket that contains it
+    # a decomposed level reports its min eigenvalue, any other the bracket
+    # that contains it and proves its verdicts
     entry = {"is_psd": r.is_psd, "is_strictly_positive": r.is_strictly_positive, "level": n}
     if r.lower == r.upper:
         entry["min_eigenvalue"] = r.lower

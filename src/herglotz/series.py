@@ -148,8 +148,9 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     Only where it fails is T_N assembled afresh and decomposed: every level
     passes unless its computed lambda_min lies within the rounding margin
     of ``-tol``, and there the levels are decided as ``positivity_profile``
-    decides them and the first failing level is named with its computed
-    lambda_min.  Verdicts and messages are those of the eigenvalue check.
+    decides them from the spectrum of T_N and the first failing level is
+    named with its computed lambda_min.  Verdicts and messages are those
+    of the eigenvalue check.
 
     Raises
     ------

@@ -175,7 +175,10 @@ class LevelReport:
     the report is that of ``psd_report``.  ``is_psd`` and
     ``is_strictly_positive`` are the verdicts ``psd_report`` gives for the
     level (``min_eigenvalue >= -tolerance_used`` and
-    ``> tolerance_used``), decided by the bracket.
+    ``> tolerance_used``), decided by the bracket.  Where the Cholesky
+    rung of ``positivity_profile`` proves the data PSD, a level that no
+    decomposition reaches carries the bracket that proves its verdicts,
+    whose lower end is at least ``-tolerance_used``.
     """
 
     lower: float
@@ -196,26 +199,56 @@ def positivity_profile(seq, tol=1e-9):
     eigenvalue it computes for a Hermitian matrix A of size m lies within
     2 m u ||A||_2 of the exact k-th one (u the machine epsilon; Weyl's
     inequality; the observed error is far smaller), and ||T_n||_2 <=
-    ||T_N||_2.  So between two decomposed levels i < j every level n's
-    computed lambda_min lies in
+    ||T_N||_2.  So a decomposed level i bounds every later level's computed
+    lambda_min from above by lambda_i + margin, and every earlier one's from
+    below by lambda_i - margin, with margin = 4 m u ||T_N||_2 and
+    m = (N + 1) d.
+
+    The profile is decided by a Cholesky rung first.  One factorisation of
+    T_N shifted down to ``-tol`` (``_cholesky_clears``) proves every level's
+    computed lambda_min >= -tol: every level is PSD.  Its first pivot at
+    most 2 tol marks a level whose exact lambda_min is at most ``tol`` up
+    to rounding (a pivot is at least the least eigenvalue of the shifted
+    leading block it closes), the level expected to be the first that is
+    not strictly positive.  That level and levels 0, 1, 3, 7, ... below it are
+    decomposed until one is not strictly positive, and between two
+    decomposed levels the strict verdicts are bisected.  A decomposed level
+    at most ``tol - margin`` leaves no later level strictly positive.  Here
+    the margin is taken from a bound on ||T_N||_2 (its block row sums), and
+    every level no decomposition reaches carries the bracket that proves
+    its verdicts: its lower end is ``-tol`` where no decomposed level above
+    it gives one higher, its upper end the decomposed level below it plus
+    the margin.  Such a bracket is only as tight as that, not an estimate
+    of the level's lambda_min.  No eigenvalue of T_N is computed.
+
+    Where the rung does not decide (N = 0, the data are not proved PSD, no
+    pivot marks a level, or the marked level is N), the profile is read
+    from the spectrum of T_N, bitwise as without the rung, at the cost of
+    one Cholesky factorisation of T_N more.  It is read so as well where
+    the last level the search decomposes lies above ``tol - margin``, which
+    only rounding allows; there the search's decompositions, all of levels
+    below N, are spent too.  From the spectrum of T_N, every level's computed
+    lambda_min lies in
 
         [lambda_j - margin, min(lambda_i + margin, c_n)],
-        c_n = max(eigs[(N - n) d] + margin, -tol),   margin = 4 m u ||T_N||_2
+        c_n = max(eigs[(N - n) d] + margin, -tol)
 
-    with m = (N + 1) d, ``eigs`` the computed spectrum of T_N (ascending)
-    and ||T_N||_2 its largest magnitude.  The ceiling c_n from the spectrum
-    is never below ``-tol``, so a bracket fails a level only after a
-    decomposed level fails.  Levels 0 and N are decomposed.  Between two
-    decomposed levels the upper ends do not increase with n, so the levels
-    whose bracket leaves ``is_psd`` or ``is_strictly_positive`` undecided
-    come first; the interval is split at its midpoint, or at the midpoint
-    of those levels where its own midpoint is decided.  A decomposed
-    level's report is bitwise that of ``psd_report`` of its own assembly;
-    every verdict equals it, and every bracket contains its
-    ``min_eigenvalue``.  Where the verdicts change once, O(log N) levels are
-    decomposed.  PSD data of rank r make every level n >= r / d singular;
-    where ``tol`` is well above the margin, those levels are decided from
-    the spectrum of T_N alone.
+    between two decomposed levels i < j, with ``eigs`` the computed spectrum
+    of T_N (ascending) and ||T_N||_2 its largest magnitude.  The ceiling c_n
+    from the spectrum is never below ``-tol``, so a bracket fails a level
+    only after a decomposed level fails.  Levels 0 and N are decomposed.
+    Between two decomposed levels the upper ends do not increase with n, so
+    the levels whose bracket leaves ``is_psd`` or ``is_strictly_positive``
+    undecided come first; the interval is split at its midpoint, or at the
+    midpoint of those levels where its own midpoint is decided.  Where the
+    verdicts change once, O(log N) levels are decomposed.  PSD data of rank
+    r make every level n >= r / d singular; where ``tol`` is well above the
+    margin, those levels are decided from the spectrum of T_N alone.
+
+    Either way a decomposed level's report is bitwise that of
+    ``psd_report`` of its own assembly; every verdict equals it and every
+    bracket contains its ``min_eigenvalue``.  Level N is decomposed exactly
+    where the profile is read from the spectrum of T_N.
 
     Raises
     ------
@@ -223,8 +256,52 @@ def positivity_profile(seq, tol=1e-9):
         If ``tol`` is negative, NaN or infinite.
     """
     _check_tol(tol)
+    pivots = _clearing_pivots(seq, tol) if seq.order else None
+    reports = None if pivots is None else _cleared_reports(seq, tol, pivots)
+    return reports or _spectrum_profile(seq, tol)
+
+
+def _spectrum_profile(seq, tol):
+    # the reports of ``positivity_profile`` read from the spectrum of T_N:
+    # the profile where the Cholesky rung does not decide it, and the
+    # reports of the eigenvalue check (``_certified_data``)
     dense = assemble(seq).dense
     return _interlaced_reports(dense, seq.block_dim, tol, np.linalg.eigvalsh(dense))
+
+
+def _cleared_reports(seq, tol, pivots):
+    # the reports of ``positivity_profile`` once the factorisation of
+    # ``_cholesky_clears`` has proved every level's computed lambda_min >=
+    # -tol, or None where the strict verdicts are left open.  Its ``pivots``
+    # guide the search.  A pivot is at least the least eigenvalue of the
+    # shifted leading block it closes, and the shift is tol less a rounding
+    # allowance, so the first pivot at most 2 tol marks a level, ``stop``,
+    # whose exact lambda_min is at most tol up to rounding; without one no
+    # level is marked, and the spectrum decides.  Levels 0, 1, 3, 7, ...
+    # below ``stop``, and ``stop``, are decomposed from their own assembly
+    # T_stop until one is not strictly positive.  The margin bounds
+    # ||T_N||_2 by nu (``_norm_bound``), finite once the rung passed
+    d, top = seq.block_dim, seq.order
+    low = np.flatnonzero(pivots <= 2 * tol)
+    if not low.size or low[0] // d == top:
+        # no level is marked, or the search would decompose T_N
+        return None
+    stop = int(low[0]) // d
+    margin = float(4 * len(seq) * d * _MACHINE_EPS * _norm_bound(seq.coefficients))
+    dense = assemble(seq.truncated(stop)).dense
+    reports = [None] * (top + 1)
+    levels = [0]
+    reports[0] = _level_report(dense, d, 0, tol)
+    while levels[-1] < stop and reports[levels[-1]].is_strictly_positive:
+        levels.append(min(2 * levels[-1] + 1, stop))
+        reports[levels[-1]] = _level_report(dense, d, levels[-1], tol)
+    if reports[levels[-1]].upper + margin > tol:
+        # a later level may be strictly positive, which only rounding allows
+        return None
+    # no later level is strictly positive; the rung's -tol is a floor
+    pending = [(i, j, max(reports[j].lower - margin, -tol)) for i, j in zip(levels, levels[1:])]
+    pending.append((levels[-1], top + 1, -tol))
+    return _bisected(dense, d, tol, margin, [np.inf] * (top + 1), reports, pending)
 
 
 def _check_data(seq, tol):
@@ -237,29 +314,38 @@ def _check_data(seq, tol):
 
 def _cholesky_clears(seq, bound):
     # Whether one shifted Cholesky factorisation of T_N proves every level's
-    # computed lambda_min >= -bound, the rung of the data check and of the
-    # check of an ``extend`` output.  By interlacing and the eigvalsh
-    # convention of ``positivity_profile``, every level's computed lambda_min
-    # is at least lambda_min(T_N) - 2 m u ||T_N||_2 (m = (N + 1) d, u machine
-    # eps), and ||T_N||_2 <= nu (``_norm_bound``).  So the factorisation
-    # proving lambda_min(T_N) > -bound + 2 (m + 1) u nu (the extra 2 u nu
-    # covers the rounding of that margin) is enough.  Data too large for the
-    # margin to be finite get no certificate
+    # computed lambda_min >= -bound, the rung of the data check, of the
+    # check of an ``extend`` output and of ``positivity_profile``.  By
+    # interlacing and the eigvalsh convention of ``positivity_profile``,
+    # every level's computed lambda_min is at least lambda_min(T_N) -
+    # 2 m u ||T_N||_2 (m = (N + 1) d, u machine eps), and ||T_N||_2 <= nu
+    # (``_norm_bound``).  So the factorisation proving lambda_min(T_N) >
+    # -bound + 2 (m + 1) u nu (the extra 2 u nu covers the rounding of that
+    # margin) is enough.  Data too large for the margin to be finite get no
+    # certificate
+    return _clearing_pivots(seq, bound) is not None
+
+
+def _clearing_pivots(seq, bound):
+    # the pivots of the factorisation of ``_cholesky_clears``, or None where
+    # it fails
     m = len(seq) * seq.block_dim
     with np.errstate(over="ignore"):
         margin = 2 * (m + 1) * _MACHINE_EPS * _norm_bound(seq.coefficients)
-        return _cholesky_exceeds(assemble(seq).dense, -bound, margin)
+        return _shifted_pivots(assemble(seq).dense, -bound, margin)
 
 
 def _certified_data(seq, tol):
     # the eigenvalue check of the data: it decides the data where the
     # Cholesky factorisation of ``_check_data`` does not, and for the
     # extension where its ``eigh`` of T_N leaves the verdict open.  The data
-    # are refused at the first level ``positivity_profile`` fails, so a
-    # refusal is the ``check`` command's first failing level; that level is
-    # a decomposed one (a bracket fails a level only when the decomposed
-    # level before it fails), named with its computed lambda_min
-    for n, report in enumerate(positivity_profile(seq, tol)):
+    # are refused at the first level the profile read from the spectrum of
+    # T_N fails, so a refusal is the ``check`` command's first failing level
+    # (``positivity_profile`` reads that spectrum wherever its Cholesky rung
+    # fails); that level is a decomposed one (a bracket fails a level only
+    # when the decomposed level before it fails), named with its computed
+    # lambda_min
+    for n, report in enumerate(_spectrum_profile(seq, tol)):
         if not report.is_psd:
             raise NotPsdError(
                 f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
@@ -338,11 +424,13 @@ def _norm_bound(coeffs):
     return (norms[0] + 2 * norms[1:].sum()) * (1 + _rounding(len(coeffs) + 2 * d * d + 4))
 
 
-def _cholesky_exceeds(dense, base, margin):
-    # Whether one Cholesky factorisation proves that the exact lambda_min of
-    # the Hermitian m x m matrix A = ``dense`` exceeds base + margin (the
-    # exact sum of the two floats, margin >= 0).  A's diagonal is shifted
-    # down in place, so ``dense`` is spent:
+def _shifted_pivots(dense, base, margin):
+    # The pivots R_ii^2 of one Cholesky factorisation R* R of ``dense``
+    # shifted down, or None where it fails.  It succeeds only where it
+    # proves that the exact lambda_min of the Hermitian m x m matrix
+    # A = ``dense`` exceeds base + margin (the exact sum of the two floats,
+    # margin >= 0).  A's diagonal is shifted down in place, so ``dense`` is
+    # spent:
     #
     #     B = fl(A - s I),   s = base + margin + 4 gamma W,
     #     W = t + m (|base| + margin),   gamma = gamma_{m+1} (``_rounding``),
@@ -376,10 +464,10 @@ def _cholesky_exceeds(dense, base, margin):
         weight = np.abs(diagonal.real).sum() + m * (abs(base) + margin)
         diagonal -= base + (margin + 4 * gamma * weight)
     try:
-        np.linalg.cholesky(dense)
+        factor = np.linalg.cholesky(dense)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+    return factor.diagonal().real ** 2
 
 
 def _interlacing_margin(eigs):
@@ -411,12 +499,7 @@ def _decides(lower, upper, tol):
 def _interlaced_reports(dense, block_dim, tol, eigs):
     # the reports of ``positivity_profile`` from T_N and its eigenvalues
     # ``eigs``.  ``ceiling[n]`` bounds level n's computed lambda_min from
-    # above by eigs[(N - n) d], and is never below -tol.  A pending interval
-    # (i, j, lower) holds the levels between the decomposed level i and
-    # level j, all bounded below by ``lower`` from a decomposed level at or
-    # after j.  Their upper ends do not increase with n, so the levels their
-    # brackets decide are a trailing run; the interval is split at its
-    # midpoint, or, where that falls in the run, at the midpoint of the rest
+    # above by eigs[(N - n) d], and is never below -tol
     top = len(eigs) // block_dim - 1
     margin = _interlacing_margin(eigs)
     ceiling = np.maximum(eigs[::block_dim][::-1] + margin, -tol).tolist()
@@ -425,6 +508,18 @@ def _interlaced_reports(dense, block_dim, tol, eigs):
     if top:
         reports[0] = _level_report(dense, block_dim, 0, tol)
     pending = [(0, top, reports[top].lower - margin)]
+    return _bisected(dense, block_dim, tol, margin, ceiling, reports, pending)
+
+
+def _bisected(dense, block_dim, tol, margin, ceiling, reports, pending):
+    # ``reports`` with the levels of every pending interval filled in.  An
+    # interval (i, j, lower) holds the levels between the decomposed level i
+    # and level j, all bounded below by ``lower`` (from a decomposed level at
+    # or after j, or from a Cholesky rung).  Their upper ends,
+    # min(ceiling[n], lambda_i + margin), do not increase with n, so the
+    # levels their brackets decide are a trailing run; the interval is split
+    # at its midpoint, or, where that falls in the run, at the midpoint of
+    # the rest
     while pending:
         i, j, lower = pending.pop()
         cap = reports[i].upper + margin

@@ -552,8 +552,9 @@ class TestCheckCommand:
         assert report["levels"][1]["min_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
 
     def test_interlaced_levels_report_a_bracket(self, tmp_path, capsys):
-        # identity data: the ends are decomposed, the levels between them are
-        # decided by interlacing and carry the bracket instead of a value
+        # identity data: no pivot of the Cholesky rung marks a level, so the
+        # spectrum decides; the ends are decomposed, the levels between them
+        # are decided by interlacing and carry the bracket instead of a value
         path = write_problem(tmp_path, "p.json", [1, 0, 0, 0])
         assert main(["check", path, "--json"]) == EXIT_OK
         levels = json.loads(capsys.readouterr().out)["levels"]

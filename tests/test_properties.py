@@ -23,7 +23,7 @@ Toeplitz matrix stays above -eps, never a non-finite coefficient), for the
 output check of ``extend`` (its Cholesky rung, then one eigvalsh) against
 the eigenvalue check alone, and, in exact rational arithmetic
 (``exact.is_positive_definite``), for the Cholesky certificate of
-``_cholesky_exceeds`` and for the interlacing margins (every profile
+``_shifted_pivots`` and for the interlacing margins (every profile
 bracket, widened by half the margin, holds the exact lambda_min of its
 level, and data that the one-``eigh`` check passes on the margin have
 T_N + (tol - margin / 2) I exactly PSD); for the central extension
@@ -98,11 +98,11 @@ from herglotz.series import _gram_matrix, _powers
 from herglotz.toeplitz import (
     _certified_data,
     _cholesky_clears,
-    _cholesky_exceeds,
     _frobenius_squares,
     _interlaced_reports,
     _interlacing_margin,
     _rounding,
+    _shifted_pivots,
 )
 from exact import is_positive_definite
 
@@ -701,16 +701,74 @@ def rank_deficient_levels(draw):
     return CoefficientSequence(coeffs)
 
 
+def report_bits(reports):
+    # the reports with each float as its exact hexadecimal text
+    return [
+        (r.lower.hex(), r.upper.hex(), r.is_psd, r.is_strictly_positive, r.tolerance_used)
+        for r in reports
+    ]
+
+
+def spectrum_profile(seq, tol):
+    # the profile read from one eigvalsh of T_N, as it was before the
+    # Cholesky rung
+    dense = assemble(seq).dense
+    return _interlaced_reports(dense, seq.block_dim, tol, np.linalg.eigvalsh(dense))
+
+
+@st.composite
+def unit_scaled_levels(draw):
+    # realization data at order 0 .. 12 scaled by 10^-8, 1 or 10^8, full
+    # rank or not, with M_0 shifted down by a fraction of its size or not
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rlz = random_realization(rng, d, draw(st.integers(1, (order + 1) * d + 2)))
+    coeffs = realization_coefficients(rlz, order).coefficients
+    coeffs = coeffs * 10.0 ** draw(st.sampled_from([-8, 0, 8]))
+    shift = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]))
+    coeffs[0] -= shift * float(np.abs(coeffs).max()) * np.eye(d)
+    return CoefficientSequence(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        borderline_data(),
+        st.tuples(unit_scaled_levels(), st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2])),
+    )
+)
+def test_profile_the_rung_does_not_prove_is_the_spectrum_profile(problem):
+    # where the Cholesky rung does not prove the data PSD, the profile is
+    # bitwise the one read from the spectrum of T_N; where it does, every
+    # verdict is still the per-level one and no bracket ends below -tol
+    seq, tol = problem
+    profile = positivity_profile(seq, tol)
+    if not (seq.order and _cholesky_clears(seq, tol)):
+        assert report_bits(profile) == report_bits(spectrum_profile(seq, tol))
+        return
+    for n, level in enumerate(profile):
+        reference = psd_report(assemble(seq.truncated(n)).dense, tol)
+        assert level.lower >= -tol and level.is_psd and reference.is_psd
+        assert level.lower <= reference.min_eigenvalue <= level.upper
+        assert level.is_strictly_positive == reference.is_strictly_positive
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(scaled_levels(), rank_deficient_levels()), st.sampled_from([1e-9, 1e-6, 1e-2]))
 def test_profile_brackets_the_per_level_reports(seq, tol):
     # decomposed levels are bitwise the per-level report, interlaced ones
     # hold it in their bracket, and every verdict is the per-level one; the
     # first failing level, which certified_series names, is decomposed, and
-    # the eigenvalue check's message is the per-level scan's
+    # the eigenvalue check's message is the per-level scan's.  Level N is
+    # decomposed exactly where the Cholesky rung leaves the profile to the
+    # spectrum of T_N, which it does wherever it does not prove the data PSD
     profile = positivity_profile(seq, tol)
     assert len(profile) == len(seq)
-    assert profile[0].lower == profile[0].upper and profile[-1].lower == profile[-1].upper
+    assert profile[0].lower == profile[0].upper
+    read_from_spectrum = report_bits(profile) == report_bits(spectrum_profile(seq, tol))
+    assert (profile[-1].lower == profile[-1].upper) == read_from_spectrum
+    assert read_from_spectrum or _cholesky_clears(seq, tol)
     failing = [level for level in profile if not level.is_psd]
     assert not failing or failing[0].lower == failing[0].upper
     for n, level in enumerate(profile):
@@ -753,15 +811,16 @@ def test_output_check_matches_the_eigenvalue_check(seq, bound):
 @settings(max_examples=100, deadline=None)
 @given(scaled_levels(max_size=24), st.floats(-2.0, 50.0), st.sampled_from([0.0, 1e-3, 1.0, 10.0]))
 def test_cholesky_certificate_is_exact(seq, offset, margin):
-    # whenever ``_cholesky_exceeds`` says lambda_min(A) > base + margin, A -
-    # (base + margin) I is positive definite in rational arithmetic.  base
-    # sits below the computed lambda_min by ``offset`` and the margin is
-    # ``margin``, both in units of m u sum |A_ii|, so both verdicts occur
+    # wherever the factorisation of ``_shifted_pivots`` succeeds, proving
+    # lambda_min(A) > base + margin, A - (base + margin) I is positive
+    # definite in rational arithmetic.  base sits below the computed
+    # lambda_min by ``offset`` and the margin is ``margin``, both in units
+    # of m u sum |A_ii|, so both verdicts occur
     dense = assemble(seq).dense
     unit = dense.shape[0] * np.finfo(float).eps * float(np.abs(dense.diagonal()).sum())
     margin *= unit
     base = float(np.linalg.eigvalsh(dense)[0]) - margin - offset * unit
-    if _cholesky_exceeds(dense.copy(), base, margin):
+    if _shifted_pivots(dense.copy(), base, margin) is not None:
         assert is_positive_definite(dense, -(Fraction(base) + Fraction(margin)))
 
 

@@ -15,6 +15,7 @@ from herglotz import (
     reversal_conjugate,
     reverse_blocks,
 )
+from herglotz.toeplitz import _spectrum_profile
 
 
 def fixture_sequence(seed, block_dim, state_dim, order):
@@ -207,8 +208,10 @@ class TestPositivityProfile:
             positivity_profile(CoefficientSequence.from_scalars([1, 2]), tol)
 
     def test_interlaced_levels_carry_a_bracket(self):
-        # every level of identity data has lambda_min 1: the two ends decide
-        # the levels between them, whose brackets hold 1
+        # every level of identity data has lambda_min 1.  No pivot of the
+        # Cholesky rung marks a level that is not strictly positive, so the
+        # spectrum of T_N decides: the two ends decide the levels between
+        # them, whose brackets hold 1
         reports = positivity_profile(CoefficientSequence.from_scalars([1] + [0] * 8), 1e-9)
         assert reports[0].lower == reports[0].upper == 1.0
         assert reports[-1].lower == reports[-1].upper == pytest.approx(1.0)
@@ -231,16 +234,57 @@ class TestPositivityProfile:
         assert all(r.lower >= -1e-8 for r in positivity_profile(seq, 1e-8))
 
     def test_cli_shaped_data_takes_logarithmically_many_decompositions(self, count_dense_calls):
-        # the cli benchmark's data: order 64, d = 2 and rank 6.  The spectrum
-        # of T_N decides every level from 3 on, where T_n is singular, so
-        # besides T_N and level 0 only levels of size <= 3 d are decomposed
+        # the cli benchmark's data: order 64, d = 2 and rank 6.  One Cholesky
+        # factorisation of T_N proves every level PSD; level 3 (size 4 d) is
+        # singular, which decides every later level not strictly positive,
+        # so only levels of size <= 4 d are decomposed and T_N is not
         seq = fixture_sequence(11, 2, 6, 64)
         calls = count_dense_calls()
         reports = positivity_profile(seq, 1e-9)
-        sizes = calls["eigvalsh"]
-        assert sizes[:2] == [130, 2]
-        assert len(sizes) <= 4 and max(sizes[2:]) <= 6
-        assert all(r.lower < r.upper and not r.is_strictly_positive for r in reports[3:-1])
+        assert calls["cholesky"] == [130]
+        assert max(calls["eigvalsh"]) <= 8 and len(calls["eigvalsh"]) <= 4
+        assert all(r.lower >= -1e-9 and r.is_psd for r in reports)
+        assert all(not r.is_strictly_positive for r in reports[3:])
+        assert all(r.lower < r.upper for r in reports[4:])
+
+    @pytest.mark.parametrize(
+        "values", [[1] + [0] * 64, 0.5 ** np.arange(65)], ids=["identity", "geometric"]
+    )
+    def test_full_rank_positive_data_fall_back_after_one_factorisation(
+        self, count_dense_calls, values
+    ):
+        # positive definite data: no pivot of the factorisation shifted down
+        # to -tol marks a level, so nothing is decomposed before the spectrum
+        # of T_N decides, as it did without the rung
+        seq = CoefficientSequence.from_scalars(values)
+        calls = count_dense_calls()
+        reports = positivity_profile(seq, 1e-9)
+        assert calls["cholesky"] == [65]
+        assert calls["eigvalsh"][0] == 65
+        assert reports[-1].lower == reports[-1].upper
+        assert all(r.is_psd and r.is_strictly_positive for r in reports)
+        rung_calls = calls["eigvalsh"]
+        calls = count_dense_calls()
+        assert _spectrum_profile(seq, 1e-9) == reports
+        assert calls["eigvalsh"] == rung_calls and calls["cholesky"] == []
+
+    def test_level_within_the_margin_of_tol_is_left_to_the_spectrum(self, count_dense_calls):
+        # the second component has lambda_min tol at level 0 and tol / 2 at
+        # level 1.  The rung's pivot marks level 0, whose decomposed value
+        # tol lies within the margin of tol, so no later level is decided by
+        # the search: the spectrum of T_N decides every level, at the cost of
+        # that one decomposition of level 0
+        tol = 1e-9
+        coeffs = np.zeros((5, 2, 2))
+        coeffs[0] = np.diag([1.0, tol])
+        coeffs[1, 1, 1] = tol / 2
+        seq = CoefficientSequence(coeffs)
+        calls = count_dense_calls()
+        reports = positivity_profile(seq, tol)
+        assert calls["cholesky"] == [10] and calls["eigvalsh"][:2] == [2, 10]
+        assert reports == _spectrum_profile(seq, tol)
+        assert reports[-1].lower == reports[-1].upper
+        assert all(r.is_psd and not r.is_strictly_positive for r in reports)
 
     def test_full_rank_data_failing_at_the_top_are_bisected_arithmetically(
         self, count_dense_calls
