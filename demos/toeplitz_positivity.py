@@ -24,9 +24,11 @@ print(np.real(bt.dense))
 
 def print_profile(seq):
     # a decomposed level has its min eigenvalue; any other level has the
-    # bracket that decides its verdicts: from the decomposed levels around
-    # it and the Cholesky factorisation of the top level, or, where those
-    # do not decide, from the spectrum of the top level
+    # bracket that decides its verdicts.  Levels up to s are read by
+    # interlacing from the spectrum of T_s, and each level past s has
+    # [-tol, lambda_min(T_s) + margin].  s is the level that a Cholesky
+    # factorisation of the top level marks where it proves the data PSD,
+    # and otherwise the top level
     for n, rep in enumerate(positivity_profile(seq, tol=1e-9)):
         if rep.lower == rep.upper:
             value = f"{rep.lower:+.6f}"

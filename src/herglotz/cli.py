@@ -6,17 +6,18 @@ plus kernel Gram summary), ``eval`` and ``kernel`` (point evaluation),
 ``check`` reports each truncation level's verdicts with its smallest
 eigenvalue where the level was decomposed (``min_eigenvalue``), and
 otherwise with the bracket that contains the value a decomposition would
-give and proves the verdicts (``min_eigenvalue_bounds``).  Where one
-Cholesky factorisation of the top level decides the profile, the levels a
-few small decompositions do not reach carry such a bracket, the top level
-among them; otherwise the brackets come from the spectrum of the top level
-by interlacing.  See ``positivity_profile``.
+give and proves the verdicts (``min_eigenvalue_bounds``).  The brackets
+come from one spectrum by interlacing: that of the top level, or, where one
+Cholesky factorisation of the top level proves the data PSD and marks a
+lower level s, that of level s, with every level past s carrying the
+bracket [-tol, lambda_s + margin].  See ``positivity_profile``.
 Exit statuses: 0 success, 2 parse/argument error (including an input that
 cannot be read or an ``--output`` that cannot be written), 3 infeasible
 data, 4 domain error, 5 internal tolerance failure (including a ``solve``
 whose own kernel Gram report is not PSD, where the report is still
-emitted, and an ``eval`` or ``kernel`` value or tail bound that is not
-finite, in either output mode, where nothing is emitted).  One table,
+emitted, an ``eval`` or ``kernel`` value or tail bound that is not
+finite, in either output mode, where nothing is emitted, and a
+computation too large for memory, ``MemoryError``).  One table,
 ``_EXIT_STATUS``, maps each failure to its status, and ``main`` writes its
 one ``error:`` line.
 """
@@ -88,6 +89,7 @@ _EXIT_STATUS = {
     FixtureError: EXIT_TOLERANCE,
     InsufficientDataError: EXIT_TOLERANCE,
     _CommandFailure: EXIT_TOLERANCE,
+    MemoryError: EXIT_TOLERANCE,
 }
 
 

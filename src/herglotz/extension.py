@@ -32,9 +32,9 @@ By the Schur-complement criterion S' is positive definite exactly when the
 shifted Toeplitz matrix of (M_0 .. M_N, X) is.  Zero contractions take the
 centers, the central extension of the eps-shifted data.
 
-Routing.  Every entry point checks the data from one ``eigh`` of T_N
-(``_decomposed_data``: the shift's sign, then ``toeplitz._decomposed``,
-which ``series.gram_isometries`` shares): the extension needs the spectrum
+Routing.  Every entry point checks the shift's sign, then the data from
+one ``eigh`` of T_N (``toeplitz._decomposed``, which
+``series.gram_isometries`` shares): the extension needs the spectrum
 (its top for the singularity rule of the chain, all of it for the minimal
 factor and its rank), so it does not take the Cholesky certificate of
 ``certified_series``.  Where the smallest eigenvalue clears -tol by the
@@ -118,7 +118,7 @@ central extension and eps for a parametrized chain, and every output is
 judged in one place, by the first of these rungs that proves it:
 
 1. the certificate, beta <= bound (the central extension only);
-2. the Cholesky rung of the data check (``toeplitz._cholesky_clears``): one
+2. the Cholesky rung of the data check (``toeplitz._clearing_pivots``): one
    factorisation of T_L shifted down to -bound plus the rounding margin of
    the eigenvalue computation, which proves the exact lambda_min(T_L) >
    -bound;
@@ -160,7 +160,7 @@ from .linalg import _MACHINE_EPS, _hermitian, _integer
 from .series import HerglotzSeries, _orbit, _powers, certified_series
 from .toeplitz import (
     CoefficientSequence,
-    _cholesky_clears,
+    _clearing_pivots,
     _decomposed,
     _frobenius_squares,
     _minimal_factor,
@@ -295,7 +295,7 @@ def _checked_output(coeffs, bound, route, beta=np.inf):
     least = margin = np.nan
     if np.isfinite(coeffs).all():
         out = CoefficientSequence(coeffs)
-        if beta <= bound or _cholesky_clears(out, bound):
+        if beta <= bound or _clearing_pivots(out, bound) is not None:
             return out
         k = np.frexp(coeffs[0].diagonal().real.max())[1]
         # T_L as its interleaved real and imaginary parts, which ldexp scales
@@ -311,18 +311,10 @@ def _checked_output(coeffs, bound, route, beta=np.inf):
     )
 
 
-def _decomposed_data(seq, eps, tol):
-    # T_N, its eigenpairs and their interlacing margin after the shift's sign
-    # and the data check of ``toeplitz._decomposed``: every extension entry
-    # point takes its data here
-    _check_shift(eps)
-    return _decomposed(seq, tol)
-
-
 def _ball_state(seq, eps, dense, eigs):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
     # with its gamma, from T_N = ``dense`` and its eigenvalues ``eigs``
-    # (``_decomposed_data``), after the singularity check of its level
+    # (``toeplitz._decomposed``), after the singularity check of its level
     d = seq.block_dim
     _check_definite(eigs[0] + eps, eigs[-1] + eps, seq.order, d, eps)
     rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
@@ -373,7 +365,8 @@ def central_step(seq, eps, tol=1e-9):
         If the spectrum of T_N passes the float maximum, or ``eps`` is too
         small to make the shifted matrix invertible at working precision.
     """
-    forward, _, s, alpha_inv, gamma = _ball_state(seq, eps, *_decomposed_data(seq, eps, tol)[:2])
+    _check_shift(eps)
+    forward, _, s, alpha_inv, gamma = _ball_state(seq, eps, *_decomposed(seq, tol)[:2])
     # the step keeps its own d x Nd gamma, not a view that pins the shifted
     # (N + 1)d x (N + 1)d matrix it was cut from
     x = gamma @ forward
@@ -480,7 +473,8 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         raise DimensionError(f"expected {steps} contraction parameters, got {len(contractions)}")
     if contractions is not None:
         contractions = [_contraction(g, (seq.block_dim,) * 2) for g in contractions]
-    dense, eigs, vecs, margin = _decomposed_data(seq, eps, tol)
+    _check_shift(eps)
+    dense, eigs, vecs, margin = _decomposed(seq, tol)
     if steps == 0:
         return seq
     if contractions is None:
@@ -512,7 +506,7 @@ def _central_extension(seq, dense, eigs, vecs, margin, steps):
     # minimal factor, with the bound beta of its certificate,
     # lambda_min(T_L) >= -beta.  ``dense``, ``eigs``, ``vecs`` and ``margin``
     # are T_N, its computed eigenpairs and their interlacing margin
-    # (``_decomposed_data``).
+    # (``toeplitz._decomposed``).
     #
     # Realization.  The r eigenpairs of T_N above the interlacing margin give
     # a minimal factor T_N ~ F* F, F = (F_0 ... F_N) with r x d blocks.  For

@@ -176,9 +176,10 @@ class LevelReport:
     ``is_strictly_positive`` are the verdicts ``psd_report`` gives for the
     level (``min_eigenvalue >= -tolerance_used`` and
     ``> tolerance_used``), decided by the bracket.  Where the Cholesky
-    rung of ``positivity_profile`` proves the data PSD, a level that no
-    decomposition reaches carries the bracket that proves its verdicts,
-    whose lower end is at least ``-tolerance_used``.
+    rung of ``positivity_profile`` proves the data PSD and marks a level s
+    below the top, every level past s carries the bracket
+    ``[-tolerance_used, lambda_s + margin]``, which proves it PSD and not
+    strictly positive.
     """
 
     lower: float
@@ -204,51 +205,46 @@ def positivity_profile(seq, tol=1e-9):
     below by lambda_i - margin, with margin = 4 m u ||T_N||_2 and
     m = (N + 1) d.
 
-    The profile is decided by a Cholesky rung first.  One factorisation of
-    T_N shifted down to ``-tol`` (``_cholesky_clears``) proves every level's
-    computed lambda_min >= -tol: every level is PSD.  Its first pivot at
-    most 2 tol marks a level whose exact lambda_min is at most ``tol`` up
-    to rounding (a pivot is at least the least eigenvalue of the shifted
-    leading block it closes), the level expected to be the first that is
-    not strictly positive.  That level and levels 0, 1, 3, 7, ... below it are
-    decomposed until one is not strictly positive, and between two
-    decomposed levels the strict verdicts are bisected.  A decomposed level
-    at most ``tol - margin`` leaves no later level strictly positive.  Here
-    the margin is taken from a bound on ||T_N||_2 (its block row sums), and
-    every level no decomposition reaches carries the bracket that proves
-    its verdicts: its lower end is ``-tol`` where no decomposed level above
-    it gives one higher, its upper end the decomposed level below it plus
-    the margin.  Such a bracket is only as tight as that, not an estimate
-    of the level's lambda_min.  No eigenvalue of T_N is computed.
-
-    Where the rung does not decide (N = 0, the data are not proved PSD, no
-    pivot marks a level, or the marked level is N), the profile is read
-    from the spectrum of T_N, bitwise as without the rung, at the cost of
-    one Cholesky factorisation of T_N more.  It is read so as well where
-    the last level the search decomposes lies above ``tol - margin``, which
-    only rounding allows; there the search's decompositions, all of levels
-    below N, are spent too.  From the spectrum of T_N, every level's computed
-    lambda_min lies in
+    The spectrum of T_N.  Between two decomposed levels i < j every level
+    n's computed lambda_min lies in
 
         [lambda_j - margin, min(lambda_i + margin, c_n)],
         c_n = max(eigs[(N - n) d] + margin, -tol)
 
-    between two decomposed levels i < j, with ``eigs`` the computed spectrum
-    of T_N (ascending) and ||T_N||_2 its largest magnitude.  The ceiling c_n
-    from the spectrum is never below ``-tol``, so a bracket fails a level
-    only after a decomposed level fails.  Levels 0 and N are decomposed.
-    Between two decomposed levels the upper ends do not increase with n, so
-    the levels whose bracket leaves ``is_psd`` or ``is_strictly_positive``
-    undecided come first; the interval is split at its midpoint, or at the
-    midpoint of those levels where its own midpoint is decided.  Where the
-    verdicts change once, O(log N) levels are decomposed.  PSD data of rank
-    r make every level n >= r / d singular; where ``tol`` is well above the
-    margin, those levels are decided from the spectrum of T_N alone.
+    with ``eigs`` the computed spectrum of T_N (ascending) and ||T_N||_2 its
+    largest magnitude.  The ceiling c_n from the spectrum is never below
+    ``-tol``, so a bracket fails a level only after a decomposed level
+    fails.  Levels 0 and N are decomposed.  Between two decomposed levels
+    the upper ends do not increase with n, so the levels whose bracket
+    leaves ``is_psd`` or ``is_strictly_positive`` undecided come first; the
+    interval is split at its midpoint, or at the midpoint of those levels
+    where its own midpoint is decided.  Where the verdicts change once,
+    O(log N) levels are decomposed.  PSD data of rank r make every level
+    n >= r / d singular; where ``tol`` is well above the margin, those
+    levels are decided from the spectrum of T_N alone.
 
-    Either way a decomposed level's report is bitwise that of
-    ``psd_report`` of its own assembly; every verdict equals it and every
-    bracket contains its ``min_eigenvalue``.  Level N is decomposed exactly
-    where the profile is read from the spectrum of T_N.
+    The Cholesky rung runs first.  One factorisation of T_N shifted down to
+    ``-tol`` (``_clearing_pivots``) proves every level's computed
+    lambda_min >= -tol: every level is PSD.  Its first pivot at most 2 tol
+    closes a leading block of a level s whose exact lambda_min is at most
+    ``tol`` up to rounding (a pivot is at least the least eigenvalue of the
+    shifted leading block it closes).  Levels 0 .. s are then the profile
+    of ``seq.truncated(s)`` read from the spectrum of T_s as above, and
+    every later level carries the bracket [-tol, lambda_s + margin], with
+    the margin taken from a bound on ||T_N||_2 (its block row sums): by
+    interlacing, no later level's computed lambda_min is above it.  That
+    bracket proves the level PSD and not strictly positive; it is only as
+    tight as its two ends, not an estimate of the level's lambda_min.
+
+    Where the rung does not decide (N = 0, the data are not proved PSD, no
+    pivot marks a level, s = N, or lambda_s + margin > tol, which only
+    rounding allows), the profile is read from the spectrum of T_N, bitwise
+    as without the rung, at the cost of one Cholesky factorisation of T_N
+    more (and, in the last case, the profile of T_s).  Either way a
+    decomposed level's report is bitwise that of ``psd_report`` of its own
+    assembly; every verdict equals it and every bracket contains its
+    ``min_eigenvalue``.  Level N is decomposed exactly where the profile is
+    read from the spectrum of T_N.
 
     Raises
     ------
@@ -256,79 +252,48 @@ def positivity_profile(seq, tol=1e-9):
         If ``tol`` is negative, NaN or infinite.
     """
     _check_tol(tol)
-    pivots = _clearing_pivots(seq, tol) if seq.order else None
-    reports = None if pivots is None else _cleared_reports(seq, tol, pivots)
-    return reports or _spectrum_profile(seq, tol)
+    top, d = seq.order, seq.block_dim
+    pivots = _clearing_pivots(seq, tol) if top else None
+    marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // d
+    stop = int(marked[0]) if len(marked) else top
+    if stop < top:
+        reports = _spectrum_profile(seq.truncated(stop), tol)
+        cap = reports[stop].upper + float(
+            4 * len(seq) * d * _MACHINE_EPS * _norm_bound(seq.coefficients)
+        )
+        if cap <= tol:
+            return reports + [_bracket(-tol, cap, tol)] * (top - stop)
+    return _spectrum_profile(seq, tol)
 
 
 def _spectrum_profile(seq, tol):
     # the reports of ``positivity_profile`` read from the spectrum of T_N:
-    # the profile where the Cholesky rung does not decide it, and the
-    # reports of the eigenvalue check (``_certified_data``)
+    # the profile of T_N where the Cholesky rung does not decide it and of
+    # the marked level's T_s where it does, and the reports of the
+    # eigenvalue check (``_certified_data``)
     dense = assemble(seq).dense
     return _interlaced_reports(dense, seq.block_dim, tol, np.linalg.eigvalsh(dense))
-
-
-def _cleared_reports(seq, tol, pivots):
-    # the reports of ``positivity_profile`` once the factorisation of
-    # ``_cholesky_clears`` has proved every level's computed lambda_min >=
-    # -tol, or None where the strict verdicts are left open.  Its ``pivots``
-    # guide the search.  A pivot is at least the least eigenvalue of the
-    # shifted leading block it closes, and the shift is tol less a rounding
-    # allowance, so the first pivot at most 2 tol marks a level, ``stop``,
-    # whose exact lambda_min is at most tol up to rounding; without one no
-    # level is marked, and the spectrum decides.  Levels 0, 1, 3, 7, ...
-    # below ``stop``, and ``stop``, are decomposed from their own assembly
-    # T_stop until one is not strictly positive.  The margin bounds
-    # ||T_N||_2 by nu (``_norm_bound``), finite once the rung passed
-    d, top = seq.block_dim, seq.order
-    low = np.flatnonzero(pivots <= 2 * tol)
-    if not low.size or low[0] // d == top:
-        # no level is marked, or the search would decompose T_N
-        return None
-    stop = int(low[0]) // d
-    margin = float(4 * len(seq) * d * _MACHINE_EPS * _norm_bound(seq.coefficients))
-    dense = assemble(seq.truncated(stop)).dense
-    reports = [None] * (top + 1)
-    levels = [0]
-    reports[0] = _level_report(dense, d, 0, tol)
-    while levels[-1] < stop and reports[levels[-1]].is_strictly_positive:
-        levels.append(min(2 * levels[-1] + 1, stop))
-        reports[levels[-1]] = _level_report(dense, d, levels[-1], tol)
-    if reports[levels[-1]].upper + margin > tol:
-        # a later level may be strictly positive, which only rounding allows
-        return None
-    # no later level is strictly positive; the rung's -tol is a floor
-    pending = [(i, j, max(reports[j].lower - margin, -tol)) for i, j in zip(levels, levels[1:])]
-    pending.append((levels[-1], top + 1, -tol))
-    return _bisected(dense, d, tol, margin, [np.inf] * (top + 1), reports, pending)
 
 
 def _check_data(seq, tol):
     # the check of ``certified_series``: the Cholesky rung, and where that
     # fails ``_certified_data`` on T_N assembled afresh
     _check_tol(tol)
-    if not _cholesky_clears(seq, tol):
+    if _clearing_pivots(seq, tol) is None:
         _certified_data(seq, tol)
 
 
-def _cholesky_clears(seq, bound):
-    # Whether one shifted Cholesky factorisation of T_N proves every level's
-    # computed lambda_min >= -bound, the rung of the data check, of the
-    # check of an ``extend`` output and of ``positivity_profile``.  By
-    # interlacing and the eigvalsh convention of ``positivity_profile``,
-    # every level's computed lambda_min is at least lambda_min(T_N) -
-    # 2 m u ||T_N||_2 (m = (N + 1) d, u machine eps), and ||T_N||_2 <= nu
-    # (``_norm_bound``).  So the factorisation proving lambda_min(T_N) >
-    # -bound + 2 (m + 1) u nu (the extra 2 u nu covers the rounding of that
-    # margin) is enough.  Data too large for the margin to be finite get no
-    # certificate
-    return _clearing_pivots(seq, bound) is not None
-
-
 def _clearing_pivots(seq, bound):
-    # the pivots of the factorisation of ``_cholesky_clears``, or None where
-    # it fails
+    # The pivots of one shifted Cholesky factorisation of T_N that proves
+    # every level's computed lambda_min >= -bound, or None where it fails:
+    # the rung of the data check, of the check of an ``extend`` output and
+    # of ``positivity_profile``.  By interlacing and the eigvalsh convention
+    # of ``positivity_profile``, every level's computed lambda_min is at
+    # least lambda_min(T_N) - 2 m u ||T_N||_2 (m = (N + 1) d, u machine
+    # eps), and ||T_N||_2 <= nu (``_norm_bound``).  So the factorisation
+    # proving lambda_min(T_N) > -bound + 2 (m + 1) u nu (the extra 2 u nu
+    # covers the rounding of that margin) is enough.  Data too large for the
+    # margin to be finite get no certificate
     m = len(seq) * seq.block_dim
     with np.errstate(over="ignore"):
         margin = 2 * (m + 1) * _MACHINE_EPS * _norm_bound(seq.coefficients)
@@ -499,7 +464,12 @@ def _decides(lower, upper, tol):
 def _interlaced_reports(dense, block_dim, tol, eigs):
     # the reports of ``positivity_profile`` from T_N and its eigenvalues
     # ``eigs``.  ``ceiling[n]`` bounds level n's computed lambda_min from
-    # above by eigs[(N - n) d], and is never below -tol
+    # above by eigs[(N - n) d], and is never below -tol.  A pending interval
+    # (i, j, lower) holds the levels between the decomposed levels i and j,
+    # all bounded below by ``lower``.  Their upper ends, min(ceiling[n],
+    # lambda_i + margin), do not increase with n, so the levels their
+    # brackets decide are a trailing run; the interval is split at its
+    # midpoint, or, where that falls in the run, at the midpoint of the rest
     top = len(eigs) // block_dim - 1
     margin = _interlacing_margin(eigs)
     ceiling = np.maximum(eigs[::block_dim][::-1] + margin, -tol).tolist()
@@ -508,18 +478,6 @@ def _interlaced_reports(dense, block_dim, tol, eigs):
     if top:
         reports[0] = _level_report(dense, block_dim, 0, tol)
     pending = [(0, top, reports[top].lower - margin)]
-    return _bisected(dense, block_dim, tol, margin, ceiling, reports, pending)
-
-
-def _bisected(dense, block_dim, tol, margin, ceiling, reports, pending):
-    # ``reports`` with the levels of every pending interval filled in.  An
-    # interval (i, j, lower) holds the levels between the decomposed level i
-    # and level j, all bounded below by ``lower`` (from a decomposed level at
-    # or after j, or from a Cholesky rung).  Their upper ends,
-    # min(ceiling[n], lambda_i + margin), do not increase with n, so the
-    # levels their brackets decide are a trailing run; the interval is split
-    # at its midpoint, or, where that falls in the run, at the midpoint of
-    # the rest
     while pending:
         i, j, lower = pending.pop()
         cap = reports[i].upper + margin

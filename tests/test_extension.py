@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from herglotz import extension
+from herglotz import extension, toeplitz
 from herglotz import (
     CoefficientSequence,
     DimensionError,
@@ -473,7 +473,7 @@ class TestExtend:
         zeros = [np.zeros((2, 2))] * steps
         with monkeypatch.context() as patch:
             # the chain's output, its Cholesky rung forced to pass
-            patch.setattr(extension, "_cholesky_clears", lambda *args: True)
+            patch.setattr(extension, "_clearing_pivots", lambda *args: np.ones(1))
             level = extend(seq, steps, eps=eps, contractions=zeros, tol=tol)
         eigs = np.linalg.eigvalsh(assemble(level).dense)
         margin = (eigs[-1] + eps) * (len(eigs) * np.finfo(float).eps)
@@ -509,7 +509,7 @@ class TestExtend:
         def unexpected(*args):
             raise AssertionError("the data were checked before the step count")
 
-        monkeypatch.setattr(extension, "_decomposed_data", unexpected)
+        monkeypatch.setattr(extension, "_decomposed", unexpected)
         with pytest.raises(TypeError, match="steps must be an integer"):
             extend(scalar_seq([1, 0.5]), steps)
 
@@ -537,7 +537,7 @@ class TestExtend:
         def unexpected(*args):
             raise AssertionError("the data were checked before the contractions")
 
-        monkeypatch.setattr(extension, "_decomposed_data", unexpected)
+        monkeypatch.setattr(extension, "_decomposed", unexpected)
         contractions = [0.5 * np.eye(2)] * 3 + [last]
         calls = count_dense_calls()
         with pytest.raises(error, match=refusal):
@@ -827,7 +827,7 @@ class TestSolveCf:
 
         monkeypatch.setattr(extension, "_ball_state", unexpected)
         seq = fixture_sequence(3, 2, 17, 8)
-        data = extension._decomposed_data(seq, 1e-8, 1e-9)
+        data = toeplitz._decomposed(seq, 1e-9)
         coeffs, beta = extension._central_extension(seq, *data, 992)
         assert beta > 1e-8
         unit = cholesky_seconds(2002)

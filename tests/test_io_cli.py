@@ -800,6 +800,26 @@ class TestSolveCommand:
         assert report["kernel"]["min_eigenvalue"] == -2.0
         assert "error: kernel Gram matrix is not PSD" in captured.err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_a_computation_too_large_for_memory_exits_5(self, tmp_path, capsys, monkeypatch, flags):
+        # numpy's refusal to allocate (raised here, with its message, and no
+        # allocation made) is a documented exit: status 5, one error line
+        # and nothing on stdout, not a traceback
+        path = write_problem(tmp_path, "p.json", [1, 0.9])
+        message = (
+            "Unable to allocate 15.3 GiB for an array with shape (32002, 32002) and data type "
+            "complex128"
+        )
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "solve_cf", exhausted)
+        assert main(["solve", path, "--horizon", "16000", *flags]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_a_large_shift_keeps_the_central_extension(self, tmp_path, capsys):
         # eps = 1 would move the shifted chain off the data's ball, to an
         # output whose Toeplitz matrix reaches -0.241; the central extension

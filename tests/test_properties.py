@@ -62,7 +62,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -97,10 +97,11 @@ from herglotz.linalg import hermitian_split, minimal_factorization
 from herglotz.series import _gram_matrix, _powers
 from herglotz.toeplitz import (
     _certified_data,
-    _cholesky_clears,
+    _clearing_pivots,
     _frobenius_squares,
     _interlaced_reports,
     _interlacing_margin,
+    _norm_bound,
     _rounding,
     _shifted_pivots,
 )
@@ -744,7 +745,7 @@ def test_profile_the_rung_does_not_prove_is_the_spectrum_profile(problem):
     # verdict is still the per-level one and no bracket ends below -tol
     seq, tol = problem
     profile = positivity_profile(seq, tol)
-    if not (seq.order and _cholesky_clears(seq, tol)):
+    if not (seq.order and _clearing_pivots(seq, tol) is not None):
         assert report_bits(profile) == report_bits(spectrum_profile(seq, tol))
         return
     for n, level in enumerate(profile):
@@ -752,6 +753,47 @@ def test_profile_the_rung_does_not_prove_is_the_spectrum_profile(problem):
         assert level.lower >= -tol and level.is_psd and reference.is_psd
         assert level.lower <= reference.min_eigenvalue <= level.upper
         assert level.is_strictly_positive == reference.is_strictly_positive
+
+
+@st.composite
+def marked_levels(draw):
+    # realization data of rank below (N + 1) d, N = 1 .. 24, scaled by
+    # 10^k, with a tol: the levels past the rank are singular, so the
+    # Cholesky rung's pivots mark a level wherever its rounding margin is
+    # below tol
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rlz = random_realization(rng, d, draw(st.integers(1, order * d)))
+    coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** draw(st.integers(-8, 8))
+    return CoefficientSequence(coeffs), draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(marked_levels())
+def test_profile_the_rung_proves_reads_the_marked_level(problem):
+    # where the Cholesky rung proves the data PSD and its first pivot at most
+    # 2 tol marks a level s < N, the first s + 1 reports are bitwise the
+    # profile of T_s read from its spectrum, and every later level carries
+    # [-tol, lambda_s + margin], margin = 4 m u nu; where that upper end
+    # passes tol, which only rounding allows, the spectrum of T_N decides
+    seq, tol = problem
+    d = seq.block_dim
+    pivots = _clearing_pivots(seq, tol)
+    marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // d
+    assume(len(marked) and marked[0] < seq.order)
+    s = int(marked[0])
+    profile = positivity_profile(seq, tol)
+    head = spectrum_profile(seq.truncated(s), tol)
+    margin = 4 * len(seq) * d * np.finfo(float).eps * float(_norm_bound(seq.coefficients))
+    cap = head[s].upper + margin
+    if cap > tol:
+        assert report_bits(profile) == report_bits(spectrum_profile(seq, tol))
+        return
+    assert report_bits(profile[: s + 1]) == report_bits(head)
+    for level in profile[s + 1 :]:
+        assert (level.lower, level.upper) == (-tol, cap)
+        assert level.is_psd and not level.is_strictly_positive and level.tolerance_used == tol
 
 
 @settings(max_examples=120, deadline=None)
@@ -768,7 +810,7 @@ def test_profile_brackets_the_per_level_reports(seq, tol):
     assert profile[0].lower == profile[0].upper
     read_from_spectrum = report_bits(profile) == report_bits(spectrum_profile(seq, tol))
     assert (profile[-1].lower == profile[-1].upper) == read_from_spectrum
-    assert read_from_spectrum or _cholesky_clears(seq, tol)
+    assert read_from_spectrum or _clearing_pivots(seq, tol) is not None
     failing = [level for level in profile if not level.is_psd]
     assert not failing or failing[0].lower == failing[0].upper
     for n, level in enumerate(profile):
@@ -801,7 +843,7 @@ def test_output_check_matches_the_eigenvalue_check(seq, bound):
     # the Cholesky rung shared with the data check passes only where the
     # eigenvalue check does, so the output check's verdicts and messages are
     # those of one eigvalsh of T_L
-    if _cholesky_clears(seq, bound):
+    if _clearing_pivots(seq, bound) is not None:
         assert check_outcome(reference_output_check, seq.coefficients, bound, "") is None
     route = "parametrized chain"
     expected = check_outcome(reference_output_check, seq.coefficients, bound, route)
@@ -857,13 +899,13 @@ def test_profile_brackets_hold_the_exact_spectrum(problem):
 @settings(max_examples=100, deadline=None)
 @given(borderline_data(max_size=24))
 def test_decomposed_data_passing_on_the_margin_are_exactly_above_it(problem):
-    # where the computed eigs[0] >= margin - tol lets ``_decomposed_data``
+    # where the computed eigs[0] >= margin - tol lets ``toeplitz._decomposed``
     # pass the data without the eigenvalue check, the exact lambda_min(T_N)
     # is at least -tol + margin / 2: T_N + (tol - margin / 2) I is PSD,
     # exactly, up to the allowance
     seq, tol = problem
     try:
-        dense, eigs, _, margin = extension._decomposed_data(seq, 1e-8, tol)
+        dense, eigs, _, margin = toeplitz._decomposed(seq, tol)
     except NotPsdError:
         return
     if eigs[0] >= margin - tol:
@@ -903,7 +945,7 @@ def route_problems(draw, max_horizon=300, max_size=None, perturb=False):
 
 def central_extension(seq, steps, tol):
     # the central extension of the data and its beta, taken whatever beta is
-    return extension._central_extension(seq, *extension._decomposed_data(seq, 1e-8, tol), steps)
+    return extension._central_extension(seq, *toeplitz._decomposed(seq, tol), steps)
 
 
 @settings(max_examples=100, deadline=None)
@@ -959,7 +1001,7 @@ def test_central_extension_gives_the_data_back(problem):
     # data's defects, and within 100 (N + 1) kappa u ||T_N||_2, kappa the
     # condition of the past block P (observed at most 1.8 over 400 draws)
     seq, steps, scale = problem
-    dense, eigs, vecs, margin = extension._decomposed_data(seq, 1e-8, 1e-9 * scale)
+    dense, eigs, vecs, margin = toeplitz._decomposed(seq, 1e-9 * scale)
     beta = extension._central_extension(seq, dense, eigs, vecs, margin, steps)[1]
     first, w, kappa = partial_isometry(seq, dense, eigs, vecs, margin)
     d, x, defects = seq.block_dim, first, []
@@ -1058,7 +1100,7 @@ def test_general_central_extension_is_bitwise_the_per_step_products(problem):
     # X_{n-1} from X_0 = F_0, each product taken by itself, bit for bit; at
     # r = 0 (which takes the determinate branch) both are zero
     seq, steps, scale = problem
-    data = extension._decomposed_data(seq, 1e-8, 1e-9 * scale)
+    data = toeplitz._decomposed(seq, 1e-9 * scale)
     rows, r, outer, inner = toeplitz._minimal_factor(*data[1:], seq.block_dim)
     assert outer.shape[1] < r or r == 0
     d, n, last = seq.block_dim, len(seq), seq.order + steps
@@ -1307,9 +1349,7 @@ def test_perturbed_data_are_certified_or_checked_densely(count_dense_calls, prob
     seq, horizon, _, _ = problem
     steps = horizon - seq.order
     try:
-        coeffs, beta = extension._central_extension(
-            seq, *extension._decomposed_data(seq, eps, 1e-9), steps
-        )
+        coeffs, beta = extension._central_extension(seq, *toeplitz._decomposed(seq, 1e-9), steps)
     except NotPsdError:
         return
     calls = count_dense_calls()
@@ -1406,7 +1446,7 @@ def test_determinate_extension_is_bitwise_the_plain_formulas(problem, eps):
     # coefficients and beta bit for bit wherever the data are determinate
     seq, horizon, _, scale = problem
     try:
-        data = extension._decomposed_data(seq, eps, 1e-9 * scale)
+        data = toeplitz._decomposed(seq, 1e-9 * scale)
     except NotPsdError:
         return
     steps = horizon - seq.order
@@ -1439,7 +1479,7 @@ def test_determinate_beta_sums_each_block_in_its_layout(k):
     # block columns of T_N's first block row, or those of model[0] and M_0
     # by columns instead of as one stack of contiguous blocks
     seq = seeded_determinate_problem(k)
-    data = extension._decomposed_data(seq, 1e-8, 1e-9)
+    data = toeplitz._decomposed(seq, 1e-9)
     got = extension._central_extension(seq, *data, 50)
     expected = reference_determinate_extension(seq, *data, 50)
     assert expected is not None

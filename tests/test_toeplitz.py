@@ -235,17 +235,21 @@ class TestPositivityProfile:
 
     def test_cli_shaped_data_takes_logarithmically_many_decompositions(self, count_dense_calls):
         # the cli benchmark's data: order 64, d = 2 and rank 6.  One Cholesky
-        # factorisation of T_N proves every level PSD; level 3 (size 4 d) is
-        # singular, which decides every later level not strictly positive,
-        # so only levels of size <= 4 d are decomposed and T_N is not
+        # factorisation of T_N proves every level PSD, and its first pivot at
+        # most 2 tol marks level 5 (size 12).  Levels 0 .. 5 are read from the
+        # spectrum of T_5, which decomposes levels 0 and 2 besides; every
+        # later level carries the bracket [-tol, lambda_5 + margin], and T_N
+        # is not decomposed
+        tol = 1e-9
         seq = fixture_sequence(11, 2, 6, 64)
         calls = count_dense_calls()
-        reports = positivity_profile(seq, 1e-9)
+        reports = positivity_profile(seq, tol)
         assert calls["cholesky"] == [130]
-        assert max(calls["eigvalsh"]) <= 8 and len(calls["eigvalsh"]) <= 4
-        assert all(r.lower >= -1e-9 and r.is_psd for r in reports)
+        assert calls["eigvalsh"] == [12, 2, 6]
+        assert reports[:6] == _spectrum_profile(seq.truncated(5), tol)
+        assert all(r.lower >= -tol and r.is_psd for r in reports)
         assert all(not r.is_strictly_positive for r in reports[3:])
-        assert all(r.lower < r.upper for r in reports[4:])
+        assert all(r.lower == -tol and reports[5].upper < r.upper <= tol for r in reports[6:])
 
     @pytest.mark.parametrize(
         "values", [[1] + [0] * 64, 0.5 ** np.arange(65)], ids=["identity", "geometric"]
@@ -271,9 +275,9 @@ class TestPositivityProfile:
     def test_level_within_the_margin_of_tol_is_left_to_the_spectrum(self, count_dense_calls):
         # the second component has lambda_min tol at level 0 and tol / 2 at
         # level 1.  The rung's pivot marks level 0, whose decomposed value
-        # tol lies within the margin of tol, so no later level is decided by
-        # the search: the spectrum of T_N decides every level, at the cost of
-        # that one decomposition of level 0
+        # tol lies within the margin of tol, so no bracket past it proves a
+        # later level not strictly positive: the spectrum of T_N decides
+        # every level, at the cost of that one decomposition of level 0
         tol = 1e-9
         coeffs = np.zeros((5, 2, 2))
         coeffs[0] = np.diag([1.0, tol])
