@@ -35,19 +35,25 @@ centers, the central extension of the eps-shifted data.
 Routing.  Every entry point checks the shift's sign, then the data from
 one ``eigh`` of T_N (``toeplitz._decomposed``, which
 ``series.gram_isometries`` shares): the extension needs the spectrum
-(its top for the singularity rule of the chain, all of it for the minimal
-factor and its rank), so it does not take the Cholesky certificate of
-``certified_series``.  Where the smallest eigenvalue clears -tol by the
-interlacing margin, the eigenvalue check behind ``certified_series``
-(``toeplitz._certified_data``) provably passes every level; otherwise that
-check decides on T_N assembled afresh.  Either way verdicts and messages
-are those of the eigenvalue check.  Data that pass it but whose spectrum
-passes the float maximum (a non-finite top eigenvalue of T_N) are refused
-there with SingularBlockError naming the spectrum, for every entry point.
+(its top for the singularity rule of the chain, all of it for the
+minimal factor and its rank), so it does not take the rungs of
+``certified_series``: the atom rung, which decides determinate data from
+a leading block T_s by continuing it with the determinate branch of the
+central extension below, and the Cholesky certificate of T_N.  (Taking
+the extension's own factor from T_s on determinate data would move its
+outputs past N by rounding; it is not done.)  Where the smallest
+eigenvalue clears -tol by the interlacing margin, the eigenvalue check
+behind ``certified_series`` (``toeplitz._certified_data``) provably
+passes every level; otherwise that check decides on T_N assembled
+afresh.  Either way verdicts and messages are those of the eigenvalue
+check.  Data that pass it but whose spectrum passes the float maximum (a
+non-finite top eigenvalue of T_N) are refused there with
+SingularBlockError naming the spectrum, for every entry point.
 
 Central extension.  ``extend`` without contractions takes the central
 extension from the data's minimal factor, with no shift
-(``_central_extension``): the r eigenpairs of T_N above the interlacing
+(``toeplitz._central_extension``, which the atom rung of the data check
+shares): the r eigenpairs of T_N above the interlacing
 margin give T_N = F* F with r x d blocks F_j, and W = Q P^+, for the past
 and future blocks P = (F_0 ... F_{N-1}) and Q = (F_1 ... F_N), is the
 partial isometry from ran P onto ran Q with F_j = W^j F_0.  Then
@@ -60,7 +66,7 @@ determinate data (k = r: rank T_N = rank T_{N-1}) W is unitary and the
 extension unique; M_n = sum_k g_k g_k* lambda_k^n over the eigenpairs of
 W, in one product over the unit-circle powers, O(N^3 d^3 + L r d^2).
 Otherwise (k < r, partially determinate data, 0 < rank S < d, included)
-the orbit X_n = W^n F_0 (``series._orbit``, the running product that also
+the orbit X_n = W^n F_0 (``linalg._orbit``, the running product that also
 expands the realization fixtures and ``series.gram_isometries``) gives
 M_n = F_0* X_n, one r x r by r x d product per step, O(N^3 d^3 + L r^2 d).
 Either way each coefficient's bits do not depend on the horizon L.
@@ -157,14 +163,13 @@ import numpy as np
 
 from .exceptions import DimensionError, OutOfBallError, SingularBlockError
 from .linalg import _MACHINE_EPS, _hermitian, _integer
-from .series import HerglotzSeries, _orbit, _powers, certified_series
+from .series import HerglotzSeries, certified_series
 from .toeplitz import (
     CoefficientSequence,
+    _central_extension,
     _clearing_pivots,
     _decomposed,
-    _frobenius_squares,
     _minimal_factor,
-    _rounding,
     assemble,
     reverse_blocks,
 )
@@ -177,11 +182,6 @@ __all__ = [
     "extend",
     "solve_cf",
 ]
-
-# e^{i}, the turn of a unitary W whose Hermitian part gives W's eigenvectors
-_TURN = np.exp(1j)
-# the number of coefficients each block of the determinate product forms
-_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,7 +478,8 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     if steps == 0:
         return seq
     if contractions is None:
-        coeffs, beta = _central_extension(seq, dense, eigs, vecs, margin, steps)
+        factor = _minimal_factor(eigs, vecs, margin, seq.block_dim)
+        coeffs, beta = _central_extension(seq, dense, factor, steps)
         return _checked_output(coeffs, max(tol, eps), "central extension", beta)
     n, d = len(seq), seq.block_dim
     a, b, s, alpha_inv, _ = _ball_state(seq, eps, dense, eigs)
@@ -501,201 +502,13 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     return _checked_output(rev[:, ::-1].transpose(1, 0, 2), eps, "parametrized chain")
 
 
-def _central_extension(seq, dense, eigs, vecs, margin, steps):
-    # The central extension M_0 .. M_L (L = N + steps) of the data from their
-    # minimal factor, with the bound beta of its certificate,
-    # lambda_min(T_L) >= -beta.  ``dense``, ``eigs``, ``vecs`` and ``margin``
-    # are T_N, its computed eigenpairs and their interlacing margin
-    # (``toeplitz._decomposed``).
-    #
-    # Realization.  The r eigenpairs of T_N above the interlacing margin give
-    # a minimal factor T_N ~ F* F, F = (F_0 ... F_N) with r x d blocks.  For
-    # the past block P = (F_0 ... F_{N-1}) and the future block Q = (F_1 ...
-    # F_N), P* P = T_{N-1} = Q* Q, so Q x = 0 exactly where P x = 0, and
-    # W = Q P^+ maps ran P isometrically onto ran Q and is zero on its
-    # complement: a partial isometry with Q = W P, so F_j = W^j F_0 and
-    # M_n = F_0* W^n F_0 for n <= N.  Continued past N this is the central
-    # (maximum-entropy) extension, the zero parameter of the Arov-Grossman
-    # description of all extensions (Math. Nachr. 157 (1992); Dym & Gohberg,
-    # LAA 36 (1981)).  Q P* = W (P P*) is a polar decomposition, so the SVD
-    # outer sv inner of the r x r matrix Q P* (the singular values are the
-    # eigenvalues of P P*) gives W = outer_k inner_k from the k singular
-    # values above the same margin (``linalg._procrustes``).  k = r is
-    # rank T_{N-1} = rank T_N (P has N d columns, so r <= N d): the data are
-    # determinate, W is unitary and the extension is unique (the determinate
-    # Caratheodory-Toeplitz case).
-    #
-    # Determinate data (k = r).  The Hermitian part of e^{i} W has the
-    # eigenvectors q_k of W and eigenvalues cos(arg lambda_k + 1), which tie
-    # only where two arguments sum to -2 (mod 2 pi): equal eigenvalues share
-    # their eigenvectors, and conjugate pairs (real data) and roots of unity
-    # never tie; an accidental near-tie mixes two eigenvectors, and the
-    # certificate then fails.  The eigenvalues lambda_k are read back as
-    # Rayleigh quotients scaled to unit modulus, so M_n = sum_k g_k g_k*
-    # lambda_k^n with g_k = F_0* q_k, in one (L, r) x (r, d^2) product with
-    # the powers of ``series._powers``.  The product is formed in row
-    # blocks of one height, _BLOCK, over a power table padded to a multiple
-    # of it, so the bits of each M_n do not depend on L.
-    #
-    # Certificate (k = r).  Let l_k = lambda_k / |lambda_k| exactly and
-    # Mt_n = sum_k g_k g_k* l_k^n for the stored g_k.  With x_k = (1,
-    # l_k^{-1}, ..., l_k^{-L}), the Toeplitz matrix of Mt_0 .. Mt_L is
-    # sum_k (x_k x_k*) (x) (g_k g_k*), exactly PSD.  T_L differs from it by
-    # the block Toeplitz matrix of the defects E_0 = H_0 - Mt_0 (H_0 the
-    # Hermitian part of M_0) and E_n = M_n - Mt_n, whose 2-norm is at most
-    # its largest row sum of block norms, so
-    #
-    #     lambda_min(T_L) >= -beta,   beta = ||E_0|| + 2 sum_{n=1..L} ||E_n||.
-    #
-    # Bounds (u machine eps, gamma_k of ``_rounding``).  ``_powers``
-    # multiplies by lambda_k once per exponent, each time with a relative
-    # error theta, |theta| <= sqrt 2 gamma_2 (complex multiplication;
-    # Higham, Accuracy and Stability, Lemma 3.5), which turns the phase by
-    # at most asin |theta| < 1.5 u; each power is then divided by its
-    # computed modulus, which turns it by less than u / 2.  p^_k1 is lambda_k
-    # before that division, with the phase of l_k, so a computed power
-    # p^_kn = rho e^{i phi} (p^_k0 = 1) has |phi - n arg l_k| <= f_n =
-    # 1.5 u n - u (f_0 = 0), and |rho - 1| <= |rho^2 - 1| <= |s - 1| + 2 u s
-    # for the computed s = fl(rho^2).  The computed product P^_n =
-    # fl(sum_k W_k p^_kn), W_k = fl(g_k g_k*), errs from sum_k g_k g_k* p^_kn
-    # by at most c = gamma_{r+4} times sum_k |g_k| |g_k|* rho entrywise (the
-    # outer products by sqrt 2 gamma_2, the inner products of length r by
-    # gamma_{r+2}), of Frobenius norm <= sum_k ||g_k||^2 (1 + |rho - 1|).
-    # The rest, sum_k g_k g_k* (p^_kn - l_k^n), is sum_k g_k g_k* (rho - 1)
-    # e^{i phi} plus G X G* with G = (g_1 ... g_r) and X diagonal, |X| <= f_n.
-    # So ||P^_n - Mt_n||_2 <= D_n = m_n + ||G||^2 f_n, with
-    # m_n = sum_k ||g_k||^2 ((1 + c)(|s - 1| + 2 u s) + c) and
-    # ||G||^2 = ||Mt_0||_2 <= ||P^_0||_F + m_0.  Past N the output is P^_n,
-    # so ||E_n|| <= D_n.  On the data ||E_n|| <= ||fl(M_n - P^_n)||_F (1 + u)
-    # + D_n for n >= 1, and the same for n = 0 with the computed Hermitian
-    # part (``assemble``'s diagonal, ``linalg._hermitian``), plus
-    # u ||M_0||_F for its rounding.  Every nonnegative term is computed by at
-    # most K = L + r + 2 d^2 + 16 roundings of nonnegative terms, so the sum
-    # grown by 1 + gamma_K bounds beta.  Its phase term grows like
-    # L^2 u ||G||^2, the rest like L r u; the branch costs O(N^3 d^3 + L r d^2).
-    #
-    # Other data (k < r).  X_0 = F_0 and X_n = fl(W^ X_{n-1}) for the
-    # computed W^: the orbit of F_0 under W^ (``series._orbit``, the running
-    # product of every realization in the library), one r x r by r x d
-    # product per step, and M^_n = fl(F_0* X_n): each coefficient comes from
-    # the same products whatever L, in O(N^3 d^3 + L r^2 d).
-    #
-    # Certificate (k < r).  With delta >= ||W^||_2 - 1, Wt = W^ / (1 + delta)
-    # is a contraction, so Wt^n = P_H U^n |_H for a unitary dilation U
-    # (Sz.-Nagy), and the Toeplitz matrix of Mt_n = F_0* Wt^n F_0 is a Gram
-    # matrix, exactly PSD.  beta is formed against it as above; the model's
-    # part of each defect splits as
-    #
-    #     M^_n - Mt_n = (M^_n - F_0* X_n) + F_0* (X_n - W^^n F_0)
-    #                   + (1 - (1 + delta)^-n) F_0* W^^n F_0.
-    #
-    # With x_n = ||X_n||_F and f = x_0 >= ||F_0||_2, the first term is at
-    # most c f x_n (inner products of length r).  The second is F_0* sum_j
-    # W^^{n-j} e_j for the rounding e_j of step j, ||e_j||_F <= c ||W^||_F
-    # x_{j-1}, for bounds w_m >= ||W^^m||_2: the product of nu_i over the
-    # binary digits 2^i of m, nu_0 = 1 + delta rounded up, and nu_i >=
-    # ||W^^(2^i)||_2 the lesser of nu_{i-1}^2 and ||Z_i||_F + a_i for the
-    # computed squares Z_i = fl(Z_{i-1}^2), Z_0 = W^, whose distance a_i from
-    # W^^(2^i) obeys a_i <= (2 nu_{i-1} + a_{i-1}) a_{i-1} + c ||Z_{i-1}||_F^2
-    # (A^2 - B^2 = A (A - B) + (A - B) B).  So the decay of the powers bounds
-    # the propagation: the second terms sum over n to at most c f ||W^||_F
-    # sum_j x_{j-1} s_{L-j}, with the prefix sums s_K = w_0 + ... + w_K.  The
-    # third term is at most min(1, n delta) ||F_0* W^^n F_0||, and that norm
-    # at most ||M^_n||_F plus the bounds of the first two: the model's share
-    # of ||E_n|| is at most twice those bounds plus min(1, n delta) ||M^_n||_F.
-    # For delta, W^ = fl(U V*) with U = outer_k and V* = inner_k; ||U||_2^2
-    # <= 1 + a_U, a_U = ||fl(U* U - I)||_F (1 + u) + c ||U||_F^2, the same for
-    # V, so ||W^||_2 <= 1 + (a_U + a_V) / 2 + c ||U||_F ||V||_F.  delta, each
-    # a_i and each nu_i is grown by 1 + gamma_{2 r^2 + 16}, which covers its
-    # own roundings (a Frobenius norm of an r x r matrix and a few more), so
-    # each is a bound computed from bounds.  The data's defects enter as
-    # above.  Every other nonnegative term is computed from those by at most
-    # K = 2 (L + r d + d^2 + log_2 L) + 32 roundings of nonnegative terms, so
-    # the sum grown by 1 + gamma_K bounds beta.
-    #
-    # F = V_r* for V_r, the top r eigenvectors scaled by the roots of their
-    # eigenvalues (``toeplitz._minimal_factor``, which also gives W's two
-    # factors), so Q P* and F_0* = V_r[:d] need no adjoint of F; each
-    # array's squared moduli are summed in its own layout
-    # (``_frobenius_squares``): the defects as block columns of T_N's first
-    # block row, the model's M_0 and the data's as one stack of blocks.
-    n, d = len(seq), seq.block_dim
-    last = n - 1 + steps
-    rows, r, outer, inner = _minimal_factor(eigs, vecs, margin, d)
-    u, c = _MACHINE_EPS, _rounding(r + 4)
-    lam, g, k = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex), outer.shape[1]
-    # data near the float maximum overflow here to an infinite or NaN beta,
-    # which fails the output check's first rung and leaves the output to the
-    # later ones
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = outer @ inner
-        if k < r:
-            xs = _orbit(w, rows[:d].conj().T, last)
-            model = rows[:d] @ xs
-            x = np.sqrt(_frobenius_squares(xs))
-            basis = np.stack((outer, inner.conj().T))
-            sizes, up = _frobenius_squares(basis), 1 + _rounding(2 * r * r + 16)
-            a_u, a_v = np.sqrt(
-                _frobenius_squares(basis.conj().transpose(0, 2, 1) @ basis - np.eye(k))
-            ) * (1 + u) + c * sizes
-            delta = ((a_u + a_v) / 2 + c * np.sqrt(sizes[0] * sizes[1])) * up
-            nu, err, z = [1 + 2 * delta + u], 0.0, w
-            z_norm = w_norm = np.sqrt(_frobenius_squares(w))
-            for _ in range(1, int(last).bit_length()):
-                err = ((2 * nu[-1] + err) * err + c * z_norm * z_norm) * up
-                z = z @ z
-                z_norm = np.sqrt(_frobenius_squares(z))
-                nu.append(min(nu[-1] ** 2, z_norm + err) * up)
-            exps = np.arange(last + 1)
-            bounds = np.where((exps[:, None] >> np.arange(len(nu))) & 1, nu, 1.0).prod(axis=1)
-            sums = np.cumsum(bounds)
-            drift = np.minimum(1.0, exps[1:] * delta) @ np.sqrt(_frobenius_squares(model[1:]))
-            propagated = x[:-1] @ sums[-2::-1]
-            tail = 2 * c * x[0] * (x[0] + 2 * x[1:].sum() + 2 * w_norm * propagated) + 2 * drift
-            grow = _rounding(2 * (last + r * d + d * d + len(nu)) + 32)
-        else:
-            if r:
-                rotated = _TURN * w
-                q = np.linalg.eigh(rotated + rotated.conj().T)[1]
-                lam = (q.conj() * (w @ q)).sum(axis=0)
-                lam /= np.abs(lam)
-                g = rows[:d] @ q
-            width = -(-(last + 1) // _BLOCK) * _BLOCK
-            raw = _powers(lam, width - 1)
-            raw /= np.abs(raw)
-            table = np.concatenate((np.ones((r, 1)), raw), axis=1)
-            weights = (g[:, None, :] * g.conj()[None, :, :]).reshape(d * d, r)
-            blocks = table.T.reshape(width // _BLOCK, _BLOCK, r) @ weights.T
-            model = blocks.reshape(width, d, d)[: last + 1]
-            powers = table[:, : last + 1]
-        # T_N's first block row is (H_0, M_1 .. M_N) exactly (``assemble``)
-        defects = np.sqrt(
-            _frobenius_squares(dense[:d].reshape(d, n, d).transpose(1, 0, 2) - model[:n])
-        )
-        model0_norm, m0_norm = np.sqrt(
-            _frobenius_squares(np.array([model[0], seq.coefficients[0]]))
-        )
-        beta = (defects[0] + 2 * defects[1:].sum()) * (1 + u) + u * m0_norm
-        if k < r:
-            beta = beta + tail
-        else:
-            squares = powers.real**2 + powers.imag**2
-            moduli = (g.real**2 + g.imag**2).sum(axis=0) @ (
-                (1 + c) * (np.abs(squares - 1) + 2 * u * squares) + c
-            )
-            # ||G||^2 times the phase bounds f_1 + ... + f_L
-            phases = (model0_norm + moduli[0]) * (0.75 * u * last * (last + 1) - u * last)
-            beta = beta + moduli[0] + 2 * (moduli[1:].sum() + phases)
-            grow = _rounding(last + r + 2 * d * d + 16)
-    model[:n] = seq.coefficients
-    return model, beta * (1 + grow)
-
-
 def solve_cf(seq, horizon, eps=1e-8, tol=1e-9, radius=0.9):
     """Solve the truncated-coefficient interpolation problem.
 
-    Up to ``horizon`` = N this is ``certified_series``: one shifted
-    Cholesky factorisation of T_N, O(N^3 d^3).  Beyond it the data are
+    Up to ``horizon`` = N this is ``certified_series``: on determinate
+    data the atom rung, from a leading block T_s, O(s^3 d^3 + N r d^2);
+    otherwise one shifted Cholesky factorisation of T_N, O(N^3 d^3).
+    Beyond it the data are
     extended centrally by ``extend`` until the coefficient list reaches
     index ``horizon``, with its contract and cost: lambda_min(T_L) >=
     -max(tol, eps), in O(N^3 d^3 + H r^2 d) for data of rank r

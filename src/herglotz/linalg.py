@@ -255,6 +255,31 @@ def _procrustes(cross, floor=-np.inf):
     return outer[:, :k], inner[:k]
 
 
+def _powers(z, n):
+    # z^1 .. z^n along a new last axis, by running product: n - 1 complex
+    # multiplications per point, far cheaper than ``**``, which calls libm's
+    # cpow for every exponent of 100 or more.  The table is filled with z and
+    # multiplied through in place, which gives bitwise the ``cumprod`` of
+    # the broadcast z without its strided read
+    table = np.empty(z.shape + (n,), dtype=z.dtype)
+    table[...] = z[..., None]
+    return np.multiply.accumulate(table, axis=-1, out=table)
+
+
+def _orbit(a, y, n):
+    # y, a y, ..., a^n y stacked on a new first axis: the expansion of every
+    # Hilbert-space realization C* V^n C of the library (the fixtures, the
+    # central extension's minimal factor, the base isometries of
+    # ``gram_isometries``).  Each power is one matmul into its slot of the
+    # stack, so a^k y has the bits of k products taken one after another,
+    # whatever n is: a longer orbit extends a shorter one bit for bit
+    ys = np.empty((n + 1,) + y.shape, dtype=complex)
+    ys[0] = y
+    for k in range(n):
+        np.matmul(a, ys[k], out=ys[k + 1])
+    return ys
+
+
 def connecting_isometry(minimal, other, tol=1e-8):
     """Isometry V with V T = T' between two factorizations of the same matrix.
 

@@ -30,6 +30,8 @@ from .linalg import (
     _check_tol,
     _hermitian,
     _integer,
+    _orbit,
+    _powers,
     _psd_verdict,
     connecting_isometry,
     hermitian_split,
@@ -142,10 +144,16 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     Cauchy interlacing lambda_min(T_n) >= lambda_min(T_N), and each level's
     computed lambda_min is within 2 m u ||T_N||_2 of its exact value (m the
     size of T_N, u the machine epsilon; the convention of
-    ``positivity_profile``).  One Cholesky factorisation of T_N, shifted
-    down to -tol plus that margin and its own rounding margin, proves that
-    every level passes, at a fraction of the cost of an eigendecomposition.
-    Only where it fails is T_N assembled afresh and decomposed: every level
+    ``positivity_profile``).  Two rungs prove that every level passes.
+    On determinate data (rank T_s = rank T_{s-1} at a leading level s,
+    the Caratheodory-Fejer case) the atom rung does, from T_s alone: the
+    data past s must be the unique PSD continuation of T_s, an r-atom
+    measure, and its certificate plus their defects against it are checked
+    against -tol and the same margin, in O(s^3 d^3 + N r d^2) with nothing
+    of T_N's size assembled.  Otherwise one Cholesky factorisation of T_N,
+    shifted down to -tol plus that margin and its own rounding margin, does,
+    in O(N^3 d^3), at a fraction of the cost of an eigendecomposition.
+    Only where both fail is T_N assembled afresh and decomposed: every level
     passes unless its computed lambda_min lies within the rounding margin
     of ``-tol``, and there the levels are decided as ``positivity_profile``
     decides them from the spectrum of T_N and the first failing level is
@@ -161,31 +169,6 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     """
     _check_data(seq, tol)
     return HerglotzSeries(seq=seq, declared_radius=declared_radius, certified=True)
-
-
-def _powers(z, n):
-    # z^1 .. z^n along a new last axis, by running product: n - 1 complex
-    # multiplications per point, far cheaper than ``**``, which calls libm's
-    # cpow for every exponent of 100 or more.  The table is filled with z and
-    # multiplied through in place, which gives bitwise the ``cumprod`` of
-    # the broadcast z without its strided read
-    table = np.empty(z.shape + (n,), dtype=z.dtype)
-    table[...] = z[..., None]
-    return np.multiply.accumulate(table, axis=-1, out=table)
-
-
-def _orbit(a, y, n):
-    # y, a y, ..., a^n y stacked on a new first axis: the expansion of every
-    # Hilbert-space realization C* V^n C of the library (the fixtures, the
-    # central extension's minimal factor, the base isometries of
-    # ``gram_isometries``).  Each power is one matmul into its slot of the
-    # stack, so a^k y has the bits of k products taken one after another,
-    # whatever n is: a longer orbit extends a shorter one bit for bit
-    ys = np.empty((n + 1,) + y.shape, dtype=complex)
-    ys[0] = y
-    for k in range(n):
-        np.matmul(a, ys[k], out=ys[k + 1])
-    return ys
 
 
 def eval_series(phi, z):

@@ -13,7 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NotPsdError, SingularBlockError
-from .linalg import _MACHINE_EPS, _check_tol, _hermitian, _integer, _procrustes, psd_report
+from .linalg import (
+    _MACHINE_EPS,
+    _check_tol,
+    _hermitian,
+    _integer,
+    _orbit,
+    _powers,
+    _procrustes,
+    psd_report,
+)
 
 __all__ = [
     "CoefficientSequence",
@@ -25,6 +34,11 @@ __all__ = [
     "positivity_profile",
     "cross_block_bound_check",
 ]
+
+# e^{i}, the turn of a unitary W whose Hermitian part gives W's eigenvectors
+_TURN = np.exp(1j)
+# the number of coefficients each block of the determinate product forms
+_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +189,12 @@ class LevelReport:
     the report is that of ``psd_report``.  ``is_psd`` and
     ``is_strictly_positive`` are the verdicts ``psd_report`` gives for the
     level (``min_eigenvalue >= -tolerance_used`` and
-    ``> tolerance_used``), decided by the bracket.  Where the Cholesky
-    rung of ``positivity_profile`` proves the data PSD and marks a level s
-    below the top, every level past s carries the bracket
-    ``[-tolerance_used, lambda_s + margin]``, which proves it PSD and not
-    strictly positive.
+    ``> tolerance_used``), decided by the bracket.  Where a rung of
+    ``positivity_profile`` proves the data PSD at a level s below the top
+    (the atom rung's determinate level of a leading block, or the level the
+    Cholesky rung's first pivot at most 2 tol marks), every level past s
+    carries the bracket ``[-tolerance_used, lambda_s + margin]``, which
+    proves it PSD and not strictly positive.
     """
 
     lower: float
@@ -223,28 +238,54 @@ def positivity_profile(seq, tol=1e-9):
     n >= r / d singular; where ``tol`` is well above the margin, those
     levels are decided from the spectrum of T_N alone.
 
-    The Cholesky rung runs first.  One factorisation of T_N shifted down to
-    ``-tol`` (``_clearing_pivots``) proves every level's computed
-    lambda_min >= -tol: every level is PSD.  Its first pivot at most 2 tol
-    closes a leading block of a level s whose exact lambda_min is at most
-    ``tol`` up to rounding (a pivot is at least the least eigenvalue of the
-    shifted leading block it closes).  Levels 0 .. s are then the profile
-    of ``seq.truncated(s)`` read from the spectrum of T_s as above, and
-    every later level carries the bracket [-tol, lambda_s + margin], with
-    the margin taken from a bound on ||T_N||_2 (its block row sums): by
-    interlacing, no later level's computed lambda_min is above it.  That
-    bracket proves the level PSD and not strictly positive; it is only as
-    tight as its two ends, not an estimate of the level's lambda_min.
+    Two rungs run first; each proves every level's computed lambda_min >=
+    -tol, so every level is PSD, and each gives a level s that the profile
+    reads.  The atom rung (``_atom_level``) takes determinate data, the
+    Caratheodory-Fejer case: it searches the leading blocks T_1, T_2, T_4,
+    ... while 8 (s + 1) <= N + 1 for the first whose rank stops growing
+    (rank T_s = rank T_{s-1} = r), continues M_0 .. M_s to N by the unique
+    PSD continuation, the r-atom measure of the central extension, and
+    passes where that continuation's certificate beta plus twice the sum of
+    the defects ||M_j - C_j||_F (j > s) stays below tol by the rounding
+    margin of the Cholesky rung.  It costs O(s^3 d^3 + N r d^2) in place of
+    the O(N^3 d^3) of a factorisation of T_N, and assembles nothing of T_N's
+    size.  Where it does not pass (data that are not determinate at a
+    searched level, or whose later coefficients leave the continuation),
+    its search costs one ``eigh`` of each searched T_s, sizes (s + 1) d up
+    to (N + 1) d / 8, plus the continuation where a level is determinate;
+    below N = 15, and where ``tol`` is below the margin, it searches
+    nothing.
+    That extra work, measured on full-rank data at N = 64 (d = 1 .. 4, one
+    OpenBLAS thread, a 2-core x86-64 host), is 0.17 .. 0.37 ms, between
+    0.3 and 2.1 times one Cholesky factorisation of T_N; at N = 256 it is
+    at most 3.4 ms, below 0.3 of that factorisation.
 
-    Where the rung does not decide (N = 0, the data are not proved PSD, no
+    The Cholesky rung runs where the atom rung does not pass.  One
+    factorisation of T_N shifted down to ``-tol`` (``_clearing_pivots``)
+    proves every level's computed lambda_min >= -tol.  Its first pivot at
+    most 2 tol closes a leading block of a level s whose exact lambda_min is
+    at most ``tol`` up to rounding (a pivot is at least the least
+    eigenvalue of the shifted leading block it closes).
+
+    Where a rung proves the data PSD at a level s < N, levels 0 .. s are the
+    profile of ``seq.truncated(s)`` read from the spectrum of T_s as above,
+    and every later level carries the bracket [-tol, lambda_s + margin],
+    with the margin taken from a bound on ||T_N||_2 (its block row sums):
+    by interlacing, no later level's computed lambda_min is above it.  That
+    bracket proves the level PSD and not strictly positive; it is only as
+    tight as its two ends, not an estimate of the level's lambda_min.  So
+    which levels carry a bracket, and its upper end, depend on the rung
+    that decided.
+
+    Where neither rung decides (N = 0, the data are not proved PSD, no
     pivot marks a level, s = N, or lambda_s + margin > tol, which only
     rounding allows), the profile is read from the spectrum of T_N, bitwise
-    as without the rung, at the cost of one Cholesky factorisation of T_N
-    more (and, in the last case, the profile of T_s).  Either way a
-    decomposed level's report is bitwise that of ``psd_report`` of its own
-    assembly; every verdict equals it and every bracket contains its
-    ``min_eigenvalue``.  Level N is decomposed exactly where the profile is
-    read from the spectrum of T_N.
+    as without the rungs, at the cost of the atom rung's search and one
+    Cholesky factorisation of T_N more (and, in the last case, the profile
+    of T_s).  Either way a decomposed level's report is bitwise that of
+    ``psd_report`` of its own assembly; every verdict equals it and every
+    bracket contains its ``min_eigenvalue``.  Level N is decomposed exactly
+    where the profile is read from the spectrum of T_N.
 
     Raises
     ------
@@ -253,9 +294,11 @@ def positivity_profile(seq, tol=1e-9):
     """
     _check_tol(tol)
     top, d = seq.order, seq.block_dim
-    pivots = _clearing_pivots(seq, tol) if top else None
-    marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // d
-    stop = int(marked[0]) if len(marked) else top
+    stop = _atom_level(seq, tol)
+    if stop is None:
+        pivots = _clearing_pivots(seq, tol) if top else None
+        marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // d
+        stop = int(marked[0]) if len(marked) else top
     if stop < top:
         reports = _spectrum_profile(seq.truncated(stop), tol)
         cap = reports[stop].upper + float(
@@ -268,19 +311,78 @@ def positivity_profile(seq, tol=1e-9):
 
 def _spectrum_profile(seq, tol):
     # the reports of ``positivity_profile`` read from the spectrum of T_N:
-    # the profile of T_N where the Cholesky rung does not decide it and of
-    # the marked level's T_s where it does, and the reports of the
-    # eigenvalue check (``_certified_data``)
+    # the profile of T_N where no rung decides it and of the rung's level
+    # T_s where one does, and the reports of the eigenvalue check
+    # (``_certified_data``)
     dense = assemble(seq).dense
     return _interlaced_reports(dense, seq.block_dim, tol, np.linalg.eigvalsh(dense))
 
 
 def _check_data(seq, tol):
-    # the check of ``certified_series``: the Cholesky rung, and where that
-    # fails ``_certified_data`` on T_N assembled afresh
+    # the check of ``certified_series``: the atom rung (``_atom_level``),
+    # which decides determinate data from a leading block T_s in
+    # O(s^3 d^3 + N r d^2), then the Cholesky rung on T_N, and where both
+    # fail ``_certified_data`` on T_N assembled afresh.  Both rungs prove
+    # passes only, so verdicts and messages are the eigenvalue check's
     _check_tol(tol)
-    if _clearing_pivots(seq, tol) is None:
+    if _atom_level(seq, tol) is None and _clearing_pivots(seq, tol) is None:
         _certified_data(seq, tol)
+
+
+def _atom_level(seq, tol):
+    # The atom rung: the level s from which it proves every level's computed
+    # lambda_min >= -tol, the claim of ``_clearing_pivots(seq, tol) is not
+    # None``, or None where it proves nothing.
+    #
+    # Determinate data (the Caratheodory-Fejer case).  Where the rank of the
+    # data stops growing at a level s (rank T_s = rank T_{s-1} = r, the k = r
+    # of ``_central_extension``), T_s has exactly one PSD continuation: the
+    # measure with r atoms that the determinate branch of the central
+    # extension builds, with its certificate beta.  So T_N is PSD only where
+    # M_{s+1} .. M_N are that continuation C_{s+1} .. C_N, and where they are
+    # up to rounding the rung proves it from T_s alone.
+    #
+    # Search.  s runs over 1, 2, 4, ... while 8 (s + 1) <= N + 1, so T_s is
+    # at most an eighth of T_N across; each s takes one ``eigh`` of T_s and
+    # its minimal factor, and the first s whose factor is determinate is the
+    # only level the rung tries.  So it costs O(s^3 d^3 + N r d^2) in place
+    # of the O(N^3 d^3) of a factorisation of T_N.
+    #
+    # Proof.  The continuation T_N' of (M_0 .. M_s, C_{s+1} .. C_N) has
+    # lambda_min(T_N') >= -beta.  T_N - T_N' is the block Toeplitz matrix of
+    # the defects E_j = M_j - C_j (j > s; the blocks up to s agree), whose
+    # 2-norm is at most its block row sum 2 sum ||E_j||_2 <= 2 sum ||E_j||_F.
+    # So lambda_min(T_N) >= -beta - 2 sum ||E_j||_F (Weyl), and where that is
+    # above -tol + margin (``_clearing_margin``) every level's computed
+    # lambda_min is at least -tol, by the convention of ``_clearing_pivots``.
+    # Rounding (u machine eps, twice the unit roundoff): each real part of
+    # fl(E_j) is exact to a relative u / 2, so ||E_j||_F <= (1 + u)
+    # ||fl(E_j)||_F; its squared norm sums 2 d^2 squares
+    # (``_frobenius_squares``) and its root rounds once; the N - s norms are
+    # summed, and beta, their doubled sum and the margin added and grown.  So
+    # every term passes through at most K = N - s + 2 d^2 + 8 roundings of
+    # nonnegative terms, the sum grown by 1 + gamma_K is at least the exact
+    # beta + 2 sum ||E_j||_F + margin, and the rung passes where it is below
+    # tol.  Data whose margin is not below tol cannot pass and cost nothing;
+    # data near the float maximum overflow to an infinite or NaN bound,
+    # which fails
+    top, d = seq.order, seq.block_dim
+    margin = _clearing_margin(seq)
+    s = 1
+    while 8 * (s + 1) <= top + 1 and margin < tol:
+        head = seq.truncated(s)
+        dense = assemble(head).dense
+        eigs, vecs = np.linalg.eigh(dense)
+        factor = _minimal_factor(eigs, vecs, _interlacing_margin(eigs), d)
+        if factor[2].shape[1] == factor[1]:
+            coeffs, beta = _central_extension(head, dense, factor, top - s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                defects = np.sqrt(_frobenius_squares(seq.coefficients[s + 1 :] - coeffs[s + 1 :]))
+                growth = 1 + _rounding(top - s + 2 * d * d + 8)
+                bound = (beta + 2 * defects.sum() + margin) * growth
+            return s if bound < tol else None
+        s *= 2
+    return None
 
 
 def _clearing_pivots(seq, bound):
@@ -292,22 +394,26 @@ def _clearing_pivots(seq, bound):
     # least lambda_min(T_N) - 2 m u ||T_N||_2 (m = (N + 1) d, u machine
     # eps), and ||T_N||_2 <= nu (``_norm_bound``).  So the factorisation
     # proving lambda_min(T_N) > -bound + 2 (m + 1) u nu (the extra 2 u nu
-    # covers the rounding of that margin) is enough.  Data too large for the
-    # margin to be finite get no certificate
-    m = len(seq) * seq.block_dim
+    # covers the rounding of that margin, ``_clearing_margin``) is enough.
+    # Data too large for the margin to be finite get no certificate
+    return _shifted_pivots(assemble(seq).dense, -bound, _clearing_margin(seq))
+
+
+def _clearing_margin(seq):
+    # 2 (m + 1) u nu for T_N of size m = (N + 1) d: the rounding margin by
+    # which a rung of the data check proves lambda_min(T_N) above -tol
     with np.errstate(over="ignore"):
-        margin = 2 * (m + 1) * _MACHINE_EPS * _norm_bound(seq.coefficients)
-        return _shifted_pivots(assemble(seq).dense, -bound, margin)
+        return 2 * (len(seq) * seq.block_dim + 1) * _MACHINE_EPS * _norm_bound(seq.coefficients)
 
 
 def _certified_data(seq, tol):
     # the eigenvalue check of the data: it decides the data where the
-    # Cholesky factorisation of ``_check_data`` does not, and for the
-    # extension where its ``eigh`` of T_N leaves the verdict open.  The data
-    # are refused at the first level the profile read from the spectrum of
-    # T_N fails, so a refusal is the ``check`` command's first failing level
-    # (``positivity_profile`` reads that spectrum wherever its Cholesky rung
-    # fails); that level is a decomposed one (a bracket fails a level only
+    # rungs of ``_check_data`` do not, and for the extension where its
+    # ``eigh`` of T_N leaves the verdict open.  The data are refused at the
+    # first level the profile read from the spectrum of T_N fails, so a
+    # refusal is the ``check`` command's first failing level
+    # (``positivity_profile`` reads that spectrum wherever its rungs fail,
+    # as they do on data that fail); that level is a decomposed one (a bracket fails a level only
     # when the decomposed level before it fails), named with its computed
     # lambda_min
     for n, report in enumerate(_spectrum_profile(seq, tol)):
@@ -347,22 +453,213 @@ def _decomposed(seq, tol):
 
 
 def _minimal_factor(eigs, vecs, margin, block_dim):
-    # The minimal factor of T_N from its eigenpairs (``_decomposed``), under
-    # the one rank rule of the library's factor of T_N: the r eigenvalues
+    # The minimal factor of T_N from its eigenpairs (``_decomposed``, or
+    # those of a leading block in the atom rung's search), under the one
+    # rank rule of the library's factor of T_N: the r eigenvalues
     # above the interlacing margin, which is relative to ||T_N||_2.  Returns
     # the factor's rows F* (the top r eigenvectors scaled by the roots of
     # their eigenvalues, so T_N ~ F* F with r x d column blocks F_j), r, and
     # the two factors (outer, inner) of the partial isometry W = outer inner
     # with F_j = W^j F_0, the Procrustes solution for Q P* of the future and
     # past blocks, its rank k counted above the same margin (derived in
-    # ``extension._central_extension``).  Data near the float maximum may
-    # overflow Q P*, which is left to the caller's checks
+    # ``_central_extension``; k = r is determinate data).  Data near the
+    # float maximum may overflow Q P*, which is left to the caller's checks
     r = np.count_nonzero(eigs > margin)
     # ``eigh`` returns the eigenvalues ascending: the top r are the last
     rows = vecs[:, len(eigs) - r :] * np.sqrt(eigs[len(eigs) - r :])
     with np.errstate(over="ignore", invalid="ignore"):
         outer, inner = _procrustes(rows[block_dim:].conj().T @ rows[:-block_dim], margin)
     return rows, r, outer, inner
+
+
+def _central_extension(seq, dense, factor, steps):
+    # The central extension M_0 .. M_L (L = N + steps) of the data from their
+    # minimal factor, with the bound beta of its certificate,
+    # lambda_min(T_L) >= -beta: the extension of ``extension.extend`` and the
+    # continuation of the atom rung (``_atom_level``).  ``dense`` is T_N and
+    # ``factor`` its minimal factor (``_minimal_factor``).
+    #
+    # Realization.  The r eigenpairs of T_N above the interlacing margin give
+    # a minimal factor T_N ~ F* F, F = (F_0 ... F_N) with r x d blocks.  For
+    # the past block P = (F_0 ... F_{N-1}) and the future block Q = (F_1 ...
+    # F_N), P* P = T_{N-1} = Q* Q, so Q x = 0 exactly where P x = 0, and
+    # W = Q P^+ maps ran P isometrically onto ran Q and is zero on its
+    # complement: a partial isometry with Q = W P, so F_j = W^j F_0 and
+    # M_n = F_0* W^n F_0 for n <= N.  Continued past N this is the central
+    # (maximum-entropy) extension, the zero parameter of the Arov-Grossman
+    # description of all extensions (Math. Nachr. 157 (1992); Dym & Gohberg,
+    # LAA 36 (1981)).  Q P* = W (P P*) is a polar decomposition, so the SVD
+    # outer sv inner of the r x r matrix Q P* (the singular values are the
+    # eigenvalues of P P*) gives W = outer_k inner_k from the k singular
+    # values above the same margin (``linalg._procrustes``).  k = r is
+    # rank T_{N-1} = rank T_N (P has N d columns, so r <= N d): the data are
+    # determinate, W is unitary and the extension is unique (the determinate
+    # Caratheodory-Toeplitz case).
+    #
+    # Determinate data (k = r).  The Hermitian part of e^{i} W has the
+    # eigenvectors q_k of W and eigenvalues cos(arg lambda_k + 1), which tie
+    # only where two arguments sum to -2 (mod 2 pi): equal eigenvalues share
+    # their eigenvectors, and conjugate pairs (real data) and roots of unity
+    # never tie; an accidental near-tie mixes two eigenvectors, and the
+    # certificate then fails.  The eigenvalues lambda_k are read back as
+    # Rayleigh quotients scaled to unit modulus, so M_n = sum_k g_k g_k*
+    # lambda_k^n with g_k = F_0* q_k, in one (L, r) x (r, d^2) product with
+    # the powers of ``linalg._powers``.  The product is formed in row
+    # blocks of one height, _BLOCK, over a power table padded to a multiple
+    # of it, so the bits of each M_n do not depend on L.
+    #
+    # Certificate (k = r).  Let l_k = lambda_k / |lambda_k| exactly and
+    # Mt_n = sum_k g_k g_k* l_k^n for the stored g_k.  With x_k = (1,
+    # l_k^{-1}, ..., l_k^{-L}), the Toeplitz matrix of Mt_0 .. Mt_L is
+    # sum_k (x_k x_k*) (x) (g_k g_k*), exactly PSD.  T_L differs from it by
+    # the block Toeplitz matrix of the defects E_0 = H_0 - Mt_0 (H_0 the
+    # Hermitian part of M_0) and E_n = M_n - Mt_n, whose 2-norm is at most
+    # its largest row sum of block norms, so
+    #
+    #     lambda_min(T_L) >= -beta,   beta = ||E_0|| + 2 sum_{n=1..L} ||E_n||.
+    #
+    # Bounds (u machine eps, gamma_k of ``_rounding``).  ``_powers``
+    # multiplies by lambda_k once per exponent, each time with a relative
+    # error theta, |theta| <= sqrt 2 gamma_2 (complex multiplication;
+    # Higham, Accuracy and Stability, Lemma 3.5), which turns the phase by
+    # at most asin |theta| < 1.5 u; each power is then divided by its
+    # computed modulus, which turns it by less than u / 2.  p^_k1 is lambda_k
+    # before that division, with the phase of l_k, so a computed power
+    # p^_kn = rho e^{i phi} (p^_k0 = 1) has |phi - n arg l_k| <= f_n =
+    # 1.5 u n - u (f_0 = 0), and |rho - 1| <= |rho^2 - 1| <= |s - 1| + 2 u s
+    # for the computed s = fl(rho^2).  The computed product P^_n =
+    # fl(sum_k W_k p^_kn), W_k = fl(g_k g_k*), errs from sum_k g_k g_k* p^_kn
+    # by at most c = gamma_{r+4} times sum_k |g_k| |g_k|* rho entrywise (the
+    # outer products by sqrt 2 gamma_2, the inner products of length r by
+    # gamma_{r+2}), of Frobenius norm <= sum_k ||g_k||^2 (1 + |rho - 1|).
+    # The rest, sum_k g_k g_k* (p^_kn - l_k^n), is sum_k g_k g_k* (rho - 1)
+    # e^{i phi} plus G X G* with G = (g_1 ... g_r) and X diagonal, |X| <= f_n.
+    # So ||P^_n - Mt_n||_2 <= D_n = m_n + ||G||^2 f_n, with
+    # m_n = sum_k ||g_k||^2 ((1 + c)(|s - 1| + 2 u s) + c) and
+    # ||G||^2 = ||Mt_0||_2 <= ||P^_0||_F + m_0.  Past N the output is P^_n,
+    # so ||E_n|| <= D_n.  On the data ||E_n|| <= ||fl(M_n - P^_n)||_F (1 + u)
+    # + D_n for n >= 1, and the same for n = 0 with the computed Hermitian
+    # part (``assemble``'s diagonal, ``linalg._hermitian``), plus
+    # u ||M_0||_F for its rounding.  Every nonnegative term is computed by at
+    # most K = L + r + 2 d^2 + 16 roundings of nonnegative terms, so the sum
+    # grown by 1 + gamma_K bounds beta.  Its phase term grows like
+    # L^2 u ||G||^2, the rest like L r u; the branch costs O(N^3 d^3 + L r d^2).
+    #
+    # Other data (k < r).  X_0 = F_0 and X_n = fl(W^ X_{n-1}) for the
+    # computed W^: the orbit of F_0 under W^ (``linalg._orbit``, the running
+    # product of every realization in the library), one r x r by r x d
+    # product per step, and M^_n = fl(F_0* X_n): each coefficient comes from
+    # the same products whatever L, in O(N^3 d^3 + L r^2 d).
+    #
+    # Certificate (k < r).  With delta >= ||W^||_2 - 1, Wt = W^ / (1 + delta)
+    # is a contraction, so Wt^n = P_H U^n |_H for a unitary dilation U
+    # (Sz.-Nagy), and the Toeplitz matrix of Mt_n = F_0* Wt^n F_0 is a Gram
+    # matrix, exactly PSD.  beta is formed against it as above; the model's
+    # part of each defect splits as
+    #
+    #     M^_n - Mt_n = (M^_n - F_0* X_n) + F_0* (X_n - W^^n F_0)
+    #                   + (1 - (1 + delta)^-n) F_0* W^^n F_0.
+    #
+    # With x_n = ||X_n||_F and f = x_0 >= ||F_0||_2, the first term is at
+    # most c f x_n (inner products of length r).  The second is F_0* sum_j
+    # W^^{n-j} e_j for the rounding e_j of step j, ||e_j||_F <= c ||W^||_F
+    # x_{j-1}, for bounds w_m >= ||W^^m||_2: the product of nu_i over the
+    # binary digits 2^i of m, nu_0 = 1 + delta rounded up, and nu_i >=
+    # ||W^^(2^i)||_2 the lesser of nu_{i-1}^2 and ||Z_i||_F + a_i for the
+    # computed squares Z_i = fl(Z_{i-1}^2), Z_0 = W^, whose distance a_i from
+    # W^^(2^i) obeys a_i <= (2 nu_{i-1} + a_{i-1}) a_{i-1} + c ||Z_{i-1}||_F^2
+    # (A^2 - B^2 = A (A - B) + (A - B) B).  So the decay of the powers bounds
+    # the propagation: the second terms sum over n to at most c f ||W^||_F
+    # sum_j x_{j-1} s_{L-j}, with the prefix sums s_K = w_0 + ... + w_K.  The
+    # third term is at most min(1, n delta) ||F_0* W^^n F_0||, and that norm
+    # at most ||M^_n||_F plus the bounds of the first two: the model's share
+    # of ||E_n|| is at most twice those bounds plus min(1, n delta) ||M^_n||_F.
+    # For delta, W^ = fl(U V*) with U = outer_k and V* = inner_k; ||U||_2^2
+    # <= 1 + a_U, a_U = ||fl(U* U - I)||_F (1 + u) + c ||U||_F^2, the same for
+    # V, so ||W^||_2 <= 1 + (a_U + a_V) / 2 + c ||U||_F ||V||_F.  delta, each
+    # a_i and each nu_i is grown by 1 + gamma_{2 r^2 + 16}, which covers its
+    # own roundings (a Frobenius norm of an r x r matrix and a few more), so
+    # each is a bound computed from bounds.  The data's defects enter as
+    # above.  Every other nonnegative term is computed from those by at most
+    # K = 2 (L + r d + d^2 + log_2 L) + 32 roundings of nonnegative terms, so
+    # the sum grown by 1 + gamma_K bounds beta.
+    #
+    # F = V_r* for V_r, the top r eigenvectors scaled by the roots of their
+    # eigenvalues (``_minimal_factor``, which also gives W's two
+    # factors), so Q P* and F_0* = V_r[:d] need no adjoint of F; each
+    # array's squared moduli are summed in its own layout
+    # (``_frobenius_squares``): the defects as block columns of T_N's first
+    # block row, the model's M_0 and the data's as one stack of blocks.
+    n, d = len(seq), seq.block_dim
+    last = n - 1 + steps
+    rows, r, outer, inner = factor
+    u, c = _MACHINE_EPS, _rounding(r + 4)
+    lam, g, k = np.empty(0, dtype=complex), np.empty((d, 0), dtype=complex), outer.shape[1]
+    # data near the float maximum overflow here to an infinite or NaN beta,
+    # which fails the output check's first rung and leaves the output to the
+    # later ones
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = outer @ inner
+        if k < r:
+            xs = _orbit(w, rows[:d].conj().T, last)
+            model = rows[:d] @ xs
+            x = np.sqrt(_frobenius_squares(xs))
+            basis = np.stack((outer, inner.conj().T))
+            sizes, up = _frobenius_squares(basis), 1 + _rounding(2 * r * r + 16)
+            a_u, a_v = np.sqrt(
+                _frobenius_squares(basis.conj().transpose(0, 2, 1) @ basis - np.eye(k))
+            ) * (1 + u) + c * sizes
+            delta = ((a_u + a_v) / 2 + c * np.sqrt(sizes[0] * sizes[1])) * up
+            nu, err, z = [1 + 2 * delta + u], 0.0, w
+            z_norm = w_norm = np.sqrt(_frobenius_squares(w))
+            for _ in range(1, int(last).bit_length()):
+                err = ((2 * nu[-1] + err) * err + c * z_norm * z_norm) * up
+                z = z @ z
+                z_norm = np.sqrt(_frobenius_squares(z))
+                nu.append(min(nu[-1] ** 2, z_norm + err) * up)
+            exps = np.arange(last + 1)
+            bounds = np.where((exps[:, None] >> np.arange(len(nu))) & 1, nu, 1.0).prod(axis=1)
+            sums = np.cumsum(bounds)
+            drift = np.minimum(1.0, exps[1:] * delta) @ np.sqrt(_frobenius_squares(model[1:]))
+            propagated = x[:-1] @ sums[-2::-1]
+            tail = 2 * c * x[0] * (x[0] + 2 * x[1:].sum() + 2 * w_norm * propagated) + 2 * drift
+            grow = _rounding(2 * (last + r * d + d * d + len(nu)) + 32)
+        else:
+            if r:
+                rotated = _TURN * w
+                q = np.linalg.eigh(rotated + rotated.conj().T)[1]
+                lam = (q.conj() * (w @ q)).sum(axis=0)
+                lam /= np.abs(lam)
+                g = rows[:d] @ q
+            width = -(-(last + 1) // _BLOCK) * _BLOCK
+            raw = _powers(lam, width - 1)
+            raw /= np.abs(raw)
+            table = np.concatenate((np.ones((r, 1)), raw), axis=1)
+            weights = (g[:, None, :] * g.conj()[None, :, :]).reshape(d * d, r)
+            blocks = table.T.reshape(width // _BLOCK, _BLOCK, r) @ weights.T
+            model = blocks.reshape(width, d, d)[: last + 1]
+            powers = table[:, : last + 1]
+        # T_N's first block row is (H_0, M_1 .. M_N) exactly (``assemble``)
+        defects = np.sqrt(
+            _frobenius_squares(dense[:d].reshape(d, n, d).transpose(1, 0, 2) - model[:n])
+        )
+        model0_norm, m0_norm = np.sqrt(
+            _frobenius_squares(np.array([model[0], seq.coefficients[0]]))
+        )
+        beta = (defects[0] + 2 * defects[1:].sum()) * (1 + u) + u * m0_norm
+        if k < r:
+            beta = beta + tail
+        else:
+            squares = powers.real**2 + powers.imag**2
+            moduli = (g.real**2 + g.imag**2).sum(axis=0) @ (
+                (1 + c) * (np.abs(squares - 1) + 2 * u * squares) + c
+            )
+            # ||G||^2 times the phase bounds f_1 + ... + f_L
+            phases = (model0_norm + moduli[0]) * (0.75 * u * last * (last + 1) - u * last)
+            beta = beta + moduli[0] + 2 * (moduli[1:].sum() + phases)
+            grow = _rounding(last + r + 2 * d * d + 16)
+    model[:n] = seq.coefficients
+    return model, beta * (1 + grow)
 
 
 def _rounding(k):

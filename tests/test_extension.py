@@ -827,8 +827,9 @@ class TestSolveCf:
 
         monkeypatch.setattr(extension, "_ball_state", unexpected)
         seq = fixture_sequence(3, 2, 17, 8)
-        data = toeplitz._decomposed(seq, 1e-9)
-        coeffs, beta = extension._central_extension(seq, *data, 992)
+        dense, eigs, vecs, margin = toeplitz._decomposed(seq, 1e-9)
+        factor = toeplitz._minimal_factor(eigs, vecs, margin, seq.block_dim)
+        coeffs, beta = extension._central_extension(seq, dense, factor, 992)
         assert beta > 1e-8
         unit = cholesky_seconds(2002)
         calls = count_dense_calls()

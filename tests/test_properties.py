@@ -23,7 +23,11 @@ Toeplitz matrix stays above -eps, never a non-finite coefficient), for the
 output check of ``extend`` (its Cholesky rung, then one eigvalsh) against
 the eigenvalue check alone, and, in exact rational arithmetic
 (``exact.is_positive_definite``), for the Cholesky certificate of
-``_shifted_pivots`` and for the interlacing margins (every profile
+``_shifted_pivots``, for the atom rung (wherever it passes on determinate
+data, plain or with one coefficient past its level moved across its
+bound, T_N + (tol - 2 (m + 1) u nu) I is positive definite, at sizes up
+to 32; its verdicts and messages are the per-level scan's) and for the
+interlacing margins (every profile
 bracket, widened by half the margin, holds the exact lambda_min of its
 level, and data that the one-``eigh`` check passes on the margin have
 T_N + (tol - margin / 2) I exactly PSD); for the central extension
@@ -48,7 +52,7 @@ perturbed: its factor is bitwise the F that ``extend`` builds, with its
 rank, its data verdicts are ``extend``'s, and the isometries it returns
 are isometries within 1e-8 that reproduce the data; for the stacked ``reduce``
 against a per-coefficient reduction, bit for bit; for the one running
-product ``series._orbit`` against one product per step, bit for bit, at
+product ``linalg._orbit`` against one product per step, bit for bit, at
 each realization it expands: the stacked products C* (V*)^n C of
 ``realization_coefficients``, the k < r model F_0* W^n F_0 of the central
 extension and the base isometries W^j V_0 of ``gram_isometries`` (r = 0 and
@@ -96,6 +100,7 @@ from herglotz.extension import _checked_output
 from herglotz.linalg import hermitian_split, minimal_factorization
 from herglotz.series import _gram_matrix, _powers
 from herglotz.toeplitz import (
+    _atom_level,
     _certified_data,
     _clearing_pivots,
     _frobenius_squares,
@@ -241,7 +246,7 @@ def realization_series(draw):
 
 def per_step_orbit(a, y, n):
     # y, a y, ..., a^n y, each power one product of a with the one before:
-    # the reference of ``series._orbit`` for every realization it expands
+    # the reference of ``linalg._orbit`` for every realization it expands
     ys = [np.ascontiguousarray(y)]
     for _ in range(n):
         ys.append(a @ ys[-1])
@@ -732,6 +737,12 @@ def unit_scaled_levels(draw):
     return CoefficientSequence(coeffs)
 
 
+def proved(seq, tol):
+    # whether a rung of the data check proves every level's computed
+    # lambda_min >= -tol: the atom rung or the Cholesky rung
+    return _atom_level(seq, tol) is not None or _clearing_pivots(seq, tol) is not None
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
@@ -739,13 +750,14 @@ def unit_scaled_levels(draw):
         st.tuples(unit_scaled_levels(), st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2])),
     )
 )
-def test_profile_the_rung_does_not_prove_is_the_spectrum_profile(problem):
-    # where the Cholesky rung does not prove the data PSD, the profile is
-    # bitwise the one read from the spectrum of T_N; where it does, every
-    # verdict is still the per-level one and no bracket ends below -tol
+def test_profile_no_rung_proves_is_the_spectrum_profile(problem):
+    # where neither the atom rung nor the Cholesky rung proves the data PSD,
+    # the profile is bitwise the one read from the spectrum of T_N; where one
+    # does, every verdict is still the per-level one and no bracket ends
+    # below -tol
     seq, tol = problem
     profile = positivity_profile(seq, tol)
-    if not (seq.order and _clearing_pivots(seq, tol) is not None):
+    if not (seq.order and proved(seq, tol)):
         assert report_bits(profile) == report_bits(spectrum_profile(seq, tol))
         return
     for n, level in enumerate(profile):
@@ -769,20 +781,56 @@ def marked_levels(draw):
     return CoefficientSequence(coeffs), draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]))
 
 
+@st.composite
+def determinate_levels(draw, max_size=None):
+    # the atom rung's data: realization data of a Haar unitary with state
+    # dimension r <= 2 d, so determinate from level 1 or 2 (r <= s d), at
+    # N = 15 .. 40 (the rung needs 8 (s + 1) <= N + 1), scaled by 10^-8, 1
+    # or 10^8, with tol = 1e-12, 1e-9 or 1e-6 relative to that scale.  One
+    # coefficient past level 4 is moved by delta g, g a block of unit
+    # Frobenius norm, delta = f tol / 2: the defect sum 2 delta of the
+    # rung's bound then straddles tol.  ``max_size`` caps (N + 1) d
+    d = draw(st.integers(1, 3 if max_size is None else max_size // 16))
+    top = 40 if max_size is None else max_size // d - 1
+    order = draw(st.integers(15, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rlz = random_realization(rng, d, draw(st.integers(1, 2 * d)))
+    scale = 10.0 ** draw(st.sampled_from([-8, 0, 8]))
+    coeffs = realization_coefficients(rlz, order).coefficients * scale
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6])) * scale
+    f = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 4.0]))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    coeffs[draw(st.integers(5, order))] += sign * f * tol / 2 * g / np.linalg.norm(g)
+    return CoefficientSequence(coeffs), tol
+
+
+def rung_level(seq, tol):
+    # the level s that a rung of the profile reads: the atom rung's where it
+    # proves the data PSD, else the level of the first pivot at most 2 tol of
+    # the Cholesky rung where that proves them; None where neither does or
+    # no pivot marks a level
+    s = _atom_level(seq, tol)
+    if s is None:
+        pivots = _clearing_pivots(seq, tol)
+        marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // seq.block_dim
+        s = int(marked[0]) if len(marked) else None
+    return s
+
+
 @settings(max_examples=150, deadline=None)
-@given(marked_levels())
-def test_profile_the_rung_proves_reads_the_marked_level(problem):
-    # where the Cholesky rung proves the data PSD and its first pivot at most
-    # 2 tol marks a level s < N, the first s + 1 reports are bitwise the
-    # profile of T_s read from its spectrum, and every later level carries
-    # [-tol, lambda_s + margin], margin = 4 m u nu; where that upper end
-    # passes tol, which only rounding allows, the spectrum of T_N decides
+@given(st.one_of(marked_levels(), determinate_levels()))
+def test_profile_a_rung_proves_reads_its_level(problem):
+    # where a rung proves the data PSD at a level s < N (the atom rung's
+    # determinate level, or the Cholesky rung's first pivot at most 2 tol),
+    # the first s + 1 reports are bitwise the profile of T_s read from its
+    # spectrum, and every later level carries [-tol, lambda_s + margin],
+    # margin = 4 m u nu; where that upper end passes tol, which only
+    # rounding allows, the spectrum of T_N decides
     seq, tol = problem
     d = seq.block_dim
-    pivots = _clearing_pivots(seq, tol)
-    marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // d
-    assume(len(marked) and marked[0] < seq.order)
-    s = int(marked[0])
+    s = rung_level(seq, tol)
+    assume(s is not None and s < seq.order)
     profile = positivity_profile(seq, tol)
     head = spectrum_profile(seq.truncated(s), tol)
     margin = 4 * len(seq) * d * np.finfo(float).eps * float(_norm_bound(seq.coefficients))
@@ -794,6 +842,40 @@ def test_profile_the_rung_proves_reads_the_marked_level(problem):
     for level in profile[s + 1 :]:
         assert (level.lower, level.upper) == (-tol, cap)
         assert level.is_psd and not level.is_strictly_positive and level.tolerance_used == tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(determinate_levels(max_size=32))
+def test_atom_rung_is_exact(problem):
+    # wherever the atom rung passes, T_N + (tol - margin) I is positive
+    # definite in rational arithmetic, with the margin 2 (m + 1) u nu of
+    # ``_clearing_pivots``: the claim of that rung, that every level's
+    # computed lambda_min is at least -tol.  At sizes up to 32, d = 1 or 2
+    seq, tol = problem
+    if _atom_level(seq, tol) is None:
+        return
+    m = len(seq) * seq.block_dim
+    margin = 2 * (m + 1) * np.finfo(float).eps * _norm_bound(seq.coefficients)
+    assert is_positive_definite(assemble(seq).dense, Fraction(tol) - Fraction(float(margin)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(determinate_levels())
+def test_atom_rung_decides_as_the_per_level_scan(problem):
+    # the atom rung proves passes only: where it passes every level passes
+    # the per-level scan, and the data check and the profile give the
+    # verdicts and messages of that scan whatever the rung does
+    seq, tol = problem
+    expected = reference_certification(seq, tol)
+    if _atom_level(seq, tol) is not None:
+        assert expected is None
+    assert check_outcome(certified_series, seq, RADIUS, tol) == (
+        expected and (NotPsdError, expected)
+    )
+    for n, level in enumerate(positivity_profile(seq, tol)):
+        reference = psd_report(assemble(seq.truncated(n)).dense, tol)
+        assert level.is_psd == reference.is_psd
+        assert level.is_strictly_positive == reference.is_strictly_positive
 
 
 @settings(max_examples=120, deadline=None)
@@ -810,7 +892,7 @@ def test_profile_brackets_the_per_level_reports(seq, tol):
     assert profile[0].lower == profile[0].upper
     read_from_spectrum = report_bits(profile) == report_bits(spectrum_profile(seq, tol))
     assert (profile[-1].lower == profile[-1].upper) == read_from_spectrum
-    assert read_from_spectrum or _clearing_pivots(seq, tol) is not None
+    assert read_from_spectrum or proved(seq, tol)
     failing = [level for level in profile if not level.is_psd]
     assert not failing or failing[0].lower == failing[0].upper
     for n, level in enumerate(profile):
@@ -943,9 +1025,16 @@ def route_problems(draw, max_horizon=300, max_size=None, perturb=False):
     return CoefficientSequence(coeffs), horizon - order, scale
 
 
+def central_from(seq, data, steps):
+    # the central extension of the data and its beta from their decomposition
+    # (``toeplitz._decomposed``), taken whatever beta is
+    dense, eigs, vecs, margin = data
+    factor = toeplitz._minimal_factor(eigs, vecs, margin, seq.block_dim)
+    return extension._central_extension(seq, dense, factor, steps)
+
+
 def central_extension(seq, steps, tol):
-    # the central extension of the data and its beta, taken whatever beta is
-    return extension._central_extension(seq, *toeplitz._decomposed(seq, tol), steps)
+    return central_from(seq, toeplitz._decomposed(seq, tol), steps)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1002,7 +1091,7 @@ def test_central_extension_gives_the_data_back(problem):
     # condition of the past block P (observed at most 1.8 over 400 draws)
     seq, steps, scale = problem
     dense, eigs, vecs, margin = toeplitz._decomposed(seq, 1e-9 * scale)
-    beta = extension._central_extension(seq, dense, eigs, vecs, margin, steps)[1]
+    beta = central_from(seq, (dense, eigs, vecs, margin), steps)[1]
     first, w, kappa = partial_isometry(seq, dense, eigs, vecs, margin)
     d, x, defects = seq.block_dim, first, []
     for n in range(len(seq)):
@@ -1105,7 +1194,7 @@ def test_general_central_extension_is_bitwise_the_per_step_products(problem):
     assert outer.shape[1] < r or r == 0
     d, n, last = seq.block_dim, len(seq), seq.order + steps
     expected = [rows[:d] @ x for x in per_step_orbit(outer @ inner, rows[:d].conj().T, last)]
-    got = extension._central_extension(seq, *data, steps)[0]
+    got = central_from(seq, data, steps)[0]
     assert got[n:].tobytes() == np.stack(expected)[n:].tobytes()
 
 
@@ -1349,7 +1438,7 @@ def test_perturbed_data_are_certified_or_checked_densely(count_dense_calls, prob
     seq, horizon, _, _ = problem
     steps = horizon - seq.order
     try:
-        coeffs, beta = extension._central_extension(seq, *toeplitz._decomposed(seq, 1e-9), steps)
+        coeffs, beta = central_extension(seq, steps, 1e-9)
     except NotPsdError:
         return
     calls = count_dense_calls()
@@ -1453,7 +1542,7 @@ def test_determinate_extension_is_bitwise_the_plain_formulas(problem, eps):
     expected = reference_determinate_extension(seq, *data, steps)
     if expected is None:
         return
-    got = extension._central_extension(seq, *data, steps)
+    got = central_from(seq, data, steps)
     assert np.ascontiguousarray(got[0]).tobytes() == np.ascontiguousarray(expected[0]).tobytes()
     assert float(got[1]).hex() == float(expected[1]).hex()
 
@@ -1480,7 +1569,7 @@ def test_determinate_beta_sums_each_block_in_its_layout(k):
     # by columns instead of as one stack of contiguous blocks
     seq = seeded_determinate_problem(k)
     data = toeplitz._decomposed(seq, 1e-9)
-    got = extension._central_extension(seq, *data, 50)
+    got = central_from(seq, data, 50)
     expected = reference_determinate_extension(seq, *data, 50)
     assert expected is not None
     assert np.ascontiguousarray(got[0]).tobytes() == np.ascontiguousarray(expected[0]).tobytes()

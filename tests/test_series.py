@@ -945,21 +945,35 @@ class TestCertifiedSeries:
     @pytest.mark.parametrize("block_dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("order", [0, 8, 64])
     @pytest.mark.parametrize("rank", ["one", "deficient", "full"])
-    def test_realization_data_take_the_cholesky_path(
+    def test_realization_data_take_the_atom_or_the_cholesky_rung(
         self, count_dense_calls, block_dim, order, rank
     ):
         # unscaled realization data, of rank 1, rank-deficient at order >= 1
         # (singular T_N, smallest eigenvalues at rounding level) and of full
-        # rank:
-        # one shifted Cholesky factorisation decides, no eigendecomposition
+        # rank; no eigenvalue check runs.  At order 64 the atom rung searches
+        # the leading blocks T_1, T_2, T_4 (8 (s + 1) <= 65), one eigh each.
+        # Data of rank 1 are determinate at s = 1 and the rank-deficient ones
+        # (rank d + 1) at s = 2: the rung decides them with one more eigh, of
+        # the r x r matrix that gives the atoms, and no Cholesky
+        # factorisation, assembling nothing of T_N's size.  Full-rank data
+        # pay the whole search, then one shifted Cholesky factorisation
+        # decides, as it does at orders 0 and 8, below the search's cap
         size = (order + 1) * block_dim
         state_dim = {"one": 1, "deficient": block_dim + 1, "full": size + 2}[rank]
         seq = realization_coefficients(random_realization(order, block_dim, state_dim), order)
+        levels = {"one": [1], "deficient": [1, 2], "full": [1, 2, 4]}[rank] if order == 64 else []
+        gallop = [(s + 1) * block_dim for s in levels]
         calls = count_dense_calls()
         assert certified_series(seq).certified
-        assert calls["assemble"] == [size]
-        assert calls["cholesky"] == [size]
         assert calls["eigvalsh"] == []
+        if rank == "full" or order < 64:
+            assert calls["assemble"] == gallop + [size]
+            assert calls["eigh"] == gallop
+            assert calls["cholesky"] == [size]
+        else:
+            assert calls["assemble"] == gallop
+            assert calls["eigh"] == gallop + [state_dim]
+            assert calls["cholesky"] == []
 
     def test_infeasible_data_fall_back_with_the_per_level_message(self, count_dense_calls):
         seq = CoefficientSequence.from_scalars([1, 2])

@@ -7,6 +7,7 @@ from herglotz import (
     DimensionError,
     NotPsdError,
     assemble,
+    certified_series,
     cross_block_bound_check,
     hermitian_split,
     positivity_profile,
@@ -233,23 +234,37 @@ class TestPositivityProfile:
         seq = fixture_sequence(seed, d, h, 6)
         assert all(r.lower >= -1e-8 for r in positivity_profile(seq, 1e-8))
 
-    def test_cli_shaped_data_takes_logarithmically_many_decompositions(self, count_dense_calls):
-        # the cli benchmark's data: order 64, d = 2 and rank 6.  One Cholesky
-        # factorisation of T_N proves every level PSD, and its first pivot at
-        # most 2 tol marks level 5 (size 12).  Levels 0 .. 5 are read from the
-        # spectrum of T_5, which decomposes levels 0 and 2 besides; every
-        # later level carries the bracket [-tol, lambda_5 + margin], and T_N
-        # is not decomposed
-        tol = 1e-9
-        seq = fixture_sequence(11, 2, 6, 64)
+    @pytest.mark.parametrize("block_dim", [2, 3, 4])
+    def test_cli_shaped_data_are_decided_from_a_leading_block(
+        self, count_dense_calls, block_dim
+    ):
+        # the cli benchmark's data: order 64 and rank 2 d + 2.  The atom rung
+        # takes one eigh of each leading block T_1, T_2, T_4; the data are
+        # determinate at level 4 (rank T_4 = rank T_3), and the continuation
+        # of T_4, whose atoms cost one more eigh (of size r), proves every
+        # level PSD.  Levels 0 .. 4 are read from the spectrum of T_4, which
+        # decomposes level 0 and one level between; every later level
+        # carries the bracket [-tol, lambda_4 + margin].  Neither the profile
+        # nor the data check assembles T_N or runs a Cholesky factorisation
+        tol, d = 1e-9, block_dim
+        seq = fixture_sequence(11, d, 2 * d + 2, 64)
+        gallop = [2 * d, 3 * d, 5 * d]
         calls = count_dense_calls()
         reports = positivity_profile(seq, tol)
-        assert calls["cholesky"] == [130]
-        assert calls["eigvalsh"] == [12, 2, 6]
-        assert reports[:6] == _spectrum_profile(seq.truncated(5), tol)
+        assert calls["assemble"] == gallop + [5 * d]
+        assert calls["eigh"] == gallop + [2 * d + 2]
+        assert calls["cholesky"] == []
+        assert calls["eigvalsh"][:2] == [5 * d, d] and len(calls["eigvalsh"]) == 3
+        assert reports[:5] == _spectrum_profile(seq.truncated(4), tol)
         assert all(r.lower >= -tol and r.is_psd for r in reports)
-        assert all(not r.is_strictly_positive for r in reports[3:])
-        assert all(r.lower == -tol and reports[5].upper < r.upper <= tol for r in reports[6:])
+        # level n is singular where (n + 1) d passes the rank
+        assert all(not r.is_strictly_positive for r in reports[(2 * d + 2) // d :])
+        assert all(r.lower == -tol and reports[4].upper < r.upper <= tol for r in reports[5:])
+        calls = count_dense_calls()
+        assert certified_series(seq, tol=tol).certified
+        assert calls["assemble"] == gallop
+        assert calls["eigh"] == gallop + [2 * d + 2]
+        assert calls["cholesky"] == [] and calls["eigvalsh"] == []
 
     @pytest.mark.parametrize(
         "values", [[1] + [0] * 64, 0.5 ** np.arange(65)], ids=["identity", "geometric"]
@@ -259,10 +274,12 @@ class TestPositivityProfile:
     ):
         # positive definite data: no pivot of the factorisation shifted down
         # to -tol marks a level, so nothing is decomposed before the spectrum
-        # of T_N decides, as it did without the rung
+        # of T_N decides, as it did without the rung.  The atom rung's search
+        # before it, one eigh of T_1, T_2 and T_4, finds no determinate level
         seq = CoefficientSequence.from_scalars(values)
         calls = count_dense_calls()
         reports = positivity_profile(seq, 1e-9)
+        assert calls["eigh"] == [2, 3, 5]
         assert calls["cholesky"] == [65]
         assert calls["eigvalsh"][0] == 65
         assert reports[-1].lower == reports[-1].upper
