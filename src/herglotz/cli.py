@@ -226,11 +226,14 @@ def _level_entry(n, r):
     entry = {"is_psd": r.is_psd, "is_strictly_positive": r.is_strictly_positive, "level": n}
     if r.lower == r.upper:
         entry["min_eigenvalue"] = r.lower
-        value = f"{r.lower:+.6e}"
     else:
         entry["min_eigenvalue_bounds"] = [r.lower, r.upper]
-        value = f"in [{r.lower:+.6e}, {r.upper:+.6e}]"
-    return entry, f"level {n}: min eigenvalue {value}  {'PSD' if r.is_psd else 'not PSD'}"
+    return entry
+
+
+def _level_line(n, r):
+    value = f"{r.lower:+.6e}" if r.lower == r.upper else f"in [{r.lower:+.6e}, {r.upper:+.6e}]"
+    return f"level {n}: min eigenvalue {value}  {'PSD' if r.is_psd else 'not PSD'}"
 
 
 def cmd_check(args):
@@ -238,14 +241,15 @@ def cmd_check(args):
     pf = load_problem(args.input)
     reports = positivity_profile(pf.to_sequence(), cfg.tol)
     all_psd = all(r.is_psd for r in reports)
-    entries, lines = zip(*(_level_entry(n, r) for n, r in enumerate(reports)))
     report = {
         "all_psd": all_psd,
         "block_dim": pf.block_dim,
         "command": "check",
-        "levels": list(entries),
+        "levels": [_level_entry(n, r) for n, r in enumerate(reports)],
         "tol": cfg.tol,
     }
+    # --json prints no text lines, so none are formatted
+    lines = [] if args.json else [_level_line(n, r) for n, r in enumerate(reports)]
     _emit(args, report, [*lines, f"verdict: {'PSD' if all_psd else 'not PSD'}"])
     return EXIT_OK if all_psd else EXIT_INFEASIBLE
 

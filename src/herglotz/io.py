@@ -27,6 +27,12 @@ the same fault; an empty coefficient or row is named by its shape on both
 sides.  Text made by ``canonical_json`` is itself a leaf that is emitted
 verbatim, so a command formats each data product once and embeds that text
 in its report.
+
+The emitter finds the emitter of a value by one table lookup of its exact
+type (float, dict, list, tuple, bool, int, str, ``CanonicalText`` and
+ndarray); a subclass or a numpy scalar falls back to ``isinstance`` tests in
+the same order.  Keys and strings are quoted by ``json``'s own ASCII
+encoder, the bytes of ``json.dumps``.
 """
 
 import json
@@ -186,31 +192,42 @@ def _emit_array(a):
     return _array_template(a.shape) % tuple(floats.ravel().tolist())
 
 
+def _emit_dict(value):
+    return "{" + ", ".join([_quote(k) + ": " + _emit(value[k]) for k in sorted(value)]) + "}"
+
+
+def _emit_list(value):
+    return "[" + ", ".join([_emit(v) for v in value]) + "]"
+
+
+# the emitter of each kind of value, in the order the ``isinstance``
+# fallback matches a subclass: floats first (a bool is not a float; no
+# numpy float is any later type), CanonicalText before str.  ``_emit_array`` is
+# looked up at each call, so a wrapper that replaces it is the one that runs
+_quote = json.encoder.encode_basestring_ascii
+_EMITTERS = (
+    ((float, np.floating), format_float),
+    ((np.ndarray,), lambda a: _emit_array(a)),
+    ((dict,), _emit_dict),
+    ((list, tuple), _emit_list),
+    ((bool,), lambda b: "true" if b else "false"),
+    ((int, np.integer), lambda i: str(int(i))),
+    ((CanonicalText,), lambda t: t[:-1]),
+    ((str,), _quote),
+)
+# one lookup for a value of exactly one of those types
+_EMITTER_OF_TYPE = {t: emit for types, emit in _EMITTERS for t in types}
+
+
 def _emit(value):
     # canonical emitter: dict keys sorted, floats via format_float, complex
-    # arrays via _emit_array.  Floats are the most common scalar leaves, so
-    # they are tested first (a bool is not a float, and numpy's float64 is
-    # one)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, np.ndarray):
-        return _emit_array(value)
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_emit(value[k])}" for k in sorted(value))
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, np.floating):
-        return format_float(value)
-    if isinstance(value, CanonicalText):
-        return value[:-1]
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise ProblemFormatError(f"cannot serialize value of type {type(value).__name__}")
+    # arrays via _emit_array
+    emit = _EMITTER_OF_TYPE.get(type(value))
+    if emit is None:
+        emit = next((e for types, e in _EMITTERS if isinstance(value, types)), None)
+        if emit is None:
+            raise ProblemFormatError(f"cannot serialize value of type {type(value).__name__}")
+    return emit(value)
 
 
 def canonical_json(obj):

@@ -470,17 +470,9 @@ def reduce(seq, tol=1e-8):
     t0 = fact.T
     compress = np.linalg.pinv(t0).conj().T  # (T0 T0*)^{-1} T0, shape r x d
     targets = np.concatenate([h0[None], coeffs[1:]])
-    # stacked products, per block bitwise those of the 2-d products; one
-    # norm call per block keeps each residual bitwise too.  Each defect is
-    # scaled by the power of 2 that brings its largest real or imaginary
-    # part into [1/2, 1) (raising a tiny one by 2^511 at most), so no square
-    # overflows; the scaling is exact, so the residual keeps its bits
-    # wherever the unscaled norm neither overflows nor underflows
+    # stacked products, per block bitwise those of the 2-d products
     reduced = compress @ targets @ compress.conj().T
-    defects = targets - t0.conj().T @ reduced @ t0
-    tops = np.abs(defects.view(float)).max(axis=(1, 2), initial=0.0)
-    scales = np.ldexp(1.0, -np.maximum(np.frexp(tops)[1], -511)).tolist()
-    residuals = [float(np.linalg.norm(defect * s)) / s for defect, s in zip(defects, scales)]
+    residuals = _residuals(targets - t0.conj().T @ reduced @ t0)
     for j, res in enumerate(residuals):
         if res > tol:
             raise RangeCompatibilityError(
@@ -493,6 +485,27 @@ def reduce(seq, tol=1e-8):
         t_seq=CoefficientSequence(reduced) if fact.rank else None,
         residuals=residuals,
     )
+
+
+def _residuals(defects):
+    # the Frobenius norm of each of the stacked (n, d, d) ``defects``, as a
+    # list, bitwise the per-block ``np.linalg.norm``.  Each defect is scaled
+    # by the power of 2 that brings its largest real or imaginary part into
+    # [1/2, 1) (raising a tiny one by 2^511 at most), so no square
+    # overflows; the scaling is exact, so a residual keeps its bits wherever
+    # the unscaled norm neither overflows nor underflows.  ``norm`` sums the
+    # squares of a complex matrix as re . re + im . im, one strided
+    # ``cblas_ddot`` each; the stacked product of each part with itself,
+    # one (1, d^2) by (d^2, 1) product per block, makes the same calls
+    tops = np.abs(defects.view(float)).max(axis=(1, 2), initial=0.0)
+    scales = np.ldexp(1.0, -np.maximum(np.frexp(tops)[1], -511))
+    parts = (defects * scales[:, None, None]).view(float).reshape(len(defects), -1, 2)
+    parts = parts.transpose(0, 2, 1)[:, :, None, :]
+    squares = (parts @ parts.transpose(0, 1, 3, 2))[:, :, 0, 0]
+    # a residual past the float maximum is infinite, and is refused by its
+    # caller without a numpy warning
+    with np.errstate(over="ignore"):
+        return (np.sqrt(squares[:, 0] + squares[:, 1]) / scales).tolist()
 
 
 def gram_isometries(seq, tol=1e-8):

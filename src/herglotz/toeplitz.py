@@ -252,13 +252,15 @@ def positivity_profile(seq, tol=1e-9):
     size.  Where it does not pass (data that are not determinate at a
     searched level, or whose later coefficients leave the continuation),
     its search costs one ``eigh`` of each searched T_s, sizes (s + 1) d up
-    to (N + 1) d / 8, plus the continuation where a level is determinate;
+    to (N + 1) d / 8, plus an SVD of size r where T_s has rank r <= s d
+    (no more than its past block's columns, so that the level may be
+    determinate), plus the continuation where a level is determinate;
     below N = 15, and where ``tol`` is below the margin, it searches
     nothing.
     That extra work, measured on full-rank data at N = 64 (d = 1 .. 4, one
-    OpenBLAS thread, a 2-core x86-64 host), is 0.17 .. 0.37 ms, between
-    0.3 and 2.1 times one Cholesky factorisation of T_N; at N = 256 it is
-    at most 3.4 ms, below 0.3 of that factorisation.
+    OpenBLAS thread, a 2-core x86-64 host, best of 50), is 0.10 .. 0.21 ms,
+    between 0.08 and 1.2 times one Cholesky factorisation of T_N; at
+    N = 256 it is at most 2 ms, about a tenth of that factorisation or less.
 
     The Cholesky rung runs where the atom rung does not pass.  One
     factorisation of T_N shifted down to ``-tol`` (``_clearing_pivots``)
@@ -294,13 +296,14 @@ def positivity_profile(seq, tol=1e-9):
     """
     _check_tol(tol)
     top, d = seq.order, seq.block_dim
-    stop = _atom_level(seq, tol)
+    # the atom rung's level comes with its T_s, the Cholesky rung's without
+    stop, block = _atom_level(seq, tol) or (None, None)
     if stop is None:
         pivots = _clearing_pivots(seq, tol) if top else None
         marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // d
         stop = int(marked[0]) if len(marked) else top
     if stop < top:
-        reports = _spectrum_profile(seq.truncated(stop), tol)
+        reports = _spectrum_profile(seq.truncated(stop), tol, block)
         cap = reports[stop].upper + float(
             4 * len(seq) * d * _MACHINE_EPS * _norm_bound(seq.coefficients)
         )
@@ -309,12 +312,13 @@ def positivity_profile(seq, tol=1e-9):
     return _spectrum_profile(seq, tol)
 
 
-def _spectrum_profile(seq, tol):
+def _spectrum_profile(seq, tol, dense=None):
     # the reports of ``positivity_profile`` read from the spectrum of T_N:
     # the profile of T_N where no rung decides it and of the rung's level
     # T_s where one does, and the reports of the eigenvalue check
-    # (``_certified_data``)
-    dense = assemble(seq).dense
+    # (``_certified_data``).  ``dense`` is T_N where the caller has it
+    if dense is None:
+        dense = assemble(seq).dense
     return _interlaced_reports(dense, seq.block_dim, tol, np.linalg.eigvalsh(dense))
 
 
@@ -332,7 +336,7 @@ def _check_data(seq, tol):
 def _atom_level(seq, tol):
     # The atom rung: the level s from which it proves every level's computed
     # lambda_min >= -tol, the claim of ``_clearing_pivots(seq, tol) is not
-    # None``, or None where it proves nothing.
+    # None``, with its assembled T_s, or None where it proves nothing.
     #
     # Determinate data (the Caratheodory-Fejer case).  Where the rank of the
     # data stops growing at a level s (rank T_s = rank T_{s-1} = r, the k = r
@@ -346,7 +350,11 @@ def _atom_level(seq, tol):
     # at most an eighth of T_N across; each s takes one ``eigh`` of T_s and
     # its minimal factor, and the first s whose factor is determinate is the
     # only level the rung tries.  So it costs O(s^3 d^3 + N r d^2) in place
-    # of the O(N^3 d^3) of a factorisation of T_N.
+    # of the O(N^3 d^3) of a factorisation of T_N.  The factor's rank k
+    # (``_minimal_factor``) is that of an r x r product through the s d
+    # columns of its past block, so k <= s d: where more than s d
+    # eigenvalues of T_s pass the margin, k < r, and the factor and its SVD
+    # are skipped.
     #
     # Proof.  The continuation T_N' of (M_0 .. M_s, C_{s+1} .. C_N) has
     # lambda_min(T_N') >= -beta.  T_N - T_N' is the block Toeplitz matrix of
@@ -373,14 +381,18 @@ def _atom_level(seq, tol):
         head = seq.truncated(s)
         dense = assemble(head).dense
         eigs, vecs = np.linalg.eigh(dense)
-        factor = _minimal_factor(eigs, vecs, _interlacing_margin(eigs), d)
-        if factor[2].shape[1] == factor[1]:
-            coeffs, beta = _central_extension(head, dense, factor, top - s)
-            with np.errstate(over="ignore", invalid="ignore"):
-                defects = np.sqrt(_frobenius_squares(seq.coefficients[s + 1 :] - coeffs[s + 1 :]))
-                growth = 1 + _rounding(top - s + 2 * d * d + 8)
-                bound = (beta + 2 * defects.sum() + margin) * growth
-            return s if bound < tol else None
+        rank_margin = _interlacing_margin(eigs)
+        if np.count_nonzero(eigs > rank_margin) <= s * d:
+            factor = _minimal_factor(eigs, vecs, rank_margin, d)
+            if factor[2].shape[1] == factor[1]:
+                coeffs, beta = _central_extension(head, dense, factor, top - s)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    defects = np.sqrt(
+                        _frobenius_squares(seq.coefficients[s + 1 :] - coeffs[s + 1 :])
+                    )
+                    growth = 1 + _rounding(top - s + 2 * d * d + 8)
+                    bound = (beta + 2 * defects.sum() + margin) * growth
+                return (s, dense) if bound < tol else None
         s *= 2
     return None
 

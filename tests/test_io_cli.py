@@ -29,7 +29,7 @@ from herglotz.cli import (
     build_parser,
     main,
 )
-from herglotz.io import canonical_json, format_float
+from herglotz.io import CanonicalText, canonical_json, format_float
 
 
 def problem_text(values):
@@ -341,6 +341,99 @@ class TestBulkEmitter:
             canonical_json(a)
         with pytest.raises(ProblemFormatError) as ref:
             _reference_emit(_reference_tree(a))
+        assert str(err.value) == str(ref.value)
+
+
+def _recursive_emit(value):
+    # the isinstance chain ``canonical_json`` dispatched through before its
+    # table of exact types, with ``json.dumps`` quoting each key and string
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, np.ndarray):
+        return herglotz_io._emit_array(value)
+    if isinstance(value, dict):
+        items = ", ".join(f"{json.dumps(k)}: {_recursive_emit(value[k])}" for k in sorted(value))
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_recursive_emit(v) for v in value) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, np.floating):
+        return format_float(value)
+    if isinstance(value, CanonicalText):
+        return value[:-1]
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise ProblemFormatError(f"cannot serialize value of type {type(value).__name__}")
+
+
+# text with the characters JSON escapes: quotes, backslashes, control and
+# non-ASCII characters (astral ones become surrogate pairs), and "%"
+awkward_text = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "%", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001f600"]),
+        st.characters(codec="utf-8"),
+    ),
+    max_size=6,
+)
+emitter_leaves = st.one_of(
+    finite_floats,
+    st.just(-0.0),
+    finite_floats.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    awkward_text,
+    complex_arrays(st.tuples(st.integers(0, 2), st.integers(0, 2))),
+)
+
+
+def emitter_trees(leaves=emitter_leaves):
+    # nested dicts, lists and tuples, with subtrees already formatted as
+    # CanonicalText among the leaves
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(awkward_text, children, max_size=4),
+            children.map(canonical_json),
+        ),
+        max_leaves=16,
+    )
+
+
+class TestEmitterDispatch:
+    @settings(max_examples=300, deadline=None)
+    @given(emitter_trees())
+    def test_matches_the_recursive_emitter(self, tree):
+        assert canonical_json(tree) == _recursive_emit(tree) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        emitter_trees(),
+        st.sampled_from([np.inf, -np.inf, np.nan]),
+        st.sampled_from([float, np.float64]),
+        st.integers(0, 2),
+    )
+    def test_non_finite_float_is_refused_as_before(self, tree, bad, kind, place):
+        leaf = kind(bad)
+        tree = [[tree, leaf], {"a": tree, "b": leaf}, (leaf, tree)][place]
+        with pytest.raises(ProblemFormatError) as err:
+            canonical_json(tree)
+        with pytest.raises(ProblemFormatError) as ref:
+            _recursive_emit(tree)
+        assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize("value", [None, {1}, b"x", 1j, np.bool_(True)])
+    def test_unknown_leaf_is_refused_as_before(self, value):
+        with pytest.raises(ProblemFormatError) as err:
+            canonical_json({"a": [value]})
+        with pytest.raises(ProblemFormatError) as ref:
+            _recursive_emit({"a": [value]})
         assert str(err.value) == str(ref.value)
 
 

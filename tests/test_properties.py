@@ -810,7 +810,7 @@ def rung_level(seq, tol):
     # proves the data PSD, else the level of the first pivot at most 2 tol of
     # the Cholesky rung where that proves them; None where neither does or
     # no pivot marks a level
-    s = _atom_level(seq, tol)
+    s, _ = _atom_level(seq, tol) or (None, None)
     if s is None:
         pivots = _clearing_pivots(seq, tol)
         marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // seq.block_dim

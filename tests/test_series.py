@@ -666,6 +666,19 @@ class TestRandomRealization:
         assert np.array_equal(seq.coefficients[0], rlz.D)
 
 
+def per_block_residuals(defects):
+    # the residuals of ``reduce`` one defect at a time: each scaled by the
+    # power of 2 that brings its largest real or imaginary part into
+    # [1/2, 1), by one ``np.linalg.norm`` call each
+    tops = np.abs(defects.view(float)).max(axis=(1, 2), initial=0.0)
+    scales = np.ldexp(1.0, -np.maximum(np.frexp(tops)[1], -511)).tolist()
+    return [float(np.linalg.norm(defect * s)) / s for defect, s in zip(defects, scales)]
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 class TestReduce:
     def test_scalar_two_two(self):
         rf = reduce(CoefficientSequence.from_scalars([2, 2]))
@@ -722,6 +735,50 @@ class TestReduce:
         # named, not the largest
         with pytest.raises(RangeCompatibilityError, match="^coefficient 2 does not factor"):
             reduce(CoefficientSequence.from_scalars([2j, 0, 0.5, 0.7]))
+
+    @pytest.mark.parametrize("block_dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize(
+        "exponent", [-1074, -1060, -1022, -600, -300, 0, 300, 600, 1000, 1023]
+    )
+    def test_stacked_residuals_are_the_per_block_norms(self, block_dim, exponent):
+        # bitwise the residual of each defect by its own ``np.linalg.norm``
+        # of the same power-of-2 scaling: defects near underflow (subnormal
+        # entries, scaled up by at most 2^511), near overflow (scaled down),
+        # blocks of mixed scale and zero blocks
+        rng = np.random.default_rng([block_dim, exponent + 1074])
+        shape = (7, block_dim, block_dim)
+        defects = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        defects *= np.ldexp(1.0, exponent) / 4
+        defects[2] = 0
+        defects[4] *= np.ldexp(1.0, -exponent // 2)
+        defects[5, 0, 0] = np.ldexp(1.0, min(exponent, 1023))
+        defects[6, -1, -1] = complex(0, np.ldexp(0.75, exponent))
+        assert float_bits(series_module._residuals(defects)) == float_bits(
+            per_block_residuals(defects)
+        )
+
+    @pytest.mark.parametrize(
+        "values",
+        [[2j, 0], [2j, 0, 0.5, 0.7], [1e-300j, 1e-310, 1e300]],
+        ids=["zero", "incompatible", "extreme"],
+    )
+    def test_rank_zero_residuals_are_the_coefficient_norms(self, values):
+        # rank 0: each defect is its coefficient (Re M_0 for j = 0)
+        seq = CoefficientSequence.from_scalars(values)
+        targets = np.concatenate([np.zeros((1, 1, 1)), seq.coefficients[1:]])
+        rf = reduce(seq, tol=1e300)
+        assert rf.t0.shape == (0, 1)
+        assert float_bits(rf.residuals) == float_bits(per_block_residuals(targets))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fixture_residuals_are_the_per_block_norms(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        seq = realization_coefficients(random_realization(seed, d, int(rng.integers(1, 12))), 40)
+        rf = reduce(seq)
+        targets = np.concatenate([_hermitian(seq.coefficients[0])[None], seq.coefficients[1:]])
+        defects = targets - rf.t0.conj().T @ rf.t_seq.coefficients @ rf.t0
+        assert float_bits(rf.residuals) == float_bits(per_block_residuals(defects))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fixture_reduction_quality(self, seed):

@@ -239,11 +239,14 @@ class TestPositivityProfile:
         self, count_dense_calls, block_dim
     ):
         # the cli benchmark's data: order 64 and rank 2 d + 2.  The atom rung
-        # takes one eigh of each leading block T_1, T_2, T_4; the data are
-        # determinate at level 4 (rank T_4 = rank T_3), and the continuation
-        # of T_4, whose atoms cost one more eigh (of size r), proves every
-        # level PSD.  Levels 0 .. 4 are read from the spectrum of T_4, which
-        # decomposes level 0 and one level between; every later level
+        # takes one eigh of each leading block T_1, T_2, T_4; T_1 and T_2
+        # have more eigenvalues above the margin than their past blocks have
+        # columns (d and 2 d), so only T_4's factor is formed, with one SVD
+        # of its r x r cross product.  The data are determinate at level 4
+        # (rank T_4 = rank T_3), and the continuation of T_4, whose atoms
+        # cost one more eigh (of size r), proves every level PSD.  Levels
+        # 0 .. 4 are read from the spectrum of T_4, the rung's own assembly,
+        # which decomposes level 0 and one level between; every later level
         # carries the bracket [-tol, lambda_4 + margin].  Neither the profile
         # nor the data check assembles T_N or runs a Cholesky factorisation
         tol, d = 1e-9, block_dim
@@ -251,8 +254,9 @@ class TestPositivityProfile:
         gallop = [2 * d, 3 * d, 5 * d]
         calls = count_dense_calls()
         reports = positivity_profile(seq, tol)
-        assert calls["assemble"] == gallop + [5 * d]
+        assert calls["assemble"] == gallop
         assert calls["eigh"] == gallop + [2 * d + 2]
+        assert calls["svd"] == [2 * d + 2]
         assert calls["cholesky"] == []
         assert calls["eigvalsh"][:2] == [5 * d, d] and len(calls["eigvalsh"]) == 3
         assert reports[:5] == _spectrum_profile(seq.truncated(4), tol)
@@ -275,11 +279,14 @@ class TestPositivityProfile:
         # positive definite data: no pivot of the factorisation shifted down
         # to -tol marks a level, so nothing is decomposed before the spectrum
         # of T_N decides, as it did without the rung.  The atom rung's search
-        # before it, one eigh of T_1, T_2 and T_4, finds no determinate level
+        # before it, one eigh of T_1, T_2 and T_4, finds no determinate level:
+        # each T_s has full rank s + 1, past the s columns of its past block,
+        # so no factor is formed and no SVD runs
         seq = CoefficientSequence.from_scalars(values)
         calls = count_dense_calls()
         reports = positivity_profile(seq, 1e-9)
         assert calls["eigh"] == [2, 3, 5]
+        assert calls["svd"] == []
         assert calls["cholesky"] == [65]
         assert calls["eigvalsh"][0] == 65
         assert reports[-1].lower == reports[-1].upper
