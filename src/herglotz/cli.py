@@ -7,13 +7,13 @@ plus kernel Gram summary), ``eval`` and ``kernel`` (point evaluation),
 eigenvalue where the level was decomposed (``min_eigenvalue``), and
 otherwise with the bracket that contains the value a decomposition would
 give and proves the verdicts (``min_eigenvalue_bounds``).  The brackets
-come from one spectrum by interlacing: that of the top level, or, where a
-rung proves the data PSD at a lower level s, that of level s, with every
-level past s carrying the bracket [-tol, lambda_s + margin].  The atom
-rung decides determinate data from a leading block T_s (their unique
-r-atom continuation, in O(s^3 d^3 + N r d^2)); otherwise one Cholesky
-factorisation of the top level marks s.  ``solve`` up to the data's order
-checks the data by the same two rungs.  See ``positivity_profile``.
+come from one spectrum by interlacing: that of the top level, or, where
+the atom rung proves determinate data PSD from a leading block T_s (their
+unique r-atom continuation, in O(s^3 d^3 + N r d^2)), that of level s,
+with every level past s carrying the bracket [-tol, lambda_s + margin].
+``solve`` up to the data's order checks the data by the same rung, then
+by one Cholesky factorisation of the top level.  See
+``positivity_profile``.
 Exit statuses: 0 success, 2 parse/argument error (including an input that
 cannot be read or an ``--output`` that cannot be written), 3 infeasible
 data, 4 domain error, 5 internal tolerance failure (including a ``solve``

@@ -35,8 +35,8 @@ centers, the central extension of the eps-shifted data.
 Routing.  Every entry point checks the shift's sign, then the data from
 one ``eigh`` of T_N (``toeplitz._decomposed``, which
 ``series.gram_isometries`` shares): the extension needs the spectrum
-(its top for the singularity rule of the chain, all of it for the
-minimal factor and its rank), so it does not take the rungs of
+(its ends for the chain's test of the shifted data level, all of it for
+the minimal factor and its rank), so it does not take the rungs of
 ``certified_series``: the atom rung, which decides determinate data from
 a leading block T_s by continuing it with the determinate branch of the
 central extension below, and the Cholesky certificate of T_N.  (Taking
@@ -44,9 +44,9 @@ the extension's own factor from T_s on determinate data would move its
 outputs past N by rounding; it is not done.)  Where the smallest
 eigenvalue clears -tol by the interlacing margin, the eigenvalue check
 behind ``certified_series`` (``toeplitz._certified_data``) provably
-passes every level; otherwise that check decides on T_N assembled
-afresh.  Either way verdicts and messages are those of the eigenvalue
-check.  Data that pass it but whose spectrum passes the float maximum (a
+passes every level; otherwise that check decides on the same T_N.
+Either way verdicts and messages are those of the eigenvalue check.
+Data that pass it but whose spectrum passes the float maximum (a
 non-finite top eigenvalue of T_N) are refused there with
 SingularBlockError naming the spectrum, for every entry point.
 
@@ -92,10 +92,10 @@ runs one loop over a newest-first buffer of the coefficients, in which
 gamma of every level is a strided view: each step takes the center gamma a,
 moves to its ball point and borders the state.  A step factors each d x d
 matrix it divides by once, by two ``eigh`` and no solve: the ``eigh`` of S
-gives the eigenvalues that the singularity rule tests, S^{1/2} and
-S^{-1/2}; the ``eigh`` of the Hermitian part of alpha^{-1} gives
-alpha^{-1/2} and alpha^{1/2} (and refuses an alpha^{-1} that is not
-positive definite).  So D = S^{1/2} Gamma alpha^{-1/2},
+gives S^{1/2} and S^{-1/2}, and that of the Hermitian part of alpha^{-1}
+gives alpha^{-1/2} and alpha^{1/2}; either is refused with
+SingularBlockError where its least eigenvalue is not positive, which
+would divide by zero.  So D = S^{1/2} Gamma alpha^{-1/2},
 v = S^{-1} D = S^{-1/2} Gamma alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2},
 and a zero Gamma gives D = v = p = 0 exactly.  The subtraction updates of S
 and alpha^{-1} are kept on purpose: the congruence
@@ -105,18 +105,15 @@ see nothing.  Every Hermitian part is formed by
 ``linalg._hermitian``, halved before adding, so data near the float
 maximum give a finite S.
 
-The chain's singularity rule (``_check_definite``) guards what the chain
-inverts: the eps-shifted matrix of level n, of size m = (n + 1) d, is
-positive definite at working precision when a tested eigenvalue clears
-top m u, top its largest eigenvalue.  It tests the data level N before the
-state is built (the predictors' solve is against level N - 1), and at each
-step the bound S that the step inverts, of level N at the first step (S is
-a Schur complement of the level's shifted matrix, so it is positive
-definite exactly when that matrix is).  The data passed their own check,
-so a refusal raises SingularBlockError naming the level: the shift is too
-small for the data, or the chain's rounding (or a unit-norm contraction,
-whose ball point lies on the boundary) took it off the ball.  NotPsdError
-is raised for the data only.
+The chain's solves need the eps-shifted matrix of the data level N, of
+size m = (N + 1) d, positive definite at working precision: its least
+eigenvalue must clear top m u, top its largest.  That is tested before
+the state is built, and a refusal raises SingularBlockError naming level
+N: the data passed their own check, so the shift is too small for them.
+Past it no level has a rule of its own: where the chain's rounding (or a
+unit-norm contraction, whose ball point lies on the boundary) takes it
+off the ball, the output check below refuses the whole output.
+NotPsdError is raised for the data only.
 
 One output check (``_checked_output``).  Every output promises one
 inequality, lambda_min(T_L) >= -bound, with bound = max(tol, eps) for the
@@ -131,8 +128,9 @@ judged in one place, by the first of these rungs that proves it:
 3. the eigenvalue rung: one ``eigvalsh`` of T_L, whose computed lambda_min
    must clear -bound by the rounding margin (lambda_max + bound) m u, for
    T_L of size m and u machine eps, the working-precision threshold of the
-   chain's rule: a margin for the rounding of eigvalsh, which the property
-   tests check against the exact lambda_min(T_L) in rational arithmetic.
+   chain's test of the data level: a margin for the rounding of eigvalsh,
+   which the property tests check against the exact lambda_min(T_L) in
+   rational arithmetic.
    T_L and the bound are scaled by 2^-k first, k the exponent of T_L's
    largest diagonal entry.  A power of 2 scales exactly, so where the
    spectrum of T_L is finite the rung decides as on T_L itself, and where
@@ -203,17 +201,13 @@ class ExtensionStep:
     left_bound: np.ndarray
 
 
-def _roots(a, name=None, *rule):
+def _roots(a, name=None):
     # the square root of the Hermitian part of a, tiny negatives of its
     # eigenvalues clamped; given the ``name`` of a, also its inverse square
-    # root, after refusing a part that is not positive definite (a clamped
-    # eigenvalue would give 1 / 0): by the chain's singularity rule
-    # ``_check_definite`` where its arguments after the least eigenvalue are
-    # given as ``rule``, and otherwise where that eigenvalue is not positive
+    # root, after refusing a part whose least eigenvalue is not positive (a
+    # clamped eigenvalue would give 1 / 0)
     eigs, vecs = np.linalg.eigh(_hermitian(a))
-    if rule:
-        _check_definite(eigs[0], *rule)
-    elif name is not None and not eigs[0] > 0:
+    if name is not None and not eigs[0] > 0:
         raise SingularBlockError(
             f"{name} is not positive definite at working precision "
             f"(least eigenvalue {eigs[0]:.3e})"
@@ -259,28 +253,6 @@ def _contraction(contraction, shape):
     return g
 
 
-def _check_definite(least, top, level, d, eps):
-    # the singularity rule of the shifted chain, which needs the eps-shifted
-    # Toeplitz matrix A of ``level`` (data M_0 .. M_level, size m = (level +
-    # 1) d) invertible for its solves: A is positive definite at working
-    # precision.  ``least`` is the smallest computed eigenvalue of A, or of
-    # the bound S of the level, a Schur complement of A, so lambda_min(A) <=
-    # lambda_min(S) and A is positive definite exactly when S is; ``top`` is
-    # the largest eigenvalue of A, or a lower bound on it.  A ``least`` that
-    # does not clear the threshold top m u is refused.  The data passed their
-    # own check, so a refusal is the shift or the chain's rounding, never the
-    # data.  m u is exact (u a power of 2), so top is multiplied once: no
-    # overflow for top near the float maximum, and the bits of top m u
-    # elsewhere (away from underflow)
-    threshold = top * ((level + 1) * d * _MACHINE_EPS)
-    if least <= threshold:
-        raise SingularBlockError(
-            f"the eps-shifted Toeplitz matrix at level {level} is not positive definite at "
-            f"working precision (eps = {eps:.3e}: tested eigenvalue {least:.3e} <= threshold "
-            f"{threshold:.3e})"
-        )
-
-
 def _checked_output(coeffs, bound, route, beta=np.inf):
     # the one judge of an ``extend`` output M_0 .. M_L = ``coeffs``, as a
     # sequence: lambda_min(T_L) >= -bound, the bound the ``route`` promises,
@@ -295,7 +267,7 @@ def _checked_output(coeffs, bound, route, beta=np.inf):
     least = margin = np.nan
     if np.isfinite(coeffs).all():
         out = CoefficientSequence(coeffs)
-        if beta <= bound or _clearing_pivots(out, bound) is not None:
+        if beta <= bound or _clearing_pivots(out, bound):
             return out
         k = np.frexp(coeffs[0].diagonal().real.max())[1]
         # T_L as its interleaved real and imaginary parts, which ldexp scales
@@ -314,9 +286,20 @@ def _checked_output(coeffs, bound, route, beta=np.inf):
 def _ball_state(seq, eps, dense, eigs):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
     # with its gamma, from T_N = ``dense`` and its eigenvalues ``eigs``
-    # (``toeplitz._decomposed``), after the singularity check of its level
+    # (``toeplitz._decomposed``).  Its solves need the eps-shifted T_N of
+    # size m positive definite at working precision: its least eigenvalue
+    # must clear the threshold top m u, top its largest.  The data passed
+    # their own check, so a refusal is a shift too small for the data.  m u
+    # is exact (u a power of 2), so top is multiplied once: no overflow for
+    # top near the float maximum
     d = seq.block_dim
-    _check_definite(eigs[0] + eps, eigs[-1] + eps, seq.order, d, eps)
+    least, threshold = eigs[0] + eps, (eigs[-1] + eps) * (len(eigs) * _MACHINE_EPS)
+    if least <= threshold:
+        raise SingularBlockError(
+            f"the eps-shifted Toeplitz matrix at level {seq.order} is not positive definite at "
+            f"working precision (eps = {eps:.3e}: tested eigenvalue {least:.3e} <= threshold "
+            f"{threshold:.3e})"
+        )
     rev = eps * np.eye(dense.shape[0]) + reverse_blocks(dense, d)
     # stable route: solve against the one-level-down shifted matrix instead
     # of recombining inverse blocks, which cancels catastrophically for tiny
@@ -456,13 +439,10 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         maximum.  Where the output check refuses an output, naming the
         central extension or the parametrized chain, level L, the bound,
         the least eigenvalue and the margin.
-        For a parametrized chain also, naming the level, where the
-        eps-shifted Toeplitz matrix it inverts is not positive definite at
-        working precision: the data level (a shift too small for the data)
-        or a level whose bound S a step inverts (the data passed their
-        check, so the failure is the chain's rounding or a unit-norm
-        contraction); or if the alpha^{-1} of a step is not positive
-        definite.
+        For a parametrized chain also, naming level N, where the
+        eps-shifted Toeplitz matrix of the data is not positive definite at
+        working precision (a shift too small for the data); or if the bound
+        S or the alpha^{-1} of a step is not positive definite.
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
         Every contraction is checked, after their count and before the
@@ -489,10 +469,10 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     rev[:, steps:] = seq.coefficients[::-1].transpose(1, 0, 2)
     for k, g in enumerate(contractions):
         # D = S^{1/2} G alpha^{-1/2}, v = S^{-1} D = S^{-1/2} G alpha^{-1/2} and
-        # p = alpha D* = alpha^{1/2} G* S^{1/2} from one eigh of S, whose level
-        # N + k the singularity rule tests first, and one of alpha^{-1}; the
-        # step's coefficient goes before the window of gamma, M_{N+k} .. M_1
-        s_half, s_inv_half = _roots(s, "S", eigs[-1] + eps, n - 1 + k, d, eps)
+        # p = alpha D* = alpha^{1/2} G* S^{1/2} from one eigh of S and one of
+        # alpha^{-1}; the step's coefficient goes before the window of gamma,
+        # M_{N+k} .. M_1
+        s_half, s_inv_half = _roots(s, "S")
         a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
         diff = s_half @ g @ a_inv_half
         rev[:, steps - 1 - k] = rev[:, steps - k : -1].reshape(d, -1) @ a + diff

@@ -189,12 +189,11 @@ class LevelReport:
     the report is that of ``psd_report``.  ``is_psd`` and
     ``is_strictly_positive`` are the verdicts ``psd_report`` gives for the
     level (``min_eigenvalue >= -tolerance_used`` and
-    ``> tolerance_used``), decided by the bracket.  Where a rung of
-    ``positivity_profile`` proves the data PSD at a level s below the top
-    (the atom rung's determinate level of a leading block, or the level the
-    Cholesky rung's first pivot at most 2 tol marks), every level past s
-    carries the bracket ``[-tolerance_used, lambda_s + margin]``, which
-    proves it PSD and not strictly positive.
+    ``> tolerance_used``), decided by the bracket.  Where the atom rung of
+    ``positivity_profile`` proves the data PSD from a leading block T_s,
+    every level past its determinate level s carries the bracket
+    ``[-tolerance_used, lambda_s + margin]``, which proves it PSD and not
+    strictly positive.
     """
 
     lower: float
@@ -238,56 +237,43 @@ def positivity_profile(seq, tol=1e-9):
     n >= r / d singular; where ``tol`` is well above the margin, those
     levels are decided from the spectrum of T_N alone.
 
-    Two rungs run first; each proves every level's computed lambda_min >=
-    -tol, so every level is PSD, and each gives a level s that the profile
-    reads.  The atom rung (``_atom_level``) takes determinate data, the
-    Caratheodory-Fejer case: it searches the leading blocks T_1, T_2, T_4,
-    ... while 8 (s + 1) <= N + 1 for the first whose rank stops growing
-    (rank T_s = rank T_{s-1} = r), continues M_0 .. M_s to N by the unique
-    PSD continuation, the r-atom measure of the central extension, and
-    passes where that continuation's certificate beta plus twice the sum of
-    the defects ||M_j - C_j||_F (j > s) stays below tol by the rounding
-    margin of the Cholesky rung.  It costs O(s^3 d^3 + N r d^2) in place of
-    the O(N^3 d^3) of a factorisation of T_N, and assembles nothing of T_N's
-    size.  Where it does not pass (data that are not determinate at a
-    searched level, or whose later coefficients leave the continuation),
-    its search costs one ``eigh`` of each searched T_s, sizes (s + 1) d up
-    to (N + 1) d / 8, plus an SVD of size r where T_s has rank r <= s d
-    (no more than its past block's columns, so that the level may be
-    determinate), plus the continuation where a level is determinate;
-    below N = 15, and where ``tol`` is below the margin, it searches
-    nothing.
-    That extra work, measured on full-rank data at N = 64 (d = 1 .. 4, one
-    OpenBLAS thread, a 2-core x86-64 host, best of 50), is 0.10 .. 0.21 ms,
-    between 0.08 and 1.2 times one Cholesky factorisation of T_N; at
-    N = 256 it is at most 2 ms, about a tenth of that factorisation or less.
+    One rung runs first.  The atom rung (``_atom_level``) takes determinate
+    data, the Caratheodory-Fejer case: it searches the leading blocks T_1,
+    T_2, T_4, ... while 8 (s + 1) <= N + 1 for the first whose rank stops
+    growing (rank T_s = rank T_{s-1} = r), continues M_0 .. M_s to N by the
+    unique PSD continuation, the r-atom measure of the central extension,
+    and passes where that continuation's certificate beta plus twice the
+    sum of the defects ||M_j - C_j||_F (j > s) stays below tol by the
+    rounding margin 2 (m + 1) u nu, nu >= ||T_N||_2.  Then every level's
+    computed lambda_min is at least -tol, so every level is PSD.  It costs
+    O(s^3 d^3 + N r d^2) in place of the O(N^3 d^3) of the spectrum of T_N,
+    and assembles nothing of T_N's size.  Where it does not pass (data that
+    are not determinate at a searched level, or whose later coefficients
+    leave the continuation), its search costs one ``eigh`` of each searched
+    T_s, sizes (s + 1) d up to (N + 1) d / 8, plus an SVD of size r where
+    T_s has rank r <= s d (no more than its past block's columns, so that
+    the level may be determinate), plus the continuation where a level is
+    determinate; below N = 15, and where ``tol`` is below the margin, it
+    searches nothing.  That extra work, measured on full-rank data at
+    N = 64 (d = 1 .. 4, one OpenBLAS thread, a 2-core x86-64 host, best of
+    50), is 0.10 .. 0.21 ms; at N = 256 it is at most 2 ms.
 
-    The Cholesky rung runs where the atom rung does not pass.  One
-    factorisation of T_N shifted down to ``-tol`` (``_clearing_pivots``)
-    proves every level's computed lambda_min >= -tol.  Its first pivot at
-    most 2 tol closes a leading block of a level s whose exact lambda_min is
-    at most ``tol`` up to rounding (a pivot is at least the least
-    eigenvalue of the shifted leading block it closes).
-
-    Where a rung proves the data PSD at a level s < N, levels 0 .. s are the
-    profile of ``seq.truncated(s)`` read from the spectrum of T_s as above,
-    and every later level carries the bracket [-tol, lambda_s + margin],
-    with the margin taken from a bound on ||T_N||_2 (its block row sums):
-    by interlacing, no later level's computed lambda_min is above it.  That
+    Where the rung passes, levels 0 .. s are the profile of
+    ``seq.truncated(s)`` read from the spectrum of T_s as above, and every
+    later level carries the bracket [-tol, lambda_s + margin], with the
+    margin taken from a bound on ||T_N||_2 (its block row sums): by
+    interlacing, no later level's computed lambda_min is above it.  That
     bracket proves the level PSD and not strictly positive; it is only as
-    tight as its two ends, not an estimate of the level's lambda_min.  So
-    which levels carry a bracket, and its upper end, depend on the rung
-    that decided.
+    tight as its two ends, not an estimate of the level's lambda_min.
 
-    Where neither rung decides (N = 0, the data are not proved PSD, no
-    pivot marks a level, s = N, or lambda_s + margin > tol, which only
+    Where the rung does not pass, or lambda_s + margin > tol (which only
     rounding allows), the profile is read from the spectrum of T_N, bitwise
-    as without the rungs, at the cost of the atom rung's search and one
-    Cholesky factorisation of T_N more (and, in the last case, the profile
-    of T_s).  Either way a decomposed level's report is bitwise that of
-    ``psd_report`` of its own assembly; every verdict equals it and every
-    bracket contains its ``min_eigenvalue``.  Level N is decomposed exactly
-    where the profile is read from the spectrum of T_N.
+    as without the rung, at the cost of the rung's search (and, in the last
+    case, the profile of T_s).  The profile runs no Cholesky factorisation.
+    Either way a decomposed level's report is bitwise that of ``psd_report``
+    of its own assembly; every verdict equals it and every bracket contains
+    its ``min_eigenvalue``.  Level N is decomposed exactly where the profile
+    is read from the spectrum of T_N.
 
     Raises
     ------
@@ -296,12 +282,7 @@ def positivity_profile(seq, tol=1e-9):
     """
     _check_tol(tol)
     top, d = seq.order, seq.block_dim
-    # the atom rung's level comes with its T_s, the Cholesky rung's without
-    stop, block = _atom_level(seq, tol) or (None, None)
-    if stop is None:
-        pivots = _clearing_pivots(seq, tol) if top else None
-        marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // d
-        stop = int(marked[0]) if len(marked) else top
+    stop, block = _atom_level(seq, tol) or (top, None)
     if stop < top:
         reports = _spectrum_profile(seq.truncated(stop), tol, block)
         cap = reports[stop].upper + float(
@@ -314,8 +295,8 @@ def positivity_profile(seq, tol=1e-9):
 
 def _spectrum_profile(seq, tol, dense=None):
     # the reports of ``positivity_profile`` read from the spectrum of T_N:
-    # the profile of T_N where no rung decides it and of the rung's level
-    # T_s where one does, and the reports of the eigenvalue check
+    # the profile of T_N where the atom rung does not decide it and of the
+    # rung's level T_s where it does, and the reports of the eigenvalue check
     # (``_certified_data``).  ``dense`` is T_N where the caller has it
     if dense is None:
         dense = assemble(seq).dense
@@ -329,14 +310,14 @@ def _check_data(seq, tol):
     # fail ``_certified_data`` on T_N assembled afresh.  Both rungs prove
     # passes only, so verdicts and messages are the eigenvalue check's
     _check_tol(tol)
-    if _atom_level(seq, tol) is None and _clearing_pivots(seq, tol) is None:
+    if _atom_level(seq, tol) is None and not _clearing_pivots(seq, tol):
         _certified_data(seq, tol)
 
 
 def _atom_level(seq, tol):
     # The atom rung: the level s from which it proves every level's computed
-    # lambda_min >= -tol, the claim of ``_clearing_pivots(seq, tol) is not
-    # None``, with its assembled T_s, or None where it proves nothing.
+    # lambda_min >= -tol, the claim of ``_clearing_pivots(seq, tol)``, with
+    # its assembled T_s, or None where it proves nothing.
     #
     # Determinate data (the Caratheodory-Fejer case).  Where the rank of the
     # data stops growing at a level s (rank T_s = rank T_{s-1} = r, the k = r
@@ -398,12 +379,11 @@ def _atom_level(seq, tol):
 
 
 def _clearing_pivots(seq, bound):
-    # The pivots of one shifted Cholesky factorisation of T_N that proves
-    # every level's computed lambda_min >= -bound, or None where it fails:
-    # the rung of the data check, of the check of an ``extend`` output and
-    # of ``positivity_profile``.  By interlacing and the eigvalsh convention
-    # of ``positivity_profile``, every level's computed lambda_min is at
-    # least lambda_min(T_N) - 2 m u ||T_N||_2 (m = (N + 1) d, u machine
+    # Whether one shifted Cholesky factorisation of T_N proves every level's
+    # computed lambda_min >= -bound: the rung of the data check and of the
+    # check of an ``extend`` output.  By interlacing and the eigvalsh
+    # convention of ``positivity_profile``, every level's computed lambda_min
+    # is at least lambda_min(T_N) - 2 m u ||T_N||_2 (m = (N + 1) d, u machine
     # eps), and ||T_N||_2 <= nu (``_norm_bound``).  So the factorisation
     # proving lambda_min(T_N) > -bound + 2 (m + 1) u nu (the extra 2 u nu
     # covers the rounding of that margin, ``_clearing_margin``) is enough.
@@ -418,17 +398,18 @@ def _clearing_margin(seq):
         return 2 * (len(seq) * seq.block_dim + 1) * _MACHINE_EPS * _norm_bound(seq.coefficients)
 
 
-def _certified_data(seq, tol):
+def _certified_data(seq, tol, dense=None):
     # the eigenvalue check of the data: it decides the data where the
     # rungs of ``_check_data`` do not, and for the extension where its
     # ``eigh`` of T_N leaves the verdict open.  The data are refused at the
     # first level the profile read from the spectrum of T_N fails, so a
     # refusal is the ``check`` command's first failing level
-    # (``positivity_profile`` reads that spectrum wherever its rungs fail,
-    # as they do on data that fail); that level is a decomposed one (a bracket fails a level only
-    # when the decomposed level before it fails), named with its computed
-    # lambda_min
-    for n, report in enumerate(_spectrum_profile(seq, tol)):
+    # (``positivity_profile`` reads that spectrum wherever the atom rung
+    # fails, as it does on data that fail); that level is a decomposed one
+    # (a bracket fails a level only when the decomposed level before it
+    # fails), named with its computed lambda_min.  ``dense`` is T_N where
+    # the caller has it
+    for n, report in enumerate(_spectrum_profile(seq, tol, dense)):
         if not report.is_psd:
             raise NotPsdError(
                 f"truncation level {n} is not PSD (min eigenvalue {report.lower:.3e})"
@@ -449,8 +430,8 @@ def _decomposed(seq, tol):
     # within margin / 2 (||T_n||_2 <= ||T_N||_2): every level
     # ``_certified_data`` decomposes passes, and its brackets fail a level
     # only after a decomposed one fails, so it would pass every level.
-    # Otherwise ``_certified_data`` decides, unchanged, on T_N assembled
-    # afresh.  Data that pass but whose spectrum passes the float maximum
+    # Otherwise ``_certified_data`` decides, unchanged, on the same T_N
+    # (``eigh`` leaves its input intact).  Data that pass but whose spectrum passes the float maximum
     # are refused here, for every entry point, before any caller reads a
     # rank from the (infinite) margin or a threshold from the top.
     _check_tol(tol)
@@ -458,7 +439,7 @@ def _decomposed(seq, tol):
     eigs, vecs = np.linalg.eigh(dense)
     margin = _interlacing_margin(eigs)
     if not eigs[0] >= margin - tol:
-        _certified_data(seq, tol)
+        _certified_data(seq, tol, dense)
     if not np.isfinite(eigs[-1]):
         raise SingularBlockError(f"the spectrum of T_{seq.order} passes the float maximum")
     return dense, eigs, vecs, margin
@@ -699,12 +680,11 @@ def _norm_bound(coeffs):
 
 
 def _shifted_pivots(dense, base, margin):
-    # The pivots R_ii^2 of one Cholesky factorisation R* R of ``dense``
-    # shifted down, or None where it fails.  It succeeds only where it
-    # proves that the exact lambda_min of the Hermitian m x m matrix
-    # A = ``dense`` exceeds base + margin (the exact sum of the two floats,
-    # margin >= 0).  A's diagonal is shifted down in place, so ``dense`` is
-    # spent:
+    # Whether one Cholesky factorisation R* R of ``dense`` shifted down
+    # succeeds.  It succeeds only where it proves that the exact lambda_min
+    # of the Hermitian m x m matrix A = ``dense`` exceeds base + margin (the
+    # exact sum of the two floats, margin >= 0).  A's diagonal is shifted
+    # down in place, so ``dense`` is spent:
     #
     #     B = fl(A - s I),   s = base + margin + 4 gamma W,
     #     W = t + m (|base| + margin),   gamma = gamma_{m+1} (``_rounding``),
@@ -738,10 +718,10 @@ def _shifted_pivots(dense, base, margin):
         weight = np.abs(diagonal.real).sum() + m * (abs(base) + margin)
         diagonal -= base + (margin + 4 * gamma * weight)
     try:
-        factor = np.linalg.cholesky(dense)
+        np.linalg.cholesky(dense)
     except np.linalg.LinAlgError:
-        return None
-    return factor.diagonal().real ** 2
+        return False
+    return True
 
 
 def _interlacing_margin(eigs):

@@ -15,6 +15,7 @@ from herglotz import (
     assemble,
     ball_membership,
     central_step,
+    certified_series,
     eval_series,
     extend,
     gram_isometries,
@@ -375,15 +376,18 @@ class TestExtend:
         # the shifted matrix of the output is singular: lambda_min(T_L) =
         # -eps, so its computed value does not clear -eps by the rounding
         # margin and the output check refuses it as the last step, naming
-        # level N + 1; the bound S of the next step refuses it before one
-        # more, naming the same level.  The data passed their check, so
-        # neither refusal blames them
+        # level N + 1.  One more step divides by the bound S of that level,
+        # singular too: the step refuses it where its computed least
+        # eigenvalue is not positive, and otherwise the output check refuses
+        # the whole output at level N + 2.  The data passed their check, so
+        # no refusal blames them
         seq = fixture_sequence(seed, block_dim, state_dim, order)
         unit = np.eye(block_dim)
         refusal = f"parametrized chain at level {order + 1} is not PSD within 1.000e-08 "
         with pytest.raises(SingularBlockError, match=refusal):
             extend(seq, 1, eps=1e-8, contractions=[unit])
-        with pytest.raises(SingularBlockError, match=f"level {order + 1} "):
+        refusal = f"^S is not positive definite|parametrized chain at level {order + 2} "
+        with pytest.raises(SingularBlockError, match=refusal):
             extend(seq, 2, eps=1e-8, contractions=[unit, np.zeros_like(unit)])
 
     @pytest.mark.parametrize(
@@ -443,20 +447,27 @@ class TestExtend:
             bordered = extend(seq, 30, eps=eps, contractions=zeros).coefficients
             np.testing.assert_allclose(bordered, central, rtol=0, atol=100 * eps * size)
 
-    def test_fixed_bound_names_the_level_it_turns_singular_at(self):
+    @pytest.mark.parametrize("steps", [30, 60, 100])
+    def test_fixed_bound_is_judged_at_the_last_level(self, steps):
         # partially determinate data at eps = 1e-14 through zero
         # contractions: the least eigenvalue of S, ~2 eps, stays fixed while
-        # the threshold top * size * machine eps grows with the level
+        # the working-precision threshold top (n + 1) d u of the shifted
+        # matrix of level n grows past it mid-way, and rounding takes the
+        # chain off the ball after that.  No step divides by zero or
+        # overflows (the suite turns any warning into an error): the output
+        # check judges the whole output once and names its last level, or a
+        # step refuses a bound S whose least eigenvalue is not positive
         seq = partially_determinate()
-        eps, steps = 1e-14, 60
+        eps = 1e-14
         step, _ = central_step(seq, eps)
         bound = np.linalg.eigvalsh(step.left_bound)[0]
         top = np.linalg.eigvalsh(assemble(seq).dense)[-1] + eps
         levels = range(len(seq), len(seq) + steps)
         u, d = np.finfo(float).eps, seq.block_dim
-        level = next(n for n in levels if bound <= top * (n + 1) * d * u)
-        assert len(seq) < level < len(seq) + steps - 1
-        with pytest.raises(SingularBlockError, match=f"level {level} "):
+        crossing = next(n for n in levels if bound <= top * (n + 1) * d * u)
+        assert 0 < bound and len(seq) < crossing < len(seq) + steps - 1
+        refusal = f"^S is not positive definite|parametrized chain at level {seq.order + steps} "
+        with pytest.raises(SingularBlockError, match=refusal):
             extend(seq, steps, eps=eps, contractions=[np.zeros((2, 2))] * steps)
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-11])
@@ -473,7 +484,7 @@ class TestExtend:
         zeros = [np.zeros((2, 2))] * steps
         with monkeypatch.context() as patch:
             # the chain's output, its Cholesky rung forced to pass
-            patch.setattr(extension, "_clearing_pivots", lambda *args: np.ones(1))
+            patch.setattr(extension, "_clearing_pivots", lambda *args: True)
             level = extend(seq, steps, eps=eps, contractions=zeros, tol=tol)
         eigs = np.linalg.eigvalsh(assemble(level).dense)
         margin = (eigs[-1] + eps) * (len(eigs) * np.finfo(float).eps)
@@ -765,6 +776,32 @@ class TestSolveCf:
         assert calls["assemble"] == [size]
         assert calls["eigh"].count(size) == 1
         assert calls["eigvalsh"] == []
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_data_on_the_rounding_margin_are_assembled_once(self, count_dense_calls, seed):
+        # rank-deficient data scaled by 1e6, whose least eigenvalue does not
+        # clear -tol by the interlacing margin: the eigenvalue check decides
+        # them (seed 1 fails it, seed 4 passes) from the spectrum of the T_N
+        # that the data's eigh took, with the verdict of ``certified_series``
+        # and no second assembly of T_N
+        seq = CoefficientSequence(fixture_sequence(seed, 2, 5, 8).coefficients * 1e6)
+        size = len(seq) * seq.block_dim
+        try:
+            certified_series(seq)
+            expected = None
+        except NotPsdError as err:
+            expected = str(err)
+        calls = count_dense_calls()
+        try:
+            extend(seq, 4)
+            got = None
+        except NotPsdError as err:
+            got = str(err)
+        except SingularBlockError:
+            got = None
+        assert got == expected and (seed == 1) == (got is not None)
+        assert calls["assemble"].count(size) == 1
+        assert calls["eigh"][0] == calls["eigvalsh"][0] == size
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bench_shaped_central_solve_checks_no_dense_level(self, count_dense_calls, seed):

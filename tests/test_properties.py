@@ -737,44 +737,14 @@ def unit_scaled_levels(draw):
     return CoefficientSequence(coeffs)
 
 
-def proved(seq, tol):
-    # whether a rung of the data check proves every level's computed
-    # lambda_min >= -tol: the atom rung or the Cholesky rung
-    return _atom_level(seq, tol) is not None or _clearing_pivots(seq, tol) is not None
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        borderline_data(),
-        st.tuples(unit_scaled_levels(), st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2])),
-    )
-)
-def test_profile_no_rung_proves_is_the_spectrum_profile(problem):
-    # where neither the atom rung nor the Cholesky rung proves the data PSD,
-    # the profile is bitwise the one read from the spectrum of T_N; where one
-    # does, every verdict is still the per-level one and no bracket ends
-    # below -tol
-    seq, tol = problem
-    profile = positivity_profile(seq, tol)
-    if not (seq.order and proved(seq, tol)):
-        assert report_bits(profile) == report_bits(spectrum_profile(seq, tol))
-        return
-    for n, level in enumerate(profile):
-        reference = psd_report(assemble(seq.truncated(n)).dense, tol)
-        assert level.lower >= -tol and level.is_psd and reference.is_psd
-        assert level.lower <= reference.min_eigenvalue <= level.upper
-        assert level.is_strictly_positive == reference.is_strictly_positive
-
-
 @st.composite
-def marked_levels(draw):
-    # realization data of rank below (N + 1) d, N = 1 .. 24, scaled by
-    # 10^k, with a tol: the levels past the rank are singular, so the
-    # Cholesky rung's pivots mark a level wherever its rounding margin is
-    # below tol
+def low_rank_levels(draw):
+    # realization data of rank below (N + 1) d, N = 1 .. 40, scaled by
+    # 10^k, with a tol: the levels past the rank are singular.  Below N = 15
+    # the atom rung searches nothing; above it, data of rank at most 2 d are
+    # determinate at a searched level, and others may not be
     d = draw(st.integers(1, 3))
-    order = draw(st.integers(1, 24))
+    order = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rlz = random_realization(rng, d, draw(st.integers(1, order * d)))
     coeffs = realization_coefficients(rlz, order).coefficients * 10.0 ** draw(st.integers(-8, 8))
@@ -805,32 +775,54 @@ def determinate_levels(draw, max_size=None):
     return CoefficientSequence(coeffs), tol
 
 
-def rung_level(seq, tol):
-    # the level s that a rung of the profile reads: the atom rung's where it
-    # proves the data PSD, else the level of the first pivot at most 2 tol of
-    # the Cholesky rung where that proves them; None where neither does or
-    # no pivot marks a level
-    s, _ = _atom_level(seq, tol) or (None, None)
-    if s is None:
-        pivots = _clearing_pivots(seq, tol)
-        marked = [] if pivots is None else np.flatnonzero(pivots <= 2 * tol) // seq.block_dim
-        s = int(marked[0]) if len(marked) else None
-    return s
+def proved(seq, tol):
+    # whether the atom rung of the profile proves every level's computed
+    # lambda_min >= -tol
+    return _atom_level(seq, tol) is not None
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.one_of(
+        borderline_data(),
+        st.tuples(unit_scaled_levels(), st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2])),
+        low_rank_levels(),
+        determinate_levels(),
+    )
+)
+def test_profile_no_rung_proves_is_the_spectrum_profile(count_dense_calls, problem):
+    # the profile runs no Cholesky factorisation.  Where the atom rung does
+    # not prove the data PSD, it is bitwise the profile read from the
+    # spectrum of T_N; where it does, every verdict is still the per-level
+    # one and no bracket ends below -tol
+    seq, tol = problem
+    calls = count_dense_calls()
+    profile = positivity_profile(seq, tol)
+    assert calls["cholesky"] == []
+    if not proved(seq, tol):
+        assert report_bits(profile) == report_bits(spectrum_profile(seq, tol))
+        return
+    for n, level in enumerate(profile):
+        reference = psd_report(assemble(seq.truncated(n)).dense, tol)
+        assert level.lower >= -tol and level.is_psd and reference.is_psd
+        assert level.lower <= reference.min_eigenvalue <= level.upper
+        assert level.is_strictly_positive == reference.is_strictly_positive
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(marked_levels(), determinate_levels()))
-def test_profile_a_rung_proves_reads_its_level(problem):
-    # where a rung proves the data PSD at a level s < N (the atom rung's
-    # determinate level, or the Cholesky rung's first pivot at most 2 tol),
-    # the first s + 1 reports are bitwise the profile of T_s read from its
-    # spectrum, and every later level carries [-tol, lambda_s + margin],
-    # margin = 4 m u nu; where that upper end passes tol, which only
-    # rounding allows, the spectrum of T_N decides
+@given(st.one_of(low_rank_levels(), determinate_levels()))
+def test_profile_the_atom_rung_proves_reads_its_level(problem):
+    # where the atom rung proves the data PSD from its determinate level
+    # s < N, the first s + 1 reports are bitwise the profile of T_s read
+    # from its spectrum, and every later level carries
+    # [-tol, lambda_s + margin], margin = 4 m u nu; where that upper end
+    # passes tol, which only rounding allows, the spectrum of T_N decides
     seq, tol = problem
     d = seq.block_dim
-    s = rung_level(seq, tol)
-    assume(s is not None and s < seq.order)
+    s, _ = _atom_level(seq, tol) or (None, None)
+    assume(s is not None)
     profile = positivity_profile(seq, tol)
     head = spectrum_profile(seq.truncated(s), tol)
     margin = 4 * len(seq) * d * np.finfo(float).eps * float(_norm_bound(seq.coefficients))
@@ -885,8 +877,8 @@ def test_profile_brackets_the_per_level_reports(seq, tol):
     # hold it in their bracket, and every verdict is the per-level one; the
     # first failing level, which certified_series names, is decomposed, and
     # the eigenvalue check's message is the per-level scan's.  Level N is
-    # decomposed exactly where the Cholesky rung leaves the profile to the
-    # spectrum of T_N, which it does wherever it does not prove the data PSD
+    # decomposed exactly where the profile is read from the spectrum of
+    # T_N, which it is wherever the atom rung does not prove the data PSD
     profile = positivity_profile(seq, tol)
     assert len(profile) == len(seq)
     assert profile[0].lower == profile[0].upper
@@ -925,7 +917,7 @@ def test_output_check_matches_the_eigenvalue_check(seq, bound):
     # the Cholesky rung shared with the data check passes only where the
     # eigenvalue check does, so the output check's verdicts and messages are
     # those of one eigvalsh of T_L
-    if _clearing_pivots(seq, bound) is not None:
+    if _clearing_pivots(seq, bound):
         assert check_outcome(reference_output_check, seq.coefficients, bound, "") is None
     route = "parametrized chain"
     expected = check_outcome(reference_output_check, seq.coefficients, bound, route)
@@ -944,7 +936,7 @@ def test_cholesky_certificate_is_exact(seq, offset, margin):
     unit = dense.shape[0] * np.finfo(float).eps * float(np.abs(dense.diagonal()).sum())
     margin *= unit
     base = float(np.linalg.eigvalsh(dense)[0]) - margin - offset * unit
-    if _shifted_pivots(dense.copy(), base, margin) is not None:
+    if _shifted_pivots(dense.copy(), base, margin):
         assert is_positive_definite(dense, -(Fraction(base) + Fraction(margin)))
 
 

@@ -209,10 +209,9 @@ class TestPositivityProfile:
             positivity_profile(CoefficientSequence.from_scalars([1, 2]), tol)
 
     def test_interlaced_levels_carry_a_bracket(self):
-        # every level of identity data has lambda_min 1.  No pivot of the
-        # Cholesky rung marks a level that is not strictly positive, so the
-        # spectrum of T_N decides: the two ends decide the levels between
-        # them, whose brackets hold 1
+        # every level of identity data has lambda_min 1.  N = 8 is below the
+        # atom rung's search, so the spectrum of T_N decides: the two ends
+        # decide the levels between them, whose brackets hold 1
         reports = positivity_profile(CoefficientSequence.from_scalars([1] + [0] * 8), 1e-9)
         assert reports[0].lower == reports[0].upper == 1.0
         assert reports[-1].lower == reports[-1].upper == pytest.approx(1.0)
@@ -273,21 +272,21 @@ class TestPositivityProfile:
     @pytest.mark.parametrize(
         "values", [[1] + [0] * 64, 0.5 ** np.arange(65)], ids=["identity", "geometric"]
     )
-    def test_full_rank_positive_data_fall_back_after_one_factorisation(
+    def test_full_rank_positive_data_fall_back_to_the_spectrum(
         self, count_dense_calls, values
     ):
-        # positive definite data: no pivot of the factorisation shifted down
-        # to -tol marks a level, so nothing is decomposed before the spectrum
-        # of T_N decides, as it did without the rung.  The atom rung's search
-        # before it, one eigh of T_1, T_2 and T_4, finds no determinate level:
-        # each T_s has full rank s + 1, past the s columns of its past block,
-        # so no factor is formed and no SVD runs
+        # positive definite data: the atom rung's search, one eigh of T_1,
+        # T_2 and T_4, finds no determinate level: each T_s has full rank
+        # s + 1, past the s columns of its past block, so no factor is formed
+        # and no SVD runs.  The spectrum of T_N then decides, as it did
+        # without the rung, with no Cholesky factorisation
         seq = CoefficientSequence.from_scalars(values)
         calls = count_dense_calls()
         reports = positivity_profile(seq, 1e-9)
         assert calls["eigh"] == [2, 3, 5]
         assert calls["svd"] == []
-        assert calls["cholesky"] == [65]
+        assert calls["cholesky"] == []
+        assert calls["assemble"] == [2, 3, 5, 65]
         assert calls["eigvalsh"][0] == 65
         assert reports[-1].lower == reports[-1].upper
         assert all(r.is_psd and r.is_strictly_positive for r in reports)
@@ -298,10 +297,9 @@ class TestPositivityProfile:
 
     def test_level_within_the_margin_of_tol_is_left_to_the_spectrum(self, count_dense_calls):
         # the second component has lambda_min tol at level 0 and tol / 2 at
-        # level 1.  The rung's pivot marks level 0, whose decomposed value
-        # tol lies within the margin of tol, so no bracket past it proves a
-        # later level not strictly positive: the spectrum of T_N decides
-        # every level, at the cost of that one decomposition of level 0
+        # level 1, within the margin of tol: no bracket proves a level not
+        # strictly positive, and the spectrum of T_N decides every level
+        # (N = 4 is below the atom rung's search)
         tol = 1e-9
         coeffs = np.zeros((5, 2, 2))
         coeffs[0] = np.diag([1.0, tol])
@@ -309,10 +307,28 @@ class TestPositivityProfile:
         seq = CoefficientSequence(coeffs)
         calls = count_dense_calls()
         reports = positivity_profile(seq, tol)
-        assert calls["cholesky"] == [10] and calls["eigvalsh"][:2] == [2, 10]
+        assert calls["eigvalsh"][0] == 10
         assert reports == _spectrum_profile(seq, tol)
         assert reports[-1].lower == reports[-1].upper
         assert all(r.is_psd and not r.is_strictly_positive for r in reports)
+
+    def test_atom_level_within_the_margin_of_tol_is_left_to_the_spectrum(
+        self, count_dense_calls
+    ):
+        # rank-2 scalar data of order 31 are determinate at level 2, and the
+        # atom rung passes there at tol = 1e-12, but lambda_2 plus the margin
+        # 4 m u nu, 1.09e-12, passes tol: that bracket would not prove the
+        # later levels not strictly positive, so after the profile of T_2 the
+        # spectrum of T_N decides every level
+        tol = 1e-12
+        seq = realization_coefficients(random_realization(0, 1, 2), 31)
+        calls = count_dense_calls()
+        reports = positivity_profile(seq, tol)
+        assert calls["assemble"] == [2, 3, 32] and calls["cholesky"] == []
+        # the profile of T_2 (levels 2, 0, 1), then that of T_N
+        assert calls["eigvalsh"][:4] == [3, 1, 2, 32]
+        assert reports == _spectrum_profile(seq, tol)
+        assert reports[-1].lower == reports[-1].upper
 
     def test_full_rank_data_failing_at_the_top_are_bisected_arithmetically(
         self, count_dense_calls
