@@ -812,7 +812,7 @@ def test_profile_no_rung_proves_is_the_spectrum_profile(count_dense_calls, probl
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(low_rank_levels(), determinate_levels()))
+@given(determinate_levels())
 def test_profile_the_atom_rung_proves_reads_its_level(problem):
     # where the atom rung proves the data PSD from its determinate level
     # s < N, the first s + 1 reports are bitwise the profile of T_s read
