@@ -94,8 +94,9 @@ moves to its ball point and borders the state.  A step factors each d x d
 matrix it divides by once, by two ``eigh`` and no solve: the ``eigh`` of S
 gives S^{1/2} and S^{-1/2}, and that of the Hermitian part of alpha^{-1}
 gives alpha^{-1/2} and alpha^{1/2}; either is refused with
-SingularBlockError where its least eigenvalue is not positive, which
-would divide by zero.  So D = S^{1/2} Gamma alpha^{-1/2},
+SingularBlockError, naming the step k and the level N + k it appends,
+where its least eigenvalue is not positive, which would divide by zero.
+So D = S^{1/2} Gamma alpha^{-1/2},
 v = S^{-1} D = S^{-1/2} Gamma alpha^{-1/2} and p = alpha^{1/2} Gamma* S^{1/2},
 and a zero Gamma gives D = v = p = 0 exactly.  The subtraction updates of S
 and alpha^{-1} are kept on purpose: the congruence
@@ -107,7 +108,8 @@ maximum give a finite S.
 
 The chain's solves need the eps-shifted matrix of the data level N, of
 size m = (N + 1) d, positive definite at working precision: its least
-eigenvalue must clear top m u, top its largest.  That is tested before
+eigenvalue must clear the rounding margin ``toeplitz._margin`` with
+factor 1 and norm its largest eigenvalue.  That is tested before
 the state is built, and a refusal raises SingularBlockError naming level
 N: the data passed their own check, so the shift is too small for them.
 Past it no level has a rule of its own: where the chain's rounding (or a
@@ -115,7 +117,7 @@ unit-norm contraction, whose ball point lies on the boundary) takes it
 off the ball, the output check below refuses the whole output.
 NotPsdError is raised for the data only.
 
-One output check (``_checked_output``).  Every output promises one
+One output check (``toeplitz._checked_output``).  Every output promises one
 inequality, lambda_min(T_L) >= -bound, with bound = max(tol, eps) for the
 central extension and eps for a parametrized chain, and every output is
 judged in one place, by the first of these rungs that proves it:
@@ -123,14 +125,13 @@ judged in one place, by the first of these rungs that proves it:
 1. the certificate, beta <= bound (the central extension only);
 2. the Cholesky rung of the data check (``toeplitz._clearing_pivots``): one
    factorisation of T_L shifted down to -bound plus the rounding margin of
-   the eigenvalue computation, which proves the exact lambda_min(T_L) >
-   -bound;
+   the data check (``toeplitz._margin``, factor 2), which proves the exact
+   lambda_min(T_L) > -bound;
 3. the eigenvalue rung: one ``eigvalsh`` of T_L, whose computed lambda_min
-   must clear -bound by the rounding margin (lambda_max + bound) m u, for
-   T_L of size m and u machine eps, the working-precision threshold of the
-   chain's test of the data level: a margin for the rounding of eigvalsh,
-   which the property tests check against the exact lambda_min(T_L) in
-   rational arithmetic.
+   must clear -bound by ``toeplitz._margin`` with factor 1 and norm
+   lambda_max + bound, the working-precision threshold of the chain's test
+   of the data level, which the property tests check against the exact
+   lambda_min(T_L) in rational arithmetic.
    T_L and the bound are scaled by 2^-k first, k the exponent of T_L's
    largest diagonal entry.  A power of 2 scales exactly, so where the
    spectrum of T_L is finite the rung decides as on T_L itself, and where
@@ -160,15 +161,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, OutOfBallError, SingularBlockError
-from .linalg import _MACHINE_EPS, _hermitian, _integer
+from .linalg import _hermitian, _integer
 from .series import HerglotzSeries, certified_series
 from .toeplitz import (
-    CoefficientSequence,
     _central_extension,
-    _clearing_pivots,
+    _checked_output,
     _decomposed,
+    _margin,
     _minimal_factor,
-    assemble,
     reverse_blocks,
 )
 
@@ -201,15 +201,16 @@ class ExtensionStep:
     left_bound: np.ndarray
 
 
-def _roots(a, name=None):
+def _roots(a, name=None, where=""):
     # the square root of the Hermitian part of a, tiny negatives of its
     # eigenvalues clamped; given the ``name`` of a, also its inverse square
     # root, after refusing a part whose least eigenvalue is not positive (a
-    # clamped eigenvalue would give 1 / 0)
+    # clamped eigenvalue would give 1 / 0), ``where`` placing it in the
+    # refusal
     eigs, vecs = np.linalg.eigh(_hermitian(a))
     if name is not None and not eigs[0] > 0:
         raise SingularBlockError(
-            f"{name} is not positive definite at working precision "
+            f"{name} is not positive definite at working precision{where} "
             f"(least eigenvalue {eigs[0]:.3e})"
         )
     roots = np.sqrt(np.clip(eigs, 0.0, None))
@@ -253,47 +254,16 @@ def _contraction(contraction, shape):
     return g
 
 
-def _checked_output(coeffs, bound, route, beta=np.inf):
-    # the one judge of an ``extend`` output M_0 .. M_L = ``coeffs``, as a
-    # sequence: lambda_min(T_L) >= -bound, the bound the ``route`` promises,
-    # by the first rung of the module docstring's ladder that proves it: the
-    # certificate ``beta`` (the central extension's; a chain has none), the
-    # Cholesky rung of the data check, then one eigvalsh of T_L scaled by
-    # 2^-k, k the exponent of its largest diagonal entry (T_L's diagonal is
-    # Re M_0's), against the bound scaled alike, so that a spectrum past the
-    # float maximum is decided too.  A non-finite output is refused before a
-    # sequence is built, whose own check would blame the data with
-    # NotPsdError
-    least = margin = np.nan
-    if np.isfinite(coeffs).all():
-        out = CoefficientSequence(coeffs)
-        if beta <= bound or _clearing_pivots(out, bound):
-            return out
-        k = np.frexp(coeffs[0].diagonal().real.max())[1]
-        # T_L as its interleaved real and imaginary parts, which ldexp scales
-        eigs = np.linalg.eigvalsh(np.ldexp(assemble(out).dense.view(float), -k).view(complex))
-        shift = np.ldexp(bound, -k)
-        least, margin = eigs[0], (eigs[-1] + shift) * (len(eigs) * _MACHINE_EPS)
-        if least + shift > margin:
-            return out
-        least, margin = np.ldexp((least, margin), k)
-    raise SingularBlockError(
-        f"the Toeplitz matrix of the {route} at level {len(coeffs) - 1} is not PSD within "
-        f"{bound:.3e} (least eigenvalue {least:.3e}, rounding margin {margin:.3e})"
-    )
-
-
 def _ball_state(seq, eps, dense, eigs):
     # block-Levinson state (a, b, S, alpha^{-1}) of the level of ``seq``,
     # with its gamma, from T_N = ``dense`` and its eigenvalues ``eigs``
-    # (``toeplitz._decomposed``).  Its solves need the eps-shifted T_N of
-    # size m positive definite at working precision: its least eigenvalue
-    # must clear the threshold top m u, top its largest.  The data passed
-    # their own check, so a refusal is a shift too small for the data.  m u
-    # is exact (u a power of 2), so top is multiplied once: no overflow for
-    # top near the float maximum
+    # (``toeplitz._decomposed``).  Its solves need the eps-shifted T_N
+    # positive definite at working precision: its least eigenvalue must
+    # clear the threshold ``toeplitz._margin`` with factor 1 and norm top,
+    # its largest, which overflows nowhere.  The data passed their own
+    # check, so a refusal is a shift too small for the data
     d = seq.block_dim
-    least, threshold = eigs[0] + eps, (eigs[-1] + eps) * (len(eigs) * _MACHINE_EPS)
+    least, threshold = eigs[0] + eps, _margin(len(eigs), eigs[-1] + eps, 1)
     if least <= threshold:
         raise SingularBlockError(
             f"the eps-shifted Toeplitz matrix at level {seq.order} is not positive definite at "
@@ -442,7 +412,8 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
         For a parametrized chain also, naming level N, where the
         eps-shifted Toeplitz matrix of the data is not positive definite at
         working precision (a shift too small for the data); or if the bound
-        S or the alpha^{-1} of a step is not positive definite.
+        S or the alpha^{-1} of a step is not positive definite, naming the
+        step and the level it appends.
     OutOfBallError
         If a contraction has a non-finite entry or operator norm above 1.
         Every contraction is checked, after their count and before the
@@ -470,10 +441,12 @@ def extend(seq, steps, eps=1e-8, contractions=None, tol=1e-9):
     for k, g in enumerate(contractions):
         # D = S^{1/2} G alpha^{-1/2}, v = S^{-1} D = S^{-1/2} G alpha^{-1/2} and
         # p = alpha D* = alpha^{1/2} G* S^{1/2} from one eigh of S and one of
-        # alpha^{-1}; the step's coefficient goes before the window of gamma,
+        # alpha^{-1}, each refused naming the step and the level it appends;
+        # the step's coefficient goes before the window of gamma,
         # M_{N+k} .. M_1
-        s_half, s_inv_half = _roots(s, "S")
-        a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}")
+        where = f" at chain step {k + 1}, level {n + k}"
+        s_half, s_inv_half = _roots(s, "S", where)
+        a_inv_half, a_half = _roots(alpha_inv, "alpha^{-1}", where)
         diff = s_half @ g @ a_inv_half
         rev[:, steps - 1 - k] = rev[:, steps - k : -1].reshape(d, -1) @ a + diff
         v, p = s_inv_half @ g @ a_inv_half, a_half @ g.conj().T @ s_half

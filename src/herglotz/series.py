@@ -144,7 +144,8 @@ def certified_series(seq, declared_radius=0.9, tol=1e-9):
     Cauchy interlacing lambda_min(T_n) >= lambda_min(T_N), and each level's
     computed lambda_min is within 2 m u ||T_N||_2 of its exact value (m the
     size of T_N, u the machine epsilon; the convention of
-    ``positivity_profile``).  Two rungs prove that every level passes.
+    ``toeplitz._margin``, which forms every rung's rounding margin).  Two
+    rungs prove that every level passes.
     On determinate data (rank T_s = rank T_{s-1} at a leading level s,
     the Caratheodory-Fejer case) the atom rung does, from T_s alone: the
     data past s must be the unique PSD continuation of T_s, an r-atom
@@ -513,9 +514,9 @@ def gram_isometries(seq, tol=1e-8):
     through the base factor.
 
     F is the minimal factor of T_N that ``extend`` builds, from the same
-    one ``eigh``: the eigenpairs above the interlacing margin 4 m u
-    ||T_N||_2 (m the size of T_N, u machine eps), so its rank rule is
-    relative to the data's scale and does not depend on ``tol``.  Its
+    one ``eigh``: the eigenpairs above the interlacing margin
+    (``toeplitz._margin`` with k = 4), so its rank rule is relative to
+    the data's scale and does not depend on ``tol``.  Its
     column blocks satisfy F_j = W^j F_0 for the partial isometry W from the
     past blocks (F_0 ... F_{N-1}) onto the future ones (F_1 ... F_N), and
     F_0 factors Re M_0 = T0* T0.  So V_0 is the orthogonal Procrustes

@@ -210,14 +210,12 @@ def positivity_profile(seq, tol=1e-9):
     the assembled T_N, entrywise the assembly of ``seq.truncated(n)``.  By
     Cauchy interlacing the exact lambda_min(T_n) is non-increasing in n, and
     at most lambda_{(N - n) d + 1}(T_N), the eigenvalue of T_N that
-    (N - n) d others lie below.  ``eigvalsh`` is backward stable: the k-th
-    eigenvalue it computes for a Hermitian matrix A of size m lies within
-    2 m u ||A||_2 of the exact k-th one (u the machine epsilon; Weyl's
-    inequality; the observed error is far smaller), and ||T_n||_2 <=
-    ||T_N||_2.  So a decomposed level i bounds every later level's computed
-    lambda_min from above by lambda_i + margin, and every earlier one's from
-    below by lambda_i - margin, with margin = 4 m u ||T_N||_2 and
-    m = (N + 1) d.
+    (N - n) d others lie below.  ``eigvalsh`` is backward stable under the
+    convention that ``_margin`` states, and ||T_n||_2 <= ||T_N||_2.  So a
+    decomposed level i bounds every later level's computed lambda_min from
+    above by lambda_i + margin, and every earlier one's from below by
+    lambda_i - margin, with margin the interlacing margin (``_margin`` with
+    k = 4 for T_N, of size m = (N + 1) d).
 
     The spectrum of T_N.  Between two decomposed levels i < j every level
     n's computed lambda_min lies in
@@ -244,7 +242,8 @@ def positivity_profile(seq, tol=1e-9):
     unique PSD continuation, the r-atom measure of the central extension,
     and passes where that continuation's certificate beta plus twice the
     sum of the defects ||M_j - C_j||_F (j > s) stays below tol by the
-    rounding margin 2 (m + 1) u nu, nu >= ||T_N||_2.  Then every level's
+    rounding margin of the data check, ``_margin`` with k = 2 at size
+    m + 1 and a bound nu >= ||T_N||_2.  Then every level's
     computed lambda_min is at least -tol, so every level is PSD.  It costs
     O(s^3 d^3 + N r d^2) in place of the O(N^3 d^3) of the spectrum of T_N,
     and assembles nothing of T_N's size.  Where it does not pass (data that
@@ -285,9 +284,7 @@ def positivity_profile(seq, tol=1e-9):
     stop, block = _atom_level(seq, tol) or (top, None)
     if stop < top:
         reports = _spectrum_profile(seq.truncated(stop), tol, block)
-        cap = reports[stop].upper + float(
-            4 * len(seq) * d * _MACHINE_EPS * _norm_bound(seq.coefficients)
-        )
+        cap = reports[stop].upper + float(_margin(len(seq) * d, _norm_bound(seq.coefficients), 4))
         if cap <= tol:
             return reports + [_bracket(-tol, cap, tol)] * (top - stop)
     return _spectrum_profile(seq, tol)
@@ -342,8 +339,9 @@ def _atom_level(seq, tol):
     # the defects E_j = M_j - C_j (j > s; the blocks up to s agree), whose
     # 2-norm is at most its block row sum 2 sum ||E_j||_2 <= 2 sum ||E_j||_F.
     # So lambda_min(T_N) >= -beta - 2 sum ||E_j||_F (Weyl), and where that is
-    # above -tol + margin (``_clearing_margin``) every level's computed
-    # lambda_min is at least -tol, by the convention of ``_clearing_pivots``.
+    # above -tol + margin (``_clearing_margin``, ``_margin`` with k = 2)
+    # every level's computed lambda_min is at least -tol, by the convention
+    # of ``_clearing_pivots``.
     # Rounding (u machine eps, twice the unit roundoff): each real part of
     # fl(E_j) is exact to a relative u / 2, so ||E_j||_F <= (1 + u)
     # ||fl(E_j)||_F; its squared norm sums 2 d^2 squares
@@ -360,9 +358,7 @@ def _atom_level(seq, tol):
     s = 1
     while 8 * (s + 1) <= top + 1 and margin < tol:
         head = seq.truncated(s)
-        dense = assemble(head).dense
-        eigs, vecs = np.linalg.eigh(dense)
-        rank_margin = _interlacing_margin(eigs)
+        dense, eigs, vecs, rank_margin = _eigenpairs(head)
         if np.count_nonzero(eigs > rank_margin) <= s * d:
             factor = _minimal_factor(eigs, vecs, rank_margin, d)
             if factor[2].shape[1] == factor[1]:
@@ -381,21 +377,22 @@ def _atom_level(seq, tol):
 def _clearing_pivots(seq, bound):
     # Whether one shifted Cholesky factorisation of T_N proves every level's
     # computed lambda_min >= -bound: the rung of the data check and of the
-    # check of an ``extend`` output.  By interlacing and the eigvalsh
-    # convention of ``positivity_profile``, every level's computed lambda_min
-    # is at least lambda_min(T_N) - 2 m u ||T_N||_2 (m = (N + 1) d, u machine
-    # eps), and ||T_N||_2 <= nu (``_norm_bound``).  So the factorisation
-    # proving lambda_min(T_N) > -bound + 2 (m + 1) u nu (the extra 2 u nu
-    # covers the rounding of that margin, ``_clearing_margin``) is enough.
-    # Data too large for the margin to be finite get no certificate
+    # check of an ``extend`` output.  By interlacing and the convention of
+    # ``_margin``, every level's computed lambda_min is at least
+    # lambda_min(T_N) less ``_margin`` with k = 2 for T_N, and ||T_N||_2 <=
+    # nu (``_norm_bound``).  So the factorisation proving lambda_min(T_N) >
+    # -bound + ``_clearing_margin`` (k = 2 at size m + 1, whose extra 2 u nu
+    # covers the rounding of the margin) is enough.  Data too large for the
+    # margin to be finite get no certificate
     return _shifted_pivots(assemble(seq).dense, -bound, _clearing_margin(seq))
 
 
 def _clearing_margin(seq):
-    # 2 (m + 1) u nu for T_N of size m = (N + 1) d: the rounding margin by
-    # which a rung of the data check proves lambda_min(T_N) above -tol
+    # the rounding margin by which a rung of the data check proves
+    # lambda_min(T_N) above -tol: ``_margin`` with k = 2 at size m + 1 for
+    # T_N of size m = (N + 1) d, and nu (``_norm_bound``) for ||T_N||_2
     with np.errstate(over="ignore"):
-        return 2 * (len(seq) * seq.block_dim + 1) * _MACHINE_EPS * _norm_bound(seq.coefficients)
+        return _margin(len(seq) * seq.block_dim + 1, _norm_bound(seq.coefficients), 2)
 
 
 def _certified_data(seq, tol, dense=None):
@@ -416,28 +413,57 @@ def _certified_data(seq, tol, dense=None):
             )
 
 
+def _checked_output(coeffs, bound, route, beta=np.inf):
+    # the one judge of an ``extend`` output M_0 .. M_L = ``coeffs``, as a
+    # sequence: lambda_min(T_L) >= -bound, the bound the ``route`` promises,
+    # by the first rung of the ladder in the ``extension`` module docstring
+    # that proves it: the certificate ``beta`` (the central extension's; a
+    # chain has none), the Cholesky rung of the data check, then one
+    # eigvalsh of T_L scaled by 2^-k, k the exponent of its largest diagonal
+    # entry (T_L's diagonal is Re M_0's), against the bound scaled alike and
+    # ``_margin``'s factor 1, so that a spectrum past the float maximum is
+    # decided too.  A non-finite output is refused before a sequence is
+    # built, whose own check would blame the data with NotPsdError
+    least = margin = np.nan
+    if np.isfinite(coeffs).all():
+        out = CoefficientSequence(coeffs)
+        if beta <= bound or _clearing_pivots(out, bound):
+            return out
+        k = np.frexp(coeffs[0].diagonal().real.max())[1]
+        # T_L as its interleaved real and imaginary parts, which ldexp scales
+        eigs = np.linalg.eigvalsh(np.ldexp(assemble(out).dense.view(float), -k).view(complex))
+        shift = np.ldexp(bound, -k)
+        least, margin = eigs[0], _margin(len(eigs), eigs[-1] + shift, 1)
+        if least + shift > margin:
+            return out
+        least, margin = np.ldexp((least, margin), k)
+    raise SingularBlockError(
+        f"the Toeplitz matrix of the {route} at level {len(coeffs) - 1} is not PSD within "
+        f"{bound:.3e} (least eigenvalue {least:.3e}, rounding margin {margin:.3e})"
+    )
+
+
 def _decomposed(seq, tol):
     # T_N, its eigenpairs from one ``eigh`` and their interlacing margin,
     # after the data check, with the verdicts and messages of the eigenvalue
     # check behind ``certified_series`` (``_certified_data``); every entry
     # point that reads the minimal factor of T_N takes its data here.
     # ``eigh`` (zheevd with vectors) is backward stable under the convention
-    # of ``positivity_profile``: each eigenvalue it computes for T_N lies
-    # within 2 m u ||T_N||_2 of an exact one (m = (N + 1) d, u machine eps),
-    # half the interlacing margin.  So where the computed eigs[0] >= margin -
-    # tol, the exact lambda_min(T_N) >= -tol + margin / 2.  By interlacing
-    # every exact lambda_min(T_n) is at least that, and eigvalsh computes it
-    # within margin / 2 (||T_n||_2 <= ||T_N||_2): every level
-    # ``_certified_data`` decomposes passes, and its brackets fail a level
-    # only after a decomposed one fails, so it would pass every level.
+    # of ``_margin``: each eigenvalue it computes for T_N lies within half
+    # the interlacing margin (``_margin``, k = 4) of an exact one.  So where
+    # the computed eigs[0] >= margin - tol, the exact lambda_min(T_N) >=
+    # -tol + margin / 2.  By interlacing every exact lambda_min(T_n) is at
+    # least that, and eigvalsh computes it within margin / 2 (||T_n||_2 <=
+    # ||T_N||_2): every level ``_certified_data`` decomposes passes, and its
+    # brackets fail a level only after a decomposed one fails, so it would
+    # pass every level.
     # Otherwise ``_certified_data`` decides, unchanged, on the same T_N
-    # (``eigh`` leaves its input intact).  Data that pass but whose spectrum passes the float maximum
-    # are refused here, for every entry point, before any caller reads a
-    # rank from the (infinite) margin or a threshold from the top.
+    # (``eigh`` leaves its input intact).  Data that pass but whose spectrum
+    # passes the float maximum are refused here, for every entry point,
+    # before any caller reads a rank from the (infinite) margin or a
+    # threshold from the top.
     _check_tol(tol)
-    dense = assemble(seq).dense
-    eigs, vecs = np.linalg.eigh(dense)
-    margin = _interlacing_margin(eigs)
+    dense, eigs, vecs, margin = _eigenpairs(seq)
     if not eigs[0] >= margin - tol:
         _certified_data(seq, tol, dense)
     if not np.isfinite(eigs[-1]):
@@ -724,11 +750,48 @@ def _shifted_pivots(dense, base, margin):
     return True
 
 
+def _margin(m, norm, k):
+    # k m u norm: the one rounding margin of every positivity rung, for a
+    # Hermitian A of size m and ``norm`` its 2-norm, computed or bounded
+    # (u machine eps, twice the unit roundoff).  The convention: each eigenvalue eigh or eigvalsh
+    # computes for A lies within 2 m u ||A||_2 of an exact one (backward
+    # stability and Weyl's inequality; the observed error is far smaller),
+    # and Cauchy interlacing carries that to every leading block of A.  The
+    # rungs take these factors:
+    #
+    #   k = 4  the interlacing margin (``_interlacing_margin``, norm the
+    #          computed max |lambda|) and the profile's cap past the atom
+    #          level (norm nu = ``_norm_bound``, m = (N + 1) d): a computed
+    #          eigenvalue of a leading block and the one of A it is compared
+    #          with each lie within 2 m u ||A||_2 of the exact ones;
+    #   k = 2  at size m + 1, the atom and Cholesky rungs of the data check
+    #          (``_clearing_margin``, norm nu): one computed level's error,
+    #          the extra 2 u nu covering the rounding of the margin itself;
+    #   k = 1  the eigenvalue rung of the output check (``_checked_output``,
+    #          norm lambda_max + bound) and the chain's working-precision
+    #          guard (``extension._ball_state``, norm lambda_max + eps): a
+    #          threshold on the computed spectrum, whose soundness for the
+    #          exact lambda_min the property tests check in rational
+    #          arithmetic.
+    #
+    # k m u is exact (u a power of 2) and below 1, so the product rounds once
+    # and a finite norm does not overflow it
+    return k * m * _MACHINE_EPS * norm
+
+
 def _interlacing_margin(eigs):
-    # 4 m u ||A||_2 for a Hermitian A of size m with computed eigenvalues
-    # ``eigs`` (ascending): each eigenvalue eigvalsh or eigh computes for A,
-    # or for a leading block of A, lies within half of it of an exact one
-    return float(4 * len(eigs) * _MACHINE_EPS * max(-eigs[0], eigs[-1]))
+    # ``_margin`` with k = 4 for a Hermitian A with computed eigenvalues
+    # ``eigs`` (ascending), their largest magnitude taken for ||A||_2
+    return float(_margin(len(eigs), max(-eigs[0], eigs[-1]), 4))
+
+
+def _eigenpairs(seq):
+    # T_N assembled, its eigenpairs from one ``eigh`` (ascending) and their
+    # interlacing margin: the spectrum step of the atom rung's search and of
+    # ``_decomposed``
+    dense = assemble(seq).dense
+    eigs, vecs = np.linalg.eigh(dense)
+    return dense, eigs, vecs, _interlacing_margin(eigs)
 
 
 def _bracket(lower, upper, tol):

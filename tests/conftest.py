@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from herglotz import extension, series, toeplitz
+from herglotz import series, toeplitz
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def count_dense_calls(monkeypatch):
         assemble = recording(
             "assemble", originals["assemble"], lambda seq: len(seq) * seq.block_dim
         )
-        for module in (toeplitz, series, extension):
+        for module in (toeplitz, series):
             monkeypatch.setattr(module, "assemble", assemble)
         for name in names:
             wrapper = recording(name, originals[name], lambda a: max(np.shape(a)[-2:]))

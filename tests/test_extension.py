@@ -386,9 +386,24 @@ class TestExtend:
         refusal = f"parametrized chain at level {order + 1} is not PSD within 1.000e-08 "
         with pytest.raises(SingularBlockError, match=refusal):
             extend(seq, 1, eps=1e-8, contractions=[unit])
-        refusal = f"^S is not positive definite|parametrized chain at level {order + 2} "
+        refusal = (
+            rf"^S is not positive definite at working precision at chain step 2, level "
+            rf"{order + 2} \(|parametrized chain at level {order + 2} "
+        )
         with pytest.raises(SingularBlockError, match=refusal):
             extend(seq, 2, eps=1e-8, contractions=[unit, np.zeros_like(unit)])
+
+    def test_chain_guard_names_the_step_and_the_level(self):
+        # the unit contraction of the first step puts M_3 on the boundary of
+        # the ball, so the bound S of the second step is singular and its
+        # guard refuses it, naming step 2 and the level it appends, N + 2
+        seq = realization_coefficients(random_realization(9, 2, 5), 2)
+        refusal = (
+            r"^S is not positive definite at working precision at chain step 2, level 4 "
+            r"\(least eigenvalue -?\d\.\d{3}e[+-]\d{2}\)$"
+        )
+        with pytest.raises(SingularBlockError, match=refusal):
+            extend(seq, 2, contractions=[np.eye(2), np.zeros((2, 2))])
 
     @pytest.mark.parametrize(
         "seed, shape, refusal",
@@ -484,7 +499,7 @@ class TestExtend:
         zeros = [np.zeros((2, 2))] * steps
         with monkeypatch.context() as patch:
             # the chain's output, its Cholesky rung forced to pass
-            patch.setattr(extension, "_clearing_pivots", lambda *args: True)
+            patch.setattr(toeplitz, "_clearing_pivots", lambda *args: True)
             level = extend(seq, steps, eps=eps, contractions=zeros, tol=tol)
         eigs = np.linalg.eigvalsh(assemble(level).dense)
         margin = (eigs[-1] + eps) * (len(eigs) * np.finfo(float).eps)

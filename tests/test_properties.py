@@ -953,7 +953,7 @@ def allowance(*terms):
     )
 )
 def test_profile_brackets_hold_the_exact_spectrum(problem):
-    # the convention of ``positivity_profile`` against the exact spectrum:
+    # the convention of ``toeplitz._margin`` against the exact spectrum:
     # every level's computed lambda_min lies within half the interlacing
     # margin of T_N of its exact one, so the bracket [lower, upper] of
     # every level it reports, decomposed or interlaced, widened by that half
